@@ -11,6 +11,7 @@ the step budget terminates it without one.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 from ..detector import DetectorConfig
@@ -322,12 +323,7 @@ def run_episode(scenario: EpisodeScenario, config: AgentConfig, backend, kb,
     """Drive one diagnosis episode to termination."""
     rt = _Runtime(scenario, config, backend, kb, detector)
     state = rt.state
-    state.log("episode", scenario=scenario.id, alert=rt.alert,
-              config={"max_steps": config.max_steps,
-                      "action_set_size": config.action_set_size,
-                      "max_root_causes": config.max_root_causes,
-                      "judge_after_run_sop": config.judge_after_run_sop,
-                      "ablations": config.ablations.as_dict()})
+    state.log("episode", scenario=scenario.id, alert=rt.alert, config=asdict(config))
     try:
         while not state.terminated and state.step_count < config.max_steps:
             rt.step()

@@ -1,5 +1,6 @@
 """Auxiliary agent roles: candidate proposal, observation classification,
-termination judgment, and the program-writing persona."""
+and termination judgment. The program-writing persona is the
+generate_sop_code tool."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import re
 from ..llm import ChatMessage
 from ..prompts import ACTION_SYSTEM, JUDGE_SYSTEM, OBSERVER_SYSTEM
 from ..tools import RootCause, ToolRegistry
+from ..tools.program import split_args
 from .types import ActionCandidate, JudgeVerdict, PROVENANCE_AGENT
 
 _ACTION_PREFIX_RE = re.compile(r"^\s*ACTION\s*:\s*")
@@ -21,23 +23,6 @@ _CAUSE_RE = re.compile(
 _INT_RE = re.compile(r"-?\d+")
 
 MAX_HYPOTHESES = 3
-
-
-def _split_call_args(text: str) -> list[str]:
-    parts, current, in_quote = [], [], False
-    for ch in text:
-        if ch == '"':
-            in_quote = not in_quote
-            current.append(ch)
-        elif ch == "," and not in_quote:
-            parts.append("".join(current).strip())
-            current = []
-        else:
-            current.append(ch)
-    tail = "".join(current).strip()
-    if tail:
-        parts.append(tail)
-    return [p for p in parts if p]
 
 
 def parse_action_line(line: str) -> tuple[str, dict, str] | None:
@@ -69,7 +54,7 @@ def parse_action_line(line: str) -> tuple[str, dict, str] | None:
     trailer = rest[close + 1:].strip()
     rationale = trailer[1:].strip() if trailer.startswith("|") else ""
     args: dict = {}
-    for piece in _split_call_args(arg_text):
+    for piece in split_args(arg_text):
         if "=" not in piece:
             return None
         name, _, raw = piece.partition("=")
@@ -182,9 +167,3 @@ def parse_selection(reply: str, set_size: int) -> int | None:
         return index
     return None
 
-
-def code_agent_generate(ctx, sop_id: str | None = None):
-    """The program-writing persona. The prompt construction and parsing live
-    with the generate_sop_code tool; this agent-level entry point is that tool."""
-    from ..tools.sop_flow import generate_sop_code
-    return generate_sop_code(ctx, sop_id=sop_id)

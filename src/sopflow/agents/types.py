@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..errors import ValidationError
-from ..tools import RootCause
+from ..tools import MAX_ROOT_CAUSES, RootCause
 
 PROVENANCE_AGENT = "action_agent"
 PROVENANCE_FLOW = "flow_rule"
@@ -19,7 +19,6 @@ OUTCOME_ABORTED = "aborted"
 
 DEFAULT_MAX_STEPS = 20
 DEFAULT_ACTION_SET_SIZE = 5
-DEFAULT_MAX_ROOT_CAUSES = 3
 
 
 @dataclass
@@ -38,31 +37,11 @@ class Ablations:
     def flow_rules_active(self) -> bool:
         return self.sop_knowledge and self.sop_flow
 
-    def as_dict(self) -> dict:
-        return {
-            "sop_knowledge": self.sop_knowledge,
-            "sop_flow": self.sop_flow,
-            "action_set": self.action_set,
-            "action_agent": self.action_agent,
-            "ob_agent": self.ob_agent,
-            "judge_agent": self.judge_agent,
-        }
-
-    @classmethod
-    def from_dict(cls, mapping: dict) -> "Ablations":
-        ab = cls()
-        for key, value in (mapping or {}).items():
-            if not hasattr(ab, key):
-                raise ValidationError(f"unknown ablation flag {key!r}")
-            setattr(ab, key, bool(value))
-        return ab
-
 
 @dataclass
 class AgentConfig:
     max_steps: int = DEFAULT_MAX_STEPS
     action_set_size: int = DEFAULT_ACTION_SET_SIZE
-    max_root_causes: int = DEFAULT_MAX_ROOT_CAUSES
     judge_after_run_sop: bool = False  # paper-strict default: judge only after match_observation
     ablations: Ablations = field(default_factory=Ablations)
 
@@ -71,8 +50,6 @@ class AgentConfig:
             raise ValidationError("max_steps must be positive")
         if self.action_set_size <= 0:
             raise ValidationError("action_set_size must be positive")
-        if self.max_root_causes <= 0:
-            raise ValidationError("max_root_causes must be positive")
 
 
 @dataclass(frozen=True)
@@ -133,10 +110,10 @@ class DiagnosisResult:
         return len(self.path)
 
     def __post_init__(self):
-        if not (0 < len(self.locations) <= DEFAULT_MAX_ROOT_CAUSES):
-            raise ValidationError("diagnosis must name 1..3 locations")
-        if len(self.types) > DEFAULT_MAX_ROOT_CAUSES:
-            raise ValidationError("diagnosis must name at most 3 types")
+        if not (0 < len(self.locations) <= MAX_ROOT_CAUSES):
+            raise ValidationError(f"diagnosis must name 1..{MAX_ROOT_CAUSES} locations")
+        if len(self.types) > MAX_ROOT_CAUSES:
+            raise ValidationError(f"diagnosis must name at most {MAX_ROOT_CAUSES} types")
 
 
 @dataclass

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import yaml
@@ -18,9 +19,8 @@ from .agents import OUTCOME_ABORTED, OUTCOME_BUDGET, OUTCOME_COMPLETED, run_epis
 from .config import load_config
 from .errors import SopflowError
 from .evaluation import load_corpus, report_table, run_benchmark, save_report
-from .golden import script_from_mapping
 from .kb import KnowledgeBase, incident_from_mapping, sop_from_mapping
-from .llm import BackendConfig, make_backend
+from .llm import make_backend, scripted_config
 from .sandbox import FaultType, ScenarioConfig, generate_corpus, load_scenario, save_scenario
 
 
@@ -133,15 +133,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_diagnose(args) -> int:
     app = load_config(args.config)
     scenario = load_scenario(args.scenario)
-    backend_cfg = app.backend
-    if args.script:
-        script = script_from_mapping(
-            yaml.safe_load(Path(args.script).read_text(encoding="utf-8"))
-        )
-        backend_cfg = BackendConfig(
-            backend_kind="scripted", embed_dim=app.backend.embed_dim,
-            embed_seed=app.backend.embed_seed, script=script,
-        )
+    backend_cfg = scripted_config(args.script, app.backend) if args.script else app.backend
     backend = make_backend(backend_cfg)
     if args.kb:
         kb = KnowledgeBase(backend, root=Path(args.kb),
@@ -173,8 +165,9 @@ def _cmd_diagnose(args) -> int:
 def _cmd_benchmark(args) -> int:
     app = load_config(args.config)
     eval_cfg = app.eval
+    flags = {f.name for f in fields(eval_cfg.agent.ablations)}
     for flag in (f.strip() for f in args.ablate.split(",") if f.strip()):
-        if not hasattr(eval_cfg.agent.ablations, flag):
+        if flag not in flags:
             print(f"unknown ablation flag {flag!r}", file=sys.stderr)
             return 2
         setattr(eval_cfg.agent.ablations, flag, False)
@@ -182,7 +175,7 @@ def _cmd_benchmark(args) -> int:
         eval_cfg.workers = args.workers
     corpus = load_corpus(args.corpus)
     transcript_dir = Path(args.out) / "transcripts" if args.out else None
-    report = run_benchmark(corpus, eval_cfg, app.backend, app.detector, transcript_dir)
+    report = run_benchmark(corpus, eval_cfg, app.backend, app.detector, transcript_dir, app.kb)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

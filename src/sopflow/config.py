@@ -1,9 +1,10 @@
-"""Top-level configuration file: backend, detector, and evaluation defaults.
+"""Top-level configuration file: backend, detector, evaluation and retrieval.
 
 One YAML file captures a reproducible run; CLI flags override individual
-fields. All sections are optional and default sensibly.
+fields. All sections are optional and default sensibly. Every section takes
+exactly the fields of its dataclass and rejects any other key.
 
-    backend:
+    backend:                        # BackendConfig
       backend_kind: scripted        # or remote
       endpoint: https://api.example.com/v1
       model: some-model
@@ -12,21 +13,22 @@ fields. All sections are optional and default sensibly.
       credential_env: SOPFLOW_API_KEY
       embed_dim: 64
       embed_seed: 0
-    detector:
+    detector:                       # DetectorConfig
       k: 3.0
+      min_sigma_frac: 0.1
+      min_baseline_samples: 4
+      baseline_lookback_samples: 20
       static_thresholds: {cpu_usage: 0.8, memory_usage: 0.85, error_rate: 0.05}
       anomaly_keywords: [error, timeout, refused, oom, throttling]
-    eval:
+    eval:                           # EvalConfig and AgentConfig keys side by side
       sigma: 0.1
       aggregate: corpus             # or episode_mean
       workers: 1
       max_steps: 20
       action_set_size: 5
-      max_root_causes: 3
       judge_after_run_sop: false
       ablations: {sop_flow: on, ...}
-    kb:
-      path: ./kb
+    kb:                             # KbSettings; sopflow kb, diagnose and benchmark
       k: 3
       threshold: 0.3
 """
@@ -38,19 +40,12 @@ from pathlib import Path
 
 import yaml
 
-from .agents import Ablations, AgentConfig
+from . import schema
 from .detector import DetectorConfig
 from .errors import ConfigError
 from .evaluation import EvalConfig
-from .kb import DEFAULT_THRESHOLD, DEFAULT_TOP_K
+from .kb import KbSettings
 from .llm import BackendConfig
-
-
-@dataclass
-class KbSettings:
-    path: Path | None = None
-    k: int = DEFAULT_TOP_K
-    threshold: float = DEFAULT_THRESHOLD
 
 
 @dataclass
@@ -61,66 +56,11 @@ class AppConfig:
     kb: KbSettings = field(default_factory=KbSettings)
 
 
-def _backend_from(mapping: dict) -> BackendConfig:
-    cfg = BackendConfig()
-    allowed = {"backend_kind", "endpoint", "model", "temperature", "max_tokens",
-               "credential_env", "embed_dim", "embed_seed"}
-    for key, value in mapping.items():
-        if key not in allowed:
-            raise ConfigError(f"unknown backend config key {key!r}")
-        setattr(cfg, key, type(getattr(cfg, key))(value))
-    return cfg
-
-
-def _eval_from(mapping: dict) -> EvalConfig:
-    agent = AgentConfig()
-    cfg = EvalConfig(agent=agent)
-    for key, value in mapping.items():
-        if key == "sigma":
-            cfg.sigma = float(value)
-        elif key == "aggregate":
-            cfg.aggregate = str(value)
-        elif key == "workers":
-            cfg.workers = int(value)
-        elif key == "max_steps":
-            agent.max_steps = int(value)
-        elif key == "action_set_size":
-            agent.action_set_size = int(value)
-        elif key == "max_root_causes":
-            agent.max_root_causes = int(value)
-        elif key == "judge_after_run_sop":
-            agent.judge_after_run_sop = bool(value)
-        elif key == "ablations":
-            agent.ablations = Ablations.from_dict(value)
-        else:
-            raise ConfigError(f"unknown eval config key {key!r}")
-    return cfg
-
-
 def load_config(path: Path | str | None) -> AppConfig:
     if path is None:
         return AppConfig()
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    data = yaml.safe_load(path.read_text(encoding="utf-8")) or {}
-    if not isinstance(data, dict):
-        raise ConfigError("config file must contain a mapping")
-    cfg = AppConfig()
-    if "backend" in data:
-        cfg.backend = _backend_from(data["backend"] or {})
-    if "detector" in data:
-        cfg.detector = DetectorConfig.from_mapping(data["detector"] or {})
-    if "eval" in data:
-        cfg.eval = _eval_from(data["eval"] or {})
-    if "kb" in data:
-        kb_map = data["kb"] or {}
-        cfg.kb = KbSettings(
-            path=Path(kb_map["path"]) if kb_map.get("path") else None,
-            k=int(kb_map.get("k", DEFAULT_TOP_K)),
-            threshold=float(kb_map.get("threshold", DEFAULT_THRESHOLD)),
-        )
-    unknown = set(data) - {"backend", "detector", "eval", "kb"}
-    if unknown:
-        raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-    return cfg
+    data = yaml.safe_load(path.read_text(encoding="utf-8"))
+    return schema.from_mapping(AppConfig, data, "config")

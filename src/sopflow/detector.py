@@ -16,7 +16,7 @@ from pathlib import Path
 
 import yaml
 
-from .errors import ConfigError
+from . import schema
 
 DEFAULT_K = 3.0
 DEFAULT_MIN_SIGMA_FRAC = 0.1
@@ -47,29 +47,11 @@ class DetectorConfig:
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "DetectorConfig":
-        if not isinstance(mapping, dict):
-            raise ConfigError("detector config must be a mapping")
-        cfg = cls()
-        if "k" in mapping:
-            cfg.k = float(mapping["k"])
-        if "min_sigma_frac" in mapping:
-            cfg.min_sigma_frac = float(mapping["min_sigma_frac"])
-        if "min_baseline_samples" in mapping:
-            cfg.min_baseline_samples = int(mapping["min_baseline_samples"])
-        if "baseline_lookback_samples" in mapping:
-            cfg.baseline_lookback_samples = int(mapping["baseline_lookback_samples"])
-        if "static_thresholds" in mapping:
-            cfg.static_thresholds = {
-                str(k): float(v) for k, v in mapping["static_thresholds"].items()
-            }
-        if "anomaly_keywords" in mapping:
-            cfg.anomaly_keywords = tuple(str(k) for k in mapping["anomaly_keywords"])
-        return cfg
+        return schema.from_mapping(cls, mapping, "detector")
 
     @classmethod
     def from_file(cls, path: Path | str) -> "DetectorConfig":
-        data = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
-        return cls.from_mapping(data or {})
+        return cls.from_mapping(yaml.safe_load(Path(path).read_text(encoding="utf-8")))
 
 
 @dataclass(frozen=True)

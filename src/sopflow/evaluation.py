@@ -12,17 +12,17 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import yaml
 
+from . import schema
 from .agents import AgentConfig, EpisodeResult, OUTCOME_COMPLETED, run_episode, write_transcript
 from .detector import DetectorConfig
 from .errors import ConfigError, UndefinedMetricError, ValidationError
-from .golden import script_from_mapping
-from .kb import KnowledgeBase
-from .llm import BackendConfig, make_backend
+from .kb import KbSettings, KnowledgeBase
+from .llm import BackendConfig, make_backend, scripted_config
 from .sandbox import EpisodeScenario, load_scenario
 
 DEFAULT_SIGMA = 0.1
@@ -35,7 +35,9 @@ class EvalConfig:
     sigma: float = DEFAULT_SIGMA
     aggregate: str = AGGREGATE_CORPUS
     workers: int = 1
-    agent: AgentConfig = field(default_factory=AgentConfig)
+    # the eval: config section and the report's config record list the agent's
+    # keys beside these
+    agent: AgentConfig = field(default_factory=AgentConfig, metadata=schema.INLINE)
 
     def validate(self) -> None:
         if self.sigma < 0:
@@ -178,16 +180,7 @@ class BenchmarkReport:
             rows=rows, la=la, ta=ta, average=average,
             apl=average_path_length(rows),
             sigma=eval_cfg.sigma, aggregate=eval_cfg.aggregate,
-            config={
-                "sigma": eval_cfg.sigma,
-                "aggregate": eval_cfg.aggregate,
-                "workers": eval_cfg.workers,
-                "max_steps": eval_cfg.agent.max_steps,
-                "action_set_size": eval_cfg.agent.action_set_size,
-                "max_root_causes": eval_cfg.agent.max_root_causes,
-                "judge_after_run_sop": eval_cfg.agent.judge_after_run_sop,
-                "ablations": eval_cfg.agent.ablations.as_dict(),
-            },
+            config=schema.to_mapping(eval_cfg),
             aborted=sum(1 for r in rows if r.outcome == "aborted"),
         )
 
@@ -230,7 +223,8 @@ def load_corpus(manifest_path: Path | str) -> Corpus:
 
 def run_benchmark(corpus: Corpus, eval_cfg: EvalConfig, backend_cfg: BackendConfig,
                   detector: DetectorConfig | None = None,
-                  transcript_dir: Path | str | None = None) -> BenchmarkReport:
+                  transcript_dir: Path | str | None = None,
+                  kb_settings: KbSettings | None = None) -> BenchmarkReport:
     """Run every scenario in the corpus once and aggregate the rows.
 
     Each episode gets a fresh in-memory clone of the knowledge base so
@@ -239,22 +233,15 @@ def run_benchmark(corpus: Corpus, eval_cfg: EvalConfig, backend_cfg: BackendConf
     run failures.
     """
     eval_cfg.validate()
-    base_backend = make_backend(backend_cfg)
-    kb_master = KnowledgeBase(base_backend, root=corpus.kb_path) if corpus.kb_path \
-        else KnowledgeBase(base_backend)
+    kb_settings = kb_settings or KbSettings()
+    kb_master = KnowledgeBase(make_backend(backend_cfg), root=corpus.kb_path,
+                              k=kb_settings.k, threshold=kb_settings.threshold)
 
     def _run(entry: CorpusEntry) -> tuple[EpisodeScenario, EpisodeResult]:
         scenario = load_scenario(entry.scenario_path)
         cfg = backend_cfg
         if entry.script_path is not None:
-            script = script_from_mapping(
-                yaml.safe_load(entry.script_path.read_text(encoding="utf-8"))
-            )
-            cfg = BackendConfig(
-                backend_kind="scripted", embed_dim=backend_cfg.embed_dim,
-                embed_seed=backend_cfg.embed_seed, script=script,
-                embed_overrides=dict(backend_cfg.embed_overrides),
-            )
+            cfg = scripted_config(entry.script_path, backend_cfg)
         backend = make_backend(cfg)
         result = run_episode(scenario, eval_cfg.agent, backend,
                              kb_master.clone_in_memory(), detector)
@@ -280,62 +267,14 @@ def run_benchmark(corpus: Corpus, eval_cfg: EvalConfig, backend_cfg: BackendConf
 
 
 def save_report(report: BenchmarkReport, path: Path | str) -> None:
-    data = {
-        "la": report.la,
-        "ta": report.ta,
-        "average": report.average,
-        "apl": report.apl,
-        "sigma": report.sigma,
-        "aggregate": report.aggregate,
-        "aborted": report.aborted,
-        "config": report.config,
-        "rows": [
-            {
-                "scenario_id": r.scenario_id,
-                "outcome": r.outcome,
-                "predicted_locations": list(r.predicted_locations),
-                "predicted_types": list(r.predicted_types),
-                "gt_locations": list(r.gt_locations),
-                "gt_types": list(r.gt_types),
-                "loc_correct": r.loc_correct,
-                "loc_incorrect": r.loc_incorrect,
-                "type_correct": r.type_correct,
-                "type_incorrect": r.type_incorrect,
-                "path_length": r.path_length,
-                "path": list(r.path),
-            }
-            for r in report.rows
-        ],
-    }
-    Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n",
+    Path(path).write_text(json.dumps(asdict(report), indent=2, sort_keys=True) + "\n",
                           encoding="utf-8")
 
 
 def load_report(path: Path | str) -> BenchmarkReport:
     """Load a serialized report, recomputing the aggregates as a consistency check."""
     data = json.loads(Path(path).read_text(encoding="utf-8"))
-    rows = [
-        EpisodeRow(
-            scenario_id=r["scenario_id"],
-            outcome=r["outcome"],
-            predicted_locations=tuple(r["predicted_locations"]),
-            predicted_types=tuple(r["predicted_types"]),
-            gt_locations=tuple(r["gt_locations"]),
-            gt_types=tuple(r["gt_types"]),
-            loc_correct=r["loc_correct"],
-            loc_incorrect=r["loc_incorrect"],
-            type_correct=r["type_correct"],
-            type_incorrect=r["type_incorrect"],
-            path_length=r["path_length"],
-            path=tuple(r["path"]),
-        )
-        for r in data["rows"]
-    ]
-    report = BenchmarkReport(
-        rows=rows, la=data["la"], ta=data["ta"], average=data["average"],
-        apl=data["apl"], sigma=data["sigma"], aggregate=data["aggregate"],
-        config=data["config"], aborted=data.get("aborted", 0),
-    )
+    report = schema.from_mapping(BenchmarkReport, data, "report")
     _check_consistency(report)
     return report
 

@@ -14,13 +14,15 @@ entry is consume-once, so the n-th call of a role gets the n-th entry.
 from __future__ import annotations
 
 import argparse
+import shutil
 from dataclasses import dataclass
 from pathlib import Path
 
 import yaml
 
 from .kb import HistoricalIncident, KnowledgeBase, SopDoc
-from .llm import BackendConfig, ScriptEntry, make_backend
+from .llm import BackendConfig, ScriptEntry, make_backend, script_to_mapping
+from .llm import script_from_mapping  # noqa: F401  (re-exported for corpus readers)
 from .prompts import (
     ROLE_ACTION,
     ROLE_AUTHOR,
@@ -428,26 +430,16 @@ def expected_path_length(mode: str, scenario: EpisodeScenario | None = None) -> 
 # -- on-disk corpus ---------------------------------------------------------------
 
 
-def script_to_mapping(script: list[ScriptEntry]) -> list[dict]:
-    return [
-        {"match_key": e.match_key, "response": e.response, "consume_once": e.consume_once}
-        for e in script
-    ]
-
-
-def script_from_mapping(data: list) -> list[ScriptEntry]:
-    return [
-        ScriptEntry(match_key=str(e["match_key"]), response=str(e["response"]),
-                    consume_once=bool(e.get("consume_once", False)))
-        for e in (data or [])
-    ]
-
-
 def write_corpus(out_dir: Path | str, mode: str = "default") -> Path:
-    """Write scenarios, scripts, knowledge base, and manifest; returns the manifest path."""
+    """Write scenarios, scripts, knowledge base, and manifest; returns the manifest path.
+
+    Rewriting an existing corpus replaces its knowledge base directory, so a
+    rerun yields the same files as the first run.
+    """
     out = Path(out_dir)
     (out / "scenarios").mkdir(parents=True, exist_ok=True)
     (out / "scripts").mkdir(parents=True, exist_ok=True)
+    shutil.rmtree(out / "kb", ignore_errors=True)
     backend = make_backend(BackendConfig())
     make_golden_kb(backend, root=out / "kb")
     episodes = []

@@ -31,6 +31,14 @@ _CACHE_FILE = "embedding_cache.json"
 _ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
 
 
+@dataclass
+class KbSettings:
+    """Retrieval defaults for a knowledge base (the ``kb:`` config section)."""
+
+    k: int = DEFAULT_TOP_K
+    threshold: float = DEFAULT_THRESHOLD
+
+
 @dataclass(frozen=True)
 class EmbeddingVector:
     """Fixed-length real vector produced by an embedding backend."""

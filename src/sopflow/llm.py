@@ -14,10 +14,13 @@ import hashlib
 import math
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from pathlib import Path
 
 import requests
+import yaml
 
+from . import schema
 from .errors import BackendError, ScriptExhaustedError, ValidationError
 from .kb import EmbeddingVector
 
@@ -50,6 +53,14 @@ class ScriptEntry:
     consume_once: bool = False
 
 
+def script_to_mapping(script: list[ScriptEntry]) -> list[dict]:
+    return [asdict(entry) for entry in script]
+
+
+def script_from_mapping(data: list) -> list[ScriptEntry]:
+    return [schema.from_mapping(ScriptEntry, entry, "script entry") for entry in data or []]
+
+
 @dataclass
 class BackendConfig:
     backend_kind: str = "scripted"  # "scripted" | "remote"
@@ -60,9 +71,10 @@ class BackendConfig:
     credential_env: str = DEFAULT_CREDENTIAL_ENV
     embed_dim: int = DEFAULT_EMBED_DIM
     embed_seed: int = 0
-    script: list[ScriptEntry] = field(default_factory=list)
+    script: list[ScriptEntry] = field(default_factory=list, metadata=schema.INTERNAL)
     # exact-text embedding overrides for retrieval-ordering tests
-    embed_overrides: dict[str, tuple[float, ...]] = field(default_factory=dict)
+    embed_overrides: dict[str, tuple[float, ...]] = field(default_factory=dict,
+                                                          metadata=schema.INTERNAL)
 
     def validate(self) -> None:
         if self.backend_kind not in ("scripted", "remote"):
@@ -75,6 +87,14 @@ class BackendConfig:
             raise ValidationError("embed_dim must be positive")
         if self.backend_kind == "remote" and not self.endpoint:
             raise ValidationError("remote backend requires an endpoint")
+
+
+def scripted_config(script_path: Path | str, base: BackendConfig) -> BackendConfig:
+    """A scripted backend replaying a script file, embedding as ``base`` does."""
+    script = script_from_mapping(yaml.safe_load(Path(script_path).read_text(encoding="utf-8")))
+    return BackendConfig(backend_kind="scripted", embed_dim=base.embed_dim,
+                         embed_seed=base.embed_seed, script=script,
+                         embed_overrides=dict(base.embed_overrides))
 
 
 def render_prompt(messages: list[ChatMessage]) -> str:

@@ -1,0 +1,98 @@
+"""Dataclasses read from and written to plain mappings (YAML or JSON).
+
+A dataclass's own fields are its schema: ``from_mapping`` coerces each value
+by the field's declared type, recurses into nested dataclasses, and rejects
+keys that are not fields; ``to_mapping`` is ``dataclasses.asdict``. Two field
+markers (``field(metadata=...)``) adjust that:
+
+* ``INTERNAL``: set by code only; a mapping may not name it.
+* ``INLINE``: a nested dataclass whose keys sit beside the parent's keys
+  instead of under the field's own name.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import functools
+import types
+import typing
+
+from .errors import ConfigError
+
+INTERNAL = {"schema": "internal"}
+INLINE = {"schema": "inline"}
+
+
+def _marker(f: dataclasses.Field) -> str | None:
+    return f.metadata.get("schema")
+
+
+@functools.cache
+def _fields(cls) -> tuple[tuple[dataclasses.Field, object], ...]:
+    """(field, resolved type) pairs; resolving string annotations is slow."""
+    hints = typing.get_type_hints(cls)
+    return tuple((f, hints[f.name]) for f in dataclasses.fields(cls))
+
+
+def from_mapping(cls, mapping, section: str):
+    """Build ``cls`` from ``mapping``; ``section`` names the mapping in errors."""
+    if mapping is None:
+        mapping = {}
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{section}: must be a mapping")
+    rest = dict(mapping)
+    values = {}
+    for f, tp in _fields(cls):
+        if _marker(f) == "internal":
+            continue
+        if _marker(f) == "inline":
+            own = {g.name for g in dataclasses.fields(tp)}
+            values[f.name] = from_mapping(
+                tp, {k: rest.pop(k) for k in list(rest) if k in own}, section)
+        elif f.name in rest:
+            values[f.name] = _coerce(rest.pop(f.name), tp, f"{section}.{f.name}")
+        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            raise ConfigError(f"{section}: missing key {f.name!r}")
+    if rest:
+        raise ConfigError(f"{section}: unknown key(s) {', '.join(map(repr, rest))}")
+    return cls(**values)
+
+
+def to_mapping(obj) -> dict:
+    """``dataclasses.asdict``, with the keys of ``obj``'s ``INLINE`` fields lifted
+    beside its own."""
+    out = dataclasses.asdict(obj)
+    for f in dataclasses.fields(obj):
+        if _marker(f) == "inline":
+            out.update(out.pop(f.name))
+    return out
+
+
+def _coerce(value, tp, where: str):
+    if dataclasses.is_dataclass(tp):
+        return from_mapping(tp, value, where)
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (typing.Union, types.UnionType):
+        if value is None and type(None) in args:
+            return None
+        (tp,) = [a for a in args if a is not type(None)]
+        return _coerce(value, tp, where)
+    if tp is bool:
+        if value not in (True, False):
+            raise ConfigError(f"{where}: expected true or false, got {value!r}")
+        return bool(value)
+    if origin in (list, tuple):
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{where}: expected a list, got {value!r}")
+        return origin(_coerce(item, args[0], where) for item in value)
+    if origin is dict:
+        if not isinstance(value, dict):
+            raise ConfigError(f"{where}: expected a mapping, got {value!r}")
+        return {_coerce(k, args[0], where): _coerce(v, args[1], where)
+                for k, v in value.items()}
+    if tp in (int, float, str):
+        try:
+            return tp(value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{where}: {exc}") from None
+    return value

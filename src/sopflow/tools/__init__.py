@@ -14,7 +14,7 @@ from .program import (
     validate_program,
 )
 from .registry import SopFlowState, ToolContext, ToolParam, ToolRegistry, ToolResult, ToolSpec
-from .terminal import RootCause, SpeakReport, encode_causes, parse_causes
+from .terminal import MAX_ROOT_CAUSES, RootCause, SpeakReport, encode_causes, parse_causes
 
 SOP_FLOW_TOOL_NAMES = frozenset(
     {"match_sop", "generate_sop", "generate_sop_code", "run_sop", "match_observation"}

@@ -125,7 +125,7 @@ class ProgramRunResult:
 # -- parsing --------------------------------------------------------------------
 
 
-def _split_args(text: str) -> list[str]:
+def split_args(text: str) -> list[str]:
     """Split a call argument list on commas, respecting double quotes."""
     parts = []
     depth_quote = False
@@ -162,7 +162,7 @@ def _parse_call(text: str) -> ToolCall:
         raise GenerationParseError(f"cannot parse tool call {text!r}")
     tool, arg_text = match.group(1), match.group(2)
     args = []
-    for piece in _split_args(arg_text):
+    for piece in split_args(arg_text):
         if "=" not in piece:
             raise GenerationParseError(f"argument {piece!r} must be name=value")
         name, _, value = piece.partition("=")
@@ -181,7 +181,7 @@ def _parse_simple(line: str):
     finding_match = _CALL_RE.match(line.strip())
     if finding_match and finding_match.group(1) == "finding":
         # finding takes positional parts, not name=value arguments
-        parts = tuple(_parse_value(tok) for tok in _split_args(finding_match.group(2)))
+        parts = tuple(_parse_value(tok) for tok in split_args(finding_match.group(2)))
         if not parts:
             raise GenerationParseError("finding() needs at least one part")
         return FindingStmt(parts=parts)
@@ -194,7 +194,7 @@ def _parse_line(line: str):
         kind, inner, body = if_match.groups()
         if kind not in ("contains", "above", "below"):
             raise GenerationParseError(f"unknown predicate {kind!r}")
-        pieces = _split_args(inner)
+        pieces = split_args(inner)
         if len(pieces) != 2:
             raise GenerationParseError(f"predicate needs two arguments: {line!r}")
         var_token = pieces[0]

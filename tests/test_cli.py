@@ -142,8 +142,23 @@ class TestBenchmark:
         assert report["config"]["ablations"]["sop_flow"] is False
 
     def test_unknown_ablation_is_usage_error(self, golden_dir):
+        # a property and a method of Ablations are not flags either
+        for flag in ("gravity", "flow_rules_active", "as_dict"):
+            assert run_cli("benchmark", "--corpus", str(golden_dir / "manifest.yaml"),
+                           "--ablate", flag) == 2
+
+    def test_config_kb_settings_reach_retrieval(self, golden_dir, tmp_path):
+        # a negative threshold admits every incident, so match_observation
+        # lists all three golden incidents instead of none
+        cfg = tmp_path / "config.yaml"
+        cfg.write_text("kb: {threshold: -1}\n")
+        out = tmp_path / "run"
         assert run_cli("benchmark", "--corpus", str(golden_dir / "manifest.yaml"),
-                       "--ablate", "gravity") == 2
+                       "--config", str(cfg), "--out", str(out)) == 0
+        transcript = out / "transcripts" / "scn-01000-cpustress.jsonl"
+        observations = [e["text"] for e in map(json.loads, transcript.read_text().splitlines())
+                        if e["kind"] == "observation" and e["tool"] == "match_observation"]
+        assert observations and observations[0].startswith("3 similar historical incidents")
 
     def test_missing_corpus_exit_one(self, tmp_path):
         assert run_cli("benchmark", "--corpus", str(tmp_path / "nope.yaml")) == 1

@@ -1,6 +1,9 @@
-import pytest
+from dataclasses import asdict
 
-from sopflow.config import load_config
+import pytest
+import yaml
+
+from sopflow.config import AppConfig, load_config
 from sopflow.errors import ConfigError
 
 
@@ -11,7 +14,6 @@ def test_defaults_without_file():
     assert cfg.eval.sigma == 0.1
     assert cfg.eval.agent.max_steps == 20
     assert cfg.eval.agent.action_set_size == 5
-    assert cfg.eval.agent.max_root_causes == 3
     assert cfg.detector.k == 3.0
     assert cfg.kb.threshold == 0.3 and cfg.kb.k == 3
 
@@ -33,7 +35,6 @@ def test_full_file_roundtrip(tmp_path):
         "  max_steps: 10\n"
         "  ablations: {sop_flow: false}\n"
         "kb:\n"
-        "  path: ./kb\n"
         "  threshold: 0.5\n"
     )
     cfg = load_config(path)
@@ -46,7 +47,7 @@ def test_full_file_roundtrip(tmp_path):
     assert cfg.eval.agent.max_steps == 10
     assert cfg.eval.agent.ablations.sop_flow is False
     assert cfg.eval.agent.ablations.sop_knowledge is True
-    assert str(cfg.kb.path) == "kb" and cfg.kb.threshold == 0.5
+    assert cfg.kb.threshold == 0.5
 
 
 def test_unknown_keys_rejected(tmp_path):
@@ -57,6 +58,46 @@ def test_unknown_keys_rejected(tmp_path):
     path.write_text("eval: {drive: 1}\n")
     with pytest.raises(ConfigError):
         load_config(path)
+    for text in ("detector: {kk: 9}\n", "kb: {treshold: 0.9}\n", "kb: {path: x}\n",
+                 "eval: {max_root_causes: 3}\n", "eval: {ablations: {flow_rules_active: false}}\n",
+                 "backend: {script: []}\n", "eval: {agent: {}}\n"):
+        path.write_text(text)
+        with pytest.raises(ConfigError):
+            load_config(path)
+
+
+def test_every_file_settable_field_reaches_the_config(tmp_path):
+    sections = {
+        "backend": {"backend_kind": "remote", "endpoint": "https://llm.example/v1",
+                    "model": "m1", "temperature": 0.2, "max_tokens": 99,
+                    "credential_env": "OTHER_KEY", "embed_dim": 8, "embed_seed": 7},
+        "detector": {"k": 4.0, "min_sigma_frac": 0.2, "min_baseline_samples": 6,
+                     "baseline_lookback_samples": 9,
+                     "static_thresholds": {"cpu_usage": 0.7},
+                     "anomaly_keywords": ["panic"]},
+        "eval": {"sigma": 0.2, "aggregate": "episode_mean", "workers": 3,
+                 "max_steps": 10, "action_set_size": 4, "judge_after_run_sop": True,
+                 "ablations": {name: False for name in (
+                     "sop_knowledge", "sop_flow", "action_set", "action_agent",
+                     "ob_agent", "judge_agent")}},
+        "kb": {"k": 5, "threshold": 0.5},
+    }
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(sections))
+
+    def by_section(app):
+        return {"backend": asdict(app.backend), "detector": asdict(app.detector),
+                "eval": {**asdict(app.eval.agent), **asdict(app.eval)}, "kb": asdict(app.kb)}
+
+    loaded, defaults = by_section(load_config(path)), by_section(AppConfig())
+    unset = {"backend": {"script", "embed_overrides"}, "eval": {"agent"}}
+    for name, values in sections.items():
+        # the file above names every field a config file may set
+        assert set(values) == set(loaded[name]) - unset.get(name, set()), name
+        for key, value in values.items():
+            got = loaded[name][key]
+            assert got == (tuple(value) if isinstance(got, tuple) else value), (name, key)
+            assert got != defaults[name][key], (name, key)
 
 
 def test_missing_file_rejected(tmp_path):

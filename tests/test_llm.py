@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from sopflow.errors import BackendError, ScriptExhaustedError, ValidationError
+from sopflow.errors import BackendError, ConfigError, ScriptExhaustedError, ValidationError
 from sopflow.kb import cosine_similarity
 from sopflow.llm import (
     BackendConfig,
@@ -11,6 +11,8 @@ from sopflow.llm import (
     ScriptEntry,
     hash_embedding,
     make_backend,
+    script_from_mapping,
+    script_to_mapping,
 )
 
 
@@ -117,6 +119,22 @@ class TestScriptedEmbed:
     def test_empty_text_rejected(self):
         with pytest.raises(ValidationError):
             make_backend(BackendConfig()).embed("")
+
+
+class TestScriptFiles:
+    def test_roundtrip(self):
+        script = [ScriptEntry("ROLE: x", "1", consume_once=True), ScriptEntry("*", "2")]
+        assert script_from_mapping(script_to_mapping(script)) == script
+
+    @pytest.mark.parametrize("entry", [
+        {"match_key": "*", "response": "1", "consume": True},   # unknown key
+        {"match_key": "*"},                                     # missing response
+        {"match_key": "*", "response": "1", "consume_once": "no"},
+        "match_key: *",
+    ])
+    def test_malformed_entry_is_config_error(self, entry):
+        with pytest.raises(ConfigError):
+            script_from_mapping([entry])
 
 
 def test_only_the_backend_module_touches_the_network():

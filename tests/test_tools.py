@@ -287,17 +287,6 @@ class TestSopFlowTools:
         result = registry.execute("run_sop", {}, quiet_ctx)
         assert not result.success and "no validated program" in result.observation
 
-    def test_code_agent_delegates_to_generate_sop_code(self, registry):
-        from sopflow.agents import code_agent_generate
-        backend = scripted_backend(script=[ScriptEntry(
-            "ROLE: procedure-coder", "```\npod_analyze()\n```",
-        )])
-        kb = self._kb_with(backend, SopDoc(id="sop-x", name="n", steps=["s"]))
-        ctx = make_ctx(no_fault_scenario(), registry=registry, backend=backend, kb=kb)
-        result = code_agent_generate(ctx, sop_id="sop-x")
-        assert result.tool == "generate_sop_code" and result.success
-        assert ctx.sop.program is result.payload
-
     def test_match_observation_defaults_to_findings(self, registry):
         backend = scripted_backend()
         ctx = make_ctx(no_fault_scenario(), registry=registry, backend=backend,
