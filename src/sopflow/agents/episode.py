@@ -3,20 +3,22 @@
 Each step makes up to three backend calls (orchestrator thought, candidate
 proposal, orchestrator selection), executes exactly one tool from the bounded
 action set, and runs the post-observation hooks (ObAgent then JudgeAgent after
-match_observation). A backend failure is retried once; failing again aborts
-the episode. Executing speak terminates it with a diagnosis; running out of
-the step budget terminates it without one.
+match_observation). A failed completion or knowledge-base embedding is retried
+once (after the backend's Retry-After, capped); failing again aborts the
+episode. Executing speak terminates it with a diagnosis; running out of the
+step budget terminates it without one.
 """
 
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import asdict
 from pathlib import Path
 
 from ..detector import DetectorConfig
 from ..errors import BackendError, EpisodeAborted, ScriptExhaustedError
-from ..llm import ChatMessage
+from ..llm import ChatMessage, ask, render_prompt
 from ..prompts import (
     DIRECT_SYSTEM,
     FLOW_GUIDE,
@@ -44,45 +46,39 @@ from .types import (
 
 _HISTORY_TAIL = 6
 _OBSERVATION_SNIPPET = 400
+MAX_RETRY_WAIT_S = 10.0  # cap on a backend's Retry-After before the one retry
 
 
 class _RecordingBackend:
-    """Wraps a backend: logs every completion to the transcript and applies
-    the retry-once-then-abort policy."""
+    """Wraps a backend for one episode: completions and embeddings both get
+    the retry-once-then-abort policy, and completions go to the transcript."""
 
     def __init__(self, inner, state: EpisodeState):
         self._inner = inner
         self._state = state
+        self.embed_dim = inner.embed_dim
+        self.backend_id = inner.backend_id
 
-    @property
-    def embed_dim(self) -> int:
-        return self._inner.embed_dim
-
-    @property
-    def backend_id(self) -> str:
-        return self._inner.backend_id
-
-    def complete(self, messages: list[ChatMessage]) -> str:
-        prompt = "\n".join(m.content for m in messages)
+    def _retry_once(self, call, arg):
         try:
-            reply = self._inner.complete(messages)
+            return call(arg)
         except (BackendError, ScriptExhaustedError) as first:
             self._state.log("llm_retry", error=str(first))
+            wait_s = getattr(first, "retry_after_s", None)
+            if wait_s:
+                time.sleep(min(wait_s, MAX_RETRY_WAIT_S))
             try:
-                reply = self._inner.complete(messages)
+                return call(arg)
             except (BackendError, ScriptExhaustedError) as second:
                 raise EpisodeAborted(f"backend failed twice: {second}") from second
-        self._state.log("llm", prompt=prompt, reply=reply)
+
+    def complete(self, messages: list[ChatMessage]) -> str:
+        reply = self._retry_once(self._inner.complete, messages)
+        self._state.log("llm", prompt=render_prompt(messages), reply=reply)
         return reply
 
     def embed(self, text: str):
-        try:
-            return self._inner.embed(text)
-        except BackendError as first:
-            try:
-                return self._inner.embed(text)
-            except BackendError as second:
-                raise EpisodeAborted(f"embedding backend failed twice: {second}") from second
+        return self._retry_once(self._inner.embed, text)
 
 
 def _history_text(state: EpisodeState) -> str:
@@ -122,7 +118,7 @@ class _Runtime:
         if not config.ablations.sop_knowledge:
             kb = kb.without_sops()
         self.ctx = ToolContext(
-            telemetry=telemetry, kb=kb, backend=self.backend,
+            telemetry=telemetry, kb=kb.using(self.backend), backend=self.backend,
             detector=self.detector, registry=self.registry,
         )
         self.state.sop_context = self.ctx.sop
@@ -142,15 +138,13 @@ class _Runtime:
         user = (f"Incident alert:\n{self.state.alert}\n\n"
                 f"Investigation so far:\n{_history_text(self.state)}\n\n"
                 f"Advisor notes:\n{_advisor_notes(self.state)}")
-        return self.backend.complete([
-            ChatMessage("system", system), ChatMessage("user", user),
-        ])
+        return ask(self.backend, system, user)
 
     def _build_action_set(self) -> ActionSet:
         state = self.state
         agent_candidates: list[ActionCandidate] = []
         if self.config.ablations.action_agent:
-            _, reply = roles.action_agent_propose(
+            reply = roles.action_agent_propose(
                 self.backend, self.registry, state.alert,
                 _history_text(state), self.flow_guide, self.config.action_set_size,
             )
@@ -174,9 +168,7 @@ class _Runtime:
         listing = numbered_candidates(action_set.candidates)
         user = (f"Current thought:\n{thought}\n\nCandidate actions:\n{listing}\n\n"
                 f"Reply with the number of the action to execute.")
-        reply = self.backend.complete([
-            ChatMessage("system", SELECT_SYSTEM), ChatMessage("user", user),
-        ])
+        reply = ask(self.backend, SELECT_SYSTEM, user)
         index = roles.parse_selection(reply, len(action_set.candidates))
         if index is None:
             chosen = fallback_candidate(action_set)
@@ -191,23 +183,14 @@ class _Runtime:
         user = (f"Current thought:\n{thought}\n\n"
                 f"Tool catalog:\n{self.registry.catalog_text()}\n\n"
                 f"Investigation so far:\n{_history_text(self.state)}")
-        reply = self.backend.complete([
-            ChatMessage("system", DIRECT_SYSTEM), ChatMessage("user", user),
-        ])
-        for line in reply.splitlines():
-            parsed = roles.parse_action_line(line)
-            if parsed is None:
-                continue
-            tool, args, rationale = parsed
-            if self.registry.check_args(tool, args):
-                continue
-            if (tool == "speak" and self.config.ablations.judge_agent
-                    and not (self.state.judge_verdict and self.state.judge_verdict.found)):
-                self.state.log("note", text="dropped direct speak: judge has not confirmed")
-                return None
-            return ActionCandidate(tool=tool, args=args, rationale=rationale,
-                                   provenance=PROVENANCE_MAIN)
-        return None
+        reply = ask(self.backend, DIRECT_SYSTEM, user)
+        candidates, _ = roles.parse_candidates(reply, self.registry, max_candidates=1,
+                                               provenance=PROVENANCE_MAIN)
+        if (candidates and candidates[0].tool == "speak" and self.config.ablations.judge_agent
+                and not (self.state.judge_verdict and self.state.judge_verdict.found)):
+            self.state.log("note", text="dropped direct speak: judge has not confirmed")
+            return None
+        return candidates[0] if candidates else None
 
     # -- post-observation hooks ------------------------------------------------
 
@@ -218,7 +201,7 @@ class _Runtime:
             incident_lines.append(
                 f"- [{incident.fault_type}] {incident.manifestation} (score {hit.score:.4f})"
             )
-        _, reply = roles.ob_agent_classify(
+        reply = roles.ob_agent_classify(
             self.backend, observation_text, "\n".join(incident_lines),
         )
         hypotheses = roles.parse_hypotheses(reply)
@@ -226,7 +209,7 @@ class _Runtime:
         self.state.log("hypotheses", items=[list(h) for h in hypotheses])
 
     def _run_judge(self, trigger: str) -> None:
-        _, reply = roles.judge_agent(
+        reply = roles.judge_agent(
             self.backend, self.state.alert, _history_text(self.state),
             self.state.ob_hypotheses,
         )

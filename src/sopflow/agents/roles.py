@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import re
 
-from ..llm import ChatMessage
+from ..llm import ask
 from ..prompts import ACTION_SYSTEM, JUDGE_SYSTEM, OBSERVER_SYSTEM
 from ..tools import RootCause, ToolRegistry
 from ..tools.program import split_args
@@ -70,9 +70,10 @@ def parse_action_line(line: str) -> tuple[str, dict, str] | None:
     return tool, args, rationale.strip()
 
 
-def parse_candidates(reply: str, registry: ToolRegistry,
-                     max_candidates: int) -> tuple[list[ActionCandidate], list[str]]:
-    """Parse agent proposals, dropping any that fail the tool schema."""
+def parse_candidates(reply: str, registry: ToolRegistry, max_candidates: int,
+                     provenance: str = PROVENANCE_AGENT,
+                     ) -> tuple[list[ActionCandidate], list[str]]:
+    """Parse proposed actions, dropping any that fail the tool schema."""
     candidates: list[ActionCandidate] = []
     notes: list[str] = []
     for line in reply.splitlines():
@@ -87,23 +88,21 @@ def parse_candidates(reply: str, registry: ToolRegistry,
             notes.append(f"dropped invalid candidate: {violation}")
             continue
         candidates.append(ActionCandidate(
-            tool=tool, args=args, rationale=rationale, provenance=PROVENANCE_AGENT,
+            tool=tool, args=args, rationale=rationale, provenance=provenance,
         ))
     return candidates, notes
 
 
 def action_agent_propose(backend, registry: ToolRegistry, alert: str,
                          history_text: str, flow_guide: str,
-                         max_candidates: int) -> tuple[str, str]:
-    """One backend call proposing candidate actions; returns (prompt, reply)."""
+                         max_candidates: int) -> str:
+    """One backend call proposing candidate actions; returns the reply."""
     system = ACTION_SYSTEM.format(max_candidates=max_candidates)
     if flow_guide:
         system = system + "\n\n" + flow_guide
     user = (f"Tool catalog:\n{registry.catalog_text()}\n\n"
             f"Incident alert:\n{alert}\n\nInvestigation so far:\n{history_text}")
-    messages = [ChatMessage("system", system), ChatMessage("user", user)]
-    reply = backend.complete(messages)
-    return user, reply
+    return ask(backend, system, user)
 
 
 def parse_hypotheses(reply: str) -> tuple[tuple[str, str], ...]:
@@ -123,12 +122,10 @@ def parse_hypotheses(reply: str) -> tuple[tuple[str, str], ...]:
     return tuple(out)
 
 
-def ob_agent_classify(backend, observation: str, incident_text: str) -> tuple[str, str]:
+def ob_agent_classify(backend, observation: str, incident_text: str) -> str:
     user = f"Observation:\n{observation}\n\nSimilar historical incidents:\n" \
            f"{incident_text or '(none found)'}"
-    messages = [ChatMessage("system", OBSERVER_SYSTEM), ChatMessage("user", user)]
-    reply = backend.complete(messages)
-    return user, reply
+    return ask(backend, OBSERVER_SYSTEM, user)
 
 
 def parse_judge_reply(reply: str) -> JudgeVerdict:
@@ -148,13 +145,11 @@ def parse_judge_reply(reply: str) -> JudgeVerdict:
 
 
 def judge_agent(backend, alert: str, history_text: str,
-                hypotheses: tuple) -> tuple[str, str]:
+                hypotheses: tuple) -> str:
     hypo_text = "\n".join(f"- {label}: {note}" for label, note in hypotheses) or "(none)"
     user = (f"Incident alert:\n{alert}\n\nInvestigation so far:\n{history_text}\n\n"
             f"Fault-type hypotheses:\n{hypo_text}")
-    messages = [ChatMessage("system", JUDGE_SYSTEM), ChatMessage("user", user)]
-    reply = backend.complete(messages)
-    return user, reply
+    return ask(backend, JUDGE_SYSTEM, user)
 
 
 def parse_selection(reply: str, set_size: int) -> int | None:

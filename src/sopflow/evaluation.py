@@ -201,24 +201,33 @@ class Corpus:
     entries: list[CorpusEntry]
 
 
+@dataclass
+class _ManifestEntry:
+    scenario: str
+    script: str | None = None  # scripted runs only
+
+
+@dataclass
+class _Manifest:
+    episodes: list[_ManifestEntry] = field(default_factory=list)
+    kb: str | None = None
+
+
 def load_corpus(manifest_path: Path | str) -> Corpus:
+    """Read a corpus manifest; unknown keys are a ``ConfigError``."""
     manifest_path = Path(manifest_path)
     if not manifest_path.exists():
         raise ConfigError(f"corpus manifest not found: {manifest_path}")
-    data = yaml.safe_load(manifest_path.read_text(encoding="utf-8")) or {}
+    data = yaml.safe_load(manifest_path.read_text(encoding="utf-8"))
+    manifest = schema.from_mapping(_Manifest, data, "corpus manifest")
+    if not all(item.scenario for item in manifest.episodes):
+        raise ConfigError("corpus entry missing 'scenario'")
     root = manifest_path.parent
-    entries = []
-    for item in data.get("episodes", []):
-        scenario_rel = item.get("scenario")
-        if not scenario_rel:
-            raise ConfigError("corpus entry missing 'scenario'")
-        script_rel = item.get("script")
-        entries.append(CorpusEntry(
-            scenario_path=root / scenario_rel,
-            script_path=root / script_rel if script_rel else None,
-        ))
-    kb_rel = data.get("kb")
-    return Corpus(root=root, kb_path=root / kb_rel if kb_rel else None, entries=entries)
+    entries = [CorpusEntry(scenario_path=root / item.scenario,
+                           script_path=root / item.script if item.script else None)
+               for item in manifest.episodes]
+    return Corpus(root=root, kb_path=root / manifest.kb if manifest.kb else None,
+                  entries=entries)
 
 
 def run_benchmark(corpus: Corpus, eval_cfg: EvalConfig, backend_cfg: BackendConfig,

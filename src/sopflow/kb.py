@@ -9,6 +9,7 @@ similarities, which is plenty at the store sizes this system targets.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import math
@@ -286,13 +287,10 @@ class KnowledgeBase:
         query_vec = self._embed(query)
         scored = []
         for item in store.values():
-            vec = item.name_embedding if text_attr == "name" else item.manifestation_embedding
+            vec = getattr(item, f"{text_attr}_embedding")
             if vec is None:
                 vec = self._embed(getattr(item, text_attr))
-                if text_attr == "name":
-                    item.name_embedding = vec
-                else:
-                    item.manifestation_embedding = vec
+                setattr(item, f"{text_attr}_embedding", vec)
             scored.append((item, cosine_similarity(query_vec, vec)))
         # ties break on lexicographic id so golden tests stay stable
         scored.sort(key=lambda pair: (-pair[1], pair[0].id))
@@ -302,6 +300,13 @@ class KnowledgeBase:
         return [RetrievalHit(item_id=item.id, score=score, kind=kind) for item, score in matches]
 
     # -- lifecycle helpers ---------------------------------------------------
+
+    def using(self, backend) -> "KnowledgeBase":
+        """A view that embeds through ``backend`` and shares this store's
+        documents, embedding cache and directory."""
+        view = copy.copy(self)
+        view._backend = backend
+        return view
 
     def clone_in_memory(self) -> "KnowledgeBase":
         """Detached copy used by benchmark runs so generated SOPs never leak back."""

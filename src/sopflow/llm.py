@@ -4,8 +4,8 @@ Two interchangeable implementations: ``RemoteBackend`` speaks a
 chat-completions style HTTP API for live runs, and ``ScriptedBackend`` replays
 authored responses and produces hash-derived embeddings, which makes whole
 episodes deterministic and byte-replayable in tests. Every prompt built
-anywhere in the system goes through one of these; nothing else touches the
-network.
+anywhere in the system is built by ``ask`` and goes through one of these;
+nothing else touches the network.
 """
 
 from __future__ import annotations
@@ -100,6 +100,21 @@ def scripted_config(script_path: Path | str, base: BackendConfig) -> BackendConf
 def render_prompt(messages: list[ChatMessage]) -> str:
     """Flatten a message list into the text the scripted backend matches against."""
     return "\n".join(m.content for m in messages)
+
+
+def ask(backend, system: str, user: str) -> str:
+    """One completion for a system prompt and a user message."""
+    return backend.complete([ChatMessage("system", system), ChatMessage("user", user)])
+
+
+def _retry_after_s(header: str | None) -> float | None:
+    """Seconds from a ``Retry-After`` header; None unless it is a finite
+    number >= 0 (an HTTP date is None too)."""
+    try:
+        seconds = float(header)
+    except (TypeError, ValueError):
+        return None
+    return seconds if 0 <= seconds < math.inf else None
 
 
 def hash_embedding(text: str, dim: int = DEFAULT_EMBED_DIM, seed: int = 0) -> EmbeddingVector:
@@ -197,10 +212,9 @@ class RemoteBackend:
         except requests.RequestException as exc:
             raise BackendError(f"transport failure: {exc}") from exc
         if response.status_code != 200:
-            retry_after = response.headers.get("Retry-After")
             raise BackendError(
                 f"backend returned status {response.status_code}: {response.text[:200]}",
-                retry_after_s=float(retry_after) if retry_after else None,
+                retry_after_s=_retry_after_s(response.headers.get("Retry-After")),
             )
         return response.json()
 

@@ -19,9 +19,8 @@ _MODALITY_RANK = {"metric": 0, "trace": 1, "log": 2, "state": 3}
 def _metric_candidates(telemetry: Telemetry, cfg: DetectorConfig):
     start, end = telemetry.scenario.window
     baseline_end = start + _ALERT_BASELINE_SAMPLES * SAMPLE_PERIOD_S
-    for (component, metric), series in sorted(
-        telemetry._metrics.items(), key=lambda item: item[0]
-    ):
+    for series in telemetry.metric_series():
+        component, metric = series.component, series.metric
         baseline = [v for t, v in series.samples if t < baseline_end]
         for t, value in series.samples:
             if t < baseline_end:

@@ -187,6 +187,10 @@ class Telemetry:
             samples=tuple((t, v) for t, v in series.samples if lo <= t < hi),
         )
 
+    def metric_series(self) -> list[MetricSeries]:
+        """Every metric series, in (component, metric) order."""
+        return sorted(self._metrics.values(), key=lambda s: (s.component, s.metric))
+
     def baseline_values(self, component: str, metric: str, before_s: int,
                         max_samples: int) -> list[float]:
         series = self.query_metrics(component, metric)
@@ -232,7 +236,7 @@ class Telemetry:
         metric_lines = [
             json.dumps({"component": s.component, "metric": s.metric,
                         "samples": [[t, v] for t, v in s.samples]}, sort_keys=True)
-            for s in sorted(self._metrics.values(), key=lambda s: (s.component, s.metric))
+            for s in self.metric_series()
         ]
         log_lines = [
             json.dumps({"t_s": line.t_s, "pod": line.pod, "text": line.text}, sort_keys=True)

@@ -7,19 +7,16 @@ exception: they propagate so the episode loop can retry or abort.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from ..errors import (
     BackendError,
     EpisodeAborted,
-    GenerationParseError,
     NotFoundError,
-    ProgramRuntimeError,
-    ProgramValidationError,
     ScriptExhaustedError,
     SopflowError,
-    ToolError,
     ValidationError,
 )
 
@@ -144,21 +141,20 @@ class ToolRegistry:
             value = args[param.name]
             if param.kind == "number":
                 try:
-                    coerced[param.name] = float(value)
+                    number = float(value)
                 except (TypeError, ValueError):
-                    message = f"argument {param.name!r} of {name} must be a number"
+                    number = math.nan
+                if not math.isfinite(number):
+                    message = f"argument {param.name!r} of {name} must be a finite number"
                     return ToolResult(tool=name, observation=f"tool error: {message}",
                                       success=False, error=message)
+                coerced[param.name] = number
             else:
                 coerced[param.name] = str(value)
         try:
             return fn(ctx, **coerced)
         except (EpisodeAborted, BackendError, ScriptExhaustedError):
             raise
-        except (ToolError, NotFoundError, ValidationError, GenerationParseError,
-                ProgramValidationError, ProgramRuntimeError) as exc:
-            return ToolResult(tool=name, observation=f"tool error: {exc}",
-                              success=False, error=str(exc))
         except SopflowError as exc:
             return ToolResult(tool=name, observation=f"tool error: {exc}",
                               success=False, error=str(exc))

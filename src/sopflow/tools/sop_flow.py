@@ -11,7 +11,7 @@ import re
 
 from ..errors import GenerationParseError, ProgramValidationError, ToolError
 from ..kb import SopDoc
-from ..llm import ChatMessage
+from ..llm import ask
 from ..prompts import AUTHOR_SYSTEM, CODER_SYSTEM
 from .program import GRAMMAR_TEXT, PROGRAM_TOOL_CATEGORIES, parse_program, run_program, validate_program
 from .registry import ToolContext, ToolResult
@@ -23,8 +23,7 @@ _SLUG_RE = re.compile(r"[^a-z0-9]+")
 
 def match_sop(ctx: ToolContext, query: str, k=None, threshold=None) -> ToolResult:
     """Top-k stored procedures for a fault description; remembers the best hit."""
-    matches = ctx.kb.match_sop(query, k=int(k) if k is not None else None,
-                               threshold=threshold)
+    matches = ctx.kb.match_sop(query, k=k, threshold=threshold)
     hits = ctx.kb.hits(matches, kind="sop")
     if not matches:
         text = f"no matching procedures found for query {query!r}"
@@ -74,10 +73,7 @@ def generate_sop(ctx: ToolContext, fault_info: str, parent_sop_id: str | None = 
     user = f"Fault information:\n{fault_info}\n\nExample procedures:\n{example_text}"
     if parent is not None:
         user += f"\n\nThis refines the broader procedure '{parent.name}'; be more specific."
-    reply = ctx.backend.complete([
-        ChatMessage("system", AUTHOR_SYSTEM),
-        ChatMessage("user", user),
-    ])
+    reply = ask(ctx.backend, AUTHOR_SYSTEM, user)
     name, steps = parse_sop_reply(reply)
     doc = SopDoc(
         id=_unique_sop_id(ctx, name),
@@ -100,10 +96,8 @@ def generate_sop_code(ctx: ToolContext, sop_id: str | None = None) -> ToolResult
     assert ctx.registry is not None
     catalog = ctx.registry.catalog_text(categories=PROGRAM_TOOL_CATEGORIES)
     steps = "\n".join(f"{i}. {step}" for i, step in enumerate(doc.steps, start=1))
-    reply = ctx.backend.complete([
-        ChatMessage("system", CODER_SYSTEM.format(grammar=GRAMMAR_TEXT, catalog=catalog)),
-        ChatMessage("user", f"Procedure '{doc.name}':\n{steps}"),
-    ])
+    reply = ask(ctx.backend, CODER_SYSTEM.format(grammar=GRAMMAR_TEXT, catalog=catalog),
+                f"Procedure '{doc.name}':\n{steps}")
     try:
         program = parse_program(reply)
         violations = validate_program(program, ctx.registry)
@@ -142,8 +136,7 @@ def match_observation(ctx: ToolContext, observation: str | None = None,
     obs = observation if observation else ctx.sop.last_findings
     if not obs:
         raise ToolError("no observation available to match; pass observation=...")
-    matches = ctx.kb.match_observation(obs, k=int(k) if k is not None else None,
-                                       threshold=threshold)
+    matches = ctx.kb.match_observation(obs, k=k, threshold=threshold)
     hits = ctx.kb.hits(matches, kind="incident")
     if not matches:
         text = "no similar historical incidents found"

@@ -1,3 +1,5 @@
+import pytest
+
 from sopflow.agents import (
     Ablations,
     AgentConfig,
@@ -292,3 +294,69 @@ class TestEpisodeLoop:
         assert result.outcome == OUTCOME_BUDGET
         tools_executed = [r.chosen.tool for r in result.state.history]
         assert "speak" not in tools_executed
+
+
+@pytest.mark.parametrize("line, tool", [
+    ("ACTION: collect_trace(start_s=nan) | scan", "collect_trace"),
+    ('ACTION: collect_trace(start_s="inf") | scan', "collect_trace"),
+    ('ACTION: match_sop(query="cpu", k=inf) | lookup', "match_sop"),
+    ('ACTION: kubectl_logs(pod="frontend-0", end_s=1e309) | read', "kubectl_logs"),
+])
+def test_non_finite_argument_is_a_failed_observation(line, tool):
+    script = [
+        ScriptEntry(ROLE_THOUGHT, "hmm"),
+        ScriptEntry(ROLE_ACTION, line),
+        ScriptEntry(ROLE_SELECT, "1"),
+    ]
+    result = run(script, config=AgentConfig(max_steps=1))
+    assert result.outcome == OUTCOME_BUDGET
+    record = result.state.history[0]
+    assert record.chosen.tool == tool and not record.result.success
+    assert "must be a finite number" in record.observation
+
+
+class TestRetryAfter:
+    """A backend's Retry-After is waited out, up to a cap, before the one retry."""
+
+    def _run(self, monkeypatch, header):
+        from sopflow.agents import episode
+        from sopflow.llm import BackendConfig, RemoteBackend
+
+        monkeypatch.setenv("SOPFLOW_API_KEY", "k")
+        posts = []
+
+        class FakeResponse:
+            def __init__(self, status_code, headers):
+                self.status_code = status_code
+                self.headers = headers
+                self.text = "slow down"
+
+            def json(self):
+                return {"choices": [{"message": {"content": "no ideas"}}]}
+
+        def fake_post(url, json=None, headers=None, timeout=None):
+            posts.append(url)
+            if len(posts) == 1:
+                return FakeResponse(429, {"Retry-After": header})
+            return FakeResponse(200, {})
+
+        sleeps = []
+        monkeypatch.setattr("sopflow.llm.requests.post", fake_post)
+        monkeypatch.setattr(episode.time, "sleep", sleeps.append)
+        backend = RemoteBackend(BackendConfig(backend_kind="remote",
+                                              endpoint="https://llm.example/v1", model="m"))
+        result = run(None, config=AgentConfig(max_steps=1), backend=backend,
+                     kb=KnowledgeBase(backend))
+        assert result.outcome == OUTCOME_BUDGET
+        assert sum(e["kind"] == "llm_retry" for e in result.state.events) == 1
+        return sleeps
+
+    def test_waits_the_hinted_seconds(self, monkeypatch):
+        assert self._run(monkeypatch, "2.5") == [2.5]
+
+    def test_wait_is_capped(self, monkeypatch):
+        from sopflow.agents.episode import MAX_RETRY_WAIT_S
+        assert self._run(monkeypatch, "86400") == [MAX_RETRY_WAIT_S]
+
+    def test_http_date_retries_without_waiting(self, monkeypatch):
+        assert self._run(monkeypatch, "Wed, 21 Oct 2015 07:28:00 GMT") == []

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from sopflow.errors import UndefinedMetricError, ValidationError
+from sopflow.errors import ConfigError, UndefinedMetricError, ValidationError
 from sopflow.evaluation import (
     AGGREGATE_EPISODE_MEAN,
     BenchmarkReport,
@@ -200,3 +200,71 @@ class TestParallelism:
         assert serial.rows == parallel.rows
         assert serial.la == parallel.la == 1.0
         assert serial.apl == parallel.apl
+
+
+class TestCorpusManifest:
+    @pytest.mark.parametrize("old, new", [
+        ("  script: ", "  scirpt: "),   # an entry key
+        ("kb: kb", "kb_dir: kb"),       # a top-level key
+    ])
+    def test_misspelt_key_is_config_error(self, tmp_path, old, new):
+        from sopflow.evaluation import load_corpus
+        from sopflow.golden import write_corpus
+        manifest = write_corpus(tmp_path, "default")
+        text = manifest.read_text()
+        assert old in text
+        manifest.write_text(text.replace(old, new))
+        with pytest.raises(ConfigError):
+            load_corpus(manifest)
+
+    @pytest.mark.parametrize("entry", ["script: scripts/x.yaml", 'scenario: ""'])
+    def test_entry_without_scenario_is_config_error(self, tmp_path, entry):
+        from sopflow.evaluation import load_corpus
+        manifest = tmp_path / "manifest.yaml"
+        manifest.write_text(f"episodes:\n  - {entry}\n")
+        with pytest.raises(ConfigError):
+            load_corpus(manifest)
+
+
+class TestEmbeddingFailures:
+    """Embeddings made inside an episode get the same retry-once policy as
+    completions: one failure is retried, a second aborts only that episode."""
+
+    def _run(self, tmp_path, monkeypatch, failing_calls):
+        import json
+        from sopflow.errors import BackendError
+        from sopflow.evaluation import load_corpus
+        from sopflow.golden import write_corpus
+        from sopflow.llm import ScriptedBackend
+
+        manifest = write_corpus(tmp_path / "corpus", "default")
+        original = ScriptedBackend.embed
+        calls = []
+
+        def flaky(self, text):
+            calls.append(text)
+            if len(calls) in failing_calls:
+                raise BackendError("injected embedding failure")
+            return original(self, text)
+
+        monkeypatch.setattr(ScriptedBackend, "embed", flaky)
+        report = run_benchmark(load_corpus(manifest), EvalConfig(), BackendConfig(),
+                               transcript_dir=tmp_path / "t")
+        events = [json.loads(line)
+                  for path in sorted((tmp_path / "t").glob("*.jsonl"))
+                  for line in path.read_text(encoding="utf-8").splitlines()]
+        return report, events
+
+    def test_one_failure_is_retried(self, tmp_path, monkeypatch):
+        report, events = self._run(tmp_path, monkeypatch, {3})
+        assert len(report.rows) == 9 and all(r.completed for r in report.rows)
+        assert report.la == 1.0 and report.ta == 1.0
+        assert sum(e["kind"] == "llm_retry" for e in events) == 1
+
+    def test_two_failures_abort_only_that_episode(self, tmp_path, monkeypatch):
+        report, events = self._run(tmp_path, monkeypatch, {3, 4})
+        assert len(report.rows) == 9 and report.aborted == 1
+        assert [r.outcome for r in report.rows].count("completed") == 8
+        reasons = [e["abort_reason"] for e in events
+                   if e["kind"] == "termination" and e["abort_reason"]]
+        assert len(reasons) == 1 and "backend failed twice" in reasons[0]

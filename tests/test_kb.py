@@ -239,3 +239,25 @@ class TestPersistence:
         kb.add_sop(SopDoc(id="sop-a", name="editable", steps=["step one"]))
         text = (root / "sops" / "sop-a.yaml").read_text()
         assert "id: sop-a" in text and "steps:" in text and "step one" in text
+
+    def test_view_embeds_through_its_backend_and_shares_the_store(self, tmp_path):
+        root = tmp_path / "kb"
+        kb = KnowledgeBase(scripted_backend(), root=root)
+        embedded = []
+
+        class CountingBackend:
+            embed_dim = 64
+            backend_id = "scripted:0:64"
+
+            def embed(self, text):
+                embedded.append(text)
+                return scripted_backend().embed(text)
+
+        view = kb.using(CountingBackend())
+        view.add_sop(SopDoc(id="sop-gen", name="generated procedure", steps=["look"]))
+        assert kb.get_sop("sop-gen").name == "generated procedure"
+        assert (root / "sops" / "sop-gen.yaml").exists()
+        assert view.match_sop("generated procedure", k=1)[0][0].id == "sop-gen"
+        assert embedded == ["generated procedure"]  # the query; the name then hits the cache
+        assert kb.match_sop("generated procedure", k=1)[0][0].id == "sop-gen"
+        assert embedded == ["generated procedure"]  # the view filled the shared cache

@@ -153,6 +153,25 @@ def test_only_the_backend_module_touches_the_network():
     assert offenders == []
 
 
+def test_agents_and_tools_prompt_only_through_ask():
+    # one path from an episode to the model: llm.ask builds every message
+    # list, so no agent or tool builds one or calls complete() itself
+    import ast
+    import pathlib
+    import sopflow
+    package_root = pathlib.Path(sopflow.__file__).parent
+    offenders = []
+    for path in sorted([*package_root.glob("agents/*.py"), *package_root.glob("tools/*.py")]):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if (isinstance(func, ast.Name) and func.id == "ChatMessage") or (
+                    isinstance(func, ast.Attribute) and func.attr == "complete"):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
 class TestRemoteBackend:
     def _config(self):
         return BackendConfig(backend_kind="remote", endpoint="https://llm.example/v1",
@@ -201,6 +220,23 @@ class TestRemoteBackend:
         with pytest.raises(BackendError) as excinfo:
             RemoteBackend(self._config()).complete(msgs("hi"))
         assert excinfo.value.retry_after_s == 2.5
+
+    @pytest.mark.parametrize("header", [
+        "Wed, 21 Oct 2015 07:28:00 GMT", "soon", "nan", "inf", "-1", "",
+    ])
+    def test_unusable_retry_hint_is_none(self, monkeypatch, header):
+        monkeypatch.setenv("SOPFLOW_API_KEY", "k")
+
+        class FakeResponse:
+            status_code = 503
+            headers = {"Retry-After": header}
+            text = "unavailable"
+
+        monkeypatch.setattr("sopflow.llm.requests.post",
+                            lambda *a, **kw: FakeResponse())
+        with pytest.raises(BackendError) as excinfo:
+            RemoteBackend(self._config()).complete(msgs("hi"))
+        assert excinfo.value.retry_after_s is None
 
     def test_embedding_route(self, monkeypatch):
         monkeypatch.setenv("SOPFLOW_API_KEY", "k")
