@@ -6,6 +6,10 @@ against a baseline estimated from samples immediately before the window; when
 there is no usable pre-window history the baseline falls back to the median
 and MAD of the window itself. The sigma estimate is floored at
 ``min_sigma_frac`` of the baseline mean so flat series do not self-trigger.
+
+``_baseline_rule`` computes what a series is judged against from its
+baseline, once per series: ``evaluate_series`` judges through it, and the
+alert sweep uses it to test each sample of a series on its own.
 """
 
 from __future__ import annotations
@@ -62,49 +66,80 @@ class MetricVerdict:
     detail: str
 
 
+@dataclass(frozen=True)
+class _SeriesRule:
+    """What one sample of a series is judged against."""
+    rule: str       # "static" | "k_sigma" | "robust"
+    center: float   # the static threshold, or the mean deviations are measured from
+    limit: float    # the largest deviation from ``center`` that is normal (k * sigma)
+
+    def flags(self, value: float) -> bool:
+        if self.rule == "static":
+            return value > self.center
+        return abs(value - self.center) > self.limit
+
+
+def _k_sigma(rule: str, mean: float, sigma: float, cfg: DetectorConfig) -> _SeriesRule:
+    sigma = max(sigma, cfg.min_sigma_frac * abs(mean), 1e-12)
+    return _SeriesRule(rule, mean, cfg.k * sigma)
+
+
+def _baseline_rule(baseline_values: list[float], metric: str,
+                   cfg: DetectorConfig) -> _SeriesRule | None:
+    """The rule a series' samples are judged by, from its baseline alone.
+
+    None when the metric has no static threshold and the baseline is shorter
+    than ``min_baseline_samples``: the window itself must then give the
+    baseline (the robust rule).
+    """
+    threshold = cfg.static_thresholds.get(metric)
+    if threshold is not None:
+        return _SeriesRule("static", threshold, 0.0)
+    if len(baseline_values) < cfg.min_baseline_samples:
+        return None
+    return _k_sigma("k_sigma", statistics.fmean(baseline_values),
+                    statistics.pstdev(baseline_values), cfg)
+
+
 def evaluate_series(window_values: list[float], baseline_values: list[float],
                     metric: str, cfg: DetectorConfig) -> MetricVerdict:
     """Judge whether the in-window samples of one series are anomalous."""
     if not window_values:
         return MetricVerdict(False, "none", "empty", "no samples in window")
 
-    threshold = cfg.static_thresholds.get(metric)
-    if threshold is not None:
-        breaching = [v for v in window_values if v > threshold]
+    judge = _baseline_rule(baseline_values, metric, cfg)
+    if judge is None:
+        median = statistics.median(window_values)
+        deviations = [abs(v - median) for v in window_values]
+        judge = _k_sigma("robust", median,
+                         statistics.median(deviations) * _MAD_TO_SIGMA, cfg)
+
+    if judge.rule == "static":
+        breaching = [v for v in window_values if judge.flags(v)]
         if breaching:
             return MetricVerdict(
                 True, "above", "static",
                 f"{len(breaching)}/{len(window_values)} samples above static threshold "
-                f"{threshold:g} (peak {max(breaching):.6g})",
+                f"{judge.center:g} (peak {max(breaching):.6g})",
             )
         return MetricVerdict(
             False, "none", "static",
-            f"all {len(window_values)} samples within static threshold {threshold:g}",
+            f"all {len(window_values)} samples within static threshold {judge.center:g}",
         )
 
-    if len(baseline_values) >= cfg.min_baseline_samples:
-        mean = statistics.fmean(baseline_values)
-        sigma = statistics.pstdev(baseline_values)
-        rule = "k_sigma"
-    else:
-        mean = statistics.median(window_values)
-        deviations = [abs(v - mean) for v in window_values]
-        sigma = statistics.median(deviations) * _MAD_TO_SIGMA
-        rule = "robust"
-    sigma = max(sigma, cfg.min_sigma_frac * abs(mean), 1e-12)
-
+    rule, mean, limit = judge.rule, judge.center, judge.limit
     worst = max(window_values, key=lambda v: abs(v - mean))
     deviation = worst - mean
-    if abs(deviation) > cfg.k * sigma:
+    if judge.flags(worst):
         direction = "above" if deviation > 0 else "below"
         return MetricVerdict(
             True, direction, rule,
             f"sample {worst:.6g} deviates {abs(deviation):.6g} from baseline "
-            f"{mean:.6g} (limit {cfg.k * sigma:.6g}, rule {rule})",
+            f"{mean:.6g} (limit {limit:.6g}, rule {rule})",
         )
     return MetricVerdict(
         False, "none", rule,
-        f"max deviation {abs(deviation):.6g} within {cfg.k * sigma:.6g} of baseline "
+        f"max deviation {abs(deviation):.6g} within {limit:.6g} of baseline "
         f"{mean:.6g} (rule {rule})",
     )
 

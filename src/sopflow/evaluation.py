@@ -20,7 +20,7 @@ import yaml
 from . import schema
 from .agents import AgentConfig, EpisodeResult, OUTCOME_COMPLETED, run_episode, write_transcript
 from .detector import DetectorConfig
-from .errors import ConfigError, UndefinedMetricError, ValidationError
+from .errors import ConfigError, SopflowError, UndefinedMetricError, ValidationError
 from .kb import KbSettings, KnowledgeBase
 from .llm import BackendConfig, make_backend, scripted_config
 from .sandbox import EpisodeScenario, load_scenario
@@ -230,40 +230,55 @@ def load_corpus(manifest_path: Path | str) -> Corpus:
                   entries=entries)
 
 
+def _read_entries(corpus: Corpus, backend_cfg: BackendConfig
+                  ) -> list[tuple[EpisodeScenario, BackendConfig]]:
+    """Each entry's scenario and backend config, read before any episode runs;
+    an entry that cannot be read is a ``ConfigError`` naming it."""
+    entries = []
+    for number, entry in enumerate(corpus.entries, 1):
+        try:
+            scenario = load_scenario(entry.scenario_path)
+            cfg = backend_cfg
+            if entry.script_path is not None:
+                cfg = scripted_config(entry.script_path, backend_cfg)
+        except (OSError, ValueError, TypeError, yaml.YAMLError, SopflowError) as exc:
+            raise ConfigError(f"corpus entry {number} (scenario {entry.scenario_path}): "
+                              f"{exc}") from exc
+        entries.append((scenario, cfg))
+    return entries
+
+
 def run_benchmark(corpus: Corpus, eval_cfg: EvalConfig, backend_cfg: BackendConfig,
                   detector: DetectorConfig | None = None,
                   transcript_dir: Path | str | None = None,
                   kb_settings: KbSettings | None = None) -> BenchmarkReport:
     """Run every scenario in the corpus once and aggregate the rows.
 
+    Every entry is read first, so a bad one fails the run before any episode.
     Each episode gets a fresh in-memory clone of the knowledge base so
     generated procedures never leak across episodes or runs, and (for scripted
     backends) its own backend instance. Per-episode aborts become rows, never
     run failures.
     """
     eval_cfg.validate()
+    entries = _read_entries(corpus, backend_cfg)
     kb_settings = kb_settings or KbSettings()
     kb_master = KnowledgeBase(make_backend(backend_cfg), root=corpus.kb_path,
                               k=kb_settings.k, threshold=kb_settings.threshold)
 
-    def _run(entry: CorpusEntry) -> tuple[EpisodeScenario, EpisodeResult]:
-        scenario = load_scenario(entry.scenario_path)
-        cfg = backend_cfg
-        if entry.script_path is not None:
-            cfg = scripted_config(entry.script_path, backend_cfg)
-        backend = make_backend(cfg)
-        result = run_episode(scenario, eval_cfg.agent, backend,
-                             kb_master.clone_in_memory(), detector)
-        return scenario, result
+    def _run(entry: tuple[EpisodeScenario, BackendConfig]) -> EpisodeResult:
+        scenario, cfg = entry
+        return run_episode(scenario, eval_cfg.agent, make_backend(cfg),
+                           kb_master.clone_in_memory(), detector)
 
     if eval_cfg.workers > 1:
         with ThreadPoolExecutor(max_workers=eval_cfg.workers) as pool:
-            outcomes = list(pool.map(_run, corpus.entries))
+            results = list(pool.map(_run, entries))
     else:
-        outcomes = [_run(entry) for entry in corpus.entries]
+        results = [_run(entry) for entry in entries]
 
     rows = []
-    for scenario, result in outcomes:
+    for (scenario, _), result in zip(entries, results):
         rows.append(build_row(scenario, result))
         if transcript_dir is not None:
             out = Path(transcript_dir)

@@ -3,7 +3,8 @@
 Documents live as one YAML file each under ``<root>/sops`` and
 ``<root>/incidents`` so engineers can edit them by hand; embeddings are
 computed lazily through the configured backend and cached on disk keyed by
-(backend id, text hash). Retrieval is an exact linear scan over cosine
+(backend id, text hash). Every file is written atomically (a temp file
+beside it, then ``os.replace``). Retrieval is an exact linear scan over cosine
 similarities, which is plenty at the store sizes this system targets.
 """
 
@@ -13,6 +14,7 @@ import copy
 import hashlib
 import json
 import math
+import os
 import re
 import threading
 from dataclasses import dataclass, replace
@@ -145,6 +147,18 @@ class RetrievalHit:
             raise ValidationError(f"unknown hit kind: {self.kind}")
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` through a temp file beside it and ``os.replace``,
+    so the file is always either its old or its new content."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _text_key(backend_id: str, text: str) -> str:
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     return f"{backend_id}:{digest}"
@@ -199,17 +213,13 @@ class KnowledgeBase:
     def _write_doc(self, subdir: str, doc_id: str, mapping: dict) -> None:
         if self._root is None:
             return
-        directory = self._root / subdir
-        directory.mkdir(parents=True, exist_ok=True)
-        text = yaml.safe_dump(mapping, sort_keys=False, allow_unicode=True)
-        (directory / f"{doc_id}.yaml").write_text(text, encoding="utf-8")
+        _write_atomic(self._root / subdir / f"{doc_id}.yaml",
+                      yaml.safe_dump(mapping, sort_keys=False, allow_unicode=True))
 
     def _flush_cache(self) -> None:
         if self._root is None:
             return
-        self._root.mkdir(parents=True, exist_ok=True)
-        path = self._root / _CACHE_FILE
-        path.write_text(json.dumps(self._cache, sort_keys=True), encoding="utf-8")
+        _write_atomic(self._root / _CACHE_FILE, json.dumps(self._cache, sort_keys=True))
 
     # -- mutation ----------------------------------------------------------
 
@@ -218,8 +228,8 @@ class KnowledgeBase:
         with self._lock:
             if doc.id in self._sops:
                 raise ValidationError(f"SOP id already exists: {doc.id}")
-            self._sops[doc.id] = doc
             self._write_doc(_SOP_DIR, doc.id, sop_to_mapping(doc))
+            self._sops[doc.id] = doc
         return doc.id
 
     def add_incident(self, inc: HistoricalIncident) -> str:
@@ -227,8 +237,8 @@ class KnowledgeBase:
         with self._lock:
             if inc.id in self._incidents:
                 raise ValidationError(f"incident id already exists: {inc.id}")
-            self._incidents[inc.id] = inc
             self._write_doc(_INCIDENT_DIR, inc.id, incident_to_mapping(inc))
+            self._incidents[inc.id] = inc
         return inc.id
 
     # -- access ------------------------------------------------------------

@@ -4,11 +4,15 @@ The sandbox runs its own detector sweep over the rendered telemetry and
 reports the earliest anomalous signal, preferring metrics over traces over
 logs over resource state on ties, then lexicographic component order. The
 format below is stable; transcripts and scripted tests key on it.
+
+The metric sweep computes each series' baseline once and tests every later
+sample against it; ``evaluate_series`` writes the verdict text for the first
+sample that crosses.
 """
 
 from __future__ import annotations
 
-from ..detector import DetectorConfig, evaluate_series, matches_keyword
+from ..detector import DetectorConfig, _baseline_rule, evaluate_series, matches_keyword
 from .telemetry import SAMPLE_PERIOD_S, Telemetry
 
 _ALERT_BASELINE_SAMPLES = 8  # episode-start samples used as the sweep baseline
@@ -22,11 +26,12 @@ def _metric_candidates(telemetry: Telemetry, cfg: DetectorConfig):
     for series in telemetry.metric_series():
         component, metric = series.component, series.metric
         baseline = [v for t, v in series.samples if t < baseline_end]
+        # None for a baseline shorter than min_baseline_samples: the window
+        # (one sample) then gives the robust rule, which never flags
+        rule = _baseline_rule(baseline, metric, cfg)
         for t, value in series.samples:
-            if t < baseline_end:
-                continue
-            verdict = evaluate_series([value], baseline, metric, cfg)
-            if verdict.anomalous:
+            if t >= baseline_end and rule is not None and rule.flags(value):
+                verdict = evaluate_series([value], baseline, metric, cfg)
                 yield (t, "metric", component,
                        f"metric {metric} on {component} is anomalous "
                        f"({verdict.direction}): {verdict.detail}")

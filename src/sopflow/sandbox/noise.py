@@ -13,21 +13,23 @@ import math
 GAUSS_CLAMP = 2.5  # nominal noise is clamped at +/-2.5 sigma
 
 
-def _digest(parts: tuple) -> bytes:
-    key = "\x1f".join(str(p) for p in parts)
-    return hashlib.sha256(key.encode("utf-8")).digest()
+def _uniform(key: str) -> float:
+    """Uniform float in [0, 1) from the sha256 of ``key``."""
+    digest = hashlib.sha256(key.encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "big") / 2.0**64
 
 
 def unit(*parts) -> float:
     """Uniform float in [0, 1) derived from the key parts."""
-    value = int.from_bytes(_digest(parts)[:8], "big")
-    return value / 2.0**64
+    return _uniform("\x1f".join(map(str, parts)))
 
 
 def gauss(mu: float, sigma: float, *parts, clamp: float = GAUSS_CLAMP) -> float:
-    """Clamped Gaussian draw around ``mu``; Box-Muller over two hash uniforms."""
-    u1 = max(unit(*parts, "u1"), 1e-12)
-    u2 = unit(*parts, "u2")
+    """Clamped Gaussian draw around ``mu``; Box-Muller over two hash uniforms,
+    keyed like ``unit(*parts, "u1")`` and ``unit(*parts, "u2")``."""
+    prefix = "\x1f".join(map(str, (*parts, "")))  # every part, then the separator
+    u1 = max(_uniform(prefix + "u1"), 1e-12)
+    u2 = _uniform(prefix + "u2")
     z = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
     z = max(-clamp, min(clamp, z))
     return mu + sigma * z

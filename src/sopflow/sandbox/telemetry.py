@@ -264,8 +264,9 @@ class Telemetry:
 
     def content_hash(self) -> str:
         digest = hashlib.sha256()
+        lines = self.export_lines()
         for modality in ("metrics", "logs", "traces"):
-            for line in self.export_lines()[modality]:
+            for line in lines[modality]:
                 digest.update(line.encode("utf-8"))
                 digest.update(b"\n")
         return digest.hexdigest()
@@ -298,29 +299,31 @@ class _Renderer:
         self.scenario = scenario
         self.topo = scenario.topology()
         self.seed = scenario.seed
-        # resolve each fault's affected edges once
-        self._edges_by_fault = [
+        # resolve each fault's affected edges once, then the active faults and
+        # the down pods once per sample tick
+        edges_by_fault = [
             (fault, {(e.src, e.dst) for e in fault.affected_edges(self.topo)})
             for fault in scenario.faults
         ]
+        self._active: dict[int, list[tuple[FaultSpec, set]]] = {}
+        self._down: dict[int, set[str]] = {}
+        for t in _sample_times(scenario.window):
+            active = [(f, edges) for f, edges in edges_by_fault if f.active_at(t)]
+            self._active[t] = active
+            self._down[t] = {f.location_id for f, _ in active
+                             if f.fault_type == FaultType.PodFailure}
 
     # -- fault effect resolution -------------------------------------------
 
-    def _active_faults(self, t: int) -> list[tuple[FaultSpec, set]]:
-        return [(f, edges) for f, edges in self._edges_by_fault if f.active_at(t)]
-
     def pod_down(self, pod_id: str, t: int) -> bool:
-        return any(
-            f.fault_type == FaultType.PodFailure and f.location_id == pod_id
-            for f, _ in self._active_faults(t)
-        )
+        return pod_id in self._down[t]
 
     def edge_effect(self, edge: CallEdge, t: int) -> _EdgeEffect:
         extra = 0.0
         slow = 1.0
         errors: list[tuple[str, float]] = []
         unreachable = None
-        for fault, edges in self._active_faults(t):
+        for fault, edges in self._active[t]:
             if (edge.src, edge.dst) not in edges:
                 continue
             ft = fault.fault_type
@@ -346,7 +349,7 @@ class _Renderer:
         latency_factor = 1.0
         throughput_factor = 1.0
         error_rate = None
-        for fault, edges in self._active_faults(t):
+        for fault, edges in self._active[t]:
             ft = fault.fault_type
             if ft in (FaultType.PodFailure, FaultType.NetworkPartition):
                 # callers into the dead/cut-off service fail; its own callees
@@ -399,10 +402,11 @@ class _Renderer:
         for service in self.topo.services:
             lat_base = _service_latency_baseline(self.topo, service)
             thr_base = _service_throughput_baseline(self.topo, service)
+            service_pods = self.topo.pods_of(service)
+            overrides_at = [self._service_fault_values(service, t) for t in times]
             for metric in SERVICE_METRICS:
                 samples = []
-                for t in times:
-                    overrides = self._service_fault_values(service, t)
+                for t, overrides in zip(times, overrides_at):
                     if metric == "request_latency_ms":
                         value = noise.gauss(lat_base, LATENCY_SIGMA_FRAC * lat_base,
                                             self.seed, "metric", service, metric, t)
@@ -412,7 +416,7 @@ class _Renderer:
                         value = noise.gauss(thr_base, THROUGHPUT_SIGMA_FRAC * thr_base,
                                             self.seed, "metric", service, metric, t)
                         value *= overrides.get("throughput_factor", 1.0)
-                        if any(self.pod_down(p.id, t) for p in self.topo.pods_of(service)):
+                        if any(self.pod_down(p.id, t) for p in service_pods):
                             value = 0.0
                     else:  # error_rate
                         if "error_rate" in overrides:
@@ -429,7 +433,7 @@ class _Renderer:
                 for t in times:
                     value = noise.gauss(base, sigma, self.seed, "metric", node.id, metric, t)
                     if metric == "node_network_throughput_bytes":
-                        for fault, _ in self._active_faults(t):
+                        for fault, _ in self._active[t]:
                             if (fault.fault_type == FaultType.NetworkBandwidth
                                     and node.id in fault.node_pair()):
                                 value *= fault.magnitude
@@ -439,7 +443,7 @@ class _Renderer:
         return series
 
     def _pod_stress_override(self, pod_id: str, metric: str, t: int, value: float) -> float:
-        for fault, _ in self._active_faults(t):
+        for fault, _ in self._active[t]:
             if fault.location_id != pod_id:
                 continue
             if fault.fault_type == FaultType.CpuStress and metric == "cpu_usage":

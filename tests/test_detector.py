@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from sopflow.detector import DetectorConfig, evaluate_series, matches_keyword
+from sopflow.detector import DetectorConfig, _baseline_rule, evaluate_series, matches_keyword
 
 
 @pytest.fixture
@@ -52,6 +54,51 @@ class TestKSigmaRule:
     def test_empty_window(self, cfg):
         verdict = evaluate_series([], [], "request_latency_ms", cfg)
         assert not verdict.anomalous and verdict.rule == "empty"
+
+
+_values = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+
+
+@st.composite
+def _baselines(draw):
+    if draw(st.booleans()):  # a constant baseline: zero variance
+        return [draw(_values)] * draw(st.integers(1, 12))
+    return draw(st.lists(_values, min_size=1, max_size=12))
+
+
+_configs = st.builds(
+    DetectorConfig,
+    k=st.floats(min_value=0.0, max_value=6.0),
+    min_sigma_frac=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.5)),
+    min_baseline_samples=st.integers(1, 12),  # often more than the baseline holds
+)
+
+
+def _sweep_flags(baseline, value, metric, cfg):
+    """How the alert sweep judges one sample against its series' baseline."""
+    rule = _baseline_rule(baseline, metric, cfg)
+    return rule is not None and rule.flags(value)
+
+
+class TestBaselineRule:
+    """The alert sweep's per-series rule gives the one-sample verdict of
+    ``evaluate_series`` while computing the baseline only once."""
+
+    @given(baseline=_baselines(), values=st.lists(_values, min_size=1, max_size=8),
+           metric=st.sampled_from(["cpu_usage", "error_rate",       # static thresholds
+                                   "request_latency_ms", "throughput_rps"]),
+           cfg=_configs)
+    def test_agrees_with_evaluate_series(self, baseline, values, metric, cfg):
+        for value in values:
+            assert (_sweep_flags(baseline, value, metric, cfg)
+                    == evaluate_series([value], baseline, metric, cfg).anomalous)
+
+    @given(baseline=st.lists(_values, max_size=3), value=_values, cfg=_configs)
+    def test_short_baseline_never_flags_one_sample(self, baseline, value, cfg):
+        # the robust rule over a single sample sees no deviation
+        cfg.min_baseline_samples = len(baseline) + 1
+        assert _baseline_rule(baseline, "request_latency_ms", cfg) is None
+        assert not evaluate_series([value], baseline, "request_latency_ms", cfg).anomalous
 
 
 class TestKeywords:

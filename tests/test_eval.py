@@ -226,6 +226,28 @@ class TestCorpusManifest:
             load_corpus(manifest)
 
 
+    @pytest.mark.parametrize("damage", ["missing", "malformed", "bad script"])
+    def test_bad_entry_fails_before_any_episode(self, tmp_path, monkeypatch, damage):
+        from sopflow import evaluation
+        from sopflow.evaluation import load_corpus
+        from sopflow.golden import write_corpus
+        manifest = write_corpus(tmp_path, "default")
+        corpus = load_corpus(manifest)
+        fifth = corpus.entries[4]
+        if damage == "missing":
+            fifth.scenario_path = fifth.scenario_path.with_name("no-such-scenario.yaml")
+        elif damage == "malformed":
+            fifth.scenario_path.write_text("id: [unclosed\n")
+        else:
+            fifth.script_path.write_text("5\n")
+        episodes = []
+        monkeypatch.setattr(evaluation, "run_episode",
+                            lambda *args, **kwargs: episodes.append(args))
+        with pytest.raises(ConfigError, match="corpus entry 5"):
+            run_benchmark(corpus, EvalConfig(), BackendConfig())
+        assert episodes == []
+
+
 class TestEmbeddingFailures:
     """Embeddings made inside an episode get the same retry-once policy as
     completions: one failure is retried, a second aborts only that episode."""

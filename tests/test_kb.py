@@ -1,3 +1,5 @@
+import json
+import os
 import random
 
 import pytest
@@ -239,6 +241,28 @@ class TestPersistence:
         kb.add_sop(SopDoc(id="sop-a", name="editable", steps=["step one"]))
         text = (root / "sops" / "sop-a.yaml").read_text()
         assert "id: sop-a" in text and "steps:" in text and "step one" in text
+
+    def test_failed_replace_keeps_previous_files(self, tmp_path, monkeypatch):
+        root = tmp_path / "kb"
+        kb = KnowledgeBase(scripted_backend(), root=root)
+        kb.add_sop(SopDoc(id="sop-a", name="first", steps=["s"]))
+        kb.match_sop("first")
+        cache = root / "embedding_cache.json"
+        before = {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError):
+            kb.match_sop("a query the cache has not seen")
+        with pytest.raises(OSError):
+            kb.add_sop(SopDoc(id="sop-b", name="second", steps=["s"]))
+        after = {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
+        assert after == before  # old content intact, no temp file left behind
+        assert json.loads(cache.read_text())
+        with pytest.raises(NotFoundError):  # an unwritten document is not kept
+            kb.get_sop("sop-b")
 
     def test_view_embeds_through_its_backend_and_shares_the_store(self, tmp_path):
         root = tmp_path / "kb"
