@@ -5,8 +5,9 @@ proposal, orchestrator selection), executes exactly one tool from the bounded
 action set, and runs the post-observation hooks (ObAgent then JudgeAgent after
 match_observation). A failed completion or knowledge-base embedding is retried
 once (after the backend's Retry-After, capped); failing again aborts the
-episode. Executing speak terminates it with a diagnosis; running out of the
-step budget terminates it without one.
+episode, and so does any unexpected exception raised from a step. Executing
+speak terminates it with a diagnosis; running out of the step budget
+terminates it without one.
 """
 
 from __future__ import annotations
@@ -310,10 +311,11 @@ def run_episode(scenario: EpisodeScenario, config: AgentConfig, backend, kb,
     try:
         while not state.terminated and state.step_count < config.max_steps:
             rt.step()
-    except EpisodeAborted as exc:
+    except Exception as exc:  # a defect in one step costs this episode, never the run
         state.terminated = True
         state.outcome = OUTCOME_ABORTED
-        state.abort_reason = str(exc)
+        state.abort_reason = (str(exc) if isinstance(exc, EpisodeAborted)
+                              else f"internal error: {type(exc).__name__}: {exc}")
     if not state.terminated:
         state.terminated = True
     if state.outcome is None:

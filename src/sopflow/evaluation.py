@@ -255,10 +255,12 @@ def run_benchmark(corpus: Corpus, eval_cfg: EvalConfig, backend_cfg: BackendConf
     """Run every scenario in the corpus once and aggregate the rows.
 
     Every entry is read first, so a bad one fails the run before any episode.
-    Each episode gets a fresh in-memory clone of the knowledge base so
-    generated procedures never leak across episodes or runs, and (for scripted
-    backends) its own backend instance. Per-episode aborts become rows, never
-    run failures.
+    Each episode gets a view of the knowledge base (``clone_in_memory``): its
+    own documents, so generated procedures never leak across episodes or runs,
+    and the run's shared embedding cache, so each distinct text is embedded
+    once, inside the first episode that needs it. Each episode also gets (for
+    scripted backends) its own backend instance. Per-episode aborts, including
+    unexpected errors, become rows, never run failures.
     """
     eval_cfg.validate()
     entries = _read_entries(corpus, backend_cfg)

@@ -2,10 +2,13 @@
 
 Documents live as one YAML file each under ``<root>/sops`` and
 ``<root>/incidents`` so engineers can edit them by hand; embeddings are
-computed lazily through the configured backend and cached on disk keyed by
-(backend id, text hash). Every file is written atomically (a temp file
-beside it, then ``os.replace``). Retrieval is an exact linear scan over cosine
-similarities, which is plenty at the store sizes this system targets.
+computed lazily through the configured backend and cached keyed by
+(backend id, text hash), on disk under ``<root>``. A knowledge base has one
+embedding cache, shared by all its views (``using``, ``clone_in_memory``,
+``without_sops``), so a benchmark run embeds each distinct text once. Every
+file is written atomically (a temp file beside it, then ``os.replace``).
+Retrieval is an exact linear scan over cosine similarities, which is plenty at
+the store sizes this system targets.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import math
 import os
 import re
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import yaml
@@ -81,7 +84,7 @@ def cosine_similarity(a: EmbeddingVector, b: EmbeddingVector) -> float:
     return max(-1.0, min(1.0, score))
 
 
-@dataclass
+@dataclass(frozen=True)
 class SopDoc:
     """A named, ordered diagnostic procedure.
 
@@ -93,9 +96,8 @@ class SopDoc:
     name: str
     steps: list[str]
     level: int = 0
-    name_embedding: EmbeddingVector | None = None
 
-    def validate(self, dim: int | None = None) -> None:
+    def validate(self) -> None:
         if not self.id or not _ID_RE.match(self.id):
             raise ValidationError(f"invalid SOP id: {self.id!r}")
         if not self.name.strip():
@@ -104,32 +106,21 @@ class SopDoc:
             raise ValidationError("SOP steps must be a non-empty list of non-empty strings")
         if self.level < 0:
             raise ValidationError("SOP level must be non-negative")
-        if dim is not None and self.name_embedding is not None and self.name_embedding.dim != dim:
-            raise ValidationError(
-                f"SOP embedding dim {self.name_embedding.dim} does not match store dim {dim}"
-            )
 
 
-@dataclass
+@dataclass(frozen=True)
 class HistoricalIncident:
     """A past incident described by what was observed and what caused it."""
 
     id: str
     manifestation: str
     fault_type: str
-    manifestation_embedding: EmbeddingVector | None = None
 
-    def validate(self, dim: int | None = None) -> None:
+    def validate(self) -> None:
         if not self.id or not _ID_RE.match(self.id):
             raise ValidationError(f"invalid incident id: {self.id!r}")
         if not self.manifestation.strip():
             raise ValidationError("incident manifestation must be non-empty")
-        if (
-            dim is not None
-            and self.manifestation_embedding is not None
-            and self.manifestation_embedding.dim != dim
-        ):
-            raise ValidationError("incident embedding dim does not match store dim")
 
 
 @dataclass(frozen=True)
@@ -169,7 +160,7 @@ class KnowledgeBase:
 
     Safe for many concurrent readers once loaded; mutations take an internal
     lock. When ``root`` is given, documents and the embedding cache persist
-    under it; otherwise the store is memory-only.
+    under it; otherwise the store is memory-only. Documents are never mutated.
     """
 
     def __init__(self, backend, root: Path | str | None = None,
@@ -180,14 +171,10 @@ class KnowledgeBase:
         self.default_threshold = threshold
         self._sops: dict[str, SopDoc] = {}
         self._incidents: dict[str, HistoricalIncident] = {}
-        self._cache: dict[str, list[float]] = {}
+        self._cache: dict[str, EmbeddingVector] = {}
         self._lock = threading.Lock()
         if self._root is not None:
             self._load()
-
-    @property
-    def dim(self) -> int:
-        return self._backend.embed_dim
 
     # -- persistence -------------------------------------------------------
 
@@ -196,18 +183,19 @@ class KnowledgeBase:
         assert root is not None
         cache_path = root / _CACHE_FILE
         if cache_path.exists():
-            self._cache = json.loads(cache_path.read_text(encoding="utf-8"))
+            stored = json.loads(cache_path.read_text(encoding="utf-8"))
+            self._cache = {key: EmbeddingVector.of(values) for key, values in stored.items()}
         sop_dir = root / _SOP_DIR
         if sop_dir.is_dir():
             for path in sorted(sop_dir.glob("*.yaml")):
                 doc = sop_from_mapping(yaml.safe_load(path.read_text(encoding="utf-8")))
-                doc.validate(self.dim)
+                doc.validate()
                 self._sops[doc.id] = doc
         inc_dir = root / _INCIDENT_DIR
         if inc_dir.is_dir():
             for path in sorted(inc_dir.glob("*.yaml")):
                 inc = incident_from_mapping(yaml.safe_load(path.read_text(encoding="utf-8")))
-                inc.validate(self.dim)
+                inc.validate()
                 self._incidents[inc.id] = inc
 
     def _write_doc(self, subdir: str, doc_id: str, mapping: dict) -> None:
@@ -219,12 +207,13 @@ class KnowledgeBase:
     def _flush_cache(self) -> None:
         if self._root is None:
             return
-        _write_atomic(self._root / _CACHE_FILE, json.dumps(self._cache, sort_keys=True))
+        stored = {key: list(vec.values) for key, vec in self._cache.items()}
+        _write_atomic(self._root / _CACHE_FILE, json.dumps(stored, sort_keys=True))
 
     # -- mutation ----------------------------------------------------------
 
     def add_sop(self, doc: SopDoc) -> str:
-        doc.validate(self.dim)
+        doc.validate()
         with self._lock:
             if doc.id in self._sops:
                 raise ValidationError(f"SOP id already exists: {doc.id}")
@@ -233,7 +222,7 @@ class KnowledgeBase:
         return doc.id
 
     def add_incident(self, inc: HistoricalIncident) -> str:
-        inc.validate(self.dim)
+        inc.validate()
         with self._lock:
             if inc.id in self._incidents:
                 raise ValidationError(f"incident id already exists: {inc.id}")
@@ -265,13 +254,12 @@ class KnowledgeBase:
 
     def _embed(self, text: str) -> EmbeddingVector:
         key = _text_key(self._backend.backend_id, text)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return EmbeddingVector.of(cached)
-        vec = self._backend.embed(text)
-        with self._lock:
-            self._cache[key] = list(vec.values)
-            self._flush_cache()
+        vec = self._cache.get(key)
+        if vec is None:
+            vec = self._backend.embed(text)
+            with self._lock:
+                self._cache[key] = vec
+                self._flush_cache()
         return vec
 
     def match_sop(self, query: str, k: int | None = None,
@@ -295,13 +283,8 @@ class KnowledgeBase:
         if not store:
             return []
         query_vec = self._embed(query)
-        scored = []
-        for item in store.values():
-            vec = getattr(item, f"{text_attr}_embedding")
-            if vec is None:
-                vec = self._embed(getattr(item, text_attr))
-                setattr(item, f"{text_attr}_embedding", vec)
-            scored.append((item, cosine_similarity(query_vec, vec)))
+        scored = [(item, cosine_similarity(query_vec, self._embed(getattr(item, text_attr))))
+                  for item in store.values()]
         # ties break on lexicographic id so golden tests stay stable
         scored.sort(key=lambda pair: (-pair[1], pair[0].id))
         return [(item, score) for item, score in scored if score >= threshold][:k]
@@ -318,20 +301,23 @@ class KnowledgeBase:
         view._backend = backend
         return view
 
+    def _view(self, sops: dict[str, SopDoc]) -> "KnowledgeBase":
+        view = copy.copy(self)
+        view._root = None
+        view._sops = sops
+        view._incidents = dict(self._incidents)
+        return view
+
     def clone_in_memory(self) -> "KnowledgeBase":
-        """Detached copy used by benchmark runs so generated SOPs never leak back."""
-        clone = KnowledgeBase(self._backend, root=None,
-                              k=self.default_k, threshold=self.default_threshold)
-        clone._sops = {sid: replace(doc, steps=list(doc.steps)) for sid, doc in self._sops.items()}
-        clone._incidents = dict(self._incidents)
-        clone._cache = dict(self._cache)
-        return clone
+        """A memory-only view for one benchmark episode: documents added to it
+        reach neither this store nor any other view, while embeddings go to the
+        shared cache, so a run embeds each distinct text once."""
+        return self._view(dict(self._sops))
 
     def without_sops(self) -> "KnowledgeBase":
-        """Copy with an empty SOP store; incidents are kept."""
-        clone = self.clone_in_memory()
-        clone._sops = {}
-        return clone
+        """A memory-only view like ``clone_in_memory`` with an empty SOP store;
+        incidents are kept."""
+        return self._view({})
 
 
 # -- document file mappings --------------------------------------------------

@@ -290,3 +290,34 @@ class TestEmbeddingFailures:
         reasons = [e["abort_reason"] for e in events
                    if e["kind"] == "termination" and e["abort_reason"]]
         assert len(reasons) == 1 and "backend failed twice" in reasons[0]
+
+
+class TestInternalErrors:
+    """An unexpected exception inside one episode aborts that episode only."""
+
+    def test_tool_error_aborts_only_that_episode(self, tmp_path, monkeypatch):
+        import json
+        from sopflow.evaluation import load_corpus
+        from sopflow.golden import golden_scenarios, write_corpus
+        from sopflow.tools import sop_flow
+
+        manifest = write_corpus(tmp_path / "corpus", "default")
+        broken = golden_scenarios()[2].id
+        original = sop_flow.match_sop
+
+        def match_sop(ctx, *args, **kwargs):
+            if ctx.telemetry.scenario.id == broken:
+                raise RuntimeError("injected tool defect")
+            return original(ctx, *args, **kwargs)
+
+        monkeypatch.setattr(sop_flow, "match_sop", match_sop)
+        report = run_benchmark(load_corpus(manifest), EvalConfig(), BackendConfig(),
+                               transcript_dir=tmp_path / "t")
+        outcomes = [r.outcome for r in report.rows]
+        assert len(report.rows) == 9 and report.aborted == 1
+        assert outcomes[2] == "aborted" and outcomes.count("completed") == 8
+        assert report.rows[2].scenario_id == broken
+        events = [json.loads(line) for line in
+                  (tmp_path / "t" / f"{broken}.jsonl").read_text(encoding="utf-8").splitlines()]
+        assert events[-1]["kind"] == "termination"
+        assert events[-1]["abort_reason"] == "internal error: RuntimeError: injected tool defect"
