@@ -3,17 +3,22 @@
 Each step makes up to three backend calls (orchestrator thought, candidate
 proposal, orchestrator selection), executes exactly one tool from the bounded
 action set, and runs the post-observation hooks (ObAgent then JudgeAgent after
-match_observation). A failed completion or knowledge-base embedding is retried
-once (after the backend's Retry-After, capped); failing again aborts the
-episode, and so does any unexpected exception raised from a step. Executing
-speak terminates it with a diagnosis; running out of the step budget
-terminates it without one.
+match_observation). The thought and the proposal do not depend on each other:
+on a backend that declares ``concurrent_calls`` (the remote one) they are sent
+together, so a step waits for 2 serial round trips, not 3; scripted runs stay
+strictly sequential, because their replies depend on call order. Either way
+the transcript holds the events in the sequential order. A failed completion
+or knowledge-base embedding is retried once (after the backend's Retry-After,
+capped); failing again aborts the episode, and so does any unexpected
+exception raised from a step. Executing speak terminates it with a diagnosis;
+running out of the step budget terminates it without one.
 """
 
 from __future__ import annotations
 
 import json
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
 
@@ -52,19 +57,27 @@ MAX_RETRY_WAIT_S = 10.0  # cap on a backend's Retry-After before the one retry
 
 class _RecordingBackend:
     """Wraps a backend for one episode: completions and embeddings both get
-    the retry-once-then-abort policy, and completions go to the transcript."""
+    the retry-once-then-abort policy, and completions go to the transcript
+    through ``log`` (the episode's ``EpisodeState.log``, or a buffer)."""
 
-    def __init__(self, inner, state: EpisodeState):
+    def __init__(self, inner, log):
         self._inner = inner
-        self._state = state
+        self._log = log
         self.embed_dim = inner.embed_dim
         self.backend_id = inner.backend_id
+        self.concurrent_calls = getattr(inner, "concurrent_calls", False)
+
+    def buffered(self, state: EpisodeState, events: list[dict]) -> "_RecordingBackend":
+        """The same backend, logging into ``events`` instead, for a call made
+        on another thread; the caller splices ``events`` into the transcript."""
+        return _RecordingBackend(
+            self._inner, lambda kind, **fields: events.append(state.event(kind, **fields)))
 
     def _retry_once(self, call, arg):
         try:
             return call(arg)
         except (BackendError, ScriptExhaustedError) as first:
-            self._state.log("llm_retry", error=str(first))
+            self._log("llm_retry", error=str(first))
             wait_s = getattr(first, "retry_after_s", None)
             if wait_s:
                 time.sleep(min(wait_s, MAX_RETRY_WAIT_S))
@@ -75,7 +88,7 @@ class _RecordingBackend:
 
     def complete(self, messages: list[ChatMessage]) -> str:
         reply = self._retry_once(self._inner.complete, messages)
-        self._state.log("llm", prompt=render_prompt(messages), reply=reply)
+        self._log("llm", prompt=render_prompt(messages), reply=reply)
         return reply
 
     def embed(self, text: str):
@@ -115,7 +128,8 @@ class _Runtime:
         telemetry = render_telemetry(scenario)
         self.alert = render_alert(telemetry, self.detector)
         self.state = EpisodeState(scenario_id=scenario.id, alert=self.alert, config=config)
-        self.backend = _RecordingBackend(backend, self.state)
+        self.backend = _RecordingBackend(backend, self.state.log)
+        self._executor: ThreadPoolExecutor | None = None
         if not config.ablations.sop_knowledge:
             kb = kb.without_sops()
         self.ctx = ToolContext(
@@ -141,14 +155,48 @@ class _Runtime:
                 f"Advisor notes:\n{_advisor_notes(self.state)}")
         return ask(self.backend, system, user)
 
-    def _build_action_set(self) -> ActionSet:
+    def _propose(self, backend) -> str:
+        return roles.action_agent_propose(
+            backend, self.registry, self.state.alert,
+            _history_text(self.state), self.flow_guide, self.config.action_set_size,
+        )
+
+    def _think_and_propose(self) -> tuple[str, str | None]:
+        """The thought and, with the ActionAgent on, its proposal reply.
+
+        On a backend with ``concurrent_calls`` the proposal runs on the
+        episode's worker thread while the thought runs here. Its events are
+        buffered and spliced in after the thought's, so the transcript is the
+        sequential one; if the thought fails, the episode aborts with the
+        proposal's events dropped, as if the proposal had never been sent.
+        """
+        if not self.config.ablations.action_agent:
+            return self._think(), None
+        if not self.backend.concurrent_calls:
+            thought = self._think()
+            return thought, self._propose(self.backend)
+        if self._executor is None:
+            self._executor = ThreadPoolExecutor(max_workers=1,
+                                                thread_name_prefix="sopflow-propose")
+        events: list[dict] = []
+        proposal = self._executor.submit(self._propose,
+                                         self.backend.buffered(self.state, events))
+        thought = self._think()
+        try:
+            return thought, proposal.result()
+        finally:
+            self.state.events.extend(events)
+
+    def close(self) -> None:
+        """Stop the worker thread, if one was started; waits for a call in flight."""
+        if self._executor is not None:
+            self._executor.shutdown(wait=True)
+            self._executor = None
+
+    def _build_action_set(self, reply: str | None) -> ActionSet:
         state = self.state
         agent_candidates: list[ActionCandidate] = []
-        if self.config.ablations.action_agent:
-            reply = roles.action_agent_propose(
-                self.backend, self.registry, state.alert,
-                _history_text(state), self.flow_guide, self.config.action_set_size,
-            )
+        if reply is not None:
             agent_candidates, notes = roles.parse_candidates(
                 reply, self.registry, self.config.action_set_size,
             )
@@ -242,10 +290,9 @@ class _Runtime:
 
     def step(self) -> None:
         state = self.state
-        thought = self._think()
-
         if self.config.ablations.action_set:
-            action_set = self._build_action_set()
+            thought, reply = self._think_and_propose()
+            action_set = self._build_action_set(reply)
             if not action_set.candidates:
                 # nothing proposed and no rule fired; the step is spent
                 state.log("note", text="empty action set; step consumed")
@@ -253,6 +300,7 @@ class _Runtime:
                 return
             chosen, position, fallback = self._select(thought, action_set)
         else:
+            thought = self._think()
             candidate = self._direct_action(thought)
             if candidate is None:
                 state.log("note", text="direct action unusable; step consumed")
@@ -316,6 +364,8 @@ def run_episode(scenario: EpisodeScenario, config: AgentConfig, backend, kb,
         state.outcome = OUTCOME_ABORTED
         state.abort_reason = (str(exc) if isinstance(exc, EpisodeAborted)
                               else f"internal error: {type(exc).__name__}: {exc}")
+    finally:
+        rt.close()
     if not state.terminated:
         state.terminated = True
     if state.outcome is None:

@@ -140,10 +140,14 @@ class EpisodeState:
     def path(self) -> tuple[str, ...]:
         return tuple(record.chosen.tool for record in self.history)
 
-    def log(self, kind: str, **fields) -> None:
+    def event(self, kind: str, **fields) -> dict:
+        """A transcript record stamped with the current step."""
         record = {"kind": kind, "step": self.step_count}
         record.update(fields)
-        self.events.append(record)
+        return record
+
+    def log(self, kind: str, **fields) -> None:
+        self.events.append(self.event(kind, **fields))
 
 
 @dataclass

@@ -16,9 +16,6 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass, field
-from pathlib import Path
-
-import yaml
 
 from . import schema
 
@@ -52,10 +49,6 @@ class DetectorConfig:
     @classmethod
     def from_mapping(cls, mapping: dict) -> "DetectorConfig":
         return schema.from_mapping(cls, mapping, "detector")
-
-    @classmethod
-    def from_file(cls, path: Path | str) -> "DetectorConfig":
-        return cls.from_mapping(yaml.safe_load(Path(path).read_text(encoding="utf-8")))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from . import schema
 from .agents import AgentConfig, EpisodeResult, OUTCOME_COMPLETED, run_episode, write_transcript
 from .detector import DetectorConfig
 from .errors import ConfigError, SopflowError, UndefinedMetricError, ValidationError
-from .kb import KbSettings, KnowledgeBase
+from .kb import KbSettings, KnowledgeBase, write_atomic
 from .llm import BackendConfig, make_backend, scripted_config
 from .sandbox import EpisodeScenario, load_scenario
 
@@ -293,8 +293,8 @@ def run_benchmark(corpus: Corpus, eval_cfg: EvalConfig, backend_cfg: BackendConf
 
 
 def save_report(report: BenchmarkReport, path: Path | str) -> None:
-    Path(path).write_text(json.dumps(asdict(report), indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")
+    """Write the report atomically: a reader sees the old file or the new one."""
+    write_atomic(Path(path), json.dumps(asdict(report), indent=2, sort_keys=True) + "\n")
 
 
 def load_report(path: Path | str) -> BenchmarkReport:

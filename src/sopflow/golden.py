@@ -420,13 +420,6 @@ def expected_path(scenario: EpisodeScenario, mode: str) -> tuple[str, ...]:
     raise ValueError(f"unknown golden mode {mode!r}")
 
 
-def expected_path_length(mode: str, scenario: EpisodeScenario | None = None) -> int:
-    if mode == "action_agent_off":
-        assert scenario is not None, "action_agent_off path length is per-scenario"
-        return len(expected_path(scenario, mode))
-    return len(expected_path(golden_scenarios()[0], mode))
-
-
 # -- on-disk corpus ---------------------------------------------------------------
 
 

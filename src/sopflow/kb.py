@@ -138,7 +138,7 @@ class RetrievalHit:
             raise ValidationError(f"unknown hit kind: {self.kind}")
 
 
-def _write_atomic(path: Path, text: str) -> None:
+def write_atomic(path: Path, text: str) -> None:
     """Write ``text`` to ``path`` through a temp file beside it and ``os.replace``,
     so the file is always either its old or its new content."""
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -201,14 +201,14 @@ class KnowledgeBase:
     def _write_doc(self, subdir: str, doc_id: str, mapping: dict) -> None:
         if self._root is None:
             return
-        _write_atomic(self._root / subdir / f"{doc_id}.yaml",
+        write_atomic(self._root / subdir / f"{doc_id}.yaml",
                       yaml.safe_dump(mapping, sort_keys=False, allow_unicode=True))
 
     def _flush_cache(self) -> None:
         if self._root is None:
             return
         stored = {key: list(vec.values) for key, vec in self._cache.items()}
-        _write_atomic(self._root / _CACHE_FILE, json.dumps(stored, sort_keys=True))
+        write_atomic(self._root / _CACHE_FILE, json.dumps(stored, sort_keys=True))
 
     # -- mutation ----------------------------------------------------------
 

@@ -117,6 +117,11 @@ def _retry_after_s(header: str | None) -> float | None:
     return seconds if 0 <= seconds < math.inf else None
 
 
+def _is_finite_number(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 def hash_embedding(text: str, dim: int = DEFAULT_EMBED_DIM, seed: int = 0) -> EmbeddingVector:
     """Deterministic unit-norm embedding derived from SHA-256 of the text.
 
@@ -181,7 +186,15 @@ class ScriptedBackend:
 
 
 class RemoteBackend:
-    """Thin client for a chat-completions compatible HTTP endpoint."""
+    """Thin client for a chat-completions compatible HTTP endpoint.
+
+    Each call is one ``requests.post`` and calls share no state, so an episode
+    may have two calls in flight at once (``concurrent_calls``). A reply that
+    is not what the API promises is a ``BackendError``, which the episode
+    retries once.
+    """
+
+    concurrent_calls = True
 
     def __init__(self, config: BackendConfig, timeout_s: float = 30.0):
         config.validate()
@@ -216,7 +229,10 @@ class RemoteBackend:
                 f"backend returned status {response.status_code}: {response.text[:200]}",
                 retry_after_s=_retry_after_s(response.headers.get("Retry-After")),
             )
-        return response.json()
+        try:
+            return response.json()
+        except ValueError as exc:
+            raise BackendError(f"response body is not JSON: {exc}") from exc
 
     def complete(self, messages: list[ChatMessage]) -> str:
         if not messages:
@@ -229,18 +245,28 @@ class RemoteBackend:
         }
         data = self._post("/chat/completions", body)
         try:
-            return data["choices"][0]["message"]["content"]
+            content = data["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
             raise BackendError(f"malformed completion response: {exc}") from exc
+        if not isinstance(content, str):
+            raise BackendError(f"malformed completion response: content is "
+                               f"{type(content).__name__}, not a string")
+        return content
 
     def embed(self, text: str) -> EmbeddingVector:
         if not text:
             raise ValidationError("cannot embed empty text")
         data = self._post("/embeddings", {"model": self.config.model, "input": text})
         try:
-            return EmbeddingVector.of(data["data"][0]["embedding"])
+            values = data["data"][0]["embedding"]
         except (KeyError, IndexError, TypeError) as exc:
             raise BackendError(f"malformed embedding response: {exc}") from exc
+        # the run's knowledge bases cache every vector, so a bad one is never let in
+        if not (isinstance(values, list) and len(values) == self.embed_dim
+                and all(_is_finite_number(v) for v in values)):
+            raise BackendError(f"malformed embedding response: expected a list of "
+                               f"{self.embed_dim} finite numbers")
+        return EmbeddingVector.of(values)
 
 
 def make_backend(config: BackendConfig):

@@ -255,13 +255,6 @@ class Telemetry:
         ]
         return {"metrics": metric_lines, "logs": log_lines, "traces": trace_lines}
 
-    def export(self, directory) -> None:
-        from pathlib import Path
-        out = Path(directory)
-        out.mkdir(parents=True, exist_ok=True)
-        for modality, lines in self.export_lines().items():
-            (out / f"{modality}.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
-
     def content_hash(self) -> str:
         digest = hashlib.sha256()
         lines = self.export_lines()

@@ -117,10 +117,6 @@ class ProgramRunResult:
             return "no findings"
         return "\n".join(f"- {f}" for f in self.findings)
 
-    def raise_if_failed(self) -> None:
-        if not self.success:
-            raise ProgramRuntimeError(self.failing_index or 0, self.error)
-
 
 # -- parsing --------------------------------------------------------------------
 

@@ -1,10 +1,26 @@
 from __future__ import annotations
 
+import json
+import re
+import threading
+import time
+from collections import Counter
+from dataclasses import dataclass
+
 import pytest
 
+from sopflow import prompts
 from sopflow.detector import DetectorConfig
+from sopflow.errors import SopflowError
 from sopflow.kb import KnowledgeBase
-from sopflow.llm import BackendConfig, make_backend
+from sopflow.llm import (
+    BackendConfig,
+    ChatMessage,
+    ScriptedBackend,
+    ScriptEntry,
+    hash_embedding,
+    make_backend,
+)
 from sopflow.sandbox import (
     EpisodeScenario,
     FaultType,
@@ -81,3 +97,129 @@ def cpu_ctx():
 @pytest.fixture
 def quiet_ctx():
     return make_ctx(no_fault_scenario())
+
+
+# -- a chat-completions endpoint behind requests.post ----------------------------
+
+FAKE_KEY_ENV = "SOPFLOW_TEST_FAKE_KEY"
+_SCENARIO_LINE = re.compile(r"^scenario: (\S+)$", re.MULTILINE)
+_ROLE_NAMES = {
+    prompts.ROLE_THOUGHT: "thought", prompts.ROLE_ACTION: "action",
+    prompts.ROLE_SELECT: "select", prompts.ROLE_DIRECT: "direct",
+    prompts.ROLE_CODER: "coder", prompts.ROLE_AUTHOR: "author",
+    prompts.ROLE_OBSERVER: "observer", prompts.ROLE_JUDGE: "judge",
+}
+
+
+@dataclass
+class FakeRequest:
+    role: str        # a prompt role ("thought", "action", ...) or "embed"
+    number: int      # earlier requests of the same role
+    thread: str      # name of the calling thread
+    prompt: str      # the rendered prompt, or the text to embed
+    start: float     # time.monotonic() around the request's delay
+    end: float
+
+
+class _FakeResponse:
+    def __init__(self, status_code: int, payload):
+        self.status_code = status_code
+        self.headers = {}
+        self._payload = payload
+        self.text = json.dumps(payload)
+
+    def json(self):
+        return self._payload
+
+
+class FakeEndpoint:
+    """Answers ``requests.post`` in place of a chat-completions endpoint.
+
+    Completions replay each scenario's script through a ``ScriptedBackend``,
+    whose lock makes the replay safe for concurrent requests. A prompt belongs
+    to the scenario named by its alert's ``scenario: <id>`` line; a prompt
+    without one (selection, coder, observer, judge) belongs to the scenario its
+    thread last named, which holds with several episodes in flight because an
+    episode's thread sends its thought before anything else. Embeddings answer
+    with the scripted backend's ``hash_embedding``, so transcripts match
+    scripted runs byte for byte.
+
+    Each request sleeps ``delays.get(role, delay_s)`` and is recorded in
+    ``requests``. ``replies[(role, n)] = (status, payload)`` answers the
+    ``n``-th request of a role (0-based, retries included) instead.
+    """
+
+    def __init__(self, delay_s: float = 0.001):
+        self.delay_s = delay_s
+        self.delays: dict[str, float] = {}
+        self.replies: dict[tuple[str, int], tuple[int, object]] = {}
+        self.requests: list[FakeRequest] = []
+        self._counts: Counter = Counter()
+        self._lock = threading.Lock()
+        self._scripts: dict[str, list[ScriptEntry]] = {}
+        self._backends: dict[str, ScriptedBackend] = {}
+        self._thread_scenario: dict[int, str] = {}
+
+    def serve(self, scripts: dict[str, list[ScriptEntry]]) -> None:
+        """Replay these scripts, keyed by scenario id, each from its start,
+        with the request log and the per-role request numbers cleared."""
+        with self._lock:
+            self._scripts = dict(scripts)
+            self._backends = {}
+            self._thread_scenario = {}
+            self.requests = []
+            self._counts = Counter()
+
+    def config(self) -> BackendConfig:
+        return BackendConfig(backend_kind="remote", endpoint="http://127.0.0.1:9",
+                             model="fake", credential_env=FAKE_KEY_ENV)
+
+    def _backend_for(self, prompt: str) -> ScriptedBackend:
+        match = _SCENARIO_LINE.search(prompt)
+        thread = threading.get_ident()
+        with self._lock:
+            scenario_id = match.group(1) if match else self._thread_scenario[thread]
+            self._thread_scenario[thread] = scenario_id
+            backend = self._backends.get(scenario_id)
+            if backend is None:
+                backend = ScriptedBackend(BackendConfig(script=self._scripts[scenario_id]))
+                self._backends[scenario_id] = backend
+        return backend
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        if url.endswith("/embeddings"):
+            role, prompt = "embed", json["input"]
+        else:
+            messages = [ChatMessage(m["role"], m["content"]) for m in json["messages"]]
+            role = _ROLE_NAMES.get(messages[0].content.splitlines()[0], "other")
+            prompt = "\n".join(m.content for m in messages)
+        with self._lock:
+            number = self._counts[role]
+            self._counts[role] += 1
+            record = FakeRequest(role, number, threading.current_thread().name, prompt,
+                                 0.0, 0.0)
+            self.requests.append(record)
+        record.start = time.monotonic()
+        time.sleep(self.delays.get(role, self.delay_s))
+        record.end = time.monotonic()
+        injected = self.replies.get((role, number))
+        if injected is not None:
+            return _FakeResponse(*injected)
+        if role == "embed":
+            vector = hash_embedding(prompt, BackendConfig().embed_dim)
+            return _FakeResponse(200, {"data": [{"embedding": list(vector.values)}]})
+        try:
+            reply = self._backend_for(prompt).complete(messages)
+        except (KeyError, SopflowError) as exc:
+            return _FakeResponse(500, {"error": f"{type(exc).__name__}: {exc}"})
+        return _FakeResponse(200, {"choices": [{"message": {"content": reply}}]})
+
+
+@pytest.fixture
+def fake_endpoint(monkeypatch):
+    """A ``FakeEndpoint`` installed as ``sopflow.llm.requests.post``; point a
+    ``RemoteBackend`` at it with ``fake_endpoint.config()``."""
+    endpoint = FakeEndpoint()
+    monkeypatch.setenv(FAKE_KEY_ENV, "k")
+    monkeypatch.setattr("sopflow.llm.requests.post", endpoint.post)
+    return endpoint

@@ -126,9 +126,3 @@ class TestConfigLoading:
         assert cfg.k == 2.0
         assert cfg.static_thresholds == {"cpu_usage": 0.5}
         assert cfg.anomaly_keywords == ("panic",)
-
-    def test_from_file(self, tmp_path):
-        path = tmp_path / "detector.yaml"
-        path.write_text("k: 4.0\nmin_sigma_frac: 0.2\n")
-        cfg = DetectorConfig.from_file(path)
-        assert cfg.k == 4.0 and cfg.min_sigma_frac == 0.2

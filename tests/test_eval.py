@@ -164,6 +164,21 @@ class TestReports:
         assert loaded.apl == report.apl
         assert len(loaded.rows) == 2
 
+    def test_failed_save_keeps_the_previous_report(self, tmp_path, monkeypatch):
+        path = tmp_path / "report.json"
+        save_report(self._report(), path)
+        before = path.read_bytes()
+        newer = BenchmarkReport.from_rows([row(loc_c=1, type_c=1)], EvalConfig())
+
+        def failing_replace(src, dst):
+            raise OSError("injected: disk full")
+
+        monkeypatch.setattr("os.replace", failing_replace)
+        with pytest.raises(OSError, match="injected"):
+            save_report(newer, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
     def test_tampered_aggregate_rejected_on_load(self, tmp_path):
         report = self._report()
         path = tmp_path / "report.json"

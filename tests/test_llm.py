@@ -250,8 +250,59 @@ class TestRemoteBackend:
 
         monkeypatch.setattr("sopflow.llm.requests.post",
                             lambda *a, **kw: FakeResponse())
-        vec = RemoteBackend(self._config()).embed("text")
+        config = self._config()
+        config.embed_dim = 2
+        vec = RemoteBackend(config).embed("text")
         assert vec.values == (0.6, 0.8)
+
+    def _replying(self, monkeypatch, payload=None, body_error=None):
+        """Every request answers 200 with ``payload``, or with a body whose
+        ``json()`` raises ``body_error``."""
+        monkeypatch.setenv("SOPFLOW_API_KEY", "k")
+
+        class FakeResponse:
+            status_code = 200
+            headers = {}
+
+            def json(self):
+                if body_error is not None:
+                    raise body_error
+                return payload
+
+        monkeypatch.setattr("sopflow.llm.requests.post", lambda *a, **kw: FakeResponse())
+        return RemoteBackend(self._config())
+
+    def test_body_that_is_not_json_is_backend_error(self, monkeypatch):
+        import requests
+        error = requests.JSONDecodeError("Expecting value", "<html>", 0)
+        backend = self._replying(monkeypatch, body_error=error)
+        with pytest.raises(BackendError, match="not JSON"):
+            backend.complete(msgs("hi"))
+        with pytest.raises(BackendError, match="not JSON"):
+            backend.embed("text")
+
+    @pytest.mark.parametrize("content", [None, 42, ["a"], {"text": "a"}])
+    def test_content_that_is_not_a_string_is_backend_error(self, monkeypatch, content):
+        backend = self._replying(
+            monkeypatch, {"choices": [{"message": {"content": content}}]})
+        with pytest.raises(BackendError, match="not a string"):
+            backend.complete(msgs("hi"))
+
+    @pytest.mark.parametrize("embedding", [
+        [0.1] * 63, [0.1] * 65, [], None, "0.1",
+        [0.1] * 63 + ["x"], [0.1] * 63 + [math.nan], [0.1] * 63 + [math.inf],
+        [0.1] * 63 + [True], [0.1] * 63 + [None],
+    ], ids=["short", "long", "empty", "null", "string", "text-entry", "nan", "inf",
+            "bool", "null-entry"])
+    def test_embedding_not_embed_dim_finite_numbers_is_backend_error(
+            self, monkeypatch, embedding):
+        backend = self._replying(monkeypatch, {"data": [{"embedding": embedding}]})
+        with pytest.raises(BackendError, match="malformed embedding response"):
+            backend.embed("text")
+
+    def test_embedding_accepts_integers(self, monkeypatch):
+        backend = self._replying(monkeypatch, {"data": [{"embedding": [1] + [0] * 63}]})
+        assert backend.embed("text").values == (1.0,) + (0.0,) * 63
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):

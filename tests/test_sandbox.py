@@ -306,12 +306,6 @@ class TestDeterminism:
         assert render_telemetry(scenario).content_hash() \
             == render_telemetry(scenario).content_hash()
 
-    def test_export_files(self, tmp_path):
-        telemetry = telemetry_for(no_fault_scenario())
-        telemetry.export(tmp_path)
-        for modality in ("metrics", "logs", "traces"):
-            assert (tmp_path / f"{modality}.jsonl").exists()
-
     def test_alert_deterministic(self):
         scenario = fault_scenario(FaultType.NetworkDelay)
         telemetry = telemetry_for(scenario)
