@@ -124,6 +124,7 @@ class _Runtime:
         self.scenario = scenario
         self.config = config
         self.detector = detector or DetectorConfig()
+        self.detector.validate()
         self.registry = build_registry()
         telemetry = render_telemetry(scenario)
         self.alert = render_alert(telemetry, self.detector)

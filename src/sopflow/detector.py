@@ -14,10 +14,12 @@ alert sweep uses it to test each sample of a series on its own.
 
 from __future__ import annotations
 
+import math
 import statistics
 from dataclasses import dataclass, field
 
 from . import schema
+from .errors import ValidationError
 
 DEFAULT_K = 3.0
 DEFAULT_MIN_SIGMA_FRAC = 0.1
@@ -48,7 +50,24 @@ class DetectorConfig:
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "DetectorConfig":
-        return schema.from_mapping(cls, mapping, "detector")
+        cfg = schema.from_mapping(cls, mapping, "detector")
+        cfg.validate()
+        return cfg
+
+    def validate(self) -> None:
+        if not (math.isfinite(self.k) and self.k > 0):
+            raise ValidationError(f"detector k must be a finite number > 0, got {self.k!r}")
+        if not (math.isfinite(self.min_sigma_frac) and self.min_sigma_frac >= 0):
+            raise ValidationError("detector min_sigma_frac must be a finite number >= 0, "
+                                  f"got {self.min_sigma_frac!r}")
+        for name in ("min_baseline_samples", "baseline_lookback_samples"):
+            if getattr(self, name) < 1:
+                raise ValidationError(f"detector {name} must be >= 1, "
+                                      f"got {getattr(self, name)!r}")
+        for metric, threshold in self.static_thresholds.items():
+            if not math.isfinite(threshold):
+                raise ValidationError(f"detector static threshold for {metric!r} must be "
+                                      f"finite, got {threshold!r}")
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ excluded from its denominator.
 from __future__ import annotations
 
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -40,8 +41,8 @@ class EvalConfig:
     agent: AgentConfig = field(default_factory=AgentConfig, metadata=schema.INLINE)
 
     def validate(self) -> None:
-        if self.sigma < 0:
-            raise ValidationError("sigma must be >= 0")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise ValidationError(f"sigma must be a finite number >= 0, got {self.sigma!r}")
         if self.aggregate not in (AGGREGATE_CORPUS, AGGREGATE_EPISODE_MEAN):
             raise ValidationError(f"unknown aggregate mode {self.aggregate!r}")
         if self.workers < 1:
@@ -263,6 +264,8 @@ def run_benchmark(corpus: Corpus, eval_cfg: EvalConfig, backend_cfg: BackendConf
     unexpected errors, become rows, never run failures.
     """
     eval_cfg.validate()
+    if detector is not None:
+        detector.validate()
     entries = _read_entries(corpus, backend_cfg)
     kb_settings = kb_settings or KbSettings()
     kb_master = KnowledgeBase(make_backend(backend_cfg), root=corpus.kb_path,

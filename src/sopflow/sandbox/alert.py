@@ -5,9 +5,15 @@ reports the earliest anomalous signal, preferring metrics over traces over
 logs over resource state on ties, then lexicographic component order. The
 format below is stable; transcripts and scripted tests key on it.
 
-The metric sweep computes each series' baseline once and tests every later
-sample against it; ``evaluate_series`` writes the verdict text for the first
-sample that crosses.
+The metric sweep is tick-major. It computes each series' baseline rule once,
+from the first 8 samples (a static threshold needs no baseline, so none is
+rendered for it). It then tests every series at one tick, in (component,
+metric) order, before moving to the next tick, and stops at the first
+flagged sample: the candidate that sorting every series' first flag would
+pick. ``evaluate_series`` writes its verdict text. The trace sweep stops
+before that tick, because a trace at the same tick loses on rank. Telemetry
+is rendered on demand, so only the samples and traces the sweeps reach are
+computed.
 """
 
 from __future__ import annotations
@@ -21,25 +27,31 @@ _MODALITY_RANK = {"metric": 0, "trace": 1, "log": 2, "state": 3}
 
 
 def _metric_candidates(telemetry: Telemetry, cfg: DetectorConfig):
-    start, end = telemetry.scenario.window
-    baseline_end = start + _ALERT_BASELINE_SAMPLES * SAMPLE_PERIOD_S
-    for series in telemetry.metric_series():
-        component, metric = series.component, series.metric
-        baseline = [v for t, v in series.samples if t < baseline_end]
+    times = telemetry.sample_times()
+    baseline_times = times[:_ALERT_BASELINE_SAMPLES]
+    judged = []
+    for component, metric in telemetry.series_keys():
+        # a static threshold ignores the baseline, so none is rendered for it
+        baseline = ([] if cfg.static_thresholds.get(metric) is not None else
+                    [telemetry.metric_value(component, metric, t) for t in baseline_times])
         # None for a baseline shorter than min_baseline_samples: the window
         # (one sample) then gives the robust rule, which never flags
         rule = _baseline_rule(baseline, metric, cfg)
-        for t, value in series.samples:
-            if t >= baseline_end and rule is not None and rule.flags(value):
+        if rule is not None:
+            judged.append((component, metric, baseline, rule))
+    for t in times[_ALERT_BASELINE_SAMPLES:]:
+        for component, metric, baseline, rule in judged:
+            value = telemetry.metric_value(component, metric, t)
+            if rule.flags(value):
                 verdict = evaluate_series([value], baseline, metric, cfg)
                 yield (t, "metric", component,
                        f"metric {metric} on {component} is anomalous "
                        f"({verdict.direction}): {verdict.detail}")
-                break
+                return
 
 
-def _trace_candidates(telemetry: Telemetry):
-    for trace in telemetry.query_traces():
+def _trace_candidates(telemetry: Telemetry, before_s: int):
+    for trace in telemetry.query_traces((telemetry.scenario.window[0], before_s)):
         for span in trace.spans:
             if span.status == "error":
                 yield (trace.t_s, "trace", span.service,
@@ -68,9 +80,10 @@ def _state_candidates(telemetry: Telemetry):
 def render_alert(telemetry: Telemetry, cfg: DetectorConfig | None = None) -> str:
     """Render the incident ticket for a scenario, or a quiet-system notice."""
     cfg = cfg or DetectorConfig()
-    candidates = []
-    candidates.extend(_metric_candidates(telemetry, cfg))
-    candidates.extend(_trace_candidates(telemetry))
+    candidates = list(_metric_candidates(telemetry, cfg))
+    # a trace at or after the first flagged metric tick loses to it on rank
+    trace_end = candidates[0][0] if candidates else telemetry.scenario.window[1]
+    candidates.extend(_trace_candidates(telemetry, trace_end))
     candidates.extend(_log_candidates(telemetry, cfg))
     candidates.extend(_state_candidates(telemetry))
     scenario = telemetry.scenario

@@ -32,10 +32,17 @@ NetworkBandwidth   both endpoint nodes' ``node_network_throughput_bytes``
 Nominal samples are clamped Gaussians around the per-metric baselines below,
 so at the default detector thresholds a fault-free scenario never flags.
 Rendering is a pure function of the scenario (seed included).
+
+Metrics and traces are rendered on demand: ``render_telemetry`` renders only
+the logs, and each metric sample or trace is computed the first time a query
+reaches it, then kept. Every draw is keyed by its series or trace and its
+tick, so what a query returns, and ``export_lines``, are byte-identical to a
+full render whatever was queried before.
 """
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
 import statistics
@@ -135,23 +142,55 @@ class _EdgeEffect:
 
 
 class Telemetry:
-    """Immutable rendered telemetry for one scenario, with the query surface
-    the observability tools are built on."""
+    """Telemetry for one scenario, rendered on demand, with the query surface
+    the observability tools are built on.
 
-    def __init__(self, scenario: EpisodeScenario, metrics: dict, logs: list[LogLine],
-                 traces: list[Trace]):
+    Each metric sample and each trace is rendered the first time a query
+    reaches it and then kept (memoised), so it is computed at most once, and
+    a sample no query reaches is never computed. Every draw is keyed by
+    (series or trace, tick), so the order of queries never changes a byte.
+    Logs are cheap and rendered up front. Queries write to the memo, so a
+    Telemetry is used from one episode's thread.
+    """
+
+    def __init__(self, scenario: EpisodeScenario):
         self.scenario = scenario
-        self.topology = scenario.topology()
-        self._metrics = metrics  # (component, metric) -> MetricSeries
-        self._logs = logs
-        self._traces = traces
+        self._renderer = _Renderer(scenario)
+        self.topology = self._renderer.topo
+        self._times = _sample_times(scenario.window)
         self._component_kinds = {}
+        keys = []
         for pod in self.topology.pods:
             self._component_kinds[pod.id] = "pod"
+            keys += [(pod.id, metric) for metric in POD_METRIC_BASELINES]
         for service in self.topology.services:
             self._component_kinds[service] = "service"
+            keys += [(service, metric) for metric in SERVICE_METRICS]
         for node in self.topology.nodes:
             self._component_kinds[node.id] = "node"
+            keys += [(node.id, metric) for metric in NODE_METRIC_BASELINES]
+        # (component, metric) -> the series' samples by tick number, None
+        # until rendered
+        self._series: dict[tuple[str, str], list[float | None]] = {
+            key: [None] * len(self._times) for key in sorted(keys)}
+        self._traces: list[Trace | None] = [None] * len(self._times)
+        self._logs = self._renderer.render_logs()
+
+    def _values(self, key: tuple[str, str], lo: int, hi: int) -> list[float]:
+        """Series ``key``'s samples at tick numbers ``lo`` to ``hi`` - 1,
+        rendering those not rendered yet."""
+        row = self._series[key]
+        for i in range(lo, hi):
+            if row[i] is None:
+                row[i] = self._renderer.sample(key, self._times[i])
+        return row[lo:hi]
+
+    def _ticks(self, window: tuple[int, int] | None) -> tuple[int, int]:
+        """The tick numbers in ``window`` (every tick for None), as a range."""
+        if window is None:
+            return 0, len(self._times)
+        return (bisect.bisect_left(self._times, window[0]),
+                bisect.bisect_left(self._times, window[1]))
 
     # -- queries -------------------------------------------------------------
 
@@ -168,34 +207,44 @@ class Telemetry:
             return sorted(NODE_METRIC_BASELINES)
         return sorted(SERVICE_METRICS)
 
+    def sample_times(self) -> list[int]:
+        """Every metric sample tick (and trace tick) of the window, in order."""
+        return list(self._times)
+
+    def series_keys(self) -> list[tuple[str, str]]:
+        """Every (component, metric) series, in sorted order."""
+        return list(self._series)
+
+    def metric_value(self, component: str, metric: str, t: int) -> float:
+        """The sample at tick ``t`` of a series named by ``series_keys``."""
+        values = self._values((component, metric), *self._ticks((t, t + 1)))
+        if not values:
+            raise NotFoundError(f"no sample at t={t}")
+        return values[0]
+
     def query_metrics(self, component: str, metric: str,
                       window: tuple[int, int] | None = None) -> MetricSeries:
         if component not in self._component_kinds:
             raise NotFoundError(f"unknown component {component!r}")
         if metric not in METRIC_CATALOG:
             raise NotFoundError(f"unknown metric {metric!r}")
-        series = self._metrics.get((component, metric))
-        if series is None:
+        key = (component, metric)
+        if key not in self._series:
             raise NotFoundError(
                 f"unknown metric {metric!r} for {self._component_kinds[component]} {component!r}"
             )
-        if window is None:
-            return series
-        lo, hi = window
-        return MetricSeries(
-            component=component, metric=metric,
-            samples=tuple((t, v) for t, v in series.samples if lo <= t < hi),
-        )
+        lo, hi = self._ticks(window)
+        return MetricSeries(component, metric,
+                            tuple(zip(self._times[lo:hi], self._values(key, lo, hi))))
 
     def metric_series(self) -> list[MetricSeries]:
         """Every metric series, in (component, metric) order."""
-        return sorted(self._metrics.values(), key=lambda s: (s.component, s.metric))
+        return [self.query_metrics(component, metric) for component, metric in self._series]
 
     def baseline_values(self, component: str, metric: str, before_s: int,
                         max_samples: int) -> list[float]:
-        series = self.query_metrics(component, metric)
-        values = [v for t, v in series.samples if t < before_s]
-        return values[-max_samples:]
+        series = self.query_metrics(component, metric, (self.scenario.window[0], before_s))
+        return series.values()[-max_samples:]
 
     def query_logs(self, pod: str, window: tuple[int, int] | None = None) -> list[LogLine]:
         if self._component_kinds.get(pod) != "pod":
@@ -210,10 +259,11 @@ class Telemetry:
         return list(self._logs)
 
     def query_traces(self, window: tuple[int, int] | None = None) -> list[Trace]:
-        if window is None:
-            return list(self._traces)
-        lo, hi = window
-        return [tr for tr in self._traces if lo <= tr.t_s < hi]
+        lo, hi = self._ticks(window)
+        for i in range(lo, hi):
+            if self._traces[i] is None:
+                self._traces[i] = self._renderer.trace(i, self._times[i])
+        return self._traces[lo:hi]
 
     def pod_phase(self, pod_id: str, at_s: int | None = None) -> str:
         if self._component_kinds.get(pod_id) != "pod":
@@ -251,7 +301,7 @@ class Telemetry:
                     "status": sp.status, "error_message": sp.error_message,
                 } for sp in tr.spans],
             }, sort_keys=True)
-            for tr in self._traces
+            for tr in self.query_traces()
         ]
         return {"metrics": metric_lines, "logs": log_lines, "traces": trace_lines}
 
@@ -305,6 +355,14 @@ class _Renderer:
             self._active[t] = active
             self._down[t] = {f.location_id for f, _ in active
                              if f.fault_type == FaultType.PodFailure}
+        self._latency_base = {s: _service_latency_baseline(self.topo, s)
+                              for s in self.topo.services}
+        self._throughput_base = {s: _service_throughput_baseline(self.topo, s)
+                                 for s in self.topo.services}
+        self._service_pods = {s: [p.id for p in self.topo.pods_of(s)]
+                              for s in self.topo.services}
+        # (service, tick) -> the service's fault overrides, resolved on first use
+        self._overrides: dict[tuple[str, int], dict] = {}
 
     # -- fault effect resolution -------------------------------------------
 
@@ -376,64 +434,54 @@ class _Renderer:
 
     # -- metrics --------------------------------------------------------------
 
-    def render_metrics(self) -> dict:
-        series: dict[tuple[str, str], MetricSeries] = {}
-        times = _sample_times(self.scenario.window)
+    def sample(self, key: tuple[str, str], t: int) -> float:
+        """The sample of series ``key`` = (component, metric) at tick ``t``.
 
-        for pod in self.topo.pods:
-            for metric, (base, sigma) in POD_METRIC_BASELINES.items():
-                samples = []
-                for t in times:
-                    if self.pod_down(pod.id, t):
-                        value = 0.0
-                    else:
-                        value = noise.gauss(base, sigma, self.seed, "metric", pod.id, metric, t)
-                        value = self._pod_stress_override(pod.id, metric, t, value)
-                    samples.append((t, round(max(value, 0.0), 6)))
-                series[(pod.id, metric)] = MetricSeries(pod.id, metric, tuple(samples))
+        Every draw is keyed by (component, metric, t), so samples can be
+        rendered in any order and each comes out the same.
+        """
+        component, metric = key
+        if metric in POD_METRIC_BASELINES:
+            if self.pod_down(component, t):
+                value = 0.0
+            else:
+                base, sigma = POD_METRIC_BASELINES[metric]
+                value = noise.gauss(base, sigma, self.seed, "metric", component, metric, t)
+                value = self._pod_stress_override(component, metric, t, value)
+        elif metric in NODE_METRIC_BASELINES:
+            base, sigma = NODE_METRIC_BASELINES[metric]
+            value = noise.gauss(base, sigma, self.seed, "metric", component, metric, t)
+            if metric == "node_network_throughput_bytes":
+                for fault, _ in self._active[t]:
+                    if (fault.fault_type == FaultType.NetworkBandwidth
+                            and component in fault.node_pair()):
+                        value *= fault.magnitude
+        else:
+            value = self._service_sample(component, metric, t)
+        return round(max(value, 0.0), 6)
 
-        for service in self.topo.services:
-            lat_base = _service_latency_baseline(self.topo, service)
-            thr_base = _service_throughput_baseline(self.topo, service)
-            service_pods = self.topo.pods_of(service)
-            overrides_at = [self._service_fault_values(service, t) for t in times]
-            for metric in SERVICE_METRICS:
-                samples = []
-                for t, overrides in zip(times, overrides_at):
-                    if metric == "request_latency_ms":
-                        value = noise.gauss(lat_base, LATENCY_SIGMA_FRAC * lat_base,
-                                            self.seed, "metric", service, metric, t)
-                        value = value * overrides.get("latency_factor", 1.0)
-                        value += overrides.get("latency_extra", 0.0)
-                    elif metric == "throughput_rps":
-                        value = noise.gauss(thr_base, THROUGHPUT_SIGMA_FRAC * thr_base,
-                                            self.seed, "metric", service, metric, t)
-                        value *= overrides.get("throughput_factor", 1.0)
-                        if any(self.pod_down(p.id, t) for p in service_pods):
-                            value = 0.0
-                    else:  # error_rate
-                        if "error_rate" in overrides:
-                            value = overrides["error_rate"]
-                        else:
-                            value = noise.gauss(*ERROR_RATE_BASELINE,
-                                                self.seed, "metric", service, metric, t)
-                    samples.append((t, round(max(value, 0.0), 6)))
-                series[(service, metric)] = MetricSeries(service, metric, tuple(samples))
-
-        for node in self.topo.nodes:
-            for metric, (base, sigma) in NODE_METRIC_BASELINES.items():
-                samples = []
-                for t in times:
-                    value = noise.gauss(base, sigma, self.seed, "metric", node.id, metric, t)
-                    if metric == "node_network_throughput_bytes":
-                        for fault, _ in self._active[t]:
-                            if (fault.fault_type == FaultType.NetworkBandwidth
-                                    and node.id in fault.node_pair()):
-                                value *= fault.magnitude
-                    samples.append((t, round(max(value, 0.0), 6)))
-                series[(node.id, metric)] = MetricSeries(node.id, metric, tuple(samples))
-
-        return series
+    def _service_sample(self, service: str, metric: str, t: int) -> float:
+        overrides = self._overrides.get((service, t))
+        if overrides is None:
+            overrides = self._service_fault_values(service, t)
+            self._overrides[(service, t)] = overrides
+        if metric == "request_latency_ms":
+            lat_base = self._latency_base[service]
+            value = noise.gauss(lat_base, LATENCY_SIGMA_FRAC * lat_base,
+                                self.seed, "metric", service, metric, t)
+            value = value * overrides.get("latency_factor", 1.0)
+            return value + overrides.get("latency_extra", 0.0)
+        if metric == "throughput_rps":
+            thr_base = self._throughput_base[service]
+            value = noise.gauss(thr_base, THROUGHPUT_SIGMA_FRAC * thr_base,
+                                self.seed, "metric", service, metric, t)
+            value *= overrides.get("throughput_factor", 1.0)
+            if any(self.pod_down(pod_id, t) for pod_id in self._service_pods[service]):
+                value = 0.0
+            return value
+        if "error_rate" in overrides:
+            return overrides["error_rate"]
+        return noise.gauss(*ERROR_RATE_BASELINE, self.seed, "metric", service, metric, t)
 
     def _pod_stress_override(self, pod_id: str, metric: str, t: int, value: float) -> float:
         for fault, _ in self._active[t]:
@@ -487,14 +535,12 @@ class _Renderer:
 
     # -- traces ----------------------------------------------------------------
 
-    def render_traces(self) -> list[Trace]:
-        traces = []
-        for tick, t in enumerate(_sample_times(self.scenario.window)):
-            trace_id = f"t{tick:04d}"
-            spans: list[Span] = []
-            self._build_root(trace_id, t, spans)
-            traces.append(Trace(trace_id=trace_id, t_s=t, spans=tuple(spans)))
-        return traces
+    def trace(self, tick: int, t: int) -> Trace:
+        """The trace sampled at tick number ``tick``, time ``t``."""
+        trace_id = f"t{tick:04d}"
+        spans: list[Span] = []
+        self._build_root(trace_id, t, spans)
+        return Trace(trace_id=trace_id, t_s=t, spans=tuple(spans))
 
     def _build_root(self, trace_id: str, t: int, spans: list[Span]) -> None:
         frontend = self.topo.frontend
@@ -545,12 +591,6 @@ class _Renderer:
 
 
 def render_telemetry(scenario: EpisodeScenario) -> Telemetry:
-    """Render all three modalities for a scenario. Pure in ``scenario.seed``."""
+    """Telemetry for a scenario, rendered on demand. Pure in ``scenario.seed``."""
     scenario.validate()
-    renderer = _Renderer(scenario)
-    return Telemetry(
-        scenario=scenario,
-        metrics=renderer.render_metrics(),
-        logs=renderer.render_logs(),
-        traces=renderer.render_traces(),
-    )
+    return Telemetry(scenario)

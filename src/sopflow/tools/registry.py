@@ -77,7 +77,9 @@ class ToolContext:
 
 
 class ToolRegistry:
-    """Immutable after construction; invocations are read-only toward telemetry."""
+    """Immutable after construction. Invocations never change what telemetry
+    holds; a query may render samples on demand, which only fills the
+    telemetry's memo with the bytes a full render would give."""
 
     def __init__(self):
         self._tools: dict[str, tuple[ToolSpec, Callable]] = {}

@@ -1,0 +1,155 @@
+"""The on-demand telemetry and the tick-major alert sweep against the eager
+reference: every series rendered, each series' first flag taken, then the
+candidates sorted."""
+
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sopflow.detector import (
+    DEFAULT_STATIC_THRESHOLDS,
+    DetectorConfig,
+    _baseline_rule,
+    evaluate_series,
+    matches_keyword,
+)
+from sopflow.golden import golden_scenarios
+from sopflow.sandbox import ScenarioConfig, generate_corpus, noise, render_alert, render_telemetry
+from sopflow.sandbox.telemetry import SAMPLE_PERIOD_S
+
+_BASELINE_SAMPLES = 8
+_RANK = {"metric": 0, "trace": 1, "log": 2, "state": 3}
+
+
+def reference_alert(telemetry, cfg: DetectorConfig) -> str:
+    """The eager sweep: every modality rendered in full, one candidate per
+    series or modality, the earliest one after sorting wins."""
+    start, end = telemetry.scenario.window
+    baseline_end = start + _BASELINE_SAMPLES * SAMPLE_PERIOD_S
+    candidates = []
+    for series in telemetry.metric_series():
+        baseline = [v for t, v in series.samples if t < baseline_end]
+        rule = _baseline_rule(baseline, series.metric, cfg)
+        for t, value in series.samples:
+            if t >= baseline_end and rule is not None and rule.flags(value):
+                verdict = evaluate_series([value], baseline, series.metric, cfg)
+                candidates.append((t, "metric", series.component,
+                                   f"metric {series.metric} on {series.component} is "
+                                   f"anomalous ({verdict.direction}): {verdict.detail}"))
+                break
+    error_traces = [(trace, span) for trace in telemetry.query_traces()
+                    for span in trace.spans if span.status == "error"]
+    if error_traces:
+        trace, span = error_traces[0]
+        candidates.append((trace.t_s, "trace", span.service,
+                           f"error span in trace {trace.trace_id}: service {span.service} "
+                           f"failed with '{span.error_message}'"))
+    logs = [line for line in telemetry.all_logs() if matches_keyword(line.text, cfg)]
+    if logs:
+        candidates.append((logs[0].t_s, "log", logs[0].pod,
+                           f"anomalous log on pod {logs[0].pod}: {logs[0].text}"))
+    states = [(t, pod_id, phase) for t in range(start, end, SAMPLE_PERIOD_S)
+              for pod_id, phase in telemetry.pod_phases(at_s=t) if phase != "running"]
+    if states:
+        t, pod_id, phase = states[0]
+        candidates.append((t, "state", pod_id, f"pod {pod_id} entered phase {phase}"))
+    scenario = telemetry.scenario
+    if not candidates:
+        return (f"INCIDENT ALERT\nscenario: {scenario.id}\nsignal: none\n"
+                "summary: no anomalous signal detected; system nominal")
+    candidates.sort(key=lambda c: (c[0], _RANK[c[1]], c[2]))
+    t, modality, component, summary = candidates[0]
+    return (f"INCIDENT ALERT\nscenario: {scenario.id}\ndetected_at_s: {t}\n"
+            f"signal: {modality}\ncomponent: {component}\nsummary: {summary}")
+
+
+_scenarios = st.builds(
+    lambda seed, index, faults: generate_corpus(
+        seed, index + 1, ScenarioConfig(faults_per_scenario=faults))[index],
+    seed=st.integers(0, 5_000), index=st.integers(0, 8), faults=st.integers(1, 2),
+)
+
+_detectors = st.builds(
+    DetectorConfig,
+    k=st.floats(min_value=0.5, max_value=6.0),
+    min_sigma_frac=st.floats(min_value=0.0, max_value=0.3),
+    min_baseline_samples=st.integers(1, 12),  # more than 8: only static thresholds flag
+    static_thresholds=st.booleans().map(
+        lambda on: dict(DEFAULT_STATIC_THRESHOLDS) if on else {}),
+)
+
+_windows = st.tuples(st.integers(-30, 650), st.integers(-30, 650))
+_queries = st.lists(st.one_of(
+    st.tuples(st.just("metric"), st.integers(0, 10_000), st.none() | _windows),
+    st.tuples(st.just("trace"), st.none() | _windows),
+), max_size=8)
+
+
+@given(scenario=_scenarios, cfg=_detectors, queries=_queries)
+@settings(max_examples=25, deadline=None)
+def test_on_demand_sweep_matches_the_eager_reference(scenario, cfg, queries):
+    eager = render_telemetry(scenario)
+    expected_lines = eager.export_lines()  # renders everything first
+    assert render_alert(render_telemetry(scenario), cfg) == reference_alert(eager, cfg)
+
+    after_alert = render_telemetry(scenario)
+    render_alert(after_alert, cfg)
+    assert after_alert.export_lines() == expected_lines
+
+    after_queries = render_telemetry(scenario)
+    keys = after_queries.series_keys()
+    for query in queries:
+        if query[0] == "metric":
+            _, index, window = query
+            component, metric = keys[index % len(keys)]
+            got = after_queries.query_metrics(component, metric, window)
+            assert got.samples == tuple(
+                (t, v) for t, v in eager.query_metrics(component, metric).samples
+                if window is None or window[0] <= t < window[1])
+        else:
+            _, window = query
+            got = after_queries.query_traces(window)
+            assert got == [tr for tr in eager.query_traces()
+                           if window is None or window[0] <= tr.t_s < window[1]]
+    assert after_queries.export_lines() == expected_lines
+
+
+def test_queries_in_any_order_render_the_same_bytes():
+    scenario = golden_scenarios()[3]
+    expected = render_telemetry(scenario).export_lines()
+    telemetry = render_telemetry(scenario)
+    times = telemetry.sample_times()
+    order = [(key, t) for key in telemetry.series_keys() for t in times]
+    random.Random(7).shuffle(order)
+    for (component, metric), t in order:
+        telemetry.metric_value(component, metric, t)
+    for t in reversed(times):
+        telemetry.query_traces((t, t + 1))
+    assert telemetry.export_lines() == expected
+
+
+# Gaussian draws of render_alert(render_telemetry(s)) summed over the 9 golden
+# scenarios. A full render of the same scenarios draws 29,748.
+_ALERT_DRAWS = 6_499
+_FULL_DRAWS = 29_748
+
+
+def test_alert_renders_only_what_the_sweep_reaches(monkeypatch):
+    draws = 0
+    gauss = noise.gauss
+
+    def counting_gauss(*args, **kwargs):
+        nonlocal draws
+        draws += 1
+        return gauss(*args, **kwargs)
+
+    monkeypatch.setattr(noise, "gauss", counting_gauss)
+    for scenario in golden_scenarios():
+        render_alert(render_telemetry(scenario))
+    alert_draws, draws = draws, 0
+    for scenario in golden_scenarios():
+        render_telemetry(scenario).export_lines()
+    assert draws == _FULL_DRAWS
+    assert alert_draws == _ALERT_DRAWS
+    assert alert_draws < _FULL_DRAWS / 2

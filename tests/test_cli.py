@@ -160,6 +160,19 @@ class TestBenchmark:
                         if e["kind"] == "observation" and e["tool"] == "match_observation"]
         assert observations and observations[0].startswith("3 similar historical incidents")
 
+    @pytest.mark.parametrize("section", ["detector: {k: .nan}",
+                                         "detector: {baseline_lookback_samples: 0}",
+                                         "eval: {sigma: .inf}"])
+    def test_nonsense_config_exit_one_without_a_report(self, golden_dir, tmp_path, capsys,
+                                                       section):
+        cfg = tmp_path / "config.yaml"
+        cfg.write_text(section + "\n")
+        out = tmp_path / "run"
+        assert run_cli("benchmark", "--corpus", str(golden_dir / "manifest.yaml"),
+                       "--config", str(cfg), "--out", str(out)) == 1
+        assert "must be" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
     def test_missing_corpus_exit_one(self, tmp_path):
         assert run_cli("benchmark", "--corpus", str(tmp_path / "nope.yaml")) == 1
 

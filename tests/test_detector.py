@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sopflow.detector import DetectorConfig, _baseline_rule, evaluate_series, matches_keyword
+from sopflow.errors import ValidationError
 
 
 @pytest.fixture
@@ -126,3 +127,33 @@ class TestConfigLoading:
         assert cfg.k == 2.0
         assert cfg.static_thresholds == {"cpu_usage": 0.5}
         assert cfg.anomaly_keywords == ("panic",)
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("bad", [
+        {"k": float("nan")}, {"k": float("inf")}, {"k": 0}, {"k": -1},
+        {"min_sigma_frac": float("nan")}, {"min_sigma_frac": float("inf")},
+        {"min_sigma_frac": -0.1},
+        {"min_baseline_samples": 0}, {"min_baseline_samples": -2},
+        # 0 read the whole pre-window history (values[-0:]), a negative
+        # value dropped the oldest samples
+        {"baseline_lookback_samples": 0}, {"baseline_lookback_samples": -3},
+        {"static_thresholds": {"cpu_usage": float("nan")}},
+        {"static_thresholds": {"error_rate": float("-inf")}},
+    ])
+    def test_from_mapping_rejects_nonsense(self, bad):
+        with pytest.raises(ValidationError):
+            DetectorConfig.from_mapping(bad)
+
+    def test_boundary_values_are_valid(self):
+        DetectorConfig().validate()
+        DetectorConfig.from_mapping({"k": 0.01, "min_sigma_frac": 0, "min_baseline_samples": 1,
+                                     "baseline_lookback_samples": 1, "static_thresholds": {}})
+
+    def test_episode_rejects_an_invalid_detector_before_it_starts(self, backend):
+        from sopflow.agents import AgentConfig, run_episode
+        from sopflow.golden import golden_scenarios
+        from sopflow.kb import KnowledgeBase
+        with pytest.raises(ValidationError, match="k must be"):
+            run_episode(golden_scenarios()[0], AgentConfig(), backend,
+                        KnowledgeBase(backend), DetectorConfig(k=float("nan")))

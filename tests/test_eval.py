@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from sopflow.detector import DetectorConfig
 from sopflow.errors import ConfigError, UndefinedMetricError, ValidationError
 from sopflow.evaluation import (
     AGGREGATE_EPISODE_MEAN,
@@ -202,6 +203,31 @@ class TestReports:
         corpus = Corpus(root=tmp_path, kb_path=None, entries=[])
         report = run_benchmark(corpus, EvalConfig(), BackendConfig())
         assert report.rows == [] and report.la is None
+
+
+class TestValidation:
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -0.1])
+    def test_sigma_must_be_finite_and_non_negative(self, sigma):
+        # a nan sigma gave LA=TA=nan, and the saved report then failed to load
+        with pytest.raises(ValidationError, match="sigma"):
+            EvalConfig(sigma=sigma).validate()
+
+    @pytest.mark.parametrize("eval_cfg, detector", [
+        (EvalConfig(sigma=float("nan")), None),
+        (EvalConfig(), DetectorConfig(baseline_lookback_samples=0)),
+    ])
+    def test_run_checks_configs_before_any_episode(self, tmp_path, monkeypatch,
+                                                   eval_cfg, detector):
+        from sopflow import evaluation
+        from sopflow.evaluation import load_corpus
+        from sopflow.golden import write_corpus
+        corpus = load_corpus(write_corpus(tmp_path, "default"))
+        episodes = []
+        monkeypatch.setattr(evaluation, "run_episode",
+                            lambda *args, **kwargs: episodes.append(args))
+        with pytest.raises(ValidationError):
+            run_benchmark(corpus, eval_cfg, BackendConfig(), detector)
+        assert episodes == []
 
 
 class TestParallelism:
