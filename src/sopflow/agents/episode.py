@@ -33,6 +33,7 @@ from ..prompts import (
     numbered_candidates,
 )
 from ..sandbox import EpisodeScenario, render_alert, render_telemetry
+from ..schema import write_atomic
 from ..tools import SpeakReport, ToolContext, ToolResult, build_registry
 from . import roles
 from .flow_rules import apply_flow_rules, fallback_candidate
@@ -137,7 +138,6 @@ class _Runtime:
             telemetry=telemetry, kb=kb.using(self.backend), backend=self.backend,
             detector=self.detector, registry=self.registry,
         )
-        self.state.sop_context = self.ctx.sop
 
     @property
     def flow_guide(self) -> str:
@@ -284,7 +284,6 @@ class _Runtime:
               and self.config.ablations.judge_agent
               and result.payload is not None and result.payload.findings):
             self._run_judge(trigger="run_sop")
-        record.hypotheses_after = self.state.ob_hypotheses
         record.verdict_after = self.state.judge_verdict
 
     # -- one full step -----------------------------------------------------------
@@ -389,4 +388,4 @@ def transcript_lines(state: EpisodeState) -> list[str]:
 
 
 def write_transcript(state: EpisodeState, path: Path | str) -> None:
-    Path(path).write_text("\n".join(transcript_lines(state)) + "\n", encoding="utf-8")
+    write_atomic(path, "\n".join(transcript_lines(state)) + "\n")

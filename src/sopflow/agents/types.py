@@ -93,9 +93,7 @@ class StepRecord:
     fallback: bool
     result: Any                 # ToolResult
     observation: str
-    hypotheses_after: tuple = ()          # ObAgent output as of end of step
     verdict_after: JudgeVerdict | None = None
-    notes: list[str] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -122,7 +120,6 @@ class EpisodeState:
     alert: str
     config: AgentConfig
     history: list[StepRecord] = field(default_factory=list)
-    sop_context: Any = None     # the episode's SopFlowState (procedure, program, findings)
     ob_hypotheses: tuple = ()   # latest (label, note) pairs
     judge_verdict: JudgeVerdict | None = None
     step_count: int = 0

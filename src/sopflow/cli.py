@@ -13,13 +13,12 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-import yaml
-
+from . import schema
 from .agents import OUTCOME_ABORTED, OUTCOME_BUDGET, OUTCOME_COMPLETED, run_episode, write_transcript
 from .config import load_config
 from .errors import SopflowError
 from .evaluation import load_corpus, report_table, run_benchmark, save_report
-from .kb import KnowledgeBase, incident_from_mapping, sop_from_mapping
+from .kb import HistoricalIncident, KnowledgeBase, SopDoc
 from .llm import make_backend, scripted_config
 from .sandbox import FaultType, ScenarioConfig, generate_corpus, load_scenario, save_scenario
 
@@ -94,11 +93,10 @@ def _cmd_kb(args) -> int:
             print(f"  incident {inc.id}: [{inc.fault_type}] {inc.manifestation[:60]}")
         return 0
     if args.kb_command == "add":
-        data = yaml.safe_load(Path(args.file).read_text(encoding="utf-8"))
         if args.kind == "sop":
-            kb.add_sop(sop_from_mapping(data))
+            kb.add_sop(schema.read_yaml(args.file, SopDoc))
         else:
-            kb.add_incident(incident_from_mapping(data))
+            kb.add_incident(schema.read_yaml(args.file, HistoricalIncident))
         print(f"added {args.kind} from {args.file}")
         return 0
     # match

@@ -22,7 +22,6 @@ exactly the fields of its dataclass and rejects any other key.
       anomaly_keywords: [error, timeout, refused, oom, throttling]
     eval:                           # EvalConfig and AgentConfig keys side by side
       sigma: 0.1
-      aggregate: corpus             # or episode_mean
       workers: 1
       max_steps: 20
       action_set_size: 5
@@ -38,11 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import yaml
-
 from . import schema
 from .detector import DetectorConfig
-from .errors import ConfigError
 from .evaluation import EvalConfig
 from .kb import KbSettings
 from .llm import BackendConfig
@@ -59,8 +55,4 @@ class AppConfig:
 def load_config(path: Path | str | None) -> AppConfig:
     if path is None:
         return AppConfig()
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    data = yaml.safe_load(path.read_text(encoding="utf-8"))
-    return schema.from_mapping(AppConfig, data, "config")
+    return schema.read_yaml(path, AppConfig, "config")

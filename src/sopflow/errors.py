@@ -42,10 +42,6 @@ class ScriptExhaustedError(SopflowError):
 class GenerationParseError(SopflowError):
     """A backend reply could not be parsed into the expected structure."""
 
-    def __init__(self, message: str, raw_text: str = ""):
-        super().__init__(message)
-        self.raw_text = raw_text
-
 
 class ProgramValidationError(SopflowError):
     """A parsed tool program violates static invariants."""

@@ -2,10 +2,9 @@
 
 Location accuracy and type accuracy penalize wrong predictions by a factor
 sigma: LA = (correct - sigma * incorrect) / total, with the counts summed over
-the whole corpus before dividing (a per-episode-mean variant exists behind the
-``aggregate`` flag). Average path length covers only episodes that completed a
-diagnosis within the step budget; aborted and budget-exhausted runs are
-excluded from its denominator.
+the whole corpus before dividing. Average path length covers only episodes
+that completed a diagnosis within the step budget; aborted and
+budget-exhausted runs are excluded from its denominator.
 """
 
 from __future__ import annotations
@@ -16,25 +15,20 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-import yaml
-
 from . import schema
 from .agents import AgentConfig, EpisodeResult, OUTCOME_COMPLETED, run_episode, write_transcript
 from .detector import DetectorConfig
 from .errors import ConfigError, SopflowError, UndefinedMetricError, ValidationError
-from .kb import KbSettings, KnowledgeBase, write_atomic
+from .kb import KbSettings, KnowledgeBase
 from .llm import BackendConfig, make_backend, scripted_config
 from .sandbox import EpisodeScenario, load_scenario
 
 DEFAULT_SIGMA = 0.1
-AGGREGATE_CORPUS = "corpus"        # sum counts, divide once (the formula's shape)
-AGGREGATE_EPISODE_MEAN = "episode_mean"
 
 
 @dataclass
 class EvalConfig:
     sigma: float = DEFAULT_SIGMA
-    aggregate: str = AGGREGATE_CORPUS
     workers: int = 1
     # the eval: config section and the report's config record list the agent's
     # keys beside these
@@ -43,8 +37,6 @@ class EvalConfig:
     def validate(self) -> None:
         if not (math.isfinite(self.sigma) and self.sigma >= 0):
             raise ValidationError(f"sigma must be a finite number >= 0, got {self.sigma!r}")
-        if self.aggregate not in (AGGREGATE_CORPUS, AGGREGATE_EPISODE_MEAN):
-            raise ValidationError(f"unknown aggregate mode {self.aggregate!r}")
         if self.workers < 1:
             raise ValidationError("workers must be >= 1")
         self.agent.validate()
@@ -115,20 +107,8 @@ def build_row(scenario: EpisodeScenario, result: EpisodeResult) -> EpisodeRow:
 
 
 def _accuracy(rows, sigma: float, correct_attr: str, incorrect_attr: str,
-              truth_attr: str, aggregate: str) -> float:
+              truth_attr: str) -> float:
     rows = list(rows)
-    if aggregate == AGGREGATE_EPISODE_MEAN:
-        scores = []
-        for row in rows:
-            total = len(getattr(row, truth_attr))
-            if total == 0:
-                continue
-            scores.append(
-                (getattr(row, correct_attr) - sigma * getattr(row, incorrect_attr)) / total
-            )
-        if not scores:
-            raise UndefinedMetricError("no rows with ground truth")
-        return sum(scores) / len(scores)
     correct = sum(getattr(r, correct_attr) for r in rows)
     incorrect = sum(getattr(r, incorrect_attr) for r in rows)
     total = sum(len(getattr(r, truth_attr)) for r in rows)
@@ -137,14 +117,12 @@ def _accuracy(rows, sigma: float, correct_attr: str, incorrect_attr: str,
     return (correct - sigma * incorrect) / total
 
 
-def location_accuracy(rows, sigma: float = DEFAULT_SIGMA,
-                      aggregate: str = AGGREGATE_CORPUS) -> float:
-    return _accuracy(rows, sigma, "loc_correct", "loc_incorrect", "gt_locations", aggregate)
+def location_accuracy(rows, sigma: float = DEFAULT_SIGMA) -> float:
+    return _accuracy(rows, sigma, "loc_correct", "loc_incorrect", "gt_locations")
 
 
-def type_accuracy(rows, sigma: float = DEFAULT_SIGMA,
-                  aggregate: str = AGGREGATE_CORPUS) -> float:
-    return _accuracy(rows, sigma, "type_correct", "type_incorrect", "gt_types", aggregate)
+def type_accuracy(rows, sigma: float = DEFAULT_SIGMA) -> float:
+    return _accuracy(rows, sigma, "type_correct", "type_incorrect", "gt_types")
 
 
 def average_path_length(rows) -> float | None:
@@ -155,6 +133,19 @@ def average_path_length(rows) -> float | None:
     return sum(lengths) / len(lengths)
 
 
+def _aggregates(rows: list[EpisodeRow], sigma: float
+                ) -> tuple[float | None, float | None, float | None, float | None]:
+    """(LA, TA, their average, APL); an undefined metric is None."""
+    la = ta = average = None
+    try:
+        la = location_accuracy(rows, sigma)
+        ta = type_accuracy(rows, sigma)
+        average = (la + ta) / 2.0
+    except UndefinedMetricError:
+        pass
+    return la, ta, average, average_path_length(rows)
+
+
 @dataclass
 class BenchmarkReport:
     rows: list[EpisodeRow]
@@ -163,24 +154,14 @@ class BenchmarkReport:
     average: float | None
     apl: float | None
     sigma: float
-    aggregate: str
     config: dict
     aborted: int = 0
 
     @classmethod
     def from_rows(cls, rows: list[EpisodeRow], eval_cfg: EvalConfig) -> "BenchmarkReport":
-        la = ta = average = None
-        if rows:
-            try:
-                la = location_accuracy(rows, eval_cfg.sigma, eval_cfg.aggregate)
-                ta = type_accuracy(rows, eval_cfg.sigma, eval_cfg.aggregate)
-                average = (la + ta) / 2.0
-            except UndefinedMetricError:
-                pass
+        la, ta, average, apl = _aggregates(rows, eval_cfg.sigma)
         return cls(
-            rows=rows, la=la, ta=ta, average=average,
-            apl=average_path_length(rows),
-            sigma=eval_cfg.sigma, aggregate=eval_cfg.aggregate,
+            rows=rows, la=la, ta=ta, average=average, apl=apl, sigma=eval_cfg.sigma,
             config=schema.to_mapping(eval_cfg),
             aborted=sum(1 for r in rows if r.outcome == "aborted"),
         )
@@ -217,10 +198,7 @@ class _Manifest:
 def load_corpus(manifest_path: Path | str) -> Corpus:
     """Read a corpus manifest; unknown keys are a ``ConfigError``."""
     manifest_path = Path(manifest_path)
-    if not manifest_path.exists():
-        raise ConfigError(f"corpus manifest not found: {manifest_path}")
-    data = yaml.safe_load(manifest_path.read_text(encoding="utf-8"))
-    manifest = schema.from_mapping(_Manifest, data, "corpus manifest")
+    manifest = schema.read_yaml(manifest_path, _Manifest, "corpus manifest")
     if not all(item.scenario for item in manifest.episodes):
         raise ConfigError("corpus entry missing 'scenario'")
     root = manifest_path.parent
@@ -242,7 +220,7 @@ def _read_entries(corpus: Corpus, backend_cfg: BackendConfig
             cfg = backend_cfg
             if entry.script_path is not None:
                 cfg = scripted_config(entry.script_path, backend_cfg)
-        except (OSError, ValueError, TypeError, yaml.YAMLError, SopflowError) as exc:
+        except (OSError, ValueError, TypeError, SopflowError) as exc:
             raise ConfigError(f"corpus entry {number} (scenario {entry.scenario_path}): "
                               f"{exc}") from exc
         entries.append((scenario, cfg))
@@ -297,35 +275,23 @@ def run_benchmark(corpus: Corpus, eval_cfg: EvalConfig, backend_cfg: BackendConf
 
 def save_report(report: BenchmarkReport, path: Path | str) -> None:
     """Write the report atomically: a reader sees the old file or the new one."""
-    write_atomic(Path(path), json.dumps(asdict(report), indent=2, sort_keys=True) + "\n")
+    schema.write_atomic(path, json.dumps(asdict(report), indent=2, sort_keys=True) + "\n")
 
 
 def load_report(path: Path | str) -> BenchmarkReport:
     """Load a serialized report, recomputing the aggregates as a consistency check."""
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     report = schema.from_mapping(BenchmarkReport, data, "report")
-    _check_consistency(report)
+    stored = (report.la, report.ta, report.average, report.apl)
+    if not all(map(_same, stored, _aggregates(report.rows, report.sigma))):
+        raise ValidationError("report aggregates do not match its rows")
     return report
 
 
-def _check_consistency(report: BenchmarkReport) -> None:
-    def _same(a, b):
-        if a is None or b is None:
-            return a is None and b is None
-        return abs(a - b) <= 1e-12
-
-    la = ta = None
-    if report.rows:
-        try:
-            la = location_accuracy(report.rows, report.sigma, report.aggregate)
-            ta = type_accuracy(report.rows, report.sigma, report.aggregate)
-        except UndefinedMetricError:
-            pass
-    apl = average_path_length(report.rows)
-    average = None if la is None or ta is None else (la + ta) / 2.0
-    if not (_same(report.la, la) and _same(report.ta, ta)
-            and _same(report.apl, apl) and _same(report.average, average)):
-        raise ValidationError("report aggregates do not match its rows")
+def _same(a: float | None, b: float | None) -> bool:
+    if a is None or b is None:
+        return a is None and b is None
+    return abs(a - b) <= 1e-12
 
 
 def _fmt(value: float | None) -> str:

@@ -18,8 +18,7 @@ import shutil
 from dataclasses import dataclass
 from pathlib import Path
 
-import yaml
-
+from . import schema
 from .kb import HistoricalIncident, KnowledgeBase, SopDoc
 from .llm import BackendConfig, ScriptEntry, make_backend, script_to_mapping
 from .llm import script_from_mapping  # noqa: F401  (re-exported for corpus readers)
@@ -440,19 +439,13 @@ def write_corpus(out_dir: Path | str, mode: str = "default") -> Path:
         scenario_path = out / "scenarios" / f"{case.scenario.id}.yaml"
         save_scenario(case.scenario, scenario_path)
         script_path = out / "scripts" / f"{case.scenario.id}.yaml"
-        script_path.write_text(
-            yaml.safe_dump(script_to_mapping(case.script), sort_keys=False),
-            encoding="utf-8",
-        )
+        schema.write_yaml(script_path, script_to_mapping(case.script))
         episodes.append({
             "scenario": str(scenario_path.relative_to(out)),
             "script": str(script_path.relative_to(out)),
         })
     manifest = out / "manifest.yaml"
-    manifest.write_text(
-        yaml.safe_dump({"kb": "kb", "episodes": episodes}, sort_keys=False),
-        encoding="utf-8",
-    )
+    schema.write_yaml(manifest, {"kb": "kb", "episodes": episodes})
     return manifest
 
 

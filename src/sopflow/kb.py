@@ -17,14 +17,12 @@ import copy
 import hashlib
 import json
 import math
-import os
 import re
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
-import yaml
-
+from . import schema
 from .errors import DegenerateVectorError, DimensionError, NotFoundError, ValidationError
 
 DEFAULT_TOP_K = 3
@@ -89,13 +87,14 @@ class SopDoc:
     """A named, ordered diagnostic procedure.
 
     ``level`` encodes hierarchy depth: 0 is a macro procedure, larger values
-    are progressively more specific refinements.
+    are progressively more specific refinements. Fields are declared in the
+    order a file lists them, so ``level`` (keyword-only) precedes ``steps``.
     """
 
     id: str
     name: str
+    level: int = field(default=0, kw_only=True)
     steps: list[str]
-    level: int = 0
 
     def validate(self) -> None:
         if not self.id or not _ID_RE.match(self.id):
@@ -114,7 +113,7 @@ class HistoricalIncident:
 
     id: str
     manifestation: str
-    fault_type: str
+    fault_type: str = ""
 
     def validate(self) -> None:
         if not self.id or not _ID_RE.match(self.id):
@@ -136,18 +135,6 @@ class RetrievalHit:
             raise ValidationError(f"retrieval score out of range: {self.score}")
         if self.kind not in ("sop", "incident"):
             raise ValidationError(f"unknown hit kind: {self.kind}")
-
-
-def write_atomic(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` through a temp file beside it and ``os.replace``,
-    so the file is always either its old or its new content."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
-    try:
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
 
 
 def _text_key(backend_id: str, text: str) -> str:
@@ -185,30 +172,23 @@ class KnowledgeBase:
         if cache_path.exists():
             stored = json.loads(cache_path.read_text(encoding="utf-8"))
             self._cache = {key: EmbeddingVector.of(values) for key, values in stored.items()}
-        sop_dir = root / _SOP_DIR
-        if sop_dir.is_dir():
-            for path in sorted(sop_dir.glob("*.yaml")):
-                doc = sop_from_mapping(yaml.safe_load(path.read_text(encoding="utf-8")))
+        for subdir, cls, store in ((_SOP_DIR, SopDoc, self._sops),
+                                   (_INCIDENT_DIR, HistoricalIncident, self._incidents)):
+            for path in sorted((root / subdir).glob("*.yaml")):
+                doc = schema.read_yaml(path, cls)
                 doc.validate()
-                self._sops[doc.id] = doc
-        inc_dir = root / _INCIDENT_DIR
-        if inc_dir.is_dir():
-            for path in sorted(inc_dir.glob("*.yaml")):
-                inc = incident_from_mapping(yaml.safe_load(path.read_text(encoding="utf-8")))
-                inc.validate()
-                self._incidents[inc.id] = inc
+                store[doc.id] = doc
 
-    def _write_doc(self, subdir: str, doc_id: str, mapping: dict) -> None:
+    def _write_doc(self, subdir: str, doc) -> None:
         if self._root is None:
             return
-        write_atomic(self._root / subdir / f"{doc_id}.yaml",
-                      yaml.safe_dump(mapping, sort_keys=False, allow_unicode=True))
+        schema.write_yaml(self._root / subdir / f"{doc.id}.yaml", schema.to_mapping(doc))
 
     def _flush_cache(self) -> None:
         if self._root is None:
             return
         stored = {key: list(vec.values) for key, vec in self._cache.items()}
-        write_atomic(self._root / _CACHE_FILE, json.dumps(stored, sort_keys=True))
+        schema.write_atomic(self._root / _CACHE_FILE, json.dumps(stored, sort_keys=True))
 
     # -- mutation ----------------------------------------------------------
 
@@ -217,7 +197,7 @@ class KnowledgeBase:
         with self._lock:
             if doc.id in self._sops:
                 raise ValidationError(f"SOP id already exists: {doc.id}")
-            self._write_doc(_SOP_DIR, doc.id, sop_to_mapping(doc))
+            self._write_doc(_SOP_DIR, doc)
             self._sops[doc.id] = doc
         return doc.id
 
@@ -226,7 +206,7 @@ class KnowledgeBase:
         with self._lock:
             if inc.id in self._incidents:
                 raise ValidationError(f"incident id already exists: {inc.id}")
-            self._write_doc(_INCIDENT_DIR, inc.id, incident_to_mapping(inc))
+            self._write_doc(_INCIDENT_DIR, inc)
             self._incidents[inc.id] = inc
         return inc.id
 
@@ -319,39 +299,3 @@ class KnowledgeBase:
         incidents are kept."""
         return self._view({})
 
-
-# -- document file mappings --------------------------------------------------
-
-def sop_to_mapping(doc: SopDoc) -> dict:
-    return {"id": doc.id, "name": doc.name, "level": doc.level, "steps": list(doc.steps)}
-
-
-def sop_from_mapping(mapping: dict) -> SopDoc:
-    if not isinstance(mapping, dict):
-        raise ValidationError("SOP file must contain a mapping")
-    try:
-        return SopDoc(
-            id=str(mapping["id"]),
-            name=str(mapping["name"]),
-            steps=[str(s) for s in mapping["steps"]],
-            level=int(mapping.get("level", 0)),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed SOP file: {exc}") from None
-
-
-def incident_to_mapping(inc: HistoricalIncident) -> dict:
-    return {"id": inc.id, "manifestation": inc.manifestation, "fault_type": inc.fault_type}
-
-
-def incident_from_mapping(mapping: dict) -> HistoricalIncident:
-    if not isinstance(mapping, dict):
-        raise ValidationError("incident file must contain a mapping")
-    try:
-        return HistoricalIncident(
-            id=str(mapping["id"]),
-            manifestation=str(mapping["manifestation"]),
-            fault_type=str(mapping.get("fault_type", "")),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed incident file: {exc}") from None

@@ -18,7 +18,6 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import requests
-import yaml
 
 from . import schema
 from .errors import BackendError, ScriptExhaustedError, ValidationError
@@ -91,7 +90,7 @@ class BackendConfig:
 
 def scripted_config(script_path: Path | str, base: BackendConfig) -> BackendConfig:
     """A scripted backend replaying a script file, embedding as ``base`` does."""
-    script = script_from_mapping(yaml.safe_load(Path(script_path).read_text(encoding="utf-8")))
+    script = script_from_mapping(schema.read_yaml(script_path))
     return BackendConfig(backend_kind="scripted", embed_dim=base.embed_dim,
                          embed_seed=base.embed_seed, script=script,
                          embed_overrides=dict(base.embed_overrides))

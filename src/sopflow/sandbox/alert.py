@@ -10,9 +10,10 @@ from the first 8 samples (a static threshold needs no baseline, so none is
 rendered for it). It then tests every series at one tick, in (component,
 metric) order, before moving to the next tick, and stops at the first
 flagged sample: the candidate that sorting every series' first flag would
-pick. ``evaluate_series`` writes its verdict text. The trace sweep stops
-before that tick, because a trace at the same tick loses on rank. Telemetry
-is rendered on demand, so only the samples and traces the sweeps reach are
+pick. ``evaluate_series`` writes its verdict text. Each later-ranked sweep
+(traces, logs, resource state) stops before the earliest candidate found so
+far, because a candidate at or after that tick loses on rank. Telemetry is
+rendered on demand, so only the samples and traces the sweeps reach are
 computed.
 """
 
@@ -60,17 +61,18 @@ def _trace_candidates(telemetry: Telemetry, before_s: int):
                 return
 
 
-def _log_candidates(telemetry: Telemetry, cfg: DetectorConfig):
+def _log_candidates(telemetry: Telemetry, cfg: DetectorConfig, before_s: int):
     for line in telemetry.all_logs():
+        if line.t_s >= before_s:
+            return
         if matches_keyword(line.text, cfg):
             yield (line.t_s, "log", line.pod,
                    f"anomalous log on pod {line.pod}: {line.text}")
             return
 
 
-def _state_candidates(telemetry: Telemetry):
-    start, end = telemetry.scenario.window
-    for t in range(start, end, SAMPLE_PERIOD_S):
+def _state_candidates(telemetry: Telemetry, before_s: int):
+    for t in range(telemetry.scenario.window[0], before_s, SAMPLE_PERIOD_S):
         for pod_id, phase in telemetry.pod_phases(at_s=t):
             if phase != "running":
                 yield (t, "state", pod_id, f"pod {pod_id} entered phase {phase}")
@@ -80,13 +82,16 @@ def _state_candidates(telemetry: Telemetry):
 def render_alert(telemetry: Telemetry, cfg: DetectorConfig | None = None) -> str:
     """Render the incident ticket for a scenario, or a quiet-system notice."""
     cfg = cfg or DetectorConfig()
-    candidates = list(_metric_candidates(telemetry, cfg))
-    # a trace at or after the first flagged metric tick loses to it on rank
-    trace_end = candidates[0][0] if candidates else telemetry.scenario.window[1]
-    candidates.extend(_trace_candidates(telemetry, trace_end))
-    candidates.extend(_log_candidates(telemetry, cfg))
-    candidates.extend(_state_candidates(telemetry))
     scenario = telemetry.scenario
+    candidates = list(_metric_candidates(telemetry, cfg))
+
+    def earliest() -> int:
+        # a later-ranked candidate at or after this tick loses on rank
+        return min((c[0] for c in candidates), default=scenario.window[1])
+
+    candidates.extend(_trace_candidates(telemetry, earliest()))
+    candidates.extend(_log_candidates(telemetry, cfg, earliest()))
+    candidates.extend(_state_candidates(telemetry, earliest()))
     if not candidates:
         return (
             "INCIDENT ALERT\n"

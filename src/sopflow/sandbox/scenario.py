@@ -5,8 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import yaml
-
+from .. import schema
 from ..errors import ConfigError, ValidationError
 from . import noise
 from .faults import DEFAULT_MAGNITUDES, FaultSpec, FaultType
@@ -71,11 +70,7 @@ class EpisodeScenario:
                 raise ValidationError(
                     f"fault window [{fault.start_s}, {fault.end_s}) outside scenario window"
                 )
-        expected = GroundTruth(
-            locations=tuple(sorted({f.location_id for f in self.faults})),
-            types=tuple(sorted({f.fault_type.value for f in self.faults})),
-        )
-        if self.ground_truth != expected:
+        if self.ground_truth != _derive_ground_truth(self.faults):
             raise ValidationError("ground truth is not derivable from the fault list")
 
 
@@ -201,10 +196,8 @@ def scenario_from_mapping(mapping: dict) -> EpisodeScenario:
 
 
 def save_scenario(scenario: EpisodeScenario, path: Path | str) -> None:
-    text = yaml.safe_dump(scenario_to_mapping(scenario), sort_keys=False, allow_unicode=True)
-    Path(path).write_text(text, encoding="utf-8")
+    schema.write_yaml(path, scenario_to_mapping(scenario))
 
 
 def load_scenario(path: Path | str) -> EpisodeScenario:
-    data = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
-    return scenario_from_mapping(data)
+    return scenario_from_mapping(schema.read_yaml(path))

@@ -1,6 +1,9 @@
-"""Dataclasses read from and written to plain mappings (YAML or JSON).
+"""The file layer: YAML documents, atomic writes, and dataclasses read from
+and written to plain mappings (YAML or JSON).
 
-A dataclass's own fields are its schema: ``from_mapping`` coerces each value
+Every YAML file the package reads or writes goes through ``read_yaml`` and
+``write_yaml``; ``read_yaml`` turns an unreadable or unparsable file into a
+``ConfigError`` that names the path. A dataclass's own fields are its schema: ``from_mapping`` coerces each value
 by the field's declared type, recurses into nested dataclasses, and rejects
 keys that are not fields; ``to_mapping`` is ``dataclasses.asdict``. Two field
 markers (``field(metadata=...)``) adjust that:
@@ -14,8 +17,13 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import os
+import threading
 import types
 import typing
+from pathlib import Path
+
+import yaml
 
 from .errors import ConfigError
 
@@ -96,3 +104,35 @@ def _coerce(value, tp, where: str):
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{where}: {exc}") from None
     return value
+
+
+def write_atomic(path: Path | str, text: str) -> None:
+    """Write ``text`` to ``path`` through a temp file beside it and ``os.replace``,
+    so the file is always either its old or its new content."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def read_yaml(path: Path | str, cls=None, section: str | None = None):
+    """The YAML document at ``path``, or, given ``cls``, ``from_mapping(cls, ...)``
+    of it with ``section`` (default: the path) naming it in errors."""
+    try:
+        data = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
+    except (UnicodeDecodeError, yaml.YAMLError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    if cls is None:
+        return data
+    return from_mapping(cls, data, str(path) if section is None else section)
+
+
+def write_yaml(path: Path | str, data) -> None:
+    """Dump plain ``data`` to ``path`` atomically, keys in insertion order."""
+    write_atomic(path, yaml.safe_dump(data, sort_keys=False, allow_unicode=True))

@@ -220,7 +220,7 @@ def parse_program(text: str) -> SopProgram:
             continue
         statements.append(_parse_line(line))
     if not statements:
-        raise GenerationParseError("no program statements found", raw_text=text)
+        raise GenerationParseError("no program statements found")
     return SopProgram(statements=tuple(statements), source=body.strip())
 
 

@@ -51,12 +51,12 @@ def _unique_sop_id(ctx: ToolContext, name: str) -> str:
 def parse_sop_reply(reply: str) -> tuple[str, list[str]]:
     name_match = _SOP_NAME_RE.search(reply)
     if not name_match:
-        raise GenerationParseError("reply has no 'SOP NAME:' line", raw_text=reply)
+        raise GenerationParseError("reply has no 'SOP NAME:' line")
     steps_region = reply[name_match.end():]
     steps = [m.group(1).strip() for m in _SOP_STEP_RE.finditer(steps_region)]
     steps = [s for s in steps if s]
     if not steps:
-        raise GenerationParseError("reply has no step list", raw_text=reply)
+        raise GenerationParseError("reply has no step list")
     return name_match.group(1).strip(), steps
 
 

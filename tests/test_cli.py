@@ -53,6 +53,43 @@ class TestKbCommands:
         score = float(out.split()[0])
         assert score == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("body, complaint", [
+        ("id: sop-x\nname: x\nsteps: inspect\n", "expected a list"),
+        ("id: sop-x\nname: x\nsteps: [inspect]\nlevle: 2\n", "unknown key(s) 'levle'"),
+    ])
+    def test_add_rejects_a_malformed_document(self, tmp_path, capsys, body, complaint):
+        doc = tmp_path / "doc.yaml"
+        doc.write_text(body)
+        kb_dir = str(tmp_path / "kb")
+        assert run_cli("kb", "add", "--file", str(doc), "--kb", kb_dir) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {doc}") and complaint in err
+        run_cli("kb", "list", "--kb", kb_dir)
+        assert "0 SOPs" in capsys.readouterr().out
+
+
+class TestMalformedFiles:
+    # each case: the file given malformed YAML, and the command that reads it
+    @pytest.mark.parametrize("kind", ["scenario", "script", "kb document", "config",
+                                      "manifest"])
+    def test_error_names_the_file_without_a_traceback(self, golden_dir, tmp_path, capsys,
+                                                      kind):
+        scenario = str(golden_dir / "scenarios" / "scn-01000-cpustress.yaml")
+        script = str(golden_dir / "scripts" / "scn-01000-cpustress.yaml")
+        bad = tmp_path / ("kb/sops/sop-x.yaml" if kind == "kb document" else "bad.yaml")
+        bad.parent.mkdir(parents=True, exist_ok=True)
+        bad.write_text("id: [unclosed\nname: x\n")
+        argv = {
+            "scenario": ["diagnose", "--scenario", str(bad), "--script", script],
+            "script": ["diagnose", "--scenario", scenario, "--script", str(bad)],
+            "kb document": ["kb", "list", "--kb", str(tmp_path / "kb")],
+            "config": ["diagnose", "--scenario", scenario, "--config", str(bad)],
+            "manifest": ["benchmark", "--corpus", str(bad)],
+        }[kind]
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and "Traceback" not in err
+
 
 class TestSimulate:
     def test_one_file_per_fault_type(self, tmp_path, capsys):

@@ -75,7 +75,7 @@ def test_every_file_settable_field_reaches_the_config(tmp_path):
                      "baseline_lookback_samples": 9,
                      "static_thresholds": {"cpu_usage": 0.7},
                      "anomaly_keywords": ["panic"]},
-        "eval": {"sigma": 0.2, "aggregate": "episode_mean", "workers": 3,
+        "eval": {"sigma": 0.2, "workers": 3,
                  "max_steps": 10, "action_set_size": 4, "judge_after_run_sop": True,
                  "ablations": {name: False for name in (
                      "sop_knowledge", "sop_flow", "action_set", "action_agent",

@@ -5,7 +5,6 @@ import pytest
 from sopflow.detector import DetectorConfig
 from sopflow.errors import ConfigError, UndefinedMetricError, ValidationError
 from sopflow.evaluation import (
-    AGGREGATE_EPISODE_MEAN,
     BenchmarkReport,
     Corpus,
     EpisodeRow,
@@ -70,8 +69,6 @@ class TestAccuracyFormula:
         rows = [row(loc_c=1, gt_locs=("a",)), row(loc_c=0, loc_i=1, gt_locs=("b", "c"))]
         corpus = location_accuracy(rows, sigma=0.1)
         assert corpus == pytest.approx((1 - 0.1) / 3)
-        mean = location_accuracy(rows, sigma=0.1, aggregate=AGGREGATE_EPISODE_MEAN)
-        assert mean == pytest.approx((1.0 + (0 - 0.1) / 2) / 2)
 
     def test_sigma_monotonicity(self):
         rng = random.Random(17)

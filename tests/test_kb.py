@@ -4,7 +4,13 @@ import random
 
 import pytest
 
-from sopflow.errors import DegenerateVectorError, DimensionError, NotFoundError, ValidationError
+from sopflow.errors import (
+    ConfigError,
+    DegenerateVectorError,
+    DimensionError,
+    NotFoundError,
+    ValidationError,
+)
 from sopflow.kb import (
     EmbeddingVector,
     HistoricalIncident,
@@ -285,3 +291,27 @@ class TestPersistence:
         assert embedded == ["generated procedure"]  # the query; the name then hits the cache
         assert kb.match_sop("generated procedure", k=1)[0][0].id == "sop-gen"
         assert embedded == ["generated procedure"]  # the view filled the shared cache
+
+    @pytest.mark.parametrize("subdir, body, complaint", [
+        ("sops", "id: sop-x\nname: x\nsteps: inspect\n", "expected a list"),
+        ("sops", "id: sop-x\nname: x\nsteps: [inspect]\nlevle: 2\n", "'levle'"),
+        ("incidents", "id: inc-x\nmanifestation: m\nfault_typ: PodFailure\n",
+         "'fault_typ'"),
+    ])
+    def test_load_rejects_a_malformed_document(self, tmp_path, subdir, body, complaint):
+        path = tmp_path / "kb" / subdir / "doc.yaml"
+        path.parent.mkdir(parents=True)
+        path.write_text(body)
+        with pytest.raises(ConfigError, match=complaint) as info:
+            KnowledgeBase(scripted_backend(), root=tmp_path / "kb")
+        assert str(info.value).startswith(str(path))
+
+    def test_files_keep_their_key_order(self, tmp_path):
+        root = tmp_path / "kb"
+        kb = KnowledgeBase(scripted_backend(), root=root)
+        kb.add_sop(SopDoc(id="sop-a", name="n", steps=["s"], level=1))
+        kb.add_incident(HistoricalIncident(id="inc-a", manifestation="m"))
+        assert (root / "sops" / "sop-a.yaml").read_text() \
+            == "id: sop-a\nname: n\nlevel: 1\nsteps:\n- s\n"
+        assert (root / "incidents" / "inc-a.yaml").read_text() \
+            == "id: inc-a\nmanifestation: m\nfault_type: ''\n"

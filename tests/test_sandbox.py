@@ -1,7 +1,9 @@
 import collections
+import re
 
 import pytest
 
+from sopflow import golden
 from sopflow.detector import DetectorConfig
 from sopflow.errors import ConfigError, NotFoundError, ValidationError
 from sopflow.sandbox import (
@@ -18,7 +20,7 @@ from sopflow.sandbox import (
     render_telemetry,
     save_scenario,
 )
-from sopflow.sandbox.telemetry import POD_METRIC_BASELINES
+from sopflow.sandbox.telemetry import POD_METRIC_BASELINES, Telemetry
 
 from conftest import fault_scenario, no_fault_scenario, telemetry_for
 
@@ -311,3 +313,20 @@ class TestDeterminism:
         telemetry = telemetry_for(scenario)
         assert render_alert(telemetry) == render_alert(telemetry)
         assert "INCIDENT ALERT" in render_alert(telemetry)
+
+    def test_alert_reads_pod_state_only_before_the_detected_tick(self, monkeypatch):
+        # the resource-state sweep ranks last, so it stops before the earliest
+        # candidate an earlier sweep found
+        calls = []
+        pod_phase = Telemetry.pod_phase
+
+        def recording(self, pod_id, at_s=None):
+            calls.append(at_s)
+            return pod_phase(self, pod_id, at_s)
+
+        monkeypatch.setattr(Telemetry, "pod_phase", recording)
+        for case in golden.golden_cases("default"):
+            calls.clear()
+            text = render_alert(render_telemetry(case.scenario))
+            detected = int(re.search(r"detected_at_s: (\d+)", text).group(1))
+            assert calls and max(calls) < detected, case.scenario.id
