@@ -8,7 +8,6 @@ Exit codes: 0 success, 1 failure or aborted episode, 2 usage error,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -16,7 +15,7 @@ from pathlib import Path
 from . import schema
 from .agents import OUTCOME_ABORTED, OUTCOME_BUDGET, OUTCOME_COMPLETED, run_episode, write_transcript
 from .config import load_config
-from .errors import SopflowError
+from .errors import ConfigError, SopflowError
 from .evaluation import load_corpus, report_table, run_benchmark, save_report
 from .kb import HistoricalIncident, KnowledgeBase, SopDoc
 from .llm import make_backend, scripted_config
@@ -183,29 +182,34 @@ def _cmd_benchmark(args) -> int:
 
 
 def _cmd_transcript(args) -> int:
-    path = Path(args.path)
-    if not path.exists():
-        print(f"transcript not found: {path}", file=sys.stderr)
-        return 1
-    events = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()
-              if line.strip()]
-    for event in events:
+    for number, event in schema.read_jsonl(args.path):
         kind = event.get("kind")
-        if kind == "episode":
-            print(f"scenario: {event['scenario']}")
-        elif kind == "chosen":
-            flag = " (fallback)" if event.get("fallback") else ""
-            print(f"step {event['step'] + 1}: {event['tool']}{flag}")
-        elif kind == "verdict":
-            print(f"  judge: {'FOUND' if event['found'] else 'NOT FOUND'} - "
-                  f"{event['summary']}")
-        elif kind == "termination":
-            print(f"outcome: {event['outcome']} after {event['steps']} steps")
-            if event.get("diagnosis"):
-                d = event["diagnosis"]
-                print(f"  locations: {', '.join(d['locations'])}")
-                print(f"  types: {', '.join(d['types'])}")
+        try:
+            _print_event(kind, event)
+        except KeyError as exc:
+            raise ConfigError(f"{args.path}: line {number}: {kind!r} record "
+                              f"has no key {exc}") from exc
+        except TypeError as exc:
+            raise ConfigError(f"{args.path}: line {number}: malformed {kind!r} "
+                              f"record: {exc}") from exc
     return 0
+
+
+def _print_event(kind, event: dict) -> None:
+    if kind == "episode":
+        print(f"scenario: {event['scenario']}")
+    elif kind == "chosen":
+        flag = " (fallback)" if event.get("fallback") else ""
+        print(f"step {event['step'] + 1}: {event['tool']}{flag}")
+    elif kind == "verdict":
+        print(f"  judge: {'FOUND' if event['found'] else 'NOT FOUND'} - "
+              f"{event['summary']}")
+    elif kind == "termination":
+        print(f"outcome: {event['outcome']} after {event['steps']} steps")
+        if event.get("diagnosis"):
+            d = event["diagnosis"]
+            print(f"  locations: {', '.join(d['locations'])}")
+            print(f"  types: {', '.join(d['types'])}")
 
 
 def main(argv=None) -> int:

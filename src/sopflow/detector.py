@@ -6,6 +6,9 @@ against a baseline estimated from samples immediately before the window; when
 there is no usable pre-window history the baseline falls back to the median
 and MAD of the window itself. The sigma estimate is floored at
 ``min_sigma_frac`` of the baseline mean so flat series do not self-trigger.
+The k-sigma rule's sigma is the exact population standard deviation of the
+baseline, correctly rounded: the float ``statistics.pstdev`` returns on
+Python 3.11 and later, computed in integers.
 
 ``_baseline_rule`` computes what a series is judged against from its
 baseline, once per series: ``evaluate_series`` judges through it, and the
@@ -110,7 +113,44 @@ def _baseline_rule(baseline_values: list[float], metric: str,
     if len(baseline_values) < cfg.min_baseline_samples:
         return None
     return _k_sigma("k_sigma", statistics.fmean(baseline_values),
-                    statistics.pstdev(baseline_values), cfg)
+                    _pstdev(baseline_values), cfg)
+
+
+def _pstdev(values: list[float]) -> float:
+    """Population standard deviation of finite ``values``, correctly rounded,
+    so it is the float ``statistics.pstdev`` returns on Python 3.11 and later.
+
+    Each float is an integer over a power of two, so over the largest
+    denominator ``d`` the variance (n*sum(x*x) - sum(x)**2) / (n*n*d*d) is a
+    ratio of integers; ``statistics.pstdev`` sums ``Fraction`` objects instead.
+    """
+    ratios = [v.as_integer_ratio() for v in values]
+    d = max(den for _, den in ratios)
+    xs = [num * (d // den) for num, den in ratios]
+    n, total = len(xs), sum(xs)
+    return _sqrt_of_frac(n * sum(x * x for x in xs) - total * total, n * n * d * d)
+
+
+def _sqrt_of_frac(n: int, m: int) -> float:
+    """The square root of n/m as a float, correctly rounded, as CPython's
+    ``statistics._float_sqrt_of_frac`` computes it.
+
+    Scaling n/m by 4**-q puts it in [2**108, 2**110), so its integer square
+    root has at least 55 bits; rounded to odd when inexact, it then rounds to
+    a float's 53 bits once and correctly (https://bugs.python.org/msg407078).
+    """
+    q = (n.bit_length() - m.bit_length() - 109) // 2
+    if q >= 0:
+        numerator, denominator = _isqrt_rto(n, m << 2 * q) << q, 1
+    else:
+        numerator, denominator = _isqrt_rto(n << -2 * q, m), 1 << -q
+    return numerator / denominator
+
+
+def _isqrt_rto(n: int, m: int) -> int:
+    """The square root of n/m rounded down to an integer, then to odd if inexact."""
+    a = math.isqrt(n // m)
+    return a | (a * a * m != n)
 
 
 def evaluate_series(window_values: list[float], baseline_values: list[float],

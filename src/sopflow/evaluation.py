@@ -280,8 +280,7 @@ def save_report(report: BenchmarkReport, path: Path | str) -> None:
 
 def load_report(path: Path | str) -> BenchmarkReport:
     """Load a serialized report, recomputing the aggregates as a consistency check."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    report = schema.from_mapping(BenchmarkReport, data, "report")
+    report = schema.from_mapping(BenchmarkReport, schema.read_json(path), "report")
     stored = (report.la, report.ta, report.average, report.apl)
     if not all(map(_same, stored, _aggregates(report.rows, report.sigma))):
         raise ValidationError("report aggregates do not match its rows")

@@ -170,7 +170,7 @@ class KnowledgeBase:
         assert root is not None
         cache_path = root / _CACHE_FILE
         if cache_path.exists():
-            stored = json.loads(cache_path.read_text(encoding="utf-8"))
+            stored = schema.read_json(cache_path)
             self._cache = {key: EmbeddingVector.of(values) for key, values in stored.items()}
         for subdir, cls, store in ((_SOP_DIR, SopDoc, self._sops),
                                    (_INCIDENT_DIR, HistoricalIncident, self._incidents)):

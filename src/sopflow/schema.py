@@ -1,9 +1,14 @@
-"""The file layer: YAML documents, atomic writes, and dataclasses read from
-and written to plain mappings (YAML or JSON).
+"""The file layer: YAML and JSON documents, atomic writes, and dataclasses
+read from and written to plain mappings.
 
 Every YAML file the package reads or writes goes through ``read_yaml`` and
-``write_yaml``; ``read_yaml`` turns an unreadable or unparsable file into a
-``ConfigError`` that names the path. A dataclass's own fields are its schema: ``from_mapping`` coerces each value
+``write_yaml``, with libyaml's ``yaml.CSafeLoader`` and ``yaml.CSafeDumper``
+when PyYAML was built with it and the pure-Python ``SafeLoader`` and
+``SafeDumper`` when not. JSON files are read through ``read_json`` and JSON
+Lines files through ``read_jsonl``. Each reader turns an unreadable or
+unparsable file into a ``ConfigError`` that names the path.
+
+A dataclass's own fields are its schema: ``from_mapping`` coerces each value
 by the field's declared type, recurses into nested dataclasses, and rejects
 keys that are not fields; ``to_mapping`` is ``dataclasses.asdict``. Two field
 markers (``field(metadata=...)``) adjust that:
@@ -17,6 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import json
 import os
 import threading
 import types
@@ -26,6 +32,11 @@ from pathlib import Path
 import yaml
 
 from .errors import ConfigError
+
+# The C classes parse several times faster and write the same bytes for
+# the documents the package writes.
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 INTERNAL = {"schema": "internal"}
 INLINE = {"schema": "inline"}
@@ -119,15 +130,21 @@ def write_atomic(path: Path | str, text: str) -> None:
         tmp.unlink(missing_ok=True)
 
 
+def _read_text(path: Path | str, parse, errors: tuple[type[Exception], ...]):
+    """``parse`` of the UTF-8 text at ``path``; a read error or one of
+    ``errors`` becomes a ``ConfigError`` that names the path."""
+    try:
+        return parse(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
+    except (UnicodeDecodeError, *errors) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 def read_yaml(path: Path | str, cls=None, section: str | None = None):
     """The YAML document at ``path``, or, given ``cls``, ``from_mapping(cls, ...)``
     of it with ``section`` (default: the path) naming it in errors."""
-    try:
-        data = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
-    except (UnicodeDecodeError, yaml.YAMLError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    data = _read_text(path, lambda text: yaml.load(text, Loader=_LOADER), (yaml.YAMLError,))
     if cls is None:
         return data
     return from_mapping(cls, data, str(path) if section is None else section)
@@ -135,4 +152,28 @@ def read_yaml(path: Path | str, cls=None, section: str | None = None):
 
 def write_yaml(path: Path | str, data) -> None:
     """Dump plain ``data`` to ``path`` atomically, keys in insertion order."""
-    write_atomic(path, yaml.safe_dump(data, sort_keys=False, allow_unicode=True))
+    write_atomic(path, yaml.dump(data, Dumper=_DUMPER, sort_keys=False, allow_unicode=True))
+
+
+def read_json(path: Path | str):
+    """The JSON document at ``path``."""
+    return _read_text(path, json.loads, (json.JSONDecodeError,))
+
+
+def read_jsonl(path: Path | str) -> list[tuple[int, dict]]:
+    """The records of the JSON Lines file at ``path``, one JSON object per
+    line, as (line number, record) pairs; blank lines are skipped. A line that
+    is not a JSON object is a ``ConfigError`` naming the path and line."""
+    records = []
+    for number, line in enumerate(_read_text(path, str.splitlines, ()), start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: line {number}: {exc}") from exc
+        if not isinstance(record, dict):
+            raise ConfigError(f"{path}: line {number}: expected a JSON object, "
+                              f"got {type(record).__name__}")
+        records.append((number, record))
+    return records

@@ -229,6 +229,18 @@ class TestTranscriptAndUsage:
     def test_transcript_missing_file(self, tmp_path):
         assert run_cli("transcript", str(tmp_path / "nope.jsonl")) == 1
 
+    @pytest.mark.parametrize("record, complaint", [
+        ('{"kind": "episode"}', "'episode' record has no key 'scenario'"),
+        ("[1, 2]", "expected a JSON object"),
+        ('{"kind": "chosen", "step": 0', "Expecting ',' delimiter"),
+    ])
+    def test_malformed_record_names_file_and_line(self, tmp_path, capsys, record, complaint):
+        transcript = tmp_path / "tr.jsonl"
+        transcript.write_text('{"kind": "episode", "scenario": "scn-x"}\n\n' + record + "\n")
+        assert run_cli("transcript", str(transcript)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {transcript}: line 3: ") and complaint in err
+
     def test_unknown_subcommand_exit_two(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["explode"])

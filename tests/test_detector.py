@@ -1,8 +1,20 @@
+import ast
+import pathlib
+import statistics
+import sys
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sopflow.detector import DetectorConfig, _baseline_rule, evaluate_series, matches_keyword
+import sopflow
+from sopflow.detector import (
+    DetectorConfig,
+    _baseline_rule,
+    _pstdev,
+    evaluate_series,
+    matches_keyword,
+)
 from sopflow.errors import ValidationError
 
 
@@ -100,6 +112,45 @@ class TestBaselineRule:
         cfg.min_baseline_samples = len(baseline) + 1
         assert _baseline_rule(baseline, "request_latency_ms", cfg) is None
         assert not evaluate_series([value], baseline, "request_latency_ms", cfg).anomalous
+
+
+_magnitudes = st.floats(min_value=1e-300, max_value=1e300)
+_signed = st.tuples(st.sampled_from((1.0, -1.0)), _magnitudes).map(lambda t: t[0] * t[1])
+_integral = st.integers(-2**53, 2**53).map(float)
+
+
+@st.composite
+def _finite_lists(draw):
+    size = draw(st.integers(1, 12))
+    shape = draw(st.sampled_from(["constant", "one scale", "mixed"]))
+    if shape == "constant":
+        return [draw(st.one_of(_signed, _integral))] * size
+    if shape == "one scale":  # a baseline's samples: close together, so sigma is small
+        scale = draw(_signed)
+        return [scale * draw(st.floats(0.5, 2.0)) for _ in range(size)]
+    return draw(st.lists(st.one_of(_signed, _integral, st.just(0.0)),
+                         min_size=size, max_size=size))
+
+
+class TestPstdev:
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="statistics.pstdev is correctly rounded from Python 3.11")
+    @settings(max_examples=1000)
+    @given(values=_finite_lists())
+    def test_is_statistics_pstdev_bit_for_bit(self, values):
+        assert _pstdev(values).hex() == statistics.pstdev(values).hex()
+
+    def test_package_does_not_call_statistics_pstdev(self):
+        # its Fraction sums cost about 50 us per 8-sample baseline
+        offenders = []
+        for path in sorted(pathlib.Path(sopflow.__file__).parent.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if (isinstance(node, ast.Attribute) and node.attr == "pstdev"
+                        and isinstance(node.value, ast.Name) and node.value.id == "statistics"
+                        or isinstance(node, ast.ImportFrom) and node.module == "statistics"
+                        and any(alias.name == "pstdev" for alias in node.names)):
+                    offenders.append(f"{path.name}:{node.lineno}")
+        assert offenders == []
 
 
 class TestKeywords:

@@ -3,11 +3,15 @@ import pathlib
 import re
 
 import pytest
+import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import sopflow
-from sopflow import schema
+from sopflow import evaluation, golden, schema
 from sopflow.errors import ConfigError
-from sopflow.kb import SopDoc
+from sopflow.kb import KnowledgeBase, SopDoc
+from sopflow.sandbox import generate_corpus, save_scenario
 
 
 def test_only_the_schema_module_imports_yaml():
@@ -56,3 +60,63 @@ def test_written_yaml_reads_back(tmp_path):
     assert schema.read_yaml(path) == data
     assert path.read_text(encoding="utf-8").startswith("z: 1\n")  # insertion order
     assert [p.name for p in path.parent.iterdir()] == ["doc.yaml"]  # no temp file left
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+def test_libyaml_classes_are_used_when_present():
+    assert schema._LOADER is yaml.CSafeLoader
+    assert schema._DUMPER is yaml.CSafeDumper
+
+
+@pytest.fixture(scope="module")
+def written_yaml(tmp_path_factory):
+    """Every YAML file the package writes: the golden corpus in each mode, and
+    generated scenarios."""
+    out = tmp_path_factory.mktemp("written")
+    for mode in golden.MODES:
+        golden.write_corpus(out / mode, mode)
+    for scenario in generate_corpus(7, 18):
+        save_scenario(scenario, out / "generated" / f"{scenario.id}.yaml")
+    return sorted(out.rglob("*.yaml"))
+
+
+def test_reads_and_writes_what_the_pure_python_classes_do(written_yaml, tmp_path):
+    assert len(written_yaml) == 7 * 31 + 18  # 31 files per golden corpus
+    for path in written_yaml:
+        data = yaml.safe_load(path.read_text(encoding="utf-8"))
+        assert schema.read_yaml(path) == data, path
+        schema.write_yaml(tmp_path / "out.yaml", data)
+        assert ((tmp_path / "out.yaml").read_bytes()
+                == yaml.safe_dump(data, sort_keys=False, allow_unicode=True).encode("utf-8")), path
+
+
+_plain = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text()
+    | st.floats(allow_nan=False),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12)
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=_plain)
+def test_written_data_reads_back_equal(tmp_path, data):
+    path = tmp_path / "doc.yaml"
+    schema.write_yaml(path, data)
+    assert schema.read_yaml(path) == data
+
+
+@pytest.mark.parametrize("read", [schema.read_json, schema.read_jsonl,
+                                  evaluation.load_report,
+                                  lambda path: KnowledgeBase(None, root=path.parent)])
+def test_truncated_json_is_config_error_naming_it(tmp_path, read):
+    path = tmp_path / "embedding_cache.json"
+    path.write_text('{"a": [0.5, 0.25],\n')
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: "):
+        read(path)
+
+
+def test_jsonl_records_carry_their_line_numbers(tmp_path):
+    path = tmp_path / "t.jsonl"
+    path.write_text('{"kind": "a"}\n\n{"kind": "b"}\n')
+    assert schema.read_jsonl(path) == [(1, {"kind": "a"}), (3, {"kind": "b"})]
