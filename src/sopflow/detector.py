@@ -13,6 +13,8 @@ Python 3.11 and later, computed in integers.
 ``_baseline_rule`` computes what a series is judged against from its
 baseline, once per series: ``evaluate_series`` judges through it, and the
 alert sweep uses it to test each sample of a series on its own.
+``_never_flags`` proves from a series' value range alone that no sample can
+flag, so the sweep need not render the samples.
 """
 
 from __future__ import annotations
@@ -114,6 +116,21 @@ def _baseline_rule(baseline_values: list[float], metric: str,
         return None
     return _k_sigma("k_sigma", statistics.fmean(baseline_values),
                     _pstdev(baseline_values), cfg)
+
+
+def _never_flags(lo: float, hi: float, metric: str, cfg: DetectorConfig) -> bool:
+    """Whether no sample in [lo, hi] (0 <= lo <= hi) can flag under the rule
+    ``_baseline_rule`` builds from a baseline whose samples lie in [lo, hi] too.
+
+    A static rule flags only above its threshold. A k-sigma rule's mean lies
+    in [lo, hi], so no sample deviates from it by more than hi - lo, and its
+    limit is at least k * min_sigma_frac * mean >= k * min_sigma_frac * lo.
+    The margin of 1e-9 * hi covers float rounding in the mean and the limit.
+    """
+    threshold = cfg.static_thresholds.get(metric)
+    if threshold is not None:
+        return hi <= threshold
+    return hi - lo + 1e-9 * hi < cfg.k * cfg.min_sigma_frac * lo
 
 
 def _pstdev(values: list[float]) -> float:

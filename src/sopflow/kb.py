@@ -23,7 +23,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import schema
-from .errors import DegenerateVectorError, DimensionError, NotFoundError, ValidationError
+from .errors import (
+    ConfigError,
+    DegenerateVectorError,
+    DimensionError,
+    NotFoundError,
+    ValidationError,
+)
 
 DEFAULT_TOP_K = 3
 DEFAULT_THRESHOLD = 0.3
@@ -63,6 +69,25 @@ class EmbeddingVector:
     @classmethod
     def of(cls, values) -> "EmbeddingVector":
         return cls(tuple(float(v) for v in values))
+
+
+def _read_cache(path: Path) -> dict[str, EmbeddingVector]:
+    """The embedding cache at ``path``: a JSON object mapping each embedded text
+    to its vector. Any other shape is a ``ConfigError`` that names the path."""
+    stored = schema.read_json(path)
+    if not isinstance(stored, dict):
+        raise ConfigError(f"{path}: expected an object mapping text to a list of "
+                          f"numbers, got {type(stored).__name__}")
+    cache = {}
+    for text, values in stored.items():
+        if not (isinstance(values, list) and all(
+                isinstance(v, (int, float)) and not isinstance(v, bool) for v in values)):
+            raise ConfigError(f"{path}: the entry for {text!r} is not a list of numbers")
+        try:
+            cache[text] = EmbeddingVector.of(values)
+        except ValidationError as exc:
+            raise ConfigError(f"{path}: the entry for {text!r}: {exc}") from exc
+    return cache
 
 
 def cosine_similarity(a: EmbeddingVector, b: EmbeddingVector) -> float:
@@ -170,8 +195,7 @@ class KnowledgeBase:
         assert root is not None
         cache_path = root / _CACHE_FILE
         if cache_path.exists():
-            stored = schema.read_json(cache_path)
-            self._cache = {key: EmbeddingVector.of(values) for key, values in stored.items()}
+            self._cache = _read_cache(cache_path)
         for subdir, cls, store in ((_SOP_DIR, SopDoc, self._sops),
                                    (_INCIDENT_DIR, HistoricalIncident, self._incidents)):
             for path in sorted((root / subdir).glob("*.yaml")):

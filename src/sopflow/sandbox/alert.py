@@ -5,21 +5,31 @@ reports the earliest anomalous signal, preferring metrics over traces over
 logs over resource state on ties, then lexicographic component order. The
 format below is stable; transcripts and scripted tests key on it.
 
-The metric sweep is tick-major. It computes each series' baseline rule once,
-from the first 8 samples (a static threshold needs no baseline, so none is
-rendered for it). It then tests every series at one tick, in (component,
-metric) order, before moving to the next tick, and stops at the first
-flagged sample: the candidate that sorting every series' first flag would
-pick. ``evaluate_series`` writes its verdict text. Each later-ranked sweep
-(traces, logs, resource state) stops before the earliest candidate found so
-far, because a candidate at or after that tick loses on rank. Telemetry is
-rendered on demand, so only the samples and traces the sweeps reach are
-computed.
+The metric sweep is tick-major. It tests every series at one tick, in
+(component, metric) order, before moving to the next tick, and stops at the
+first flagged sample: the candidate that sorting every series' first flag
+would pick. It skips the samples it can prove cannot flag: those of a series
+whose component no fault touches at that tick or at any baseline tick, and
+whose nominal value range ``_never_flags`` clears. For each series it does
+test it computes the baseline rule once, from the first 8 samples (a static
+threshold needs no baseline, so none is rendered for it); a series whose
+baseline is too short for a rule is never rendered. ``evaluate_series``
+writes the verdict text. Each later-ranked sweep (traces, logs, resource
+state) stops before the earliest candidate found so far, because a candidate
+at or after that tick loses on rank; the trace sweep also skips ticks with
+no active fault, where no span can error. Telemetry is rendered on demand,
+so only the samples and traces the sweeps reach are computed.
 """
 
 from __future__ import annotations
 
-from ..detector import DetectorConfig, _baseline_rule, evaluate_series, matches_keyword
+from ..detector import (
+    DetectorConfig,
+    _baseline_rule,
+    _never_flags,
+    evaluate_series,
+    matches_keyword,
+)
 from .telemetry import SAMPLE_PERIOD_S, Telemetry
 
 _ALERT_BASELINE_SAMPLES = 8  # episode-start samples used as the sweep baseline
@@ -30,18 +40,30 @@ _MODALITY_RANK = {"metric": 0, "trace": 1, "log": 2, "state": 3}
 def _metric_candidates(telemetry: Telemetry, cfg: DetectorConfig):
     times = telemetry.sample_times()
     baseline_times = times[:_ALERT_BASELINE_SAMPLES]
-    judged = []
+    baseline_touched = frozenset().union(*map(telemetry.touched, baseline_times))
+    tested = []  # (component, metric, static, whether its nominal samples cannot flag)
     for component, metric in telemetry.series_keys():
-        # a static threshold ignores the baseline, so none is rendered for it
-        baseline = ([] if cfg.static_thresholds.get(metric) is not None else
-                    [telemetry.metric_value(component, metric, t) for t in baseline_times])
-        # None for a baseline shorter than min_baseline_samples: the window
-        # (one sample) then gives the robust rule, which never flags
-        rule = _baseline_rule(baseline, metric, cfg)
-        if rule is not None:
-            judged.append((component, metric, baseline, rule))
+        static = cfg.static_thresholds.get(metric) is not None
+        if not static and len(baseline_times) < cfg.min_baseline_samples:
+            # _baseline_rule gives None: the window (one sample) then gives
+            # the robust rule, which never flags
+            continue
+        quiet = (component not in baseline_touched and _never_flags(
+            *telemetry.nominal_range(component, metric), metric, cfg))
+        tested.append((component, metric, static, quiet))
+    judged = {}  # (component, metric) -> (baseline, rule), once tested
     for t in times[_ALERT_BASELINE_SAMPLES:]:
-        for component, metric, baseline, rule in judged:
+        touched = telemetry.touched(t)
+        for component, metric, static, quiet in tested:
+            if quiet and component not in touched:
+                continue
+            key = (component, metric)
+            if key not in judged:
+                # a static threshold ignores the baseline, so none is rendered for it
+                baseline = ([] if static else
+                            [telemetry.metric_value(component, metric, b) for b in baseline_times])
+                judged[key] = baseline, _baseline_rule(baseline, metric, cfg)
+            baseline, rule = judged[key]
             value = telemetry.metric_value(component, metric, t)
             if rule.flags(value):
                 verdict = evaluate_series([value], baseline, metric, cfg)
@@ -52,13 +74,19 @@ def _metric_candidates(telemetry: Telemetry, cfg: DetectorConfig):
 
 
 def _trace_candidates(telemetry: Telemetry, before_s: int):
-    for trace in telemetry.query_traces((telemetry.scenario.window[0], before_s)):
-        for span in trace.spans:
-            if span.status == "error":
-                yield (trace.t_s, "trace", span.service,
-                       f"error span in trace {trace.trace_id}: service {span.service} "
-                       f"failed with '{span.error_message}'")
-                return
+    faults = telemetry.scenario.faults
+    for t in telemetry.sample_times():
+        if t >= before_s:
+            return
+        if not any(fault.active_at(t) for fault in faults):
+            continue  # with no fault active every span is ok
+        for trace in telemetry.query_traces((t, t + 1)):
+            for span in trace.spans:
+                if span.status == "error":
+                    yield (trace.t_s, "trace", span.service,
+                           f"error span in trace {trace.trace_id}: service {span.service} "
+                           f"failed with '{span.error_message}'")
+                    return
 
 
 def _log_candidates(telemetry: Telemetry, cfg: DetectorConfig, before_s: int):

@@ -35,6 +35,11 @@ def gauss(mu: float, sigma: float, *parts, clamp: float = GAUSS_CLAMP) -> float:
     return mu + sigma * z
 
 
+def gauss_range(mu: float, sigma: float) -> tuple[float, float]:
+    """The least and the greatest value ``gauss(mu, sigma, ...)`` returns (sigma >= 0)."""
+    return mu + sigma * -GAUSS_CLAMP, mu + sigma * GAUSS_CLAMP
+
+
 def jitter(hi: float, *parts) -> float:
     """Uniform in [0, hi); used for span durations, which only jitter upward."""
     return unit(*parts) * hi

@@ -38,6 +38,11 @@ the logs, and each metric sample or trace is computed the first time a query
 reaches it, then kept. Every draw is keyed by its series or trace and its
 tick, so what a query returns, and ``export_lines``, are byte-identical to a
 full render whatever was queried before.
+
+At each tick the renderer knows which components a fault can change
+(``Telemetry.touched``); every other sample is a nominal draw from the
+series' (baseline, sigma), so it lies in ``Telemetry.nominal_range``. The
+alert sweep uses both to skip samples it can prove cannot flag.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ import hashlib
 import json
 import statistics
 from dataclasses import dataclass
+from itertools import compress
 
 from ..errors import NotFoundError
 from . import noise
@@ -159,20 +165,16 @@ class Telemetry:
         self.topology = self._renderer.topo
         self._times = _sample_times(scenario.window)
         self._component_kinds = {}
-        keys = []
         for pod in self.topology.pods:
             self._component_kinds[pod.id] = "pod"
-            keys += [(pod.id, metric) for metric in POD_METRIC_BASELINES]
         for service in self.topology.services:
             self._component_kinds[service] = "service"
-            keys += [(service, metric) for metric in SERVICE_METRICS]
         for node in self.topology.nodes:
             self._component_kinds[node.id] = "node"
-            keys += [(node.id, metric) for metric in NODE_METRIC_BASELINES]
         # (component, metric) -> the series' samples by tick number, None
         # until rendered
         self._series: dict[tuple[str, str], list[float | None]] = {
-            key: [None] * len(self._times) for key in sorted(keys)}
+            key: [None] * len(self._times) for key in sorted(self._renderer.nominal)}
         self._traces: list[Trace | None] = [None] * len(self._times)
         self._logs = self._renderer.render_logs()
 
@@ -214,6 +216,18 @@ class Telemetry:
     def series_keys(self) -> list[tuple[str, str]]:
         """Every (component, metric) series, in sorted order."""
         return list(self._series)
+
+    def touched(self, t: int) -> frozenset[str]:
+        """The components a fault can change at sample tick ``t``; a sample of
+        any other component at ``t`` is nominal."""
+        return self._renderer.touched[t]
+
+    def nominal_range(self, component: str, metric: str) -> tuple[float, float]:
+        """The least and the greatest value a nominal sample of a series named
+        by ``series_keys`` can take. Exact: every step from the clamped draw
+        to the stored value is monotone."""
+        lo, hi = noise.gauss_range(*self._renderer.nominal[(component, metric)])
+        return round(max(lo, 0.0), 6), round(max(hi, 0.0), 6)
 
     def metric_value(self, component: str, metric: str, t: int) -> float:
         """The sample at tick ``t`` of a series named by ``series_keys``."""
@@ -342,29 +356,58 @@ class _Renderer:
         self.scenario = scenario
         self.topo = scenario.topology()
         self.seed = scenario.seed
-        # resolve each fault's affected edges once, then the active faults and
-        # the down pods once per sample tick
+        # resolve each fault's affected edges and the components it can change
+        # once, then the active faults, the down pods and the touched
+        # components once per sample tick
         edges_by_fault = [
             (fault, {(e.src, e.dst) for e in fault.affected_edges(self.topo)})
             for fault in scenario.faults
         ]
+        touches = [self._touches(fault, edges) for fault, edges in edges_by_fault]
         self._active: dict[int, list[tuple[FaultSpec, set]]] = {}
         self._down: dict[int, set[str]] = {}
+        self.touched: dict[int, frozenset[str]] = {}
         for t in _sample_times(scenario.window):
-            active = [(f, edges) for f, edges in edges_by_fault if f.active_at(t)]
+            on = [f.active_at(t) for f, _ in edges_by_fault]
+            active = list(compress(edges_by_fault, on))
             self._active[t] = active
             self._down[t] = {f.location_id for f, _ in active
                              if f.fault_type == FaultType.PodFailure}
-        self._latency_base = {s: _service_latency_baseline(self.topo, s)
-                              for s in self.topo.services}
-        self._throughput_base = {s: _service_throughput_baseline(self.topo, s)
-                                 for s in self.topo.services}
+            self.touched[t] = frozenset().union(*compress(touches, on))
+        # (component, metric) -> (baseline, sigma) of the series' nominal draws
+        self.nominal: dict[tuple[str, str], tuple[float, float]] = {}
+        for pod in self.topo.pods:
+            for metric, nominal in POD_METRIC_BASELINES.items():
+                self.nominal[(pod.id, metric)] = nominal
+        for service in self.topo.services:
+            latency = _service_latency_baseline(self.topo, service)
+            throughput = _service_throughput_baseline(self.topo, service)
+            self.nominal[(service, "error_rate")] = ERROR_RATE_BASELINE
+            self.nominal[(service, "request_latency_ms")] = (
+                latency, LATENCY_SIGMA_FRAC * latency)
+            self.nominal[(service, "throughput_rps")] = (
+                throughput, THROUGHPUT_SIGMA_FRAC * throughput)
+        for node in self.topo.nodes:
+            for metric, nominal in NODE_METRIC_BASELINES.items():
+                self.nominal[(node.id, metric)] = nominal
         self._service_pods = {s: [p.id for p in self.topo.pods_of(s)]
                               for s in self.topo.services}
         # (service, tick) -> the service's fault overrides, resolved on first use
         self._overrides: dict[tuple[str, int], dict] = {}
 
     # -- fault effect resolution -------------------------------------------
+
+    def _touches(self, fault: FaultSpec, edges: set) -> set[str]:
+        """Every component whose samples ``fault`` can change while active."""
+        components = {dst for _, dst in edges}  # the callee of each affected edge
+        kind = fault.target_kind
+        if kind == "pod":
+            components |= {fault.location_id, self.topo.pod(fault.location_id).service}
+        elif kind == "edge":
+            components.add(fault.edge_pair()[1])
+        else:
+            components |= fault.node_pair()
+        return components
 
     def pod_down(self, pod_id: str, t: int) -> bool:
         return pod_id in self._down[t]
@@ -438,19 +481,20 @@ class _Renderer:
         """The sample of series ``key`` = (component, metric) at tick ``t``.
 
         Every draw is keyed by (component, metric, t), so samples can be
-        rendered in any order and each comes out the same.
+        rendered in any order and each comes out the same. A component no
+        fault touches at ``t`` gets the nominal draw alone.
         """
         component, metric = key
-        if metric in POD_METRIC_BASELINES:
+        if component not in self.touched[t]:
+            value = self._nominal(key, t)
+        elif metric in POD_METRIC_BASELINES:
             if self.pod_down(component, t):
                 value = 0.0
             else:
-                base, sigma = POD_METRIC_BASELINES[metric]
-                value = noise.gauss(base, sigma, self.seed, "metric", component, metric, t)
-                value = self._pod_stress_override(component, metric, t, value)
+                value = self._pod_stress_override(component, metric, t,
+                                                  self._nominal(key, t))
         elif metric in NODE_METRIC_BASELINES:
-            base, sigma = NODE_METRIC_BASELINES[metric]
-            value = noise.gauss(base, sigma, self.seed, "metric", component, metric, t)
+            value = self._nominal(key, t)
             if metric == "node_network_throughput_bytes":
                 for fault, _ in self._active[t]:
                     if (fault.fault_type == FaultType.NetworkBandwidth
@@ -460,28 +504,26 @@ class _Renderer:
             value = self._service_sample(component, metric, t)
         return round(max(value, 0.0), 6)
 
+    def _nominal(self, key: tuple[str, str], t: int) -> float:
+        return noise.gauss(*self.nominal[key], self.seed, "metric", *key, t)
+
     def _service_sample(self, service: str, metric: str, t: int) -> float:
         overrides = self._overrides.get((service, t))
         if overrides is None:
             overrides = self._service_fault_values(service, t)
             self._overrides[(service, t)] = overrides
+        key = (service, metric)
         if metric == "request_latency_ms":
-            lat_base = self._latency_base[service]
-            value = noise.gauss(lat_base, LATENCY_SIGMA_FRAC * lat_base,
-                                self.seed, "metric", service, metric, t)
-            value = value * overrides.get("latency_factor", 1.0)
+            value = self._nominal(key, t) * overrides.get("latency_factor", 1.0)
             return value + overrides.get("latency_extra", 0.0)
         if metric == "throughput_rps":
-            thr_base = self._throughput_base[service]
-            value = noise.gauss(thr_base, THROUGHPUT_SIGMA_FRAC * thr_base,
-                                self.seed, "metric", service, metric, t)
-            value *= overrides.get("throughput_factor", 1.0)
+            value = self._nominal(key, t) * overrides.get("throughput_factor", 1.0)
             if any(self.pod_down(pod_id, t) for pod_id in self._service_pods[service]):
                 value = 0.0
             return value
         if "error_rate" in overrides:
             return overrides["error_rate"]
-        return noise.gauss(*ERROR_RATE_BASELINE, self.seed, "metric", service, metric, t)
+        return self._nominal(key, t)
 
     def _pod_stress_override(self, pod_id: str, metric: str, t: int, value: float) -> float:
         for fault, _ in self._active[t]:

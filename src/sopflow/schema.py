@@ -144,7 +144,10 @@ def _read_text(path: Path | str, parse, errors: tuple[type[Exception], ...]):
 def read_yaml(path: Path | str, cls=None, section: str | None = None):
     """The YAML document at ``path``, or, given ``cls``, ``from_mapping(cls, ...)``
     of it with ``section`` (default: the path) naming it in errors."""
-    data = _read_text(path, lambda text: yaml.load(text, Loader=_LOADER), (yaml.YAMLError,))
+    # the loader's constructors raise ValueError on a malformed scalar, such
+    # as the timestamp 2020-13-45
+    data = _read_text(path, lambda text: yaml.load(text, Loader=_LOADER),
+                      (yaml.YAMLError, ValueError))
     if cls is None:
         return data
     return from_mapping(cls, data, str(path) if section is None else section)

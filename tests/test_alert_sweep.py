@@ -3,6 +3,7 @@ reference: every series rendered, each series' first flag taken, then the
 candidates sorted."""
 
 import random
+import re
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +17,7 @@ from sopflow.detector import (
 )
 from sopflow.golden import golden_scenarios
 from sopflow.sandbox import ScenarioConfig, generate_corpus, noise, render_alert, render_telemetry
-from sopflow.sandbox.telemetry import SAMPLE_PERIOD_S
+from sopflow.sandbox.telemetry import SAMPLE_PERIOD_S, _Renderer
 
 _BASELINE_SAMPLES = 8
 _RANK = {"metric": 0, "trace": 1, "log": 2, "state": 3}
@@ -131,7 +132,7 @@ def test_queries_in_any_order_render_the_same_bytes():
 
 # Gaussian draws of render_alert(render_telemetry(s)) summed over the 9 golden
 # scenarios. A full render of the same scenarios draws 29,748.
-_ALERT_DRAWS = 6_499
+_ALERT_DRAWS = 139
 _FULL_DRAWS = 29_748
 
 
@@ -153,3 +154,65 @@ def test_alert_renders_only_what_the_sweep_reaches(monkeypatch):
     assert draws == _FULL_DRAWS
     assert alert_draws == _ALERT_DRAWS
     assert alert_draws < _FULL_DRAWS / 2
+
+
+# the metrics whose static thresholds, drawn from [0, 1], land on both sides
+# of their series' nominal range
+_THRESHOLD_METRICS = ("cpu_usage", "memory_usage", "error_rate", "node_cpu_usage",
+                      "throughput_rps")
+
+_bounded_detectors = st.builds(
+    DetectorConfig,
+    k=st.floats(min_value=0.5, max_value=6.0),
+    min_sigma_frac=st.just(0.0) | st.floats(min_value=0.0, max_value=0.3),
+    min_baseline_samples=st.integers(1, 12),
+    static_thresholds=st.dictionaries(st.sampled_from(_THRESHOLD_METRICS),
+                                      st.floats(min_value=0.0, max_value=1.0)),
+)
+
+
+@given(scenario=_scenarios, cfg=_bounded_detectors)
+@settings(max_examples=200, deadline=None)
+def test_skipped_samples_never_change_the_alert(scenario, cfg):
+    """Thresholds and sigma floors on both sides of the bound that lets the
+    sweep skip a series' nominal samples."""
+    assert (render_alert(render_telemetry(scenario), cfg)
+            == reference_alert(render_telemetry(scenario), cfg))
+
+
+def test_alert_renders_only_components_a_fault_touches(monkeypatch):
+    rendered = []  # the component of every metric sample rendered
+    traced = []    # the tick of every trace rendered
+    sample, trace = _Renderer.sample, _Renderer.trace
+
+    def counting_sample(self, key, t):
+        rendered.append(key[0])
+        return sample(self, key, t)
+
+    def counting_trace(self, tick, t):
+        traced.append(t)
+        return trace(self, tick, t)
+
+    monkeypatch.setattr(_Renderer, "sample", counting_sample)
+    monkeypatch.setattr(_Renderer, "trace", counting_trace)
+    for scenario in golden_scenarios() + generate_corpus(0, 18):
+        telemetry = render_telemetry(scenario)
+        rendered.clear()
+        traced.clear()
+        alert = render_alert(telemetry)
+        detected = re.search(r"^detected_at_s: (\d+)$", alert, re.MULTILINE)
+        until = int(detected.group(1)) if detected else scenario.window[1]
+        touched = frozenset().union(*(telemetry.touched(t)
+                                      for t in telemetry.sample_times() if t <= until))
+        assert rendered and set(rendered) <= touched
+        assert all(any(fault.active_at(t) for fault in scenario.faults) for t in traced)
+
+
+def test_untouched_samples_lie_in_their_nominal_range():
+    for scenario in golden_scenarios():
+        telemetry = render_telemetry(scenario)
+        for series in telemetry.metric_series():
+            lo, hi = telemetry.nominal_range(series.component, series.metric)
+            for t, value in series.samples:
+                if series.component not in telemetry.touched(t):
+                    assert lo <= value <= hi

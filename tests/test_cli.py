@@ -68,6 +68,21 @@ class TestKbCommands:
         assert "0 SOPs" in capsys.readouterr().out
 
 
+    def test_add_names_the_file_a_malformed_scalar_is_in(self, tmp_path, capsys):
+        doc = tmp_path / "doc.yaml"
+        doc.write_text("id: sop-x\nname: 2020-13-45\nsteps: [inspect]\n")
+        assert run_cli("kb", "add", "--file", str(doc), "--kb", str(tmp_path / "kb")) == 1
+        assert capsys.readouterr().err == f"error: {doc}: month must be in 1..12\n"
+
+    def test_list_rejects_an_embedding_cache_that_is_not_an_object(self, tmp_path, capsys):
+        cache = tmp_path / "kb" / "embedding_cache.json"
+        cache.parent.mkdir()
+        cache.write_text("[]")
+        assert run_cli("kb", "list", "--kb", str(tmp_path / "kb")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cache}: ") and "Traceback" not in err
+
+
 class TestMalformedFiles:
     # each case: the file given malformed YAML, and the command that reads it
     @pytest.mark.parametrize("kind", ["scenario", "script", "kb document", "config",

@@ -11,6 +11,7 @@ import sopflow
 from sopflow.detector import (
     DetectorConfig,
     _baseline_rule,
+    _never_flags,
     _pstdev,
     evaluate_series,
     matches_keyword,
@@ -112,6 +113,38 @@ class TestBaselineRule:
         cfg.min_baseline_samples = len(baseline) + 1
         assert _baseline_rule(baseline, "request_latency_ms", cfg) is None
         assert not evaluate_series([value], baseline, "request_latency_ms", cfg).anomalous
+
+
+class TestNeverFlags:
+    """``_never_flags`` proves from a value range that no sample in it flags
+    against a baseline drawn from the same range."""
+
+    @pytest.mark.parametrize("k, min_sigma_frac", [(3.0, 0.1), (0.5, 0.3), (6.0, 0.01)])
+    def test_k_sigma_bound_is_tight_against_a_constant_baseline(self, k, min_sigma_frac):
+        cfg = DetectorConfig(k=k, min_sigma_frac=min_sigma_frac, static_thresholds={})
+        lo = 0.25
+        bound = k * min_sigma_frac * lo  # the limit of a baseline that is all lo
+        for hi in (lo + bound * (1 - 1e-6), lo + bound * (1 + 1e-6)):
+            assert _never_flags(lo, hi, "m", cfg) is not _sweep_flags([lo] * 8, hi, "m", cfg)
+
+    def test_static_bound_is_the_threshold(self):
+        cfg = DetectorConfig(static_thresholds={"m": 0.5})
+        assert _never_flags(0.1, 0.5, "m", cfg) and not _sweep_flags([], 0.5, "m", cfg)
+        assert not _never_flags(0.1, 0.5000001, "m", cfg)
+        assert _sweep_flags([], 0.5000001, "m", cfg)
+
+    def test_no_sigma_floor_proves_nothing(self):
+        cfg = DetectorConfig(min_sigma_frac=0.0, static_thresholds={})
+        assert not _never_flags(1.0, 1.0, "m", cfg)
+
+    @given(lo=st.floats(min_value=0.0, max_value=1e6), width=st.floats(0.0, 1.0),
+           fractions=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=12),
+           metric=st.sampled_from(["cpu_usage", "request_latency_ms"]), cfg=_configs)
+    def test_a_proven_range_never_flags(self, lo, width, fractions, metric, cfg):
+        hi = lo + lo * width
+        *baseline, value = [min(max(lo + f * (hi - lo), lo), hi) for f in fractions]
+        if _never_flags(lo, hi, metric, cfg):
+            assert not _sweep_flags(baseline, value, metric, cfg)
 
 
 _magnitudes = st.floats(min_value=1e-300, max_value=1e300)

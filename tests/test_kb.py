@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 
 import pytest
 
@@ -305,6 +306,22 @@ class TestPersistence:
         with pytest.raises(ConfigError, match=complaint) as info:
             KnowledgeBase(scripted_backend(), root=tmp_path / "kb")
         assert str(info.value).startswith(str(path))
+
+    @pytest.mark.parametrize("stored, complaint", [
+        ("[]", "expected an object mapping text to a list of numbers, got list"),
+        ('{"a": "0.5"}', "the entry for 'a' is not a list of numbers"),
+        ('{"a": [0.5, "1"]}', "the entry for 'a' is not a list of numbers"),
+        ('{"a": [true]}', "the entry for 'a' is not a list of numbers"),
+        ('{"a": []}', "dim > 0"),
+        ('{"a": [NaN]}', "non-finite"),
+    ])
+    def test_load_rejects_a_malformed_embedding_cache(self, tmp_path, stored, complaint):
+        path = tmp_path / "kb" / "embedding_cache.json"
+        path.parent.mkdir()
+        path.write_text(stored)
+        with pytest.raises(ConfigError, match=re.escape(complaint)) as info:
+            KnowledgeBase(scripted_backend(), root=tmp_path / "kb")
+        assert str(info.value).startswith(f"{path}: ")
 
     def test_files_keep_their_key_order(self, tmp_path):
         root = tmp_path / "kb"

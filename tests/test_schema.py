@@ -44,6 +44,15 @@ def test_unreadable_file_is_config_error_naming_it(tmp_path, damage):
         schema.read_yaml(path, SopDoc)
 
 
+def test_a_scalar_the_loader_rejects_is_config_error_naming_it(tmp_path):
+    path = tmp_path / "doc.yaml"
+    path.write_text("id: sop-x\nname: 2020-13-45\nsteps: [s]\n")
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: month must be in 1..12"):
+        schema.read_yaml(path)
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: month must be in 1..12"):
+        schema.read_yaml(path, SopDoc)
+
+
 def test_record_errors_name_the_section(tmp_path):
     path = tmp_path / "doc.yaml"
     path.write_text("id: sop-a\nname: a\nsteps: [s]\nlevle: 2\n")
