@@ -16,9 +16,10 @@ threshold needs no baseline, so none is rendered for it); a series whose
 baseline is too short for a rule is never rendered. ``evaluate_series``
 writes the verdict text. Each later-ranked sweep (traces, logs, resource
 state) stops before the earliest candidate found so far, because a candidate
-at or after that tick loses on rank; the trace sweep also skips ticks with
-no active fault, where no span can error. Telemetry is rendered on demand,
-so only the samples and traces the sweeps reach are computed.
+at or after that tick loses on rank. The trace sweep reads error spans
+(``Telemetry.error_spans``), never a full trace; the log sweep renders only
+the heartbeats before that candidate. Telemetry is rendered on demand, so
+only what the sweeps reach is computed.
 """
 
 from __future__ import annotations
@@ -74,25 +75,18 @@ def _metric_candidates(telemetry: Telemetry, cfg: DetectorConfig):
 
 
 def _trace_candidates(telemetry: Telemetry, before_s: int):
-    faults = telemetry.scenario.faults
     for t in telemetry.sample_times():
         if t >= before_s:
             return
-        if not any(fault.active_at(t) for fault in faults):
-            continue  # with no fault active every span is ok
-        for trace in telemetry.query_traces((t, t + 1)):
-            for span in trace.spans:
-                if span.status == "error":
-                    yield (trace.t_s, "trace", span.service,
-                           f"error span in trace {trace.trace_id}: service {span.service} "
-                           f"failed with '{span.error_message}'")
-                    return
+        for span in telemetry.error_spans((t, t + 1)):
+            yield (t, "trace", span.service,
+                   f"error span in trace {span.trace_id}: service {span.service} "
+                   f"failed with '{span.error_message}'")
+            return
 
 
 def _log_candidates(telemetry: Telemetry, cfg: DetectorConfig, before_s: int):
-    for line in telemetry.all_logs():
-        if line.t_s >= before_s:
-            return
+    for line in telemetry.all_logs((telemetry.scenario.window[0], before_s)):
         if matches_keyword(line.text, cfg):
             yield (line.t_s, "log", line.pod,
                    f"anomalous log on pod {line.pod}: {line.text}")

@@ -189,7 +189,7 @@ def scenario_from_mapping(mapping: dict) -> EpisodeScenario:
             ),
             aliases={str(k): str(v) for k, v in (mapping.get("aliases") or {}).items()},
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed scenario file: {exc}") from None
     scenario.validate()
     return scenario
@@ -200,4 +200,8 @@ def save_scenario(scenario: EpisodeScenario, path: Path | str) -> None:
 
 
 def load_scenario(path: Path | str) -> EpisodeScenario:
-    return scenario_from_mapping(schema.read_yaml(path))
+    mapping = schema.read_yaml(path)
+    try:
+        return scenario_from_mapping(mapping)
+    except (ConfigError, ValidationError) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc

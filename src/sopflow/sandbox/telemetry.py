@@ -33,11 +33,12 @@ Nominal samples are clamped Gaussians around the per-metric baselines below,
 so at the default detector thresholds a fault-free scenario never flags.
 Rendering is a pure function of the scenario (seed included).
 
-Metrics and traces are rendered on demand: ``render_telemetry`` renders only
-the logs, and each metric sample or trace is computed the first time a query
-reaches it, then kept. Every draw is keyed by its series or trace and its
-tick, so what a query returns, and ``export_lines``, are byte-identical to a
-full render whatever was queried before.
+Telemetry is rendered on demand: ``render_telemetry`` renders only the
+fault log lines, and each metric sample, trace, tick's error spans and
+heartbeat line is computed the first time a query reaches it, then kept.
+Every draw is keyed by its series, span or pod and its tick, so what a query
+returns, and ``export_lines``, are byte-identical to a full render whatever
+was queried before.
 
 At each tick the renderer knows which components a fault can change
 (``Telemetry.touched``); every other sample is a nominal draw from the
@@ -52,7 +53,7 @@ import hashlib
 import json
 import statistics
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, product
 
 from ..errors import NotFoundError
 from . import noise
@@ -151,12 +152,12 @@ class Telemetry:
     """Telemetry for one scenario, rendered on demand, with the query surface
     the observability tools are built on.
 
-    Each metric sample and each trace is rendered the first time a query
-    reaches it and then kept (memoised), so it is computed at most once, and
-    a sample no query reaches is never computed. Every draw is keyed by
-    (series or trace, tick), so the order of queries never changes a byte.
-    Logs are cheap and rendered up front. Queries write to the memo, so a
-    Telemetry is used from one episode's thread.
+    Each metric sample, trace, tick's error spans and (pod, tick) heartbeat
+    line is rendered the first time a query reaches it and then kept
+    (memoised), so it is computed at most once, and one no query reaches is
+    never computed. Every draw is keyed by (series, span or pod, tick), so
+    the order of queries never changes a byte. Queries write to the memo, so
+    a Telemetry is used from one episode's thread.
     """
 
     def __init__(self, scenario: EpisodeScenario):
@@ -176,7 +177,10 @@ class Telemetry:
         self._series: dict[tuple[str, str], list[float | None]] = {
             key: [None] * len(self._times) for key in sorted(self._renderer.nominal)}
         self._traces: list[Trace | None] = [None] * len(self._times)
-        self._logs = self._renderer.render_logs()
+        self._errors: list[list[Span] | None] = [None] * len(self._times)
+        self._pod_ids = [pod.id for pod in self.topology.pods]
+        self._heartbeats: dict[tuple[str, int], LogLine] = {}
+        self._fault_logs = self._renderer.fault_logs()
 
     def _values(self, key: tuple[str, str], lo: int, hi: int) -> list[float]:
         """Series ``key``'s samples at tick numbers ``lo`` to ``hi`` - 1,
@@ -193,6 +197,20 @@ class Telemetry:
             return 0, len(self._times)
         return (bisect.bisect_left(self._times, window[0]),
                 bisect.bisect_left(self._times, window[1]))
+
+    def _logs(self, pods, window: tuple[int, int] | None) -> list[LogLine]:
+        """The log lines of ``pods`` in ``window`` (every line for None), in
+        (t_s, pod, text) order, rendering the heartbeats not rendered yet."""
+        lo, hi = window or self.scenario.window  # every line lies in the scenario window
+        lines = [line for line in self._fault_logs if line.pod in pods and lo <= line.t_s < hi]
+        ticks = [t for t in range(*self.scenario.window, LOG_PERIOD_S) if lo <= t < hi]
+        for t, pod in product(ticks, pods):
+            line = self._heartbeats.get((pod, t))
+            if line is None:
+                line = self._heartbeats[(pod, t)] = self._renderer.heartbeat(pod, t)
+            lines.append(line)
+        lines.sort(key=lambda line: (line.t_s, line.pod, line.text))
+        return lines
 
     # -- queries -------------------------------------------------------------
 
@@ -263,14 +281,11 @@ class Telemetry:
     def query_logs(self, pod: str, window: tuple[int, int] | None = None) -> list[LogLine]:
         if self._component_kinds.get(pod) != "pod":
             raise NotFoundError(f"unknown pod {pod!r}")
-        lines = [line for line in self._logs if line.pod == pod]
-        if window is None:
-            return lines
-        lo, hi = window
-        return [line for line in lines if lo <= line.t_s < hi]
+        return self._logs((pod,), window)
 
-    def all_logs(self) -> list[LogLine]:
-        return list(self._logs)
+    def all_logs(self, window: tuple[int, int] | None = None) -> list[LogLine]:
+        """Every pod's log lines in ``window`` (every line for None)."""
+        return self._logs(self._pod_ids, window)
 
     def query_traces(self, window: tuple[int, int] | None = None) -> list[Trace]:
         lo, hi = self._ticks(window)
@@ -278,6 +293,17 @@ class Telemetry:
             if self._traces[i] is None:
                 self._traces[i] = self._renderer.trace(i, self._times[i])
         return self._traces[lo:hi]
+
+    def error_spans(self, window: tuple[int, int] | None = None) -> list[Span]:
+        """The error spans of ``query_traces(window)``, in the same order,
+        found without rendering the traces."""
+        lo, hi = self._ticks(window)
+        spans = []
+        for i in range(lo, hi):
+            if self._errors[i] is None:
+                self._errors[i] = self._renderer.error_spans(i, self._times[i])
+            spans.extend(self._errors[i])
+        return spans
 
     def pod_phase(self, pod_id: str, at_s: int | None = None) -> str:
         if self._component_kinds.get(pod_id) != "pod":
@@ -304,7 +330,7 @@ class Telemetry:
         ]
         log_lines = [
             json.dumps({"t_s": line.t_s, "pod": line.pod, "text": line.text}, sort_keys=True)
-            for line in self._logs
+            for line in self.all_logs()
         ]
         trace_lines = [
             json.dumps({
@@ -392,6 +418,8 @@ class _Renderer:
                 self.nominal[(node.id, metric)] = nominal
         self._service_pods = {s: [p.id for p in self.topo.pods_of(s)]
                               for s in self.topo.services}
+        self._children = {s: self.topo.children(s) for s in self.topo.services}
+        self._root_pod = self._service_pods[self.topo.frontend][0]
         # (service, tick) -> the service's fault overrides, resolved on first use
         self._overrides: dict[tuple[str, int], dict] = {}
 
@@ -548,16 +576,16 @@ class _Renderer:
             return self.topo.pods_of(dst)[0].id
         return None  # node-pair faults manifest in metrics only
 
-    def render_logs(self) -> list[LogLine]:
+    def heartbeat(self, pod_id: str, t: int) -> LogLine:
+        """Pod ``pod_id``'s heartbeat line at log tick ``t``."""
+        handled = 40 + int(noise.unit(self.seed, "log", pod_id, t) * 20)
+        return LogLine(pod=pod_id, t_s=t,
+                       text=f"INFO t={t} pod={pod_id} handled {handled} requests status=200")
+
+    def fault_logs(self) -> list[LogLine]:
+        """Every fault's log lines; they draw no noise."""
         lines: list[LogLine] = []
-        start, end = self.scenario.window
-        for t in range(start, end, LOG_PERIOD_S):
-            for pod in self.topo.pods:
-                handled = 40 + int(noise.unit(self.seed, "log", pod.id, t) * 20)
-                lines.append(LogLine(
-                    pod=pod.id, t_s=t,
-                    text=f"INFO t={t} pod={pod.id} handled {handled} requests status=200",
-                ))
+        end = self.scenario.window[1]
         for fault in self.scenario.faults:
             template = _FAULT_LOG_LINES.get(fault.fault_type)
             if fault.fault_type == FaultType.MemoryStress:
@@ -572,7 +600,6 @@ class _Renderer:
             body = template.format(mag=fault.magnitude)
             for t in range(fault.start_s, min(fault.end_s, end), SAMPLE_PERIOD_S):
                 lines.append(LogLine(pod=pod_id, t_s=t, text=f"{body} (t={t})"))
-        lines.sort(key=lambda line: (line.t_s, line.pod, line.text))
         return lines
 
     # -- traces ----------------------------------------------------------------
@@ -584,49 +611,91 @@ class _Renderer:
         self._build_root(trace_id, t, spans)
         return Trace(trace_id=trace_id, t_s=t, spans=tuple(spans))
 
-    def _build_root(self, trace_id: str, t: int, spans: list[Span]) -> None:
+    def error_spans(self, tick: int, t: int) -> list[Span]:
+        """The error spans of ``trace(tick, t)``, in its order. An error span
+        has no children and its draws are keyed by its own span id, so only
+        the calls on a path to an edge a fault affects at ``t`` are walked."""
+        trace_id = f"t{tick:04d}"
+        if self.pod_down(self._root_pod, t):
+            return [self._root_down(trace_id)]
+        affected = set().union(*(edges for _, edges in self._active[t]))
+        if not affected:
+            return []
+        above = {src for src, _ in affected}  # services with an affected call below
+        while grown := {e.src for e in self.topo.call_edges if e.dst in above} - above:
+            above |= grown
+        spans: list[Span] = []
+        self._walk_errors(trace_id, t, self.topo.frontend, self.topo.frontend,
+                          affected, above, spans)
+        return spans
+
+    def _walk_errors(self, trace_id: str, t: int, service: str, span_id: str,
+                     affected: set, above: set, spans: list[Span]) -> None:
+        for edge in self._children[service]:
+            if (edge.src, edge.dst) not in affected and edge.dst not in above:
+                continue  # every call on and below this edge is ok
+            call_id = f"{span_id}/{edge.dst}"
+            failed = self._failed_call(trace_id, call_id, span_id, edge,
+                                       self.edge_effect(edge, t))
+            if failed is None:
+                self._walk_errors(trace_id, t, edge.dst, call_id, affected, above, spans)
+            else:
+                spans.append(failed[0])
+
+    def _root_down(self, trace_id: str) -> Span:
+        """The root span of a trace whose frontend pod is down."""
         frontend = self.topo.frontend
-        root_pod = self.topo.pods_of(frontend)[0]
-        span_id = frontend
-        if self.pod_down(root_pod.id, t):
-            duration = ROOT_BASE_MS + noise.jitter(SPAN_JITTER_FRAC * ROOT_BASE_MS,
-                                                   self.seed, "span", trace_id, span_id)
-            spans.append(Span(trace_id, span_id, None, frontend, round(duration, 3),
-                              "error", "Service unavailable"))
+        duration = ROOT_BASE_MS + self._jitter(trace_id, frontend, ROOT_BASE_MS)
+        return Span(trace_id, frontend, None, frontend, round(duration, 3),
+                    "error", "Service unavailable")
+
+    def _failed_call(self, trace_id: str, span_id: str, parent_span_id: str, edge: CallEdge,
+                     effect: _EdgeEffect) -> tuple[Span, float] | None:
+        """The error span of the call ``span_id`` on ``edge`` and its unrounded
+        duration when ``effect`` makes the call error, else None."""
+        if effect.unreachable_msg is not None:
+            message, extra = effect.unreachable_msg, 0.0
+        else:
+            message = next((message for message, fraction in effect.error_modes
+                            if noise.unit(self.seed, "edgedraw", trace_id, span_id,
+                                          message) < fraction), None)
+            if message is None:
+                return None
+            extra = effect.extra_ms
+        base = edge.base_latency_ms
+        duration = base + extra + self._jitter(trace_id, span_id, base)
+        return Span(trace_id, span_id, parent_span_id, edge.dst, round(duration, 3),
+                    "error", message), duration
+
+    def _jitter(self, trace_id: str, span_id: str, base: float) -> float:
+        return noise.jitter(SPAN_JITTER_FRAC * base, self.seed, "span", trace_id, span_id)
+
+    def _build_root(self, trace_id: str, t: int, spans: list[Span]) -> None:
+        if self.pod_down(self._root_pod, t):
+            spans.append(self._root_down(trace_id))
             return
+        frontend = self.topo.frontend
         child_total = 0.0
-        for edge in self.topo.children(frontend):
-            child_total += self._build_call(trace_id, t, edge, span_id, spans)
+        for edge in self._children[frontend]:
+            child_total += self._build_call(trace_id, t, edge, frontend, spans)
         duration = (ROOT_BASE_MS + PROC_MS + child_total
-                    + noise.jitter(SPAN_JITTER_FRAC * ROOT_BASE_MS,
-                                   self.seed, "span", trace_id, span_id))
-        spans.insert(0, Span(trace_id, span_id, None, frontend, round(duration, 3), "ok"))
+                    + self._jitter(trace_id, frontend, ROOT_BASE_MS))
+        spans.insert(0, Span(trace_id, frontend, None, frontend, round(duration, 3), "ok"))
 
     def _build_call(self, trace_id: str, t: int, edge: CallEdge, parent_span_id: str,
                     spans: list[Span]) -> float:
         # span ids are call paths, so pruning one branch never renames another
         span_id = f"{parent_span_id}/{edge.dst}"
         effect = self.edge_effect(edge, t)
-        base = edge.base_latency_ms
-        jitter = noise.jitter(SPAN_JITTER_FRAC * base, self.seed, "span", trace_id, span_id)
-
-        if effect.unreachable_msg is not None:
-            duration = base + jitter
-            spans.append(Span(trace_id, span_id, parent_span_id, edge.dst,
-                              round(duration, 3), "error", effect.unreachable_msg))
-            return duration
-        for message, fraction in effect.error_modes:
-            draw = noise.unit(self.seed, "edgedraw", trace_id, span_id, message)
-            if draw < fraction:
-                duration = base + effect.extra_ms + jitter
-                spans.append(Span(trace_id, span_id, parent_span_id, edge.dst,
-                                  round(duration, 3), "error", message))
-                return duration
-
+        failed = self._failed_call(trace_id, span_id, parent_span_id, edge, effect)
+        if failed is not None:
+            spans.append(failed[0])
+            return failed[1]
         child_total = 0.0
-        for child_edge in self.topo.children(edge.dst):
+        for child_edge in self._children[edge.dst]:
             child_total += self._build_call(trace_id, t, child_edge, span_id, spans)
-        duration = base * effect.slow_factor + effect.extra_ms + PROC_MS + child_total + jitter
+        duration = (edge.base_latency_ms * effect.slow_factor + effect.extra_ms + PROC_MS
+                    + child_total + self._jitter(trace_id, span_id, edge.base_latency_ms))
         spans.append(Span(trace_id, span_id, parent_span_id, edge.dst,
                           round(duration, 3), "ok"))
         return duration

@@ -35,17 +35,10 @@ def whether_is_abnormal_metric(ctx: ToolContext, target: str, metric: str,
 def collect_trace(ctx: ToolContext, start_s=None, end_s=None) -> ToolResult:
     """List every error span in the window, grouped by trace."""
     window = _window(ctx, start_s, end_s)
-    lines = []
-    error_spans = []
-    for trace in ctx.telemetry.query_traces(window):
-        for span in trace.spans:
-            if span.status != "error":
-                continue
-            error_spans.append(span)
-            lines.append(
-                f"trace={trace.trace_id} service={span.service} "
-                f"error='{span.error_message}' duration_ms={span.duration_ms}"
-            )
+    error_spans = ctx.telemetry.error_spans(window)
+    lines = [f"trace={span.trace_id} service={span.service} "
+             f"error='{span.error_message}' duration_ms={span.duration_ms}"
+             for span in error_spans]
     if not lines:
         text = f"no abnormal spans in window [{window[0]}, {window[1]})"
     else:

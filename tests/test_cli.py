@@ -105,6 +105,16 @@ class TestMalformedFiles:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: ") and "Traceback" not in err
 
+    def test_scenario_with_list_aliases_names_the_file(self, golden_dir, tmp_path, capsys):
+        source = golden_dir / "scenarios" / "scn-01000-cpustress.yaml"
+        script = str(golden_dir / "scripts" / "scn-01000-cpustress.yaml")
+        bad = tmp_path / "scenario.yaml"
+        bad.write_text(source.read_text().replace("aliases: {}", "aliases: [1]"))
+        assert run_cli("diagnose", "--scenario", str(bad), "--script", script) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: malformed scenario file: ")
+        assert "Traceback" not in err
+
 
 class TestSimulate:
     def test_one_file_per_fault_type(self, tmp_path, capsys):

@@ -102,6 +102,18 @@ class TestScenarioGeneration:
         with pytest.raises(ValidationError):
             load_scenario(path)
 
+    @pytest.mark.parametrize("edit, complaint", [
+        (("aliases: {}", "aliases: [1]"), "malformed scenario file"),
+        (("end_s: 600", "end_s: 0"), "scenario window must be non-empty"),
+    ])
+    def test_bad_scenario_file_is_a_validation_error_naming_it(self, tmp_path, edit,
+                                                                complaint):
+        path = tmp_path / "scn.yaml"
+        save_scenario(generate_scenario(79), path)
+        path.write_text(path.read_text().replace(*edit))
+        with pytest.raises(ValidationError, match=f"^{re.escape(f'{path}: {complaint}')}"):
+            load_scenario(path)
+
 
 class TestNoFaultTelemetry:
     def test_metrics_stay_in_nominal_bands(self):
