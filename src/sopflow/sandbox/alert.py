@@ -17,9 +17,11 @@ baseline is too short for a rule is never rendered. ``evaluate_series``
 writes the verdict text. Each later-ranked sweep (traces, logs, resource
 state) stops before the earliest candidate found so far, because a candidate
 at or after that tick loses on rank. The trace sweep reads error spans
-(``Telemetry.error_spans``), never a full trace; the log sweep renders only
-the heartbeats before that candidate. Telemetry is rendered on demand, so
-only what the sweeps reach is computed.
+(``Telemetry.error_spans``), never a full trace. The log sweep reads the
+keyword lines before that candidate (``Telemetry.anomalous_logs``), which
+renders no heartbeat line a keyword provably cannot occur in: with the
+default keywords, none. Telemetry is rendered on demand, so only what the
+sweeps reach is computed.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from ..detector import (
     _baseline_rule,
     _never_flags,
     evaluate_series,
-    matches_keyword,
 )
 from .telemetry import SAMPLE_PERIOD_S, Telemetry
 
@@ -86,11 +87,9 @@ def _trace_candidates(telemetry: Telemetry, before_s: int):
 
 
 def _log_candidates(telemetry: Telemetry, cfg: DetectorConfig, before_s: int):
-    for line in telemetry.all_logs((telemetry.scenario.window[0], before_s)):
-        if matches_keyword(line.text, cfg):
-            yield (line.t_s, "log", line.pod,
-                   f"anomalous log on pod {line.pod}: {line.text}")
-            return
+    for line in telemetry.anomalous_logs(cfg, window=(telemetry.scenario.window[0], before_s)):
+        yield (line.t_s, "log", line.pod, f"anomalous log on pod {line.pod}: {line.text}")
+        return
 
 
 def _state_candidates(telemetry: Telemetry, before_s: int):

@@ -165,8 +165,28 @@ def scenario_to_mapping(scenario: EpisodeScenario) -> dict:
     }
 
 
+# the keys of a scenario file's mappings; ``scenario_to_mapping`` writes them all
+_FILE_KEYS = ("id", "topology", "seed", "window", "faults", "ground_truth", "aliases")
+_WINDOW_KEYS = ("start_s", "end_s")
+_FAULT_KEYS = ("fault_type", "target", "start_s", "duration_s", "magnitude")
+_GROUND_TRUTH_KEYS = ("locations", "types")
+
+
+def _known(mapping: dict, keys: tuple[str, ...], where: str) -> dict:
+    """``mapping``, once it is known to hold no key outside ``keys``."""
+    if not isinstance(mapping, dict):
+        raise TypeError(f"{where}: expected a mapping, got {mapping!r}")
+    unknown = [key for key in mapping if key not in keys]
+    if unknown:
+        raise ValidationError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))}")
+    return mapping
+
+
 def scenario_from_mapping(mapping: dict) -> EpisodeScenario:
     try:
+        mapping = _known(mapping, _FILE_KEYS, "scenario")
+        window = _known(mapping["window"], _WINDOW_KEYS, "window")
+        ground_truth = _known(mapping["ground_truth"], _GROUND_TRUTH_KEYS, "ground_truth")
         faults = [
             FaultSpec(
                 fault_type=FaultType(f["fault_type"]),
@@ -175,17 +195,18 @@ def scenario_from_mapping(mapping: dict) -> EpisodeScenario:
                 duration_s=int(f["duration_s"]),
                 magnitude=float(f["magnitude"]),
             )
-            for f in mapping["faults"]
+            for f in (_known(f, _FAULT_KEYS, f"faults[{i}]")
+                      for i, f in enumerate(mapping["faults"]))
         ]
         scenario = EpisodeScenario(
             id=str(mapping["id"]),
             topology_name=str(mapping["topology"]),
             seed=int(mapping["seed"]),
-            window=(int(mapping["window"]["start_s"]), int(mapping["window"]["end_s"])),
+            window=(int(window["start_s"]), int(window["end_s"])),
             faults=faults,
             ground_truth=GroundTruth(
-                locations=tuple(mapping["ground_truth"]["locations"]),
-                types=tuple(mapping["ground_truth"]["types"]),
+                locations=tuple(ground_truth["locations"]),
+                types=tuple(ground_truth["types"]),
             ),
             aliases={str(k): str(v) for k, v in (mapping.get("aliases") or {}).items()},
         )

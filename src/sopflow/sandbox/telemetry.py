@@ -44,22 +44,35 @@ At each tick the renderer knows which components a fault can change
 (``Telemetry.touched``); every other sample is a nominal draw from the
 series' (baseline, sigma), so it lies in ``Telemetry.nominal_range``. The
 alert sweep uses both to skip samples it can prove cannot flag.
+
+What depends on the topology alone (each series' nominal draw and range, the
+component kinds, the pods in id order, the call tree) is built once per
+topology (``_tables``) and shared by every scenario on it.
+
+A heartbeat line's only variable fields, the tick and the request count, are
+written with digits and "-". So a keyword with neither occurs in a pod's
+heartbeats iff it occurs in one of the line's fixed pieces, and
+``anomalous_logs`` (read by the alert's log sweep and ``kubectl_logs``)
+renders a pod's heartbeats only when some keyword has a digit or "-" or
+occurs in a fixed piece. No default keyword does either.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import hashlib
 import json
 import statistics
 from dataclasses import dataclass
 from itertools import compress, product
 
+from ..detector import DetectorConfig, matches_keyword
 from ..errors import NotFoundError
 from . import noise
 from .faults import FaultSpec, FaultType
 from .scenario import EpisodeScenario
-from .topology import CallEdge, Topology
+from .topology import CallEdge, Pod, Topology, load_fixture
 
 SAMPLE_PERIOD_S = 15
 LOG_PERIOD_S = 30
@@ -93,6 +106,11 @@ _EDGE_ERROR_MESSAGES = {
     FaultType.NetworkDuplicate: "duplicate ack",
     FaultType.NetworkCorrupt: "checksum mismatch",
 }
+
+# A heartbeat line is these fixed pieces around its two variable fields, the
+# tick and the request count, which are written with digits and "-" only.
+_HEARTBEAT_PIECES = ("INFO t=", " pod={pod} handled ", " requests status=200")
+_VARIABLE_CHARS = frozenset("0123456789-")
 
 _FAULT_LOG_LINES = {
     FaultType.CpuStress: "WARN cpu throttling detected: usage {mag:.2f}",
@@ -164,28 +182,22 @@ class Telemetry:
         self.scenario = scenario
         self._renderer = _Renderer(scenario)
         self.topology = self._renderer.topo
+        self._tables = self._renderer.tables
         self._times = _sample_times(scenario.window)
-        self._component_kinds = {}
-        for pod in self.topology.pods:
-            self._component_kinds[pod.id] = "pod"
-        for service in self.topology.services:
-            self._component_kinds[service] = "service"
-        for node in self.topology.nodes:
-            self._component_kinds[node.id] = "node"
         # (component, metric) -> the series' samples by tick number, None
-        # until rendered
-        self._series: dict[tuple[str, str], list[float | None]] = {
-            key: [None] * len(self._times) for key in sorted(self._renderer.nominal)}
+        # until rendered; a row is made when the series is first queried
+        self._series: dict[tuple[str, str], list[float | None]] = {}
         self._traces: list[Trace | None] = [None] * len(self._times)
         self._errors: list[list[Span] | None] = [None] * len(self._times)
-        self._pod_ids = [pod.id for pod in self.topology.pods]
         self._heartbeats: dict[tuple[str, int], LogLine] = {}
         self._fault_logs = self._renderer.fault_logs()
 
     def _values(self, key: tuple[str, str], lo: int, hi: int) -> list[float]:
         """Series ``key``'s samples at tick numbers ``lo`` to ``hi`` - 1,
         rendering those not rendered yet."""
-        row = self._series[key]
+        row = self._series.get(key)
+        if row is None:
+            row = self._series[key] = [None] * len(self._times)
         for i in range(lo, hi):
             if row[i] is None:
                 row[i] = self._renderer.sample(key, self._times[i])
@@ -198,13 +210,16 @@ class Telemetry:
         return (bisect.bisect_left(self._times, window[0]),
                 bisect.bisect_left(self._times, window[1]))
 
-    def _logs(self, pods, window: tuple[int, int] | None) -> list[LogLine]:
+    def _logs(self, pods, window: tuple[int, int] | None,
+              heartbeat_pods=None) -> list[LogLine]:
         """The log lines of ``pods`` in ``window`` (every line for None), in
-        (t_s, pod, text) order, rendering the heartbeats not rendered yet."""
+        (t_s, pod, text) order, rendering the heartbeats not rendered yet. Of
+        the heartbeats, only those of ``heartbeat_pods`` (default: ``pods``)
+        are included."""
         lo, hi = window or self.scenario.window  # every line lies in the scenario window
         lines = [line for line in self._fault_logs if line.pod in pods and lo <= line.t_s < hi]
         ticks = [t for t in range(*self.scenario.window, LOG_PERIOD_S) if lo <= t < hi]
-        for t, pod in product(ticks, pods):
+        for t, pod in product(ticks, pods if heartbeat_pods is None else heartbeat_pods):
             line = self._heartbeats.get((pod, t))
             if line is None:
                 line = self._heartbeats[(pod, t)] = self._renderer.heartbeat(pod, t)
@@ -215,10 +230,10 @@ class Telemetry:
     # -- queries -------------------------------------------------------------
 
     def components(self) -> dict[str, str]:
-        return dict(self._component_kinds)
+        return dict(self._tables.kinds)
 
     def metrics_for(self, component: str) -> list[str]:
-        kind = self._component_kinds.get(component)
+        kind = self._tables.kinds.get(component)
         if kind is None:
             raise NotFoundError(f"unknown component {component!r}")
         if kind == "pod":
@@ -233,7 +248,7 @@ class Telemetry:
 
     def series_keys(self) -> list[tuple[str, str]]:
         """Every (component, metric) series, in sorted order."""
-        return list(self._series)
+        return list(self._tables.nominal)
 
     def touched(self, t: int) -> frozenset[str]:
         """The components a fault can change at sample tick ``t``; a sample of
@@ -244,8 +259,7 @@ class Telemetry:
         """The least and the greatest value a nominal sample of a series named
         by ``series_keys`` can take. Exact: every step from the clamped draw
         to the stored value is monotone."""
-        lo, hi = noise.gauss_range(*self._renderer.nominal[(component, metric)])
-        return round(max(lo, 0.0), 6), round(max(hi, 0.0), 6)
+        return self._tables.nominal_range[(component, metric)]
 
     def metric_value(self, component: str, metric: str, t: int) -> float:
         """The sample at tick ``t`` of a series named by ``series_keys``."""
@@ -256,14 +270,15 @@ class Telemetry:
 
     def query_metrics(self, component: str, metric: str,
                       window: tuple[int, int] | None = None) -> MetricSeries:
-        if component not in self._component_kinds:
+        kinds = self._tables.kinds
+        if component not in kinds:
             raise NotFoundError(f"unknown component {component!r}")
         if metric not in METRIC_CATALOG:
             raise NotFoundError(f"unknown metric {metric!r}")
         key = (component, metric)
-        if key not in self._series:
+        if key not in self._tables.nominal:
             raise NotFoundError(
-                f"unknown metric {metric!r} for {self._component_kinds[component]} {component!r}"
+                f"unknown metric {metric!r} for {kinds[component]} {component!r}"
             )
         lo, hi = self._ticks(window)
         return MetricSeries(component, metric,
@@ -271,21 +286,39 @@ class Telemetry:
 
     def metric_series(self) -> list[MetricSeries]:
         """Every metric series, in (component, metric) order."""
-        return [self.query_metrics(component, metric) for component, metric in self._series]
+        return [self.query_metrics(component, metric)
+                for component, metric in self._tables.nominal]
 
     def baseline_values(self, component: str, metric: str, before_s: int,
                         max_samples: int) -> list[float]:
         series = self.query_metrics(component, metric, (self.scenario.window[0], before_s))
         return series.values()[-max_samples:]
 
+    def _pod(self, pod: str) -> Pod:
+        try:
+            return self._tables.pods[pod]
+        except KeyError:
+            raise NotFoundError(f"unknown pod {pod!r}") from None
+
     def query_logs(self, pod: str, window: tuple[int, int] | None = None) -> list[LogLine]:
-        if self._component_kinds.get(pod) != "pod":
-            raise NotFoundError(f"unknown pod {pod!r}")
+        self._pod(pod)
         return self._logs((pod,), window)
 
     def all_logs(self, window: tuple[int, int] | None = None) -> list[LogLine]:
         """Every pod's log lines in ``window`` (every line for None)."""
-        return self._logs(self._pod_ids, window)
+        return self._logs(self._tables.pods, window)
+
+    def anomalous_logs(self, cfg: DetectorConfig, pod: str | None = None,
+                       window: tuple[int, int] | None = None) -> list[LogLine]:
+        """The lines of ``query_logs(pod, window)`` (``all_logs(window)`` for
+        None) that ``matches_keyword`` keeps under ``cfg``, in the same order.
+        The heartbeats of a pod are rendered only when a keyword may occur in
+        them (``_heartbeats_may_match``)."""
+        pods = self._tables.pods if pod is None else (self._pod(pod).id,)
+        keywords = tuple(keyword.lower() for keyword in cfg.anomaly_keywords)
+        drawn = [p for p in pods if _heartbeats_may_match(p, keywords)]
+        return [line for line in self._logs(pods, window, drawn)
+                if matches_keyword(line.text, cfg)]
 
     def query_traces(self, window: tuple[int, int] | None = None) -> list[Trace]:
         lo, hi = self._ticks(window)
@@ -306,18 +339,17 @@ class Telemetry:
         return spans
 
     def pod_phase(self, pod_id: str, at_s: int | None = None) -> str:
-        if self._component_kinds.get(pod_id) != "pod":
-            raise NotFoundError(f"unknown pod {pod_id!r}")
+        pod = self._pod(pod_id)
         at_s = self.scenario.incident_time_s if at_s is None else at_s
         for fault in self.scenario.faults:
             if (fault.fault_type == FaultType.PodFailure
                     and fault.location_id == pod_id and fault.active_at(at_s)):
                 return "failed"
-        return self.topology.pod(pod_id).phase
+        return pod.phase
 
     def pod_phases(self, at_s: int | None = None) -> list[tuple[str, str]]:
-        return [(pod.id, self.pod_phase(pod.id, at_s))
-                for pod in sorted(self.topology.pods, key=lambda p: p.id)]
+        """Every pod's phase, in pod id order."""
+        return [(pod_id, self.pod_phase(pod_id, at_s)) for pod_id in self._tables.pods]
 
     # -- serialization ---------------------------------------------------------
 
@@ -377,10 +409,77 @@ def _service_throughput_baseline(topo: Topology, service: str) -> float:
     return 40.0
 
 
+@dataclass(frozen=True)
+class _Tables:
+    """What rendering and the queries derive from the topology alone. Built
+    once per topology (``_tables``) and shared by every scenario on it, so
+    nothing may write to it."""
+
+    # (component, metric) -> (baseline, sigma) of the series' nominal draws,
+    # in sorted key order
+    nominal: dict[tuple[str, str], tuple[float, float]]
+    # (component, metric) -> the least and greatest nominal sample
+    nominal_range: dict[tuple[str, str], tuple[float, float]]
+    kinds: dict[str, str]                     # component -> "pod" | "service" | "node"
+    pods: dict[str, Pod]                      # pod id -> pod, in pod id order
+    service_pods: dict[str, tuple[str, ...]]  # service -> its pod ids
+    children: dict[str, tuple[CallEdge, ...]]  # service -> ``topo.children(service)``
+    root_pod: str                             # the frontend's pod
+
+
+@functools.cache
+def _tables(topology_name: str) -> _Tables:
+    topo = load_fixture(topology_name)
+    nominal: dict[tuple[str, str], tuple[float, float]] = {}
+    for pod in topo.pods:
+        for metric, baseline in POD_METRIC_BASELINES.items():
+            nominal[(pod.id, metric)] = baseline
+    for service in topo.services:
+        latency = _service_latency_baseline(topo, service)
+        throughput = _service_throughput_baseline(topo, service)
+        nominal[(service, "error_rate")] = ERROR_RATE_BASELINE
+        nominal[(service, "request_latency_ms")] = (latency, LATENCY_SIGMA_FRAC * latency)
+        nominal[(service, "throughput_rps")] = (throughput, THROUGHPUT_SIGMA_FRAC * throughput)
+    for node in topo.nodes:
+        for metric, baseline in NODE_METRIC_BASELINES.items():
+            nominal[(node.id, metric)] = baseline
+    nominal = dict(sorted(nominal.items()))
+    nominal_range = {}
+    for key, baseline in nominal.items():
+        lo, hi = noise.gauss_range(*baseline)
+        nominal_range[key] = round(max(lo, 0.0), 6), round(max(hi, 0.0), 6)
+    kinds = {pod.id: "pod" for pod in topo.pods}
+    kinds.update((service, "service") for service in topo.services)
+    kinds.update((node.id, "node") for node in topo.nodes)
+    service_pods = {s: tuple(p.id for p in topo.pods_of(s)) for s in topo.services}
+    return _Tables(
+        nominal=nominal,
+        nominal_range=nominal_range,
+        kinds=kinds,
+        pods={pod.id: pod for pod in sorted(topo.pods, key=lambda p: p.id)},
+        service_pods=service_pods,
+        children={s: tuple(topo.children(s)) for s in topo.services},
+        root_pod=service_pods[topo.frontend][0],
+    )
+
+
+@functools.lru_cache(maxsize=1024)
+def _heartbeats_may_match(pod_id: str, keywords: tuple[str, ...]) -> bool:
+    """Whether one of the lowercased ``keywords`` may occur in a lowercased
+    heartbeat line of ``pod_id``. A keyword with no digit and no "-" cannot
+    overlap a variable field, so it occurs in a line iff it occurs in one of
+    the fixed pieces; a keyword with either may occur anywhere."""
+    pieces = [piece.format(pod=pod_id).lower() for piece in _HEARTBEAT_PIECES]
+    return any(not _VARIABLE_CHARS.isdisjoint(keyword)
+               or any(keyword in piece for piece in pieces)
+               for keyword in keywords)
+
+
 class _Renderer:
     def __init__(self, scenario: EpisodeScenario):
         self.scenario = scenario
         self.topo = scenario.topology()
+        self.tables = _tables(scenario.topology_name)
         self.seed = scenario.seed
         # resolve each fault's affected edges and the components it can change
         # once, then the active faults, the down pods and the touched
@@ -400,26 +499,6 @@ class _Renderer:
             self._down[t] = {f.location_id for f, _ in active
                              if f.fault_type == FaultType.PodFailure}
             self.touched[t] = frozenset().union(*compress(touches, on))
-        # (component, metric) -> (baseline, sigma) of the series' nominal draws
-        self.nominal: dict[tuple[str, str], tuple[float, float]] = {}
-        for pod in self.topo.pods:
-            for metric, nominal in POD_METRIC_BASELINES.items():
-                self.nominal[(pod.id, metric)] = nominal
-        for service in self.topo.services:
-            latency = _service_latency_baseline(self.topo, service)
-            throughput = _service_throughput_baseline(self.topo, service)
-            self.nominal[(service, "error_rate")] = ERROR_RATE_BASELINE
-            self.nominal[(service, "request_latency_ms")] = (
-                latency, LATENCY_SIGMA_FRAC * latency)
-            self.nominal[(service, "throughput_rps")] = (
-                throughput, THROUGHPUT_SIGMA_FRAC * throughput)
-        for node in self.topo.nodes:
-            for metric, nominal in NODE_METRIC_BASELINES.items():
-                self.nominal[(node.id, metric)] = nominal
-        self._service_pods = {s: [p.id for p in self.topo.pods_of(s)]
-                              for s in self.topo.services}
-        self._children = {s: self.topo.children(s) for s in self.topo.services}
-        self._root_pod = self._service_pods[self.topo.frontend][0]
         # (service, tick) -> the service's fault overrides, resolved on first use
         self._overrides: dict[tuple[str, int], dict] = {}
 
@@ -533,7 +612,7 @@ class _Renderer:
         return round(max(value, 0.0), 6)
 
     def _nominal(self, key: tuple[str, str], t: int) -> float:
-        return noise.gauss(*self.nominal[key], self.seed, "metric", *key, t)
+        return noise.gauss(*self.tables.nominal[key], self.seed, "metric", *key, t)
 
     def _service_sample(self, service: str, metric: str, t: int) -> float:
         overrides = self._overrides.get((service, t))
@@ -546,7 +625,7 @@ class _Renderer:
             return value + overrides.get("latency_extra", 0.0)
         if metric == "throughput_rps":
             value = self._nominal(key, t) * overrides.get("throughput_factor", 1.0)
-            if any(self.pod_down(pod_id, t) for pod_id in self._service_pods[service]):
+            if any(self.pod_down(pod_id, t) for pod_id in self.tables.service_pods[service]):
                 value = 0.0
             return value
         if "error_rate" in overrides:
@@ -579,8 +658,9 @@ class _Renderer:
     def heartbeat(self, pod_id: str, t: int) -> LogLine:
         """Pod ``pod_id``'s heartbeat line at log tick ``t``."""
         handled = 40 + int(noise.unit(self.seed, "log", pod_id, t) * 20)
+        before, between, after = _HEARTBEAT_PIECES
         return LogLine(pod=pod_id, t_s=t,
-                       text=f"INFO t={t} pod={pod_id} handled {handled} requests status=200")
+                       text=f"{before}{t}{between.format(pod=pod_id)}{handled}{after}")
 
     def fault_logs(self) -> list[LogLine]:
         """Every fault's log lines; they draw no noise."""
@@ -616,7 +696,7 @@ class _Renderer:
         has no children and its draws are keyed by its own span id, so only
         the calls on a path to an edge a fault affects at ``t`` are walked."""
         trace_id = f"t{tick:04d}"
-        if self.pod_down(self._root_pod, t):
+        if self.pod_down(self.tables.root_pod, t):
             return [self._root_down(trace_id)]
         affected = set().union(*(edges for _, edges in self._active[t]))
         if not affected:
@@ -631,7 +711,7 @@ class _Renderer:
 
     def _walk_errors(self, trace_id: str, t: int, service: str, span_id: str,
                      affected: set, above: set, spans: list[Span]) -> None:
-        for edge in self._children[service]:
+        for edge in self.tables.children[service]:
             if (edge.src, edge.dst) not in affected and edge.dst not in above:
                 continue  # every call on and below this edge is ok
             call_id = f"{span_id}/{edge.dst}"
@@ -671,12 +751,12 @@ class _Renderer:
         return noise.jitter(SPAN_JITTER_FRAC * base, self.seed, "span", trace_id, span_id)
 
     def _build_root(self, trace_id: str, t: int, spans: list[Span]) -> None:
-        if self.pod_down(self._root_pod, t):
+        if self.pod_down(self.tables.root_pod, t):
             spans.append(self._root_down(trace_id))
             return
         frontend = self.topo.frontend
         child_total = 0.0
-        for edge in self._children[frontend]:
+        for edge in self.tables.children[frontend]:
             child_total += self._build_call(trace_id, t, edge, frontend, spans)
         duration = (ROOT_BASE_MS + PROC_MS + child_total
                     + self._jitter(trace_id, frontend, ROOT_BASE_MS))
@@ -692,7 +772,7 @@ class _Renderer:
             spans.append(failed[0])
             return failed[1]
         child_total = 0.0
-        for child_edge in self._children[edge.dst]:
+        for child_edge in self.tables.children[edge.dst]:
             child_total += self._build_call(trace_id, t, child_edge, span_id, spans)
         duration = (edge.base_latency_ms * effect.slow_factor + effect.extra_ms + PROC_MS
                     + child_total + self._jitter(trace_id, span_id, edge.base_latency_ms))

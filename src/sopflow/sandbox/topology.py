@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 from ..errors import ConfigError, ValidationError
 
@@ -30,15 +31,18 @@ class CallEdge:
     base_error_rate: float = 0.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class Topology:
+    """A deployment's services, pods, nodes and call edges. Immutable, so one
+    instance per fixture is shared by every scenario (``load_fixture``)."""
+
     name: str
-    services: list[str]
-    pods: list[Pod]
-    nodes: list[Node]
-    call_edges: list[CallEdge]
+    services: tuple[str, ...]
+    pods: tuple[Pod, ...]
+    nodes: tuple[Node, ...]
+    call_edges: tuple[CallEdge, ...]
     frontend: str
-    namespaces: list[str] = field(default_factory=lambda: ["default"])
+    namespaces: tuple[str, ...] = ("default",)
     # workload kind per service, for the deployment/statefulset views
     statefulset_services: tuple[str, ...] = ()
 
@@ -140,14 +144,14 @@ def online_boutique() -> Topology:
     order. Call-edge baseline error rates are zero so a fault-free scenario
     renders zero error spans.
     """
-    services = sorted({src for src, _, _ in _BOUTIQUE_EDGES}
-                      | {dst for _, dst, _ in _BOUTIQUE_EDGES})
-    nodes = [Node(f"node-{i}", cpu_cores=8, memory_gb=32) for i in (1, 2, 3)]
-    pods = [
+    services = tuple(sorted({src for src, _, _ in _BOUTIQUE_EDGES}
+                            | {dst for _, dst, _ in _BOUTIQUE_EDGES}))
+    nodes = tuple(Node(f"node-{i}", cpu_cores=8, memory_gb=32) for i in (1, 2, 3))
+    pods = tuple(
         Pod(id=f"{service}-0", service=service, node=nodes[i % len(nodes)].id)
         for i, service in enumerate(services)
-    ]
-    edges = [CallEdge(src, dst, latency) for src, dst, latency in _BOUTIQUE_EDGES]
+    )
+    edges = tuple(CallEdge(src, dst, latency) for src, dst, latency in _BOUTIQUE_EDGES)
     topo = Topology(
         name="online-boutique",
         services=services,
@@ -155,7 +159,7 @@ def online_boutique() -> Topology:
         nodes=nodes,
         call_edges=edges,
         frontend="frontend",
-        namespaces=["default", "kube-system", "monitoring"],
+        namespaces=("default", "kube-system", "monitoring"),
         statefulset_services=("redis-cart",),
     )
     topo.validate()
@@ -165,7 +169,10 @@ def online_boutique() -> Topology:
 FIXTURES = {"online-boutique": online_boutique}
 
 
+@functools.cache
 def load_fixture(name: str) -> Topology:
+    """The topology fixture ``name``, built and validated once per process;
+    every caller shares the one immutable instance."""
     try:
         builder = FIXTURES[name]
     except KeyError:

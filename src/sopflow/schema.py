@@ -10,7 +10,9 @@ unparsable file into a ``ConfigError`` that names the path.
 
 A dataclass's own fields are its schema: ``from_mapping`` coerces each value
 by the field's declared type, recurses into nested dataclasses, and rejects
-keys that are not fields; ``to_mapping`` is ``dataclasses.asdict``. Two field
+keys that are not fields; ``to_mapping`` is ``dataclasses.asdict``. Scalars
+coerce strictly: an ``int`` field takes no bool and no float with a fraction,
+a ``float`` field no bool, and a ``str`` field no null, list or mapping. Two field
 markers (``field(metadata=...)``) adjust that:
 
 * ``INTERNAL``: set by code only; a mapping may not name it.
@@ -110,6 +112,12 @@ def _coerce(value, tp, where: str):
         return {_coerce(k, args[0], where): _coerce(v, args[1], where)
                 for k, v in value.items()}
     if tp in (int, float, str):
+        if isinstance(value, bool) and tp is not str:
+            raise ConfigError(f"{where}: expected a number, got {value!r}")
+        if tp is int and isinstance(value, float) and not value.is_integer():
+            raise ConfigError(f"{where}: expected an integer, got {value!r}")
+        if tp is str and (value is None or isinstance(value, (list, dict))):
+            raise ConfigError(f"{where}: expected a string, got {value!r}")
         try:
             return tp(value)
         except (TypeError, ValueError) as exc:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ..detector import evaluate_series, matches_keyword
+from ..detector import evaluate_series
 from .registry import ToolContext, ToolResult
 
 
@@ -50,10 +50,7 @@ def collect_trace(ctx: ToolContext, start_s=None, end_s=None) -> ToolResult:
 def kubectl_logs(ctx: ToolContext, pod: str, start_s=None, end_s=None) -> ToolResult:
     """Return only the log lines that match the anomaly keyword list."""
     window = _window(ctx, start_s, end_s)
-    lines = [
-        line for line in ctx.telemetry.query_logs(pod, window)
-        if matches_keyword(line.text, ctx.detector)
-    ]
+    lines = ctx.telemetry.anomalous_logs(ctx.detector, pod, window)
     if not lines:
         text = f"no abnormal logs for pod {pod} in window [{window[0]}, {window[1]})"
     else:

@@ -83,11 +83,13 @@ class ToolRegistry:
 
     def __init__(self):
         self._tools: dict[str, tuple[ToolSpec, Callable]] = {}
+        self._catalogs: dict[tuple[str, ...] | None, str] = {}  # categories -> catalog_text
 
     def register(self, spec: ToolSpec, fn: Callable) -> None:
         if spec.name in self._tools:
             raise ValidationError(f"duplicate tool name {spec.name!r}")
         self._tools[spec.name] = (spec, fn)
+        self._catalogs.clear()
 
     def names(self) -> frozenset[str]:
         return frozenset(self._tools)
@@ -105,7 +107,14 @@ class ToolRegistry:
         return sorted((spec for spec, _ in self._tools.values()), key=lambda s: s.name)
 
     def catalog_text(self, categories: tuple[str, ...] | None = None) -> str:
-        """One line per tool for prompt construction and docs."""
+        """One line per tool for prompt construction and docs; rendered once
+        per category filter."""
+        text = self._catalogs.get(categories)
+        if text is None:
+            text = self._catalogs[categories] = self._render_catalog(categories)
+        return text
+
+    def _render_catalog(self, categories: tuple[str, ...] | None) -> str:
         lines = []
         for spec in self.specs():
             if categories is not None and spec.category not in categories:

@@ -111,14 +111,15 @@ _ROLE_NAMES = {
 }
 
 
-@dataclass
+RENDEZVOUS_TIMEOUT_S = 10.0
+
+
+@dataclass(eq=False)
 class FakeRequest:
     role: str        # a prompt role ("thought", "action", ...) or "embed"
     number: int      # earlier requests of the same role
     thread: str      # name of the calling thread
     prompt: str      # the rendered prompt, or the text to embed
-    start: float     # time.monotonic() around the request's delay
-    end: float
 
 
 class _FakeResponse:
@@ -147,13 +148,23 @@ class FakeEndpoint:
     Each request sleeps ``delays.get(role, delay_s)`` and is recorded in
     ``requests``. ``replies[(role, n)] = (status, payload)`` answers the
     ``n``-th request of a role (0-based, retries included) instead.
+
+    ``overlaps`` lists every pair of requests that were in flight together,
+    the earlier one first, as the endpoint saw them under its lock. A request
+    of a role in ``rendezvous`` waits inside the endpoint until a second such
+    request arrives; after ``RENDEZVOUS_TIMEOUT_S`` alone it raises
+    ``threading.BrokenBarrierError`` out of ``requests.post``.
     """
 
     def __init__(self, delay_s: float = 0.001):
         self.delay_s = delay_s
         self.delays: dict[str, float] = {}
         self.replies: dict[tuple[str, int], tuple[int, object]] = {}
+        self.rendezvous: frozenset[str] = frozenset()
         self.requests: list[FakeRequest] = []
+        self.overlaps: list[tuple[FakeRequest, FakeRequest]] = []
+        self._in_flight: list[FakeRequest] = []
+        self._barrier = threading.Barrier(2, timeout=RENDEZVOUS_TIMEOUT_S)
         self._counts: Counter = Counter()
         self._lock = threading.Lock()
         self._scripts: dict[str, list[ScriptEntry]] = {}
@@ -162,12 +173,15 @@ class FakeEndpoint:
 
     def serve(self, scripts: dict[str, list[ScriptEntry]]) -> None:
         """Replay these scripts, keyed by scenario id, each from its start,
-        with the request log and the per-role request numbers cleared."""
+        with the request log, the overlaps and the per-role request numbers
+        cleared."""
         with self._lock:
             self._scripts = dict(scripts)
             self._backends = {}
             self._thread_scenario = {}
             self.requests = []
+            self.overlaps = []
+            self._barrier = threading.Barrier(2, timeout=RENDEZVOUS_TIMEOUT_S)
             self._counts = Counter()
 
     def config(self) -> BackendConfig:
@@ -188,7 +202,7 @@ class FakeEndpoint:
 
     def post(self, url, json=None, headers=None, timeout=None):
         if url.endswith("/embeddings"):
-            role, prompt = "embed", json["input"]
+            role, prompt, messages = "embed", json["input"], None
         else:
             messages = [ChatMessage(m["role"], m["content"]) for m in json["messages"]]
             role = _ROLE_NAMES.get(messages[0].content.splitlines()[0], "other")
@@ -196,12 +210,20 @@ class FakeEndpoint:
         with self._lock:
             number = self._counts[role]
             self._counts[role] += 1
-            record = FakeRequest(role, number, threading.current_thread().name, prompt,
-                                 0.0, 0.0)
+            record = FakeRequest(role, number, threading.current_thread().name, prompt)
             self.requests.append(record)
-        record.start = time.monotonic()
-        time.sleep(self.delays.get(role, self.delay_s))
-        record.end = time.monotonic()
+            self.overlaps.extend((other, record) for other in self._in_flight)
+            self._in_flight.append(record)
+        try:
+            if role in self.rendezvous:
+                self._barrier.wait()
+            time.sleep(self.delays.get(role, self.delay_s))
+            return self._answer(role, number, prompt, messages)
+        finally:
+            with self._lock:
+                self._in_flight.remove(record)
+
+    def _answer(self, role: str, number: int, prompt: str, messages) -> _FakeResponse:
         injected = self.replies.get((role, number))
         if injected is not None:
             return _FakeResponse(*injected)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sopflow.detector import (
+    DEFAULT_ANOMALY_KEYWORDS,
     DEFAULT_STATIC_THRESHOLDS,
     DetectorConfig,
     _baseline_rule,
@@ -18,6 +19,8 @@ from sopflow.detector import (
 from sopflow.golden import golden_scenarios
 from sopflow.sandbox import ScenarioConfig, generate_corpus, noise, render_alert, render_telemetry
 from sopflow.sandbox.telemetry import SAMPLE_PERIOD_S, _Renderer
+from sopflow.tools import ToolContext
+from sopflow.tools.observability import kubectl_logs
 
 _BASELINE_SAMPLES = 8
 _RANK = {"metric": 0, "trace": 1, "log": 2, "state": 3}
@@ -71,6 +74,18 @@ _scenarios = st.builds(
     seed=st.integers(0, 5_000), index=st.integers(0, 8), faults=st.integers(1, 2),
 )
 
+# Log keywords: the defaults, ones that occur in heartbeat lines (some only in
+# one pod's), ones with a digit or "-" that the heartbeat proof cannot decide,
+# ones that match nothing, in mixed case; and random short ones.
+_KEYWORDS = (
+    "error", "Timeout", "REFUSED", "oom", "throttling", "info", "Handled", "status=200",
+    "pod=frontend", "CART", "requests s", "4", "t=3", "=4", "-0", "redis-cart", "t=-",
+    "45 req", "ZZZ", "x-9",
+)
+_keywords = st.lists(
+    st.sampled_from(_KEYWORDS) | st.text(alphabet="Iinfo t=pdhale-0123456789", max_size=5),
+    max_size=4).map(tuple)
+
 _detectors = st.builds(
     DetectorConfig,
     k=st.floats(min_value=0.5, max_value=6.0),
@@ -78,6 +93,7 @@ _detectors = st.builds(
     min_baseline_samples=st.integers(1, 12),  # more than 8: only static thresholds flag
     static_thresholds=st.booleans().map(
         lambda on: dict(DEFAULT_STATIC_THRESHOLDS) if on else {}),
+    anomaly_keywords=st.just(DEFAULT_ANOMALY_KEYWORDS) | _keywords,
 )
 
 _windows = st.tuples(st.integers(-30, 650), st.integers(-30, 650))
@@ -114,6 +130,25 @@ def test_on_demand_sweep_matches_the_eager_reference(scenario, cfg, queries):
             assert got == [tr for tr in eager.query_traces()
                            if window is None or window[0] <= tr.t_s < window[1]]
     assert after_queries.export_lines() == expected_lines
+
+
+@given(scenario=_scenarios, keywords=_keywords, pod_index=st.integers(0, 10),
+       window=st.none() | _windows)
+@settings(max_examples=40, deadline=None)
+def test_kubectl_logs_matches_the_filtered_query(scenario, keywords, pod_index, window):
+    cfg = DetectorConfig(anomaly_keywords=keywords)
+    telemetry = render_telemetry(scenario)
+    pod = sorted(telemetry.topology.pods, key=lambda p: p.id)[pod_index].id
+    ctx = ToolContext(telemetry=telemetry, kb=None, backend=None, detector=cfg)
+    start, end = window or (None, None)
+    got = kubectl_logs(ctx, pod, start, end)
+    expected = [line for line in render_telemetry(scenario).query_logs(pod, window or ctx.window)
+                if matches_keyword(line.text, cfg)]
+    assert got.payload == expected
+    assert (got.observation.startswith(f"{len(expected)} abnormal log lines for pod {pod}:")
+            if expected else got.observation.startswith(f"no abnormal logs for pod {pod}"))
+    assert telemetry.anomalous_logs(cfg, window=window) == [
+        line for line in telemetry.all_logs(window) if matches_keyword(line.text, cfg)]
 
 
 def test_queries_in_any_order_render_the_same_bytes():

@@ -2,7 +2,8 @@
 proposal together, and the transcript is still the sequential one.
 
 ``fake_endpoint`` (conftest) answers the HTTP calls from each scenario's
-script, with a delay per request, and records when every request ran.
+script, with a delay per request, and records which requests were in flight
+together.
 """
 
 import json
@@ -74,13 +75,10 @@ def test_remote_transcripts_equal_scripted_under_every_mode(tmp_path, fake_endpo
     assert proposers and all(name.startswith("sopflow-propose") for name in proposers)
 
 
-def _overlaps(a, b) -> bool:
-    return a.start < b.end and b.start < a.end
-
-
 def test_each_step_overlaps_exactly_its_thought_and_proposal(fake_endpoint):
-    fake_endpoint.delay_s = 0.002
-    fake_endpoint.delays = {"thought": 0.02, "action": 0.02}
+    # each thought and proposal waits inside the endpoint for the other, so a
+    # client that sent them one after the other would time out there
+    fake_endpoint.rendezvous = frozenset({"thought", "action"})
     case = golden.golden_cases("default")[0]
     fake_endpoint.serve({case.scenario.id: case.script})
     kb = golden.make_golden_kb(make_backend(BackendConfig()))
@@ -88,9 +86,7 @@ def test_each_step_overlaps_exactly_its_thought_and_proposal(fake_endpoint):
                          kb)
     assert result.outcome == "completed" and result.state.step_count == STEPS
 
-    requests = fake_endpoint.requests
-    pairs = [(a, b) for i, a in enumerate(requests) for b in requests[i + 1:]
-             if _overlaps(a, b)]
+    pairs = fake_endpoint.overlaps  # no other pair of requests was ever in flight together
     assert len(pairs) == STEPS
     for a, b in pairs:
         assert {a.role, b.role} == {"thought", "action"} and a.number == b.number

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import re
 
 import pytest
@@ -36,6 +37,17 @@ class TestTopology:
     def test_unknown_fixture(self):
         with pytest.raises(ConfigError):
             load_fixture("no-such-cluster")
+
+    def test_fixture_is_built_once_and_cannot_be_changed(self):
+        topo = load_fixture("online-boutique")
+        assert load_fixture("online-boutique") is topo
+        assert generate_scenario(5).topology() is topo
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            topo.frontend = "cartservice"
+        for name in ("services", "pods", "nodes", "call_edges", "namespaces"):
+            assert isinstance(getattr(topo, name), tuple), name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            topo.pods[0].phase = "failed"
 
 
 class TestScenarioGeneration:
@@ -105,6 +117,12 @@ class TestScenarioGeneration:
     @pytest.mark.parametrize("edit, complaint", [
         (("aliases: {}", "aliases: [1]"), "malformed scenario file"),
         (("end_s: 600", "end_s: 0"), "scenario window must be non-empty"),
+        (("aliases: {}", "alias: {}"), "scenario: unknown key(s) 'alias'"),
+        (("magnitude:", "magnitdue:"), "faults[0]: unknown key(s) 'magnitdue'"),
+        (("end_s: 600", "end_s: 600\n  length_s: 600"), "window: unknown key(s) 'length_s'"),
+        (("types:", "kinds:"), "ground_truth: unknown key(s) 'kinds'"),
+        (("window:\n  start_s: 0\n  end_s: 600", "window: 600"),
+         "malformed scenario file: window: expected a mapping, got 600"),
     ])
     def test_bad_scenario_file_is_a_validation_error_naming_it(self, tmp_path, edit,
                                                                 complaint):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import sopflow
 from sopflow import evaluation, golden, schema
+from sopflow.config import load_config
 from sopflow.errors import ConfigError
 from sopflow.kb import KnowledgeBase, SopDoc
 from sopflow.sandbox import generate_corpus, save_scenario
@@ -129,3 +130,41 @@ def test_jsonl_records_carry_their_line_numbers(tmp_path):
     path = tmp_path / "t.jsonl"
     path.write_text('{"kind": "a"}\n\n{"kind": "b"}\n')
     assert schema.read_jsonl(path) == [(1, {"kind": "a"}), (3, {"kind": "b"})]
+
+
+@pytest.mark.parametrize("text, where", [
+    ("eval: {max_steps: 7.9}\n", "config.eval.max_steps: expected an integer, got 7.9"),
+    ("eval: {workers: true}\n", "config.eval.workers: expected a number, got True"),
+    ("eval: {max_steps: .inf}\n", "config.eval.max_steps: expected an integer, got inf"),
+    ("detector: {k: false}\n", "config.detector.k: expected a number, got False"),
+    ("backend: {model: null}\n", "config.backend.model: expected a string, got None"),
+    ("backend: {model: [m]}\n", "config.backend.model: expected a string, got ['m']"),
+    ("detector: {anomaly_keywords: [error, {a: 1}]}\n",
+     "config.detector.anomaly_keywords: expected a string, got {'a': 1}"),
+])
+def test_scalars_are_coerced_strictly(tmp_path, text, where):
+    path = tmp_path / "config.yaml"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=f"^{re.escape(where)}$"):
+        load_config(path)
+
+
+def test_integral_floats_and_numbers_still_coerce(tmp_path):
+    path = tmp_path / "config.yaml"
+    path.write_text("eval: {max_steps: 7.0, sigma: 1}\nbackend: {model: 123}\n")
+    cfg = load_config(path)
+    assert cfg.eval.agent.max_steps == 7 and type(cfg.eval.agent.max_steps) is int
+    assert cfg.eval.sigma == 1.0 and type(cfg.eval.sigma) is float
+    assert cfg.backend.model == "123"
+
+
+@pytest.mark.parametrize("edit, where", [
+    (("name: a", "name: [a, {b: 1}]"), "name: expected a string, got ['a', {'b': 1}]"),
+    (("steps: [s]", "steps: [1, null]"), "steps: expected a string, got None"),
+    (("level: 1", "level: 1.5"), "level: expected an integer, got 1.5"),
+])
+def test_kb_documents_reject_loose_scalars_naming_the_path(tmp_path, edit, where):
+    path = tmp_path / "doc.yaml"
+    path.write_text("id: sop-a\nname: a\nlevel: 1\nsteps: [s]\n".replace(*edit))
+    with pytest.raises(ConfigError, match=f"^{re.escape(f'{path}.{where}')}$"):
+        schema.read_yaml(path, SopDoc)

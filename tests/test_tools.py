@@ -8,7 +8,9 @@ from sopflow.tools import (
     ALL_TOOL_NAMES,
     ANALYSIS_TOOL_NAMES,
     OBSERVABILITY_TOOL_NAMES,
+    PROGRAM_TOOL_CATEGORIES,
     SOP_FLOW_TOOL_NAMES,
+    ToolSpec,
     parse_causes,
 )
 from sopflow.tools.sop_flow import generate_sop, generate_sop_code, match_sop
@@ -38,6 +40,16 @@ class TestRegistry:
         catalog = registry.catalog_text()
         for name in ALL_TOOL_NAMES:
             assert name in catalog
+
+    def test_catalog_text_is_rendered_once_per_filter_until_a_tool_is_added(self, registry):
+        catalog = registry.catalog_text()
+        program = registry.catalog_text(categories=PROGRAM_TOOL_CATEGORIES)
+        assert registry.catalog_text() is catalog
+        assert registry.catalog_text(categories=PROGRAM_TOOL_CATEGORIES) is program
+        assert "speak" in catalog and "speak" not in program
+        registry.register(ToolSpec("zz_probe", "A probe.", (), "analysis"), lambda ctx: None)
+        assert registry.catalog_text() == catalog + "\n- zz_probe() [analysis]: A probe."
+        assert "zz_probe" in registry.catalog_text(categories=PROGRAM_TOOL_CATEGORIES)
 
     def test_tools_never_mutate_telemetry(self, registry):
         ctx = make_ctx(fault_scenario(FaultType.PodFailure), registry=registry)
