@@ -381,10 +381,12 @@ def run_episode(scenario: EpisodeScenario, config: AgentConfig, backend, kb,
     return EpisodeResult(outcome=state.outcome, state=state)
 
 
+_TRANSCRIPT_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False)
+
+
 def transcript_lines(state: EpisodeState) -> list[str]:
     """Deterministic JSONL transcript; byte-stable under scripted backends."""
-    return [json.dumps(event, sort_keys=True, ensure_ascii=False)
-            for event in state.events]
+    return [_TRANSCRIPT_ENCODER.encode(event) for event in state.events]
 
 
 def write_transcript(state: EpisodeState, path: Path | str) -> None:

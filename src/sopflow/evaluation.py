@@ -260,12 +260,13 @@ def run_benchmark(corpus: Corpus, eval_cfg: EvalConfig, backend_cfg: BackendConf
     else:
         results = [_run(entry) for entry in entries]
 
+    if transcript_dir is not None:
+        out = Path(transcript_dir)
+        out.mkdir(parents=True, exist_ok=True)
     rows = []
     for (scenario, _), result in zip(entries, results):
         rows.append(build_row(scenario, result))
         if transcript_dir is not None:
-            out = Path(transcript_dir)
-            out.mkdir(parents=True, exist_ok=True)
             write_transcript(result.state, out / f"{scenario.id}.jsonl")
     return BenchmarkReport.from_rows(rows, eval_cfg)
 

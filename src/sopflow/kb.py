@@ -14,6 +14,7 @@ the store sizes this system targets.
 from __future__ import annotations
 
 import copy
+import functools
 import hashlib
 import json
 import math
@@ -66,6 +67,14 @@ class EmbeddingVector:
     def dim(self) -> int:
         return len(self.values)
 
+    @functools.cached_property
+    def norm2(self) -> float:
+        """The sum of the squared values, added in order."""
+        total = 0.0
+        for v in self.values:
+            total += v * v
+        return total
+
     @classmethod
     def of(cls, values) -> "EmbeddingVector":
         return cls(tuple(float(v) for v in values))
@@ -95,12 +104,9 @@ def cosine_similarity(a: EmbeddingVector, b: EmbeddingVector) -> float:
     if a.dim != b.dim:
         raise DimensionError(f"dimension mismatch: {a.dim} vs {b.dim}")
     dot = 0.0
-    na = 0.0
-    nb = 0.0
     for x, y in zip(a.values, b.values):
         dot += x * y
-        na += x * x
-        nb += y * y
+    na, nb = a.norm2, b.norm2
     if na == 0.0 or nb == 0.0:
         raise DegenerateVectorError("cosine similarity is undefined for a zero vector")
     score = dot / math.sqrt(na * nb)

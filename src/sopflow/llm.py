@@ -37,7 +37,7 @@ class ChatMessage:
     def __post_init__(self):
         if self.role not in ROLES:
             raise ValidationError(f"unknown chat role: {self.role!r}")
-        if self.role in ("system", "user") and not self.content.strip():
+        if self.role in ("system", "user") and (not self.content or self.content.isspace()):
             raise ValidationError(f"{self.role} message content must be non-empty")
 
 

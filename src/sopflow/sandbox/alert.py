@@ -43,22 +43,29 @@ def _metric_candidates(telemetry: Telemetry, cfg: DetectorConfig):
     times = telemetry.sample_times()
     baseline_times = times[:_ALERT_BASELINE_SAMPLES]
     baseline_touched = frozenset().union(*map(telemetry.touched, baseline_times))
-    tested = []  # (component, metric, static, whether its nominal samples cannot flag)
-    for component, metric in telemetry.series_keys():
+    # the series to test as (position in (component, metric) order,
+    # component, metric, static); a quiet one, whose nominal samples cannot
+    # flag, only at ticks a fault touches its component
+    loud, quiet = [], {}
+    for position, (component, metric) in enumerate(telemetry.series_keys()):
         static = cfg.static_thresholds.get(metric) is not None
         if not static and len(baseline_times) < cfg.min_baseline_samples:
             # _baseline_rule gives None: the window (one sample) then gives
             # the robust rule, which never flags
             continue
-        quiet = (component not in baseline_touched and _never_flags(
-            *telemetry.nominal_range(component, metric), metric, cfg))
-        tested.append((component, metric, static, quiet))
+        series = (position, component, metric, static)
+        if component not in baseline_touched and _never_flags(
+                *telemetry.nominal_range(component, metric), metric, cfg):
+            quiet.setdefault(component, []).append(series)
+        else:
+            loud.append(series)
     judged = {}  # (component, metric) -> (baseline, rule), once tested
     for t in times[_ALERT_BASELINE_SAMPLES:]:
-        touched = telemetry.touched(t)
-        for component, metric, static, quiet in tested:
-            if quiet and component not in touched:
-                continue
+        tested = loud
+        woken = [quiet[c] for c in telemetry.touched(t) if c in quiet]
+        if woken:
+            tested = sorted(loud + [series for group in woken for series in group])
+        for _, component, metric, static in tested:
             key = (component, metric)
             if key not in judged:
                 # a static threshold ignores the baseline, so none is rendered for it

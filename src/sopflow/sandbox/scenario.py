@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .. import schema
@@ -165,53 +165,54 @@ def scenario_to_mapping(scenario: EpisodeScenario) -> dict:
     }
 
 
-# the keys of a scenario file's mappings; ``scenario_to_mapping`` writes them all
-_FILE_KEYS = ("id", "topology", "seed", "window", "faults", "ground_truth", "aliases")
-_WINDOW_KEYS = ("start_s", "end_s")
-_FAULT_KEYS = ("fault_type", "target", "start_s", "duration_s", "magnitude")
-_GROUND_TRUTH_KEYS = ("locations", "types")
+@dataclass
+class _Window:
+    start_s: int
+    end_s: int
 
 
-def _known(mapping: dict, keys: tuple[str, ...], where: str) -> dict:
-    """``mapping``, once it is known to hold no key outside ``keys``."""
-    if not isinstance(mapping, dict):
-        raise TypeError(f"{where}: expected a mapping, got {mapping!r}")
-    unknown = [key for key in mapping if key not in keys]
-    if unknown:
-        raise ValidationError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))}")
-    return mapping
+@dataclass
+class _ScenarioFile:
+    """A scenario file's top level; ``scenario_to_mapping`` writes every key.
+    ``_section`` reads the nested sections, so errors name them as the file
+    does (``window``, ``faults[0]``, ``ground_truth``)."""
+
+    id: str
+    topology: str
+    seed: int
+    window: dict
+    faults: list[dict]
+    ground_truth: dict
+    aliases: dict[str, str] = field(default_factory=dict)
+
+
+def _section(cls, mapping, section: str):
+    """``schema.from_mapping`` of one section of a scenario file, as a
+    ``ValidationError``: a key the section does not have is named as such,
+    and any other error makes the file malformed."""
+    if isinstance(mapping, dict):
+        names = {f.name for f in fields(cls)}
+        unknown = [key for key in mapping if key not in names]
+        if unknown:
+            raise ValidationError(f"{section}: unknown key(s) {', '.join(map(repr, unknown))}")
+    try:
+        return schema.from_mapping(cls, mapping, section)
+    except ConfigError as exc:
+        raise ValidationError(f"malformed scenario file: {exc}") from None
 
 
 def scenario_from_mapping(mapping: dict) -> EpisodeScenario:
-    try:
-        mapping = _known(mapping, _FILE_KEYS, "scenario")
-        window = _known(mapping["window"], _WINDOW_KEYS, "window")
-        ground_truth = _known(mapping["ground_truth"], _GROUND_TRUTH_KEYS, "ground_truth")
-        faults = [
-            FaultSpec(
-                fault_type=FaultType(f["fault_type"]),
-                target=str(f["target"]),
-                start_s=int(f["start_s"]),
-                duration_s=int(f["duration_s"]),
-                magnitude=float(f["magnitude"]),
-            )
-            for f in (_known(f, _FAULT_KEYS, f"faults[{i}]")
-                      for i, f in enumerate(mapping["faults"]))
-        ]
-        scenario = EpisodeScenario(
-            id=str(mapping["id"]),
-            topology_name=str(mapping["topology"]),
-            seed=int(mapping["seed"]),
-            window=(int(window["start_s"]), int(window["end_s"])),
-            faults=faults,
-            ground_truth=GroundTruth(
-                locations=tuple(ground_truth["locations"]),
-                types=tuple(ground_truth["types"]),
-            ),
-            aliases={str(k): str(v) for k, v in (mapping.get("aliases") or {}).items()},
-        )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed scenario file: {exc}") from None
+    file = _section(_ScenarioFile, mapping, "scenario")
+    window = _section(_Window, file.window, "window")
+    scenario = EpisodeScenario(
+        id=file.id,
+        topology_name=file.topology,
+        seed=file.seed,
+        window=(window.start_s, window.end_s),
+        faults=[_section(FaultSpec, f, f"faults[{i}]") for i, f in enumerate(file.faults)],
+        ground_truth=_section(GroundTruth, file.ground_truth, "ground_truth"),
+        aliases=file.aliases,
+    )
     scenario.validate()
     return scenario
 

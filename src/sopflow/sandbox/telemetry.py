@@ -191,6 +191,12 @@ class Telemetry:
         self._errors: list[list[Span] | None] = [None] * len(self._times)
         self._heartbeats: dict[tuple[str, int], LogLine] = {}
         self._fault_logs = self._renderer.fault_logs()
+        # pod id -> the [start, end) windows of the PodFailure faults on it
+        self._failures: dict[str, list[tuple[int, int]]] = {}
+        for fault in scenario.faults:
+            if fault.fault_type == FaultType.PodFailure:
+                self._failures.setdefault(fault.location_id, []).append(
+                    (fault.start_s, fault.end_s))
 
     def _values(self, key: tuple[str, str], lo: int, hi: int) -> list[float]:
         """Series ``key``'s samples at tick numbers ``lo`` to ``hi`` - 1,
@@ -341,10 +347,8 @@ class Telemetry:
     def pod_phase(self, pod_id: str, at_s: int | None = None) -> str:
         pod = self._pod(pod_id)
         at_s = self.scenario.incident_time_s if at_s is None else at_s
-        for fault in self.scenario.faults:
-            if (fault.fault_type == FaultType.PodFailure
-                    and fault.location_id == pod_id and fault.active_at(at_s)):
-                return "failed"
+        if any(start <= at_s < end for start, end in self._failures.get(pod_id, ())):
+            return "failed"
         return pod.phase
 
     def pod_phases(self, at_s: int | None = None) -> list[tuple[str, str]]:

@@ -4,16 +4,26 @@ read from and written to plain mappings.
 Every YAML file the package reads or writes goes through ``read_yaml`` and
 ``write_yaml``, with libyaml's ``yaml.CSafeLoader`` and ``yaml.CSafeDumper``
 when PyYAML was built with it and the pure-Python ``SafeLoader`` and
-``SafeDumper`` when not. JSON files are read through ``read_json`` and JSON
+``SafeDumper`` when not. The loader is a subclass of that class that builds
+a plain document (str, int, float, bool and null scalars in sequences and
+mappings) straight from the parser's node tree, skipping PyYAML's generic,
+generator-based constructor. Any other document goes to PyYAML's own
+constructor, whole: one with an alias of a sequence or mapping, a ``<<``
+merge key, a node of any other tag (a timestamp, ``!!binary``, ``!!set``,
+a custom tag), a sequence or mapping as a key, or a scalar that constructor
+rejects. So the result, or the error, is always what ``yaml.load`` gives
+with the base class. JSON files are read through ``read_json`` and JSON
 Lines files through ``read_jsonl``. Each reader turns an unreadable or
 unparsable file into a ``ConfigError`` that names the path.
 
 A dataclass's own fields are its schema: ``from_mapping`` coerces each value
 by the field's declared type, recurses into nested dataclasses, and rejects
-keys that are not fields; ``to_mapping`` is ``dataclasses.asdict``. Scalars
-coerce strictly: an ``int`` field takes no bool and no float with a fraction,
-a ``float`` field no bool, and a ``str`` field no null, list or mapping. Two field
-markers (``field(metadata=...)``) adjust that:
+keys that are not fields; ``to_mapping`` is ``dataclasses.asdict``. A value
+whose type is exactly the field's passes as it is. Other scalars coerce
+strictly: an ``int`` field takes no bool and no float with a fraction, a
+``float`` field no bool, a ``str`` field no null, list or mapping, and an
+``Enum`` field only one of its values. Two field markers
+(``field(metadata=...)``) adjust that:
 
 * ``INTERNAL``: set by code only; a mapping may not name it.
 * ``INLINE``: a nested dataclass whose keys sit beside the parent's keys
@@ -23,6 +33,7 @@ markers (``field(metadata=...)``) adjust that:
 from __future__ import annotations
 
 import dataclasses
+import enum
 import functools
 import json
 import os
@@ -35,9 +46,70 @@ import yaml
 
 from .errors import ConfigError
 
+_STR, _INT, _FLOAT, _BOOL, _NULL, _SEQ, _MAP = (
+    f"tag:yaml.org,2002:{name}" for name in ("str", "int", "float", "bool", "null", "seq", "map"))
+
+
+class _NotPlain(Exception):
+    """The document holds a node ``_PlainConstructor`` leaves to PyYAML."""
+
+
+class _PlainConstructor:
+    """Builds a plain document straight from the node tree; any other
+    document goes to the next class's ``construct_document`` (PyYAML's)."""
+
+    def construct_document(self, node):
+        try:
+            return self._plain(node, set())
+        except Exception:  # not plain, or a scalar PyYAML rejects: its error is the one
+            return super().construct_document(node)
+
+    def _plain(self, node, seen: set[int]):
+        kind = type(node)
+        if kind is yaml.ScalarNode:
+            return self._scalar(node)
+        # a sequence or mapping seen twice is an alias: PyYAML shares (or
+        # recurses into) one object; a repeated scalar builds an equal value
+        if id(node) in seen:
+            raise _NotPlain
+        seen.add(id(node))
+        if kind is yaml.SequenceNode and node.tag == _SEQ:
+            return [self._plain(item, seen) for item in node.value]
+        if kind is yaml.MappingNode and node.tag == _MAP:
+            out = {}
+            for key_node, value_node in node.value:
+                if type(key_node) is not yaml.ScalarNode:
+                    raise _NotPlain  # unhashable, or built through an alias
+                # a merge key (<<) has its own tag, so it is not plain
+                out[self._scalar(key_node)] = self._plain(value_node, seen)
+            return out
+        raise _NotPlain
+
+    def _scalar(self, node):
+        tag = node.tag
+        if tag == _STR:
+            return node.value
+        if tag == _NULL:
+            return None
+        if tag == _BOOL:
+            return self.bool_values[node.value.lower()]
+        if tag == _INT:
+            value = node.value
+            # a plain decimal; PyYAML's constructor reads signs, 0b, 0x, octal,
+            # underscores and base 60
+            if value.isascii() and value.isdigit() and (value[0] != "0" or value == "0"):
+                return int(value)
+        elif tag != _FLOAT:
+            raise _NotPlain
+        return self.yaml_constructors[tag](self, node)
+
+
 # The C classes parse several times faster and write the same bytes for
 # the documents the package writes.
-_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+class _Loader(_PlainConstructor, getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    pass
+
+
 _DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 INTERNAL = {"schema": "internal"}
@@ -60,7 +132,7 @@ def from_mapping(cls, mapping, section: str):
     if mapping is None:
         mapping = {}
     if not isinstance(mapping, dict):
-        raise ConfigError(f"{section}: must be a mapping")
+        raise ConfigError(f"{section}: expected a mapping, got {mapping!r}")
     rest = dict(mapping)
     values = {}
     for f, tp in _fields(cls):
@@ -90,6 +162,8 @@ def to_mapping(obj) -> dict:
 
 
 def _coerce(value, tp, where: str):
+    if type(value) is tp:
+        return value
     if dataclasses.is_dataclass(tp):
         return from_mapping(tp, value, where)
     origin, args = typing.get_origin(tp), typing.get_args(tp)
@@ -98,6 +172,11 @@ def _coerce(value, tp, where: str):
             return None
         (tp,) = [a for a in args if a is not type(None)]
         return _coerce(value, tp, where)
+    if isinstance(tp, type) and issubclass(tp, enum.Enum):
+        try:
+            return tp(value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{where}: {exc}") from None
     if tp is bool:
         if value not in (True, False):
             raise ConfigError(f"{where}: expected true or false, got {value!r}")
@@ -134,8 +213,9 @@ def write_atomic(path: Path | str, text: str) -> None:
     try:
         tmp.write_text(text, encoding="utf-8")
         os.replace(tmp, path)
-    finally:
+    except BaseException:
         tmp.unlink(missing_ok=True)
+        raise
 
 
 def _read_text(path: Path | str, parse, errors: tuple[type[Exception], ...]):
@@ -154,7 +234,7 @@ def read_yaml(path: Path | str, cls=None, section: str | None = None):
     of it with ``section`` (default: the path) naming it in errors."""
     # the loader's constructors raise ValueError on a malformed scalar, such
     # as the timestamp 2020-13-45
-    data = _read_text(path, lambda text: yaml.load(text, Loader=_LOADER),
+    data = _read_text(path, lambda text: yaml.load(text, Loader=_Loader),
                       (yaml.YAMLError, ValueError))
     if cls is None:
         return data

@@ -18,6 +18,7 @@ from sopflow.detector import (
 )
 from sopflow.golden import golden_scenarios
 from sopflow.sandbox import ScenarioConfig, generate_corpus, noise, render_alert, render_telemetry
+from sopflow.sandbox.faults import FaultType
 from sopflow.sandbox.telemetry import SAMPLE_PERIOD_S, _Renderer
 from sopflow.tools import ToolContext
 from sopflow.tools.observability import kubectl_logs
@@ -251,3 +252,23 @@ def test_untouched_samples_lie_in_their_nominal_range():
             for t, value in series.samples:
                 if series.component not in telemetry.touched(t):
                     assert lo <= value <= hi
+
+
+def test_pod_phases_match_a_scan_of_the_faults():
+    # two faults of one type per scenario: two pod failures, some on one pod
+    config = ScenarioConfig(fault_types=(FaultType.PodFailure, FaultType.CpuStress),
+                            faults_per_scenario=2)
+    failed = 0
+    for scenario in generate_corpus(31, 12, config) + generate_corpus(32, 12):
+        telemetry = render_telemetry(scenario)
+        for t in [None, *range(*scenario.window, SAMPLE_PERIOD_S)]:
+            at_s = scenario.incident_time_s if t is None else t
+            expected = [(pod.id, "failed" if any(
+                fault.fault_type == FaultType.PodFailure and fault.location_id == pod.id
+                and fault.active_at(at_s) for fault in scenario.faults) else pod.phase)
+                for pod in sorted(telemetry.topology.pods, key=lambda pod: pod.id)]
+            assert telemetry.pod_phases(at_s=t) == expected
+            assert [(pod_id, telemetry.pod_phase(pod_id, t)) for pod_id, _ in expected] \
+                == expected
+            failed += sum(phase == "failed" for _, phase in expected)
+    assert failed

@@ -240,6 +240,34 @@ class TestParallelism:
         assert serial.apl == parallel.apl
 
 
+class TestBenchmarkCalls:
+    def test_each_entry_is_loaded_run_and_written_once_through_the_module_names(
+            self, tmp_path, monkeypatch):
+        # the benchmark's timer and spans wrap these three names of the module
+        from collections import Counter
+        from sopflow import evaluation
+        from sopflow.evaluation import load_corpus
+        from sopflow.golden import write_corpus
+        corpus = load_corpus(write_corpus(tmp_path / "corpus", "default"))
+        calls = Counter()
+
+        def counting(name):
+            original = getattr(evaluation, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(evaluation, name, wrapper)
+
+        for name in ("load_scenario", "run_episode", "write_transcript"):
+            counting(name)
+        report = run_benchmark(corpus, EvalConfig(), BackendConfig(),
+                               transcript_dir=tmp_path / "transcripts")
+        assert len(corpus.entries) == 9 and report.la == 1.0
+        assert calls == {"load_scenario": 9, "run_episode": 9, "write_transcript": 9}
+        assert len(list((tmp_path / "transcripts").iterdir())) == 9
+
+
 class TestCorpusManifest:
     @pytest.mark.parametrize("old, new", [
         ("  script: ", "  scirpt: "),   # an entry key

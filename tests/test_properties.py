@@ -36,6 +36,26 @@ def test_cosine_symmetric_and_bounded(a, b):
     assert -1.0 <= ab <= 1.0
 
 
+def reference_cosine(a: EmbeddingVector, b: EmbeddingVector) -> float:
+    """The dot product and both squared norms summed in one pass."""
+    dot = na = nb = 0.0
+    for x, y in zip(a.values, b.values):
+        dot += x * y
+        na += x * x
+        nb += y * y
+    return max(-1.0, min(1.0, dot / math.sqrt(na * nb)))
+
+
+@given(st.integers(1, 64).flatmap(lambda dim: st.tuples(nonzero_vectors(dim),
+                                                         nonzero_vectors(dim))))
+@settings(max_examples=300)
+def test_cosine_is_bit_identical_to_the_one_pass_reference(pair):
+    a, b = pair
+    # twice: the second call reads each vector's cached squared norm
+    for _ in range(2):
+        assert cosine_similarity(a, b).hex() == reference_cosine(a, b).hex()
+
+
 @given(nonzero_vectors(6))
 @settings(max_examples=100)
 def test_cosine_self_similarity_is_one(a):

@@ -133,6 +133,28 @@ class TestScenarioGeneration:
             load_scenario(path)
 
 
+    @pytest.mark.parametrize("edit, complaint", [
+        (("seed: 79", "seed: 1.5"), "scenario.seed: expected an integer, got 1.5"),
+        (("start_s: 0", "start_s: true"), "window.start_s: expected a number, got True"),
+        (("fault_type: CpuStress", "fault_type: Cpu"),
+         "faults[0].fault_type: 'Cpu' is not a valid FaultType"),
+        (("magnitude: 0.9", "magnitude: [0.9]"),
+         "faults[0].magnitude: float() argument must be a string or a real number, "
+         "not 'list'"),
+        (("aliases: {}", "aliases: {a: null}"),
+         "scenario.aliases: expected a string, got None"),
+    ])
+    def test_scenario_scalars_are_read_strictly(self, tmp_path, edit, complaint):
+        path = tmp_path / "scn.yaml"
+        save_scenario(generate_scenario(79), path)
+        text = path.read_text()
+        assert edit[0] in text
+        path.write_text(text.replace(*edit))
+        with pytest.raises(ValidationError, match=re.escape(
+                f"{path}: malformed scenario file: {complaint}") + "$"):
+            load_scenario(path)
+
+
 class TestNoFaultTelemetry:
     def test_metrics_stay_in_nominal_bands(self):
         telemetry = telemetry_for(no_fault_scenario())

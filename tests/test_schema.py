@@ -4,7 +4,7 @@ import re
 
 import pytest
 import yaml
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import sopflow
@@ -72,9 +72,31 @@ def test_written_yaml_reads_back(tmp_path):
     assert [p.name for p in path.parent.iterdir()] == ["doc.yaml"]  # no temp file left
 
 
+@pytest.mark.parametrize("failure", [None, "write", "replace"])
+def test_write_atomic_leaves_the_old_file_or_the_new_and_no_temp_file(
+        tmp_path, monkeypatch, failure):
+    path = tmp_path / "doc.txt"
+    path.write_text("old\n")
+
+    def injected(*args, **kwargs):
+        raise OSError("injected")
+
+    if failure == "write":
+        monkeypatch.setattr(pathlib.Path, "write_text", injected)
+    elif failure == "replace":
+        monkeypatch.setattr("os.replace", injected)
+    if failure is None:
+        schema.write_atomic(path, "new\n")
+    else:
+        with pytest.raises(OSError, match="injected"):
+            schema.write_atomic(path, "new\n")
+    assert path.read_bytes() == (b"new\n" if failure is None else b"old\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["doc.txt"]
+
+
 @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
 def test_libyaml_classes_are_used_when_present():
-    assert schema._LOADER is yaml.CSafeLoader
+    assert issubclass(schema._Loader, yaml.CSafeLoader)
     assert schema._DUMPER is yaml.CSafeDumper
 
 
@@ -168,3 +190,115 @@ def test_kb_documents_reject_loose_scalars_naming_the_path(tmp_path, edit, where
     path.write_text("id: sop-a\nname: a\nlevel: 1\nsteps: [s]\n".replace(*edit))
     with pytest.raises(ConfigError, match=f"^{re.escape(f'{path}.{where}')}$"):
         schema.read_yaml(path, SopDoc)
+
+
+# -- the plain-document loader against PyYAML's own constructor ---------------
+
+_TOKENS = (
+    # ints, floats, bools and nulls in every form the resolver knows
+    "0", "7", "-3", "+12", "1_000", "017", "0o17", "0x1F", "0b101", "0b_", "1:30", "09",
+    "1.5", "-0.0", "1e3", "6.8523015e+5", "1_0.5", ".inf", "-.INF", ".nan", "1:30.5",
+    "true", "False", "yes", "NO", "on", "off", "null", "~", "''", '""',
+    # strings, plain and quoted
+    "a", "b", "key", "x y", "'1'", '"a\\tb"', "'it''s'", "é", "-a", "a:b",
+    # timestamps, valid and not
+    "2001-12-14", "2001-12-14 21:59:43.10 -5", "2020-13-45",
+    # explicit tags, some of which PyYAML's constructor rejects
+    "!!str 12", "!!int 12", "!!int '0x1f'", "!!float 1", "!!bool yes", "!!null ''",
+    "!!binary aGVsbG8=", "!!timestamp 2001-12-14", "!!int x", "!!bool maybe", "!!int ''",
+    "!!float x", "!foo bar", "!!str [a]", "!!python/name:os.system", "=",
+)
+_ANCHORS = st.sampled_from(["a0", "a1", "a2"])
+_KEYS = st.sampled_from(_TOKENS + ("<<", "[1, 2]", "{k: v}", "a", "a", "1"))
+
+
+def _collections(children):
+    seq = st.lists(children, max_size=4).map(lambda items: f"[{', '.join(items)}]")
+    mapping = st.lists(st.tuples(_KEYS, children), max_size=4).map(
+        lambda pairs: "{" + ", ".join(f"{k}: {v}" for k, v in pairs) + "}")
+    # a mapping anchored as m0, then one with a merge key (<<)
+    merged = st.tuples(mapping, st.sampled_from(["*m0", "[*m0, *m0]", "{m: 1}", "3", "*a0"]),
+                       mapping).map(lambda t: f"[&m0 {t[0]}, {{<<: {t[1]}, {t[2][1:]}]")
+    tagged = st.sampled_from(["!!set {a, b}", "!!set {a: 1}", "!!omap [{a: 1}, {b: 2}]",
+                              "!!pairs [{a: 1}, {a: 2}]", "!!seq {a: 1}", "!!map [a]"])
+    anchored = st.tuples(_ANCHORS, seq | mapping).map(lambda pair: f"&{pair[0]} {pair[1]}")
+    return seq | mapping | merged | tagged | anchored
+
+
+_NODES = st.recursive(
+    # scalars, and a few aliases of the anchors, defined or not
+    st.sampled_from(_TOKENS + ("*a0", "*a1"))
+    # quoted text, without the control, format and line-separator characters
+    # libyaml and the pure-Python scanner may read differently
+    | st.text(st.characters(blacklist_categories=("Cc", "Cs", "Cf", "Zl", "Zp")),
+              max_size=5).map(
+        lambda s: "'" + s.replace("'", "''") + "'"),
+    _collections, max_leaves=16)
+
+
+def _nest(depth: int, shape: str) -> str:
+    text = "1"
+    for _ in range(depth):
+        text = shape.format(text)
+    return text
+
+
+_DEEP = st.tuples(st.integers(1, 120), st.sampled_from(["[{}]", "{{k: {}}}"])).map(
+    lambda pair: _nest(*pair))
+_DOCUMENTS = (_NODES | _DEEP
+              | st.lists(st.tuples(_KEYS, _NODES), min_size=1, max_size=4).map(
+                  lambda pairs: "".join(f"{k}: {v}\n" for k, v in pairs)))
+
+
+def _described(value, seen: dict) -> str:
+    """``repr`` of ``value``, which tells 1 from True and 1.0 and reads NaN as
+    equal, with each list or dict after its first appearance written as a
+    reference to it, so shared and recursive data compare by their shape."""
+    if isinstance(value, (list, dict)):
+        if id(value) in seen:
+            return f"@{seen[id(value)]}"
+        seen[id(value)] = len(seen)
+        if isinstance(value, list):
+            return "[" + ", ".join(_described(item, seen) for item in value) + "]"
+        return "{" + ", ".join(f"{key!r}: {_described(item, seen)}"
+                               for key, item in value.items()) + "}"
+    return repr(value)
+
+
+def _outcome(load):
+    """What ``load()`` gives: the value, described, or the error's type and text."""
+    try:
+        return "value", _described(load(), {})
+    except Exception as exc:  # every error of a document is part of the outcome
+        return type(exc), str(exc)
+
+
+_PURE = type("PurePlainLoader", (schema._PlainConstructor, yaml.SafeLoader), {})
+
+
+@settings(max_examples=1000, deadline=None)
+@given(text=_DOCUMENTS)
+@example(text="")
+@example(text="a: 1\n---\nb: 2\n")
+@example(text="&r [1, *r]")
+@example(text="&r {k: *r}")
+@example(text="[&a0 [1], *a0, {k: *a0}]")
+@example(text="{!!null [a]: 1}")
+@example(text="{!!str [b]: 2}")
+def test_read_yaml_matches_pyyaml_errors_included(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "doc.yaml"
+    path.write_text(text, encoding="utf-8")
+    read = _outcome(lambda: schema.read_yaml(path))
+    # the class the loader subclasses gives the same value or error
+    stock = _outcome(lambda: yaml.load(text, Loader=getattr(yaml, "CSafeLoader",
+                                                              yaml.SafeLoader)))
+    if stock[0] != "value" and issubclass(stock[0], (yaml.YAMLError, ValueError)):
+        assert read == (ConfigError, f"{path}: {stock[1]}"), text
+    else:
+        assert read == stock, text
+    # so does yaml.SafeLoader, and over it the constructor matches error texts too
+    pure = _outcome(lambda: yaml.load(text, Loader=yaml.SafeLoader))
+    assert (stock[0] == "value") == (pure[0] == "value"), text
+    if stock[0] == "value":
+        assert stock == pure, text
+    assert _outcome(lambda: yaml.load(text, Loader=_PURE)) == pure, text
