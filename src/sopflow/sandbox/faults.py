@@ -6,6 +6,7 @@ Targets are encoded as prefixed strings so they survive scenario files:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -120,6 +121,11 @@ class FaultSpec:
         if not (lo < self.magnitude <= hi):
             raise ValidationError(
                 f"{self.fault_type.value} magnitude {self.magnitude} outside ({lo}, {hi}]"
+            )
+        if not math.isfinite(1.0 / self.magnitude):
+            # a bandwidth fraction divides span and service latency
+            raise ValidationError(
+                f"{self.fault_type.value} magnitude {self.magnitude} has no finite reciprocal"
             )
         kind, body = parse_target(self.target)
         if kind not in _TARGET_KINDS[self.fault_type]:

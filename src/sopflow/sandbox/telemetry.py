@@ -40,10 +40,14 @@ Every draw is keyed by its series, span or pod and its tick, so what a query
 returns, and ``export_lines``, are byte-identical to a full render whatever
 was queried before.
 
-At each tick the renderer knows which components a fault can change
-(``Telemetry.touched``); every other sample is a nominal draw from the
-series' (baseline, sigma), so it lies in ``Telemetry.nominal_range``. The
-alert sweep uses both to skip samples it can prove cannot flag.
+The table above has one implementation, ``_Effects``. For each distinct set
+of active faults it resolves once which components the faults can change
+(``Telemetry.touched``), which pods are down, what each affected call edge
+and service gets, each stressed pod's magnitude and each node's bandwidth
+magnitudes; every sample tick with that set looks them up. A sample of an
+untouched component is a nominal draw from the series' (baseline, sigma), so
+it lies in ``Telemetry.nominal_range``. The alert sweep uses both to skip
+samples it can prove cannot flag.
 
 What depends on the topology alone (each series' nominal draw and range, the
 component kinds, the pods in id order, the call tree) is built once per
@@ -64,7 +68,7 @@ import functools
 import hashlib
 import json
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import compress, product
 
 from ..detector import DetectorConfig, matches_keyword
@@ -106,6 +110,7 @@ _EDGE_ERROR_MESSAGES = {
     FaultType.NetworkDuplicate: "duplicate ack",
     FaultType.NetworkCorrupt: "checksum mismatch",
 }
+_STRESS_METRICS = {FaultType.CpuStress: "cpu_usage", FaultType.MemoryStress: "memory_usage"}
 
 # A heartbeat line is these fixed pieces around its two variable fields, the
 # tick and the request count, which are written with digits and "-" only.
@@ -158,12 +163,27 @@ class Trace:
     spans: tuple[Span, ...]
 
 
-@dataclass(frozen=True)
+@dataclass
 class _EdgeEffect:
+    """What the active faults do to every call on one edge."""
     extra_ms: float = 0.0
     slow_factor: float = 1.0
-    error_modes: tuple[tuple[str, float], ...] = ()
+    error_modes: list[tuple[str, float]] = field(default_factory=list)
     unreachable_msg: str | None = None
+
+
+@dataclass
+class _ServiceEffect:
+    """What the active faults do to one service's metrics."""
+    latency_extra: float = 0.0
+    latency_factor: float = 1.0
+    throughput_factor: float = 1.0
+    error_rate: float | None = None
+    failed_pod: bool = False  # a pod of the service has failed
+
+
+_NO_EDGE_EFFECT = _EdgeEffect()
+_NO_SERVICE_EFFECT = _ServiceEffect()
 
 
 class Telemetry:
@@ -259,7 +279,7 @@ class Telemetry:
     def touched(self, t: int) -> frozenset[str]:
         """The components a fault can change at sample tick ``t``; a sample of
         any other component at ``t`` is nominal."""
-        return self._renderer.touched[t]
+        return self._renderer.effects[t].touched
 
     def nominal_range(self, component: str, metric: str) -> tuple[float, float]:
         """The least and the greatest value a nominal sample of a series named
@@ -426,7 +446,6 @@ class _Tables:
     nominal_range: dict[tuple[str, str], tuple[float, float]]
     kinds: dict[str, str]                     # component -> "pod" | "service" | "node"
     pods: dict[str, Pod]                      # pod id -> pod, in pod id order
-    service_pods: dict[str, tuple[str, ...]]  # service -> its pod ids
     children: dict[str, tuple[CallEdge, ...]]  # service -> ``topo.children(service)``
     root_pod: str                             # the frontend's pod
 
@@ -455,15 +474,13 @@ def _tables(topology_name: str) -> _Tables:
     kinds = {pod.id: "pod" for pod in topo.pods}
     kinds.update((service, "service") for service in topo.services)
     kinds.update((node.id, "node") for node in topo.nodes)
-    service_pods = {s: tuple(p.id for p in topo.pods_of(s)) for s in topo.services}
     return _Tables(
         nominal=nominal,
         nominal_range=nominal_range,
         kinds=kinds,
         pods={pod.id: pod for pod in sorted(topo.pods, key=lambda p: p.id)},
-        service_pods=service_pods,
         children={s: tuple(topo.children(s)) for s in topo.services},
-        root_pod=service_pods[topo.frontend][0],
+        root_pod=topo.pods_of(topo.frontend)[0].id,
     )
 
 
@@ -479,112 +496,106 @@ def _heartbeats_may_match(pod_id: str, keywords: tuple[str, ...]) -> bool:
                for keyword in keywords)
 
 
+class _Effects:
+    """The fault signature table of the module docstring, resolved for one
+    set of active faults: what they do to each component, edge and series.
+    Built once per distinct set (``_Renderer.effects``) and shared by every
+    sample tick with that set, so nothing may write to it once built.
+
+    Effects accumulate per fault in scenario order: sums from 0.0, products
+    from 1.0 (a node's throughput multiplies by each magnitude in turn), one
+    contribution to a service per fault however many of the fault's edges
+    enter it; a pod's stress comes from the first fault of the metric's type
+    and an edge's ``unreachable_msg`` from the last fault that sets one.
+    """
+
+    def __init__(self, topo: Topology, active: list[tuple[FaultSpec, set]]):
+        touched: set[str] = set()  # every component a fault can change
+        self.down: set[str] = set()  # the pods a PodFailure has taken down
+        self.edges: dict[tuple[str, str], _EdgeEffect] = {}  # (src, dst) -> effect
+        self.services: dict[str, _ServiceEffect] = {}
+        self.stress: dict[tuple[str, str], float] = {}  # (pod, metric) -> magnitude
+        # (node, metric) -> the bandwidth magnitudes the metric scales by, in order
+        self.bandwidth: dict[tuple[str, str], list[float]] = {}
+        for fault, edges in active:
+            ft, magnitude = fault.fault_type, fault.magnitude
+            kind, target = fault.target_kind, fault.location_id
+            callees = {dst for _, dst in edges}
+            touched |= callees
+            # the service a pod or edge fault targets: the pod's, or the callee
+            service = None
+            if kind == "pod":
+                service = topo.pod(target).service
+                touched |= {target, service}
+            elif kind == "edge":
+                service = fault.edge_pair()[1]
+                touched.add(service)
+            else:
+                for node in fault.node_pair():
+                    touched.add(node)
+                    self.bandwidth.setdefault(
+                        (node, "node_network_throughput_bytes"), []).append(magnitude)
+            if ft in _STRESS_METRICS:
+                self.stress.setdefault((target, _STRESS_METRICS[ft]), magnitude)
+            for src, dst in edges:
+                edge = self.edges.setdefault((src, dst), _EdgeEffect())
+                if ft == FaultType.NetworkDelay:
+                    edge.extra_ms += magnitude
+                elif ft == FaultType.NetworkBandwidth:
+                    edge.slow_factor *= 1.0 / magnitude
+                elif ft in _EDGE_ERROR_MESSAGES:
+                    edge.error_modes.append((_EDGE_ERROR_MESSAGES[ft], magnitude))
+                elif ft == FaultType.NetworkPartition:
+                    edge.unreachable_msg = "connection refused"
+                elif ft == FaultType.PodFailure and dst == service:
+                    # only calls INTO the dead service fail; its own calls
+                    # never happen
+                    edge.unreachable_msg = "Service unavailable"
+            if ft in (FaultType.PodFailure, FaultType.NetworkPartition):
+                # callers into the dead/cut-off service fail; its own callees
+                # simply stop receiving traffic, they do not error
+                effect = self.services.setdefault(service, _ServiceEffect())
+                effect.error_rate = 1.0
+                if ft == FaultType.PodFailure:
+                    self.down.add(target)
+                    effect.failed_pod = True
+                continue
+            for callee in callees:
+                effect = self.services.setdefault(callee, _ServiceEffect())
+                if ft == FaultType.NetworkDelay:
+                    effect.latency_extra += magnitude
+                elif ft == FaultType.NetworkBandwidth:
+                    effect.latency_factor *= 1.0 / magnitude
+                    effect.throughput_factor *= magnitude
+                elif ft in _EDGE_ERROR_MESSAGES:
+                    effect.error_rate = max(effect.error_rate or 0.0, magnitude)
+        self.touched = frozenset(touched)
+        # the services with an affected call below them, which the error-span
+        # walk passes through
+        self.above = {src for src, _ in self.edges}
+        while grown := {e.src for e in topo.call_edges if e.dst in self.above} - self.above:
+            self.above |= grown
+
+
 class _Renderer:
     def __init__(self, scenario: EpisodeScenario):
         self.scenario = scenario
         self.topo = scenario.topology()
         self.tables = _tables(scenario.topology_name)
         self.seed = scenario.seed
-        # resolve each fault's affected edges and the components it can change
-        # once, then the active faults, the down pods and the touched
-        # components once per sample tick
+        # resolve each fault's affected edges once, then one effect table per
+        # distinct set of faults active at a sample tick
         edges_by_fault = [
             (fault, {(e.src, e.dst) for e in fault.affected_edges(self.topo)})
             for fault in scenario.faults
         ]
-        touches = [self._touches(fault, edges) for fault, edges in edges_by_fault]
-        self._active: dict[int, list[tuple[FaultSpec, set]]] = {}
-        self._down: dict[int, set[str]] = {}
-        self.touched: dict[int, frozenset[str]] = {}
+        by_set: dict[tuple[bool, ...], _Effects] = {}
+        self.effects: dict[int, _Effects] = {}  # sample tick -> its table
         for t in _sample_times(scenario.window):
-            on = [f.active_at(t) for f, _ in edges_by_fault]
-            active = list(compress(edges_by_fault, on))
-            self._active[t] = active
-            self._down[t] = {f.location_id for f, _ in active
-                             if f.fault_type == FaultType.PodFailure}
-            self.touched[t] = frozenset().union(*compress(touches, on))
-        # (service, tick) -> the service's fault overrides, resolved on first use
-        self._overrides: dict[tuple[str, int], dict] = {}
-
-    # -- fault effect resolution -------------------------------------------
-
-    def _touches(self, fault: FaultSpec, edges: set) -> set[str]:
-        """Every component whose samples ``fault`` can change while active."""
-        components = {dst for _, dst in edges}  # the callee of each affected edge
-        kind = fault.target_kind
-        if kind == "pod":
-            components |= {fault.location_id, self.topo.pod(fault.location_id).service}
-        elif kind == "edge":
-            components.add(fault.edge_pair()[1])
-        else:
-            components |= fault.node_pair()
-        return components
-
-    def pod_down(self, pod_id: str, t: int) -> bool:
-        return pod_id in self._down[t]
-
-    def edge_effect(self, edge: CallEdge, t: int) -> _EdgeEffect:
-        extra = 0.0
-        slow = 1.0
-        errors: list[tuple[str, float]] = []
-        unreachable = None
-        for fault, edges in self._active[t]:
-            if (edge.src, edge.dst) not in edges:
-                continue
-            ft = fault.fault_type
-            if ft == FaultType.NetworkDelay:
-                extra += fault.magnitude
-            elif ft == FaultType.NetworkBandwidth:
-                slow *= 1.0 / fault.magnitude
-            elif ft in _EDGE_ERROR_MESSAGES:
-                errors.append((_EDGE_ERROR_MESSAGES[ft], fault.magnitude))
-            elif ft == FaultType.NetworkPartition:
-                unreachable = "connection refused"
-            elif ft == FaultType.PodFailure:
-                # only calls INTO the dead service fail; its own calls never happen
-                service = self.topo.pod(fault.location_id).service
-                if edge.dst == service:
-                    unreachable = "Service unavailable"
-        return _EdgeEffect(extra, slow, tuple(errors), unreachable)
-
-    def _service_fault_values(self, service: str, t: int) -> dict:
-        """Per-service metric overrides implied by edge effects at time t."""
-        out: dict[str, float] = {}
-        latency_extra = 0.0
-        latency_factor = 1.0
-        throughput_factor = 1.0
-        error_rate = None
-        for fault, edges in self._active[t]:
-            ft = fault.fault_type
-            if ft in (FaultType.PodFailure, FaultType.NetworkPartition):
-                # callers into the dead/cut-off service fail; its own callees
-                # simply stop receiving traffic, they do not error
-                if fault.target_kind == "pod":
-                    failed = self.topo.pod(fault.location_id).service
-                else:
-                    _, failed = fault.edge_pair()
-                if failed == service:
-                    error_rate = 1.0
-                continue
-            inbound = [(s, d) for s, d in edges if d == service]
-            if not inbound:
-                continue
-            if ft == FaultType.NetworkDelay:
-                latency_extra += fault.magnitude
-            elif ft == FaultType.NetworkBandwidth:
-                latency_factor *= 1.0 / fault.magnitude
-                throughput_factor *= fault.magnitude
-            elif ft in _EDGE_ERROR_MESSAGES:
-                error_rate = max(error_rate or 0.0, fault.magnitude)
-        if latency_extra:
-            out["latency_extra"] = latency_extra
-        if latency_factor != 1.0:
-            out["latency_factor"] = latency_factor
-        if throughput_factor != 1.0:
-            out["throughput_factor"] = throughput_factor
-        if error_rate is not None:
-            out["error_rate"] = error_rate
-        return out
+            on = tuple(f.active_at(t) for f in scenario.faults)
+            if on not in by_set:
+                by_set[on] = _Effects(self.topo, list(compress(edges_by_fault, on)))
+            self.effects[t] = by_set[on]
 
     # -- metrics --------------------------------------------------------------
 
@@ -596,21 +607,22 @@ class _Renderer:
         fault touches at ``t`` gets the nominal draw alone.
         """
         component, metric = key
-        if component not in self.touched[t]:
+        effects = self.effects[t]
+        if component not in effects.touched:
             value = self._nominal(key, t)
         elif metric in POD_METRIC_BASELINES:
-            if self.pod_down(component, t):
+            if component in effects.down:
                 value = 0.0
             else:
-                value = self._pod_stress_override(component, metric, t,
-                                                  self._nominal(key, t))
+                value = self._nominal(key, t)
+                stress = effects.stress.get(key)
+                if stress is not None:
+                    value = min(1.0, noise.gauss(stress, 0.01,
+                                                 self.seed, "stress", component, metric, t))
         elif metric in NODE_METRIC_BASELINES:
             value = self._nominal(key, t)
-            if metric == "node_network_throughput_bytes":
-                for fault, _ in self._active[t]:
-                    if (fault.fault_type == FaultType.NetworkBandwidth
-                            and component in fault.node_pair()):
-                        value *= fault.magnitude
+            for magnitude in effects.bandwidth.get(key, ()):
+                value *= magnitude
         else:
             value = self._service_sample(component, metric, t)
         return round(max(value, 0.0), 6)
@@ -619,34 +631,16 @@ class _Renderer:
         return noise.gauss(*self.tables.nominal[key], self.seed, "metric", *key, t)
 
     def _service_sample(self, service: str, metric: str, t: int) -> float:
-        overrides = self._overrides.get((service, t))
-        if overrides is None:
-            overrides = self._service_fault_values(service, t)
-            self._overrides[(service, t)] = overrides
+        effect = self.effects[t].services.get(service, _NO_SERVICE_EFFECT)
         key = (service, metric)
         if metric == "request_latency_ms":
-            value = self._nominal(key, t) * overrides.get("latency_factor", 1.0)
-            return value + overrides.get("latency_extra", 0.0)
+            return self._nominal(key, t) * effect.latency_factor + effect.latency_extra
         if metric == "throughput_rps":
-            value = self._nominal(key, t) * overrides.get("throughput_factor", 1.0)
-            if any(self.pod_down(pod_id, t) for pod_id in self.tables.service_pods[service]):
-                value = 0.0
-            return value
-        if "error_rate" in overrides:
-            return overrides["error_rate"]
+            value = self._nominal(key, t) * effect.throughput_factor
+            return 0.0 if effect.failed_pod else value
+        if effect.error_rate is not None:
+            return effect.error_rate
         return self._nominal(key, t)
-
-    def _pod_stress_override(self, pod_id: str, metric: str, t: int, value: float) -> float:
-        for fault, _ in self._active[t]:
-            if fault.location_id != pod_id:
-                continue
-            if fault.fault_type == FaultType.CpuStress and metric == "cpu_usage":
-                return min(1.0, noise.gauss(fault.magnitude, 0.01,
-                                            self.seed, "stress", pod_id, metric, t))
-            if fault.fault_type == FaultType.MemoryStress and metric == "memory_usage":
-                return min(1.0, noise.gauss(fault.magnitude, 0.01,
-                                            self.seed, "stress", pod_id, metric, t))
-        return value
 
     # -- logs -------------------------------------------------------------------
 
@@ -692,7 +686,7 @@ class _Renderer:
         """The trace sampled at tick number ``tick``, time ``t``."""
         trace_id = f"t{tick:04d}"
         spans: list[Span] = []
-        self._build_root(trace_id, t, spans)
+        self._build_root(trace_id, self.effects[t], spans)
         return Trace(trace_id=trace_id, t_s=t, spans=tuple(spans))
 
     def error_spans(self, tick: int, t: int) -> list[Span]:
@@ -700,29 +694,24 @@ class _Renderer:
         has no children and its draws are keyed by its own span id, so only
         the calls on a path to an edge a fault affects at ``t`` are walked."""
         trace_id = f"t{tick:04d}"
-        if self.pod_down(self.tables.root_pod, t):
+        effects = self.effects[t]
+        if self.tables.root_pod in effects.down:
             return [self._root_down(trace_id)]
-        affected = set().union(*(edges for _, edges in self._active[t]))
-        if not affected:
-            return []
-        above = {src for src, _ in affected}  # services with an affected call below
-        while grown := {e.src for e in self.topo.call_edges if e.dst in above} - above:
-            above |= grown
         spans: list[Span] = []
-        self._walk_errors(trace_id, t, self.topo.frontend, self.topo.frontend,
-                          affected, above, spans)
+        self._walk_errors(trace_id, effects, self.topo.frontend, self.topo.frontend, spans)
         return spans
 
-    def _walk_errors(self, trace_id: str, t: int, service: str, span_id: str,
-                     affected: set, above: set, spans: list[Span]) -> None:
+    def _walk_errors(self, trace_id: str, effects: _Effects, service: str, span_id: str,
+                     spans: list[Span]) -> None:
         for edge in self.tables.children[service]:
-            if (edge.src, edge.dst) not in affected and edge.dst not in above:
+            effect = effects.edges.get((edge.src, edge.dst))
+            if effect is None and edge.dst not in effects.above:
                 continue  # every call on and below this edge is ok
             call_id = f"{span_id}/{edge.dst}"
             failed = self._failed_call(trace_id, call_id, span_id, edge,
-                                       self.edge_effect(edge, t))
+                                       effect or _NO_EDGE_EFFECT)
             if failed is None:
-                self._walk_errors(trace_id, t, edge.dst, call_id, affected, above, spans)
+                self._walk_errors(trace_id, effects, edge.dst, call_id, spans)
             else:
                 spans.append(failed[0])
 
@@ -754,30 +743,30 @@ class _Renderer:
     def _jitter(self, trace_id: str, span_id: str, base: float) -> float:
         return noise.jitter(SPAN_JITTER_FRAC * base, self.seed, "span", trace_id, span_id)
 
-    def _build_root(self, trace_id: str, t: int, spans: list[Span]) -> None:
-        if self.pod_down(self.tables.root_pod, t):
+    def _build_root(self, trace_id: str, effects: _Effects, spans: list[Span]) -> None:
+        if self.tables.root_pod in effects.down:
             spans.append(self._root_down(trace_id))
             return
         frontend = self.topo.frontend
         child_total = 0.0
         for edge in self.tables.children[frontend]:
-            child_total += self._build_call(trace_id, t, edge, frontend, spans)
+            child_total += self._build_call(trace_id, effects, edge, frontend, spans)
         duration = (ROOT_BASE_MS + PROC_MS + child_total
                     + self._jitter(trace_id, frontend, ROOT_BASE_MS))
         spans.insert(0, Span(trace_id, frontend, None, frontend, round(duration, 3), "ok"))
 
-    def _build_call(self, trace_id: str, t: int, edge: CallEdge, parent_span_id: str,
-                    spans: list[Span]) -> float:
+    def _build_call(self, trace_id: str, effects: _Effects, edge: CallEdge,
+                    parent_span_id: str, spans: list[Span]) -> float:
         # span ids are call paths, so pruning one branch never renames another
         span_id = f"{parent_span_id}/{edge.dst}"
-        effect = self.edge_effect(edge, t)
+        effect = effects.edges.get((edge.src, edge.dst), _NO_EDGE_EFFECT)
         failed = self._failed_call(trace_id, span_id, parent_span_id, edge, effect)
         if failed is not None:
             spans.append(failed[0])
             return failed[1]
         child_total = 0.0
         for child_edge in self.tables.children[edge.dst]:
-            child_total += self._build_call(trace_id, t, child_edge, span_id, spans)
+            child_total += self._build_call(trace_id, effects, child_edge, span_id, spans)
         duration = (edge.base_latency_ms * effect.slow_factor + effect.extra_ms + PROC_MS
                     + child_total + self._jitter(trace_id, span_id, edge.base_latency_ms))
         spans.append(Span(trace_id, span_id, parent_span_id, edge.dst,

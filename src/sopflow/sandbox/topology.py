@@ -88,12 +88,6 @@ class Topology:
     def pods_of(self, service: str) -> list[Pod]:
         return [p for p in self.pods if p.service == service]
 
-    def node(self, node_id: str) -> Node:
-        for node in self.nodes:
-            if node.id == node_id:
-                return node
-        raise KeyError(node_id)
-
     def has_node(self, node_id: str) -> bool:
         return any(n.id == node_id for n in self.nodes)
 

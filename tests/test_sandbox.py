@@ -21,7 +21,8 @@ from sopflow.sandbox import (
     render_telemetry,
     save_scenario,
 )
-from sopflow.sandbox.telemetry import POD_METRIC_BASELINES, Telemetry
+from sopflow.sandbox import telemetry as telemetry_module
+from sopflow.sandbox.telemetry import POD_METRIC_BASELINES, SAMPLE_PERIOD_S, Telemetry
 
 from conftest import fault_scenario, no_fault_scenario, telemetry_for
 
@@ -83,6 +84,27 @@ class TestScenarioGeneration:
             FaultSpec(FaultType.NetworkLoss, "pod:frontend-0", 180, 240, 1.5).validate(topo)
         with pytest.raises(ValidationError):
             FaultSpec(FaultType.CpuStress, "pod:frontend-0", 180, 0, 0.9).validate(topo)
+
+    def test_subnormal_magnitude_in_a_file_is_rejected(self, tmp_path):
+        # 1 / 1e-320 is inf: the bandwidth fault's latency would render inf
+        path = tmp_path / "scn.yaml"
+        save_scenario(generate_scenario(80, ScenarioConfig(
+            fault_types=(FaultType.NetworkBandwidth,))), path)
+        text = path.read_text()
+        assert "magnitude: 0.4" in text
+        path.write_text(text.replace("magnitude: 0.4", "magnitude: 1.0e-320"))
+        with pytest.raises(ValidationError, match=re.escape(
+                f"{path}: NetworkBandwidth magnitude 1e-320 has no finite reciprocal")):
+            load_scenario(path)
+
+    def test_subnormal_magnitude_is_not_rendered(self):
+        fault = FaultSpec(FaultType.NetworkBandwidth, "nodes:node-1<->node-2", 120, 240, 1e-320)
+        scenario = EpisodeScenario(
+            id="scn-subnormal", topology_name="online-boutique", seed=3, window=(0, 600),
+            faults=[fault], ground_truth=GroundTruth(("node-1<->node-2",), ("NetworkBandwidth",)),
+        )
+        with pytest.raises(ValidationError, match="has no finite reciprocal"):
+            render_telemetry(scenario)
 
     def test_concurrent_faults_option(self):
         config = ScenarioConfig(
@@ -309,6 +331,48 @@ class TestFaultSignatures:
             outside = [v for t, v in series.samples if not fault.active_at(t)]
             assert max(in_window) < min(outside)
 
+    @pytest.mark.parametrize("fault_type", [
+        FaultType.NetworkLoss, FaultType.NetworkDuplicate, FaultType.NetworkCorrupt,
+        FaultType.NetworkPartition, FaultType.NetworkBandwidth,
+    ])
+    def test_network_fault_signature_rows(self, fault_type):
+        scenario = fault_scenario(fault_type)
+        fault = scenario.faults[0]
+        telemetry = telemetry_for(scenario)
+        topo = telemetry.topology
+        t = fault.start_s + SAMPLE_PERIOD_S
+        assert fault.active_at(t) and t in telemetry.sample_times()
+        window = (fault.start_s, fault.end_s)
+        callees = {edge.dst for edge in fault.affected_edges(topo)}
+        if fault_type == FaultType.NetworkBandwidth:
+            # the same seed draws the same nominal samples
+            twin = render_telemetry(dataclasses.replace(
+                scenario, faults=[], ground_truth=GroundTruth((), ())))
+            for service in callees:
+                latency = twin.metric_value(service, "request_latency_ms", t)
+                throughput = twin.metric_value(service, "throughput_rps", t)
+                assert abs(telemetry.metric_value(service, "request_latency_ms", t)
+                           - latency / fault.magnitude) <= 1e-6 / fault.magnitude, service
+                assert abs(telemetry.metric_value(service, "throughput_rps", t)
+                           - throughput * fault.magnitude) <= 1e-6, service
+            return
+        if fault_type == FaultType.NetworkPartition:
+            callees = {topo.pod(fault.location_id).service}
+            rate, message = 1.0, "connection refused"
+        else:
+            rate = fault.magnitude
+            message = {FaultType.NetworkLoss: "timeout",
+                       FaultType.NetworkDuplicate: "duplicate ack",
+                       FaultType.NetworkCorrupt: "checksum mismatch"}[fault_type]
+        for service in callees:
+            assert telemetry.metric_value(service, "error_rate", t) == rate, service
+        spans = telemetry.error_spans(window)
+        assert spans and {span.error_message for span in spans} == {message}
+        if fault_type == FaultType.NetworkPartition:
+            cut = {(span.trace_id, span.span_id) for span in spans}
+            assert not [span for trace in telemetry.query_traces(window)
+                        for span in trace.spans if (span.trace_id, span.parent_span_id) in cut]
+
 
 class TestQueries:
     def test_query_outside_window_is_empty(self):
@@ -382,3 +446,27 @@ class TestDeterminism:
             text = render_alert(render_telemetry(case.scenario))
             detected = int(re.search(r"detected_at_s: (\d+)", text).group(1))
             assert calls and max(calls) < detected, case.scenario.id
+
+
+def test_only_the_effect_table_reads_fault_types():
+    # the module docstring's fault signature table has one implementation,
+    # ``_Effects``; the rest of the renderer looks effects up in it
+    import ast
+    import pathlib
+    allowed = ("_Effects", "_Renderer.fault_logs", "Telemetry.__init__")
+    tree = ast.parse(pathlib.Path(telemetry_module.__file__).read_text(encoding="utf-8"))
+    offenders = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            elif (isinstance(child, ast.Attribute) and child.attr == "fault_type"
+                  and not any(scope == name or scope.startswith(name + ".")
+                              for name in allowed)):
+                offenders.append(f"{scope or '<module>'}:{child.lineno}")
+            visit(child, inner)
+
+    visit(tree, "")
+    assert offenders == []
