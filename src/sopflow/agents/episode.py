@@ -3,11 +3,17 @@
 Each step makes up to three backend calls (orchestrator thought, candidate
 proposal, orchestrator selection), executes exactly one tool from the bounded
 action set, and runs the post-observation hooks (ObAgent then JudgeAgent after
-match_observation). The thought and the proposal do not depend on each other:
-on a backend that declares ``concurrent_calls`` (the remote one) they are sent
-together, so a step waits for 2 serial round trips, not 3; scripted runs stay
-strictly sequential, because their replies depend on call order. Either way
-the transcript holds the events in the sequential order. A failed completion
+match_observation). On a backend that declares ``concurrent_calls`` (the
+remote one) the episode overlaps calls that do not depend on each other,
+using one worker thread, so at most two requests are in flight:
+- the thought and the proposal are sent together, so a step waits for 2
+  serial round trips, not 3;
+- the query of an R6 or R8 candidate, fixed once the action set is built, is
+  embedded while the selection is in flight (a prefetch: no retry, no event);
+- a knowledge-base match embeds the texts it misses two at a time.
+Scripted runs stay strictly sequential, because their replies depend on call
+order. Either way the transcript holds the events in the sequential order,
+and a failure resolves as it would in that order. A failed completion
 or knowledge-base embedding is retried once (after the backend's Retry-After,
 capped); failing again aborts the episode, and so does any unexpected
 exception raised from a step. Executing speak terminates it with a diagnosis;
@@ -18,12 +24,12 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import asdict
 from pathlib import Path
 
 from ..detector import DetectorConfig
-from ..errors import BackendError, EpisodeAborted, ScriptExhaustedError
+from ..errors import BackendError, EpisodeAborted, ScriptExhaustedError, SopflowError
 from ..llm import ChatMessage, ask, render_prompt
 from ..prompts import (
     DIRECT_SYSTEM,
@@ -54,25 +60,51 @@ from .types import (
 _HISTORY_TAIL = 6
 _OBSERVATION_SNIPPET = 400
 MAX_RETRY_WAIT_S = 10.0  # cap on a backend's Retry-After before the one retry
+# the knowledge-base query argument of each rule candidate worth prefetching
+_PREFETCHED_ARG = {"R6": "observation", "R8": "query"}
 
 
 class _RecordingBackend:
     """Wraps a backend for one episode: completions and embeddings both get
     the retry-once-then-abort policy, and completions go to the transcript
-    through ``log`` (the episode's ``EpisodeState.log``, or a buffer)."""
+    (``events``: the episode's, or a buffer the caller splices in).
 
-    def __init__(self, inner, log):
+    On a backend that declares ``concurrent_calls`` it owns the episode's one
+    worker thread (``submit``, started on first use), so the episode has at
+    most two requests in flight: one on the thread that runs the step and one
+    on the worker.
+    """
+
+    def __init__(self, inner, state: EpisodeState, events: list[dict] | None = None):
         self._inner = inner
-        self._log = log
+        self._state = state
+        self._events = state.events if events is None else events
         self.embed_dim = inner.embed_dim
         self.backend_id = inner.backend_id
-        self.concurrent_calls = getattr(inner, "concurrent_calls", False)
+        # a buffered backend runs on the worker, so it sends one call at a time
+        self.concurrent_calls = events is None and getattr(inner, "concurrent_calls", False)
+        self._executor: ThreadPoolExecutor | None = None
 
-    def buffered(self, state: EpisodeState, events: list[dict]) -> "_RecordingBackend":
+    def buffered(self, events: list[dict]) -> "_RecordingBackend":
         """The same backend, logging into ``events`` instead, for a call made
-        on another thread; the caller splices ``events`` into the transcript."""
-        return _RecordingBackend(
-            self._inner, lambda kind, **fields: events.append(state.event(kind, **fields)))
+        on the worker; the caller splices ``events`` into the transcript."""
+        return _RecordingBackend(self._inner, self._state, events)
+
+    def submit(self, fn, *args) -> Future:
+        """Run ``fn(*args)`` on the episode's worker thread."""
+        if self._executor is None:
+            self._executor = ThreadPoolExecutor(max_workers=1,
+                                                thread_name_prefix="sopflow-propose")
+        return self._executor.submit(fn, *args)
+
+    def close(self) -> None:
+        """Stop the worker thread, if one was started; waits for a call in flight."""
+        if self._executor is not None:
+            self._executor.shutdown(wait=True)
+            self._executor = None
+
+    def _log(self, kind: str, **fields) -> None:
+        self._events.append(self._state.event(kind, **fields))
 
     def _retry_once(self, call, arg):
         try:
@@ -94,6 +126,44 @@ class _RecordingBackend:
 
     def embed(self, text: str):
         return self._retry_once(self._inner.embed, text)
+
+    def embed_many(self, texts: list[str]) -> list:
+        """The vectors of ``texts``, in order, each embedded as ``embed`` does.
+
+        With ``concurrent_calls`` they are sent two at a time, the second of
+        each pair on the worker with its events buffered. They are spliced in
+        after the first's, and dropped if the first fails twice, so the
+        transcript and the abort are those of embedding one text after another.
+        """
+        if not self.concurrent_calls:
+            return [self.embed(text) for text in texts]
+        vectors = []
+        for i in range(0, len(texts) - 1, 2):
+            events: list[dict] = []
+            second = self.submit(self.buffered(events).embed, texts[i + 1])
+            try:
+                vectors.append(self.embed(texts[i]))
+            finally:
+                wait([second])
+            self._events.extend(events)
+            vectors.append(second.result())
+        if len(texts) % 2:
+            vectors.append(self.embed(texts[-1]))
+        return vectors
+
+    def prefetch(self, kb, text: str) -> Future:
+        """Embed ``text`` into ``kb``'s cache on the worker, straight through
+        the inner backend: no retry and no event, and an error is dropped. A
+        match that then misses the text embeds it as if nothing had been sent,
+        so the transcript is the same either way."""
+        def fetch() -> None:
+            try:
+                vector = self._inner.embed(text)
+            except SopflowError:  # the match's own embed retries and reports it
+                return
+            kb.remember(text, vector)
+
+        return self.submit(fetch)
 
 
 def _history_text(state: EpisodeState) -> str:
@@ -130,8 +200,7 @@ class _Runtime:
         telemetry = render_telemetry(scenario)
         self.alert = render_alert(telemetry, self.detector)
         self.state = EpisodeState(scenario_id=scenario.id, alert=self.alert, config=config)
-        self.backend = _RecordingBackend(backend, self.state.log)
-        self._executor: ThreadPoolExecutor | None = None
+        self.backend = _RecordingBackend(backend, self.state)
         if not config.ablations.sop_knowledge:
             kb = kb.without_sops()
         self.ctx = ToolContext(
@@ -176,23 +245,26 @@ class _Runtime:
         if not self.backend.concurrent_calls:
             thought = self._think()
             return thought, self._propose(self.backend)
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(max_workers=1,
-                                                thread_name_prefix="sopflow-propose")
         events: list[dict] = []
-        proposal = self._executor.submit(self._propose,
-                                         self.backend.buffered(self.state, events))
+        proposal = self.backend.submit(self._propose, self.backend.buffered(events))
         thought = self._think()
         try:
             return thought, proposal.result()
         finally:
             self.state.events.extend(events)
 
-    def close(self) -> None:
-        """Stop the worker thread, if one was started; waits for a call in flight."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
+    def _prefetch(self, action_set: ActionSet) -> Future | None:
+        """Start embedding the query of the action set's R6 or R8 candidate
+        (at most one: R8 fires at the first step only, R6 never there) while
+        the selection is in flight, if the text is not cached yet."""
+        if not self.backend.concurrent_calls:
+            return None
+        for candidate in action_set.candidates:
+            if candidate.rule in _PREFETCHED_ARG:
+                text = str(candidate.args[_PREFETCHED_ARG[candidate.rule]])
+                if text.strip() and not self.ctx.kb.cached(text):
+                    return self.backend.prefetch(self.ctx.kb, text)
+        return None
 
     def _build_action_set(self, reply: str | None) -> ActionSet:
         state = self.state
@@ -298,7 +370,12 @@ class _Runtime:
                 state.log("note", text="empty action set; step consumed")
                 state.step_count += 1
                 return
-            chosen, position, fallback = self._select(thought, action_set)
+            prefetch = self._prefetch(action_set)
+            try:
+                chosen, position, fallback = self._select(thought, action_set)
+            finally:
+                if prefetch is not None:
+                    prefetch.result()
         else:
             thought = self._think()
             candidate = self._direct_action(thought)
@@ -365,7 +442,7 @@ def run_episode(scenario: EpisodeScenario, config: AgentConfig, backend, kb,
         state.abort_reason = (str(exc) if isinstance(exc, EpisodeAborted)
                               else f"internal error: {type(exc).__name__}: {exc}")
     finally:
-        rt.close()
+        rt.backend.close()
     if not state.terminated:
         state.terminated = True
     if state.outcome is None:

@@ -3,12 +3,15 @@
 Documents live as one YAML file each under ``<root>/sops`` and
 ``<root>/incidents`` so engineers can edit them by hand; embeddings are
 computed lazily through the configured backend and cached keyed by
-(backend id, text hash), on disk under ``<root>``. A knowledge base has one
-embedding cache, shared by all its views (``using``, ``clone_in_memory``,
-``without_sops``), so a benchmark run embeds each distinct text once. Every
-file is written atomically (a temp file beside it, then ``os.replace``).
-Retrieval is an exact linear scan over cosine similarities, which is plenty at
-the store sizes this system targets.
+(backend id, text hash), on disk under ``<root>``. A match hands the texts
+it misses (the query and the store's uncached texts, each once, in order) to
+the backend's ``embed_many`` in one call, which an episode on a remote
+backend sends two at a time, and writes the cache file once. A knowledge
+base has one embedding cache, shared by all its views (``using``,
+``clone_in_memory``, ``without_sops``), so a benchmark run embeds each
+distinct text once. Every file is written atomically (a temp file beside it,
+then ``os.replace``). Retrieval is an exact linear scan over cosine
+similarities, which is plenty at the store sizes this system targets.
 """
 
 from __future__ import annotations
@@ -262,15 +265,35 @@ class KnowledgeBase:
 
     # -- retrieval ---------------------------------------------------------
 
-    def _embed(self, text: str) -> EmbeddingVector:
-        key = _text_key(self._backend.backend_id, text)
-        vec = self._cache.get(key)
-        if vec is None:
-            vec = self._backend.embed(text)
+    def _vectors(self, texts: list[str]) -> dict[str, EmbeddingVector]:
+        """The vector of each text. The texts missing from the cache are
+        embedded in one call, in order and each once (``embed_many`` when the
+        backend has it), then cached with one write of the cache file."""
+        backend_id = self._backend.backend_id
+        keys = {text: _text_key(backend_id, text) for text in texts}
+        missing = [text for text, key in keys.items() if key not in self._cache]
+        if missing:
+            embed_many = getattr(self._backend, "embed_many", None)
+            embedded = (embed_many(missing) if embed_many is not None
+                        else [self._backend.embed(text) for text in missing])
             with self._lock:
-                self._cache[key] = vec
+                self._cache.update(zip((keys[text] for text in missing), embedded))
                 self._flush_cache()
-        return vec
+        return {text: self._cache[key] for text, key in keys.items()}
+
+    def _embed(self, text: str) -> EmbeddingVector:
+        return self._vectors([text])[text]
+
+    def cached(self, text: str) -> bool:
+        """Whether ``text`` has a vector in the embedding cache."""
+        return _text_key(self._backend.backend_id, text) in self._cache
+
+    def remember(self, text: str, vector: EmbeddingVector) -> None:
+        """Cache ``vector`` as the embedding of ``text``, as if a match had
+        embedded it (a prefetch made outside any match)."""
+        with self._lock:
+            self._cache[_text_key(self._backend.backend_id, text)] = vector
+            self._flush_cache()
 
     def match_sop(self, query: str, k: int | None = None,
                   threshold: float | None = None) -> list[tuple[SopDoc, float]]:
@@ -292,8 +315,9 @@ class KnowledgeBase:
             raise ValidationError("k must be positive")
         if not store:
             return []
-        query_vec = self._embed(query)
-        scored = [(item, cosine_similarity(query_vec, self._embed(getattr(item, text_attr))))
+        vectors = self._vectors([query, *(getattr(item, text_attr) for item in store.values())])
+        query_vec = vectors[query]
+        scored = [(item, cosine_similarity(query_vec, vectors[getattr(item, text_attr)]))
                   for item in store.values()]
         # ties break on lexicographic id so golden tests stay stable
         scored.sort(key=lambda pair: (-pair[1], pair[0].id))

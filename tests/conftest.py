@@ -5,6 +5,7 @@ import re
 import threading
 import time
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import pytest
@@ -118,6 +119,7 @@ RENDEZVOUS_TIMEOUT_S = 10.0
 class FakeRequest:
     role: str        # a prompt role ("thought", "action", ...) or "embed"
     number: int      # earlier requests of the same role
+    repeat: int      # earlier requests of the same role and prompt
     thread: str      # name of the calling thread
     prompt: str      # the rendered prompt, or the text to embed
 
@@ -147,20 +149,22 @@ class FakeEndpoint:
 
     Each request sleeps ``delays.get(role, delay_s)`` and is recorded in
     ``requests``. ``replies[(role, n)] = (status, payload)`` answers the
-    ``n``-th request of a role (0-based, retries included) instead.
+    ``n``-th request of a role (0-based, retries included) instead, and
+    ``replies[(role, prompt, n)]`` the ``n``-th request of a role with exactly
+    that prompt (for an embedding, the text).
 
     ``overlaps`` lists every pair of requests that were in flight together,
     the earlier one first, as the endpoint saw them under its lock. A request
-    of a role in ``rendezvous`` waits inside the endpoint until a second such
-    request arrives; after ``RENDEZVOUS_TIMEOUT_S`` alone it raises
-    ``threading.BrokenBarrierError`` out of ``requests.post``.
+    for which ``rendezvous(request)`` is true waits inside the endpoint until
+    a second such request arrives; after ``RENDEZVOUS_TIMEOUT_S`` alone it
+    raises ``threading.BrokenBarrierError`` out of ``requests.post``.
     """
 
     def __init__(self, delay_s: float = 0.001):
         self.delay_s = delay_s
         self.delays: dict[str, float] = {}
-        self.replies: dict[tuple[str, int], tuple[int, object]] = {}
-        self.rendezvous: frozenset[str] = frozenset()
+        self.replies: dict[tuple, tuple[int, object]] = {}
+        self.rendezvous: Callable[[FakeRequest], bool] = lambda request: False
         self.requests: list[FakeRequest] = []
         self.overlaps: list[tuple[FakeRequest, FakeRequest]] = []
         self._in_flight: list[FakeRequest] = []
@@ -208,23 +212,27 @@ class FakeEndpoint:
             role = _ROLE_NAMES.get(messages[0].content.splitlines()[0], "other")
             prompt = "\n".join(m.content for m in messages)
         with self._lock:
-            number = self._counts[role]
+            number, repeat = self._counts[role], self._counts[(role, prompt)]
             self._counts[role] += 1
-            record = FakeRequest(role, number, threading.current_thread().name, prompt)
+            self._counts[(role, prompt)] += 1
+            record = FakeRequest(role, number, repeat, threading.current_thread().name,
+                                 prompt)
             self.requests.append(record)
             self.overlaps.extend((other, record) for other in self._in_flight)
             self._in_flight.append(record)
         try:
-            if role in self.rendezvous:
+            if self.rendezvous(record):
                 self._barrier.wait()
             time.sleep(self.delays.get(role, self.delay_s))
-            return self._answer(role, number, prompt, messages)
+            return self._answer(record, messages)
         finally:
             with self._lock:
                 self._in_flight.remove(record)
 
-    def _answer(self, role: str, number: int, prompt: str, messages) -> _FakeResponse:
-        injected = self.replies.get((role, number))
+    def _answer(self, request: FakeRequest, messages) -> _FakeResponse:
+        role, prompt = request.role, request.prompt
+        injected = self.replies.get((role, request.number),
+                                    self.replies.get((role, prompt, request.repeat)))
         if injected is not None:
             return _FakeResponse(*injected)
         if role == "embed":

@@ -216,6 +216,25 @@ def test_skipped_samples_never_change_the_alert(scenario, cfg):
             == reference_alert(render_telemetry(scenario), cfg))
 
 
+def test_a_detector_config_changed_in_place_gets_fresh_verdicts():
+    # the sweep's memo of never-flagging series is keyed on the values of the
+    # config, not on the object: each change below moves the bound that lets
+    # the sweep skip a series' nominal samples
+    cfg = DetectorConfig()
+    alerts = set()
+    for change in (lambda: None,
+                   lambda: cfg.static_thresholds.update(cpu_usage=0.05, memory_usage=0.1),
+                   lambda: setattr(cfg, "min_sigma_frac", 0.0),
+                   lambda: setattr(cfg, "k", 0.5),
+                   lambda: cfg.static_thresholds.clear()):
+        change()
+        for scenario in golden_scenarios()[:3]:
+            alert = render_alert(render_telemetry(scenario), cfg)
+            assert alert == reference_alert(render_telemetry(scenario), cfg)
+            alerts.add(alert)
+    assert len(alerts) > 3
+
+
 def test_alert_renders_only_components_a_fault_touches(monkeypatch):
     rendered = []  # the component of every metric sample rendered
     traced = []    # the tick of every trace rendered

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -5,6 +6,7 @@ import re
 
 import pytest
 
+from sopflow import golden, schema
 from sopflow.errors import (
     ConfigError,
     DegenerateVectorError,
@@ -241,6 +243,23 @@ class TestPersistence:
         warm = KnowledgeBase(ExplodingBackend(), root=root)
         matches = warm.match_sop("cached name", k=1, threshold=0.5)
         assert matches[0][0].id == "sop-a"
+
+    def test_a_match_writes_the_cache_once(self, tmp_path, monkeypatch):
+        root = tmp_path / "kb"
+        golden.make_golden_kb(scripted_backend(), root=root)
+        writes = []
+        write_atomic = schema.write_atomic
+        monkeypatch.setattr(schema, "write_atomic",
+                            lambda path, text: writes.append(path) or write_atomic(path, text))
+        kb = KnowledgeBase(scripted_backend(), root=root)
+        for _ in range(2):  # the second pass embeds nothing, so writes nothing
+            kb.match_sop("checkout latency is rising on the frontend")
+            kb.match_observation("payment requests time out upstream")
+        # one write per cold match (14 before, one per text); the bytes are
+        # those the one-write-per-text cache left
+        assert writes == [root / "embedding_cache.json"] * 2
+        digest = hashlib.sha256((root / "embedding_cache.json").read_bytes()).hexdigest()
+        assert digest == "4c009c15e122d620e5aa28710ea4b2e9862eb506fc0d98ff17eb82b68d878e98"
 
     def test_sop_file_is_editable_yaml(self, tmp_path):
         root = tmp_path / "kb"

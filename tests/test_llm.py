@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from sopflow import schema
 from sopflow.errors import BackendError, ConfigError, ScriptExhaustedError, ValidationError
 from sopflow.kb import cosine_similarity
 from sopflow.llm import (
@@ -135,6 +136,30 @@ class TestScriptFiles:
     def test_malformed_entry_is_config_error(self, entry):
         with pytest.raises(ConfigError):
             script_from_mapping([entry])
+
+    @pytest.mark.parametrize("entry", [
+        {"match_key": "*", "response": "1"},
+        {"response": "1", "consume_once": False, "match_key": "k"},
+        {"match_key": "*", "response": "1", "consume_once": 1},
+        {"match_key": "*", "response": 2},
+        {"match_key": "*", "response": "1", "consume_once": None},
+        {"match_key": "*", "response": "1", "consume": True},
+        {"response": "1"},
+        ["match_key", "*"],
+        None,
+    ])
+    def test_entries_read_as_from_mapping_reads_them(self, entry):
+        # well-typed entries skip schema.from_mapping; the rest keep its errors
+        try:
+            expected = [schema.from_mapping(ScriptEntry, entry, "script entry")]
+        except ConfigError as exc:
+            with pytest.raises(ConfigError) as got:
+                script_from_mapping([entry])
+            assert str(got.value) == str(exc)
+        else:
+            got = script_from_mapping([entry])
+            assert got == expected
+            assert [type(v) for v in vars(got[0]).values()] == [str, str, bool]
 
 
 def test_only_the_backend_module_touches_the_network():

@@ -1,5 +1,7 @@
 """Episodes through ``RemoteBackend``: each step sends its thought and its
-proposal together, and the transcript is still the sequential one.
+proposal together, the R6 or R8 query is embedded while the selection is in
+flight, and a cold store's texts are embedded two at a time; the transcript
+is still the sequential one.
 
 ``fake_endpoint`` (conftest) answers the HTTP calls from each scenario's
 script, with a delay per request, and records which requests were in flight
@@ -75,22 +77,43 @@ def test_remote_transcripts_equal_scripted_under_every_mode(tmp_path, fake_endpo
     assert proposers and all(name.startswith("sopflow-propose") for name in proposers)
 
 
-def test_each_step_overlaps_exactly_its_thought_and_proposal(fake_endpoint):
-    # each thought and proposal waits inside the endpoint for the other, so a
-    # client that sent them one after the other would time out there
-    fake_endpoint.rendezvous = frozenset({"thought", "action"})
+def test_each_step_overlaps_exactly_its_planned_pairs(fake_endpoint):
+    # each request of a planned pair waits inside the endpoint for its partner,
+    # so a client that sent the two one after the other would time out there
     case = golden.golden_cases("default")[0]
+    kb = golden.make_golden_kb(make_backend(BackendConfig()))  # cold: nothing cached
+    names = [doc.name for doc in kb.list_sops()]
+    manifestations = [incident.manifestation for incident in kb.list_incidents()]
+    # a cold store's texts go two at a time: the 9 SOP names (the query is one
+    # of them), then the 3 manifestations (the R6 prefetch embedded the query),
+    # so the last of each store goes alone
+    alone = {names[-1], manifestations[-1]}
+    prefetching = {0, 3}  # the selections of steps 1 (R8) and 4 (R6)
+    fake_endpoint.rendezvous = lambda r: (
+        r.role in ("thought", "action")
+        or (r.role == "select" and r.number in prefetching)
+        or (r.role == "embed" and r.prompt not in alone))
     fake_endpoint.serve({case.scenario.id: case.script})
-    kb = golden.make_golden_kb(make_backend(BackendConfig()))
     result = run_episode(case.scenario, AgentConfig(), RemoteBackend(fake_endpoint.config()),
                          kb)
     assert result.outcome == "completed" and result.state.step_count == STEPS
 
+    state = result.state
+    assert state.history[3].chosen.rule == "R6"
+    findings = state.history[3].chosen.args["observation"]
+    expected = {frozenset({("thought", n), ("action", n)}) for n in range(STEPS)}
+    expected |= {frozenset({("select", 0), ("embed", state.alert)}),
+                 frozenset({("select", 3), ("embed", findings)})}
+    expected |= {frozenset({("embed", a), ("embed", b)})
+                 for store in (names, manifestations)
+                 for a, b in zip(store[0::2], store[1::2])}
+
+    def key(request):
+        return request.role, request.prompt if request.role == "embed" else request.number
+
     pairs = fake_endpoint.overlaps  # no other pair of requests was ever in flight together
-    assert len(pairs) == STEPS
-    for a, b in pairs:
-        assert {a.role, b.role} == {"thought", "action"} and a.number == b.number
-    assert sorted(a.number for a, _ in pairs) == list(range(STEPS))
+    assert len(pairs) == len(expected) == 12
+    assert {frozenset({key(a), key(b)}) for a, b in pairs} == expected
 
 
 def _failing_run(fake_endpoint, monkeypatch, replies, concurrent: bool):
@@ -139,6 +162,79 @@ def test_failures_resolve_as_in_sequential_order(fake_endpoint, monkeypatch, rep
     assert [e["kind"] for e in step_events] == last_kinds
     if last_kinds[0] == "llm":  # the thought's reply, before the proposal's retry
         assert "ROLE: orchestrator-thought" in step_events[0]["prompt"]
+
+
+_NAMES = [doc.name for doc in golden.golden_sops()]
+# the first match_sop embeds the 9 SOP names two at a time, the query (the
+# first name) included: the third name goes first in its pair, the fourth second
+FIRST_HALF, SECOND_HALF = _NAMES[2], _NAMES[3]
+
+
+def _embed_down(text: str, times: int) -> dict:
+    return {("embed", text, n): (503, {"error": f"{text} down"}) for n in range(times)}
+
+
+@pytest.mark.parametrize("replies, retried, reason", [
+    (_embed_down(FIRST_HALF, 1), [FIRST_HALF], None),
+    (_embed_down(SECOND_HALF, 1), [SECOND_HALF], None),
+    ({**_embed_down(FIRST_HALF, 1), **_embed_down(SECOND_HALF, 1)},
+     [FIRST_HALF, SECOND_HALF], None),
+    (_embed_down(FIRST_HALF, 2), [FIRST_HALF], FIRST_HALF),
+    (_embed_down(SECOND_HALF, 2), [SECOND_HALF], SECOND_HALF),
+    ({**_embed_down(FIRST_HALF, 2), **_embed_down(SECOND_HALF, 2)},
+     [FIRST_HALF], FIRST_HALF),
+    ({**_embed_down(FIRST_HALF, 1), **_embed_down(SECOND_HALF, 2)},
+     [FIRST_HALF, SECOND_HALF], SECOND_HALF),
+], ids=["first-retried", "second-retried", "both-retried", "first-fails", "second-fails",
+        "both-fail", "first-retried-second-fails"])
+def test_paired_embedding_failures_resolve_as_in_sequential_order(
+        fake_endpoint, monkeypatch, replies, retried, reason):
+    sequential, sequential_lines = _failing_run(fake_endpoint, monkeypatch, replies,
+                                                concurrent=False)
+    concurrent, concurrent_lines = _failing_run(fake_endpoint, monkeypatch, replies,
+                                                concurrent=True)
+    # the pair really was split between the step's thread and the worker
+    threads = {r.prompt: r.thread for r in fake_endpoint.requests if r.role == "embed"}
+    assert threads[FIRST_HALF] == "MainThread"
+    assert threads[SECOND_HALF].startswith("sopflow-propose")
+
+    assert concurrent_lines == sequential_lines
+    events = concurrent.state.events
+    assert [e["error"] for e in events if e["kind"] == "llm_retry"] == [
+        f"backend returned status 503: {json.dumps({'error': f'{text} down'})}"
+        for text in retried]
+    if reason is None:
+        assert concurrent.outcome == "completed"
+        return
+    assert concurrent.outcome == "aborted"
+    assert concurrent.state.abort_reason.startswith("backend failed twice:")
+    assert f"{reason} down" in concurrent.state.abort_reason
+    assert events[-2]["kind"] == "llm_retry" and f"{reason} down" in events[-2]["error"]
+
+
+@pytest.mark.parametrize("bad_reply", [
+    (503, {"error": "embeddings down"}),
+    (200, {"data": [{"embedding": [0.5] * 63}]}),
+], ids=["503", "63-dim"])
+def test_failing_prefetch_leaves_the_transcript_unchanged(fake_endpoint, monkeypatch,
+                                                          bad_reply):
+    sequential, sequential_lines = _failing_run(fake_endpoint, monkeypatch, {},
+                                                concurrent=False)
+    state = sequential.state
+    queries = [state.alert, state.history[3].chosen.args["observation"]]  # R8, R6
+    # the first request for each query is the prefetch sent during its selection
+    replies = {("embed", query, 0): bad_reply for query in queries}
+    concurrent, concurrent_lines = _failing_run(fake_endpoint, monkeypatch, replies,
+                                                concurrent=True)
+    assert concurrent_lines == sequential_lines
+    assert concurrent.outcome == "completed"
+    assert not any(e["kind"] == "llm_retry" for e in concurrent.state.events)
+    prefetches = [r for r in fake_endpoint.requests
+                  if r.role == "embed" and r.prompt in queries and r.repeat == 0]
+    assert [r.prompt for r in prefetches] == queries
+    assert all(r.thread.startswith("sopflow-propose") for r in prefetches)
+    # the R6 query was embedded again by its match, as if nothing had been sent
+    assert [r.repeat for r in fake_endpoint.requests if r.prompt == queries[1]] == [0, 1]
 
 
 def test_no_thread_outlives_its_episode(tmp_path, fake_endpoint):
