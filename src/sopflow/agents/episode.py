@@ -8,8 +8,9 @@ remote one) the episode overlaps calls that do not depend on each other,
 using one worker thread, so at most two requests are in flight:
 - the thought and the proposal are sent together, so a step waits for 2
   serial round trips, not 3;
-- the query of an R6 or R8 candidate, fixed once the action set is built, is
-  embedded while the selection is in flight (a prefetch: no retry, no event);
+- the findings an R6 candidate matches, fixed once the action set is built,
+  are embedded while the selection is in flight (a prefetch: no retry, no
+  event);
 - a knowledge-base match embeds the texts it misses two at a time.
 Scripted runs stay strictly sequential, because their replies depend on call
 order. Either way the transcript holds the events in the sequential order,
@@ -60,8 +61,6 @@ from .types import (
 _HISTORY_TAIL = 6
 _OBSERVATION_SNIPPET = 400
 MAX_RETRY_WAIT_S = 10.0  # cap on a backend's Retry-After before the one retry
-# the knowledge-base query argument of each rule candidate worth prefetching
-_PREFETCHED_ARG = {"R6": "observation", "R8": "query"}
 
 
 class _RecordingBackend:
@@ -254,14 +253,15 @@ class _Runtime:
             self.state.events.extend(events)
 
     def _prefetch(self, action_set: ActionSet) -> Future | None:
-        """Start embedding the query of the action set's R6 or R8 candidate
-        (at most one: R8 fires at the first step only, R6 never there) while
-        the selection is in flight, if the text is not cached yet."""
+        """Start embedding the findings of the action set's R6 candidate
+        (``match_observation``) while the selection is in flight, if they are
+        not cached yet. R8's ``match_sop(alert)`` is not prefetched: no
+        measured workload chooses it, so the request would only add load."""
         if not self.backend.concurrent_calls:
             return None
         for candidate in action_set.candidates:
-            if candidate.rule in _PREFETCHED_ARG:
-                text = str(candidate.args[_PREFETCHED_ARG[candidate.rule]])
+            if candidate.rule == "R6":
+                text = str(candidate.args["observation"])
                 if text.strip() and not self.ctx.kb.cached(text):
                     return self.backend.prefetch(self.ctx.kb, text)
         return None

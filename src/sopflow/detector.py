@@ -14,13 +14,15 @@ Python 3.11 and later, computed in integers.
 baseline, once per series: ``evaluate_series`` judges through it, and the
 alert sweep uses it to test each sample of a series on its own.
 ``_never_flags`` proves from a series' value range alone that no sample can
-flag, so the sweep need not render the samples.
+flag, so the sweep need not render the samples; ``_never_flagging`` memoises
+those verdicts for a set of series.
 """
 
 from __future__ import annotations
 
 import math
 import statistics
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from . import schema
@@ -131,6 +133,34 @@ def _never_flags(lo: float, hi: float, metric: str, cfg: DetectorConfig) -> bool
     if threshold is not None:
         return hi <= threshold
     return hi - lo + 1e-9 * hi < cfg.k * cfg.min_sigma_frac * lo
+
+
+def _never_flags_inputs(cfg: DetectorConfig) -> tuple:
+    """Every value of ``cfg`` that ``_never_flags`` reads, hashable: what a
+    memo of its verdicts is keyed on, so a config changed in place gets
+    fresh verdicts. It changes whenever ``_never_flags`` does."""
+    return cfg.k, cfg.min_sigma_frac, tuple(sorted(cfg.static_thresholds.items()))
+
+
+_NEVER_FLAGGING: dict[tuple, frozenset] = {}
+_NEVER_FLAGGING_SIZE = 64
+
+
+def _never_flagging(name: str, ranges: Mapping[tuple[str, str], tuple[float, float]],
+                    cfg: DetectorConfig) -> frozenset[tuple[str, str]]:
+    """The (component, metric) series of ``ranges`` (series -> the [lo, hi]
+    its samples lie in) whose range ``_never_flags`` clears under ``cfg``.
+    Memoised on ``name``, which must name the same ranges on every call, and
+    on ``_never_flags_inputs(cfg)``."""
+    key = (name, _never_flags_inputs(cfg))
+    never = _NEVER_FLAGGING.get(key)
+    if never is None:
+        never = frozenset(series for series, (lo, hi) in ranges.items()
+                          if _never_flags(lo, hi, series[1], cfg))
+        if len(_NEVER_FLAGGING) >= _NEVER_FLAGGING_SIZE:
+            _NEVER_FLAGGING.clear()
+        _NEVER_FLAGGING[key] = never
+    return never
 
 
 def _pstdev(values: list[float]) -> float:

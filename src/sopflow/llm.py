@@ -14,7 +14,7 @@ import hashlib
 import math
 import os
 import threading
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import requests
@@ -56,24 +56,8 @@ def script_to_mapping(script: list[ScriptEntry]) -> list[dict]:
     return [asdict(entry) for entry in script]
 
 
-_ENTRY_KEYS = frozenset(f.name for f in fields(ScriptEntry))
-
-
-def _script_entry(entry) -> ScriptEntry:
-    """``schema.from_mapping`` of one script entry. An entry with only known
-    keys whose values have exactly their fields' types (what a script file
-    holds) is built directly, as coercion would return those values
-    unchanged; any other entry gets ``from_mapping``'s checks and errors."""
-    if (type(entry) is dict and type(entry.get("match_key")) is str
-            and type(entry.get("response")) is str
-            and type(entry.get("consume_once", False)) is bool
-            and entry.keys() <= _ENTRY_KEYS):
-        return ScriptEntry(**entry)
-    return schema.from_mapping(ScriptEntry, entry, "script entry")
-
-
 def script_from_mapping(data: list) -> list[ScriptEntry]:
-    return [_script_entry(entry) for entry in data or []]
+    return [schema.from_mapping(ScriptEntry, entry, "script entry") for entry in data or []]
 
 
 @dataclass
@@ -206,8 +190,8 @@ class RemoteBackend:
     Each call is one ``requests.post`` and calls share no state, so an episode
     may have two calls in flight at once (``concurrent_calls``), never more: a
     step's thought with its proposal, a selection with the prefetched
-    embedding of a flow rule's query, or two embeddings of a knowledge-base
-    store. A reply that is not what the API promises is a ``BackendError``,
+    embedding of the findings rule R6 matches, or two embeddings of a
+    knowledge-base store. A reply that is not what the API promises is a ``BackendError``,
     which the episode retries once.
     """
 

@@ -10,8 +10,8 @@ The metric sweep is tick-major. It tests every series at one tick, in
 first flagged sample: the candidate that sorting every series' first flag
 would pick. It skips the samples it can prove cannot flag: those of a series
 whose component no fault touches at that tick or at any baseline tick, and
-whose nominal value range ``_never_flags`` clears (a verdict that depends on
-the topology and the detector config alone, so it is memoised on both).
+whose nominal value range ``_never_flags`` clears (verdicts that depend on
+the topology and the detector config alone: ``_never_flagging`` memoises them).
 For each series it does test it computes the baseline rule once, from the
 first 8 samples (a static threshold needs no baseline, so none is rendered
 for it); a series whose baseline is too short for a rule is never rendered.
@@ -27,32 +27,17 @@ rendered on demand, so only what the sweeps reach is computed.
 
 from __future__ import annotations
 
-import functools
-
 from ..detector import (
     DetectorConfig,
     _baseline_rule,
-    _never_flags,
+    _never_flagging,
     evaluate_series,
 )
-from .telemetry import SAMPLE_PERIOD_S, Telemetry, _tables
+from .telemetry import SAMPLE_PERIOD_S, Telemetry
 
 _ALERT_BASELINE_SAMPLES = 8  # episode-start samples used as the sweep baseline
 
 _MODALITY_RANK = {"metric": 0, "trace": 1, "log": 2, "state": 3}
-
-
-@functools.lru_cache(maxsize=64)
-def _never_flagging(topology_name: str, k: float, min_sigma_frac: float,
-                    static_thresholds: tuple[tuple[str, float], ...]
-                    ) -> frozenset[tuple[str, str]]:
-    """The series of a topology whose nominal value range ``_never_flags``
-    clears under a detector config, given by the values it reads, so a
-    config changed in place gets its own verdicts."""
-    cfg = DetectorConfig(k=k, min_sigma_frac=min_sigma_frac,
-                         static_thresholds=dict(static_thresholds))
-    return frozenset(key for key, (lo, hi) in _tables(topology_name).nominal_range.items()
-                     if _never_flags(lo, hi, key[1], cfg))
 
 
 def _metric_candidates(telemetry: Telemetry, cfg: DetectorConfig):
@@ -63,8 +48,7 @@ def _metric_candidates(telemetry: Telemetry, cfg: DetectorConfig):
     # component, metric, static); a quiet one, whose nominal samples cannot
     # flag, only at ticks a fault touches its component
     loud, quiet = [], {}
-    never = _never_flagging(telemetry.scenario.topology_name, cfg.k, cfg.min_sigma_frac,
-                            tuple(sorted(cfg.static_thresholds.items())))
+    never = _never_flagging(telemetry.scenario.topology_name, telemetry.nominal_ranges(), cfg)
     for position, (component, metric) in enumerate(telemetry.series_keys()):
         static = cfg.static_thresholds.get(metric) is not None
         if not static and len(baseline_times) < cfg.min_baseline_samples:

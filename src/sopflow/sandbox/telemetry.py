@@ -68,8 +68,10 @@ import functools
 import hashlib
 import json
 import statistics
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import compress, product
+from types import MappingProxyType
 
 from ..detector import DetectorConfig, matches_keyword
 from ..errors import NotFoundError
@@ -280,6 +282,11 @@ class Telemetry:
         """The components a fault can change at sample tick ``t``; a sample of
         any other component at ``t`` is nominal."""
         return self._renderer.effects[t].touched
+
+    def nominal_ranges(self) -> Mapping[tuple[str, str], tuple[float, float]]:
+        """``nominal_range`` of every series, read-only and shared by every
+        scenario on the topology."""
+        return MappingProxyType(self._tables.nominal_range)
 
     def nominal_range(self, component: str, metric: str) -> tuple[float, float]:
         """The least and the greatest value a nominal sample of a series named

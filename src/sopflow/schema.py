@@ -121,10 +121,25 @@ def _marker(f: dataclasses.Field) -> str | None:
 
 
 @functools.cache
-def _fields(cls) -> tuple[tuple[dataclasses.Field, object], ...]:
-    """(field, resolved type) pairs; resolving string annotations is slow."""
+def _fields(cls) -> tuple[tuple[str, object, frozenset[str] | None, bool], ...]:
+    """What ``from_mapping`` reads for each field of ``cls`` but an internal
+    one: its name, its resolved type (resolving string annotations is slow),
+    the keys of its dataclass when it is inline (else None), and whether its
+    key is required."""
     hints = typing.get_type_hints(cls)
-    return tuple((f, hints[f.name]) for f in dataclasses.fields(cls))
+    out = []
+    for f in dataclasses.fields(cls):
+        if _marker(f) == "internal":
+            continue
+        tp = hints[f.name]
+        inline = (frozenset(g.name for g in dataclasses.fields(tp))
+                  if _marker(f) == "inline" else None)
+        required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+        out.append((f.name, tp, inline, required))
+    keys = [key for name, _, inline, _ in out for key in (inline or (name,))]
+    if len(set(keys)) != len(keys):
+        raise TypeError(f"{cls.__name__}: a key names two fields")
+    return tuple(out)
 
 
 def from_mapping(cls, mapping, section: str):
@@ -133,20 +148,22 @@ def from_mapping(cls, mapping, section: str):
         mapping = {}
     if not isinstance(mapping, dict):
         raise ConfigError(f"{section}: expected a mapping, got {mapping!r}")
-    rest = dict(mapping)
     values = {}
-    for f, tp in _fields(cls):
-        if _marker(f) == "internal":
-            continue
-        if _marker(f) == "inline":
-            own = {g.name for g in dataclasses.fields(tp)}
-            values[f.name] = from_mapping(
-                tp, {k: rest.pop(k) for k in list(rest) if k in own}, section)
-        elif f.name in rest:
-            values[f.name] = _coerce(rest.pop(f.name), tp, f"{section}.{f.name}")
-        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
-            raise ConfigError(f"{section}: missing key {f.name!r}")
-    if rest:
+    used = 0  # keys of ``mapping`` read; each names one field (``_fields``)
+    for name, tp, inline, required in _fields(cls):
+        if inline is not None:
+            own = {k: v for k, v in mapping.items() if k in inline}
+            used += len(own)
+            values[name] = from_mapping(tp, own, section)
+        elif name in mapping:
+            used += 1
+            value = mapping[name]
+            values[name] = value if type(value) is tp else _coerce(value, tp, f"{section}.{name}")
+        elif required:
+            raise ConfigError(f"{section}: missing key {name!r}")
+    if used != len(mapping):
+        known = {key for name, _, inline, _ in _fields(cls) for key in (inline or (name,))}
+        rest = [key for key in mapping if key not in known]
         raise ConfigError(f"{section}: unknown key(s) {', '.join(map(repr, rest))}")
     return cls(**values)
 

@@ -12,6 +12,7 @@ from sopflow.detector import (
     DetectorConfig,
     _baseline_rule,
     _never_flags,
+    _never_flags_inputs,
     _pstdev,
     evaluate_series,
     matches_keyword,
@@ -126,6 +127,29 @@ class TestNeverFlags:
         bound = k * min_sigma_frac * lo  # the limit of a baseline that is all lo
         for hi in (lo + bound * (1 - 1e-6), lo + bound * (1 + 1e-6)):
             assert _never_flags(lo, hi, "m", cfg) is not _sweep_flags([lo] * 8, hi, "m", cfg)
+
+    def test_the_memo_key_holds_every_config_value_read(self):
+        # _never_flagging memoises verdicts on _never_flags_inputs(cfg): a value
+        # _never_flags reads but the key lacks would leave the memo stale
+        cfg = DetectorConfig()
+        read = set()
+
+        class Recording:
+            def __getattr__(self, name):
+                read.add(name)
+                return getattr(cfg, name)
+
+        for metric in ("cpu_usage", "request_latency_ms"):
+            for lo, hi in ((0.0, 1.0), (10.0, 10.5)):
+                _never_flags(lo, hi, metric, Recording())
+        assert read == {"k", "min_sigma_frac", "static_thresholds"}
+        key = _never_flags_inputs(cfg)
+        for change in (lambda c: setattr(c, "k", 2.0),
+                       lambda c: setattr(c, "min_sigma_frac", 0.2),
+                       lambda c: c.static_thresholds.update(cpu_usage=0.5)):
+            changed = DetectorConfig()
+            change(changed)
+            assert _never_flags_inputs(changed) != key
 
     def test_static_bound_is_the_threshold(self):
         cfg = DetectorConfig(static_thresholds={"m": 0.5})

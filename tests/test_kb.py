@@ -244,14 +244,23 @@ class TestPersistence:
         matches = warm.match_sop("cached name", k=1, threshold=0.5)
         assert matches[0][0].id == "sop-a"
 
-    def test_a_match_writes_the_cache_once(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("prefetched", [False, True], ids=["cold", "prefetched"])
+    def test_a_match_writes_the_cache_once(self, tmp_path, monkeypatch, prefetched):
         root = tmp_path / "kb"
         golden.make_golden_kb(scripted_backend(), root=root)
         writes = []
         write_atomic = schema.write_atomic
         monkeypatch.setattr(schema, "write_atomic",
                             lambda path, text: writes.append(path) or write_atomic(path, text))
-        kb = KnowledgeBase(scripted_backend(), root=root)
+        backend = scripted_backend()
+        kb = KnowledgeBase(backend, root=root)
+        if prefetched:
+            # a prefetch writes nothing; the match that uses it writes it, and
+            # one that no match uses never reaches the file
+            for text in ("payment requests time out upstream", "an alert no match queries"):
+                kb.remember(text, backend.embed(text))
+                assert kb.cached(text)
+            assert writes == []
         for _ in range(2):  # the second pass embeds nothing, so writes nothing
             kb.match_sop("checkout latency is rising on the frontend")
             kb.match_observation("payment requests time out upstream")

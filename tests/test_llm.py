@@ -2,7 +2,6 @@ import math
 
 import pytest
 
-from sopflow import schema
 from sopflow.errors import BackendError, ConfigError, ScriptExhaustedError, ValidationError
 from sopflow.kb import cosine_similarity
 from sopflow.llm import (
@@ -137,29 +136,29 @@ class TestScriptFiles:
         with pytest.raises(ConfigError):
             script_from_mapping([entry])
 
-    @pytest.mark.parametrize("entry", [
-        {"match_key": "*", "response": "1"},
-        {"response": "1", "consume_once": False, "match_key": "k"},
-        {"match_key": "*", "response": "1", "consume_once": 1},
-        {"match_key": "*", "response": 2},
-        {"match_key": "*", "response": "1", "consume_once": None},
-        {"match_key": "*", "response": "1", "consume": True},
-        {"response": "1"},
-        ["match_key", "*"],
-        None,
+    @pytest.mark.parametrize("entry, expected", [
+        ({"match_key": "*", "response": "1"}, ScriptEntry("*", "1", False)),
+        ({"response": "1", "consume_once": False, "match_key": "k"},
+         ScriptEntry("k", "1", False)),
+        ({"match_key": "*", "response": "1", "consume_once": 1}, ScriptEntry("*", "1", True)),
+        ({"match_key": "*", "response": 2}, ScriptEntry("*", "2", False)),
+        ({"match_key": "*", "response": "1", "consume_once": None},
+         "script entry.consume_once: expected true or false, got None"),
+        ({"match_key": "*", "response": "1", "consume": True},
+         "script entry: unknown key(s) 'consume'"),
+        ({"response": "1"}, "script entry: missing key 'match_key'"),
+        (["match_key", "*"], "script entry: expected a mapping, got ['match_key', '*']"),
+        (None, "script entry: missing key 'match_key'"),
     ])
-    def test_entries_read_as_from_mapping_reads_them(self, entry):
-        # well-typed entries skip schema.from_mapping; the rest keep its errors
-        try:
-            expected = [schema.from_mapping(ScriptEntry, entry, "script entry")]
-        except ConfigError as exc:
+    def test_entries_read_with_coercion_and_exact_errors(self, entry, expected):
+        if isinstance(expected, str):
             with pytest.raises(ConfigError) as got:
                 script_from_mapping([entry])
-            assert str(got.value) == str(exc)
-        else:
-            got = script_from_mapping([entry])
-            assert got == expected
-            assert [type(v) for v in vars(got[0]).values()] == [str, str, bool]
+            assert str(got.value) == expected
+            return
+        got = script_from_mapping([entry])
+        assert got == [expected]
+        assert [type(v) for v in vars(got[0]).values()] == [str, str, bool]
 
 
 def test_only_the_backend_module_touches_the_network():

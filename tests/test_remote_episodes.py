@@ -1,7 +1,7 @@
 """Episodes through ``RemoteBackend``: each step sends its thought and its
-proposal together, the R6 or R8 query is embedded while the selection is in
-flight, and a cold store's texts are embedded two at a time; the transcript
-is still the sequential one.
+proposal together, the findings an R6 candidate matches are embedded while
+the selection is in flight, and a cold store's texts are embedded two at a
+time; the transcript is still the sequential one.
 
 ``fake_endpoint`` (conftest) answers the HTTP calls from each scenario's
 script, with a delay per request, and records which requests were in flight
@@ -88,10 +88,10 @@ def test_each_step_overlaps_exactly_its_planned_pairs(fake_endpoint):
     # of them), then the 3 manifestations (the R6 prefetch embedded the query),
     # so the last of each store goes alone
     alone = {names[-1], manifestations[-1]}
-    prefetching = {0, 3}  # the selections of steps 1 (R8) and 4 (R6)
+    prefetching = 3  # the selection of step 4, whose action set holds R6
     fake_endpoint.rendezvous = lambda r: (
         r.role in ("thought", "action")
-        or (r.role == "select" and r.number in prefetching)
+        or (r.role == "select" and r.number == prefetching)
         or (r.role == "embed" and r.prompt not in alone))
     fake_endpoint.serve({case.scenario.id: case.script})
     result = run_episode(case.scenario, AgentConfig(), RemoteBackend(fake_endpoint.config()),
@@ -102,8 +102,7 @@ def test_each_step_overlaps_exactly_its_planned_pairs(fake_endpoint):
     assert state.history[3].chosen.rule == "R6"
     findings = state.history[3].chosen.args["observation"]
     expected = {frozenset({("thought", n), ("action", n)}) for n in range(STEPS)}
-    expected |= {frozenset({("select", 0), ("embed", state.alert)}),
-                 frozenset({("select", 3), ("embed", findings)})}
+    expected.add(frozenset({("select", prefetching), ("embed", findings)}))
     expected |= {frozenset({("embed", a), ("embed", b)})
                  for store in (names, manifestations)
                  for a, b in zip(store[0::2], store[1::2])}
@@ -112,7 +111,7 @@ def test_each_step_overlaps_exactly_its_planned_pairs(fake_endpoint):
         return request.role, request.prompt if request.role == "embed" else request.number
 
     pairs = fake_endpoint.overlaps  # no other pair of requests was ever in flight together
-    assert len(pairs) == len(expected) == 12
+    assert len(pairs) == len(expected) == 11
     assert {frozenset({key(a), key(b)}) for a, b in pairs} == expected
 
 
@@ -221,20 +220,21 @@ def test_failing_prefetch_leaves_the_transcript_unchanged(fake_endpoint, monkeyp
     sequential, sequential_lines = _failing_run(fake_endpoint, monkeypatch, {},
                                                 concurrent=False)
     state = sequential.state
-    queries = [state.alert, state.history[3].chosen.args["observation"]]  # R8, R6
-    # the first request for each query is the prefetch sent during its selection
-    replies = {("embed", query, 0): bad_reply for query in queries}
+    findings = state.history[3].chosen.args["observation"]
+    # the first request for the findings is the prefetch sent during the selection
+    replies = {("embed", findings, 0): bad_reply}
     concurrent, concurrent_lines = _failing_run(fake_endpoint, monkeypatch, replies,
                                                 concurrent=True)
     assert concurrent_lines == sequential_lines
     assert concurrent.outcome == "completed"
     assert not any(e["kind"] == "llm_retry" for e in concurrent.state.events)
-    prefetches = [r for r in fake_endpoint.requests
-                  if r.role == "embed" and r.prompt in queries and r.repeat == 0]
-    assert [r.prompt for r in prefetches] == queries
-    assert all(r.thread.startswith("sopflow-propose") for r in prefetches)
-    # the R6 query was embedded again by its match, as if nothing had been sent
-    assert [r.repeat for r in fake_endpoint.requests if r.prompt == queries[1]] == [0, 1]
+    sent = [r for r in fake_endpoint.requests if r.role == "embed" and r.prompt == findings]
+    assert sent[0].thread.startswith("sopflow-propose")  # the prefetch
+    # the match embedded the findings again, as if nothing had been sent
+    assert [r.repeat for r in sent] == [0, 1]
+    # the alert, R8's query, is never embedded: it is not prefetched, and the
+    # script's match_sop queries an SOP name
+    assert not any(r.prompt == state.alert for r in fake_endpoint.requests)
 
 
 def test_no_thread_outlives_its_episode(tmp_path, fake_endpoint):
