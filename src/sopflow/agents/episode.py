@@ -10,12 +10,14 @@ using one worker thread, so at most two requests are in flight:
   serial round trips, not 3;
 - the findings an R6 candidate matches, fixed once the action set is built,
   are embedded while the selection is in flight (a prefetch: no retry, no
-  event);
+  event), and the episode's backend holds the vector until a match asks for
+  it;
 - a knowledge-base match embeds the texts it misses two at a time.
-Scripted runs stay strictly sequential, because their replies depend on call
-order. Either way the transcript holds the events in the sequential order,
-and a failure resolves as it would in that order. A failed completion
-or knowledge-base embedding is retried once (after the backend's Retry-After,
+Both pairs go through one primitive, ``_RecordingBackend.both``. Scripted
+runs stay strictly sequential, because their replies depend on call order.
+Either way the transcript holds the events in the sequential order, and a
+failure resolves as it would in that order. A failed completion or
+knowledge-base embedding is retried once (after the backend's Retry-After,
 capped); failing again aborts the episode, and so does any unexpected
 exception raised from a step. Executing speak terminates it with a diagnosis;
 running out of the step budget terminates it without one.
@@ -66,12 +68,12 @@ MAX_RETRY_WAIT_S = 10.0  # cap on a backend's Retry-After before the one retry
 class _RecordingBackend:
     """Wraps a backend for one episode: completions and embeddings both get
     the retry-once-then-abort policy, and completions go to the transcript
-    (``events``: the episode's, or a buffer the caller splices in).
+    (``events``: the episode's, or a buffer ``both`` splices in).
 
     On a backend that declares ``concurrent_calls`` it owns the episode's one
-    worker thread (``submit``, started on first use), so the episode has at
-    most two requests in flight: one on the thread that runs the step and one
-    on the worker.
+    worker thread (started on first use, for ``both`` and ``prefetch``), so
+    the episode has at most two requests in flight: one on the thread that
+    runs the step and one on the worker.
     """
 
     def __init__(self, inner, state: EpisodeState, events: list[dict] | None = None):
@@ -83,24 +85,37 @@ class _RecordingBackend:
         # a buffered backend runs on the worker, so it sends one call at a time
         self.concurrent_calls = events is None and getattr(inner, "concurrent_calls", False)
         self._executor: ThreadPoolExecutor | None = None
+        self._prefetched: dict[str, object] = {}  # text -> vector, until embed_many uses it
 
-    def buffered(self, events: list[dict]) -> "_RecordingBackend":
-        """The same backend, logging into ``events`` instead, for a call made
-        on the worker; the caller splices ``events`` into the transcript."""
-        return _RecordingBackend(self._inner, self._state, events)
-
-    def submit(self, fn, *args) -> Future:
-        """Run ``fn(*args)`` on the episode's worker thread."""
+    def _worker(self) -> ThreadPoolExecutor:
         if self._executor is None:
             self._executor = ThreadPoolExecutor(max_workers=1,
                                                 thread_name_prefix="sopflow-propose")
-        return self._executor.submit(fn, *args)
+        return self._executor
 
     def close(self) -> None:
         """Stop the worker thread, if one was started; waits for a call in flight."""
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
+
+    def both(self, first, second) -> tuple:
+        """``(first(self), second(backend))``, with the events and any abort of
+        calling one after the other. With ``concurrent_calls``, ``second`` runs
+        on the worker while ``first`` runs here, through a backend that logs
+        into a buffer; the buffer is spliced in after ``first``'s events, or
+        dropped if ``first`` raises. Otherwise ``second`` runs after ``first``."""
+        if not self.concurrent_calls:
+            return first(self), second(self)
+        events: list[dict] = []
+        later = self._worker().submit(second,
+                                      _RecordingBackend(self._inner, self._state, events))
+        try:
+            result = first(self)
+        finally:
+            wait([later])
+        self._events.extend(events)
+        return result, later.result()
 
     def _log(self, kind: str, **fields) -> None:
         self._events.append(self._state.event(kind, **fields))
@@ -127,42 +142,34 @@ class _RecordingBackend:
         return self._retry_once(self._inner.embed, text)
 
     def embed_many(self, texts: list[str]) -> list:
-        """The vectors of ``texts``, in order, each embedded as ``embed`` does.
+        """The vectors of ``texts``, in order. A prefetched text is not sent;
+        the others are embedded as ``embed`` does, two at a time through
+        ``both``."""
+        vectors = {text: self._prefetched.pop(text) for text in texts
+                   if text in self._prefetched}
+        todo = [text for text in texts if text not in vectors]
+        for a, b in zip(todo[0::2], todo[1::2]):
+            vectors[a], vectors[b] = self.both(lambda backend: backend.embed(a),
+                                               lambda backend: backend.embed(b))
+        if len(todo) % 2:
+            vectors[todo[-1]] = self.embed(todo[-1])
+        return [vectors[text] for text in texts]
 
-        With ``concurrent_calls`` they are sent two at a time, the second of
-        each pair on the worker with its events buffered. They are spliced in
-        after the first's, and dropped if the first fails twice, so the
-        transcript and the abort are those of embedding one text after another.
-        """
-        if not self.concurrent_calls:
-            return [self.embed(text) for text in texts]
-        vectors = []
-        for i in range(0, len(texts) - 1, 2):
-            events: list[dict] = []
-            second = self.submit(self.buffered(events).embed, texts[i + 1])
-            try:
-                vectors.append(self.embed(texts[i]))
-            finally:
-                wait([second])
-            self._events.extend(events)
-            vectors.append(second.result())
-        if len(texts) % 2:
-            vectors.append(self.embed(texts[-1]))
-        return vectors
+    def prefetch(self, text: str) -> Future | None:
+        """Embed ``text`` on the worker (None if its vector is already held),
+        straight through the inner backend: no retry, no event, and an error is
+        dropped, so that ``embed_many`` sends the text as if nothing had been
+        sent. The transcript is the same either way."""
+        if text in self._prefetched:
+            return None
 
-    def prefetch(self, kb, text: str) -> Future:
-        """Embed ``text`` into ``kb``'s cache on the worker, straight through
-        the inner backend: no retry and no event, and an error is dropped. A
-        match that then misses the text embeds it as if nothing had been sent,
-        so the transcript is the same either way."""
         def fetch() -> None:
             try:
-                vector = self._inner.embed(text)
-            except SopflowError:  # the match's own embed retries and reports it
-                return
-            kb.remember(text, vector)
+                self._prefetched[text] = self._inner.embed(text)
+            except SopflowError:  # embed_many's own embed retries and reports it
+                pass
 
-        return self.submit(fetch)
+        return self._worker().submit(fetch)
 
 
 def _history_text(state: EpisodeState) -> str:
@@ -215,42 +222,20 @@ class _Runtime:
 
     # -- step phases ---------------------------------------------------------
 
-    def _think(self) -> str:
+    def _think(self, backend) -> str:
         system = THOUGHT_SYSTEM
         if self.flow_guide:
             system = system + "\n\n" + self.flow_guide
         user = (f"Incident alert:\n{self.state.alert}\n\n"
                 f"Investigation so far:\n{_history_text(self.state)}\n\n"
                 f"Advisor notes:\n{_advisor_notes(self.state)}")
-        return ask(self.backend, system, user)
+        return ask(backend, system, user)
 
     def _propose(self, backend) -> str:
         return roles.action_agent_propose(
             backend, self.registry, self.state.alert,
             _history_text(self.state), self.flow_guide, self.config.action_set_size,
         )
-
-    def _think_and_propose(self) -> tuple[str, str | None]:
-        """The thought and, with the ActionAgent on, its proposal reply.
-
-        On a backend with ``concurrent_calls`` the proposal runs on the
-        episode's worker thread while the thought runs here. Its events are
-        buffered and spliced in after the thought's, so the transcript is the
-        sequential one; if the thought fails, the episode aborts with the
-        proposal's events dropped, as if the proposal had never been sent.
-        """
-        if not self.config.ablations.action_agent:
-            return self._think(), None
-        if not self.backend.concurrent_calls:
-            thought = self._think()
-            return thought, self._propose(self.backend)
-        events: list[dict] = []
-        proposal = self.backend.submit(self._propose, self.backend.buffered(events))
-        thought = self._think()
-        try:
-            return thought, proposal.result()
-        finally:
-            self.state.events.extend(events)
 
     def _prefetch(self, action_set: ActionSet) -> Future | None:
         """Start embedding the findings of the action set's R6 candidate
@@ -263,7 +248,7 @@ class _Runtime:
             if candidate.rule == "R6":
                 text = str(candidate.args["observation"])
                 if text.strip() and not self.ctx.kb.cached(text):
-                    return self.backend.prefetch(self.ctx.kb, text)
+                    return self.backend.prefetch(text)
         return None
 
     def _build_action_set(self, reply: str | None) -> ActionSet:
@@ -363,7 +348,10 @@ class _Runtime:
     def step(self) -> None:
         state = self.state
         if self.config.ablations.action_set:
-            thought, reply = self._think_and_propose()
+            if self.config.ablations.action_agent:
+                thought, reply = self.backend.both(self._think, self._propose)
+            else:
+                thought, reply = self._think(self.backend), None
             action_set = self._build_action_set(reply)
             if not action_set.candidates:
                 # nothing proposed and no rule fired; the step is spent
@@ -377,7 +365,7 @@ class _Runtime:
                 if prefetch is not None:
                     prefetch.result()
         else:
-            thought = self._think()
+            thought = self._think(self.backend)
             candidate = self._direct_action(thought)
             if candidate is None:
                 state.log("note", text="direct action unusable; step consumed")

@@ -83,9 +83,9 @@ def parse_candidates(reply: str, registry: ToolRegistry, max_candidates: int,
         if parsed is None:
             continue
         tool, args, rationale = parsed
-        violation = registry.check_args(tool, args)
-        if violation:
-            notes.append(f"dropped invalid candidate: {violation}")
+        violations = registry.check_args(tool, args)
+        if violations:
+            notes.append(f"dropped invalid candidate: {violations[0]}")
             continue
         candidates.append(ActionCandidate(
             tool=tool, args=args, rationale=rationale, provenance=provenance,
@@ -157,7 +157,10 @@ def parse_selection(reply: str, set_size: int) -> int | None:
     match = _INT_RE.search(reply)
     if not match:
         return None
-    index = int(match.group(0))
+    try:
+        index = int(match.group(0))
+    except ValueError:  # more digits than int() converts
+        return None
     if 1 <= index <= set_size:
         return index
     return None

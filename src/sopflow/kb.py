@@ -6,13 +6,13 @@ computed lazily through the configured backend and cached keyed by
 (backend id, text hash), on disk under ``<root>``. A match hands the texts
 it misses (the query and the store's uncached texts, each once, in order) to
 the backend's ``embed_many`` in one call, which an episode on a remote
-backend sends two at a time, and writes the cache file once; a vector
-prefetched outside any match (``remember``) stays in memory until a match
-needs it. A knowledge base has one embedding cache, shared by all its views
-(``using``, ``clone_in_memory``, ``without_sops``), so a benchmark run embeds
-each distinct text once. Every file is written atomically (a temp file beside
-it, then ``os.replace``). Retrieval is an exact linear scan over cosine
-similarities, which is plenty at the store sizes this system targets.
+backend sends two at a time (and answers from a vector it prefetched), and
+writes the cache file once. A knowledge base has one embedding cache, shared
+by all its views (``using``, ``clone_in_memory``, ``without_sops``), so a
+benchmark run embeds each distinct text once. Every file is written
+atomically (a temp file beside it, then ``os.replace``). Retrieval is an
+exact linear scan over cosine similarities, which is plenty at the store
+sizes this system targets.
 """
 
 from __future__ import annotations
@@ -194,10 +194,6 @@ class KnowledgeBase:
         self._sops: dict[str, SopDoc] = {}
         self._incidents: dict[str, HistoricalIncident] = {}
         self._cache: dict[str, EmbeddingVector] = {}
-        # vectors a prefetch embedded outside any match; a match that needs
-        # one moves it into ``_cache``, so the cache file holds only the texts
-        # of matches
-        self._prefetched: dict[str, EmbeddingVector] = {}
         self._lock = threading.Lock()
         if self._root is not None:
             self._load()
@@ -271,26 +267,19 @@ class KnowledgeBase:
     # -- retrieval ---------------------------------------------------------
 
     def _vectors(self, texts: list[str]) -> dict[str, EmbeddingVector]:
-        """The vector of each text. The texts missing from the cache and not
-        prefetched are embedded in one call, in order and each once
-        (``embed_many`` when the backend has it); every text that was missing
-        is then cached with one write of the cache file."""
+        """The vector of each text. The texts missing from the cache are
+        embedded in one call, in order and each once (``embed_many`` when the
+        backend has it), then cached with one write of the cache file."""
         backend_id = self._backend.backend_id
         keys = {text: _text_key(backend_id, text) for text in texts}
         missing = [text for text, key in keys.items() if key not in self._cache]
         if missing:
+            embed_many = getattr(self._backend, "embed_many", None)
+            vectors = (embed_many(missing) if embed_many is not None
+                       else [self._backend.embed(text) for text in missing])
             with self._lock:
-                found = {text: self._prefetched[keys[text]] for text in missing
-                         if keys[text] in self._prefetched}
-            todo = [text for text in missing if text not in found]
-            if todo:
-                embed_many = getattr(self._backend, "embed_many", None)
-                found.update(zip(todo, embed_many(todo) if embed_many is not None
-                                 else [self._backend.embed(text) for text in todo]))
-            with self._lock:
-                for text in missing:
-                    self._cache[keys[text]] = found[text]
-                    self._prefetched.pop(keys[text], None)
+                for text, vector in zip(missing, vectors):
+                    self._cache[keys[text]] = vector
                 self._flush_cache()
         return {text: self._cache[key] for text, key in keys.items()}
 
@@ -298,16 +287,8 @@ class KnowledgeBase:
         return self._vectors([text])[text]
 
     def cached(self, text: str) -> bool:
-        """Whether ``text`` has a vector, cached or prefetched."""
-        key = _text_key(self._backend.backend_id, text)
-        return key in self._cache or key in self._prefetched
-
-    def remember(self, text: str, vector: EmbeddingVector) -> None:
-        """Keep ``vector``, prefetched outside any match, as the embedding of
-        ``text``. It is cached, and written to the cache file, only when a
-        match needs it, so an unused prefetch costs no write."""
-        with self._lock:
-            self._prefetched[_text_key(self._backend.backend_id, text)] = vector
+        """Whether ``text``'s vector is in the cache."""
+        return _text_key(self._backend.backend_id, text) in self._cache
 
     def match_sop(self, query: str, k: int | None = None,
                   threshold: float | None = None) -> list[tuple[SopDoc, float]]:

@@ -25,6 +25,7 @@ from .kb import EmbeddingVector
 
 DEFAULT_CREDENTIAL_ENV = "SOPFLOW_API_KEY"
 DEFAULT_EMBED_DIM = 64
+REQUEST_TIMEOUT_S = 30.0  # per HTTP request of a RemoteBackend
 
 ROLES = ("system", "user", "assistant", "tool")
 
@@ -187,20 +188,20 @@ class ScriptedBackend:
 class RemoteBackend:
     """Thin client for a chat-completions compatible HTTP endpoint.
 
-    Each call is one ``requests.post`` and calls share no state, so an episode
-    may have two calls in flight at once (``concurrent_calls``), never more: a
-    step's thought with its proposal, a selection with the prefetched
-    embedding of the findings rule R6 matches, or two embeddings of a
-    knowledge-base store. A reply that is not what the API promises is a ``BackendError``,
-    which the episode retries once.
+    Each call is one ``requests.post`` (timing out after ``REQUEST_TIMEOUT_S``)
+    and calls share no state, so an episode may have two calls in flight at
+    once (``concurrent_calls``), never more: a pair sent through the episode
+    backend's ``both`` (a step's thought with its proposal, or two embeddings
+    of a knowledge-base store), or a selection with the prefetched embedding
+    of the findings rule R6 matches. A reply that is not what the API
+    promises is a ``BackendError``, which the episode retries once.
     """
 
     concurrent_calls = True
 
-    def __init__(self, config: BackendConfig, timeout_s: float = 30.0):
+    def __init__(self, config: BackendConfig):
         config.validate()
         self.config = config
-        self.timeout_s = timeout_s
 
     @property
     def embed_dim(self) -> int:
@@ -222,7 +223,7 @@ class RemoteBackend:
         url = self.config.endpoint.rstrip("/") + path
         try:
             response = requests.post(url, json=body, headers=self._headers(),
-                                     timeout=self.timeout_s)
+                                     timeout=REQUEST_TIMEOUT_S)
         except requests.RequestException as exc:
             raise BackendError(f"transport failure: {exc}") from exc
         if response.status_code != 200:

@@ -2,8 +2,10 @@
 
 The sandbox runs its own detector sweep over the rendered telemetry and
 reports the earliest anomalous signal, preferring metrics over traces over
-logs over resource state on ties, then lexicographic component order. The
-format below is stable; transcripts and scripted tests key on it.
+logs on ties, then lexicographic component order. It reads no pod phase: a
+pod is ``failed`` only under a PodFailure, and at each tick it is, the trace
+holds an error span, which a pod-state signal could at best tie and lose to.
+The format below is stable; transcripts and scripted tests key on it.
 
 The metric sweep is tick-major. It tests every series at one tick, in
 (component, metric) order, before moving to the next tick, and stops at the
@@ -16,8 +18,8 @@ For each series it does test it computes the baseline rule once, from the
 first 8 samples (a static threshold needs no baseline, so none is rendered
 for it); a series whose baseline is too short for a rule is never rendered.
 ``evaluate_series`` writes the verdict text. Each later-ranked sweep (traces,
-logs, resource state) stops before the earliest candidate found so far,
-because a candidate at or after that tick loses on rank. The trace sweep
+then logs) stops before the earliest candidate found so far, because a
+candidate at or after that tick loses on rank. The trace sweep
 reads error spans (``Telemetry.error_spans``), never a full trace. The log
 sweep reads the keyword lines before that candidate
 (``Telemetry.anomalous_logs``), which renders no heartbeat line a keyword
@@ -33,11 +35,11 @@ from ..detector import (
     _never_flagging,
     evaluate_series,
 )
-from .telemetry import SAMPLE_PERIOD_S, Telemetry
+from .telemetry import Telemetry
 
 _ALERT_BASELINE_SAMPLES = 8  # episode-start samples used as the sweep baseline
 
-_MODALITY_RANK = {"metric": 0, "trace": 1, "log": 2, "state": 3}
+_MODALITY_RANK = {"metric": 0, "trace": 1, "log": 2}
 
 
 def _metric_candidates(telemetry: Telemetry, cfg: DetectorConfig):
@@ -100,14 +102,6 @@ def _log_candidates(telemetry: Telemetry, cfg: DetectorConfig, before_s: int):
         return
 
 
-def _state_candidates(telemetry: Telemetry, before_s: int):
-    for t in range(telemetry.scenario.window[0], before_s, SAMPLE_PERIOD_S):
-        for pod_id, phase in telemetry.pod_phases(at_s=t):
-            if phase != "running":
-                yield (t, "state", pod_id, f"pod {pod_id} entered phase {phase}")
-                return
-
-
 def render_alert(telemetry: Telemetry, cfg: DetectorConfig | None = None) -> str:
     """Render the incident ticket for a scenario, or a quiet-system notice."""
     cfg = cfg or DetectorConfig()
@@ -120,7 +114,6 @@ def render_alert(telemetry: Telemetry, cfg: DetectorConfig | None = None) -> str
 
     candidates.extend(_trace_candidates(telemetry, earliest()))
     candidates.extend(_log_candidates(telemetry, cfg, earliest()))
-    candidates.extend(_state_candidates(telemetry, earliest()))
     if not candidates:
         return (
             "INCIDENT ALERT\n"

@@ -228,26 +228,24 @@ def parse_program(text: str) -> SopProgram:
 
 
 def _call_violations(call: ToolCall, registry: ToolRegistry, bound: set[str]) -> list[str]:
-    out = []
-    if not registry.has(call.tool):
-        out.append(f"unknown tool {call.tool!r}")
-    else:
-        spec = registry.spec(call.tool)
-        if spec.category not in PROGRAM_TOOL_CATEGORIES:
-            out.append(f"tool {call.tool!r} is not callable from programs")
-        declared = {p.name for p in spec.params}
-        seen = set()
-        for name, value in call.args:
-            if name not in declared:
-                out.append(f"unknown argument {name!r} for tool {call.tool}")
-            seen.add(name)
-        for param in spec.params:
-            if param.required and param.name not in seen:
-                out.append(f"missing required argument {param.name!r} for tool {call.tool}")
-    for _, value in call.args:
-        if isinstance(value, VarRef) and value.name not in bound:
-            out.append(f"unbound variable {value.name!r}")
-    return out
+    out = registry.check_args(call.tool, [name for name, _ in call.args])
+    if registry.has(call.tool) and \
+            registry.spec(call.tool).category not in PROGRAM_TOOL_CATEGORIES:
+        out.insert(0, f"tool {call.tool!r} is not callable from programs")
+    return out + _unbound([value for _, value in call.args], bound)
+
+
+def _unbound(values, bound: set[str]) -> list[str]:
+    return [f"unbound variable {value.name!r}" for value in values
+            if isinstance(value, VarRef) and value.name not in bound]
+
+
+def _statement_violations(stmt, registry: ToolRegistry, bound: set[str]) -> list[str]:
+    """The violations of a call or finding statement, given the names bound
+    before it."""
+    if isinstance(stmt, CallStmt):
+        return _call_violations(stmt.call, registry, bound)
+    return _unbound(stmt.parts, bound)
 
 
 def validate_program(program: SopProgram, registry: ToolRegistry) -> list[str]:
@@ -258,28 +256,15 @@ def validate_program(program: SopProgram, registry: ToolRegistry) -> list[str]:
         )
     bound: set[str] = set()
     for idx, stmt in enumerate(program.statements):
-        prefix = f"statement {idx}: "
-        if isinstance(stmt, CallStmt):
-            violations.extend(prefix + v for v in _call_violations(stmt.call, registry, bound))
-            if stmt.var:
+        if isinstance(stmt, CondStmt):
+            found = _unbound([VarRef(stmt.predicate.var)], bound)
+            # a conditional binding may never happen, so it stays unbound
+            found += _statement_violations(stmt.body, registry, bound)
+        else:
+            found = _statement_violations(stmt, registry, bound)
+            if isinstance(stmt, CallStmt) and stmt.var:
                 bound.add(stmt.var)
-        elif isinstance(stmt, FindingStmt):
-            for part in stmt.parts:
-                if isinstance(part, VarRef) and part.name not in bound:
-                    violations.append(prefix + f"unbound variable {part.name!r}")
-        elif isinstance(stmt, CondStmt):
-            if stmt.predicate.var not in bound:
-                violations.append(prefix + f"unbound variable {stmt.predicate.var!r}")
-            body = stmt.body
-            if isinstance(body, CallStmt):
-                violations.extend(
-                    prefix + v for v in _call_violations(body.call, registry, bound)
-                )
-                # a conditional binding may never happen, so it stays unbound
-            else:
-                for part in body.parts:
-                    if isinstance(part, VarRef) and part.name not in bound:
-                        violations.append(prefix + f"unbound variable {part.name!r}")
+        violations.extend(f"statement {idx}: {v}" for v in found)
     return violations
 
 

@@ -125,25 +125,23 @@ class ToolRegistry:
             lines.append(f"- {spec.name}({params}) [{spec.category}]: {spec.description}")
         return "\n".join(lines)
 
-    def check_args(self, name: str, args: dict) -> str | None:
-        """Return a violation message if args do not satisfy the tool schema."""
+    def check_args(self, name: str, args) -> list[str]:
+        """Every way the argument names ``args`` violate the tool schema, in
+        order; empty when they satisfy it."""
         if name not in self._tools:
-            return f"unknown tool {name!r}"
-        spec = self._tools[name][0]
-        declared = {p.name: p for p in spec.params}
-        for key in args:
-            if key not in declared:
-                return f"unknown argument {key!r} for tool {name}"
-        for param in spec.params:
-            if param.required and param.name not in args:
-                return f"missing required argument {param.name!r} for tool {name}"
-        return None
+            return [f"unknown tool {name!r}"]
+        params = self._tools[name][0].params
+        declared = {p.name for p in params}
+        return ([f"unknown argument {key!r} for tool {name}"
+                 for key in args if key not in declared]
+                + [f"missing required argument {p.name!r} for tool {name}"
+                   for p in params if p.required and p.name not in args])
 
     def execute(self, name: str, args: dict, ctx: ToolContext) -> ToolResult:
-        violation = self.check_args(name, args)
-        if violation:
-            return ToolResult(tool=name, observation=f"tool error: {violation}",
-                              success=False, error=violation)
+        violations = self.check_args(name, args)
+        if violations:
+            return ToolResult(tool=name, observation=f"tool error: {violations[0]}",
+                              success=False, error=violations[0])
         spec, fn = self._tools[name]
         coerced: dict[str, Any] = {}
         for param in spec.params:

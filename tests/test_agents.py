@@ -1,5 +1,6 @@
 import pytest
 
+from sopflow import golden
 from sopflow.agents import (
     Ablations,
     AgentConfig,
@@ -47,6 +48,10 @@ class TestParsers:
         assert parse_selection("I pick option 3.", 5) == 3
         assert parse_selection("99", 5) is None
         assert parse_selection("none of these", 5) is None
+
+    def test_selection_with_too_many_digits_is_unusable(self):
+        assert parse_selection("1" * 5000, 5) is None
+        assert parse_selection("option " + "0" * 4999 + "2", 5) is None
 
     def test_hypotheses_forms_and_truncation(self):
         reply = ("type: NetworkDelay - latency up\n"
@@ -113,6 +118,14 @@ class TestEpisodeLoop:
         assert first.fallback and first.chosen.tool == "match_sop"
         assert any(e.get("kind") == "note" and "fallback" in e.get("text", "")
                    for e in result.state.events)
+
+    def test_a_selection_of_too_many_digits_falls_back(self):
+        case = golden.golden_cases("default")[0]
+        script = [ScriptEntry(ROLE_SELECT, "1" * 5000, consume_once=True), *case.script]
+        result = run(script, scenario=case.scenario,
+                     kb=golden.make_golden_kb(scripted_backend()))
+        assert not (result.state.abort_reason or "").startswith("internal error:")
+        assert result.state.history[0].fallback
 
     def test_unregistered_tool_candidate_dropped(self):
         script = [

@@ -7,6 +7,7 @@ import re
 import pytest
 
 from sopflow import golden, schema
+from sopflow.agents import AgentConfig, run_episode, transcript_lines
 from sopflow.errors import (
     ConfigError,
     DegenerateVectorError,
@@ -22,6 +23,7 @@ from sopflow.kb import (
     SopDoc,
     cosine_similarity,
 )
+from sopflow.llm import RemoteBackend
 
 from conftest import scripted_backend
 
@@ -244,23 +246,14 @@ class TestPersistence:
         matches = warm.match_sop("cached name", k=1, threshold=0.5)
         assert matches[0][0].id == "sop-a"
 
-    @pytest.mark.parametrize("prefetched", [False, True], ids=["cold", "prefetched"])
-    def test_a_match_writes_the_cache_once(self, tmp_path, monkeypatch, prefetched):
+    def test_a_match_writes_the_cache_once(self, tmp_path, monkeypatch):
         root = tmp_path / "kb"
         golden.make_golden_kb(scripted_backend(), root=root)
         writes = []
         write_atomic = schema.write_atomic
         monkeypatch.setattr(schema, "write_atomic",
                             lambda path, text: writes.append(path) or write_atomic(path, text))
-        backend = scripted_backend()
-        kb = KnowledgeBase(backend, root=root)
-        if prefetched:
-            # a prefetch writes nothing; the match that uses it writes it, and
-            # one that no match uses never reaches the file
-            for text in ("payment requests time out upstream", "an alert no match queries"):
-                kb.remember(text, backend.embed(text))
-                assert kb.cached(text)
-            assert writes == []
+        kb = KnowledgeBase(scripted_backend(), root=root)
         for _ in range(2):  # the second pass embeds nothing, so writes nothing
             kb.match_sop("checkout latency is rising on the frontend")
             kb.match_observation("payment requests time out upstream")
@@ -269,6 +262,38 @@ class TestPersistence:
         assert writes == [root / "embedding_cache.json"] * 2
         digest = hashlib.sha256((root / "embedding_cache.json").read_bytes()).hexdigest()
         assert digest == "4c009c15e122d620e5aa28710ea4b2e9862eb506fc0d98ff17eb82b68d878e98"
+
+    @pytest.mark.parametrize("selected", ["2", "1"], ids=["used", "unused"])
+    def test_an_episode_prefetch_leaves_the_cache_file_of_a_sequential_run(
+            self, tmp_path, fake_endpoint, monkeypatch, selected):
+        # step 4's action set is [get_all_namespace, match_observation (R6)]:
+        # its findings are prefetched during the selection, which chooses the
+        # match (2) or not (1); the episode ends with that step
+        case = golden.golden_cases("default")[0]
+        writes = []
+        write_atomic = schema.write_atomic
+        monkeypatch.setattr(schema, "write_atomic",
+                            lambda path, text: writes.append(path) or write_atomic(path, text))
+        runs = []
+        for concurrent in (False, True):
+            monkeypatch.setattr(RemoteBackend, "concurrent_calls", concurrent)
+            root = tmp_path / f"concurrent-{concurrent}"
+            kb = golden.make_golden_kb(scripted_backend(), root=root)
+            fake_endpoint.serve({case.scenario.id: case.script})
+            fake_endpoint.replies = {
+                ("select", 3): (200, {"choices": [{"message": {"content": selected}}]})}
+            result = run_episode(case.scenario, AgentConfig(max_steps=4),
+                                 RemoteBackend(fake_endpoint.config()), kb)
+            cache = root / "embedding_cache.json"
+            runs.append((transcript_lines(result.state), writes.count(cache),
+                         cache.read_bytes()))
+        assert runs[0] == runs[1]
+        assert runs[1][1] == (2 if selected == "2" else 1)  # match_sop, match_observation
+        findings = next(str(c.args["observation"])
+                        for c in result.state.history[3].action_set.candidates
+                        if c.rule == "R6")
+        sent = [r for r in fake_endpoint.requests if r.role == "embed" and r.prompt == findings]
+        assert len(sent) == 1 and sent[0].thread.startswith("sopflow-propose")
 
     def test_sop_file_is_editable_yaml(self, tmp_path):
         root = tmp_path / "kb"

@@ -222,6 +222,18 @@ class TestFaultSignatures:
         lines = telemetry.query_logs(fault.location_id, (fault.start_s, fault.end_s))
         assert any("OOM" in line.text for line in lines)
 
+    @pytest.mark.parametrize("magnitude, body", [
+        (0.9, "WARN memory pressure high, reclaiming caches"),
+        (0.95, "ERROR OOM killer invoked for worker process"),
+    ], ids=["below-0.95", "at-0.95"])
+    def test_memory_stress_log_line_by_magnitude(self, magnitude, body):
+        scenario = fault_scenario(FaultType.MemoryStress)
+        fault = dataclasses.replace(scenario.faults[0], magnitude=magnitude)
+        telemetry = render_telemetry(dataclasses.replace(scenario, faults=[fault]))
+        lines = telemetry.query_logs(fault.location_id, (fault.start_s, fault.end_s))
+        assert [line.text for line in lines if not line.text.startswith("INFO")] == [
+            f"{body} (t={t})" for t in range(fault.start_s, fault.end_s, SAMPLE_PERIOD_S)]
+
     def test_pod_failure_phase_and_spans(self):
         scenario = fault_scenario(FaultType.PodFailure)
         fault = scenario.faults[0]
@@ -412,6 +424,16 @@ class TestQueries:
                         assert span.parent_span_id in ids
 
 
+def _pod_failure_scenarios() -> list[EpisodeScenario]:
+    """One PodFailure scenario per pod of the topology."""
+    pods = sorted(pod.id for pod in load_fixture("online-boutique").pods)
+    return [EpisodeScenario(
+        id=f"scn-podfailure-{pod}", topology_name="online-boutique", seed=17, window=(0, 600),
+        faults=[FaultSpec(FaultType.PodFailure, f"pod:{pod}", 150, 240, 1.0)],
+        ground_truth=GroundTruth((pod,), ("PodFailure",)),
+    ) for pod in pods]
+
+
 class TestDeterminism:
     def test_byte_identical_serialization(self):
         scenario = generate_scenario(123)
@@ -430,22 +452,34 @@ class TestDeterminism:
         assert render_alert(telemetry) == render_alert(telemetry)
         assert "INCIDENT ALERT" in render_alert(telemetry)
 
-    def test_alert_reads_pod_state_only_before_the_detected_tick(self, monkeypatch):
-        # the resource-state sweep ranks last, so it stops before the earliest
-        # candidate an earlier sweep found
-        calls = []
-        pod_phase = Telemetry.pod_phase
+    def test_the_alert_never_reads_a_pod_phase(self, monkeypatch):
+        def unread(self, *args, **kwargs):
+            raise AssertionError("the alert read a pod phase")
 
-        def recording(self, pod_id, at_s=None):
-            calls.append(at_s)
-            return pod_phase(self, pod_id, at_s)
+        monkeypatch.setattr(Telemetry, "pod_phase", unread)
+        monkeypatch.setattr(Telemetry, "pod_phases", unread)
+        for scenario in ([case.scenario for case in golden.golden_cases("default")]
+                         + _pod_failure_scenarios()):
+            assert "detected_at_s" in render_alert(render_telemetry(scenario)), scenario.id
 
-        monkeypatch.setattr(Telemetry, "pod_phase", recording)
-        for case in golden.golden_cases("default"):
-            calls.clear()
-            text = render_alert(render_telemetry(case.scenario))
-            detected = int(re.search(r"detected_at_s: (\d+)", text).group(1))
-            assert calls and max(calls) < detected, case.scenario.id
+    @pytest.mark.parametrize("scenarios", [
+        _pod_failure_scenarios,
+        lambda: generate_corpus(1702, 18, ScenarioConfig(faults_per_scenario=2)),
+        lambda: generate_corpus(1703, 18, ScenarioConfig(faults_per_scenario=3)),
+    ], ids=["each-pod", "two-faults", "three-faults"])
+    def test_every_failed_pod_tick_has_an_error_span(self, scenarios):
+        # so a pod-state alert candidate could never beat the trace sweep's
+        failed_pods = set()
+        for scenario in scenarios():
+            telemetry = render_telemetry(scenario)
+            start, end = scenario.window
+            for t in range(start, end, SAMPLE_PERIOD_S):
+                failed = [pod for pod, phase in telemetry.pod_phases(at_s=t)
+                          if phase != "running"]
+                if failed:
+                    assert telemetry.error_spans((t, t + 1)), (scenario.id, t, failed)
+                failed_pods.update(failed)
+        assert failed_pods  # the scenarios do fail pods
 
 
 def test_only_the_effect_table_reads_fault_types():
