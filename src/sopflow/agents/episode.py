@@ -45,7 +45,7 @@ from ..sandbox import EpisodeScenario, render_alert, render_telemetry
 from ..schema import write_atomic
 from ..tools import SpeakReport, ToolContext, ToolResult, build_registry
 from . import roles
-from .flow_rules import apply_flow_rules, fallback_candidate
+from .flow_rules import apply_flow_rules, fallback_candidate, speak_awaits_judge
 from .types import (
     ActionCandidate,
     ActionSet,
@@ -293,8 +293,8 @@ class _Runtime:
         reply = ask(self.backend, DIRECT_SYSTEM, user)
         candidates, _ = roles.parse_candidates(reply, self.registry, max_candidates=1,
                                                provenance=PROVENANCE_MAIN)
-        if (candidates and candidates[0].tool == "speak" and self.config.ablations.judge_agent
-                and not (self.state.judge_verdict and self.state.judge_verdict.found)):
+        if (candidates and candidates[0].tool == "speak"
+                and speak_awaits_judge(self.state.judge_verdict, self.config.ablations)):
             self.state.log("note", text="dropped direct speak: judge has not confirmed")
             return None
         return candidates[0] if candidates else None

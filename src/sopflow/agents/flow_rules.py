@@ -36,6 +36,12 @@ from .types import (
 RULE_PRIORITY = ("R7", "R5", "R4", "R3", "R1", "R6", "R2", "R8")
 
 
+def speak_awaits_judge(verdict: JudgeVerdict | None, ablations: Ablations) -> bool:
+    """Whether speak is blocked: the judge is part of the loop and has not
+    confirmed a cause."""
+    return ablations.judge_agent and not (verdict is not None and verdict.found)
+
+
 def mandated_candidates(step_index: int, prev: StepRecord | None,
                         verdict: JudgeVerdict | None, alert: str,
                         ablations: Ablations) -> list[ActionCandidate]:
@@ -47,7 +53,7 @@ def mandated_candidates(step_index: int, prev: StepRecord | None,
         if ablations.sop_knowledge and step_index == 0:
             out.append(_r8(alert))
         return out
-    if verdict is not None and verdict.found and ablations.judge_agent:
+    if ablations.judge_agent and not speak_awaits_judge(verdict, ablations):
         out.append(ActionCandidate(
             tool="speak",
             args={"causes": encode_causes(list(verdict.causes))},
@@ -144,18 +150,16 @@ def apply_flow_rules(step_index: int, prev: StepRecord | None,
 
     # speak gating: while the judge is part of the loop, an agent may only
     # reach for speak once the judge has confirmed a cause
-    if ablations.judge_agent:
-        judge_ok = verdict is not None and verdict.found
-        if not judge_ok:
-            kept = []
-            for cand in merged:
-                if cand.tool == "speak":
-                    notes.append("dropped agent speak candidate: judge has not confirmed")
-                    continue
-                kept.append(cand)
-            if len(kept) != len(merged):
-                merged = kept
-                seen = {c.key(): i for i, c in enumerate(merged)}
+    if speak_awaits_judge(verdict, ablations):
+        kept = []
+        for cand in merged:
+            if cand.tool == "speak":
+                notes.append("dropped agent speak candidate: judge has not confirmed")
+                continue
+            kept.append(cand)
+        if len(kept) != len(merged):
+            merged = kept
+            seen = {c.key(): i for i, c in enumerate(merged)}
 
     for rule_cand in mandated_candidates(step_index, prev, verdict, alert, ablations):
         existing = seen.get(rule_cand.key())

@@ -238,8 +238,10 @@ def run_benchmark(corpus: Corpus, eval_cfg: EvalConfig, backend_cfg: BackendConf
     own documents, so generated procedures never leak across episodes or runs,
     and the run's shared embedding cache, so each distinct text is embedded
     once, inside the first episode that needs it. Each episode also gets (for
-    scripted backends) its own backend instance. Per-episode aborts, including
-    unexpected errors, become rows, never run failures.
+    scripted backends) its own backend instance. An episode's transcript is
+    written and its row built as soon as it ends, and only the row is kept, so
+    a run holds at most ``workers`` episodes' events at once. Per-episode
+    aborts, including unexpected errors, become rows, never run failures.
     """
     eval_cfg.validate()
     if detector is not None:
@@ -249,25 +251,23 @@ def run_benchmark(corpus: Corpus, eval_cfg: EvalConfig, backend_cfg: BackendConf
     kb_master = KnowledgeBase(make_backend(backend_cfg), root=corpus.kb_path,
                               k=kb_settings.k, threshold=kb_settings.threshold)
 
-    def _run(entry: tuple[EpisodeScenario, BackendConfig]) -> EpisodeResult:
-        scenario, cfg = entry
-        return run_episode(scenario, eval_cfg.agent, make_backend(cfg),
-                           kb_master.clone_in_memory(), detector)
-
-    if eval_cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=eval_cfg.workers) as pool:
-            results = list(pool.map(_run, entries))
-    else:
-        results = [_run(entry) for entry in entries]
-
     if transcript_dir is not None:
         out = Path(transcript_dir)
         out.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for (scenario, _), result in zip(entries, results):
-        rows.append(build_row(scenario, result))
+
+    def _run(entry: tuple[EpisodeScenario, BackendConfig]) -> EpisodeRow:
+        scenario, cfg = entry
+        result = run_episode(scenario, eval_cfg.agent, make_backend(cfg),
+                             kb_master.clone_in_memory(), detector)
         if transcript_dir is not None:
             write_transcript(result.state, out / f"{scenario.id}.jsonl")
+        return build_row(scenario, result)
+
+    if eval_cfg.workers > 1:
+        with ThreadPoolExecutor(max_workers=eval_cfg.workers) as pool:
+            rows = list(pool.map(_run, entries))
+    else:  # on the calling thread, so a per-thread span stack sees the nesting
+        rows = [_run(entry) for entry in entries]
     return BenchmarkReport.from_rows(rows, eval_cfg)
 
 

@@ -272,7 +272,7 @@ class RemoteBackend:
 
 
 def make_backend(config: BackendConfig):
-    config.validate()
+    """The backend ``config`` names; its constructor validates the config."""
     if config.backend_kind == "scripted":
         return ScriptedBackend(config)
     return RemoteBackend(config)

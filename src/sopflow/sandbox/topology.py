@@ -28,7 +28,6 @@ class CallEdge:
     src: str
     dst: str
     base_latency_ms: float
-    base_error_rate: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -135,7 +134,7 @@ def online_boutique() -> Topology:
     """Default fixture: an e-commerce deployment of 11 services on 3 nodes.
 
     One pod per service, assigned round-robin over the nodes in sorted service
-    order. Call-edge baseline error rates are zero so a fault-free scenario
+    order. A call's span errors only under a fault, so a fault-free scenario
     renders zero error spans.
     """
     services = tuple(sorted({src for src, _, _ in _BOUTIQUE_EDGES}

@@ -7,6 +7,7 @@ import difflib
 
 from ..errors import ToolError, ValidationError
 from ..sandbox.telemetry import METRIC_CATALOG
+from .observability import kubectl_logs
 from .registry import ToolContext, ToolResult
 
 RESOURCE_KINDS = ("pods", "nodes", "services", "deployments", "statefulsets")
@@ -105,7 +106,6 @@ def run_kubectl_command(ctx: ToolContext, command: str) -> ToolResult:
     if verb == "describe" and len(words) == 3 and words[1] == "pod":
         return ToolResult(tool="run_kubectl_command", observation=_describe_pod(ctx, words[2]))
     if verb == "logs" and len(words) == 2:
-        from .observability import kubectl_logs
         inner = kubectl_logs(ctx, pod=words[1])
         return ToolResult(tool="run_kubectl_command", observation=inner.observation)
     raise ToolError(

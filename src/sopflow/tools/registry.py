@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from ..errors import (
     BackendError,
@@ -77,19 +77,19 @@ class ToolContext:
 
 
 class ToolRegistry:
-    """Immutable after construction. Invocations never change what telemetry
-    holds; a query may render samples on demand, which only fills the
-    telemetry's memo with the bytes a full render would give."""
+    """A fixed set of tools, given whole at construction and never changed,
+    so ``build_registry`` builds one per process and every episode shares it.
+    Invocations never change what telemetry holds; a query may render samples
+    on demand, which only fills the telemetry's memo with the bytes a full
+    render would give."""
 
-    def __init__(self):
+    def __init__(self, tools: Iterable[tuple[ToolSpec, Callable]]):
         self._tools: dict[str, tuple[ToolSpec, Callable]] = {}
+        for spec, fn in tools:
+            if spec.name in self._tools:
+                raise ValidationError(f"duplicate tool name {spec.name!r}")
+            self._tools[spec.name] = (spec, fn)
         self._catalogs: dict[tuple[str, ...] | None, str] = {}  # categories -> catalog_text
-
-    def register(self, spec: ToolSpec, fn: Callable) -> None:
-        if spec.name in self._tools:
-            raise ValidationError(f"duplicate tool name {spec.name!r}")
-        self._tools[spec.name] = (spec, fn)
-        self._catalogs.clear()
 
     def names(self) -> frozenset[str]:
         return frozenset(self._tools)

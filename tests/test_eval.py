@@ -268,6 +268,82 @@ class TestBenchmarkCalls:
         assert len(list((tmp_path / "transcripts").iterdir())) == 9
 
 
+class TestStreaming:
+    """Each episode's row is built and its transcript written as it ends; only
+    the rows are kept."""
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_live_episode_states_never_exceed_workers(self, tmp_path, monkeypatch, workers):
+        import threading
+        import weakref
+        from sopflow import evaluation
+        from sopflow.evaluation import load_corpus
+        from sopflow.golden import write_corpus
+        corpus = load_corpus(write_corpus(tmp_path / "corpus", "default"))
+        original = evaluation.run_episode
+        states = []  # weak references: a state counts while something holds it
+        peaks = []
+        lock = threading.Lock()
+
+        def live() -> int:
+            return sum(ref() is not None for ref in states)
+
+        def tracking(*args, **kwargs):
+            result = original(*args, **kwargs)
+            with lock:
+                states.append(weakref.ref(result.state))
+                peaks.append(live())
+            return result
+
+        monkeypatch.setattr(evaluation, "run_episode", tracking)
+        report = run_benchmark(corpus, EvalConfig(workers=workers), BackendConfig(),
+                               transcript_dir=tmp_path / "t")
+        assert len(peaks) == 9 and report.la == 1.0
+        assert max(peaks) <= workers
+        assert live() == 0
+
+    def test_a_run_that_raises_after_k_episodes_leaves_k_transcripts(
+            self, tmp_path, monkeypatch):
+        from sopflow import evaluation
+        from sopflow.evaluation import load_corpus
+        from sopflow.golden import golden_scenarios, write_corpus
+        corpus = load_corpus(write_corpus(tmp_path / "corpus", "default"))
+        original = evaluation.run_episode
+        k = 4
+
+        def crashing(scenario, *args, **kwargs):
+            if scenario.id == golden_scenarios()[k].id:
+                raise KeyboardInterrupt
+            return original(scenario, *args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "run_episode", crashing)
+        with pytest.raises(KeyboardInterrupt):
+            run_benchmark(corpus, EvalConfig(), BackendConfig(),
+                          transcript_dir=tmp_path / "t")
+        written = sorted(path.stem for path in (tmp_path / "t").iterdir())
+        assert written == sorted(s.id for s in golden_scenarios()[:k])
+
+
+class TestSharedRegistry:
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_every_episode_uses_the_one_registry(self, tmp_path, monkeypatch, workers):
+        from sopflow.evaluation import load_corpus
+        from sopflow.golden import write_corpus
+        from sopflow.tools import ToolRegistry, build_registry
+        corpus = load_corpus(write_corpus(tmp_path / "corpus", "default"))
+        original = ToolRegistry.execute
+        used = {}
+
+        def recording(self, name, args, ctx):
+            used.setdefault(ctx.telemetry.scenario.id, set()).add(id(self))
+            return original(self, name, args, ctx)
+
+        monkeypatch.setattr(ToolRegistry, "execute", recording)
+        report = run_benchmark(corpus, EvalConfig(workers=workers), BackendConfig())
+        assert report.la == 1.0 and len(used) == 9
+        assert set().union(*used.values()) == {id(build_registry())}
+
+
 class TestCorpusManifest:
     @pytest.mark.parametrize("old, new", [
         ("  script: ", "  scirpt: "),   # an entry key
@@ -365,18 +441,18 @@ class TestInternalErrors:
         import json
         from sopflow.evaluation import load_corpus
         from sopflow.golden import golden_scenarios, write_corpus
-        from sopflow.tools import sop_flow
+        from sopflow.tools import ToolRegistry
 
         manifest = write_corpus(tmp_path / "corpus", "default")
         broken = golden_scenarios()[2].id
-        original = sop_flow.match_sop
+        original = ToolRegistry.execute
 
-        def match_sop(ctx, *args, **kwargs):
-            if ctx.telemetry.scenario.id == broken:
+        def execute(self, name, args, ctx):
+            if name == "match_sop" and ctx.telemetry.scenario.id == broken:
                 raise RuntimeError("injected tool defect")
-            return original(ctx, *args, **kwargs)
+            return original(self, name, args, ctx)
 
-        monkeypatch.setattr(sop_flow, "match_sop", match_sop)
+        monkeypatch.setattr(ToolRegistry, "execute", execute)
         report = run_benchmark(load_corpus(manifest), EvalConfig(), BackendConfig(),
                                transcript_dir=tmp_path / "t")
         outcomes = [r.outcome for r in report.rows]

@@ -6,11 +6,10 @@ from sopflow.llm import ScriptEntry
 from sopflow.sandbox import FaultType
 from sopflow.tools import (
     ALL_TOOL_NAMES,
-    ANALYSIS_TOOL_NAMES,
-    OBSERVABILITY_TOOL_NAMES,
     PROGRAM_TOOL_CATEGORIES,
-    SOP_FLOW_TOOL_NAMES,
+    ToolRegistry,
     ToolSpec,
+    build_registry,
     parse_causes,
 )
 from sopflow.tools.sop_flow import generate_sop, generate_sop_code, match_sop
@@ -20,13 +19,36 @@ from conftest import fault_scenario, make_ctx, no_fault_scenario, scripted_backe
 
 
 class TestRegistry:
-    def test_completeness_by_name_set(self, registry):
-        expected = (SOP_FLOW_TOOL_NAMES | OBSERVABILITY_TOOL_NAMES
-                    | ANALYSIS_TOOL_NAMES | {"speak"})
-        assert registry.names() == expected == ALL_TOOL_NAMES
-        assert SOP_FLOW_TOOL_NAMES == {
-            "match_sop", "generate_sop", "generate_sop_code", "run_sop", "match_observation",
+    def test_every_tool_and_its_category(self, registry):
+        assert {spec.name: spec.category for spec in registry.specs()} == {
+            "whether_is_abnormal_metric": "observability",
+            "collect_trace": "observability",
+            "kubectl_logs": "observability",
+            "match_sop": "sop_flow",
+            "generate_sop": "sop_flow",
+            "generate_sop_code": "sop_flow",
+            "run_sop": "sop_flow",
+            "match_observation": "sop_flow",
+            "pod_analyze": "analysis",
+            "node_analyze": "analysis",
+            "service_analyze": "analysis",
+            "deployment_analyze": "analysis",
+            "statefulset_analyze": "analysis",
+            "run_kubectl_command": "analysis",
+            "get_all_namespace": "analysis",
+            "get_relevant_metric": "analysis",
+            "speak": "terminal",
         }
+        assert registry.names() == ALL_TOOL_NAMES
+
+    def test_one_shared_registry_without_a_way_to_add_a_tool(self, registry):
+        assert registry is build_registry() is build_registry()
+        assert not hasattr(registry, "register")
+
+    def test_duplicate_tool_names_are_rejected(self):
+        spec = ToolSpec("zz_probe", "A probe.", (), "analysis")
+        with pytest.raises(ValidationError, match="duplicate tool name 'zz_probe'"):
+            ToolRegistry([(spec, lambda ctx: None), (spec, lambda ctx: None)])
 
     def test_unknown_tool_is_observation_not_crash(self, registry, quiet_ctx):
         result = registry.execute("frobnicate", {}, quiet_ctx)
@@ -41,15 +63,38 @@ class TestRegistry:
         for name in ALL_TOOL_NAMES:
             assert name in catalog
 
-    def test_catalog_text_is_rendered_once_per_filter_until_a_tool_is_added(self, registry):
+    def test_catalog_text_is_rendered_once_per_filter(self, registry):
         catalog = registry.catalog_text()
         program = registry.catalog_text(categories=PROGRAM_TOOL_CATEGORIES)
-        assert registry.catalog_text() is catalog
-        assert registry.catalog_text(categories=PROGRAM_TOOL_CATEGORIES) is program
+        assert build_registry().catalog_text() is catalog
+        assert build_registry().catalog_text(categories=PROGRAM_TOOL_CATEGORIES) is program
         assert "speak" in catalog and "speak" not in program
-        registry.register(ToolSpec("zz_probe", "A probe.", (), "analysis"), lambda ctx: None)
-        assert registry.catalog_text() == catalog + "\n- zz_probe() [analysis]: A probe."
-        assert "zz_probe" in registry.catalog_text(categories=PROGRAM_TOOL_CATEGORIES)
+
+    def test_a_registry_built_with_an_extra_tool_lists_it(self, registry):
+        catalog = registry.catalog_text()
+        program = registry.catalog_text(categories=PROGRAM_TOOL_CATEGORIES)
+        probe = ToolSpec("zz_probe", "A probe.", (), "analysis")
+        # only the catalog is read, so no handler is ever called
+        extended = ToolRegistry([*((spec, None) for spec in registry.specs()),
+                                 (probe, lambda ctx: None)])
+        assert extended.catalog_text() == catalog + "\n- zz_probe() [analysis]: A probe."
+        assert (extended.catalog_text(categories=PROGRAM_TOOL_CATEGORIES)
+                == program + "\n- zz_probe() [analysis]: A probe.")
+        assert registry.catalog_text() is catalog and "zz_probe" not in registry.names()
+
+    def test_threads_sharing_a_registry_read_one_catalog(self, registry):
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+        fresh = ToolRegistry((spec, None) for spec in registry.specs())
+        filters = (None, PROGRAM_TOOL_CATEGORIES) * 200
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                texts = list(pool.map(fresh.catalog_text, filters, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert texts == [registry.catalog_text(f) for f in filters]
 
     def test_tools_never_mutate_telemetry(self, registry):
         ctx = make_ctx(fault_scenario(FaultType.PodFailure), registry=registry)
