@@ -398,7 +398,6 @@ class _Runtime:
                 explanation="; ".join(c.explanation for c in causes if c.explanation),
                 path=state.path,
             )
-            state.terminated = True
             state.outcome = OUTCOME_COMPLETED
 
 
@@ -422,17 +421,14 @@ def run_episode(scenario: EpisodeScenario, config: AgentConfig, backend, kb,
     state = rt.state
     state.log("episode", scenario=scenario.id, alert=rt.alert, config=asdict(config))
     try:
-        while not state.terminated and state.step_count < config.max_steps:
+        while state.outcome is None and state.step_count < config.max_steps:
             rt.step()
     except Exception as exc:  # a defect in one step costs this episode, never the run
-        state.terminated = True
         state.outcome = OUTCOME_ABORTED
         state.abort_reason = (str(exc) if isinstance(exc, EpisodeAborted)
                               else f"internal error: {type(exc).__name__}: {exc}")
     finally:
         rt.backend.close()
-    if not state.terminated:
-        state.terminated = True
     if state.outcome is None:
         state.outcome = OUTCOME_COMPLETED if state.diagnosis else OUTCOME_BUDGET
     state.log("termination", outcome=state.outcome, steps=state.step_count,

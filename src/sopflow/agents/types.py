@@ -123,11 +123,14 @@ class EpisodeState:
     ob_hypotheses: tuple = ()   # latest (label, note) pairs
     judge_verdict: JudgeVerdict | None = None
     step_count: int = 0
-    terminated: bool = False
     outcome: str | None = None
     diagnosis: DiagnosisResult | None = None
     events: list[dict] = field(default_factory=list)  # transcript records in order
     abort_reason: str = ""
+
+    @property
+    def terminated(self) -> bool:
+        return self.outcome is not None
 
     @property
     def last_step(self) -> StepRecord | None:

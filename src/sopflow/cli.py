@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import schema
 from .agents import OUTCOME_ABORTED, OUTCOME_BUDGET, OUTCOME_COMPLETED, run_episode, write_transcript
-from .config import load_config
+from .config import AppConfig, load_config
 from .errors import ConfigError, SopflowError
 from .evaluation import load_corpus, report_table, run_benchmark, save_report
 from .kb import HistoricalIncident, KnowledgeBase, SopDoc
@@ -74,14 +74,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _open_kb(kb_dir: str, config_path: str | None) -> KnowledgeBase:
-    app = load_config(config_path)
-    backend = make_backend(app.backend)
-    return KnowledgeBase(backend, root=Path(kb_dir), k=app.kb.k, threshold=app.kb.threshold)
+def _open_kb(app: AppConfig, backend, kb_dir: str | None) -> KnowledgeBase:
+    """The knowledge base in ``kb_dir``, or a memory-only one without it."""
+    return KnowledgeBase(backend, root=kb_dir, k=app.kb.k, threshold=app.kb.threshold)
 
 
 def _cmd_kb(args) -> int:
-    kb = _open_kb(args.kb, args.config)
+    app = load_config(args.config)
+    kb = _open_kb(app, make_backend(app.backend), args.kb)
     if args.kb_command == "list":
         sops = kb.list_sops()
         incidents = kb.list_incidents()
@@ -132,11 +132,7 @@ def _cmd_diagnose(args) -> int:
     scenario = load_scenario(args.scenario)
     backend_cfg = scripted_config(args.script, app.backend) if args.script else app.backend
     backend = make_backend(backend_cfg)
-    if args.kb:
-        kb = KnowledgeBase(backend, root=Path(args.kb),
-                           k=app.kb.k, threshold=app.kb.threshold)
-    else:
-        kb = KnowledgeBase(backend, k=app.kb.k, threshold=app.kb.threshold)
+    kb = _open_kb(app, backend, args.kb or None)
     agent_cfg = app.eval.agent
     if args.max_steps is not None:
         agent_cfg.max_steps = args.max_steps

@@ -3,7 +3,9 @@ backends that drive each episode to the correct diagnosis.
 
 Scripts exist for the default configuration and for each ablation mode, built
 programmatically from scenario facts (target, service, ground truth) so they
-stay deterministic. The same corpus backs the end-to-end tests, the ablation
+stay deterministic. Every mode is assembled from the same steps (a thought, a
+proposal, a selection) and shared segments, so a mode states only where it
+departs from the others. The same corpus backs the end-to-end tests, the ablation
 checks, and the README walkthrough; ``python -m sopflow.golden --out DIR``
 writes it to disk for CLI use.
 
@@ -42,6 +44,7 @@ from .sandbox import (
     save_scenario,
 )
 from .sandbox.topology import Topology
+from .tools import RootCause, encode_causes
 
 GOLDEN_BASE_SEED = 1000
 
@@ -55,76 +58,53 @@ MODES = (
     "judge_agent_off",
 )
 
-_SOP_IDS = {
-    FaultType.CpuStress: "sop-cpu-stress",
-    FaultType.MemoryStress: "sop-memory-stress",
-    FaultType.PodFailure: "sop-pod-failure",
-    FaultType.NetworkDelay: "sop-network-delay",
-    FaultType.NetworkLoss: "sop-network-loss",
-    FaultType.NetworkPartition: "sop-network-partition",
-    FaultType.NetworkDuplicate: "sop-network-duplicate",
-    FaultType.NetworkCorrupt: "sop-network-corrupt",
-    FaultType.NetworkBandwidth: "sop-network-bandwidth",
-}
-
-_SOP_NAMES = {
-    FaultType.CpuStress: "CPU stress diagnosis",
-    FaultType.MemoryStress: "Memory stress diagnosis",
-    FaultType.PodFailure: "Pod failure diagnosis",
-    FaultType.NetworkDelay: "Network delay diagnosis",
-    FaultType.NetworkLoss: "Network packet loss diagnosis",
-    FaultType.NetworkPartition: "Network partition diagnosis",
-    FaultType.NetworkDuplicate: "Network packet duplication diagnosis",
-    FaultType.NetworkCorrupt: "Network packet corruption diagnosis",
-    FaultType.NetworkBandwidth: "Network bandwidth throttling diagnosis",
-}
-
-_SOP_STEPS = {
-    FaultType.CpuStress: [
+# fault type -> (SOP id, name, steps); golden_sops() and the authored scripts read it
+_SOPS = {
+    FaultType.CpuStress: ("sop-cpu-stress", "CPU stress diagnosis", (
         "Check cpu_usage on the suspect pod; a reading above the threshold points at CPU stress.",
         "Pull the pod logs; throttling messages confirm the CPU is saturated.",
         "Report the pod as the root cause with type CpuStress.",
-    ],
-    FaultType.MemoryStress: [
+    )),
+    FaultType.MemoryStress: ("sop-memory-stress", "Memory stress diagnosis", (
         "Check memory_usage on the suspect pod; a reading above the threshold points at memory stress.",
         "Pull the pod logs; OOM messages confirm memory exhaustion.",
         "Report the pod as the root cause with type MemoryStress.",
-    ],
-    FaultType.PodFailure: [
+    )),
+    FaultType.PodFailure: ("sop-pod-failure", "Pod failure diagnosis", (
         "List all pods; a pod in the failed phase is the prime suspect.",
         "Collect traces; 'Service unavailable' spans through its service confirm the outage.",
         "Report the failed pod with type PodFailure.",
-    ],
-    FaultType.NetworkDelay: [
+    )),
+    FaultType.NetworkDelay: ("sop-network-delay", "Network delay diagnosis", (
         "Check request_latency_ms on the affected service; a large rise indicates injected delay.",
         "Pull the pod logs; upstream timeout warnings corroborate the slow path.",
         "Report the pod with type NetworkDelay.",
-    ],
-    FaultType.NetworkLoss: [
+    )),
+    FaultType.NetworkLoss: ("sop-network-loss", "Network packet loss diagnosis", (
         "Check error_rate on the affected service; a spike indicates packets are being dropped.",
         "Collect traces; timeout spans on the affected edges confirm the loss.",
         "Report the pod with type NetworkLoss.",
-    ],
-    FaultType.NetworkPartition: [
+    )),
+    FaultType.NetworkPartition: ("sop-network-partition", "Network partition diagnosis", (
         "Check error_rate on the affected service; a rate pinned at 1.0 suggests a partition.",
         "Collect traces; 'connection refused' across every call into the service confirms it.",
         "Report the pod with type NetworkPartition.",
-    ],
-    FaultType.NetworkDuplicate: [
+    )),
+    FaultType.NetworkDuplicate: ("sop-network-duplicate", "Network packet duplication diagnosis", (
         "Check error_rate on the affected service; duplicated packets surface as call errors.",
         "Collect traces; 'duplicate ack' span errors identify the duplication.",
         "Report the pod with type NetworkDuplicate.",
-    ],
-    FaultType.NetworkCorrupt: [
+    )),
+    FaultType.NetworkCorrupt: ("sop-network-corrupt", "Network packet corruption diagnosis", (
         "Check error_rate on the affected service; corrupted packets surface as call errors.",
         "Collect traces; 'checksum mismatch' span errors identify the corruption.",
         "Report the pod with type NetworkCorrupt.",
-    ],
-    FaultType.NetworkBandwidth: [
+    )),
+    FaultType.NetworkBandwidth: ("sop-network-bandwidth", "Network bandwidth throttling diagnosis", (
         "Check node_network_throughput_bytes on both suspect nodes; a synchronized drop marks throttling.",
         "Check request_latency_ms on services whose calls cross the node pair.",
         "Report the node pair with type NetworkBandwidth.",
-    ],
+    )),
 }
 
 _INCIDENTS = [
@@ -148,8 +128,8 @@ _INCIDENTS = [
 
 def golden_sops() -> list[SopDoc]:
     return [
-        SopDoc(id=_SOP_IDS[ft], name=_SOP_NAMES[ft], steps=list(_SOP_STEPS[ft]), level=0)
-        for ft in FaultType
+        SopDoc(id=sop_id, name=name, steps=list(steps), level=0)
+        for sop_id, name, steps in (_SOPS[ft] for ft in FaultType)
     ]
 
 
@@ -238,149 +218,92 @@ def _once(key: str, response: str) -> ScriptEntry:
     return ScriptEntry(match_key=key, response=response, consume_once=True)
 
 
-def _judge_found(scenario: EpisodeScenario) -> str:
-    location = scenario.ground_truth.locations[0]
-    fault_type = scenario.ground_truth.types[0]
-    return (f"FOUND: location={location} type={fault_type}; "
-            f"telemetry matches the {fault_type} signature")
-
-
-def _speak_causes(scenario: EpisodeScenario) -> str:
-    location = scenario.ground_truth.locations[0]
-    fault_type = scenario.ground_truth.types[0]
-    return f"{location}|{fault_type}|telemetry matches the {fault_type} signature"
-
-
 def build_script(scenario: EpisodeScenario, mode: str = "default") -> list[ScriptEntry]:
     """Authored backend script that walks one scenario to the right diagnosis."""
-    topo = scenario.topology()
-    fault = scenario.faults[0]
-    ft = fault.fault_type
-    sop_name = _SOP_NAMES[ft]
-    sop_id = _SOP_IDS[ft]
+    if mode not in MODES:
+        raise ValueError(f"unknown golden mode {mode!r}")
+    ft = scenario.faults[0].fault_type
+    sop_id, sop_name, sop_steps = _SOPS[ft]
     target = scenario.ground_truth.locations[0]
-    program = _program_text(scenario, topo)
-    judge_reply = _judge_found(scenario)
-    observer_reply = f"type: {ft.value} - findings match the recorded signature"
+    fault_type = scenario.ground_truth.types[0]
+    signature = f"telemetry matches the {fault_type} signature"
+    # without an ActionAgent a step has no proposal; without action sets the
+    # main agent proposes directly and nothing is selected
+    proposer = ROLE_DIRECT if mode == "action_set_off" else ROLE_ACTION
 
-    if mode == "default" or mode == "ob_agent_off":
-        entries = [
-            _once(ROLE_THOUGHT, f"The alert implicates {target}. Start from the stored procedure."),
-            _once(ROLE_ACTION, f'ACTION: match_sop(query="{sop_name}") | stored procedure for this fault family'),
-            _once(ROLE_SELECT, "1"),
-            _once(ROLE_THOUGHT, "Procedure matched. Turn it into a check program."),
-            _once(ROLE_ACTION, "ACTION: collect_trace() | scan for failing spans"),
-            _once(ROLE_SELECT, "2"),
-            _once(ROLE_CODER, f"```\n{program}\n```"),
-            _once(ROLE_THOUGHT, "Program validated. Execute it in one shot."),
-            _once(ROLE_ACTION, "ACTION: run_sop() | execute the validated program"),
-            _once(ROLE_SELECT, "1"),
-            _once(ROLE_THOUGHT, "Findings collected. Compare with past incidents."),
-            _once(ROLE_ACTION, "ACTION: get_all_namespace() | take stock of the cluster"),
-            _once(ROLE_SELECT, "2"),
-        ]
-        if mode == "default":
-            entries.append(_once(ROLE_OBSERVER, observer_reply))
-        entries += [
-            _once(ROLE_JUDGE, judge_reply),
-            _once(ROLE_THOUGHT, f"The judge confirmed {target}. Report it."),
-            _once(ROLE_ACTION, "ACTION: node_analyze() | double-check node health"),
-            _once(ROLE_SELECT, "2"),
-        ]
+    def step(thought: str, action: str | None = None, pick: str = "1") -> list[ScriptEntry]:
+        """One main-agent step: the thought, the proposal, the selection."""
+        entries = [_once(ROLE_THOUGHT, thought)]
+        if action is not None:
+            entries.append(_once(proposer, f"ACTION: {action}"))
+        if proposer == ROLE_ACTION:
+            entries.append(_once(ROLE_SELECT, pick))
         return entries
 
-    if mode == "judge_agent_off":
-        return [
-            _once(ROLE_THOUGHT, f"The alert implicates {target}. Start from the stored procedure."),
-            _once(ROLE_ACTION, f'ACTION: match_sop(query="{sop_name}") | stored procedure for this fault family'),
-            _once(ROLE_SELECT, "1"),
-            _once(ROLE_THOUGHT, "Procedure matched. Turn it into a check program."),
-            _once(ROLE_ACTION, "ACTION: collect_trace() | scan for failing spans"),
-            _once(ROLE_SELECT, "2"),
-            _once(ROLE_CODER, f"```\n{program}\n```"),
-            _once(ROLE_THOUGHT, "Program validated. Execute it in one shot."),
-            _once(ROLE_ACTION, "ACTION: run_sop() | execute the validated program"),
-            _once(ROLE_SELECT, "1"),
-            _once(ROLE_THOUGHT, "Findings collected. Compare with past incidents."),
-            _once(ROLE_ACTION, "ACTION: get_all_namespace() | take stock of the cluster"),
-            _once(ROLE_SELECT, "2"),
-            _once(ROLE_OBSERVER, observer_reply),
-            _once(ROLE_THOUGHT, f"Evidence points at {target}. Report it."),
-            _once(ROLE_ACTION, f'ACTION: speak(causes="{_speak_causes(scenario)}") | report the confirmed cause'),
-            _once(ROLE_SELECT, "1"),
+    def report(action: str | None = None, pick: str = "1") -> list[ScriptEntry]:
+        """The auxiliary agents' replies, then the step that reports."""
+        entries = []
+        if mode != "ob_agent_off":
+            entries.append(_once(ROLE_OBSERVER,
+                                 f"type: {ft.value} - findings match the recorded signature"))
+        if mode == "judge_agent_off":
+            return entries + step(f"Evidence points at {target}. Report it.", action, pick)
+        entries.append(_once(ROLE_JUDGE, f"FOUND: location={target} type={fault_type}; {signature}"))
+        return entries + step(f"The judge confirmed {target}. Report it.", action, pick)
+
+    coder = _once(ROLE_CODER, f"```\n{_program_text(scenario, scenario.topology())}\n```")
+    match_sop = f'match_sop(query="{sop_name}") | stored procedure for this fault family'
+    compare = "Findings collected. Compare with past incidents."
+    speak = (f'speak(causes="{encode_causes([RootCause(target, fault_type, signature)])}")'
+             " | report the confirmed cause")
+
+    if mode in ("default", "ob_agent_off", "judge_agent_off"):
+        opening = [
+            *step(f"The alert implicates {target}. Start from the stored procedure.", match_sop),
+            *step("Procedure matched. Turn it into a check program.",
+                  "collect_trace() | scan for failing spans", "2"),
+            coder,
+            *step("Program validated. Execute it in one shot.",
+                  "run_sop() | execute the validated program"),
+            *step(compare, "get_all_namespace() | take stock of the cluster", "2"),
         ]
+        if mode == "judge_agent_off":
+            return opening + report(speak)
+        return opening + report("node_analyze() | double-check node health", "2")
 
     if mode == "sop_flow_off":
         return [
-            _once(ROLE_THOUGHT, f"The alert implicates {target}. Use the stored procedure directly."),
-            _once(ROLE_ACTION, f'ACTION: match_sop(query="{sop_name}") | stored procedure for this fault family'),
-            _once(ROLE_SELECT, "1"),
-            _once(ROLE_THOUGHT, "Procedure matched. Codify it."),
-            _once(ROLE_ACTION, f'ACTION: generate_sop_code(sop_id="{sop_id}") | turn the procedure into a program'),
-            _once(ROLE_SELECT, "1"),
-            _once(ROLE_CODER, f"```\n{program}\n```"),
-            _once(ROLE_THOUGHT, "Program validated. Run it."),
-            _once(ROLE_ACTION, "ACTION: run_sop() | execute the program"),
-            _once(ROLE_SELECT, "1"),
-            _once(ROLE_THOUGHT, "Findings collected. Compare with past incidents."),
-            _once(ROLE_ACTION, "ACTION: match_observation() | recall similar incidents"),
-            _once(ROLE_SELECT, "1"),
-            _once(ROLE_OBSERVER, observer_reply),
-            _once(ROLE_JUDGE, judge_reply),
-            _once(ROLE_THOUGHT, f"The judge confirmed {target}. Report it."),
-            _once(ROLE_ACTION, f'ACTION: speak(causes="{_speak_causes(scenario)}") | report the confirmed cause'),
-            _once(ROLE_SELECT, "1"),
+            *step(f"The alert implicates {target}. Use the stored procedure directly.", match_sop),
+            *step("Procedure matched. Codify it.",
+                  f'generate_sop_code(sop_id="{sop_id}") | turn the procedure into a program'),
+            coder,
+            *step("Program validated. Run it.", "run_sop() | execute the program"),
+            *step(compare, "match_observation() | recall similar incidents"),
+            *report(speak),
         ]
 
     if mode == "action_agent_off":
+        drafted = "\n".join(f"{i}. {s}" for i, s in enumerate(sop_steps, start=1))
         return [
-            _once(ROLE_THOUGHT, "No proposer available; follow the flow from the alert."),
-            _once(ROLE_SELECT, "1"),
-            _once(ROLE_THOUGHT, "Nothing matched the raw alert. Draft a procedure."),
-            _once(ROLE_SELECT, "1"),
-            _once(ROLE_AUTHOR, "SOP NAME: " + sop_name + " (drafted)\nSTEPS:\n"
-                  + "\n".join(f"{i}. {s}" for i, s in enumerate(_SOP_STEPS[ft], start=1))),
-            _once(ROLE_THOUGHT, "Procedure drafted. Codify it."),
-            _once(ROLE_SELECT, "1"),
-            _once(ROLE_CODER, f"```\n{program}\n```"),
-            _once(ROLE_THOUGHT, "Program validated. Run it."),
-            _once(ROLE_SELECT, "1"),
-            _once(ROLE_THOUGHT, "Findings collected. Compare with past incidents."),
-            _once(ROLE_SELECT, "1"),
-            _once(ROLE_OBSERVER, observer_reply),
-            _once(ROLE_JUDGE, judge_reply),
-            _once(ROLE_THOUGHT, f"The judge confirmed {target}. Report it."),
-            _once(ROLE_SELECT, "1"),
+            *step("No proposer available; follow the flow from the alert."),
+            *step("Nothing matched the raw alert. Draft a procedure."),
+            _once(ROLE_AUTHOR, f"SOP NAME: {sop_name} (drafted)\nSTEPS:\n{drafted}"),
+            *step("Procedure drafted. Codify it."),
+            coder,
+            *step("Program validated. Run it."),
+            *step(compare),
+            *report(),
         ]
 
-    if mode == "sop_knowledge_off":
-        return [
-            _once(ROLE_THOUGHT, "No procedures available; inspect the cluster directly."),
-            _once(ROLE_ACTION, "ACTION: pod_analyze() | check every pod's phase"),
-            _once(ROLE_SELECT, "1"),
-            _once(ROLE_THOUGHT, "Compare the evidence against past incidents."),
-            _once(ROLE_ACTION, f'ACTION: match_observation(observation="suspected {ft.value} on {target}") | recall similar incidents'),
-            _once(ROLE_SELECT, "1"),
-            _once(ROLE_OBSERVER, observer_reply),
-            _once(ROLE_JUDGE, judge_reply),
-            _once(ROLE_THOUGHT, f"The judge confirmed {target}. Report it."),
-            _once(ROLE_ACTION, f'ACTION: speak(causes="{_speak_causes(scenario)}") | report the confirmed cause'),
-            _once(ROLE_SELECT, "1"),
-        ]
-
-    if mode == "action_set_off":
-        return [
-            _once(ROLE_THOUGHT, "Working without candidate sets; inspect pods first."),
-            _once(ROLE_DIRECT, "ACTION: pod_analyze() | check every pod's phase"),
-            _once(ROLE_THOUGHT, "Compare the evidence against past incidents."),
-            _once(ROLE_DIRECT, f'ACTION: match_observation(observation="suspected {ft.value} on {target}") | recall similar incidents'),
-            _once(ROLE_OBSERVER, observer_reply),
-            _once(ROLE_JUDGE, judge_reply),
-            _once(ROLE_THOUGHT, f"The judge confirmed {target}. Report it."),
-            _once(ROLE_DIRECT, f'ACTION: speak(causes="{_speak_causes(scenario)}") | report the confirmed cause'),
-        ]
-
-    raise ValueError(f"unknown golden mode {mode!r}")
+    # sop_knowledge_off and action_set_off: inspect pods, recall, report
+    first = ("Working without candidate sets; inspect pods first." if mode == "action_set_off"
+             else "No procedures available; inspect the cluster directly.")
+    return [
+        *step(first, "pod_analyze() | check every pod's phase"),
+        *step("Compare the evidence against past incidents.",
+              f'match_observation(observation="suspected {ft.value} on {target}") | recall similar incidents'),
+        *report(speak),
+    ]
 
 
 @dataclass(frozen=True)

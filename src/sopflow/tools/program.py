@@ -279,22 +279,17 @@ def _format_call(call: ToolCall) -> str:
     return f"{call.tool}({args})"
 
 
-def _resolve_args(call: ToolCall, env: dict, idx: int) -> dict:
-    resolved = {}
-    for name, value in call.args:
-        if isinstance(value, Literal):
-            resolved[name] = value.value
-        else:
-            if value.name not in env:
-                raise ProgramRuntimeError(idx, f"unbound variable {value.name!r}")
-            resolved[name] = env[value.name].observation
-    return resolved
+def _value(part, env: dict, idx: int):
+    """A literal's value, or the observation text bound to a name."""
+    if isinstance(part, Literal):
+        return part.value
+    if part.name not in env:
+        raise ProgramRuntimeError(idx, f"unbound variable {part.name!r}")
+    return env[part.name].observation
 
 
 def _predicate_holds(pred: Predicate, env: dict, idx: int) -> tuple[bool, str]:
-    if pred.var not in env:
-        raise ProgramRuntimeError(idx, f"unbound variable {pred.var!r}")
-    text = env[pred.var].observation
+    text = _value(VarRef(pred.var), env, idx)
     if pred.kind == "contains":
         holds = str(pred.operand).lower() in text.lower()
         return holds, f"contains({pred.var}, {pred.operand!r})={holds}"
@@ -306,6 +301,25 @@ def _predicate_holds(pred: Predicate, env: dict, idx: int) -> tuple[bool, str]:
     return holds, f"{pred.kind}({pred.var}, {pred.operand})={holds} (value {number})"
 
 
+def _execute(stmt, idx: int, env: dict, result: ProgramRunResult, ctx: ToolContext) -> str:
+    """Run one statement; returns its trace note."""
+    if isinstance(stmt, CondStmt):
+        holds, note = _predicate_holds(stmt.predicate, env, idx)
+        if not holds:
+            return note + "; skipped"
+        return note + "; " + _execute(stmt.body, idx, env, result, ctx)
+    if isinstance(stmt, FindingStmt):
+        result.findings.append(" ".join(str(_value(part, env, idx)) for part in stmt.parts))
+        return "finding recorded"
+    args = {name: _value(value, env, idx) for name, value in stmt.call.args}
+    tool_result = ctx.registry.execute(stmt.call.tool, args, ctx)
+    if not tool_result.success:
+        raise ProgramRuntimeError(idx, tool_result.error or tool_result.observation)
+    if stmt.var:
+        env[stmt.var] = tool_result
+    return f"{_format_call(stmt.call)} -> ok"
+
+
 def run_program(program: SopProgram, ctx: ToolContext) -> ProgramRunResult:
     """Execute all statements in order; stop at the first runtime failure.
 
@@ -315,45 +329,9 @@ def run_program(program: SopProgram, ctx: ToolContext) -> ProgramRunResult:
     assert ctx.registry is not None, "ToolContext.registry must be set"
     result = ProgramRunResult()
     env: dict[str, ToolResult] = {}
-
-    def _exec_call(stmt: CallStmt, idx: int) -> str:
-        args = _resolve_args(stmt.call, env, idx)
-        tool_result = ctx.registry.execute(stmt.call.tool, args, ctx)
-        if not tool_result.success:
-            raise ProgramRuntimeError(idx, tool_result.error or tool_result.observation)
-        if stmt.var:
-            env[stmt.var] = tool_result
-        return f"{_format_call(stmt.call)} -> ok"
-
-    def _exec_finding(stmt: FindingStmt, idx: int) -> str:
-        pieces = []
-        for part in stmt.parts:
-            if isinstance(part, Literal):
-                pieces.append(str(part.value))
-            else:
-                if part.name not in env:
-                    raise ProgramRuntimeError(idx, f"unbound variable {part.name!r}")
-                pieces.append(env[part.name].observation)
-        result.findings.append(" ".join(pieces))
-        return "finding recorded"
-
     for idx, stmt in enumerate(program.statements):
         try:
-            if isinstance(stmt, CallStmt):
-                note = _exec_call(stmt, idx)
-            elif isinstance(stmt, FindingStmt):
-                note = _exec_finding(stmt, idx)
-            else:
-                holds, note = _predicate_holds(stmt.predicate, env, idx)
-                if holds:
-                    body = stmt.body
-                    if isinstance(body, CallStmt):
-                        note += "; " + _exec_call(body, idx)
-                    else:
-                        note += "; " + _exec_finding(body, idx)
-                else:
-                    note += "; skipped"
-            result.trace.append(f"{idx}: {note}")
+            result.trace.append(f"{idx}: {_execute(stmt, idx, env, result, ctx)}")
         except ProgramRuntimeError as exc:
             result.trace.append(f"{idx}: failed: {exc.detail}")
             result.success = False

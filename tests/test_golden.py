@@ -1,8 +1,17 @@
 import ast
+import hashlib
+import json
 import pathlib
 
 import sopflow
-from sopflow.golden import write_corpus
+from sopflow.golden import (
+    MODES,
+    build_script,
+    golden_scenarios,
+    script_to_mapping,
+    write_corpus,
+)
+from sopflow.sandbox import generate_corpus
 
 
 def test_write_corpus_twice_gives_identical_files(tmp_path):
@@ -42,3 +51,12 @@ def test_only_the_fixture_module_imports_golden():
         and "sopflow.golden" in _imported_modules(path, package_root)
     ]
     assert offenders == []
+
+
+def test_every_golden_script_is_pinned():
+    # transcript digests only see the entries an episode consumes; corpus
+    # files carry every entry, so pin the scripts themselves
+    scenarios = golden_scenarios() + generate_corpus(1616, 18)
+    payload = [[script_to_mapping(build_script(s, m)) for s in scenarios] for m in MODES]
+    digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+    assert digest == "d54425945ff367094f872265357f1d1cf0ecbdeba9f34363c3e533fe1f69e9c6"
