@@ -8,12 +8,14 @@ remote one) the episode overlaps calls that do not depend on each other,
 using one worker thread, so at most two requests are in flight:
 - the thought and the proposal are sent together, so a step waits for 2
   serial round trips, not 3;
-- the findings an R6 candidate matches, fixed once the action set is built,
-  are embedded while the selection is in flight (a prefetch: no retry, no
-  event), and the episode's backend holds the vector until a match asks for
-  it;
+- a request whose input is fixed once the action set is built is sent while
+  the selection is in flight (a prefetch: no retry, no event): the findings
+  an R6 candidate matches, or the coder's completion for the procedure an
+  R1, R3 or R5 candidate codifies. The episode's backend holds the result
+  until a call with the identical request uses it;
 - a knowledge-base match embeds the texts it misses two at a time.
-Both pairs go through one primitive, ``_RecordingBackend.both``. Scripted
+The first and last pairs go through one primitive, ``_RecordingBackend.both``,
+and every prefetch through ``_RecordingBackend.prefetch``. Scripted
 runs stay strictly sequential, because their replies depend on call order.
 Either way the transcript holds the events in the sequential order, and a
 failure resolves as it would in that order. A failed completion or
@@ -33,7 +35,7 @@ from pathlib import Path
 
 from ..detector import DetectorConfig
 from ..errors import BackendError, EpisodeAborted, ScriptExhaustedError, SopflowError
-from ..llm import ChatMessage, ask, render_prompt
+from ..llm import ChatMessage, ask, chat, render_prompt
 from ..prompts import (
     DIRECT_SYSTEM,
     FLOW_GUIDE,
@@ -44,6 +46,7 @@ from ..prompts import (
 from ..sandbox import EpisodeScenario, render_alert, render_telemetry
 from ..schema import write_atomic
 from ..tools import SpeakReport, ToolContext, ToolResult, build_registry
+from ..tools.sop_flow import coder_prompt
 from . import roles
 from .flow_rules import apply_flow_rules, fallback_candidate, speak_awaits_judge
 from .types import (
@@ -85,7 +88,8 @@ class _RecordingBackend:
         # a buffered backend runs on the worker, so it sends one call at a time
         self.concurrent_calls = events is None and getattr(inner, "concurrent_calls", False)
         self._executor: ThreadPoolExecutor | None = None
-        self._prefetched: dict[str, object] = {}  # text -> vector, until embed_many uses it
+        # ("embed", text) -> vector, ("complete", prompt) -> reply, until used
+        self._prefetched: dict[tuple[str, str], object] = {}
 
     def _worker(self) -> ThreadPoolExecutor:
         if self._executor is None:
@@ -134,8 +138,13 @@ class _RecordingBackend:
                 raise EpisodeAborted(f"backend failed twice: {second}") from second
 
     def complete(self, messages: list[ChatMessage]) -> str:
-        reply = self._retry_once(self._inner.complete, messages)
-        self._log("llm", prompt=render_prompt(messages), reply=reply)
+        """A completion, logged to the transcript; a prefetched reply to the
+        same prompt is used, not sent again."""
+        prompt = render_prompt(messages)
+        reply = self._prefetched.pop(("complete", prompt), None)
+        if reply is None:
+            reply = self._retry_once(self._inner.complete, messages)
+        self._log("llm", prompt=prompt, reply=reply)
         return reply
 
     def embed(self, text: str):
@@ -145,8 +154,8 @@ class _RecordingBackend:
         """The vectors of ``texts``, in order. A prefetched text is not sent;
         the others are embedded as ``embed`` does, two at a time through
         ``both``."""
-        vectors = {text: self._prefetched.pop(text) for text in texts
-                   if text in self._prefetched}
+        vectors = {text: self._prefetched.pop(("embed", text)) for text in texts
+                   if ("embed", text) in self._prefetched}
         todo = [text for text in texts if text not in vectors]
         for a, b in zip(todo[0::2], todo[1::2]):
             vectors[a], vectors[b] = self.both(lambda backend: backend.embed(a),
@@ -155,18 +164,23 @@ class _RecordingBackend:
             vectors[todo[-1]] = self.embed(todo[-1])
         return [vectors[text] for text in texts]
 
-    def prefetch(self, text: str) -> Future | None:
-        """Embed ``text`` on the worker (None if its vector is already held),
-        straight through the inner backend: no retry, no event, and an error is
-        dropped, so that ``embed_many`` sends the text as if nothing had been
-        sent. The transcript is the same either way."""
-        if text in self._prefetched:
+    def prefetch(self, kind: str, request) -> Future | None:
+        """Send ``request`` on the worker: a text to embed (``kind`` "embed")
+        or the messages of a completion ("complete"); None if its result is
+        already held. It goes straight through the inner backend: no retry, no
+        event, and an error is dropped, so that ``embed_many`` or ``complete``
+        sends the request as if nothing had been sent. The result is held until
+        a call with the identical request uses it; the transcript is the same
+        either way."""
+        key = (kind, request if kind == "embed" else render_prompt(request))
+        if key in self._prefetched:
             return None
+        send = getattr(self._inner, kind)
 
         def fetch() -> None:
             try:
-                self._prefetched[text] = self._inner.embed(text)
-            except SopflowError:  # embed_many's own embed retries and reports it
+                self._prefetched[key] = send(request)
+            except SopflowError:  # the call that needs it retries and reports it
                 pass
 
         return self._worker().submit(fetch)
@@ -238,17 +252,30 @@ class _Runtime:
         )
 
     def _prefetch(self, action_set: ActionSet) -> Future | None:
-        """Start embedding the findings of the action set's R6 candidate
-        (``match_observation``) while the selection is in flight, if they are
-        not cached yet. R8's ``match_sop(alert)`` is not prefetched: no
-        measured workload chooses it, so the request would only add load."""
+        """Start the request of the action set's flow candidate while the
+        selection is in flight: the embedding of the findings an R6 candidate
+        matches (``match_observation``), if they are not cached yet, or the
+        completion an R1, R3 or R5 candidate asks the coder for
+        (``generate_sop_code``), if its procedure resolves. The rules that add
+        these exclude one another, so there is at most one.
+
+        Not prefetched: R8's ``match_sop(alert)``, since no measured workload
+        chooses it and the request would only add load; and R2's author call
+        (``generate_sop``), since its prompt needs a knowledge-base match
+        first."""
         if not self.backend.concurrent_calls:
             return None
         for candidate in action_set.candidates:
             if candidate.rule == "R6":
                 text = str(candidate.args["observation"])
                 if text.strip() and not self.ctx.kb.cached(text):
-                    return self.backend.prefetch(text)
+                    return self.backend.prefetch("embed", text)
+            elif candidate.rule in ("R1", "R3", "R5"):
+                try:
+                    _, system, user = coder_prompt(self.ctx, candidate.args.get("sop_id"))
+                except SopflowError:  # the tool reports it if chosen
+                    continue
+                return self.backend.prefetch("complete", chat(system, user))
         return None
 
     def _build_action_set(self, reply: str | None) -> ActionSet:

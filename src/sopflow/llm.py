@@ -4,8 +4,9 @@ Two interchangeable implementations: ``RemoteBackend`` speaks a
 chat-completions style HTTP API for live runs, and ``ScriptedBackend`` replays
 authored responses and produces hash-derived embeddings, which makes whole
 episodes deterministic and byte-replayable in tests. Every prompt built
-anywhere in the system is built by ``ask`` and goes through one of these;
-nothing else touches the network.
+anywhere in the system is built by ``ask`` (an episode's prefetch builds it
+with ``chat``, as ``ask`` does) and goes through one of these; nothing else
+touches the network.
 """
 
 from __future__ import annotations
@@ -102,9 +103,15 @@ def render_prompt(messages: list[ChatMessage]) -> str:
     return "\n".join(m.content for m in messages)
 
 
+def chat(system: str, user: str) -> list[ChatMessage]:
+    """The messages ``ask`` sends for a system prompt and a user message; an
+    episode prefetches a completion of exactly these."""
+    return [ChatMessage("system", system), ChatMessage("user", user)]
+
+
 def ask(backend, system: str, user: str) -> str:
     """One completion for a system prompt and a user message."""
-    return backend.complete([ChatMessage("system", system), ChatMessage("user", user)])
+    return backend.complete(chat(system, user))
 
 
 def _retry_after_s(header: str | None) -> float | None:
@@ -192,9 +199,11 @@ class RemoteBackend:
     and calls share no state, so an episode may have two calls in flight at
     once (``concurrent_calls``), never more: a pair sent through the episode
     backend's ``both`` (a step's thought with its proposal, or two embeddings
-    of a knowledge-base store), or a selection with the prefetched embedding
-    of the findings rule R6 matches. A reply that is not what the API
-    promises is a ``BackendError``, which the episode retries once.
+    of a knowledge-base store), or a selection with one prefetched request:
+    the embedding of the findings rule R6 matches, or the coder's completion
+    for the procedure rule R1, R3 or R5 codifies. A reply that is not what
+    the API promises is a ``BackendError``, which the episode retries once
+    (a prefetch drops it, and the call that needs the result sends again).
     """
 
     concurrent_calls = True

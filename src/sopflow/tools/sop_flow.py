@@ -88,16 +88,24 @@ def generate_sop(ctx: ToolContext, fault_info: str, parent_sop_id: str | None = 
     return ToolResult(tool="generate_sop", observation=text, payload=doc)
 
 
-def generate_sop_code(ctx: ToolContext, sop_id: str | None = None) -> ToolResult:
-    """Turn a procedure into a validated check program via the coding backend."""
+def coder_prompt(ctx: ToolContext, sop_id: str | None = None) -> tuple[SopDoc, str, str]:
+    """The procedure ``generate_sop_code`` codifies, with the system prompt and
+    user message it sends for it. The episode prefetches the completion of this
+    same prompt, so the two cannot drift apart."""
     doc = ctx.kb.get_sop(sop_id) if sop_id else ctx.sop.sop
     if doc is None:
         raise ToolError("no procedure in context; run match_sop or generate_sop first")
     assert ctx.registry is not None
     catalog = ctx.registry.catalog_text(categories=PROGRAM_TOOL_CATEGORIES)
     steps = "\n".join(f"{i}. {step}" for i, step in enumerate(doc.steps, start=1))
-    reply = ask(ctx.backend, CODER_SYSTEM.format(grammar=GRAMMAR_TEXT, catalog=catalog),
-                f"Procedure '{doc.name}':\n{steps}")
+    return (doc, CODER_SYSTEM.format(grammar=GRAMMAR_TEXT, catalog=catalog),
+            f"Procedure '{doc.name}':\n{steps}")
+
+
+def generate_sop_code(ctx: ToolContext, sop_id: str | None = None) -> ToolResult:
+    """Turn a procedure into a validated check program via the coding backend."""
+    doc, system, user = coder_prompt(ctx, sop_id)
+    reply = ask(ctx.backend, system, user)
     try:
         program = parse_program(reply)
         violations = validate_program(program, ctx.registry)

@@ -7,6 +7,7 @@ import time
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
@@ -115,6 +116,22 @@ _ROLE_NAMES = {
 RENDEZVOUS_TIMEOUT_S = 10.0
 
 
+def role_of(prompt: str) -> str:
+    """The role of a rendered prompt, named from its first line, the marker."""
+    return _ROLE_NAMES.get(prompt.split("\n", 1)[0], "other")
+
+
+def llm_calls_by_role(transcript_dir: Path) -> Counter:
+    """Completions per role logged in the transcripts under ``transcript_dir``."""
+    calls: Counter = Counter()
+    for path in transcript_dir.glob("*.jsonl"):
+        for line in path.read_text(encoding="utf-8").splitlines():
+            event = json.loads(line)
+            if event["kind"] == "llm":
+                calls[role_of(event["prompt"])] += 1
+    return calls
+
+
 @dataclass(eq=False)
 class FakeRequest:
     role: str        # a prompt role ("thought", "action", ...) or "embed"
@@ -143,7 +160,10 @@ class FakeEndpoint:
     to the scenario named by its alert's ``scenario: <id>`` line; a prompt
     without one (selection, coder, observer, judge) belongs to the scenario its
     thread last named, which holds with several episodes in flight because an
-    episode's thread sends its thought before anything else. Embeddings answer
+    episode's thread sends its thought, and its worker its proposal, before
+    anything else. A thread that has named none (the worker of an episode
+    without proposals) takes the scenario named last, which holds with one
+    episode in flight. Embeddings answer
     with the scripted backend's ``hash_embedding``, so transcripts match
     scripted runs byte for byte.
 
@@ -173,7 +193,8 @@ class FakeEndpoint:
         self._lock = threading.Lock()
         self._scripts: dict[str, list[ScriptEntry]] = {}
         self._backends: dict[str, ScriptedBackend] = {}
-        self._thread_scenario: dict[int, str] = {}
+        self._thread_scenario: dict[threading.Thread, str] = {}
+        self._last_scenario: str | None = None
 
     def serve(self, scripts: dict[str, list[ScriptEntry]]) -> None:
         """Replay these scripts, keyed by scenario id, each from its start,
@@ -183,10 +204,15 @@ class FakeEndpoint:
             self._scripts = dict(scripts)
             self._backends = {}
             self._thread_scenario = {}
+            self._last_scenario = None
             self.requests = []
             self.overlaps = []
             self._barrier = threading.Barrier(2, timeout=RENDEZVOUS_TIMEOUT_S)
             self._counts = Counter()
+
+    def completions_by_role(self) -> Counter:
+        """Completion requests per role, retries and prefetches included."""
+        return Counter(r.role for r in self.requests if r.role != "embed")
 
     def config(self) -> BackendConfig:
         return BackendConfig(backend_kind="remote", endpoint="http://127.0.0.1:9",
@@ -194,9 +220,12 @@ class FakeEndpoint:
 
     def _backend_for(self, prompt: str) -> ScriptedBackend:
         match = _SCENARIO_LINE.search(prompt)
-        thread = threading.get_ident()
+        thread = threading.current_thread()  # an ident may be reused, a thread is not
         with self._lock:
-            scenario_id = match.group(1) if match else self._thread_scenario[thread]
+            if match:
+                self._last_scenario = match.group(1)
+            scenario_id = (match.group(1) if match
+                           else self._thread_scenario.get(thread, self._last_scenario))
             self._thread_scenario[thread] = scenario_id
             backend = self._backends.get(scenario_id)
             if backend is None:
@@ -209,8 +238,8 @@ class FakeEndpoint:
             role, prompt, messages = "embed", json["input"], None
         else:
             messages = [ChatMessage(m["role"], m["content"]) for m in json["messages"]]
-            role = _ROLE_NAMES.get(messages[0].content.splitlines()[0], "other")
             prompt = "\n".join(m.content for m in messages)
+            role = role_of(prompt)
         with self._lock:
             number, repeat = self._counts[role], self._counts[(role, prompt)]
             self._counts[role] += 1

@@ -178,8 +178,9 @@ def test_only_the_backend_module_touches_the_network():
 
 
 def test_agents_and_tools_prompt_only_through_ask():
-    # one path from an episode to the model: llm.ask builds every message
-    # list, so no agent or tool builds one or calls complete() itself
+    # one path from an episode to the model: llm.ask (or llm.chat, for a
+    # prefetch) builds every message list, so no agent or tool builds one or
+    # calls complete() itself
     import ast
     import pathlib
     import sopflow

@@ -1,7 +1,9 @@
 """Episodes through ``RemoteBackend``: each step sends its thought and its
-proposal together, the findings an R6 candidate matches are embedded while
-the selection is in flight, and a cold store's texts are embedded two at a
-time; the transcript is still the sequential one.
+proposal together, the findings an R6 candidate matches are embedded and the
+coder's completion for an R1, R3 or R5 candidate is sent while the selection
+is in flight, and a cold store's texts are embedded two at a time; the
+transcript is still the sequential one, and no speculative request is wasted
+on these scripts.
 
 ``fake_endpoint`` (conftest) answers the HTTP calls from each scenario's
 script, with a delay per request, and records which requests were in flight
@@ -14,10 +16,18 @@ import threading
 import pytest
 import yaml
 
+from conftest import llm_calls_by_role
 from sopflow import golden
 from sopflow.agents import Ablations, AgentConfig, run_episode, transcript_lines
 from sopflow.evaluation import EvalConfig, load_corpus, run_benchmark, save_report
-from sopflow.llm import BackendConfig, RemoteBackend, ScriptedBackend, make_backend
+from sopflow.llm import (
+    BackendConfig,
+    RemoteBackend,
+    ScriptedBackend,
+    ScriptEntry,
+    make_backend,
+)
+from sopflow.prompts import ROLE_ACTION, ROLE_SELECT, ROLE_THOUGHT
 
 STEPS = 5  # steps of a default-mode golden episode
 
@@ -72,6 +82,12 @@ def test_remote_transcripts_equal_scripted_under_every_mode(tmp_path, fake_endpo
         scripted_files = _outputs(tmp_path / mode / "scripted")
         assert len(scripted_files) == 10
         assert _outputs(tmp_path / mode / "remote") == scripted_files, mode
+        # no speculative request was wasted: each role sent what the scripted
+        # run called, prefetches included
+        calls = llm_calls_by_role(tmp_path / mode / "scripted" / "transcripts")
+        assert fake_endpoint.completions_by_role() == calls, mode
+        if mode == "default":
+            assert sum(calls.values()) == 18 * 9 and calls["coder"] == 9
         proposers |= {r.thread for r in fake_endpoint.requests if r.role == "action"}
     # the proposals really were sent from an episode's worker thread
     assert proposers and all(name.startswith("sopflow-propose") for name in proposers)
@@ -88,10 +104,13 @@ def test_each_step_overlaps_exactly_its_planned_pairs(fake_endpoint):
     # of them), then the 3 manifestations (the R6 prefetch embedded the query),
     # so the last of each store goes alone
     alone = {names[-1], manifestations[-1]}
-    prefetching = 3  # the selection of step 4, whose action set holds R6
+    # the selections of step 2, whose action set holds R1 (the coder's
+    # completion is prefetched), and of step 4, whose action set holds R6
+    # (the findings' embedding is)
+    coding, matching = 1, 3
     fake_endpoint.rendezvous = lambda r: (
-        r.role in ("thought", "action")
-        or (r.role == "select" and r.number == prefetching)
+        r.role in ("thought", "action", "coder")
+        or (r.role == "select" and r.number in (coding, matching))
         or (r.role == "embed" and r.prompt not in alone))
     fake_endpoint.serve({case.scenario.id: case.script})
     result = run_episode(case.scenario, AgentConfig(), RemoteBackend(fake_endpoint.config()),
@@ -99,10 +118,12 @@ def test_each_step_overlaps_exactly_its_planned_pairs(fake_endpoint):
     assert result.outcome == "completed" and result.state.step_count == STEPS
 
     state = result.state
+    assert state.history[1].chosen.rule == "R1"
     assert state.history[3].chosen.rule == "R6"
     findings = state.history[3].chosen.args["observation"]
     expected = {frozenset({("thought", n), ("action", n)}) for n in range(STEPS)}
-    expected.add(frozenset({("select", prefetching), ("embed", findings)}))
+    expected.add(frozenset({("select", coding), ("coder", 0)}))
+    expected.add(frozenset({("select", matching), ("embed", findings)}))
     expected |= {frozenset({("embed", a), ("embed", b)})
                  for store in (names, manifestations)
                  for a, b in zip(store[0::2], store[1::2])}
@@ -111,7 +132,7 @@ def test_each_step_overlaps_exactly_its_planned_pairs(fake_endpoint):
         return request.role, request.prompt if request.role == "embed" else request.number
 
     pairs = fake_endpoint.overlaps  # no other pair of requests was ever in flight together
-    assert len(pairs) == len(expected) == 11
+    assert len(pairs) == len(expected) == 12
     assert {frozenset({key(a), key(b)}) for a, b in pairs} == expected
 
 
@@ -235,6 +256,68 @@ def test_failing_prefetch_leaves_the_transcript_unchanged(fake_endpoint, monkeyp
     # the alert, R8's query, is never embedded: it is not prefetched, and the
     # script's match_sop queries an SOP name
     assert not any(r.prompt == state.alert for r in fake_endpoint.requests)
+
+
+@pytest.mark.parametrize("bad_reply", [
+    (503, {"error": "coder down"}),
+    (200, {"choices": [{"message": {"content": ["not", "a", "string"]}}]}),
+], ids=["503", "non-string-content"])
+def test_failing_coder_prefetch_leaves_the_transcript_unchanged(fake_endpoint, monkeypatch,
+                                                                bad_reply):
+    sequential, sequential_lines = _failing_run(fake_endpoint, monkeypatch, {},
+                                                concurrent=False)
+    # the first coder request is the prefetch sent during step 2's selection
+    concurrent, concurrent_lines = _failing_run(fake_endpoint, monkeypatch,
+                                                {("coder", 0): bad_reply}, concurrent=True)
+    assert concurrent_lines == sequential_lines
+    assert concurrent.outcome == "completed"
+    assert not any(e["kind"] == "llm_retry" for e in concurrent.state.events)
+    sent = [r for r in fake_endpoint.requests if r.role == "coder"]
+    assert sent[0].thread.startswith("sopflow-propose")  # the prefetch
+    # the tool asked for the same prompt again, as if nothing had been sent
+    assert [r.repeat for r in sent] == [0, 1]
+
+
+def _script_passing_over_r1(case) -> list[ScriptEntry]:
+    """``case``'s default script, but step 2 selects the agent's candidate over
+    R1's ``generate_sop_code``, and in a new step 3 the agent proposes that
+    same call and the selection chooses it. Entries are consumed per role in
+    order, so each role's list is edited on its own."""
+    by_role: dict[str, list[ScriptEntry]] = {}
+    for entry in case.script:
+        by_role.setdefault(entry.match_key, []).append(entry)
+    sop_id = golden.golden_sops()[0].id  # case 0's fault type comes first in both
+    by_role[ROLE_SELECT][1] = ScriptEntry(ROLE_SELECT, "1", consume_once=True)
+    by_role[ROLE_THOUGHT].insert(2, ScriptEntry(
+        ROLE_THOUGHT, "Traces collected. Now codify the procedure.", consume_once=True))
+    by_role[ROLE_ACTION].insert(2, ScriptEntry(
+        ROLE_ACTION, f'ACTION: generate_sop_code(sop_id="{sop_id}") | codify it',
+        consume_once=True))
+    by_role[ROLE_SELECT].insert(2, ScriptEntry(ROLE_SELECT, "1", consume_once=True))
+    return [entry for entries in by_role.values() for entry in entries]
+
+
+def test_a_held_coder_reply_serves_a_later_step(fake_endpoint):
+    case = golden.golden_cases("default")[0]
+    script = _script_passing_over_r1(case)
+    scripted = run_episode(case.scenario, AgentConfig(),
+                           ScriptedBackend(BackendConfig(script=script)),
+                           golden.make_golden_kb(make_backend(BackendConfig())))
+    fake_endpoint.serve({case.scenario.id: script})
+    remote = run_episode(case.scenario, AgentConfig(), RemoteBackend(fake_endpoint.config()),
+                         golden.make_golden_kb(make_backend(BackendConfig())))
+    history = scripted.state.history
+    assert [record.chosen.tool for record in history] == [
+        "match_sop", "collect_trace", "generate_sop_code", "run_sop", "match_observation",
+        "speak"]
+    assert [c.rule for c in history[1].action_set.candidates] == [None, "R1"]
+    assert history[2].chosen.rule is None  # the agent's own proposal
+    assert scripted.outcome == "completed"
+
+    assert transcript_lines(remote.state) == transcript_lines(scripted.state)
+    # the completion prefetched during step 2's selection served step 3
+    sent = [r for r in fake_endpoint.requests if r.role == "coder"]
+    assert len(sent) == 1 and sent[0].thread.startswith("sopflow-propose")
 
 
 def test_no_thread_outlives_its_episode(tmp_path, fake_endpoint):

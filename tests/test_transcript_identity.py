@@ -20,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import llm_calls_by_role
 from sopflow import golden, schema
 from sopflow.agents import Ablations, AgentConfig
 from sopflow.evaluation import EvalConfig, load_corpus, run_benchmark
@@ -89,8 +90,9 @@ def test_generated_transcripts_are_byte_identical(tmp_path):
 @pytest.mark.parametrize("workers", [1, 4])
 def test_generated_remote_transcripts_equal_scripted(tmp_path, fake_endpoint, workers):
     # a cold knowledge base: the first episode embeds every store text in
-    # pairs, and each R6/R8 query is prefetched during its selection; with 4
-    # workers, episodes share the embedding cache while threads switch often
+    # pairs, and R6's findings and the coder prompt are prefetched during
+    # their selections; with 4 workers, episodes share the embedding cache
+    # while threads switch often
     manifest, scripts = write_generated_corpus(tmp_path / "remote", scripted=False)
     fake_endpoint.serve(scripts)
     remote = tmp_path / "remote-transcripts"
@@ -105,3 +107,8 @@ def test_generated_remote_transcripts_equal_scripted(tmp_path, fake_endpoint, wo
     assert _digest(remote).hexdigest() == GENERATED_SHA256
     assert any(r.role == "embed" and r.thread.startswith("sopflow-propose")
                for r in fake_endpoint.requests)
+    # the transcripts are the scripted ones, so they log the scripted run's
+    # calls: no speculative completion was wasted
+    calls = llm_calls_by_role(remote)
+    assert fake_endpoint.completions_by_role() == calls
+    assert sum(calls.values()) == 18 * GENERATED_COUNT and calls["coder"] == GENERATED_COUNT
