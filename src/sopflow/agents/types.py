@@ -103,10 +103,6 @@ class DiagnosisResult:
     explanation: str
     path: tuple[str, ...]
 
-    @property
-    def path_length(self) -> int:
-        return len(self.path)
-
     def __post_init__(self):
         if not (0 < len(self.locations) <= MAX_ROOT_CAUSES):
             raise ValidationError(f"diagnosis must name 1..{MAX_ROOT_CAUSES} locations")
@@ -127,10 +123,6 @@ class EpisodeState:
     diagnosis: DiagnosisResult | None = None
     events: list[dict] = field(default_factory=list)  # transcript records in order
     abort_reason: str = ""
-
-    @property
-    def terminated(self) -> bool:
-        return self.outcome is not None
 
     @property
     def last_step(self) -> StepRecord | None:

@@ -25,7 +25,6 @@ import statistics
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
-from . import schema
 from .errors import ValidationError
 
 DEFAULT_K = 3.0
@@ -54,12 +53,6 @@ class DetectorConfig:
         default_factory=lambda: dict(DEFAULT_STATIC_THRESHOLDS)
     )
     anomaly_keywords: tuple[str, ...] = DEFAULT_ANOMALY_KEYWORDS
-
-    @classmethod
-    def from_mapping(cls, mapping: dict) -> "DetectorConfig":
-        cfg = schema.from_mapping(cls, mapping, "detector")
-        cfg.validate()
-        return cfg
 
     def validate(self) -> None:
         if not (math.isfinite(self.k) and self.k > 0):

@@ -283,9 +283,6 @@ class KnowledgeBase:
                 self._flush_cache()
         return {text: self._cache[key] for text, key in keys.items()}
 
-    def _embed(self, text: str) -> EmbeddingVector:
-        return self._vectors([text])[text]
-
     def cached(self, text: str) -> bool:
         """Whether ``text``'s vector is in the cache."""
         return _text_key(self._backend.backend_id, text) in self._cache

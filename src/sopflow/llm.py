@@ -143,9 +143,6 @@ def hash_embedding(text: str, dim: int = DEFAULT_EMBED_DIM, seed: int = 0) -> Em
         u = int.from_bytes(digest[:8], "big")
         raw.append(u / 2.0**63 - 1.0)
     norm = math.sqrt(sum(v * v for v in raw))
-    if norm == 0.0:  # unreachable in practice, keep the vector valid anyway
-        raw[0] = 1.0
-        norm = 1.0
     return EmbeddingVector.of(v / norm for v in raw)
 
 

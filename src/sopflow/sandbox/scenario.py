@@ -24,7 +24,6 @@ class GroundTruth:
 class ScenarioConfig:
     topology: str = "online-boutique"
     fault_types: tuple[FaultType, ...] = tuple(FaultType)
-    window: tuple[int, int] = DEFAULT_WINDOW
     faults_per_scenario: int = 1
 
     def validate(self) -> None:
@@ -99,17 +98,14 @@ def generate_scenario(seed: int, config: ScenarioConfig | None = None,
     config = config or ScenarioConfig()
     config.validate()
     topo = load_fixture(config.topology)
-    window = config.window
 
     faults = []
     for n in range(config.faults_per_scenario):
         # round-robin over the allowed types so corpora cover the taxonomy evenly
         fault_type = config.fault_types[(index + n) % len(config.fault_types)]
+        # ends by 540 s, inside DEFAULT_WINDOW
         start = 120 + 15 * int(noise.unit(seed, "start", n) * 9)      # 120..240
         duration = (180, 240, 300)[int(noise.unit(seed, "duration", n) * 3)]
-        end_limit = window[1]
-        if start + duration > end_limit:
-            duration = end_limit - start
         fault = FaultSpec(
             fault_type=fault_type,
             target=_pick_target(topo, fault_type, seed, f"f{n}"),
@@ -124,7 +120,7 @@ def generate_scenario(seed: int, config: ScenarioConfig | None = None,
         id=f"scn-{seed:05d}-{faults[0].fault_type.value.lower()}",
         topology_name=config.topology,
         seed=seed,
-        window=window,
+        window=DEFAULT_WINDOW,
         faults=faults,
         ground_truth=_derive_ground_truth(faults),
     )

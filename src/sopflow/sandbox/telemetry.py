@@ -46,8 +46,8 @@ of active faults it resolves once which components the faults can change
 and service gets, each stressed pod's magnitude and each node's bandwidth
 magnitudes; every sample tick with that set looks them up. A sample of an
 untouched component is a nominal draw from the series' (baseline, sigma), so
-it lies in ``Telemetry.nominal_range``. The alert sweep uses both to skip
-samples it can prove cannot flag.
+it lies in its ``Telemetry.nominal_ranges`` entry. The alert sweep uses both
+to skip samples it can prove cannot flag.
 
 What depends on the topology alone (each series' nominal draw and range, the
 component kinds, the pods in id order, the call tree) is built once per
@@ -213,12 +213,10 @@ class Telemetry:
         self._errors: list[list[Span] | None] = [None] * len(self._times)
         self._heartbeats: dict[tuple[str, int], LogLine] = {}
         self._fault_logs = self._renderer.fault_logs()
-        # pod id -> the [start, end) windows of the PodFailure faults on it
-        self._failures: dict[str, list[tuple[int, int]]] = {}
-        for fault in scenario.faults:
-            if fault.fault_type == FaultType.PodFailure:
-                self._failures.setdefault(fault.location_id, []).append(
-                    (fault.start_s, fault.end_s))
+        # the pods a PodFailure has down at the incident time
+        self._down = {fault.location_id for fault in scenario.faults
+                      if fault.fault_type == FaultType.PodFailure
+                      and fault.active_at(scenario.incident_time_s)}
 
     def _values(self, key: tuple[str, str], lo: int, hi: int) -> list[float]:
         """Series ``key``'s samples at tick numbers ``lo`` to ``hi`` - 1,
@@ -257,19 +255,6 @@ class Telemetry:
 
     # -- queries -------------------------------------------------------------
 
-    def components(self) -> dict[str, str]:
-        return dict(self._tables.kinds)
-
-    def metrics_for(self, component: str) -> list[str]:
-        kind = self._tables.kinds.get(component)
-        if kind is None:
-            raise NotFoundError(f"unknown component {component!r}")
-        if kind == "pod":
-            return sorted(POD_METRIC_BASELINES)
-        if kind == "node":
-            return sorted(NODE_METRIC_BASELINES)
-        return sorted(SERVICE_METRICS)
-
     def sample_times(self) -> list[int]:
         """Every metric sample tick (and trace tick) of the window, in order."""
         return list(self._times)
@@ -284,15 +269,11 @@ class Telemetry:
         return self._renderer.effects[t].touched
 
     def nominal_ranges(self) -> Mapping[tuple[str, str], tuple[float, float]]:
-        """``nominal_range`` of every series, read-only and shared by every
-        scenario on the topology."""
+        """Each series named by ``series_keys`` -> the least and the greatest
+        value a nominal sample of it can take, read-only and shared by every
+        scenario on the topology. Exact: every step from the clamped draw to
+        the stored value is monotone."""
         return MappingProxyType(self._tables.nominal_range)
-
-    def nominal_range(self, component: str, metric: str) -> tuple[float, float]:
-        """The least and the greatest value a nominal sample of a series named
-        by ``series_keys`` can take. Exact: every step from the clamped draw
-        to the stored value is monotone."""
-        return self._tables.nominal_range[(component, metric)]
 
     def metric_value(self, component: str, metric: str, t: int) -> float:
         """The sample at tick ``t`` of a series named by ``series_keys``."""
@@ -333,17 +314,13 @@ class Telemetry:
         except KeyError:
             raise NotFoundError(f"unknown pod {pod!r}") from None
 
-    def query_logs(self, pod: str, window: tuple[int, int] | None = None) -> list[LogLine]:
-        self._pod(pod)
-        return self._logs((pod,), window)
-
     def all_logs(self, window: tuple[int, int] | None = None) -> list[LogLine]:
         """Every pod's log lines in ``window`` (every line for None)."""
         return self._logs(self._tables.pods, window)
 
     def anomalous_logs(self, cfg: DetectorConfig, pod: str | None = None,
                        window: tuple[int, int] | None = None) -> list[LogLine]:
-        """The lines of ``query_logs(pod, window)`` (``all_logs(window)`` for
+        """The lines of pod ``pod`` in ``all_logs(window)`` (every pod's for
         None) that ``matches_keyword`` keeps under ``cfg``, in the same order.
         The heartbeats of a pod are rendered only when a keyword may occur in
         them (``_heartbeats_may_match``)."""
@@ -371,16 +348,15 @@ class Telemetry:
             spans.extend(self._errors[i])
         return spans
 
-    def pod_phase(self, pod_id: str, at_s: int | None = None) -> str:
+    def pod_phase(self, pod_id: str) -> str:
+        """Pod ``pod_id``'s phase at ``scenario.incident_time_s``: ``failed``
+        while a PodFailure on it is active, else the topology's."""
         pod = self._pod(pod_id)
-        at_s = self.scenario.incident_time_s if at_s is None else at_s
-        if any(start <= at_s < end for start, end in self._failures.get(pod_id, ())):
-            return "failed"
-        return pod.phase
+        return "failed" if pod_id in self._down else pod.phase
 
-    def pod_phases(self, at_s: int | None = None) -> list[tuple[str, str]]:
-        """Every pod's phase, in pod id order."""
-        return [(pod_id, self.pod_phase(pod_id, at_s)) for pod_id in self._tables.pods]
+    def pod_phases(self) -> list[tuple[str, str]]:
+        """Every pod's ``pod_phase``, in pod id order."""
+        return [(pod_id, self.pod_phase(pod_id)) for pod_id in self._tables.pods]
 
     # -- serialization ---------------------------------------------------------
 
@@ -651,14 +627,11 @@ class _Renderer:
 
     # -- logs -------------------------------------------------------------------
 
-    def _fault_log_pod(self, fault: FaultSpec) -> str | None:
-        kind = fault.target_kind
-        if kind == "pod":
+    def _fault_log_pod(self, fault: FaultSpec) -> str:
+        """The pod a pod or edge fault logs on (node-pair faults have no template)."""
+        if fault.target_kind == "pod":
             return fault.location_id
-        if kind == "edge":
-            _, dst = fault.edge_pair()
-            return self.topo.pods_of(dst)[0].id
-        return None  # node-pair faults manifest in metrics only
+        return self.topo.pods_of(fault.edge_pair()[1])[0].id
 
     def heartbeat(self, pod_id: str, t: int) -> LogLine:
         """Pod ``pod_id``'s heartbeat line at log tick ``t``."""
@@ -680,8 +653,6 @@ class _Renderer:
             if template is None:
                 continue
             pod_id = self._fault_log_pod(fault)
-            if pod_id is None:
-                continue
             body = template.format(mag=fault.magnitude)
             for t in range(fault.start_s, min(fault.end_s, end), SAMPLE_PERIOD_S):
                 lines.append(LogLine(pod=pod_id, t_s=t, text=f"{body} (t={t})"))

@@ -64,7 +64,8 @@ def _workload_table(ctx: ToolContext, statefulset: bool) -> str:
 
 
 def analyze_resource(ctx: ToolContext, kind: str) -> ToolResult:
-    """Status table for every resource of the given kind, frozen at incident time."""
+    """Status table for every resource of ``kind``, one of ``RESOURCE_KINDS``,
+    frozen at incident time."""
     if kind == "pods":
         text = _pods_table(ctx)
     elif kind == "nodes":
@@ -73,18 +74,14 @@ def analyze_resource(ctx: ToolContext, kind: str) -> ToolResult:
         text = _services_table(ctx)
     elif kind == "deployments":
         text = _workload_table(ctx, statefulset=False)
-    elif kind == "statefulsets":
-        text = _workload_table(ctx, statefulset=True)
     else:
-        raise ToolError(f"unknown resource kind {kind!r}; expected one of {RESOURCE_KINDS}")
+        text = _workload_table(ctx, statefulset=True)
     return ToolResult(tool=f"{kind[:-1]}_analyze", observation=text)
 
 
 def _describe_pod(ctx: ToolContext, pod_id: str) -> str:
-    pod = ctx.telemetry.topology.pod(pod_id) if ctx.telemetry.topology.has_pod(pod_id) else None
-    if pod is None:
-        raise ToolError(f"unknown pod {pod_id!r}")
-    phase = ctx.telemetry.pod_phase(pod_id)
+    phase = ctx.telemetry.pod_phase(pod_id)  # raises NotFoundError on an unknown pod
+    pod = ctx.telemetry.topology.pod(pod_id)
     return (f"Name:     {pod.id}\n"
             f"Service:  {pod.service}\n"
             f"Node:     {pod.node}\n"

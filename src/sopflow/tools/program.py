@@ -326,7 +326,6 @@ def run_program(program: SopProgram, ctx: ToolContext) -> ProgramRunResult:
     The per-statement trace always has one entry per executed statement, so a
     failure at statement k leaves a trace of length k+1.
     """
-    assert ctx.registry is not None, "ToolContext.registry must be set"
     result = ProgramRunResult()
     env: dict[str, ToolResult] = {}
     for idx, stmt in enumerate(program.statements):

@@ -62,13 +62,14 @@ class SopFlowState:
 
 @dataclass
 class ToolContext:
-    """Everything a tool invocation may touch. One per episode."""
+    """Everything a tool invocation may touch. One per episode; ``registry``
+    is the one its tool calls, a program's included, run through."""
 
     telemetry: Any
     kb: Any
     backend: Any
     detector: Any
-    registry: "ToolRegistry | None" = None
+    registry: "ToolRegistry"
     sop: SopFlowState = field(default_factory=SopFlowState)
 
     @property

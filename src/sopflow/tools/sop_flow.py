@@ -95,7 +95,6 @@ def coder_prompt(ctx: ToolContext, sop_id: str | None = None) -> tuple[SopDoc, s
     doc = ctx.kb.get_sop(sop_id) if sop_id else ctx.sop.sop
     if doc is None:
         raise ToolError("no procedure in context; run match_sop or generate_sop first")
-    assert ctx.registry is not None
     catalog = ctx.registry.catalog_text(categories=PROGRAM_TOOL_CATEGORIES)
     steps = "\n".join(f"{i}. {step}" for i, step in enumerate(doc.steps, start=1))
     return (doc, CODER_SYSTEM.format(grammar=GRAMMAR_TEXT, catalog=catalog),

@@ -20,7 +20,7 @@ from sopflow.golden import golden_scenarios
 from sopflow.sandbox import ScenarioConfig, generate_corpus, noise, render_alert, render_telemetry
 from sopflow.sandbox.faults import FaultType
 from sopflow.sandbox.telemetry import SAMPLE_PERIOD_S, _Renderer
-from sopflow.tools import ToolContext
+from sopflow.tools import ToolContext, build_registry
 from sopflow.tools.observability import kubectl_logs
 
 _BASELINE_SAMPLES = 8
@@ -54,8 +54,10 @@ def reference_alert(telemetry, cfg: DetectorConfig) -> str:
     if logs:
         candidates.append((logs[0].t_s, "log", logs[0].pod,
                            f"anomalous log on pod {logs[0].pod}: {logs[0].text}"))
-    states = [(t, pod_id, phase) for t in range(start, end, SAMPLE_PERIOD_S)
-              for pod_id, phase in telemetry.pod_phases(at_s=t) if phase != "running"]
+    states = [(t, pod_id, "failed") for t in range(start, end, SAMPLE_PERIOD_S)
+              for pod_id in sorted({fault.location_id for fault in telemetry.scenario.faults
+                                    if fault.fault_type == FaultType.PodFailure
+                                    and fault.active_at(t)})]
     if states:
         t, pod_id, phase = states[0]
         candidates.append((t, "state", pod_id, f"pod {pod_id} entered phase {phase}"))
@@ -140,11 +142,12 @@ def test_kubectl_logs_matches_the_filtered_query(scenario, keywords, pod_index, 
     cfg = DetectorConfig(anomaly_keywords=keywords)
     telemetry = render_telemetry(scenario)
     pod = sorted(telemetry.topology.pods, key=lambda p: p.id)[pod_index].id
-    ctx = ToolContext(telemetry=telemetry, kb=None, backend=None, detector=cfg)
+    ctx = ToolContext(telemetry=telemetry, kb=None, backend=None, detector=cfg,
+                      registry=build_registry())
     start, end = window or (None, None)
     got = kubectl_logs(ctx, pod, start, end)
-    expected = [line for line in render_telemetry(scenario).query_logs(pod, window or ctx.window)
-                if matches_keyword(line.text, cfg)]
+    expected = [line for line in render_telemetry(scenario).all_logs(window or ctx.window)
+                if line.pod == pod and matches_keyword(line.text, cfg)]
     assert got.payload == expected
     assert (got.observation.startswith(f"{len(expected)} abnormal log lines for pod {pod}:")
             if expected else got.observation.startswith(f"no abnormal logs for pod {pod}"))
@@ -267,7 +270,7 @@ def test_untouched_samples_lie_in_their_nominal_range():
     for scenario in golden_scenarios():
         telemetry = render_telemetry(scenario)
         for series in telemetry.metric_series():
-            lo, hi = telemetry.nominal_range(series.component, series.metric)
+            lo, hi = telemetry.nominal_ranges()[(series.component, series.metric)]
             for t, value in series.samples:
                 if series.component not in telemetry.touched(t):
                     assert lo <= value <= hi
@@ -280,14 +283,12 @@ def test_pod_phases_match_a_scan_of_the_faults():
     failed = 0
     for scenario in generate_corpus(31, 12, config) + generate_corpus(32, 12):
         telemetry = render_telemetry(scenario)
-        for t in [None, *range(*scenario.window, SAMPLE_PERIOD_S)]:
-            at_s = scenario.incident_time_s if t is None else t
-            expected = [(pod.id, "failed" if any(
-                fault.fault_type == FaultType.PodFailure and fault.location_id == pod.id
-                and fault.active_at(at_s) for fault in scenario.faults) else pod.phase)
-                for pod in sorted(telemetry.topology.pods, key=lambda pod: pod.id)]
-            assert telemetry.pod_phases(at_s=t) == expected
-            assert [(pod_id, telemetry.pod_phase(pod_id, t)) for pod_id, _ in expected] \
-                == expected
-            failed += sum(phase == "failed" for _, phase in expected)
+        at_s = scenario.incident_time_s
+        expected = [(pod.id, "failed" if any(
+            fault.fault_type == FaultType.PodFailure and fault.location_id == pod.id
+            and fault.active_at(at_s) for fault in scenario.faults) else pod.phase)
+            for pod in sorted(telemetry.topology.pods, key=lambda pod: pod.id)]
+        assert telemetry.pod_phases() == expected
+        assert [(pod_id, telemetry.pod_phase(pod_id)) for pod_id, _ in expected] == expected
+        failed += sum(phase == "failed" for _, phase in expected)
     assert failed

@@ -1,9 +1,13 @@
+import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 import yaml
 
+from sopflow import golden
 from sopflow.cli import main
+from sopflow.evaluation import load_report
 from sopflow.golden import write_corpus
 
 
@@ -52,6 +56,18 @@ class TestKbCommands:
         out = capsys.readouterr().out
         score = float(out.split()[0])
         assert score == pytest.approx(1.0, abs=1e-6)
+
+    def test_match_incidents(self, golden_dir, capsys):
+        kb_dir = str(golden_dir / "kb")
+        assert run_cli("kb", "match", "--kb", kb_dir, "--kind", "incident", "--k", "1",
+                       "--query", "checkout pods pinned at full CPU, requests queueing, "
+                       "throttling in logs") == 0
+        assert capsys.readouterr().out == (
+            "1.000000  inc-checkout-cpu  [CpuStress] "
+            "checkout pods pinned at full CPU, requests queueing, throttl\n")
+        assert run_cli("kb", "match", "--kb", kb_dir, "--kind", "incident",
+                       "--query", "disk quota exceeded on the batch runner") == 0
+        assert capsys.readouterr().out == "no matches\n"
 
     @pytest.mark.parametrize("body, complaint", [
         ("id: sop-x\nname: x\nsteps: inspect\n", "expected a list"),
@@ -237,6 +253,36 @@ class TestBenchmark:
 
     def test_missing_corpus_exit_one(self, tmp_path):
         assert run_cli("benchmark", "--corpus", str(tmp_path / "nope.yaml")) == 1
+
+
+class TestQuickStart:
+    def test_readme_quick_start(self, tmp_path, monkeypatch, capsys):
+        # the README's quick start command for command, then its benchmark
+        # again on two worker threads
+        monkeypatch.chdir(tmp_path)
+        assert golden.main(["--out", "./golden"]) == 0
+        assert run_cli("diagnose", "--scenario", "golden/scenarios/scn-01000-cpustress.yaml",
+                       "--script", "golden/scripts/scn-01000-cpustress.yaml",
+                       "--kb", "golden/kb", "--out", "transcript.jsonl") == 0
+        assert run_cli("transcript", "transcript.jsonl") == 0
+        assert "outcome: completed after 5 steps" in capsys.readouterr().out
+        assert run_cli("benchmark", "--corpus", "golden/manifest.yaml", "--out", "run/") == 0
+        report = load_report("run/report.json")
+        assert (report.la, report.ta, report.apl) == (1.0, 1.0, 5.0)
+
+        assert run_cli("benchmark", "--corpus", "golden/manifest.yaml", "--out", "run2/",
+                       "--workers", "2") == 0
+        threaded = load_report("run2/report.json")
+        assert threaded.config == {**report.config, "workers": 2}
+        assert dataclasses.replace(threaded, config=report.config) == report
+
+        def transcripts(run):
+            return {p.name: p.read_bytes() for p in Path(run, "transcripts").glob("*.jsonl")}
+
+        assert len(transcripts("run")) == 9
+        assert transcripts("run2") == transcripts("run")
+        assert Path("transcript.jsonl").read_bytes() \
+            == transcripts("run")["scn-01000-cpustress.jsonl"]
 
 
 class TestTranscriptAndUsage:

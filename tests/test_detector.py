@@ -18,6 +18,7 @@ from sopflow.detector import (
     matches_keyword,
 )
 from sopflow.errors import ValidationError
+from sopflow.schema import from_mapping
 
 
 @pytest.fixture
@@ -225,9 +226,16 @@ class TestKeywords:
         assert not matches_keyword("plain error text", cfg)
 
 
+def _detector_config(mapping: dict) -> DetectorConfig:
+    # how a config file's ``detector`` section is read, then validated
+    cfg = from_mapping(DetectorConfig, mapping, "detector")
+    cfg.validate()
+    return cfg
+
+
 class TestConfigLoading:
     def test_from_mapping_overrides(self):
-        cfg = DetectorConfig.from_mapping({
+        cfg = _detector_config({
             "k": 2.0,
             "static_thresholds": {"cpu_usage": 0.5},
             "anomaly_keywords": ["panic"],
@@ -251,12 +259,12 @@ class TestConfigValidation:
     ])
     def test_from_mapping_rejects_nonsense(self, bad):
         with pytest.raises(ValidationError):
-            DetectorConfig.from_mapping(bad)
+            _detector_config(bad)
 
     def test_boundary_values_are_valid(self):
         DetectorConfig().validate()
-        DetectorConfig.from_mapping({"k": 0.01, "min_sigma_frac": 0, "min_baseline_samples": 1,
-                                     "baseline_lookback_samples": 1, "static_thresholds": {}})
+        _detector_config({"k": 0.01, "min_sigma_frac": 0, "min_baseline_samples": 1,
+                          "baseline_lookback_samples": 1, "static_thresholds": {}})
 
     def test_episode_rejects_an_invalid_detector_before_it_starts(self, backend):
         from sopflow.agents import AgentConfig, run_episode

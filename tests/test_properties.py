@@ -90,8 +90,8 @@ def test_retrieval_threshold_and_topk_bounds(docs, query_vec, k, threshold):
         returned = {doc.id for doc, _ in matches}
         for doc in kb.list_sops():
             if doc.id not in returned:
-                score = cosine_similarity(kb._embed("the query"),
-                                          kb._embed(doc.name))
+                vectors = kb._vectors(["the query", doc.name])
+                score = cosine_similarity(vectors["the query"], vectors[doc.name])
                 assert score < threshold
 
 

@@ -219,7 +219,8 @@ class TestFaultSignatures:
         fault = scenario.faults[0]
         telemetry = telemetry_for(scenario)
         assert fault.magnitude >= 0.95
-        lines = telemetry.query_logs(fault.location_id, (fault.start_s, fault.end_s))
+        lines = [line for line in telemetry.all_logs((fault.start_s, fault.end_s))
+                 if line.pod == fault.location_id]
         assert any("OOM" in line.text for line in lines)
 
     @pytest.mark.parametrize("magnitude, body", [
@@ -230,7 +231,8 @@ class TestFaultSignatures:
         scenario = fault_scenario(FaultType.MemoryStress)
         fault = dataclasses.replace(scenario.faults[0], magnitude=magnitude)
         telemetry = render_telemetry(dataclasses.replace(scenario, faults=[fault]))
-        lines = telemetry.query_logs(fault.location_id, (fault.start_s, fault.end_s))
+        lines = [line for line in telemetry.all_logs((fault.start_s, fault.end_s))
+                 if line.pod == fault.location_id]
         assert [line.text for line in lines if not line.text.startswith("INFO")] == [
             f"{body} (t={t})" for t in range(fault.start_s, fault.end_s, SAMPLE_PERIOD_S)]
 
@@ -239,7 +241,13 @@ class TestFaultSignatures:
         fault = scenario.faults[0]
         telemetry = telemetry_for(scenario)
         assert telemetry.pod_phase(fault.location_id) == "failed"
-        assert telemetry.pod_phase(fault.location_id, at_s=scenario.window[0]) == "running"
+        # the phase is read at the incident time, midway through the first
+        # fault: a PodFailure that starts after it leaves the pod running
+        stress = dataclasses.replace(fault, fault_type=FaultType.CpuStress, magnitude=0.9)
+        later = dataclasses.replace(fault, start_s=fault.end_s, duration_s=30)
+        before = dataclasses.replace(scenario, faults=[stress, later], ground_truth=GroundTruth(
+            (fault.location_id,), ("CpuStress", "PodFailure")))
+        assert render_telemetry(before).pod_phase(fault.location_id) == "running"
         service = telemetry.topology.pod(fault.location_id).service
         error_spans = [
             span
@@ -391,7 +399,7 @@ class TestQueries:
         telemetry = telemetry_for(no_fault_scenario())
         series = telemetry.query_metrics("frontend-0", "cpu_usage", (10_000, 20_000))
         assert series.samples == ()
-        assert telemetry.query_logs("frontend-0", (10_000, 20_000)) == []
+        assert telemetry.all_logs((10_000, 20_000)) == []
         assert telemetry.query_traces((10_000, 20_000)) == []
 
     def test_unknown_component_and_metric(self):
@@ -404,10 +412,13 @@ class TestQueries:
             telemetry.query_metrics("frontend-0", "request_latency_ms")  # service metric
 
     def test_log_union_partitions_full_set(self):
+        # "handled" occurs in every heartbeat line, so each pod's anomalous
+        # lines are all its lines
         telemetry = telemetry_for(no_fault_scenario())
+        cfg = DetectorConfig(anomaly_keywords=("handled",))
         union = []
         for pod in telemetry.topology.pods:
-            union.extend(telemetry.query_logs(pod.id))
+            union.extend(telemetry.anomalous_logs(cfg, pod.id))
         assert sorted(union, key=lambda l: (l.t_s, l.pod, l.text)) == telemetry.all_logs()
 
     def test_traces_form_single_rooted_trees(self):
@@ -474,8 +485,9 @@ class TestDeterminism:
             telemetry = render_telemetry(scenario)
             start, end = scenario.window
             for t in range(start, end, SAMPLE_PERIOD_S):
-                failed = [pod for pod, phase in telemetry.pod_phases(at_s=t)
-                          if phase != "running"]
+                failed = sorted({fault.location_id for fault in scenario.faults
+                                 if fault.fault_type == FaultType.PodFailure
+                                 and fault.active_at(t)})
                 if failed:
                     assert telemetry.error_spans((t, t + 1)), (scenario.id, t, failed)
                 failed_pods.update(failed)

@@ -1,5 +1,6 @@
 import pytest
 
+from sopflow.agents import Ablations, ActionCandidate, ActionSet, StepRecord, mandated_candidates
 from sopflow.errors import GenerationParseError, ProgramValidationError, ValidationError
 from sopflow.kb import KnowledgeBase, SopDoc
 from sopflow.llm import ScriptEntry
@@ -223,6 +224,10 @@ class TestAnalysisTools:
         result = registry.execute("run_kubectl_command",
                                   {"command": "describe pod frontend-0"}, quiet_ctx)
         assert "Name:     frontend-0" in result.observation
+        result = registry.execute("run_kubectl_command",
+                                  {"command": "describe pod ghost-0"}, quiet_ctx)
+        assert not result.success
+        assert result.observation == "tool error: unknown pod 'ghost-0'"
 
     def test_get_all_namespace(self, registry, quiet_ctx):
         result = registry.execute("get_all_namespace", {}, quiet_ctx)
@@ -339,6 +344,30 @@ class TestSopFlowTools:
         assert result.success
         assert fault.location_id in result.observation and "cpu" in result.observation
         assert ctx.sop.last_findings.startswith("- cpu anomaly")
+
+    def test_run_sop_failing_at_runtime_is_regenerated(self, registry):
+        # the program validates (argument names only), and its second call
+        # fails when it runs
+        program_text = ('```\nlet pods = pod_analyze()\n'
+                        'let logs = kubectl_logs(pod="ghost-0")\nfinding("logs", logs)\n```')
+        backend = scripted_backend(script=[ScriptEntry("ROLE: procedure-coder", program_text)])
+        kb = self._kb_with(backend, SopDoc(id="sop-x", name="logs check", steps=["read logs"]))
+        ctx = make_ctx(no_fault_scenario(), registry=registry, backend=backend, kb=kb)
+        generate_sop_code(ctx, sop_id="sop-x")
+        ctx.sop.last_findings = "- earlier findings"
+        result = registry.execute("run_sop", {}, ctx)
+        assert not result.success and result.error == "unknown pod 'ghost-0'"
+        assert result.observation == (
+            "program failed at statement 1: unknown pod 'ghost-0'\ntrace:\n"
+            "0: pod_analyze() -> ok\n1: failed: unknown pod 'ghost-0'")
+        assert ctx.sop.last_findings == "- earlier findings"
+
+        chosen = ActionCandidate(tool="run_sop", args={})
+        prev = StepRecord(index=2, thought="", action_set=ActionSet([chosen], 5),
+                          chosen=chosen, chosen_index=1, fallback=False,
+                          result=result, observation=result.observation)
+        out = mandated_candidates(3, prev, None, "INCIDENT ALERT", Ablations())
+        assert [(c.tool, c.rule, c.args) for c in out] == [("generate_sop_code", "R5", {})]
 
     def test_run_sop_without_program(self, registry, quiet_ctx):
         result = registry.execute("run_sop", {}, quiet_ctx)
