@@ -12,13 +12,14 @@ touches the network.
 from __future__ import annotations
 
 import hashlib
+import http.client
+import json
 import math
 import os
 import threading
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-
-import requests
+from urllib.parse import urlsplit
 
 from . import schema
 from .errors import BackendError, ScriptExhaustedError, ValidationError
@@ -189,17 +190,43 @@ class ScriptedBackend:
         return hash_embedding(text, self.config.embed_dim, self.config.embed_seed)
 
 
+def _send(url: str, body: bytes, headers: dict) -> tuple[int, http.client.HTTPMessage, bytes]:
+    """POST ``body`` to an ``http(s)://`` URL on a new connection, closed
+    once the whole reply is read, and return the reply's status, headers
+    (whose ``get`` ignores case) and body. Each wait times out after
+    ``REQUEST_TIMEOUT_S``. Proxy variables are not read, and HTTPS verifies
+    the server against the system's CA store. A failure raises ``OSError``,
+    ``http.client.HTTPException`` or ``ValueError`` (a bad port or header)."""
+    parts = urlsplit(url)
+    if parts.scheme not in ("http", "https") or not parts.hostname:
+        raise http.client.InvalidURL(f"not an http(s)://host URL: {url!r}")
+    if parts.scheme == "https":
+        connection_class, default_port = http.client.HTTPSConnection, http.client.HTTPS_PORT
+    else:
+        connection_class, default_port = http.client.HTTPConnection, http.client.HTTP_PORT
+    connection = connection_class(parts.hostname, parts.port or default_port,
+                                  timeout=REQUEST_TIMEOUT_S)
+    try:
+        connection.request("POST", parts.path, body, {**headers, "Connection": "close"})
+        response = connection.getresponse()
+        return response.status, response.headers, response.read()
+    finally:
+        connection.close()
+
+
 class RemoteBackend:
     """Thin client for a chat-completions compatible HTTP endpoint.
 
-    Each call is one ``requests.post`` (timing out after ``REQUEST_TIMEOUT_S``)
-    and calls share no state, so an episode may have two calls in flight at
-    once (``concurrent_calls``), never more: a pair sent through the episode
-    backend's ``both`` (a step's thought with its proposal, or two embeddings
-    of a knowledge-base store), or a selection with one prefetched request:
-    the embedding of the findings rule R6 matches, or the coder's completion
-    for the procedure rule R1, R3 or R5 codifies. A reply that is not what
-    the API promises is a ``BackendError``, which the episode retries once
+    Each call is one POST through ``_send``: the standard library's
+    ``http.client``, on a new connection per request, timing out after
+    ``REQUEST_TIMEOUT_S``. Calls share no state, so an episode may have two
+    calls in flight at once (``concurrent_calls``), never more: a pair sent
+    through the episode backend's ``both`` (a step's thought with its
+    proposal, or two embeddings of a knowledge-base store), or a selection
+    with one prefetched request: the embedding of the findings rule R6
+    matches, or the coder's completion for the procedure rule R1, R3 or R5
+    codifies. A reply that is not what the API promises (a body that is not
+    UTF-8 JSON included) is a ``BackendError``, which the episode retries once
     (a prefetch drops it, and the call that needs the result sends again).
     """
 
@@ -228,18 +255,20 @@ class RemoteBackend:
     def _post(self, path: str, body: dict) -> dict:
         url = self.config.endpoint.rstrip("/") + path
         try:
-            response = requests.post(url, json=body, headers=self._headers(),
-                                     timeout=REQUEST_TIMEOUT_S)
-        except requests.RequestException as exc:
+            # a NaN or infinite setting is refused here, not sent as invalid JSON
+            data = json.dumps(body, allow_nan=False).encode("utf-8")
+            status, reply_headers, reply = _send(url, data, self._headers())
+        except (OSError, http.client.HTTPException, ValueError) as exc:
             raise BackendError(f"transport failure: {exc}") from exc
-        if response.status_code != 200:
+        if status != 200:
             raise BackendError(
-                f"backend returned status {response.status_code}: {response.text[:200]}",
-                retry_after_s=_retry_after_s(response.headers.get("Retry-After")),
+                f"backend returned status {status}: "
+                f"{reply.decode('utf-8', 'replace')[:200]}",
+                retry_after_s=_retry_after_s(reply_headers.get("Retry-After")),
             )
         try:
-            return response.json()
-        except ValueError as exc:
+            return json.loads(reply.decode("utf-8"))
+        except ValueError as exc:  # UnicodeDecodeError is one
             raise BackendError(f"response body is not JSON: {exc}") from exc
 
     def complete(self, messages: list[ChatMessage]) -> str:

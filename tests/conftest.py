@@ -101,7 +101,7 @@ def quiet_ctx():
     return make_ctx(no_fault_scenario())
 
 
-# -- a chat-completions endpoint behind requests.post ----------------------------
+# -- a chat-completions endpoint behind llm._send ---------------------------------
 
 FAKE_KEY_ENV = "SOPFLOW_TEST_FAKE_KEY"
 _SCENARIO_LINE = re.compile(r"^scenario: (\S+)$", re.MULTILINE)
@@ -141,19 +141,8 @@ class FakeRequest:
     prompt: str      # the rendered prompt, or the text to embed
 
 
-class _FakeResponse:
-    def __init__(self, status_code: int, payload):
-        self.status_code = status_code
-        self.headers = {}
-        self._payload = payload
-        self.text = json.dumps(payload)
-
-    def json(self):
-        return self._payload
-
-
 class FakeEndpoint:
-    """Answers ``requests.post`` in place of a chat-completions endpoint.
+    """Answers ``llm._send`` in place of a chat-completions endpoint.
 
     Completions replay each scenario's script through a ``ScriptedBackend``,
     whose lock makes the replay safe for concurrent requests. A prompt belongs
@@ -177,7 +166,7 @@ class FakeEndpoint:
     the earlier one first, as the endpoint saw them under its lock. A request
     for which ``rendezvous(request)`` is true waits inside the endpoint until
     a second such request arrives; after ``RENDEZVOUS_TIMEOUT_S`` alone it
-    raises ``threading.BrokenBarrierError`` out of ``requests.post``.
+    raises ``threading.BrokenBarrierError`` out of ``llm._send``.
     """
 
     def __init__(self, delay_s: float = 0.001):
@@ -233,11 +222,12 @@ class FakeEndpoint:
                 self._backends[scenario_id] = backend
         return backend
 
-    def post(self, url, json=None, headers=None, timeout=None):
+    def send(self, url: str, body: bytes, headers: dict) -> tuple[int, dict, bytes]:
+        request = json.loads(body)
         if url.endswith("/embeddings"):
-            role, prompt, messages = "embed", json["input"], None
+            role, prompt, messages = "embed", request["input"], None
         else:
-            messages = [ChatMessage(m["role"], m["content"]) for m in json["messages"]]
+            messages = [ChatMessage(m["role"], m["content"]) for m in request["messages"]]
             prompt = "\n".join(m.content for m in messages)
             role = role_of(prompt)
         with self._lock:
@@ -253,32 +243,33 @@ class FakeEndpoint:
             if self.rendezvous(record):
                 self._barrier.wait()
             time.sleep(self.delays.get(role, self.delay_s))
-            return self._answer(record, messages)
+            status, payload = self._answer(record, messages)
+            return status, {}, json.dumps(payload).encode("utf-8")
         finally:
             with self._lock:
                 self._in_flight.remove(record)
 
-    def _answer(self, request: FakeRequest, messages) -> _FakeResponse:
+    def _answer(self, request: FakeRequest, messages) -> tuple[int, object]:
         role, prompt = request.role, request.prompt
         injected = self.replies.get((role, request.number),
                                     self.replies.get((role, prompt, request.repeat)))
         if injected is not None:
-            return _FakeResponse(*injected)
+            return injected
         if role == "embed":
             vector = hash_embedding(prompt, BackendConfig().embed_dim)
-            return _FakeResponse(200, {"data": [{"embedding": list(vector.values)}]})
+            return 200, {"data": [{"embedding": list(vector.values)}]}
         try:
             reply = self._backend_for(prompt).complete(messages)
         except (KeyError, SopflowError) as exc:
-            return _FakeResponse(500, {"error": f"{type(exc).__name__}: {exc}"})
-        return _FakeResponse(200, {"choices": [{"message": {"content": reply}}]})
+            return 500, {"error": f"{type(exc).__name__}: {exc}"}
+        return 200, {"choices": [{"message": {"content": reply}}]}
 
 
 @pytest.fixture
 def fake_endpoint(monkeypatch):
-    """A ``FakeEndpoint`` installed as ``sopflow.llm.requests.post``; point a
+    """A ``FakeEndpoint`` installed as ``sopflow.llm._send``; point a
     ``RemoteBackend`` at it with ``fake_endpoint.config()``."""
     endpoint = FakeEndpoint()
     monkeypatch.setenv(FAKE_KEY_ENV, "k")
-    monkeypatch.setattr("sopflow.llm.requests.post", endpoint.post)
+    monkeypatch.setattr("sopflow.llm._send", endpoint.send)
     return endpoint

@@ -338,23 +338,14 @@ class TestRetryAfter:
         monkeypatch.setenv("SOPFLOW_API_KEY", "k")
         posts = []
 
-        class FakeResponse:
-            def __init__(self, status_code, headers):
-                self.status_code = status_code
-                self.headers = headers
-                self.text = "slow down"
-
-            def json(self):
-                return {"choices": [{"message": {"content": "no ideas"}}]}
-
-        def fake_post(url, json=None, headers=None, timeout=None):
+        def fake_send(url, body, headers):
             posts.append(url)
             if len(posts) == 1:
-                return FakeResponse(429, {"Retry-After": header})
-            return FakeResponse(200, {})
+                return 429, {"Retry-After": header}, b"slow down"
+            return 200, {}, b'{"choices": [{"message": {"content": "no ideas"}}]}'
 
         sleeps = []
-        monkeypatch.setattr("sopflow.llm.requests.post", fake_post)
+        monkeypatch.setattr("sopflow.llm._send", fake_send)
         monkeypatch.setattr(episode.time, "sleep", sleeps.append)
         backend = RemoteBackend(BackendConfig(backend_kind="remote",
                                               endpoint="https://llm.example/v1", model="m"))

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -161,20 +162,45 @@ class TestScriptFiles:
         assert [type(v) for v in vars(got[0]).values()] == [str, str, bool]
 
 
+NETWORK_MODULES = {"requests", "urllib3", "httpx", "urllib", "http", "socket", "ssl"}
+
+
 def test_only_the_backend_module_touches_the_network():
     # every prompt and embedding must round-trip through this module; nothing
-    # else in the package may import an HTTP client
+    # else in the package may import an HTTP client or a socket
+    import ast
     import pathlib
     import sopflow
     package_root = pathlib.Path(sopflow.__file__).parent
     offenders = []
-    for path in package_root.rglob("*.py"):
+    for path in sorted(package_root.rglob("*.py")):
         if path.name == "llm.py":
             continue
-        text = path.read_text()
-        if "import requests" in text or "import httpx" in text or "import urllib" in text:
-            offenders.append(path.name)
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno} {name}" for name in names
+                          if name.split(".")[0] in NETWORK_MODULES]
     assert offenders == []
+
+
+def test_importing_the_package_leaves_requests_unloaded():
+    # the live client is the standard library's http.client, so neither
+    # requests nor urllib3 is on the import path of the CLI or the benchmark
+    import pathlib
+    import subprocess
+    import sys
+    import sopflow
+    code = ("import sys, sopflow.cli, sopflow.evaluation, sopflow.golden\n"
+            "print(sorted({'requests', 'urllib3'} & set(sys.modules)))")
+    src = pathlib.Path(sopflow.__file__).parent.parent
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=src, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_agents_and_tools_prompt_only_through_ask():
@@ -211,18 +237,12 @@ class TestRemoteBackend:
         monkeypatch.setenv("SOPFLOW_API_KEY", "k")
         seen = {}
 
-        class FakeResponse:
-            status_code = 200
-            headers = {}
+        def fake_send(url, body, headers):
+            seen.update(url=url, body=json.loads(body), headers=headers)
+            return 200, {}, json.dumps(
+                {"choices": [{"message": {"content": "reply text"}}]}).encode()
 
-            def json(self):
-                return {"choices": [{"message": {"content": "reply text"}}]}
-
-        def fake_post(url, json=None, headers=None, timeout=None):
-            seen.update(url=url, body=json, headers=headers)
-            return FakeResponse()
-
-        monkeypatch.setattr("sopflow.llm.requests.post", fake_post)
+        monkeypatch.setattr("sopflow.llm._send", fake_send)
         backend = RemoteBackend(self._config())
         reply = backend.complete([ChatMessage("system", "s"), ChatMessage("user", "u")])
         assert reply == "reply text"
@@ -234,14 +254,8 @@ class TestRemoteBackend:
 
     def test_error_status_carries_retry_hint(self, monkeypatch):
         monkeypatch.setenv("SOPFLOW_API_KEY", "k")
-
-        class FakeResponse:
-            status_code = 429
-            headers = {"Retry-After": "2.5"}
-            text = "slow down"
-
-        monkeypatch.setattr("sopflow.llm.requests.post",
-                            lambda *a, **kw: FakeResponse())
+        monkeypatch.setattr("sopflow.llm._send",
+                            lambda *a: (429, {"Retry-After": "2.5"}, b"slow down"))
         with pytest.raises(BackendError) as excinfo:
             RemoteBackend(self._config()).complete(msgs("hi"))
         assert excinfo.value.retry_after_s == 2.5
@@ -251,56 +265,31 @@ class TestRemoteBackend:
     ])
     def test_unusable_retry_hint_is_none(self, monkeypatch, header):
         monkeypatch.setenv("SOPFLOW_API_KEY", "k")
-
-        class FakeResponse:
-            status_code = 503
-            headers = {"Retry-After": header}
-            text = "unavailable"
-
-        monkeypatch.setattr("sopflow.llm.requests.post",
-                            lambda *a, **kw: FakeResponse())
+        monkeypatch.setattr("sopflow.llm._send",
+                            lambda *a: (503, {"Retry-After": header}, b"unavailable"))
         with pytest.raises(BackendError) as excinfo:
             RemoteBackend(self._config()).complete(msgs("hi"))
         assert excinfo.value.retry_after_s is None
 
     def test_embedding_route(self, monkeypatch):
         monkeypatch.setenv("SOPFLOW_API_KEY", "k")
-
-        class FakeResponse:
-            status_code = 200
-            headers = {}
-
-            def json(self):
-                return {"data": [{"embedding": [0.6, 0.8]}]}
-
-        monkeypatch.setattr("sopflow.llm.requests.post",
-                            lambda *a, **kw: FakeResponse())
+        monkeypatch.setattr("sopflow.llm._send", lambda *a: (
+            200, {}, json.dumps({"data": [{"embedding": [0.6, 0.8]}]}).encode()))
         config = self._config()
         config.embed_dim = 2
         vec = RemoteBackend(config).embed("text")
         assert vec.values == (0.6, 0.8)
 
-    def _replying(self, monkeypatch, payload=None, body_error=None):
-        """Every request answers 200 with ``payload``, or with a body whose
-        ``json()`` raises ``body_error``."""
+    def _replying(self, monkeypatch, payload=None, body=None):
+        """Every request answers 200 with ``payload`` as JSON, or with the
+        bytes ``body``."""
         monkeypatch.setenv("SOPFLOW_API_KEY", "k")
-
-        class FakeResponse:
-            status_code = 200
-            headers = {}
-
-            def json(self):
-                if body_error is not None:
-                    raise body_error
-                return payload
-
-        monkeypatch.setattr("sopflow.llm.requests.post", lambda *a, **kw: FakeResponse())
+        reply = json.dumps(payload).encode() if body is None else body
+        monkeypatch.setattr("sopflow.llm._send", lambda *a: (200, {}, reply))
         return RemoteBackend(self._config())
 
     def test_body_that_is_not_json_is_backend_error(self, monkeypatch):
-        import requests
-        error = requests.JSONDecodeError("Expecting value", "<html>", 0)
-        backend = self._replying(monkeypatch, body_error=error)
+        backend = self._replying(monkeypatch, body=b"<html>")
         with pytest.raises(BackendError, match="not JSON"):
             backend.complete(msgs("hi"))
         with pytest.raises(BackendError, match="not JSON"):

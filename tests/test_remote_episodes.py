@@ -27,6 +27,8 @@ from sopflow.llm import (
     ScriptEntry,
     make_backend,
 )
+from sopflow.errors import NotFoundError
+from sopflow.kb import KnowledgeBase
 from sopflow.prompts import ROLE_ACTION, ROLE_SELECT, ROLE_THOUGHT
 
 STEPS = 5  # steps of a default-mode golden episode
@@ -382,3 +384,39 @@ def test_bad_embedding_reply_is_retried_not_cached(tmp_path, fake_endpoint):
                if json.loads(line)["kind"] == "llm_retry"]
     assert len(retries) == 1
     assert "expected a list of 64 finite numbers" in retries[0]["error"]
+
+
+def test_an_unresolved_procedure_is_not_prefetched(fake_endpoint, monkeypatch):
+    # the SOP step 1 matches is gone from the store by step 2, so no coder
+    # prompt can be built for R1's generate_sop_code, nor for step 3's R5
+    # retry: nothing is prefetched, and each selection goes out alone
+    case = golden.golden_cases("default")[0]
+    gone = golden.golden_sops()[0].id
+    get_sop = KnowledgeBase.get_sop
+
+    def get_sop_but_gone(kb, sop_id):
+        if sop_id == gone:
+            raise NotFoundError(f"no SOP with id {sop_id!r}")
+        return get_sop(kb, sop_id)
+
+    monkeypatch.setattr(KnowledgeBase, "get_sop", get_sop_but_gone)
+    config = AgentConfig(max_steps=3)
+    scripted = run_episode(case.scenario, config,
+                           ScriptedBackend(BackendConfig(script=case.script)),
+                           golden.make_golden_kb(make_backend(BackendConfig())))
+    fake_endpoint.serve({case.scenario.id: case.script})
+    remote = run_episode(case.scenario, config, RemoteBackend(fake_endpoint.config()),
+                         golden.make_golden_kb(make_backend(BackendConfig())))
+    history = scripted.state.history
+    assert [(record.chosen.tool, record.chosen.rule) for record in history] == [
+        ("match_sop", None), ("generate_sop_code", "R1"), ("run_sop", None)]
+    assert history[1].chosen.args == {"sop_id": gone}
+    assert history[1].result.observation == f"tool error: no SOP with id {gone!r}"
+    assert [c.rule for c in history[2].action_set.candidates] == [None, "R5"]
+    assert scripted.outcome == remote.outcome == "budget_exhausted"
+
+    assert transcript_lines(remote.state) == transcript_lines(scripted.state)
+    # the failing tool never reached the coder, and no selection was in
+    # flight with another request
+    assert fake_endpoint.completions_by_role() == {"thought": 3, "action": 3, "select": 3}
+    assert not any("select" in (a.role, b.role) for a, b in fake_endpoint.overlaps)
