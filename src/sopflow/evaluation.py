@@ -196,11 +196,12 @@ class _Manifest:
 
 
 def load_corpus(manifest_path: Path | str) -> Corpus:
-    """Read a corpus manifest; unknown keys are a ``ConfigError``."""
+    """Read a corpus manifest; unknown keys are a ``ConfigError``, and every
+    error names the manifest."""
     manifest_path = Path(manifest_path)
-    manifest = schema.read_yaml(manifest_path, _Manifest, "corpus manifest")
+    manifest = schema.read_yaml(manifest_path, _Manifest)
     if not all(item.scenario for item in manifest.episodes):
-        raise ConfigError("corpus entry missing 'scenario'")
+        raise ConfigError(f"{manifest_path}: corpus entry missing 'scenario'")
     root = manifest_path.parent
     entries = [CorpusEntry(scenario_path=root / item.scenario,
                            script_path=root / item.script if item.script else None)

@@ -362,13 +362,13 @@ def write_corpus(out_dir: Path | str, mode: str = "default") -> Path:
         scenario_path = out / "scenarios" / f"{case.scenario.id}.yaml"
         save_scenario(case.scenario, scenario_path)
         script_path = out / "scripts" / f"{case.scenario.id}.yaml"
-        schema.write_yaml(script_path, script_to_mapping(case.script))
+        schema.write_json_form(script_path, script_to_mapping(case.script))
         episodes.append({
             "scenario": str(scenario_path.relative_to(out)),
             "script": str(script_path.relative_to(out)),
         })
     manifest = out / "manifest.yaml"
-    schema.write_yaml(manifest, {"kb": "kb", "episodes": episodes})
+    schema.write_json_form(manifest, {"kb": "kb", "episodes": episodes})
     return manifest
 
 

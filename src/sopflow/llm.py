@@ -22,7 +22,7 @@ from pathlib import Path
 from urllib.parse import urlsplit
 
 from . import schema
-from .errors import BackendError, ScriptExhaustedError, ValidationError
+from .errors import BackendError, ConfigError, ScriptExhaustedError, ValidationError
 from .kb import EmbeddingVector
 
 DEFAULT_CREDENTIAL_ENV = "SOPFLOW_API_KEY"
@@ -59,7 +59,9 @@ def script_to_mapping(script: list[ScriptEntry]) -> list[dict]:
     return [asdict(entry) for entry in script]
 
 
-def script_from_mapping(data: list) -> list[ScriptEntry]:
+def script_from_mapping(data: list | None) -> list[ScriptEntry]:
+    if data is not None and not isinstance(data, list):
+        raise ConfigError(f"script: expected a list of entries, got {data!r}")
     return [schema.from_mapping(ScriptEntry, entry, "script entry") for entry in data or []]
 
 
@@ -81,19 +83,26 @@ class BackendConfig:
     def validate(self) -> None:
         if self.backend_kind not in ("scripted", "remote"):
             raise ValidationError(f"unknown backend kind: {self.backend_kind!r}")
-        if self.temperature < 0:
-            raise ValidationError("temperature must be >= 0")
-        if self.max_tokens <= 0:
-            raise ValidationError("max_tokens must be positive")
-        if self.embed_dim <= 0:
-            raise ValidationError("embed_dim must be positive")
+        # a NaN is not < 0, and a bool is an int; a NaN or infinite temperature
+        # would fail every request at send (JSON has no such number)
+        if not (math.isfinite(self.temperature) and self.temperature >= 0):
+            raise ValidationError("temperature must be a finite number >= 0")
+        if isinstance(self.max_tokens, bool) or self.max_tokens <= 0:
+            raise ValidationError("max_tokens must be a positive integer")
+        if isinstance(self.embed_dim, bool) or self.embed_dim <= 0:
+            raise ValidationError("embed_dim must be a positive integer")
         if self.backend_kind == "remote" and not self.endpoint:
             raise ValidationError("remote backend requires an endpoint")
 
 
 def scripted_config(script_path: Path | str, base: BackendConfig) -> BackendConfig:
-    """A scripted backend replaying a script file, embedding as ``base`` does."""
-    script = script_from_mapping(schema.read_yaml(script_path))
+    """A scripted backend replaying a script file, embedding as ``base`` does;
+    an unreadable or malformed script is a ``ConfigError`` naming the file."""
+    data = schema.read_yaml(script_path)
+    try:
+        script = script_from_mapping(data)
+    except ConfigError as exc:
+        raise ConfigError(f"{script_path}: {exc}") from exc
     return BackendConfig(backend_kind="scripted", embed_dim=base.embed_dim,
                          embed_seed=base.embed_seed, script=script,
                          embed_overrides=dict(base.embed_overrides))

@@ -214,7 +214,7 @@ def scenario_from_mapping(mapping: dict) -> EpisodeScenario:
 
 
 def save_scenario(scenario: EpisodeScenario, path: Path | str) -> None:
-    schema.write_yaml(path, scenario_to_mapping(scenario))
+    schema.write_json_form(path, scenario_to_mapping(scenario))
 
 
 def load_scenario(path: Path | str) -> EpisodeScenario:

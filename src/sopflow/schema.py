@@ -2,19 +2,39 @@
 read from and written to plain mappings.
 
 Every YAML file the package reads or writes goes through ``read_yaml`` and
-``write_yaml``, with libyaml's ``yaml.CSafeLoader`` and ``yaml.CSafeDumper``
-when PyYAML was built with it and the pure-Python ``SafeLoader`` and
-``SafeDumper`` when not. The loader is a subclass of that class that builds
-a plain document (str, int, float, bool and null scalars in sequences and
-mappings) straight from the parser's node tree, skipping PyYAML's generic,
-generator-based constructor. Any other document goes to PyYAML's own
-constructor, whole: one with an alias of a sequence or mapping, a ``<<``
-merge key, a node of any other tag (a timestamp, ``!!binary``, ``!!set``,
-a custom tag), a sequence or mapping as a key, or a scalar that constructor
-rejects. So the result, or the error, is always what ``yaml.load`` gives
-with the base class. JSON files are read through ``read_json`` and JSON
-Lines files through ``read_jsonl``. Each reader turns an unreadable or
-unparsable file into a ``ConfigError`` that names the path.
+one of two writers. ``write_yaml`` writes block YAML: knowledge-base
+documents, which people edit by hand. ``write_json_form`` writes the files
+the package makes for itself (scenarios, scripts and corpus manifests) in
+YAML's JSON form: one line of JSON that any YAML 1.1 reader reads as the
+same data as ``json`` does. Its floats always carry a dot and a signed
+exponent (``1.0e-05``; ``json`` writes ``1e-05``, which YAML 1.1 reads as a
+string), and the characters YAML reads otherwise (the line breaks U+0085,
+U+2028 and U+2029, and the characters it refuses as not printable) are
+escaped. Data JSON cannot hold (a NaN or infinity, a key that is not a
+string or that YAML cannot read as one) is written as block YAML instead.
+
+``read_yaml`` parses a text with ``json`` first when it starts with ``{`` or
+``[`` and holds no raw line break of those three and no ``\\u`` escape of a
+surrogate. A float without a dot or a signed exponent, ``NaN`` and
+``Infinity`` fail that parse, so every text YAML 1.1 reads otherwise goes
+to the YAML loader, as does every text that is not JSON: a hand-written file
+reads, or fails with the same error, as it always did. Only a JSON text YAML
+itself refuses (a key over 1024 characters or split from its colon by a line
+break, a raw control character) now reads, as JSON.
+
+The YAML loader is libyaml's ``yaml.CSafeLoader``, with ``yaml.CSafeDumper``
+for writing, when PyYAML was built with it, and the pure-Python
+``SafeLoader`` and ``SafeDumper`` when not. The loader is a subclass of that
+class that builds a plain document (str, int, float, bool and null scalars
+in sequences and mappings) straight from the parser's node tree, skipping
+PyYAML's generic, generator-based constructor. Any other document goes to
+PyYAML's own constructor, whole: one with an alias of a sequence or mapping,
+a ``<<`` merge key, a node of any other tag (a timestamp, ``!!binary``,
+``!!set``, a custom tag), a sequence or mapping as a key, or a scalar that
+constructor rejects. So the result, or the error, is always what
+``yaml.load`` gives with the base class. JSON files are read through
+``read_json`` and JSON Lines files through ``read_jsonl``. Each reader turns
+an unreadable or unparsable file into a ``ConfigError`` that names the path.
 
 A dataclass's own fields are its schema: ``from_mapping`` coerces each value
 by the field's declared type, recurses into nested dataclasses, and rejects
@@ -37,6 +57,7 @@ import enum
 import functools
 import json
 import os
+import re
 import threading
 import types
 import typing
@@ -246,13 +267,48 @@ def _read_text(path: Path | str, parse, errors: tuple[type[Exception], ...]):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
+# a float as YAML 1.1 reads one in a JSON text: a dot, and a sign on any exponent
+_YAML_FLOAT = re.compile(r"-?[0-9]+\.[0-9]+(?:[eE][-+][0-9]+)?")
+# characters YAML reads otherwise than JSON does: line breaks (U+0085, U+2028,
+# U+2029), which fold with the spaces around them and end a key's line, and
+# characters YAML refuses as not printable; written escaped, so both read the
+# same string
+_YAML_SPECIAL = re.compile("[\x7f-\x9f\u2028\u2029\ud800-\udfff\ufffe\uffff]")
+# a text holding any of these goes to the YAML loader: a raw line break, or an
+# escaped surrogate (libyaml refuses one; ``json`` reads a lone one as it is)
+_NOT_JSON_FORM = ("\x85", "\u2028", "\u2029", "\\ud", "\\uD")
+# YAML reads a simple key (any key of a JSON mapping) only up to 1024 characters long
+_MAX_KEY = 1024
+
+
+def _yaml_float(text: str) -> float:
+    if _YAML_FLOAT.fullmatch(text) is None:
+        raise ValueError(f"YAML 1.1 reads {text} as a string")
+    return float(text)
+
+
+def _no_constant(name: str):
+    raise ValueError(f"{name} is not JSON")
+
+
+_JSON_FORM = json.JSONDecoder(parse_float=_yaml_float, parse_constant=_no_constant)
+
+
+def _load_yaml(text: str):
+    if text.startswith(("{", "[")) and not any(mark in text for mark in _NOT_JSON_FORM):
+        try:
+            return _JSON_FORM.decode(text)
+        except (ValueError, RecursionError):  # not the JSON form: YAML decides
+            pass
+    return yaml.load(text, Loader=_Loader)
+
+
 def read_yaml(path: Path | str, cls=None, section: str | None = None):
     """The YAML document at ``path``, or, given ``cls``, ``from_mapping(cls, ...)``
     of it with ``section`` (default: the path) naming it in errors."""
     # the loader's constructors raise ValueError on a malformed scalar, such
     # as the timestamp 2020-13-45
-    data = _read_text(path, lambda text: yaml.load(text, Loader=_Loader),
-                      (yaml.YAMLError, ValueError))
+    data = _read_text(path, _load_yaml, (yaml.YAMLError, ValueError))
     if cls is None:
         return data
     return from_mapping(cls, data, str(path) if section is None else section)
@@ -261,6 +317,44 @@ def read_yaml(path: Path | str, cls=None, section: str | None = None):
 def write_yaml(path: Path | str, data) -> None:
     """Dump plain ``data`` to ``path`` atomically, keys in insertion order."""
     write_atomic(path, yaml.dump(data, Dumper=_DUMPER, sort_keys=False, allow_unicode=True))
+
+
+def _json_form(data) -> str:
+    """``data`` as JSON that YAML 1.1 reads as the same data; a ``ValueError``
+    when it has no such form."""
+    kind = type(data)
+    if kind is dict:
+        items = []
+        for key, value in data.items():
+            if type(key) is not str or len(text := _json_form(key)) > _MAX_KEY:
+                raise ValueError(f"key {key!r} has no JSON form YAML reads")
+            items.append(f"{text}: {_json_form(value)}")
+        return "{" + ", ".join(items) + "}"
+    if kind is list:
+        return "[" + ", ".join(map(_json_form, data)) + "]"
+    if kind is str:
+        text = json.dumps(data, ensure_ascii=False)
+        # nearly every string has nothing to escape, and ``sub`` with a
+        # function builds a new string even then
+        if _YAML_SPECIAL.search(text):
+            text = _YAML_SPECIAL.sub(lambda m: f"\\u{ord(m.group()):04x}", text)
+        return text
+    if kind is float:
+        text = json.dumps(data, allow_nan=False)
+        return text if "." in text else text.replace("e", ".0e")
+    if data is None or kind in (bool, int):
+        return json.dumps(data)
+    raise ValueError(f"{kind.__name__} has no JSON form")
+
+
+def write_json_form(path: Path | str, data) -> None:
+    """Dump plain ``data`` to ``path`` atomically in YAML's JSON form (see the
+    module docstring), or as block YAML when it has none."""
+    try:
+        text = _json_form(data)
+    except ValueError:
+        return write_yaml(path, data)
+    write_atomic(path, text + "\n")
 
 
 def read_json(path: Path | str):

@@ -125,7 +125,7 @@ class TestMalformedFiles:
         source = golden_dir / "scenarios" / "scn-01000-cpustress.yaml"
         script = str(golden_dir / "scripts" / "scn-01000-cpustress.yaml")
         bad = tmp_path / "scenario.yaml"
-        bad.write_text(source.read_text().replace("aliases: {}", "aliases: [1]"))
+        bad.write_text(source.read_text().replace('"aliases": {}', '"aliases": [1]'))
         assert run_cli("diagnose", "--scenario", str(bad), "--script", script) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: malformed scenario file: ")

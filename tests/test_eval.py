@@ -346,8 +346,8 @@ class TestSharedRegistry:
 
 class TestCorpusManifest:
     @pytest.mark.parametrize("old, new", [
-        ("  script: ", "  scirpt: "),   # an entry key
-        ("kb: kb", "kb_dir: kb"),       # a top-level key
+        ('"script": ', '"scirpt": '),       # an entry key
+        ('"kb": "kb"', '"kb_dir": "kb"'),   # a top-level key
     ])
     def test_misspelt_key_is_config_error(self, tmp_path, old, new):
         from sopflow.evaluation import load_corpus

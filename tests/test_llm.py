@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from sopflow.config import load_config
 from sopflow.errors import BackendError, ConfigError, ScriptExhaustedError, ValidationError
 from sopflow.kb import cosine_similarity
 from sopflow.llm import (
@@ -325,3 +326,24 @@ class TestRemoteBackend:
             BackendConfig(temperature=-1).validate()
         with pytest.raises(ValidationError):
             BackendConfig(backend_kind="psychic").validate()
+
+    @pytest.mark.parametrize("temperature", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_temperature_is_rejected(self, temperature):
+        with pytest.raises(ValidationError, match="^temperature must be a finite number >= 0$"):
+            BackendConfig(temperature=temperature).validate()
+        # it never reaches a request: the backend is not built
+        with pytest.raises(ValidationError):
+            make_backend(BackendConfig(backend_kind="remote", endpoint="http://127.0.0.1:9",
+                                       temperature=temperature))
+
+    @pytest.mark.parametrize("key", ["max_tokens", "embed_dim"])
+    @pytest.mark.parametrize("value", [True, False, 0, -1])
+    def test_sizes_must_be_positive_integers_not_bools(self, key, value):
+        with pytest.raises(ValidationError, match=f"^{key} must be a positive integer$"):
+            BackendConfig(**{key: value}).validate()
+
+    def test_a_nan_temperature_in_a_config_file_is_rejected_at_load(self, tmp_path):
+        path = tmp_path / "config.yaml"
+        path.write_text("backend: {temperature: .nan}\n")
+        with pytest.raises(ValidationError, match="temperature must be a finite number"):
+            make_backend(load_config(path).backend)

@@ -91,8 +91,8 @@ class TestScenarioGeneration:
         save_scenario(generate_scenario(80, ScenarioConfig(
             fault_types=(FaultType.NetworkBandwidth,))), path)
         text = path.read_text()
-        assert "magnitude: 0.4" in text
-        path.write_text(text.replace("magnitude: 0.4", "magnitude: 1.0e-320"))
+        assert '"magnitude": 0.4' in text
+        path.write_text(text.replace('"magnitude": 0.4', '"magnitude": 1.0e-320'))
         with pytest.raises(ValidationError, match=re.escape(
                 f"{path}: NetworkBandwidth magnitude 1e-320 has no finite reciprocal")):
             load_scenario(path)
@@ -137,13 +137,13 @@ class TestScenarioGeneration:
             load_scenario(path)
 
     @pytest.mark.parametrize("edit, complaint", [
-        (("aliases: {}", "aliases: [1]"), "malformed scenario file"),
-        (("end_s: 600", "end_s: 0"), "scenario window must be non-empty"),
-        (("aliases: {}", "alias: {}"), "scenario: unknown key(s) 'alias'"),
-        (("magnitude:", "magnitdue:"), "faults[0]: unknown key(s) 'magnitdue'"),
-        (("end_s: 600", "end_s: 600\n  length_s: 600"), "window: unknown key(s) 'length_s'"),
-        (("types:", "kinds:"), "ground_truth: unknown key(s) 'kinds'"),
-        (("window:\n  start_s: 0\n  end_s: 600", "window: 600"),
+        (('"aliases": {}', '"aliases": [1]'), "malformed scenario file"),
+        (('"end_s": 600', '"end_s": 0'), "scenario window must be non-empty"),
+        (('"aliases": {}', '"alias": {}'), "scenario: unknown key(s) 'alias'"),
+        (('"magnitude":', '"magnitdue":'), "faults[0]: unknown key(s) 'magnitdue'"),
+        (('"end_s": 600', '"end_s": 600, "length_s": 600'), "window: unknown key(s) 'length_s'"),
+        (('"types":', '"kinds":'), "ground_truth: unknown key(s) 'kinds'"),
+        (('"window": {"start_s": 0, "end_s": 600}', '"window": 600'),
          "malformed scenario file: window: expected a mapping, got 600"),
     ])
     def test_bad_scenario_file_is_a_validation_error_naming_it(self, tmp_path, edit,
@@ -156,14 +156,14 @@ class TestScenarioGeneration:
 
 
     @pytest.mark.parametrize("edit, complaint", [
-        (("seed: 79", "seed: 1.5"), "scenario.seed: expected an integer, got 1.5"),
-        (("start_s: 0", "start_s: true"), "window.start_s: expected a number, got True"),
-        (("fault_type: CpuStress", "fault_type: Cpu"),
+        (('"seed": 79', '"seed": 1.5'), "scenario.seed: expected an integer, got 1.5"),
+        (('"start_s": 0', '"start_s": true'), "window.start_s: expected a number, got True"),
+        (('"fault_type": "CpuStress"', '"fault_type": "Cpu"'),
          "faults[0].fault_type: 'Cpu' is not a valid FaultType"),
-        (("magnitude: 0.9", "magnitude: [0.9]"),
+        (('"magnitude": 0.9', '"magnitude": [0.9]'),
          "faults[0].magnitude: float() argument must be a string or a real number, "
          "not 'list'"),
-        (("aliases: {}", "aliases: {a: null}"),
+        (('"aliases": {}', '"aliases": {"a": null}'),
          "scenario.aliases: expected a string, got None"),
     ])
     def test_scenario_scalars_are_read_strictly(self, tmp_path, edit, complaint):
