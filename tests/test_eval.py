@@ -348,7 +348,7 @@ class TestCorpusManifest:
     @pytest.mark.parametrize("old, new", [
         ('"script": ', '"scirpt": '),       # an entry key
         ('"kb": "kb"', '"kb_dir": "kb"'),   # a top-level key
-    ])
+    ], ids=["  script: -  scirpt: ", "kb: kb-kb_dir: kb"])
     def test_misspelt_key_is_config_error(self, tmp_path, old, new):
         from sopflow.evaluation import load_corpus
         from sopflow.golden import write_corpus
