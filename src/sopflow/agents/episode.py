@@ -37,8 +37,11 @@ from ..detector import DetectorConfig
 from ..errors import BackendError, EpisodeAborted, ScriptExhaustedError, SopflowError
 from ..llm import ChatMessage, ask, chat, render_prompt
 from ..prompts import (
+    ACTION_SYSTEM,
     DIRECT_SYSTEM,
     FLOW_GUIDE,
+    JUDGE_SYSTEM,
+    OBSERVER_SYSTEM,
     SELECT_SYSTEM,
     THOUGHT_SYSTEM,
     numbered_candidates,
@@ -83,7 +86,6 @@ class _RecordingBackend:
         self._inner = inner
         self._state = state
         self._events = state.events if events is None else events
-        self.embed_dim = inner.embed_dim
         self.backend_id = inner.backend_id
         # a buffered backend runs on the worker, so it sends one call at a time
         self.concurrent_calls = events is None and getattr(inner, "concurrent_calls", False)
@@ -192,7 +194,7 @@ def _history_text(state: EpisodeState) -> str:
     lines = []
     for record in state.history[-_HISTORY_TAIL:]:
         args = ", ".join(f"{k}={str(v)[:60]!r}" for k, v in record.chosen.args.items())
-        snippet = record.observation[:_OBSERVATION_SNIPPET]
+        snippet = record.result.observation[:_OBSERVATION_SNIPPET]
         lines.append(f"step {record.index + 1}: {record.chosen.tool}({args}) -> {snippet}")
     return "\n".join(lines)
 
@@ -212,44 +214,41 @@ class _Runtime:
     def __init__(self, scenario: EpisodeScenario, config: AgentConfig, backend, kb,
                  detector: DetectorConfig | None = None):
         config.validate()
-        self.scenario = scenario
         self.config = config
-        self.detector = detector or DetectorConfig()
-        self.detector.validate()
+        detector = detector or DetectorConfig()
+        detector.validate()
         self.registry = build_registry()
         telemetry = render_telemetry(scenario)
-        self.alert = render_alert(telemetry, self.detector)
-        self.state = EpisodeState(scenario_id=scenario.id, alert=self.alert, config=config)
+        self.state = EpisodeState(scenario_id=scenario.id,
+                                  alert=render_alert(telemetry, detector), config=config)
         self.backend = _RecordingBackend(backend, self.state)
         if not config.ablations.sop_knowledge:
             kb = kb.without_sops()
         self.ctx = ToolContext(
             telemetry=telemetry, kb=kb.using(self.backend), backend=self.backend,
-            detector=self.detector, registry=self.registry,
+            detector=detector, registry=self.registry,
         )
 
-    @property
-    def flow_guide(self) -> str:
+    def _with_flow_guide(self, system: str) -> str:
+        """``system``, followed by the flow guide while the flow rules are active."""
         if self.config.ablations.flow_rules_active:
-            return FLOW_GUIDE
-        return ""
+            return system + "\n\n" + FLOW_GUIDE
+        return system
 
     # -- step phases ---------------------------------------------------------
 
     def _think(self, backend) -> str:
-        system = THOUGHT_SYSTEM
-        if self.flow_guide:
-            system = system + "\n\n" + self.flow_guide
         user = (f"Incident alert:\n{self.state.alert}\n\n"
                 f"Investigation so far:\n{_history_text(self.state)}\n\n"
                 f"Advisor notes:\n{_advisor_notes(self.state)}")
-        return ask(backend, system, user)
+        return ask(backend, self._with_flow_guide(THOUGHT_SYSTEM), user)
 
     def _propose(self, backend) -> str:
-        return roles.action_agent_propose(
-            backend, self.registry, self.state.alert,
-            _history_text(self.state), self.flow_guide, self.config.action_set_size,
-        )
+        system = ACTION_SYSTEM.format(max_candidates=self.config.action_set_size)
+        user = (f"Tool catalog:\n{self.registry.catalog_text()}\n\n"
+                f"Incident alert:\n{self.state.alert}\n\n"
+                f"Investigation so far:\n{_history_text(self.state)}")
+        return ask(backend, self._with_flow_guide(system), user)
 
     def _prefetch(self, action_set: ActionSet) -> Future | None:
         """Start the request of the action set's flow candidate while the
@@ -335,18 +334,20 @@ class _Runtime:
             incident_lines.append(
                 f"- [{incident.fault_type}] {incident.manifestation} (score {hit.score:.4f})"
             )
-        reply = roles.ob_agent_classify(
-            self.backend, observation_text, "\n".join(incident_lines),
-        )
+        incidents = "\n".join(incident_lines) or "(none found)"
+        user = f"Observation:\n{observation_text}\n\nSimilar historical incidents:\n{incidents}"
+        reply = ask(self.backend, OBSERVER_SYSTEM, user)
         hypotheses = roles.parse_hypotheses(reply)
         self.state.ob_hypotheses = hypotheses
         self.state.log("hypotheses", items=[list(h) for h in hypotheses])
 
     def _run_judge(self, trigger: str) -> None:
-        reply = roles.judge_agent(
-            self.backend, self.state.alert, _history_text(self.state),
-            self.state.ob_hypotheses,
-        )
+        hypotheses = "\n".join(f"- {label}: {note}"
+                               for label, note in self.state.ob_hypotheses) or "(none)"
+        user = (f"Incident alert:\n{self.state.alert}\n\n"
+                f"Investigation so far:\n{_history_text(self.state)}\n\n"
+                f"Fault-type hypotheses:\n{hypotheses}")
+        reply = ask(self.backend, JUDGE_SYSTEM, user)
         verdict = roles.parse_judge_reply(reply)
         self.state.judge_verdict = verdict
         self.state.log("verdict", trigger=trigger, found=verdict.found,
@@ -359,7 +360,7 @@ class _Runtime:
         result = record.result
         if tool == "match_observation":
             matched_text = str(record.chosen.args.get("observation", "")) \
-                or self.ctx.sop.last_findings or record.observation
+                or self.ctx.sop.last_findings or result.observation
             if self.config.ablations.ob_agent:
                 self._run_ob_agent(matched_text, result)
             if self.config.ablations.judge_agent:
@@ -368,7 +369,6 @@ class _Runtime:
               and self.config.ablations.judge_agent
               and result.payload is not None and result.payload.findings):
             self._run_judge(trigger="run_sop")
-        record.verdict_after = self.state.judge_verdict
 
     # -- one full step -----------------------------------------------------------
 
@@ -408,11 +408,8 @@ class _Runtime:
         state.log("observation", tool=chosen.tool, success=result.success,
                   text=result.observation)
 
-        record = StepRecord(
-            index=state.step_count, thought=thought, action_set=action_set,
-            chosen=chosen, chosen_index=position, fallback=fallback,
-            result=result, observation=result.observation,
-        )
+        record = StepRecord(index=state.step_count, action_set=action_set,
+                            chosen=chosen, result=result)
         state.history.append(record)
         self._post_hooks(record)
         state.step_count += 1
@@ -420,20 +417,12 @@ class _Runtime:
         if result.success and isinstance(result.payload, SpeakReport):
             causes = result.payload.causes
             state.diagnosis = DiagnosisResult(
-                locations=_dedupe(c.location for c in causes),
-                types=_dedupe(c.fault_type for c in causes),
+                locations=tuple(dict.fromkeys(c.location for c in causes)),
+                types=tuple(dict.fromkeys(c.fault_type for c in causes)),
                 explanation="; ".join(c.explanation for c in causes if c.explanation),
                 path=state.path,
             )
             state.outcome = OUTCOME_COMPLETED
-
-
-def _dedupe(items) -> tuple:
-    seen = []
-    for item in items:
-        if item not in seen:
-            seen.append(item)
-    return tuple(seen)
 
 
 def _jsonable_args(args: dict) -> dict:
@@ -446,7 +435,7 @@ def run_episode(scenario: EpisodeScenario, config: AgentConfig, backend, kb,
     """Drive one diagnosis episode to termination."""
     rt = _Runtime(scenario, config, backend, kb, detector)
     state = rt.state
-    state.log("episode", scenario=scenario.id, alert=rt.alert, config=asdict(config))
+    state.log("episode", scenario=scenario.id, alert=state.alert, config=asdict(config))
     try:
         while state.outcome is None and state.step_count < config.max_steps:
             rt.step()

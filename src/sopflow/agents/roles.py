@@ -1,13 +1,12 @@
-"""Auxiliary agent roles: candidate proposal, observation classification,
-and termination judgment. The program-writing persona is the
+"""Parsers for the agents' replies: proposed actions, fault-type hypotheses,
+the judge's verdict and the orchestrator's selection. The episode builds
+the prompts (``episode._Runtime``); the program-writing persona is the
 generate_sop_code tool."""
 
 from __future__ import annotations
 
 import re
 
-from ..llm import ask
-from ..prompts import ACTION_SYSTEM, JUDGE_SYSTEM, OBSERVER_SYSTEM
 from ..tools import RootCause, ToolRegistry
 from ..tools.program import split_args
 from .types import ActionCandidate, JudgeVerdict, PROVENANCE_AGENT
@@ -93,18 +92,6 @@ def parse_candidates(reply: str, registry: ToolRegistry, max_candidates: int,
     return candidates, notes
 
 
-def action_agent_propose(backend, registry: ToolRegistry, alert: str,
-                         history_text: str, flow_guide: str,
-                         max_candidates: int) -> str:
-    """One backend call proposing candidate actions; returns the reply."""
-    system = ACTION_SYSTEM.format(max_candidates=max_candidates)
-    if flow_guide:
-        system = system + "\n\n" + flow_guide
-    user = (f"Tool catalog:\n{registry.catalog_text()}\n\n"
-            f"Incident alert:\n{alert}\n\nInvestigation so far:\n{history_text}")
-    return ask(backend, system, user)
-
-
 def parse_hypotheses(reply: str) -> tuple[tuple[str, str], ...]:
     """Extract up to three (label, note) fault-type hypotheses."""
     out: list[tuple[str, str]] = []
@@ -122,12 +109,6 @@ def parse_hypotheses(reply: str) -> tuple[tuple[str, str], ...]:
     return tuple(out)
 
 
-def ob_agent_classify(backend, observation: str, incident_text: str) -> str:
-    user = f"Observation:\n{observation}\n\nSimilar historical incidents:\n" \
-           f"{incident_text or '(none found)'}"
-    return ask(backend, OBSERVER_SYSTEM, user)
-
-
 def parse_judge_reply(reply: str) -> JudgeVerdict:
     stripped = reply.strip()
     upper = stripped.upper()
@@ -142,14 +123,6 @@ def parse_judge_reply(reply: str) -> JudgeVerdict:
     if not causes:
         return JudgeVerdict(found=False, summary="judge said FOUND but named no cause")
     return JudgeVerdict(found=True, summary=stripped.splitlines()[0], causes=causes)
-
-
-def judge_agent(backend, alert: str, history_text: str,
-                hypotheses: tuple) -> str:
-    hypo_text = "\n".join(f"- {label}: {note}" for label, note in hypotheses) or "(none)"
-    user = (f"Incident alert:\n{alert}\n\nInvestigation so far:\n{history_text}\n\n"
-            f"Fault-type hypotheses:\n{hypo_text}")
-    return ask(backend, JUDGE_SYSTEM, user)
 
 
 def parse_selection(reply: str, set_size: int) -> int | None:

@@ -86,14 +86,9 @@ class JudgeVerdict:
 @dataclass
 class StepRecord:
     index: int
-    thought: str
     action_set: ActionSet
     chosen: ActionCandidate
-    chosen_index: int           # 1-based position in the action set
-    fallback: bool
     result: Any                 # ToolResult
-    observation: str
-    verdict_after: JudgeVerdict | None = None
 
 
 @dataclass(frozen=True)

@@ -221,10 +221,7 @@ def main(argv=None) -> int:
         if args.command == "benchmark":
             return _cmd_benchmark(args)
         return _cmd_transcript(args)
-    except SopflowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as exc:
+    except (SopflowError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -48,7 +48,6 @@ class ProgramValidationError(SopflowError):
 
     def __init__(self, violations: list[str]):
         super().__init__("; ".join(violations))
-        self.violations = list(violations)
 
 
 class ProgramRuntimeError(SopflowError):
@@ -56,7 +55,6 @@ class ProgramRuntimeError(SopflowError):
 
     def __init__(self, statement_index: int, detail: str):
         super().__init__(f"statement {statement_index}: {detail}")
-        self.statement_index = statement_index
         self.detail = detail
 
 

@@ -178,7 +178,6 @@ class CorpusEntry:
 
 @dataclass
 class Corpus:
-    root: Path
     kb_path: Path | None
     entries: list[CorpusEntry]
 
@@ -206,7 +205,7 @@ def load_corpus(manifest_path: Path | str) -> Corpus:
     entries = [CorpusEntry(scenario_path=root / item.scenario,
                            script_path=root / item.script if item.script else None)
                for item in manifest.episodes]
-    return Corpus(root=root, kb_path=root / manifest.kb if manifest.kb else None,
+    return Corpus(kb_path=root / manifest.kb if manifest.kb else None,
                   entries=entries)
 
 

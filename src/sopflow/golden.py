@@ -157,17 +157,16 @@ def golden_scenarios() -> list[EpisodeScenario]:
 
 
 def _metric_probe(scenario: EpisodeScenario, topo: Topology) -> tuple[str, str]:
-    """(component, metric) whose series the fault visibly perturbs."""
+    """(component, metric) whose series the fault visibly perturbs; a pod
+    failure or a bandwidth fault gets its own program from ``_program_text``."""
     fault = scenario.faults[0]
     ft = fault.fault_type
     if ft == FaultType.CpuStress:
         return fault.location_id, "cpu_usage"
     if ft == FaultType.MemoryStress:
         return fault.location_id, "memory_usage"
-    if ft == FaultType.NetworkBandwidth:
-        return sorted(fault.node_pair())[0], "node_network_throughput_bytes"
     service = topo.pod(fault.location_id).service
-    if ft == FaultType.NetworkPartition or ft == FaultType.PodFailure:
+    if ft == FaultType.NetworkPartition:
         return service, "error_rate"
     # delay/loss/dup/corrupt perturb callee-side series; the frontend has no
     # callers, so fall through to its first callee in that case

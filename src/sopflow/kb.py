@@ -183,10 +183,17 @@ class KnowledgeBase:
     Safe for many concurrent readers once loaded; mutations take an internal
     lock. When ``root`` is given, documents and the embedding cache persist
     under it; otherwise the store is memory-only. Documents are never mutated.
+    The retrieval defaults are checked here, so a bad ``kb:`` setting fails
+    when the store is opened, not at its first match: ``k`` must be at least 1
+    and ``threshold`` a finite number.
     """
 
     def __init__(self, backend, root: Path | str | None = None,
                  k: int = DEFAULT_TOP_K, threshold: float = DEFAULT_THRESHOLD):
+        if k < 1:
+            raise ValidationError(f"k must be positive, got {k}")
+        if not math.isfinite(threshold):
+            raise ValidationError(f"threshold must be a finite number, got {threshold}")
         self._backend = backend
         self._root = Path(root) if root is not None else None
         self.default_k = k
@@ -305,6 +312,8 @@ class KnowledgeBase:
         threshold = self.default_threshold if threshold is None else float(threshold)
         if k <= 0:
             raise ValidationError("k must be positive")
+        if not math.isfinite(threshold):  # a NaN would match nothing
+            raise ValidationError("threshold must be a finite number")
         if not store:
             return []
         vectors = self._vectors([query, *(getattr(item, text_attr) for item in store.values())])

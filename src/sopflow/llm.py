@@ -76,9 +76,6 @@ class BackendConfig:
     embed_dim: int = DEFAULT_EMBED_DIM
     embed_seed: int = 0
     script: list[ScriptEntry] = field(default_factory=list, metadata=schema.INTERNAL)
-    # exact-text embedding overrides for retrieval-ordering tests
-    embed_overrides: dict[str, tuple[float, ...]] = field(default_factory=dict,
-                                                          metadata=schema.INTERNAL)
 
     def validate(self) -> None:
         if self.backend_kind not in ("scripted", "remote"):
@@ -104,8 +101,7 @@ def scripted_config(script_path: Path | str, base: BackendConfig) -> BackendConf
     except ConfigError as exc:
         raise ConfigError(f"{script_path}: {exc}") from exc
     return BackendConfig(backend_kind="scripted", embed_dim=base.embed_dim,
-                         embed_seed=base.embed_seed, script=script,
-                         embed_overrides=dict(base.embed_overrides))
+                         embed_seed=base.embed_seed, script=script)
 
 
 def render_prompt(messages: list[ChatMessage]) -> str:
@@ -166,10 +162,6 @@ class ScriptedBackend:
         self._lock = threading.Lock()
 
     @property
-    def embed_dim(self) -> int:
-        return self.config.embed_dim
-
-    @property
     def backend_id(self) -> str:
         return f"scripted:{self.config.embed_seed}:{self.config.embed_dim}"
 
@@ -193,9 +185,6 @@ class ScriptedBackend:
     def embed(self, text: str) -> EmbeddingVector:
         if not text:
             raise ValidationError("cannot embed empty text")
-        override = self.config.embed_overrides.get(text)
-        if override is not None:
-            return EmbeddingVector.of(override)
         return hash_embedding(text, self.config.embed_dim, self.config.embed_seed)
 
 

@@ -100,7 +100,6 @@ class CondStmt:
 @dataclass(frozen=True)
 class SopProgram:
     statements: tuple[object, ...]
-    source: str
 
 
 @dataclass
@@ -221,7 +220,7 @@ def parse_program(text: str) -> SopProgram:
         statements.append(_parse_line(line))
     if not statements:
         raise GenerationParseError("no program statements found")
-    return SopProgram(statements=tuple(statements), source=body.strip())
+    return SopProgram(statements=tuple(statements))
 
 
 # -- validation -----------------------------------------------------------------

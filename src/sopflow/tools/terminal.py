@@ -20,7 +20,6 @@ class RootCause:
 @dataclass(frozen=True)
 class SpeakReport:
     causes: tuple[RootCause, ...]
-    truncated: bool
 
 
 def _sanitize(text: str) -> str:
@@ -62,7 +61,6 @@ def speak(ctx: ToolContext, causes: str) -> ToolResult:
     parsed = parse_causes(causes)
     if not parsed:
         raise ValidationError("speak requires at least one root cause")
-    truncated = len(parsed) > MAX_ROOT_CAUSES
     kept = parsed[:MAX_ROOT_CAUSES]
     lines = ["ROOT CAUSE REPORT"]
     for i, cause in enumerate(kept, start=1):
@@ -70,8 +68,8 @@ def speak(ctx: ToolContext, causes: str) -> ToolResult:
         if cause.explanation:
             line += f" - {cause.explanation}"
         lines.append(line)
-    if truncated:
+    if len(parsed) > MAX_ROOT_CAUSES:
         lines.append(f"warning: {len(parsed)} causes reported, truncated to "
                      f"{MAX_ROOT_CAUSES} highest-confidence")
     return ToolResult(tool="speak", observation="\n".join(lines),
-                      payload=SpeakReport(causes=tuple(kept), truncated=truncated))
+                      payload=SpeakReport(causes=tuple(kept)))

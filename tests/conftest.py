@@ -14,7 +14,7 @@ import pytest
 from sopflow import prompts
 from sopflow.detector import DetectorConfig
 from sopflow.errors import SopflowError
-from sopflow.kb import KnowledgeBase
+from sopflow.kb import EmbeddingVector, KnowledgeBase
 from sopflow.llm import (
     BackendConfig,
     ChatMessage,
@@ -36,11 +36,22 @@ from sopflow.tools import ToolContext, build_registry
 _TELEMETRY_CACHE: dict[str, object] = {}
 
 
+class _PinnedEmbedBackend(ScriptedBackend):
+    """A scripted backend that embeds some exact texts as given vectors, so a
+    retrieval-ordering test can fix the scores it sorts."""
+
+    def __init__(self, config: BackendConfig, pinned: dict[str, tuple[float, ...]]):
+        super().__init__(config)
+        self._pinned = pinned
+
+    def embed(self, text: str) -> EmbeddingVector:
+        pinned = self._pinned.get(text)
+        return super().embed(text) if pinned is None else EmbeddingVector.of(pinned)
+
+
 def scripted_backend(script=None, overrides=None, seed=0, dim=64):
-    return make_backend(BackendConfig(
-        script=list(script or []), embed_overrides=dict(overrides or {}),
-        embed_seed=seed, embed_dim=dim,
-    ))
+    config = BackendConfig(script=list(script or []), embed_seed=seed, embed_dim=dim)
+    return _PinnedEmbedBackend(config, dict(overrides)) if overrides else make_backend(config)
 
 
 def fault_scenario(fault_type: FaultType) -> EpisodeScenario:

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from sopflow.agents import AgentConfig, Ablations, run_episode, transcript_lines
+from sopflow.agents import AgentConfig, Ablations, JudgeVerdict, run_episode, transcript_lines
 from sopflow.agents.flow_rules import mandated_candidates
 from sopflow.evaluation import (
     EpisodeRow,
@@ -31,7 +31,7 @@ from sopflow.prompts import (
 )
 from sopflow.sandbox import FaultType
 from sopflow.sandbox.telemetry import METRIC_CATALOG
-from sopflow.tools import build_registry, parse_program, run_program, validate_program
+from sopflow.tools import RootCause, build_registry, parse_program, run_program, validate_program
 
 from conftest import fault_scenario, make_ctx, no_fault_scenario, scripted_backend
 
@@ -183,13 +183,18 @@ def test_acceptance_4_flow_rule_compliance(golden_runs):
     ablations = Ablations()
     for scenario, result in golden_runs[0][0]:
         state = result.state
+        # the judge's verdict as it stood at the end of each step that ran the judge
+        judged = {e["step"]: JudgeVerdict(found=e["found"], summary=e["summary"],
+                                          causes=tuple(RootCause(*c) for c in e["causes"]))
+                  for e in state.events if e["kind"] == "verdict"}
+        verdict = None
         for i, record in enumerate(state.history):
             assert len(record.action_set.candidates) <= 5
             keys = {c.key() for c in record.action_set.candidates}
             # the executed action was a member of its action set
             assert record.chosen.key() in keys
             prev = state.history[i - 1] if i > 0 else None
-            verdict = prev.verdict_after if prev is not None else None
+            verdict = judged.get(i - 1, verdict)
             for mandated in mandated_candidates(i, prev, verdict, state.alert, ablations):
                 assert mandated.key() in keys, (
                     f"{scenario.id} step {i}: {mandated.rule} candidate "

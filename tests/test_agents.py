@@ -42,6 +42,12 @@ class TestParsers:
     def test_action_line_garbage(self):
         assert parse_action_line("I would maybe run a tool?") is None
         assert parse_action_line("ACTION: not a call") is None
+        assert parse_action_line('ACTION: match_sop(query="cpu" | lookup') is None  # unclosed
+        assert parse_action_line('ACTION: match_sop("cpu") | lookup') is None  # no name=
+
+    def test_action_line_unquoted_word_is_a_string(self):
+        parsed = parse_action_line("ACTION: kubectl_logs(pod=frontend-0)")
+        assert parsed == ("kubectl_logs", {"pod": "frontend-0"}, "")
 
     def test_selection_parsing(self):
         assert parse_selection("2", 5) == 2
@@ -113,9 +119,9 @@ class TestEpisodeLoop:
             ScriptEntry(ROLE_SELECT, "1"),
         ]
         result = run(script, config=AgentConfig(max_steps=2))
-        first = result.state.history[0]
+        first = next(e for e in result.state.events if e["kind"] == "chosen")
         # fallback prefers the rule candidate (R8 match_sop) over agent filler
-        assert first.fallback and first.chosen.tool == "match_sop"
+        assert first["fallback"] and first["tool"] == "match_sop"
         assert any(e.get("kind") == "note" and "fallback" in e.get("text", "")
                    for e in result.state.events)
 
@@ -125,7 +131,7 @@ class TestEpisodeLoop:
         result = run(script, scenario=case.scenario,
                      kb=golden.make_golden_kb(scripted_backend()))
         assert not (result.state.abort_reason or "").startswith("internal error:")
-        assert result.state.history[0].fallback
+        assert next(e for e in result.state.events if e["kind"] == "chosen")["fallback"]
 
     def test_unregistered_tool_candidate_dropped(self):
         script = [
@@ -229,7 +235,6 @@ class TestEpisodeLoop:
         ])
 
         class FlakyOnce:
-            embed_dim = inner.embed_dim
             backend_id = inner.backend_id
 
             def __init__(self):
@@ -314,6 +319,7 @@ class TestEpisodeLoop:
     ('ACTION: collect_trace(start_s="inf") | scan', "collect_trace"),
     ('ACTION: match_sop(query="cpu", k=inf) | lookup', "match_sop"),
     ('ACTION: kubectl_logs(pod="frontend-0", end_s=1e309) | read', "kubectl_logs"),
+    ('ACTION: match_sop(query="cpu", k="three") | lookup', "match_sop"),
 ])
 def test_non_finite_argument_is_a_failed_observation(line, tool):
     script = [
@@ -325,7 +331,7 @@ def test_non_finite_argument_is_a_failed_observation(line, tool):
     assert result.outcome == OUTCOME_BUDGET
     record = result.state.history[0]
     assert record.chosen.tool == tool and not record.result.success
-    assert "must be a finite number" in record.observation
+    assert "must be a finite number" in record.result.observation
 
 
 class TestRetryAfter:

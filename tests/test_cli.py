@@ -57,6 +57,20 @@ class TestKbCommands:
         score = float(out.split()[0])
         assert score == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("section, flags, complaint", [
+        ("kb: {k: 0}", [], "k must be positive, got 0"),
+        ("kb: {threshold: .nan}", [], "threshold must be a finite number, got nan"),
+        ("kb: {}", ["--k", "0"], "k must be positive"),
+        ("kb: {}", ["--threshold", "nan"], "threshold must be a finite number"),
+    ])
+    def test_match_with_nonsense_retrieval_settings_exits_one(
+            self, golden_dir, tmp_path, capsys, section, flags, complaint):
+        cfg = tmp_path / "config.yaml"
+        cfg.write_text(section + "\n")
+        assert run_cli("kb", "match", "--kb", str(golden_dir / "kb"), "--config", str(cfg),
+                       "--query", "CPU saturation diagnosis", *flags) == 1
+        assert capsys.readouterr().err == f"error: {complaint}\n"
+
     def test_match_incidents(self, golden_dir, capsys):
         kb_dir = str(golden_dir / "kb")
         assert run_cli("kb", "match", "--kb", kb_dir, "--kind", "incident", "--k", "1",
@@ -156,6 +170,12 @@ class TestSimulate:
         for path in out.glob("*.yaml"):
             assert yaml.safe_load(path.read_text())["faults"][0]["fault_type"] == "CpuStress"
 
+    def test_unknown_fault_type_exit_one(self, tmp_path, capsys):
+        assert run_cli("simulate", "--seed", "5", "--types", "NotAType",
+                       "--out", str(tmp_path / "scenarios")) == 1
+        assert capsys.readouterr().err == "error: 'NotAType' is not a valid FaultType\n"
+        assert not (tmp_path / "scenarios").exists()
+
 
 class TestDiagnose:
     def test_golden_scenario_exit_zero(self, golden_dir, tmp_path, capsys):
@@ -240,7 +260,9 @@ class TestBenchmark:
 
     @pytest.mark.parametrize("section", ["detector: {k: .nan}",
                                          "detector: {baseline_lookback_samples: 0}",
-                                         "eval: {sigma: .inf}"])
+                                         "eval: {sigma: .inf}",
+                                         "kb: {k: 0}",
+                                         "kb: {threshold: .nan}"])
     def test_nonsense_config_exit_one_without_a_report(self, golden_dir, tmp_path, capsys,
                                                        section):
         cfg = tmp_path / "config.yaml"

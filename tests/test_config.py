@@ -4,7 +4,9 @@ import pytest
 import yaml
 
 from sopflow.config import AppConfig, load_config
-from sopflow.errors import ConfigError
+from sopflow.errors import ConfigError, ValidationError
+from sopflow.kb import KnowledgeBase
+from sopflow.llm import make_backend
 
 
 def test_defaults_without_file():
@@ -90,7 +92,7 @@ def test_every_file_settable_field_reaches_the_config(tmp_path):
                 "eval": {**asdict(app.eval.agent), **asdict(app.eval)}, "kb": asdict(app.kb)}
 
     loaded, defaults = by_section(load_config(path)), by_section(AppConfig())
-    unset = {"backend": {"script", "embed_overrides"}, "eval": {"agent"}}
+    unset = {"backend": {"script"}, "eval": {"agent"}}
     for name, values in sections.items():
         # the file above names every field a config file may set
         assert set(values) == set(loaded[name]) - unset.get(name, set()), name
@@ -98,6 +100,20 @@ def test_every_file_settable_field_reaches_the_config(tmp_path):
             got = loaded[name][key]
             assert got == (tuple(value) if isinstance(got, tuple) else value), (name, key)
             assert got != defaults[name][key], (name, key)
+
+
+@pytest.mark.parametrize("section, complaint", [
+    ("kb: {k: 0}", "k must be positive"),
+    ("kb: {k: -2}", "k must be positive"),
+    ("kb: {threshold: .nan}", "threshold must be a finite number"),
+    ("kb: {threshold: -.inf}", "threshold must be a finite number"),
+])
+def test_nonsense_kb_settings_fail_when_the_store_is_opened(tmp_path, section, complaint):
+    path = tmp_path / "config.yaml"
+    path.write_text(section + "\n")
+    app = load_config(path)
+    with pytest.raises(ValidationError, match=complaint):
+        KnowledgeBase(make_backend(app.backend), k=app.kb.k, threshold=app.kb.threshold)
 
 
 def test_missing_file_rejected(tmp_path):

@@ -197,7 +197,7 @@ class TestReports:
         assert "LA=n/a" in report_table(report)
 
     def test_run_benchmark_empty_corpus(self, tmp_path):
-        corpus = Corpus(root=tmp_path, kb_path=None, entries=[])
+        corpus = Corpus(kb_path=None, entries=[])
         report = run_benchmark(corpus, EvalConfig(), BackendConfig())
         assert report.rows == [] and report.la is None
 

@@ -20,9 +20,8 @@ ALERT = "INCIDENT ALERT\nsummary: something broke"
 
 def record(tool, result, args=None) -> StepRecord:
     chosen = ActionCandidate(tool=tool, args=args or {})
-    return StepRecord(index=0, thought="", action_set=ActionSet([chosen], 5),
-                      chosen=chosen, chosen_index=1, fallback=False,
-                      result=result, observation=result.observation)
+    return StepRecord(index=0, action_set=ActionSet([chosen], 5), chosen=chosen,
+                      result=result)
 
 
 def agent(tool, **args):

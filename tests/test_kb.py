@@ -236,7 +236,6 @@ class TestPersistence:
         kb.match_sop("cached name")
 
         class ExplodingBackend:
-            embed_dim = 64
             backend_id = "scripted:0:64"
 
             def embed(self, text):
@@ -330,7 +329,6 @@ class TestPersistence:
         embedded = []
 
         class CountingBackend:
-            embed_dim = 64
             backend_id = "scripted:0:64"
 
             def embed(self, text):

@@ -71,7 +71,6 @@ def test_views_share_one_embedding_cache():
     embedded = []
 
     class CountingBackend:
-        embed_dim = 64
         backend_id = "scripted:0:64"
 
         def embed(self, text):

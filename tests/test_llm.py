@@ -17,6 +17,8 @@ from sopflow.llm import (
     script_to_mapping,
 )
 
+from conftest import scripted_backend
+
 
 def msgs(*contents):
     return [ChatMessage("user", c) for c in contents]
@@ -114,9 +116,10 @@ class TestScriptedEmbed:
         assert a.values != b.values
 
     def test_override_takes_precedence(self):
-        backend = make_backend(BackendConfig(embed_overrides={"pinned": (1.0, 0.0)},
-                                             embed_dim=2))
+        # the pinned-embedding test backend the retrieval-ordering tests use
+        backend = scripted_backend(overrides={"pinned": (1.0, 0.0)}, dim=2)
         assert backend.embed("pinned").values == (1.0, 0.0)
+        assert backend.embed("other") == make_backend(BackendConfig(embed_dim=2)).embed("other")
 
     def test_empty_text_rejected(self):
         with pytest.raises(ValidationError):

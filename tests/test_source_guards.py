@@ -63,3 +63,56 @@ def test_every_function_in_src_is_used_in_src():
     unused = sorted(key for key, node in defined
                     if used[node.name] - _names(node)[node.name] <= 0)
     assert unused == sorted(_UNCALLED)
+
+
+# Dataclass fields no code in ``src/`` reads, each kept for a stated reason,
+# keyed "<path under src/sopflow>::<class>.<field>".
+_UNREAD_FIELDS: dict[str, str] = {}
+
+
+def _reads(node: ast.AST) -> Counter:
+    """Every attribute ``node`` loads (``obj.name``) and every identifier string
+    (``getattr(obj, "name")``). Plain names and stores are left out: a local
+    variable or an assignment of the same name is not a read of the field."""
+    read = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            read[n.attr] += 1
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str) and n.value.isidentifier():
+            read[n.value] += 1
+    return read
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+        if name == "dataclass":
+            return True
+    return False
+
+
+def _dataclass_fields(tree: ast.AST):
+    """(class name, field name) of every field of every dataclass in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            for stmt in node.body:
+                if (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                        and "ClassVar" not in ast.unparse(stmt.annotation)):
+                    yield node.name, stmt.target.id
+
+
+def test_every_dataclass_field_in_src_is_read_in_src():
+    # golden.py is the fixture module, exempt as in the function guard above
+    package_root = pathlib.Path(sopflow.__file__).parent
+    read = Counter()
+    defined = []
+    for path in sorted(package_root.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read += _reads(tree)
+        if path.name != "golden.py":
+            rel = path.relative_to(package_root).as_posix()
+            defined += [(f"{rel}::{cls}.{name}", name) for cls, name in _dataclass_fields(tree)]
+    assert ("agents/types.py::StepRecord.result", "result") in defined  # the scan works
+    unread = sorted(key for key, name in defined if not read[name])
+    assert unread == sorted(_UNREAD_FIELDS)

@@ -215,6 +215,23 @@ class TestAnalysisTools:
                                        quiet_ctx)
         assert via_kubectl.observation == direct.observation
 
+    @pytest.mark.parametrize("command, tool, args", [
+        ("kubectl get pods", "pod_analyze", {}),
+        ("logs frontend-0", "kubectl_logs", {"pod": "frontend-0"}),
+        ("kubectl logs cartservice-0", "kubectl_logs", {"pod": "cartservice-0"}),
+    ])
+    def test_kubectl_command_matches_the_direct_tool(self, registry, quiet_ctx,
+                                                     command, tool, args):
+        via_kubectl = registry.execute("run_kubectl_command", {"command": command}, quiet_ctx)
+        assert via_kubectl.success
+        assert via_kubectl.observation == registry.execute(tool, args, quiet_ctx).observation
+
+    @pytest.mark.parametrize("command", ["", "   ", "kubectl"])
+    def test_kubectl_empty_command_rejected(self, registry, quiet_ctx, command):
+        result = registry.execute("run_kubectl_command", {"command": command}, quiet_ctx)
+        assert not result.success
+        assert result.observation.startswith("tool error: empty command; supported: ")
+
     def test_kubectl_write_commands_rejected(self, registry, quiet_ctx):
         result = registry.execute("run_kubectl_command",
                                   {"command": "delete pod frontend-0"}, quiet_ctx)
@@ -294,6 +311,15 @@ class TestSopFlowTools:
         assert matches[0][0].name == fault_info
         assert matches[0][1] == pytest.approx(1.0, abs=1e-6)
 
+    def test_generated_sop_ids_get_a_suffix_on_a_name_collision(self, registry):
+        backend = scripted_backend(script=[ScriptEntry(
+            "ROLE: procedure-author", "SOP NAME: Disk full\nSTEPS:\n1. Check usage.",
+        )])
+        ctx = make_ctx(no_fault_scenario(), registry=registry, backend=backend,
+                       kb=KnowledgeBase(backend))
+        ids = [generate_sop(ctx, fault_info="disk full").payload.id for _ in range(3)]
+        assert ids == ["gen-disk-full", "gen-disk-full-2", "gen-disk-full-3"]
+
     def test_generate_sop_refinement_level(self, registry):
         backend = scripted_backend(script=[ScriptEntry(
             "ROLE: procedure-author",
@@ -363,11 +389,16 @@ class TestSopFlowTools:
         assert ctx.sop.last_findings == "- earlier findings"
 
         chosen = ActionCandidate(tool="run_sop", args={})
-        prev = StepRecord(index=2, thought="", action_set=ActionSet([chosen], 5),
-                          chosen=chosen, chosen_index=1, fallback=False,
-                          result=result, observation=result.observation)
+        prev = StepRecord(index=2, action_set=ActionSet([chosen], 5), chosen=chosen,
+                          result=result)
         out = mandated_candidates(3, prev, None, "INCIDENT ALERT", Ablations())
         assert [(c.tool, c.rule, c.args) for c in out] == [("generate_sop_code", "R5", {})]
+
+    def test_generate_sop_code_without_a_procedure(self, registry, quiet_ctx):
+        result = registry.execute("generate_sop_code", {}, quiet_ctx)
+        assert not result.success
+        assert result.observation == ("tool error: no procedure in context; "
+                                      "run match_sop or generate_sop first")
 
     def test_run_sop_without_program(self, registry, quiet_ctx):
         result = registry.execute("run_sop", {}, quiet_ctx)
@@ -387,13 +418,13 @@ class TestSpeak:
             "speak", {"causes": "cartservice-0|CpuStress|usage pegged"}, quiet_ctx)
         assert result.success
         assert "location=cartservice-0 type=CpuStress" in result.observation
-        assert len(result.payload.causes) == 1 and not result.payload.truncated
+        assert len(result.payload.causes) == 1 and "truncated" not in result.observation
 
     def test_four_causes_truncated_with_warning(self, quiet_ctx):
         causes = "; ".join(f"pod-{i}|CpuStress|c{i}" for i in range(4))
         result = speak(quiet_ctx, causes=causes)
-        assert len(result.payload.causes) == 3 and result.payload.truncated
-        assert "truncated to 3" in result.observation
+        assert len(result.payload.causes) == 3
+        assert "warning: 4 causes reported, truncated to 3" in result.observation
         # highest-confidence (earliest) causes survive
         assert [c.location for c in result.payload.causes] == ["pod-0", "pod-1", "pod-2"]
 
