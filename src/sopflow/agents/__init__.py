@@ -15,7 +15,6 @@ from .types import (
     ActionSet,
     AgentConfig,
     DiagnosisResult,
-    EpisodeResult,
     EpisodeState,
     JudgeVerdict,
     OUTCOME_ABORTED,
@@ -34,7 +33,6 @@ __all__ = [
     "ActionSet",
     "AgentConfig",
     "DiagnosisResult",
-    "EpisodeResult",
     "EpisodeState",
     "JudgeVerdict",
     "OUTCOME_ABORTED",

@@ -3,9 +3,10 @@
 Each step makes up to three backend calls (orchestrator thought, candidate
 proposal, orchestrator selection), executes exactly one tool from the bounded
 action set, and runs the post-observation hooks (ObAgent then JudgeAgent after
-match_observation). On a backend that declares ``concurrent_calls`` (the
-remote one) the episode overlaps calls that do not depend on each other,
-using one worker thread, so at most two requests are in flight:
+a successful match_observation). On a backend that declares
+``concurrent_calls`` (the remote one) the episode overlaps calls that do not
+depend on each other, using one worker thread, so at most two requests are in
+flight:
 - the thought and the proposal are sent together, so a step waits for 2
   serial round trips, not 3;
 - a request whose input is fixed once the action set is built is sent while
@@ -56,7 +57,6 @@ from .types import (
     ActionCandidate,
     ActionSet,
     AgentConfig,
-    EpisodeResult,
     EpisodeState,
     OUTCOME_ABORTED,
     OUTCOME_BUDGET,
@@ -220,7 +220,7 @@ class _Runtime:
         self.registry = build_registry()
         telemetry = render_telemetry(scenario)
         self.state = EpisodeState(scenario_id=scenario.id,
-                                  alert=render_alert(telemetry, detector), config=config)
+                                  alert=render_alert(telemetry, detector))
         self.backend = _RecordingBackend(backend, self.state)
         if not config.ablations.sop_knowledge:
             kb = kb.without_sops()
@@ -358,9 +358,9 @@ class _Runtime:
     def _post_hooks(self, record: StepRecord) -> None:
         tool = record.chosen.tool
         result = record.result
-        if tool == "match_observation":
-            matched_text = str(record.chosen.args.get("observation", "")) \
-                or self.ctx.sop.last_findings or result.observation
+        if tool == "match_observation" and result.success:
+            matched_text = (str(record.chosen.args.get("observation", ""))
+                            or self.ctx.sop.last_findings)
             if self.config.ablations.ob_agent:
                 self._run_ob_agent(matched_text, result)
             if self.config.ablations.judge_agent:
@@ -398,8 +398,6 @@ class _Runtime:
                 state.log("note", text="direct action unusable; step consumed")
                 state.step_count += 1
                 return
-            action_set = ActionSet(candidates=[candidate],
-                                   max_size=self.config.action_set_size)
             chosen, position, fallback = candidate, 1, False
 
         state.log("chosen", tool=chosen.tool, args=_jsonable_args(chosen.args),
@@ -408,8 +406,7 @@ class _Runtime:
         state.log("observation", tool=chosen.tool, success=result.success,
                   text=result.observation)
 
-        record = StepRecord(index=state.step_count, action_set=action_set,
-                            chosen=chosen, result=result)
+        record = StepRecord(index=state.step_count, chosen=chosen, result=result)
         state.history.append(record)
         self._post_hooks(record)
         state.step_count += 1
@@ -431,8 +428,9 @@ def _jsonable_args(args: dict) -> dict:
 
 
 def run_episode(scenario: EpisodeScenario, config: AgentConfig, backend, kb,
-                detector: DetectorConfig | None = None) -> EpisodeResult:
-    """Drive one diagnosis episode to termination."""
+                detector: DetectorConfig | None = None) -> EpisodeState:
+    """Drive one diagnosis episode to termination; its state holds the
+    outcome, the diagnosis and the transcript."""
     rt = _Runtime(scenario, config, backend, kb, detector)
     state = rt.state
     state.log("episode", scenario=scenario.id, alert=state.alert, config=asdict(config))
@@ -455,7 +453,7 @@ def run_episode(scenario: EpisodeScenario, config: AgentConfig, backend, kb,
                   "path": list(state.diagnosis.path),
               },
               abort_reason=state.abort_reason)
-    return EpisodeResult(outcome=state.outcome, state=state)
+    return state
 
 
 _TRANSCRIPT_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False)

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..errors import ValidationError
-from ..tools import MAX_ROOT_CAUSES, RootCause
+from ..tools import RootCause
 
 PROVENANCE_AGENT = "action_agent"
 PROVENANCE_FLOW = "flow_rule"
@@ -86,7 +86,6 @@ class JudgeVerdict:
 @dataclass
 class StepRecord:
     index: int
-    action_set: ActionSet
     chosen: ActionCandidate
     result: Any                 # ToolResult
 
@@ -98,18 +97,11 @@ class DiagnosisResult:
     explanation: str
     path: tuple[str, ...]
 
-    def __post_init__(self):
-        if not (0 < len(self.locations) <= MAX_ROOT_CAUSES):
-            raise ValidationError(f"diagnosis must name 1..{MAX_ROOT_CAUSES} locations")
-        if len(self.types) > MAX_ROOT_CAUSES:
-            raise ValidationError(f"diagnosis must name at most {MAX_ROOT_CAUSES} types")
-
 
 @dataclass
 class EpisodeState:
     scenario_id: str
     alert: str
-    config: AgentConfig
     history: list[StepRecord] = field(default_factory=list)
     ob_hypotheses: tuple = ()   # latest (label, note) pairs
     judge_verdict: JudgeVerdict | None = None
@@ -136,12 +128,3 @@ class EpisodeState:
     def log(self, kind: str, **fields) -> None:
         self.events.append(self.event(kind, **fields))
 
-
-@dataclass
-class EpisodeResult:
-    outcome: str
-    state: EpisodeState
-
-    @property
-    def diagnosis(self) -> DiagnosisResult | None:
-        return self.state.diagnosis

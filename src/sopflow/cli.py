@@ -136,21 +136,21 @@ def _cmd_diagnose(args) -> int:
     agent_cfg = app.eval.agent
     if args.max_steps is not None:
         agent_cfg.max_steps = args.max_steps
-    result = run_episode(scenario, agent_cfg, backend, kb, app.detector)
+    state = run_episode(scenario, agent_cfg, backend, kb, app.detector)
     if args.out:
-        write_transcript(result.state, args.out)
-    print(f"outcome: {result.outcome} ({result.state.step_count} steps)")
-    if result.diagnosis is not None:
-        d = result.diagnosis
+        write_transcript(state, args.out)
+    print(f"outcome: {state.outcome} ({state.step_count} steps)")
+    if state.diagnosis is not None:
+        d = state.diagnosis
         print(f"locations: {', '.join(d.locations)}")
         print(f"types: {', '.join(d.types)}")
         print(f"explanation: {d.explanation}")
         print(f"path: {' -> '.join(d.path)}")
-    elif result.outcome == OUTCOME_ABORTED:
-        print(f"abort reason: {result.state.abort_reason}")
-    if result.outcome == OUTCOME_COMPLETED:
+    elif state.outcome == OUTCOME_ABORTED:
+        print(f"abort reason: {state.abort_reason}")
+    if state.outcome == OUTCOME_COMPLETED:
         return 0
-    if result.outcome == OUTCOME_BUDGET:
+    if state.outcome == OUTCOME_BUDGET:
         return 3
     return 1
 

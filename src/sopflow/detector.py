@@ -74,8 +74,7 @@ class DetectorConfig:
 class MetricVerdict:
     anomalous: bool
     direction: str  # "above" | "below" | "none"
-    rule: str       # "static" | "k_sigma" | "robust" | "empty"
-    detail: str
+    detail: str     # names the rule the samples were judged by
 
 
 @dataclass(frozen=True)
@@ -197,7 +196,7 @@ def evaluate_series(window_values: list[float], baseline_values: list[float],
                     metric: str, cfg: DetectorConfig) -> MetricVerdict:
     """Judge whether the in-window samples of one series are anomalous."""
     if not window_values:
-        return MetricVerdict(False, "none", "empty", "no samples in window")
+        return MetricVerdict(False, "none", "no samples in window")
 
     judge = _baseline_rule(baseline_values, metric, cfg)
     if judge is None:
@@ -210,12 +209,12 @@ def evaluate_series(window_values: list[float], baseline_values: list[float],
         breaching = [v for v in window_values if judge.flags(v)]
         if breaching:
             return MetricVerdict(
-                True, "above", "static",
+                True, "above",
                 f"{len(breaching)}/{len(window_values)} samples above static threshold "
                 f"{judge.center:g} (peak {max(breaching):.6g})",
             )
         return MetricVerdict(
-            False, "none", "static",
+            False, "none",
             f"all {len(window_values)} samples within static threshold {judge.center:g}",
         )
 
@@ -225,12 +224,12 @@ def evaluate_series(window_values: list[float], baseline_values: list[float],
     if judge.flags(worst):
         direction = "above" if deviation > 0 else "below"
         return MetricVerdict(
-            True, direction, rule,
+            True, direction,
             f"sample {worst:.6g} deviates {abs(deviation):.6g} from baseline "
             f"{mean:.6g} (limit {limit:.6g}, rule {rule})",
         )
     return MetricVerdict(
-        False, "none", rule,
+        False, "none",
         f"max deviation {abs(deviation):.6g} within {limit:.6g} of baseline "
         f"{mean:.6g} (rule {rule})",
     )

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import schema
-from .agents import AgentConfig, EpisodeResult, OUTCOME_COMPLETED, run_episode, write_transcript
+from .agents import AgentConfig, EpisodeState, OUTCOME_COMPLETED, run_episode, write_transcript
 from .detector import DetectorConfig
 from .errors import ConfigError, SopflowError, UndefinedMetricError, ValidationError
 from .kb import KbSettings, KnowledgeBase
@@ -84,8 +84,8 @@ def match_predictions(predicted: tuple[str, ...], truth: tuple[str, ...],
     return correct, incorrect
 
 
-def build_row(scenario: EpisodeScenario, result: EpisodeResult) -> EpisodeRow:
-    diagnosis = result.diagnosis
+def build_row(scenario: EpisodeScenario, state: EpisodeState) -> EpisodeRow:
+    diagnosis = state.diagnosis
     predicted_locations = diagnosis.locations if diagnosis else ()
     predicted_types = diagnosis.types if diagnosis else ()
     loc_c, loc_i = match_predictions(predicted_locations, scenario.ground_truth.locations,
@@ -94,15 +94,15 @@ def build_row(scenario: EpisodeScenario, result: EpisodeResult) -> EpisodeRow:
                                        scenario.aliases)
     return EpisodeRow(
         scenario_id=scenario.id,
-        outcome=result.outcome,
+        outcome=state.outcome,
         predicted_locations=tuple(predicted_locations),
         predicted_types=tuple(predicted_types),
         gt_locations=scenario.ground_truth.locations,
         gt_types=scenario.ground_truth.types,
         loc_correct=loc_c, loc_incorrect=loc_i,
         type_correct=type_c, type_incorrect=type_i,
-        path_length=len(result.state.path),
-        path=result.state.path,
+        path_length=len(state.path),
+        path=state.path,
     )
 
 
@@ -172,41 +172,33 @@ class BenchmarkReport:
 
 @dataclass
 class CorpusEntry:
-    scenario_path: Path
-    script_path: Path | None
+    """One episode of a manifest; ``load_corpus`` resolves its paths against
+    the manifest's directory."""
 
-
-@dataclass
-class Corpus:
-    kb_path: Path | None
-    entries: list[CorpusEntry]
-
-
-@dataclass
-class _ManifestEntry:
     scenario: str
     script: str | None = None  # scripted runs only
 
 
 @dataclass
-class _Manifest:
-    episodes: list[_ManifestEntry] = field(default_factory=list)
+class Corpus:
+    episodes: list[CorpusEntry] = field(default_factory=list)
     kb: str | None = None
 
 
 def load_corpus(manifest_path: Path | str) -> Corpus:
-    """Read a corpus manifest; unknown keys are a ``ConfigError``, and every
-    error names the manifest."""
+    """Read a corpus manifest, with its paths resolved against the manifest's
+    directory; unknown keys are a ``ConfigError``, and every error names the
+    manifest."""
     manifest_path = Path(manifest_path)
-    manifest = schema.read_yaml(manifest_path, _Manifest)
-    if not all(item.scenario for item in manifest.episodes):
+    corpus = schema.read_yaml(manifest_path, Corpus)
+    if not all(entry.scenario for entry in corpus.episodes):
         raise ConfigError(f"{manifest_path}: corpus entry missing 'scenario'")
     root = manifest_path.parent
-    entries = [CorpusEntry(scenario_path=root / item.scenario,
-                           script_path=root / item.script if item.script else None)
-               for item in manifest.episodes]
-    return Corpus(kb_path=root / manifest.kb if manifest.kb else None,
-                  entries=entries)
+    for entry in corpus.episodes:
+        entry.scenario = str(root / entry.scenario)
+        entry.script = str(root / entry.script) if entry.script else None
+    corpus.kb = str(root / corpus.kb) if corpus.kb else None
+    return corpus
 
 
 def _read_entries(corpus: Corpus, backend_cfg: BackendConfig
@@ -214,14 +206,14 @@ def _read_entries(corpus: Corpus, backend_cfg: BackendConfig
     """Each entry's scenario and backend config, read before any episode runs;
     an entry that cannot be read is a ``ConfigError`` naming it."""
     entries = []
-    for number, entry in enumerate(corpus.entries, 1):
+    for number, entry in enumerate(corpus.episodes, 1):
         try:
-            scenario = load_scenario(entry.scenario_path)
+            scenario = load_scenario(entry.scenario)
             cfg = backend_cfg
-            if entry.script_path is not None:
-                cfg = scripted_config(entry.script_path, backend_cfg)
+            if entry.script is not None:
+                cfg = scripted_config(entry.script, backend_cfg)
         except (OSError, ValueError, TypeError, SopflowError) as exc:
-            raise ConfigError(f"corpus entry {number} (scenario {entry.scenario_path}): "
+            raise ConfigError(f"corpus entry {number} (scenario {entry.scenario}): "
                               f"{exc}") from exc
         entries.append((scenario, cfg))
     return entries
@@ -248,7 +240,7 @@ def run_benchmark(corpus: Corpus, eval_cfg: EvalConfig, backend_cfg: BackendConf
         detector.validate()
     entries = _read_entries(corpus, backend_cfg)
     kb_settings = kb_settings or KbSettings()
-    kb_master = KnowledgeBase(make_backend(backend_cfg), root=corpus.kb_path,
+    kb_master = KnowledgeBase(make_backend(backend_cfg), root=corpus.kb,
                               k=kb_settings.k, threshold=kb_settings.threshold)
 
     if transcript_dir is not None:
@@ -257,11 +249,11 @@ def run_benchmark(corpus: Corpus, eval_cfg: EvalConfig, backend_cfg: BackendConf
 
     def _run(entry: tuple[EpisodeScenario, BackendConfig]) -> EpisodeRow:
         scenario, cfg = entry
-        result = run_episode(scenario, eval_cfg.agent, make_backend(cfg),
-                             kb_master.clone_in_memory(), detector)
+        state = run_episode(scenario, eval_cfg.agent, make_backend(cfg),
+                            kb_master.clone_in_memory(), detector)
         if transcript_dir is not None:
-            write_transcript(result.state, out / f"{scenario.id}.jsonl")
-        return build_row(scenario, result)
+            write_transcript(state, out / f"{scenario.id}.jsonl")
+        return build_row(scenario, state)
 
     if eval_cfg.workers > 1:
         with ThreadPoolExecutor(max_workers=eval_cfg.workers) as pool:

@@ -162,14 +162,7 @@ class RetrievalHit:
     """One retrieval result: which item matched and how strongly."""
 
     item_id: str
-    score: float
-    kind: str  # "sop" | "incident"
-
-    def __post_init__(self):
-        if abs(self.score) > 1.0 + 1e-9:
-            raise ValidationError(f"retrieval score out of range: {self.score}")
-        if self.kind not in ("sop", "incident"):
-            raise ValidationError(f"unknown hit kind: {self.kind}")
+    score: float  # cosine similarity, in [-1, 1]
 
 
 def _text_key(backend_id: str, text: str) -> str:
@@ -324,8 +317,8 @@ class KnowledgeBase:
         scored.sort(key=lambda pair: (-pair[1], pair[0].id))
         return [(item, score) for item, score in scored if score >= threshold][:k]
 
-    def hits(self, matches: list, kind: str) -> list[RetrievalHit]:
-        return [RetrievalHit(item_id=item.id, score=score, kind=kind) for item, score in matches]
+    def hits(self, matches: list) -> list[RetrievalHit]:
+        return [RetrievalHit(item_id=item.id, score=score) for item, score in matches]
 
     # -- lifecycle helpers ---------------------------------------------------
 

@@ -35,7 +35,6 @@ class Topology:
     """A deployment's services, pods, nodes and call edges. Immutable, so one
     instance per fixture is shared by every scenario (``load_fixture``)."""
 
-    name: str
     services: tuple[str, ...]
     pods: tuple[Pod, ...]
     nodes: tuple[Node, ...]
@@ -146,7 +145,6 @@ def online_boutique() -> Topology:
     )
     edges = tuple(CallEdge(src, dst, latency) for src, dst, latency in _BOUTIQUE_EDGES)
     topo = Topology(
-        name="online-boutique",
         services=services,
         pods=pods,
         nodes=nodes,

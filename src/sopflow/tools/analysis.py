@@ -76,7 +76,7 @@ def analyze_resource(ctx: ToolContext, kind: str) -> ToolResult:
         text = _workload_table(ctx, statefulset=False)
     else:
         text = _workload_table(ctx, statefulset=True)
-    return ToolResult(tool=f"{kind[:-1]}_analyze", observation=text)
+    return ToolResult(observation=text)
 
 
 def _describe_pod(ctx: ToolContext, pod_id: str) -> str:
@@ -98,13 +98,11 @@ def run_kubectl_command(ctx: ToolContext, command: str) -> ToolResult:
         raise ToolError(f"empty command; supported: {'; '.join(_SUPPORTED_KUBECTL)}")
     verb = words[0]
     if verb == "get" and len(words) == 2 and words[1] in RESOURCE_KINDS:
-        inner = analyze_resource(ctx, words[1])
-        return ToolResult(tool="run_kubectl_command", observation=inner.observation)
+        return analyze_resource(ctx, words[1])
     if verb == "describe" and len(words) == 3 and words[1] == "pod":
-        return ToolResult(tool="run_kubectl_command", observation=_describe_pod(ctx, words[2]))
+        return ToolResult(observation=_describe_pod(ctx, words[2]))
     if verb == "logs" and len(words) == 2:
-        inner = kubectl_logs(ctx, pod=words[1])
-        return ToolResult(tool="run_kubectl_command", observation=inner.observation)
+        return kubectl_logs(ctx, pod=words[1])
     raise ToolError(
         f"unsupported command {command!r}; supported: {'; '.join(_SUPPORTED_KUBECTL)}"
     )
@@ -112,8 +110,7 @@ def run_kubectl_command(ctx: ToolContext, command: str) -> ToolResult:
 
 def get_all_namespace(ctx: ToolContext) -> ToolResult:
     names = ctx.telemetry.topology.namespaces
-    return ToolResult(tool="get_all_namespace",
-                      observation="namespaces:\n" + "\n".join(f"- {n}" for n in names))
+    return ToolResult(observation="namespaces:\n" + "\n".join(f"- {n}" for n in names))
 
 
 def get_relevant_metric(ctx: ToolContext, query: str) -> ToolResult:
@@ -133,4 +130,4 @@ def get_relevant_metric(ctx: ToolContext, query: str) -> ToolResult:
     scored.sort()
     top = [name for _, name in scored[:5]]
     text = "relevant metrics:\n" + "\n".join(f"- {name}" for name in top)
-    return ToolResult(tool="get_relevant_metric", observation=text, payload=top)
+    return ToolResult(observation=text, payload=top)

@@ -29,7 +29,7 @@ def whether_is_abnormal_metric(ctx: ToolContext, target: str, metric: str,
                 f"{verdict.detail}")
     else:
         text = f"metric {metric} on {target} is normal: {verdict.detail}"
-    return ToolResult(tool="whether_is_abnormal_metric", observation=text, payload=verdict)
+    return ToolResult(observation=text, payload=verdict)
 
 
 def collect_trace(ctx: ToolContext, start_s=None, end_s=None) -> ToolResult:
@@ -44,7 +44,7 @@ def collect_trace(ctx: ToolContext, start_s=None, end_s=None) -> ToolResult:
     else:
         text = f"{len(lines)} abnormal spans in window [{window[0]}, {window[1]}):\n" \
                + "\n".join(lines)
-    return ToolResult(tool="collect_trace", observation=text, payload=error_spans)
+    return ToolResult(observation=text, payload=error_spans)
 
 
 def kubectl_logs(ctx: ToolContext, pod: str, start_s=None, end_s=None) -> ToolResult:
@@ -56,4 +56,4 @@ def kubectl_logs(ctx: ToolContext, pod: str, start_s=None, end_s=None) -> ToolRe
     else:
         rendered = "\n".join(f"[t={line.t_s}] {line.text}" for line in lines)
         text = f"{len(lines)} abnormal log lines for pod {pod}:\n{rendered}"
-    return ToolResult(tool="kubectl_logs", observation=text, payload=lines)
+    return ToolResult(observation=text, payload=lines)

@@ -38,13 +38,13 @@ from .registry import ToolContext, ToolRegistry, ToolResult
 MAX_STATEMENTS = 50
 PROGRAM_TOOL_CATEGORIES = ("observability", "analysis")
 
-GRAMMAR_TEXT = """Program statement grammar, one statement per line:
+GRAMMAR_TEXT = f"""Program statement grammar, one statement per line:
   let x = tool_name(param="value", other=3)
   tool_name(param="value")
   if contains(x, "keyword"): finding("text", x)
   if above(x, 0.8): finding("threshold breached", x)
   finding("literal text", x)
-Rules: max 50 statements, no loops, variables must be bound by an earlier
+Rules: max {MAX_STATEMENTS} statements, no loops, variables must be bound by an earlier
 unconditional `let`, only data tools may be called. above/below compare the
 last numeric token in the bound observation text."""
 

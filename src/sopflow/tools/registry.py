@@ -44,7 +44,6 @@ class ToolSpec:
 
 @dataclass
 class ToolResult:
-    tool: str
     observation: str
     payload: Any = None
     success: bool = True
@@ -141,7 +140,7 @@ class ToolRegistry:
     def execute(self, name: str, args: dict, ctx: ToolContext) -> ToolResult:
         violations = self.check_args(name, args)
         if violations:
-            return ToolResult(tool=name, observation=f"tool error: {violations[0]}",
+            return ToolResult(observation=f"tool error: {violations[0]}",
                               success=False, error=violations[0])
         spec, fn = self._tools[name]
         coerced: dict[str, Any] = {}
@@ -156,7 +155,7 @@ class ToolRegistry:
                     number = math.nan
                 if not math.isfinite(number):
                     message = f"argument {param.name!r} of {name} must be a finite number"
-                    return ToolResult(tool=name, observation=f"tool error: {message}",
+                    return ToolResult(observation=f"tool error: {message}",
                                       success=False, error=message)
                 coerced[param.name] = number
             else:
@@ -166,5 +165,5 @@ class ToolRegistry:
         except (EpisodeAborted, BackendError, ScriptExhaustedError):
             raise
         except SopflowError as exc:
-            return ToolResult(tool=name, observation=f"tool error: {exc}",
+            return ToolResult(observation=f"tool error: {exc}",
                               success=False, error=str(exc))

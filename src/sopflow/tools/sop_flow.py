@@ -24,7 +24,7 @@ _SLUG_RE = re.compile(r"[^a-z0-9]+")
 def match_sop(ctx: ToolContext, query: str, k=None, threshold=None) -> ToolResult:
     """Top-k stored procedures for a fault description; remembers the best hit."""
     matches = ctx.kb.match_sop(query, k=k, threshold=threshold)
-    hits = ctx.kb.hits(matches, kind="sop")
+    hits = ctx.kb.hits(matches)
     if not matches:
         text = f"no matching procedures found for query {query!r}"
     else:
@@ -34,7 +34,7 @@ def match_sop(ctx: ToolContext, query: str, k=None, threshold=None) -> ToolResul
             for i, (doc, score) in enumerate(matches, start=1)
         ]
         text = f"{len(matches)} matching procedures:\n" + "\n".join(lines)
-    return ToolResult(tool="match_sop", observation=text, payload=hits)
+    return ToolResult(observation=text, payload=hits)
 
 
 def _unique_sop_id(ctx: ToolContext, name: str) -> str:
@@ -85,7 +85,7 @@ def generate_sop(ctx: ToolContext, fault_info: str, parent_sop_id: str | None = 
     ctx.sop.sop = doc
     text = (f"generated procedure '{doc.name}' with {len(doc.steps)} steps "
             f"(id={doc.id}, level={doc.level})")
-    return ToolResult(tool="generate_sop", observation=text, payload=doc)
+    return ToolResult(observation=text, payload=doc)
 
 
 def coder_prompt(ctx: ToolContext, sop_id: str | None = None) -> tuple[SopDoc, str, str]:
@@ -116,7 +116,7 @@ def generate_sop_code(ctx: ToolContext, sop_id: str | None = None) -> ToolResult
     ctx.sop.sop = doc
     ctx.sop.program = program
     text = (f"program for '{doc.name}' validated: {len(program.statements)} statements")
-    return ToolResult(tool="generate_sop_code", observation=text, payload=program)
+    return ToolResult(observation=text, payload=program)
 
 
 def run_sop(ctx: ToolContext) -> ToolResult:
@@ -129,10 +129,10 @@ def run_sop(ctx: ToolContext) -> ToolResult:
     if result.success:
         ctx.sop.last_findings = result.findings_text
         text = f"findings:\n{result.findings_text}\ntrace:\n{trace_text}"
-        return ToolResult(tool="run_sop", observation=text, payload=result)
+        return ToolResult(observation=text, payload=result)
     text = (f"program failed at statement {result.failing_index}: {result.error}\n"
             f"trace:\n{trace_text}")
-    return ToolResult(tool="run_sop", observation=text, payload=result,
+    return ToolResult(observation=text, payload=result,
                       success=False, error=result.error)
 
 
@@ -144,7 +144,7 @@ def match_observation(ctx: ToolContext, observation: str | None = None,
     if not obs:
         raise ToolError("no observation available to match; pass observation=...")
     matches = ctx.kb.match_observation(obs, k=k, threshold=threshold)
-    hits = ctx.kb.hits(matches, kind="incident")
+    hits = ctx.kb.hits(matches)
     if not matches:
         text = "no similar historical incidents found"
     else:
@@ -154,4 +154,4 @@ def match_observation(ctx: ToolContext, observation: str | None = None,
             for i, (inc, score) in enumerate(matches, start=1)
         ]
         text = f"{len(matches)} similar historical incidents:\n" + "\n".join(lines)
-    return ToolResult(tool="match_observation", observation=text, payload=hits)
+    return ToolResult(observation=text, payload=hits)

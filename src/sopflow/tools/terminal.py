@@ -71,5 +71,5 @@ def speak(ctx: ToolContext, causes: str) -> ToolResult:
     if len(parsed) > MAX_ROOT_CAUSES:
         lines.append(f"warning: {len(parsed)} causes reported, truncated to "
                      f"{MAX_ROOT_CAUSES} highest-confidence")
-    return ToolResult(tool="speak", observation="\n".join(lines),
+    return ToolResult(observation="\n".join(lines),
                       payload=SpeakReport(causes=tuple(kept)))

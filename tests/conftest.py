@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from sopflow import prompts
+from sopflow.agents import ActionCandidate
 from sopflow.detector import DetectorConfig
 from sopflow.errors import SopflowError
 from sopflow.kb import EmbeddingVector, KnowledgeBase
@@ -125,6 +126,13 @@ _ROLE_NAMES = {
 
 
 RENDEZVOUS_TIMEOUT_S = 10.0
+
+
+def action_sets(state) -> dict[int, list[ActionCandidate]]:
+    """Each step's action set, by step, read back from the episode's
+    ``action_set`` transcript events."""
+    return {event["step"]: [ActionCandidate(**c) for c in event["candidates"]]
+            for event in state.events if event["kind"] == "action_set"}
 
 
 def role_of(prompt: str) -> str:

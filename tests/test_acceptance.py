@@ -33,7 +33,7 @@ from sopflow.sandbox import FaultType
 from sopflow.sandbox.telemetry import METRIC_CATALOG
 from sopflow.tools import RootCause, build_registry, parse_program, run_program, validate_program
 
-from conftest import fault_scenario, make_ctx, no_fault_scenario, scripted_backend
+from conftest import action_sets, fault_scenario, make_ctx, no_fault_scenario, scripted_backend
 
 
 def _passed(number, name, started):
@@ -161,7 +161,7 @@ def test_acceptance_3_golden_end_to_end(golden_runs):
     rows = []
     for scenario, result in first:
         assert result.outcome == "completed"
-        assert result.state.path[-1] == "speak"
+        assert result.path[-1] == "speak"
         assert result.diagnosis.locations == scenario.ground_truth.locations
         assert result.diagnosis.types == scenario.ground_truth.types
         rows.append(build_row(scenario, result))
@@ -171,7 +171,7 @@ def test_acceptance_3_golden_end_to_end(golden_runs):
     assert average_path_length(rows) == authored_mean  # exact, no tolerance
 
     for (_, a), (_, b) in zip(first, second):
-        assert "\n".join(transcript_lines(a.state)) == "\n".join(transcript_lines(b.state))
+        assert "\n".join(transcript_lines(a)) == "\n".join(transcript_lines(b))
 
     elapsed = time.monotonic() - started
     assert elapsed < 30.0, f"criterion 3 exceeded budget: {elapsed:.2f}s"
@@ -181,16 +181,16 @@ def test_acceptance_3_golden_end_to_end(golden_runs):
 def test_acceptance_4_flow_rule_compliance(golden_runs):
     started = time.monotonic()
     ablations = Ablations()
-    for scenario, result in golden_runs[0][0]:
-        state = result.state
+    for scenario, state in golden_runs[0][0]:
         # the judge's verdict as it stood at the end of each step that ran the judge
         judged = {e["step"]: JudgeVerdict(found=e["found"], summary=e["summary"],
                                           causes=tuple(RootCause(*c) for c in e["causes"]))
                   for e in state.events if e["kind"] == "verdict"}
         verdict = None
+        candidates = action_sets(state)
         for i, record in enumerate(state.history):
-            assert len(record.action_set.candidates) <= 5
-            keys = {c.key() for c in record.action_set.candidates}
+            assert len(candidates[record.index]) <= 5
+            keys = {c.key() for c in candidates[record.index]}
             # the executed action was a member of its action set
             assert record.chosen.key() in keys
             prev = state.history[i - 1] if i > 0 else None
@@ -243,17 +243,15 @@ def test_acceptance_5_termination_and_caps():
     for episode in range(30):
         scenario = fault_scenario(rng.choice(list(FaultType)))
         backend = make_backend(BackendConfig(script=_random_script(rng)))
-        result = run_episode(scenario, AgentConfig(), backend, kb.clone_in_memory())
-        state = result.state
+        state = run_episode(scenario, AgentConfig(), backend, kb.clone_in_memory())
         assert state.step_count <= 20
-        assert result.outcome in ("completed", "budget_exhausted", "aborted")
-        assert state.outcome is not None
-        for record in state.history:
-            assert len(record.action_set.candidates) <= 5
-        if result.diagnosis is not None:
-            assert 0 < len(result.diagnosis.locations) <= 3
-            assert len(result.diagnosis.types) <= 3
-        rows.append(build_row(scenario, result))
+        assert state.outcome in ("completed", "budget_exhausted", "aborted")
+        for candidates in action_sets(state).values():
+            assert len(candidates) <= 5
+        if state.diagnosis is not None:
+            assert 0 < len(state.diagnosis.locations) <= 3
+            assert len(state.diagnosis.types) <= 3
+        rows.append(build_row(scenario, state))
     # exhausted and aborted episodes stay out of APL's denominator
     completed_lengths = [r.path_length for r in rows if r.outcome == "completed"]
     apl = average_path_length(rows)
@@ -415,49 +413,48 @@ def test_acceptance_8_ablation_toggles():
             assert result.outcome == "completed", (mode, case.scenario.id)
             assert result.diagnosis.locations == case.scenario.ground_truth.locations
             assert result.diagnosis.types == case.scenario.ground_truth.types
-            assert result.state.path == expected_path(case.scenario, mode)
+            assert result.path == expected_path(case.scenario, mode)
             results.append(result)
         observed[mode] = results
 
     for result in observed["sop_knowledge_off"]:
-        rules_seen = [c.rule for r in result.state.history
-                      for c in r.action_set.candidates if c.rule]
+        rules_seen = [c.rule for candidates in action_sets(result).values()
+                      for c in candidates if c.rule]
         assert rules_seen == []  # no SOP-flow rule candidates at all
-        assert "match_sop" not in result.state.path  # and so no match_sop hits
-        assert all(FLOW_GUIDE not in p for p in _llm_prompts(result.state))
+        assert "match_sop" not in result.path  # and so no match_sop hits
+        assert all(FLOW_GUIDE not in p for p in _llm_prompts(result))
 
     for result in observed["sop_flow_off"]:
-        rules_seen = {c.rule for r in result.state.history
-                      for c in r.action_set.candidates if c.rule}
+        rules_seen = {c.rule for candidates in action_sets(result).values()
+                      for c in candidates if c.rule}
         assert rules_seen <= {"R8"}  # R1-R7 gone, the initial lookup survives
-        assert all(FLOW_GUIDE not in p for p in _llm_prompts(result.state))
+        assert all(FLOW_GUIDE not in p for p in _llm_prompts(result))
 
     for result in observed["action_set_off"]:
-        assert all(len(r.action_set.candidates) == 1 for r in result.state.history)
-        assert all(r.action_set.candidates[0].provenance == "main_agent"
-                   for r in result.state.history)
-        assert all(ROLE_ACTION not in p for p in _llm_prompts(result.state))
+        assert action_sets(result) == {}  # no action set is built
+        assert all(r.chosen.provenance == "main_agent" for r in result.history)
+        assert all(ROLE_ACTION not in p for p in _llm_prompts(result))
 
     for result in observed["action_agent_off"]:
-        assert all(ROLE_ACTION not in p for p in _llm_prompts(result.state))
+        assert all(ROLE_ACTION not in p for p in _llm_prompts(result))
         assert all(c.provenance in ("flow_rule", "judge_rule")
-                   for r in result.state.history for c in r.action_set.candidates)
+                   for candidates in action_sets(result).values() for c in candidates)
 
     for result in observed["ob_agent_off"]:
-        assert all(ROLE_OBSERVER not in p for p in _llm_prompts(result.state))
-        assert result.state.ob_hypotheses == ()
+        assert all(ROLE_OBSERVER not in p for p in _llm_prompts(result))
+        assert result.ob_hypotheses == ()
 
     for result in observed["judge_agent_off"]:
-        assert all(ROLE_JUDGE not in p for p in _llm_prompts(result.state))
-        assert result.state.judge_verdict is None
-        speak_step = result.state.history[-1]
+        assert all(ROLE_JUDGE not in p for p in _llm_prompts(result))
+        assert result.judge_verdict is None
+        speak_step = result.history[-1]
         assert speak_step.chosen.tool == "speak" \
             and speak_step.chosen.provenance == "action_agent"
 
     # the default configuration keeps every mechanism visible in transcripts
     for result in observed["default"]:
-        assert any(FLOW_GUIDE in p for p in _llm_prompts(result.state))
-        assert any(ROLE_ACTION in p for p in _llm_prompts(result.state))
-        assert result.state.judge_verdict is not None
+        assert any(FLOW_GUIDE in p for p in _llm_prompts(result))
+        assert any(ROLE_ACTION in p for p in _llm_prompts(result))
+        assert result.judge_verdict is not None
 
     _passed(8, "ablation toggles", started)

@@ -17,9 +17,16 @@ from sopflow.agents import (
 from sopflow.errors import BackendError
 from sopflow.kb import KnowledgeBase
 from sopflow.llm import ScriptEntry
-from sopflow.prompts import ROLE_ACTION, ROLE_JUDGE, ROLE_OBSERVER, ROLE_SELECT, ROLE_THOUGHT
+from sopflow.prompts import (
+    ROLE_ACTION,
+    ROLE_DIRECT,
+    ROLE_JUDGE,
+    ROLE_OBSERVER,
+    ROLE_SELECT,
+    ROLE_THOUGHT,
+)
 
-from conftest import no_fault_scenario, scripted_backend
+from conftest import action_sets, no_fault_scenario, role_of, scripted_backend
 
 
 def run(script, config=None, scenario=None, kb=None, backend=None):
@@ -88,8 +95,8 @@ class TestEpisodeLoop:
     def test_empty_script_aborts_at_first_step(self):
         result = run([])
         assert result.outcome == OUTCOME_ABORTED
-        assert result.state.step_count == 0
-        assert "backend failed twice" in result.state.abort_reason
+        assert result.step_count == 0
+        assert "backend failed twice" in result.abort_reason
 
     def test_budget_exhaustion_caps_steps(self):
         script = [
@@ -99,7 +106,7 @@ class TestEpisodeLoop:
         ]
         result = run(script)
         assert result.outcome == OUTCOME_BUDGET
-        assert result.state.step_count == 20
+        assert result.step_count == 20
         assert result.diagnosis is None
 
     def test_max_steps_configurable(self):
@@ -109,7 +116,7 @@ class TestEpisodeLoop:
             ScriptEntry(ROLE_SELECT, "1"),
         ]
         result = run(script, config=AgentConfig(max_steps=3))
-        assert result.outcome == OUTCOME_BUDGET and result.state.step_count == 3
+        assert result.outcome == OUTCOME_BUDGET and result.step_count == 3
 
     def test_invalid_selection_falls_back(self):
         script = [
@@ -119,19 +126,19 @@ class TestEpisodeLoop:
             ScriptEntry(ROLE_SELECT, "1"),
         ]
         result = run(script, config=AgentConfig(max_steps=2))
-        first = next(e for e in result.state.events if e["kind"] == "chosen")
+        first = next(e for e in result.events if e["kind"] == "chosen")
         # fallback prefers the rule candidate (R8 match_sop) over agent filler
         assert first["fallback"] and first["tool"] == "match_sop"
         assert any(e.get("kind") == "note" and "fallback" in e.get("text", "")
-                   for e in result.state.events)
+                   for e in result.events)
 
     def test_a_selection_of_too_many_digits_falls_back(self):
         case = golden.golden_cases("default")[0]
         script = [ScriptEntry(ROLE_SELECT, "1" * 5000, consume_once=True), *case.script]
         result = run(script, scenario=case.scenario,
                      kb=golden.make_golden_kb(scripted_backend()))
-        assert not (result.state.abort_reason or "").startswith("internal error:")
-        assert next(e for e in result.state.events if e["kind"] == "chosen")["fallback"]
+        assert not (result.abort_reason or "").startswith("internal error:")
+        assert next(e for e in result.events if e["kind"] == "chosen")["fallback"]
 
     def test_unregistered_tool_candidate_dropped(self):
         script = [
@@ -143,8 +150,8 @@ class TestEpisodeLoop:
             ScriptEntry(ROLE_SELECT, "1"),
         ]
         result = run(script, config=AgentConfig(max_steps=1))
-        action_set = result.state.history[0].action_set
-        agent_tools = [c.tool for c in action_set.candidates if c.provenance == "action_agent"]
+        agent_tools = [c.tool for c in action_sets(result)[0]
+                       if c.provenance == "action_agent"]
         assert agent_tools == ["get_all_namespace", "pod_analyze"]
 
     def test_garbage_action_reply_still_steps_on_rules(self):
@@ -154,7 +161,7 @@ class TestEpisodeLoop:
             ScriptEntry(ROLE_SELECT, "1"),
         ]
         result = run(script, config=AgentConfig(max_steps=1))
-        record = result.state.history[0]
+        record = result.history[0]
         assert record.chosen.tool == "match_sop" and record.chosen.rule == "R8"
 
     def test_ob_agent_truncates_to_three(self):
@@ -168,9 +175,9 @@ class TestEpisodeLoop:
             ScriptEntry(ROLE_JUDGE, "NOT FOUND: keep digging"),
         ]
         result = run(script, config=AgentConfig(max_steps=1))
-        assert len(result.state.ob_hypotheses) == 3
-        assert result.state.judge_verdict is not None
-        assert not result.state.judge_verdict.found
+        assert len(result.ob_hypotheses) == 3
+        assert result.judge_verdict is not None
+        assert not result.judge_verdict.found
 
     def test_judge_found_enables_speak_next_step(self):
         script = [
@@ -186,9 +193,9 @@ class TestEpisodeLoop:
         ]
         result = run(script, config=AgentConfig(max_steps=3))
         assert result.outcome == OUTCOME_COMPLETED
-        assert result.state.step_count == 2
+        assert result.step_count == 2
         assert result.diagnosis.locations == ("frontend-0",)
-        speak_record = result.state.history[1]
+        speak_record = result.history[1]
         assert speak_record.chosen.tool == "speak" and speak_record.chosen.rule == "R7"
 
     def test_judge_found_but_main_agent_keeps_collecting(self):
@@ -209,11 +216,10 @@ class TestEpisodeLoop:
         ]
         result = run(script, config=AgentConfig(max_steps=5))
         assert result.outcome == OUTCOME_COMPLETED
-        assert [r.chosen.tool for r in result.state.history] \
+        assert [r.chosen.tool for r in result.history] \
             == ["match_observation", "collect_trace", "speak"]
         # speak was mandated in both later steps
-        second_set = result.state.history[1].action_set
-        assert any(c.tool == "speak" for c in second_set.candidates)
+        assert any(c.tool == "speak" for c in action_sets(result)[1])
 
     def test_transcripts_byte_identical_across_runs(self):
         script = [
@@ -224,7 +230,7 @@ class TestEpisodeLoop:
         texts = []
         for _ in range(2):
             result = run(list(script), config=AgentConfig(max_steps=4))
-            texts.append("\n".join(transcript_lines(result.state)))
+            texts.append("\n".join(transcript_lines(result)))
         assert texts[0] == texts[1]
 
     def test_backend_retry_once_then_succeed(self):
@@ -251,7 +257,7 @@ class TestEpisodeLoop:
 
         result = run(None, config=AgentConfig(max_steps=1), backend=FlakyOnce())
         assert result.outcome == OUTCOME_BUDGET  # survived the blip, ran its step
-        assert any(e.get("kind") == "llm_retry" for e in result.state.events)
+        assert any(e.get("kind") == "llm_retry" for e in result.events)
 
     def test_empty_action_set_consumes_step_without_crashing(self):
         # step 2 has no rule candidate (previous action mandates nothing) and
@@ -265,9 +271,9 @@ class TestEpisodeLoop:
         result = run(script, config=AgentConfig(
             max_steps=3, ablations=Ablations(sop_knowledge=False)))
         assert result.outcome == OUTCOME_BUDGET
-        assert result.state.step_count == 3
-        assert [r.chosen.tool for r in result.state.history] == ["collect_trace"]
-        assert any("empty action set" in e.get("text", "") for e in result.state.events)
+        assert result.step_count == 3
+        assert [r.chosen.tool for r in result.history] == ["collect_trace"]
+        assert any("empty action set" in e.get("text", "") for e in result.events)
 
     def test_judge_after_run_sop_opt_in(self):
         # default is paper-strict (match_observation only); the flag extends
@@ -293,11 +299,11 @@ class TestEpisodeLoop:
             return run_episode(no_fault_scenario(), config, backend, kb)
 
         strict = run_mode(False)
-        assert strict.state.judge_verdict is None  # run_sop alone never triggers
+        assert strict.judge_verdict is None  # run_sop alone never triggers
         extended = run_mode(True)
-        verdicts = [e for e in extended.state.events if e.get("kind") == "verdict"]
+        verdicts = [e for e in extended.events if e.get("kind") == "verdict"]
         assert verdicts and verdicts[0]["trigger"] == "run_sop"
-        assert extended.state.judge_verdict.found
+        assert extended.judge_verdict.found
 
     def test_speak_requires_judge_approval(self):
         # agent-proposed speak is dropped while the judge has not confirmed
@@ -310,8 +316,47 @@ class TestEpisodeLoop:
         ]
         result = run(script, config=AgentConfig(max_steps=1))
         assert result.outcome == OUTCOME_BUDGET
-        tools_executed = [r.chosen.tool for r in result.state.history]
+        tools_executed = [r.chosen.tool for r in result.history]
         assert "speak" not in tools_executed
+
+    def test_failed_match_observation_runs_neither_observer_nor_judge(self):
+        # no argument and no earlier run_sop: the tool fails, and its error
+        # text is no observation to classify or rule on
+        script = [
+            ScriptEntry(ROLE_THOUGHT, "hmm"),
+            ScriptEntry(ROLE_ACTION, "ACTION: match_observation() | recall"),
+            ScriptEntry(ROLE_SELECT, "1"),
+            ScriptEntry(ROLE_OBSERVER, "type: CpuStress - from an error message"),
+            ScriptEntry(ROLE_JUDGE, "FOUND: pod=frontend-0 type=CpuStress; error text"),
+        ]
+        result = run(script, config=AgentConfig(max_steps=1))
+        record = result.history[0]
+        assert record.chosen.tool == "match_observation" and not record.result.success
+        assert "no observation available" in record.result.observation
+        roles = [role_of(e["prompt"]) for e in result.events if e["kind"] == "llm"]
+        assert roles == ["thought", "action", "select"]
+        assert not any(e["kind"] in ("hypotheses", "verdict") for e in result.events)
+        assert result.ob_hypotheses == () and result.judge_verdict is None
+
+
+@pytest.mark.parametrize("reply, notes", [
+    ('ACTION: speak(causes="frontend-0|CpuStress|guess") | report',
+     ["dropped direct speak: judge has not confirmed", "direct action unusable; step consumed"]),
+    ("no idea what to run", ["direct action unusable; step consumed"]),
+], ids=["unconfirmed-speak", "unusable"])
+def test_direct_step_without_a_usable_action_is_consumed(reply, notes):
+    script = [
+        ScriptEntry(ROLE_THOUGHT, "hmm"),
+        ScriptEntry(ROLE_DIRECT, reply, consume_once=True),
+        ScriptEntry(ROLE_DIRECT, "ACTION: pod_analyze() | look"),
+    ]
+    result = run(script, config=AgentConfig(max_steps=2,
+                                            ablations=Ablations(action_set=False)))
+    assert result.outcome == OUTCOME_BUDGET and result.step_count == 2
+    assert [e["text"] for e in result.events
+            if e["kind"] == "note" and e["step"] == 0] == notes
+    assert [e["step"] for e in result.events if e["kind"] == "chosen"] == [1]
+    assert [(r.index, r.chosen.tool) for r in result.history] == [(1, "pod_analyze")]
 
 
 @pytest.mark.parametrize("line, tool", [
@@ -329,7 +374,7 @@ def test_non_finite_argument_is_a_failed_observation(line, tool):
     ]
     result = run(script, config=AgentConfig(max_steps=1))
     assert result.outcome == OUTCOME_BUDGET
-    record = result.state.history[0]
+    record = result.history[0]
     assert record.chosen.tool == tool and not record.result.success
     assert "must be a finite number" in record.result.observation
 
@@ -358,7 +403,7 @@ class TestRetryAfter:
         result = run(None, config=AgentConfig(max_steps=1), backend=backend,
                      kb=KnowledgeBase(backend))
         assert result.outcome == OUTCOME_BUDGET
-        assert sum(e["kind"] == "llm_retry" for e in result.state.events) == 1
+        assert sum(e["kind"] == "llm_retry" for e in result.events) == 1
         return sleeps
 
     def test_waits_the_hinted_seconds(self, monkeypatch):

@@ -29,11 +29,12 @@ def cfg():
 class TestStaticRule:
     def test_breach_flags_above(self, cfg):
         verdict = evaluate_series([0.3, 0.95, 0.4], [0.3] * 10, "cpu_usage", cfg)
-        assert verdict.anomalous and verdict.direction == "above" and verdict.rule == "static"
+        assert verdict.anomalous and verdict.direction == "above"
+        assert "above static threshold" in verdict.detail
 
     def test_within_threshold_is_normal(self, cfg):
         verdict = evaluate_series([0.3, 0.5], [0.3] * 10, "cpu_usage", cfg)
-        assert not verdict.anomalous and verdict.rule == "static"
+        assert not verdict.anomalous and "within static threshold" in verdict.detail
 
     def test_static_metric_ignores_baseline_shift(self, cfg):
         # a configured static threshold is the whole rule for that metric
@@ -45,7 +46,8 @@ class TestKSigmaRule:
     def test_flags_large_deviation(self, cfg):
         baseline = [50.0, 51.0, 49.5, 50.5, 50.2, 49.8]
         verdict = evaluate_series([350.0, 48.0], baseline, "request_latency_ms", cfg)
-        assert verdict.anomalous and verdict.direction == "above" and verdict.rule == "k_sigma"
+        assert verdict.anomalous and verdict.direction == "above"
+        assert verdict.detail.endswith("rule k_sigma)")
 
     def test_flags_drops_too(self, cfg):
         baseline = [240000.0, 239000.0, 241000.0, 240500.0]
@@ -60,7 +62,8 @@ class TestKSigmaRule:
     def test_falls_back_to_robust_without_baseline(self, cfg):
         window = [50.0] * 24 + [350.0] * 16  # fault covers 40% of the window
         verdict = evaluate_series(window, [], "request_latency_ms", cfg)
-        assert verdict.anomalous and verdict.rule == "robust" and verdict.direction == "above"
+        assert verdict.anomalous and verdict.direction == "above"
+        assert verdict.detail.endswith("rule robust)")
 
     def test_robust_quiet_series_is_normal(self, cfg):
         window = [50.0 + 0.1 * (i % 5) for i in range(40)]
@@ -69,7 +72,7 @@ class TestKSigmaRule:
 
     def test_empty_window(self, cfg):
         verdict = evaluate_series([], [], "request_latency_ms", cfg)
-        assert not verdict.anomalous and verdict.rule == "empty"
+        assert not verdict.anomalous and verdict.detail == "no samples in window"
 
 
 _values = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)

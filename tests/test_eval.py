@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -197,7 +198,7 @@ class TestReports:
         assert "LA=n/a" in report_table(report)
 
     def test_run_benchmark_empty_corpus(self, tmp_path):
-        corpus = Corpus(kb_path=None, entries=[])
+        corpus = Corpus(episodes=[], kb=None)
         report = run_benchmark(corpus, EvalConfig(), BackendConfig())
         assert report.rows == [] and report.la is None
 
@@ -263,7 +264,7 @@ class TestBenchmarkCalls:
             counting(name)
         report = run_benchmark(corpus, EvalConfig(), BackendConfig(),
                                transcript_dir=tmp_path / "transcripts")
-        assert len(corpus.entries) == 9 and report.la == 1.0
+        assert len(corpus.episodes) == 9 and report.la == 1.0
         assert calls == {"load_scenario": 9, "run_episode": 9, "write_transcript": 9}
         assert len(list((tmp_path / "transcripts").iterdir())) == 9
 
@@ -291,7 +292,7 @@ class TestStreaming:
         def tracking(*args, **kwargs):
             result = original(*args, **kwargs)
             with lock:
-                states.append(weakref.ref(result.state))
+                states.append(weakref.ref(result))
                 peaks.append(live())
             return result
 
@@ -375,13 +376,13 @@ class TestCorpusManifest:
         from sopflow.golden import write_corpus
         manifest = write_corpus(tmp_path, "default")
         corpus = load_corpus(manifest)
-        fifth = corpus.entries[4]
+        fifth = corpus.episodes[4]
         if damage == "missing":
-            fifth.scenario_path = fifth.scenario_path.with_name("no-such-scenario.yaml")
+            fifth.scenario = str(Path(fifth.scenario).with_name("no-such-scenario.yaml"))
         elif damage == "malformed":
-            fifth.scenario_path.write_text("id: [unclosed\n")
+            Path(fifth.scenario).write_text("id: [unclosed\n")
         else:
-            fifth.script_path.write_text("5\n")
+            Path(fifth.script).write_text("5\n")
         episodes = []
         monkeypatch.setattr(evaluation, "run_episode",
                             lambda *args, **kwargs: episodes.append(args))

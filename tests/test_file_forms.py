@@ -180,9 +180,9 @@ def test_manifest_files_read_the_same_every_way_and_load_back(tmp_path, kb, epis
     schema.write_json_form(path, data)
     _reads_as(path, data)
     corpus = load_corpus(path)
-    assert corpus.kb_path == (tmp_path / kb if kb else None)
-    assert [(e.scenario_path, e.script_path) for e in corpus.entries] == [
-        (tmp_path / scenario, None if script is None else tmp_path / script)
+    assert corpus.kb == (str(tmp_path / kb) if kb else None)
+    assert [(e.scenario, e.script) for e in corpus.episodes] == [
+        (str(tmp_path / scenario), None if script is None else str(tmp_path / script))
         for scenario, script in episodes]
 
 

@@ -20,8 +20,7 @@ ALERT = "INCIDENT ALERT\nsummary: something broke"
 
 def record(tool, result, args=None) -> StepRecord:
     chosen = ActionCandidate(tool=tool, args=args or {})
-    return StepRecord(index=0, action_set=ActionSet([chosen], 5), chosen=chosen,
-                      result=result)
+    return StepRecord(index=0, chosen=chosen, result=result)
 
 
 def agent(tool, **args):
@@ -40,15 +39,15 @@ class TestRules:
 
     def test_r1_match_sop_hit_adds_codify(self):
         prev = record("match_sop", ToolResult(
-            tool="match_sop", observation="1 match",
-            payload=[RetrievalHit("sop-best", 0.9, "sop"), RetrievalHit("sop-second", 0.5, "sop")],
+            observation="1 match",
+            payload=[RetrievalHit("sop-best", 0.9), RetrievalHit("sop-second", 0.5)],
         ), args={"query": "q"})
         out = rules(prev=prev)
         assert [(c.tool, c.rule) for c in out] == [("generate_sop_code", "R1")]
         assert out[0].args == {"sop_id": "sop-best"}
 
     def test_r2_match_sop_miss_adds_generate(self):
-        prev = record("match_sop", ToolResult(tool="match_sop", observation="none",
+        prev = record("match_sop", ToolResult(observation="none",
                                               payload=[]), args={"query": "weird fault"})
         out = rules(prev=prev)
         assert [(c.tool, c.rule) for c in out] == [("generate_sop", "R2")]
@@ -57,21 +56,20 @@ class TestRules:
     def test_r3_generated_sop_adds_codify(self):
         # the flow's stated transition: generation is followed by codification
         doc = SopDoc(id="gen-new", name="drafted", steps=["s"])
-        prev = record("generate_sop", ToolResult(tool="generate_sop", observation="ok",
+        prev = record("generate_sop", ToolResult(observation="ok",
                                                  payload=doc))
         out = rules(prev=prev)
         assert [(c.tool, c.rule) for c in out] == [("generate_sop_code", "R3")]
         assert out[0].args == {"sop_id": "gen-new"}
 
     def test_r4_valid_program_adds_run(self):
-        prev = record("generate_sop_code", ToolResult(tool="generate_sop_code",
-                                                      observation="ok"))
+        prev = record("generate_sop_code", ToolResult(observation="ok"))
         out = rules(prev=prev)
         assert [(c.tool, c.rule) for c in out] == [("run_sop", "R4")]
 
     def test_r5_invalid_program_adds_regeneration(self):
         prev = record("generate_sop_code",
-                      ToolResult(tool="generate_sop_code", observation="bad",
+                      ToolResult(observation="bad",
                                  success=False, error="unknown tool"),
                       args={"sop_id": "sop-x"})
         out = rules(prev=prev)
@@ -80,14 +78,14 @@ class TestRules:
 
     def test_r5_runtime_failure_adds_regeneration(self):
         run = ProgramRunResult(success=False, failing_index=2, error="boom")
-        prev = record("run_sop", ToolResult(tool="run_sop", observation="failed",
+        prev = record("run_sop", ToolResult(observation="failed",
                                             success=False, error="boom", payload=run))
         out = rules(prev=prev)
         assert [(c.tool, c.rule) for c in out] == [("generate_sop_code", "R5")]
 
     def test_r6_run_success_adds_match_observation(self):
         run = ProgramRunResult(findings=["cpu pegged"], trace=["0: ok"])
-        prev = record("run_sop", ToolResult(tool="run_sop", observation="ok", payload=run))
+        prev = record("run_sop", ToolResult(observation="ok", payload=run))
         out = rules(prev=prev)
         assert [(c.tool, c.rule) for c in out] == [("match_observation", "R6")]
         assert out[0].args == {"observation": "- cpu pegged"}
@@ -102,8 +100,7 @@ class TestRules:
 
     def test_rules_disabled_without_sop_flow(self):
         ablations = Ablations(sop_flow=False)
-        prev = record("generate_sop_code", ToolResult(tool="generate_sop_code",
-                                                      observation="ok"))
+        prev = record("generate_sop_code", ToolResult(observation="ok"))
         verdict = JudgeVerdict(found=True, summary="s",
                                causes=(RootCause("p", "t", ""),))
         assert rules(prev=prev, verdict=verdict, ablations=ablations) == []
@@ -122,7 +119,7 @@ class TestApplyFlowRules:
 
     def test_paper_example_generate_sop_then_codify_only(self):
         doc = SopDoc(id="gen-x", name="n", steps=["s"])
-        prev = record("generate_sop", ToolResult(tool="generate_sop", observation="ok",
+        prev = record("generate_sop", ToolResult(observation="ok",
                                                  payload=doc))
         action_set = self._apply([], prev=prev)
         assert [(c.tool, c.rule) for c in action_set.candidates] \
@@ -151,8 +148,7 @@ class TestApplyFlowRules:
         assert [c.tool for c in action_set.candidates] == ["speak"]
 
     def test_duplicate_agent_candidate_upgraded(self):
-        prev = record("generate_sop_code", ToolResult(tool="generate_sop_code",
-                                                      observation="ok"))
+        prev = record("generate_sop_code", ToolResult(observation="ok"))
         action_set = self._apply([agent("run_sop")], prev=prev)
         assert len(action_set.candidates) == 1
         cand = action_set.candidates[0]

@@ -19,13 +19,12 @@ from sopflow.kb import (
     EmbeddingVector,
     HistoricalIncident,
     KnowledgeBase,
-    RetrievalHit,
     SopDoc,
     cosine_similarity,
 )
 from sopflow.llm import RemoteBackend
 
-from conftest import scripted_backend
+from conftest import action_sets, scripted_backend
 
 
 def vec(*values):
@@ -104,12 +103,6 @@ class TestStore:
         with pytest.raises(ValidationError):
             kb.add_incident(HistoricalIncident(id="inc-a", manifestation="  ",
                                                fault_type="CpuStress"))
-
-    def test_retrieval_hit_bounds(self):
-        with pytest.raises(ValidationError):
-            RetrievalHit(item_id="x", score=1.1, kind="sop")
-        with pytest.raises(ValidationError):
-            RetrievalHit(item_id="x", score=0.5, kind="banana")
 
 
 class TestRetrieval:
@@ -284,12 +277,12 @@ class TestPersistence:
             result = run_episode(case.scenario, AgentConfig(max_steps=4),
                                  RemoteBackend(fake_endpoint.config()), kb)
             cache = root / "embedding_cache.json"
-            runs.append((transcript_lines(result.state), writes.count(cache),
+            runs.append((transcript_lines(result), writes.count(cache),
                          cache.read_bytes()))
         assert runs[0] == runs[1]
         assert runs[1][1] == (2 if selected == "2" else 1)  # match_sop, match_observation
         findings = next(str(c.args["observation"])
-                        for c in result.state.history[3].action_set.candidates
+                        for c in action_sets(result)[3]
                         if c.rule == "R6")
         sent = [r for r in fake_endpoint.requests if r.role == "embed" and r.prompt == findings]
         assert len(sent) == 1 and sent[0].thread.startswith("sopflow-propose")

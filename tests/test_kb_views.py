@@ -47,7 +47,7 @@ def test_run_embeds_each_distinct_text_once(tmp_path, monkeypatch):
     assert len(embedded) == GOLDEN_DISTINCT_TEXTS
     # every episode viewed the same master, and no episode changed its documents
     assert len(masters) == 9 and all(kb is masters[0] for kb in masters)
-    on_disk = KnowledgeBase(scripted_backend(), root=corpus.kb_path)
+    on_disk = KnowledgeBase(scripted_backend(), root=corpus.kb)
     assert _documents(masters[0]) == _documents(on_disk)
 
 

@@ -16,7 +16,7 @@ import threading
 import pytest
 import yaml
 
-from conftest import llm_calls_by_role
+from conftest import action_sets, llm_calls_by_role
 from sopflow import golden
 from sopflow.agents import Ablations, AgentConfig, run_episode, transcript_lines
 from sopflow.evaluation import EvalConfig, load_corpus, run_benchmark, save_report
@@ -115,11 +115,10 @@ def test_each_step_overlaps_exactly_its_planned_pairs(fake_endpoint):
         or (r.role == "select" and r.number in (coding, matching))
         or (r.role == "embed" and r.prompt not in alone))
     fake_endpoint.serve({case.scenario.id: case.script})
-    result = run_episode(case.scenario, AgentConfig(), RemoteBackend(fake_endpoint.config()),
-                         kb)
-    assert result.outcome == "completed" and result.state.step_count == STEPS
+    state = run_episode(case.scenario, AgentConfig(), RemoteBackend(fake_endpoint.config()),
+                        kb)
+    assert state.outcome == "completed" and state.step_count == STEPS
 
-    state = result.state
     assert state.history[1].chosen.rule == "R1"
     assert state.history[3].chosen.rule == "R6"
     findings = state.history[3].chosen.args["observation"]
@@ -146,7 +145,7 @@ def _failing_run(fake_endpoint, monkeypatch, replies, concurrent: bool):
     kb = golden.make_golden_kb(make_backend(BackendConfig()))
     result = run_episode(case.scenario, AgentConfig(), RemoteBackend(fake_endpoint.config()),
                          kb)
-    return result, transcript_lines(result.state)
+    return result, transcript_lines(result)
 
 
 def _down(role: str):
@@ -175,12 +174,12 @@ def test_failures_resolve_as_in_sequential_order(fake_endpoint, monkeypatch, rep
     assert concurrent_lines == sequential_lines
     if reason is None:
         assert concurrent.outcome == "completed"
-        assert sum(e["kind"] == "llm_retry" for e in concurrent.state.events) == 1
+        assert sum(e["kind"] == "llm_retry" for e in concurrent.events) == 1
         return
     assert concurrent.outcome == "aborted"
-    assert concurrent.state.abort_reason.startswith("backend failed twice:")
-    assert reason in concurrent.state.abort_reason
-    step_events = [e for e in concurrent.state.events if e["step"] == 1]
+    assert concurrent.abort_reason.startswith("backend failed twice:")
+    assert reason in concurrent.abort_reason
+    step_events = [e for e in concurrent.events if e["step"] == 1]
     assert [e["kind"] for e in step_events] == last_kinds
     if last_kinds[0] == "llm":  # the thought's reply, before the proposal's retry
         assert "ROLE: orchestrator-thought" in step_events[0]["prompt"]
@@ -221,7 +220,7 @@ def test_paired_embedding_failures_resolve_as_in_sequential_order(
     assert threads[SECOND_HALF].startswith("sopflow-propose")
 
     assert concurrent_lines == sequential_lines
-    events = concurrent.state.events
+    events = concurrent.events
     assert [e["error"] for e in events if e["kind"] == "llm_retry"] == [
         f"backend returned status 503: {json.dumps({'error': f'{text} down'})}"
         for text in retried]
@@ -229,8 +228,8 @@ def test_paired_embedding_failures_resolve_as_in_sequential_order(
         assert concurrent.outcome == "completed"
         return
     assert concurrent.outcome == "aborted"
-    assert concurrent.state.abort_reason.startswith("backend failed twice:")
-    assert f"{reason} down" in concurrent.state.abort_reason
+    assert concurrent.abort_reason.startswith("backend failed twice:")
+    assert f"{reason} down" in concurrent.abort_reason
     assert events[-2]["kind"] == "llm_retry" and f"{reason} down" in events[-2]["error"]
 
 
@@ -242,22 +241,21 @@ def test_failing_prefetch_leaves_the_transcript_unchanged(fake_endpoint, monkeyp
                                                           bad_reply):
     sequential, sequential_lines = _failing_run(fake_endpoint, monkeypatch, {},
                                                 concurrent=False)
-    state = sequential.state
-    findings = state.history[3].chosen.args["observation"]
+    findings = sequential.history[3].chosen.args["observation"]
     # the first request for the findings is the prefetch sent during the selection
     replies = {("embed", findings, 0): bad_reply}
     concurrent, concurrent_lines = _failing_run(fake_endpoint, monkeypatch, replies,
                                                 concurrent=True)
     assert concurrent_lines == sequential_lines
     assert concurrent.outcome == "completed"
-    assert not any(e["kind"] == "llm_retry" for e in concurrent.state.events)
+    assert not any(e["kind"] == "llm_retry" for e in concurrent.events)
     sent = [r for r in fake_endpoint.requests if r.role == "embed" and r.prompt == findings]
     assert sent[0].thread.startswith("sopflow-propose")  # the prefetch
     # the match embedded the findings again, as if nothing had been sent
     assert [r.repeat for r in sent] == [0, 1]
     # the alert, R8's query, is never embedded: it is not prefetched, and the
     # script's match_sop queries an SOP name
-    assert not any(r.prompt == state.alert for r in fake_endpoint.requests)
+    assert not any(r.prompt == sequential.alert for r in fake_endpoint.requests)
 
 
 @pytest.mark.parametrize("bad_reply", [
@@ -273,7 +271,7 @@ def test_failing_coder_prefetch_leaves_the_transcript_unchanged(fake_endpoint, m
                                                 {("coder", 0): bad_reply}, concurrent=True)
     assert concurrent_lines == sequential_lines
     assert concurrent.outcome == "completed"
-    assert not any(e["kind"] == "llm_retry" for e in concurrent.state.events)
+    assert not any(e["kind"] == "llm_retry" for e in concurrent.events)
     sent = [r for r in fake_endpoint.requests if r.role == "coder"]
     assert sent[0].thread.startswith("sopflow-propose")  # the prefetch
     # the tool asked for the same prompt again, as if nothing had been sent
@@ -308,15 +306,15 @@ def test_a_held_coder_reply_serves_a_later_step(fake_endpoint):
     fake_endpoint.serve({case.scenario.id: script})
     remote = run_episode(case.scenario, AgentConfig(), RemoteBackend(fake_endpoint.config()),
                          golden.make_golden_kb(make_backend(BackendConfig())))
-    history = scripted.state.history
+    history = scripted.history
     assert [record.chosen.tool for record in history] == [
         "match_sop", "collect_trace", "generate_sop_code", "run_sop", "match_observation",
         "speak"]
-    assert [c.rule for c in history[1].action_set.candidates] == [None, "R1"]
+    assert [c.rule for c in action_sets(scripted)[1]] == [None, "R1"]
     assert history[2].chosen.rule is None  # the agent's own proposal
     assert scripted.outcome == "completed"
 
-    assert transcript_lines(remote.state) == transcript_lines(scripted.state)
+    assert transcript_lines(remote) == transcript_lines(scripted)
     # the completion prefetched during step 2's selection served step 3
     sent = [r for r in fake_endpoint.requests if r.role == "coder"]
     assert len(sent) == 1 and sent[0].thread.startswith("sopflow-propose")
@@ -407,15 +405,15 @@ def test_an_unresolved_procedure_is_not_prefetched(fake_endpoint, monkeypatch):
     fake_endpoint.serve({case.scenario.id: case.script})
     remote = run_episode(case.scenario, config, RemoteBackend(fake_endpoint.config()),
                          golden.make_golden_kb(make_backend(BackendConfig())))
-    history = scripted.state.history
+    history = scripted.history
     assert [(record.chosen.tool, record.chosen.rule) for record in history] == [
         ("match_sop", None), ("generate_sop_code", "R1"), ("run_sop", None)]
     assert history[1].chosen.args == {"sop_id": gone}
     assert history[1].result.observation == f"tool error: no SOP with id {gone!r}"
-    assert [c.rule for c in history[2].action_set.candidates] == [None, "R5"]
+    assert [c.rule for c in action_sets(scripted)[2]] == [None, "R5"]
     assert scripted.outcome == remote.outcome == "budget_exhausted"
 
-    assert transcript_lines(remote.state) == transcript_lines(scripted.state)
+    assert transcript_lines(remote) == transcript_lines(scripted)
     # the failing tool never reached the coder, and no selection was in
     # flight with another request
     assert fake_endpoint.completions_by_role() == {"thought": 3, "action": 3, "select": 3}

@@ -1,6 +1,6 @@
 import pytest
 
-from sopflow.agents import Ablations, ActionCandidate, ActionSet, StepRecord, mandated_candidates
+from sopflow.agents import Ablations, ActionCandidate, StepRecord, mandated_candidates
 from sopflow.errors import GenerationParseError, ProgramValidationError, ValidationError
 from sopflow.kb import KnowledgeBase, SopDoc
 from sopflow.llm import ScriptEntry
@@ -389,8 +389,7 @@ class TestSopFlowTools:
         assert ctx.sop.last_findings == "- earlier findings"
 
         chosen = ActionCandidate(tool="run_sop", args={})
-        prev = StepRecord(index=2, action_set=ActionSet([chosen], 5), chosen=chosen,
-                          result=result)
+        prev = StepRecord(index=2, chosen=chosen, result=result)
         out = mandated_candidates(3, prev, None, "INCIDENT ALERT", Ablations())
         assert [(c.tool, c.rule, c.args) for c in out] == [("generate_sop_code", "R5", {})]
 
