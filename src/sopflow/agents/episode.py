@@ -6,24 +6,26 @@ action set, and runs the post-observation hooks (ObAgent then JudgeAgent after
 a successful match_observation). On a backend that declares
 ``concurrent_calls`` (the remote one) the episode overlaps calls that do not
 depend on each other, using one worker thread, so at most two requests are in
-flight:
-- the thought and the proposal are sent together, so a step waits for 2
-  serial round trips, not 3;
-- a request whose input is fixed once the action set is built is sent while
-  the selection is in flight (a prefetch: no retry, no event): the findings
-  an R6 candidate matches, or the coder's completion for the procedure an
-  R1, R3 or R5 candidate codifies. The episode's backend holds the result
-  until a call with the identical request uses it;
-- a knowledge-base match embeds the texts it misses two at a time.
-The first and last pairs go through one primitive, ``_RecordingBackend.both``,
-and every prefetch through ``_RecordingBackend.prefetch``. Scripted
-runs stay strictly sequential, because their replies depend on call order.
-Either way the transcript holds the events in the sequential order, and a
-failure resolves as it would in that order. A failed completion or
-knowledge-base embedding is retried once (after the backend's Retry-After,
-capped); failing again aborts the episode, and so does any unexpected
-exception raised from a step. Executing speak terminates it with a diagnosis;
-running out of the step budget terminates it without one.
+flight. There is one way to send a request early,
+``_RecordingBackend.send_ahead``: the worker sends it, and the backend holds
+it until a call with the identical request takes its reply, or its failure,
+as that call's first attempt. It is used three ways:
+- a step sends its proposal ahead and then thinks, so it waits for 2 serial
+  round trips, not 3;
+- a request whose input is fixed once the action set is built is sent ahead
+  while the selection is in flight (a prefetch): the findings an R6
+  candidate matches, or the coder's completion for the procedure an R1, R3
+  or R5 candidate codifies;
+- a knowledge-base match embeds the texts it misses two at a time, the
+  second of each pair sent ahead.
+Scripted runs stay strictly sequential, because their replies depend on
+call order. Either way the transcript holds the events in the sequential
+order, and a failure resolves as it would in that order: every call, sent
+ahead or not, has one retry policy. A failed completion or knowledge-base
+embedding is retried once (after the backend's Retry-After, capped); failing
+again aborts the episode, and so does any unexpected exception raised from a
+step. Executing speak terminates it with a diagnosis; running out of the
+step budget terminates it without one.
 """
 
 from __future__ import annotations
@@ -73,31 +75,23 @@ MAX_RETRY_WAIT_S = 10.0  # cap on a backend's Retry-After before the one retry
 
 class _RecordingBackend:
     """Wraps a backend for one episode: completions and embeddings both get
-    the retry-once-then-abort policy, and completions go to the transcript
-    (``events``: the episode's, or a buffer ``both`` splices in).
+    the retry-once-then-abort policy (``_call``), and completions go to the
+    transcript.
 
     On a backend that declares ``concurrent_calls`` it owns the episode's one
-    worker thread (started on first use, for ``both`` and ``prefetch``), so
-    the episode has at most two requests in flight: one on the thread that
-    runs the step and one on the worker.
+    worker thread (started by the first ``send_ahead``), so the episode has at
+    most two requests in flight: one on the thread that runs the step and one
+    on the worker. The worker only sends; it logs nothing and retries nothing.
     """
 
-    def __init__(self, inner, state: EpisodeState, events: list[dict] | None = None):
+    def __init__(self, inner, state: EpisodeState):
         self._inner = inner
         self._state = state
-        self._events = state.events if events is None else events
         self.backend_id = inner.backend_id
-        # a buffered backend runs on the worker, so it sends one call at a time
-        self.concurrent_calls = events is None and getattr(inner, "concurrent_calls", False)
+        self.concurrent_calls = getattr(inner, "concurrent_calls", False)
         self._executor: ThreadPoolExecutor | None = None
-        # ("embed", text) -> vector, ("complete", prompt) -> reply, until used
-        self._prefetched: dict[tuple[str, str], object] = {}
-
-    def _worker(self) -> ThreadPoolExecutor:
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(max_workers=1,
-                                                thread_name_prefix="sopflow-propose")
-        return self._executor
+        # ("embed", text) or ("complete", prompt) -> the request sent ahead
+        self._ahead: dict[tuple[str, str], Future] = {}
 
     def close(self) -> None:
         """Stop the worker thread, if one was started; waits for a call in flight."""
@@ -105,87 +99,67 @@ class _RecordingBackend:
             self._executor.shutdown(wait=True)
             self._executor = None
 
-    def both(self, first, second) -> tuple:
-        """``(first(self), second(backend))``, with the events and any abort of
-        calling one after the other. With ``concurrent_calls``, ``second`` runs
-        on the worker while ``first`` runs here, through a backend that logs
-        into a buffer; the buffer is spliced in after ``first``'s events, or
-        dropped if ``first`` raises. Otherwise ``second`` runs after ``first``."""
+    def send_ahead(self, kind: str, request) -> Future | None:
+        """With ``concurrent_calls``, send ``request`` on the worker: a text to
+        embed (``kind`` "embed") or the messages of a completion ("complete").
+        Its reply, or its failure, is the first attempt of the next call with
+        the identical request, so the transcript is the sequential one. None
+        when the calls are sequential or the request is already held."""
         if not self.concurrent_calls:
-            return first(self), second(self)
-        events: list[dict] = []
-        later = self._worker().submit(second,
-                                      _RecordingBackend(self._inner, self._state, events))
-        try:
-            result = first(self)
-        finally:
-            wait([later])
-        self._events.extend(events)
-        return result, later.result()
+            return None
+        key = (kind, request if kind == "embed" else render_prompt(request))
+        if key in self._ahead:
+            return None
+        if self._executor is None:
+            self._executor = ThreadPoolExecutor(max_workers=1,
+                                                thread_name_prefix="sopflow-propose")
+        self._ahead[key] = self._executor.submit(getattr(self._inner, kind), request)
+        return self._ahead[key]
 
     def _log(self, kind: str, **fields) -> None:
-        self._events.append(self._state.event(kind, **fields))
+        self._state.events.append(self._state.event(kind, **fields))
 
-    def _retry_once(self, call, arg):
+    def _call(self, kind: str, request, key: str):
+        """The inner backend's reply to ``request``: attempt 1 is the request
+        sent ahead, if one is held, and is sent here otherwise; a failure is
+        retried once (after the backend's Retry-After, capped), and a second
+        failure aborts the episode."""
+        send = getattr(self._inner, kind)
+        held = self._ahead.pop((kind, key), None)
         try:
-            return call(arg)
+            return send(request) if held is None else held.result()
         except (BackendError, ScriptExhaustedError) as first:
             self._log("llm_retry", error=str(first))
             wait_s = getattr(first, "retry_after_s", None)
             if wait_s:
                 time.sleep(min(wait_s, MAX_RETRY_WAIT_S))
             try:
-                return call(arg)
+                return send(request)
             except (BackendError, ScriptExhaustedError) as second:
                 raise EpisodeAborted(f"backend failed twice: {second}") from second
 
     def complete(self, messages: list[ChatMessage]) -> str:
-        """A completion, logged to the transcript; a prefetched reply to the
-        same prompt is used, not sent again."""
+        """A completion, logged to the transcript."""
         prompt = render_prompt(messages)
-        reply = self._prefetched.pop(("complete", prompt), None)
-        if reply is None:
-            reply = self._retry_once(self._inner.complete, messages)
+        reply = self._call("complete", messages, prompt)
         self._log("llm", prompt=prompt, reply=reply)
         return reply
 
     def embed(self, text: str):
-        return self._retry_once(self._inner.embed, text)
+        return self._call("embed", text, text)
 
     def embed_many(self, texts: list[str]) -> list:
-        """The vectors of ``texts``, in order. A prefetched text is not sent;
-        the others are embedded as ``embed`` does, two at a time through
-        ``both``."""
-        vectors = {text: self._prefetched.pop(("embed", text)) for text in texts
-                   if ("embed", text) in self._prefetched}
-        todo = [text for text in texts if text not in vectors]
-        for a, b in zip(todo[0::2], todo[1::2]):
-            vectors[a], vectors[b] = self.both(lambda backend: backend.embed(a),
-                                               lambda backend: backend.embed(b))
-        if len(todo) % 2:
-            vectors[todo[-1]] = self.embed(todo[-1])
-        return [vectors[text] for text in texts]
-
-    def prefetch(self, kind: str, request) -> Future | None:
-        """Send ``request`` on the worker: a text to embed (``kind`` "embed")
-        or the messages of a completion ("complete"); None if its result is
-        already held. It goes straight through the inner backend: no retry, no
-        event, and an error is dropped, so that ``embed_many`` or ``complete``
-        sends the request as if nothing had been sent. The result is held until
-        a call with the identical request uses it; the transcript is the same
-        either way."""
-        key = (kind, request if kind == "embed" else render_prompt(request))
-        if key in self._prefetched:
-            return None
-        send = getattr(self._inner, kind)
-
-        def fetch() -> None:
-            try:
-                self._prefetched[key] = send(request)
-            except SopflowError:  # the call that needs it retries and reports it
-                pass
-
-        return self._worker().submit(fetch)
+        """The vectors of ``texts``, embedded in order as ``embed`` does. The
+        texts not already sent ahead go two at a time: the second of each pair
+        is sent ahead while the first is embedded."""
+        todo = [text for text in texts if ("embed", text) not in self._ahead]
+        second = dict(zip(todo[0::2], todo[1::2]))
+        vectors = []
+        for text in texts:
+            if text in second:
+                self.send_ahead("embed", second[text])
+            vectors.append(self.embed(text))
+        return vectors
 
 
 def _history_text(state: EpisodeState) -> str:
@@ -237,18 +211,19 @@ class _Runtime:
 
     # -- step phases ---------------------------------------------------------
 
-    def _think(self, backend) -> str:
+    def _think(self) -> str:
         user = (f"Incident alert:\n{self.state.alert}\n\n"
                 f"Investigation so far:\n{_history_text(self.state)}\n\n"
                 f"Advisor notes:\n{_advisor_notes(self.state)}")
-        return ask(backend, self._with_flow_guide(THOUGHT_SYSTEM), user)
+        return ask(self.backend, self._with_flow_guide(THOUGHT_SYSTEM), user)
 
-    def _propose(self, backend) -> str:
+    def _proposal_prompt(self) -> tuple[str, str]:
+        """The (system, user) prompt of the ActionAgent's proposal."""
         system = ACTION_SYSTEM.format(max_candidates=self.config.action_set_size)
         user = (f"Tool catalog:\n{self.registry.catalog_text()}\n\n"
                 f"Incident alert:\n{self.state.alert}\n\n"
                 f"Investigation so far:\n{_history_text(self.state)}")
-        return ask(backend, self._with_flow_guide(system), user)
+        return self._with_flow_guide(system), user
 
     def _prefetch(self, action_set: ActionSet) -> Future | None:
         """Start the request of the action set's flow candidate while the
@@ -262,19 +237,17 @@ class _Runtime:
         chooses it and the request would only add load; and R2's author call
         (``generate_sop``), since its prompt needs a knowledge-base match
         first."""
-        if not self.backend.concurrent_calls:
-            return None
         for candidate in action_set.candidates:
             if candidate.rule == "R6":
                 text = str(candidate.args["observation"])
                 if text.strip() and not self.ctx.kb.cached(text):
-                    return self.backend.prefetch("embed", text)
+                    return self.backend.send_ahead("embed", text)
             elif candidate.rule in ("R1", "R3", "R5"):
                 try:
                     _, system, user = coder_prompt(self.ctx, candidate.args.get("sop_id"))
                 except SopflowError:  # the tool reports it if chosen
                     continue
-                return self.backend.prefetch("complete", chat(system, user))
+                return self.backend.send_ahead("complete", chat(system, user))
         return None
 
     def _build_action_set(self, reply: str | None) -> ActionSet:
@@ -312,18 +285,23 @@ class _Runtime:
         return action_set.candidates[index - 1], index, False
 
     def _direct_action(self, thought: str) -> ActionCandidate | None:
-        """action_set ablation: the orchestrator names one action itself."""
+        """action_set ablation: the orchestrator names one action itself; None,
+        with a note, if the step is consumed without one."""
         user = (f"Current thought:\n{thought}\n\n"
                 f"Tool catalog:\n{self.registry.catalog_text()}\n\n"
                 f"Investigation so far:\n{_history_text(self.state)}")
         reply = ask(self.backend, DIRECT_SYSTEM, user)
         candidates, _ = roles.parse_candidates(reply, self.registry, max_candidates=1,
                                                provenance=PROVENANCE_MAIN)
-        if (candidates and candidates[0].tool == "speak"
-                and speak_awaits_judge(self.state.judge_verdict, self.config.ablations)):
-            self.state.log("note", text="dropped direct speak: judge has not confirmed")
+        if not candidates:
+            self.state.log("note", text="direct action unusable; step consumed")
             return None
-        return candidates[0] if candidates else None
+        if (candidates[0].tool == "speak"
+                and speak_awaits_judge(self.state.judge_verdict, self.config.ablations)):
+            self.state.log("note",
+                           text="dropped direct speak: judge has not confirmed; step consumed")
+            return None
+        return candidates[0]
 
     # -- post-observation hooks ------------------------------------------------
 
@@ -375,27 +353,27 @@ class _Runtime:
     def step(self) -> None:
         state = self.state
         if self.config.ablations.action_set:
-            if self.config.ablations.action_agent:
-                thought, reply = self.backend.both(self._think, self._propose)
-            else:
-                thought, reply = self._think(self.backend), None
+            proposal = self._proposal_prompt() if self.config.ablations.action_agent else None
+            if proposal is not None:
+                self.backend.send_ahead("complete", chat(*proposal))
+            thought = self._think()
+            reply = None if proposal is None else ask(self.backend, *proposal)
             action_set = self._build_action_set(reply)
             if not action_set.candidates:
                 # nothing proposed and no rule fired; the step is spent
                 state.log("note", text="empty action set; step consumed")
                 state.step_count += 1
                 return
-            prefetch = self._prefetch(action_set)
+            ahead = self._prefetch(action_set)
             try:
                 chosen, position, fallback = self._select(thought, action_set)
             finally:
-                if prefetch is not None:
-                    prefetch.result()
+                if ahead is not None:
+                    wait([ahead])  # its reply is held for the call that needs it
         else:
-            thought = self._think(self.backend)
+            thought = self._think()
             candidate = self._direct_action(thought)
             if candidate is None:
-                state.log("note", text="direct action unusable; step consumed")
                 state.step_count += 1
                 return
             chosen, position, fallback = candidate, 1, False

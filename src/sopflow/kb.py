@@ -6,13 +6,13 @@ computed lazily through the configured backend and cached keyed by
 (backend id, text hash), on disk under ``<root>``. A match hands the texts
 it misses (the query and the store's uncached texts, each once, in order) to
 the backend's ``embed_many`` in one call, which an episode on a remote
-backend sends two at a time (and answers from a vector it prefetched), and
-writes the cache file once. A knowledge base has one embedding cache, shared
-by all its views (``using``, ``clone_in_memory``, ``without_sops``), so a
-benchmark run embeds each distinct text once. Every file is written
-atomically (a temp file beside it, then ``os.replace``). Retrieval is an
-exact linear scan over cosine similarities, which is plenty at the store
-sizes this system targets.
+backend sends two at a time (the second of each pair sent ahead, and a text
+already sent ahead answered from that request), and writes the cache file
+once. A knowledge base has one embedding cache, shared by all its views
+(``using``, ``clone_in_memory``, ``without_sops``), so a benchmark run
+embeds each distinct text once. Every file is written atomically (a temp
+file beside it, then ``os.replace``). Retrieval is an exact linear scan over
+cosine similarities, which is plenty at the store sizes this system targets.
 """
 
 from __future__ import annotations

@@ -4,9 +4,9 @@ Two interchangeable implementations: ``RemoteBackend`` speaks a
 chat-completions style HTTP API for live runs, and ``ScriptedBackend`` replays
 authored responses and produces hash-derived embeddings, which makes whole
 episodes deterministic and byte-replayable in tests. Every prompt built
-anywhere in the system is built by ``ask`` (an episode's prefetch builds it
-with ``chat``, as ``ask`` does) and goes through one of these; nothing else
-touches the network.
+anywhere in the system is built by ``ask`` (a request an episode sends ahead
+is built with ``chat``, as ``ask`` does) and goes through one of these;
+nothing else touches the network.
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ def render_prompt(messages: list[ChatMessage]) -> str:
 
 def chat(system: str, user: str) -> list[ChatMessage]:
     """The messages ``ask`` sends for a system prompt and a user message; an
-    episode prefetches a completion of exactly these."""
+    episode sends a completion of exactly these ahead."""
     return [ChatMessage("system", system), ChatMessage("user", user)]
 
 
@@ -218,14 +218,14 @@ class RemoteBackend:
     Each call is one POST through ``_send``: the standard library's
     ``http.client``, on a new connection per request, timing out after
     ``REQUEST_TIMEOUT_S``. Calls share no state, so an episode may have two
-    calls in flight at once (``concurrent_calls``), never more: a pair sent
-    through the episode backend's ``both`` (a step's thought with its
-    proposal, or two embeddings of a knowledge-base store), or a selection
-    with one prefetched request: the embedding of the findings rule R6
-    matches, or the coder's completion for the procedure rule R1, R3 or R5
-    codifies. A reply that is not what the API promises (a body that is not
-    UTF-8 JSON included) is a ``BackendError``, which the episode retries once
-    (a prefetch drops it, and the call that needs the result sends again).
+    calls in flight at once (``concurrent_calls``), never more: one on the
+    step's thread and one its episode backend sent ahead on a worker (a step's
+    proposal beside its thought, the second of two embeddings of a
+    knowledge-base store, or, beside a selection, the embedding of the
+    findings rule R6 matches or the coder's completion for the procedure rule
+    R1, R3 or R5 codifies). A reply that is not what the API promises (a body
+    that is not UTF-8 JSON included) is a ``BackendError``, which the episode
+    retries once; a request sent ahead is its call's first attempt.
     """
 
     concurrent_calls = True

@@ -90,8 +90,8 @@ def generate_sop(ctx: ToolContext, fault_info: str, parent_sop_id: str | None = 
 
 def coder_prompt(ctx: ToolContext, sop_id: str | None = None) -> tuple[SopDoc, str, str]:
     """The procedure ``generate_sop_code`` codifies, with the system prompt and
-    user message it sends for it. The episode prefetches the completion of this
-    same prompt, so the two cannot drift apart."""
+    user message it sends for it. The episode sends the completion of this
+    same prompt ahead, so the two cannot drift apart."""
     doc = ctx.kb.get_sop(sop_id) if sop_id else ctx.sop.sop
     if doc is None:
         raise ToolError("no procedure in context; run match_sop or generate_sop first")

@@ -341,7 +341,7 @@ class TestEpisodeLoop:
 
 @pytest.mark.parametrize("reply, notes", [
     ('ACTION: speak(causes="frontend-0|CpuStress|guess") | report',
-     ["dropped direct speak: judge has not confirmed", "direct action unusable; step consumed"]),
+     ["dropped direct speak: judge has not confirmed; step consumed"]),
     ("no idea what to run", ["direct action unusable; step consumed"]),
 ], ids=["unconfirmed-speak", "unusable"])
 def test_direct_step_without_a_usable_action_is_consumed(reply, notes):

@@ -97,6 +97,29 @@ class TestKbCommands:
         run_cli("kb", "list", "--kb", kb_dir)
         assert "0 SOPs" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("kind, body, complaint", [
+        ("sop", "id: -x\nname: x\nsteps: [inspect]\n", "invalid SOP id: '-x'"),
+        ("sop", "id: sop-x\nname: ' '\nsteps: [inspect]\n", "SOP name must be non-empty"),
+        ("sop", "id: sop-x\nname: x\nlevel: -1\nsteps: [inspect]\n",
+         "SOP level must be non-negative"),
+        ("incident", "id: inc x\nmanifestation: cart errors\n", "invalid incident id: 'inc x'"),
+        ("incident", "id: inc-x\nmanifestation: other errors\n",
+         "incident id already exists: inc-x"),
+    ], ids=["sop-id", "sop-blank-name", "sop-negative-level", "incident-id",
+            "incident-duplicate-id"])
+    def test_add_rejects_an_invalid_document(self, tmp_path, capsys, kind, body, complaint):
+        kb_dir = str(tmp_path / "kb")
+        stored = tmp_path / "stored.yaml"
+        stored.write_text("id: inc-x\nmanifestation: cart errors spiking\n")
+        assert run_cli("kb", "add", "--file", str(stored), "--kind", "incident",
+                       "--kb", kb_dir) == 0
+        doc = tmp_path / "doc.yaml"
+        doc.write_text(body)
+        capsys.readouterr()
+        assert run_cli("kb", "add", "--file", str(doc), "--kind", kind, "--kb", kb_dir) == 1
+        assert capsys.readouterr().err == f"error: {complaint}\n"
+        run_cli("kb", "list", "--kb", kb_dir)
+        assert "0 SOPs, 1 incidents" in capsys.readouterr().out
 
     def test_add_names_the_file_a_malformed_scalar_is_in(self, tmp_path, capsys):
         doc = tmp_path / "doc.yaml"
@@ -174,6 +197,12 @@ class TestSimulate:
         assert run_cli("simulate", "--seed", "5", "--types", "NotAType",
                        "--out", str(tmp_path / "scenarios")) == 1
         assert capsys.readouterr().err == "error: 'NotAType' is not a valid FaultType\n"
+        assert not (tmp_path / "scenarios").exists()
+
+    def test_no_fault_type_exit_one(self, tmp_path, capsys):
+        assert run_cli("simulate", "--seed", "5", "--types", ",",
+                       "--out", str(tmp_path / "scenarios")) == 1
+        assert capsys.readouterr().err == "error: at least one fault type must be allowed\n"
         assert not (tmp_path / "scenarios").exists()
 
 
@@ -261,6 +290,9 @@ class TestBenchmark:
     @pytest.mark.parametrize("section", ["detector: {k: .nan}",
                                          "detector: {baseline_lookback_samples: 0}",
                                          "eval: {sigma: .inf}",
+                                         "eval: {max_steps: 0}",
+                                         "eval: {action_set_size: 0}",
+                                         "eval: {workers: 0}",
                                          "kb: {k: 0}",
                                          "kb: {threshold: .nan}"])
     def test_nonsense_config_exit_one_without_a_report(self, golden_dir, tmp_path, capsys,
@@ -326,6 +358,7 @@ class TestTranscriptAndUsage:
         ('{"kind": "episode"}', "'episode' record has no key 'scenario'"),
         ("[1, 2]", "expected a JSON object"),
         ('{"kind": "chosen", "step": 0', "Expecting ',' delimiter"),
+        ('{"kind": "chosen", "step": "0", "tool": "x"}', "malformed 'chosen' record: "),
     ])
     def test_malformed_record_names_file_and_line(self, tmp_path, capsys, record, complaint):
         transcript = tmp_path / "tr.jsonl"

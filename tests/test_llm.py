@@ -227,6 +227,37 @@ def test_agents_and_tools_prompt_only_through_ask():
     assert offenders == []
 
 
+def test_agents_send_early_only_through_send_ahead():
+    # one way to send a request early: no code under agents/ but
+    # _RecordingBackend.send_ahead makes a thread pool or submits to one
+    import ast
+    import pathlib
+    import sopflow
+    package_root = pathlib.Path(sopflow.__file__).parent
+
+    def offenders_under(node, path, inside):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from offenders_under(child, path, child.name == "send_ahead")
+                continue
+            if isinstance(child, ast.Call) and not inside:
+                func = child.func
+                if (isinstance(func, ast.Name) and func.id == "ThreadPoolExecutor") or (
+                        isinstance(func, ast.Attribute)
+                        and func.attr in ("ThreadPoolExecutor", "submit")):
+                    yield f"{path.name}:{child.lineno}"
+            yield from offenders_under(child, path, inside)
+
+    offenders, senders = [], []
+    for path in sorted(package_root.glob("agents/*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        offenders += offenders_under(tree, path, inside=False)
+        senders += [f"{path.name}:{node.name}" for node in ast.walk(tree)
+                    if isinstance(node, ast.FunctionDef) and node.name == "send_ahead"]
+    assert senders == ["episode.py:send_ahead"]
+    assert offenders == []
+
+
 class TestRemoteBackend:
     def _config(self):
         return BackendConfig(backend_kind="remote", endpoint="https://llm.example/v1",
@@ -297,6 +328,16 @@ class TestRemoteBackend:
         with pytest.raises(BackendError, match="not JSON"):
             backend.complete(msgs("hi"))
         with pytest.raises(BackendError, match="not JSON"):
+            backend.embed("text")
+
+    @pytest.mark.parametrize("payload", [{}, {"choices": []}, {"data": []}, {"data": [{}]},
+                                         []],
+                             ids=["empty", "no-choice", "no-data", "no-embedding", "list"])
+    def test_reply_without_its_result_is_backend_error(self, monkeypatch, payload):
+        backend = self._replying(monkeypatch, payload)
+        with pytest.raises(BackendError, match="malformed completion response"):
+            backend.complete(msgs("hi"))
+        with pytest.raises(BackendError, match="malformed embedding response"):
             backend.embed("text")
 
     @pytest.mark.parametrize("content", [None, 42, ["a"], {"text": "a"}])

@@ -45,6 +45,23 @@ class TestParsing:
         with pytest.raises(GenerationParseError):
             parse_program("if sideways(x, 1): pod_analyze()")
 
+    @pytest.mark.parametrize("text, complaint", [
+        ("pod_analyze(pod=frontend-0)", "cannot parse value 'frontend-0'"),
+        ('pod_analyze("frontend-0")', "argument '\"frontend-0\"' must be name=value"),
+        ('pod_analyze(1pod="frontend-0")', "bad argument name '1pod'"),
+        ("finding()", "finding() needs at least one part"),
+        ("if above(x): finding(x)", "predicate needs two arguments"),
+        ('if contains("x", "y"): finding("z")', "predicate variable '\"x\"' is not a name"),
+        ("if contains(x, 3): finding(x)", "contains() needs a string literal"),
+        ('if below(x, "low"): finding(x)', "below() needs a numeric literal"),
+    ], ids=["value", "positional-argument", "argument-name", "empty-finding",
+            "one-argument-predicate", "predicate-literal", "contains-number",
+            "below-string"])
+    def test_each_malformed_form_names_its_fault(self, text, complaint):
+        with pytest.raises(GenerationParseError) as excinfo:
+            parse_program(text)
+        assert str(excinfo.value).startswith(complaint)
+
 
 class TestValidation:
     def test_unknown_tool(self, registry):

@@ -1,9 +1,10 @@
-"""Episodes through ``RemoteBackend``: each step sends its thought and its
-proposal together, the findings an R6 candidate matches are embedded and the
-coder's completion for an R1, R3 or R5 candidate is sent while the selection
-is in flight, and a cold store's texts are embedded two at a time; the
-transcript is still the sequential one, and no speculative request is wasted
-on these scripts.
+"""Episodes through ``RemoteBackend``, which send some requests ahead on a
+worker: each step's proposal while it thinks, the findings an R6 candidate
+matches or the coder's completion for an R1, R3 or R5 candidate while the
+selection is in flight, and the second of each two texts of a cold store.
+A request sent ahead is its call's first attempt, so the transcript is the
+sequential one, failures included, and no speculative request is wasted on
+these scripts.
 
 ``fake_endpoint`` (conftest) answers the HTTP calls from each scenario's
 script, with a delay per request, and records which requests were in flight
@@ -214,8 +215,12 @@ def test_paired_embedding_failures_resolve_as_in_sequential_order(
                                                 concurrent=False)
     concurrent, concurrent_lines = _failing_run(fake_endpoint, monkeypatch, replies,
                                                 concurrent=True)
-    # the pair really was split between the step's thread and the worker
-    threads = {r.prompt: r.thread for r in fake_endpoint.requests if r.role == "embed"}
+    # the pair really was split between the step's thread and the worker; a
+    # retry runs on the step's thread, so only each text's first request counts
+    threads: dict[str, str] = {}
+    for r in fake_endpoint.requests:
+        if r.role == "embed":
+            threads.setdefault(r.prompt, r.thread)
     assert threads[FIRST_HALF] == "MainThread"
     assert threads[SECOND_HALF].startswith("sopflow-propose")
 
@@ -239,23 +244,24 @@ def test_paired_embedding_failures_resolve_as_in_sequential_order(
 ], ids=["503", "63-dim"])
 def test_failing_prefetch_leaves_the_transcript_unchanged(fake_endpoint, monkeypatch,
                                                           bad_reply):
-    sequential, sequential_lines = _failing_run(fake_endpoint, monkeypatch, {},
-                                                concurrent=False)
-    findings = sequential.history[3].chosen.args["observation"]
+    clean, _ = _failing_run(fake_endpoint, monkeypatch, {}, concurrent=False)
+    findings = clean.history[3].chosen.args["observation"]
     # the first request for the findings is the prefetch sent during the selection
     replies = {("embed", findings, 0): bad_reply}
+    sequential, sequential_lines = _failing_run(fake_endpoint, monkeypatch, replies,
+                                                concurrent=False)
     concurrent, concurrent_lines = _failing_run(fake_endpoint, monkeypatch, replies,
                                                 concurrent=True)
     assert concurrent_lines == sequential_lines
     assert concurrent.outcome == "completed"
-    assert not any(e["kind"] == "llm_retry" for e in concurrent.events)
+    assert sum(e["kind"] == "llm_retry" for e in concurrent.events) == 1
     sent = [r for r in fake_endpoint.requests if r.role == "embed" and r.prompt == findings]
     assert sent[0].thread.startswith("sopflow-propose")  # the prefetch
-    # the match embedded the findings again, as if nothing had been sent
+    # the failed prefetch was the match's first attempt, and the match retried once
     assert [r.repeat for r in sent] == [0, 1]
     # the alert, R8's query, is never embedded: it is not prefetched, and the
     # script's match_sop queries an SOP name
-    assert not any(r.prompt == sequential.alert for r in fake_endpoint.requests)
+    assert not any(r.prompt == clean.alert for r in fake_endpoint.requests)
 
 
 @pytest.mark.parametrize("bad_reply", [
@@ -264,17 +270,18 @@ def test_failing_prefetch_leaves_the_transcript_unchanged(fake_endpoint, monkeyp
 ], ids=["503", "non-string-content"])
 def test_failing_coder_prefetch_leaves_the_transcript_unchanged(fake_endpoint, monkeypatch,
                                                                 bad_reply):
-    sequential, sequential_lines = _failing_run(fake_endpoint, monkeypatch, {},
-                                                concurrent=False)
     # the first coder request is the prefetch sent during step 2's selection
-    concurrent, concurrent_lines = _failing_run(fake_endpoint, monkeypatch,
-                                                {("coder", 0): bad_reply}, concurrent=True)
+    replies = {("coder", 0): bad_reply}
+    sequential, sequential_lines = _failing_run(fake_endpoint, monkeypatch, replies,
+                                                concurrent=False)
+    concurrent, concurrent_lines = _failing_run(fake_endpoint, monkeypatch, replies,
+                                                concurrent=True)
     assert concurrent_lines == sequential_lines
     assert concurrent.outcome == "completed"
-    assert not any(e["kind"] == "llm_retry" for e in concurrent.events)
+    assert sum(e["kind"] == "llm_retry" for e in concurrent.events) == 1
     sent = [r for r in fake_endpoint.requests if r.role == "coder"]
     assert sent[0].thread.startswith("sopflow-propose")  # the prefetch
-    # the tool asked for the same prompt again, as if nothing had been sent
+    # the failed prefetch was the tool's first attempt, and the tool retried once
     assert [r.repeat for r in sent] == [0, 1]
 
 
@@ -317,6 +324,47 @@ def test_a_held_coder_reply_serves_a_later_step(fake_endpoint):
     assert transcript_lines(remote) == transcript_lines(scripted)
     # the completion prefetched during step 2's selection served step 3
     sent = [r for r in fake_endpoint.requests if r.role == "coder"]
+    assert len(sent) == 1 and sent[0].thread.startswith("sopflow-propose")
+
+
+def _script_running_sop_twice(case) -> list[ScriptEntry]:
+    """``case``'s default script, but step 4 selects the agent's ``run_sop``
+    over R6's ``match_observation``, so the findings R6 matches come again in
+    a new step 5, which chooses R6 as step 4 did before."""
+    by_role: dict[str, list[ScriptEntry]] = {}
+    for entry in case.script:
+        by_role.setdefault(entry.match_key, []).append(entry)
+    by_role[ROLE_THOUGHT].insert(3, ScriptEntry(
+        ROLE_THOUGHT, "Findings collected. Run the program once more.", consume_once=True))
+    by_role[ROLE_ACTION].insert(3, ScriptEntry(
+        ROLE_ACTION, "ACTION: run_sop() | run it again", consume_once=True))
+    by_role[ROLE_SELECT].insert(3, ScriptEntry(ROLE_SELECT, "1", consume_once=True))
+    return [entry for entries in by_role.values() for entry in entries]
+
+
+def test_findings_sent_ahead_twice_are_requested_once(fake_endpoint):
+    case = golden.golden_cases("default")[0]
+    script = _script_running_sop_twice(case)
+    scripted = run_episode(case.scenario, AgentConfig(),
+                           ScriptedBackend(BackendConfig(script=script)),
+                           golden.make_golden_kb(make_backend(BackendConfig())))
+    fake_endpoint.serve({case.scenario.id: script})
+    remote = run_episode(case.scenario, AgentConfig(), RemoteBackend(fake_endpoint.config()),
+                         golden.make_golden_kb(make_backend(BackendConfig())))
+    history = scripted.history
+    assert [record.chosen.tool for record in history] == [
+        "match_sop", "generate_sop_code", "run_sop", "run_sop", "match_observation", "speak"]
+    findings = history[4].chosen.args["observation"]
+    assert [(c.rule, c.args.get("observation")) for c in action_sets(scripted)[3]] == [
+        (None, None), ("R6", findings)]
+    assert history[3].chosen.rule is None  # the agent's own run_sop
+    assert history[4].chosen.rule == "R6"
+    assert scripted.outcome == "completed"
+
+    assert transcript_lines(remote) == transcript_lines(scripted)
+    # step 4's selection sent the findings ahead; step 5's R6 found them still
+    # held, and its match took the held reply
+    sent = [r for r in fake_endpoint.requests if r.role == "embed" and r.prompt == findings]
     assert len(sent) == 1 and sent[0].thread.startswith("sopflow-propose")
 
 

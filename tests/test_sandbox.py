@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import json
 import re
 
 import pytest
@@ -145,6 +146,16 @@ class TestScenarioGeneration:
         (('"types":', '"kinds":'), "ground_truth: unknown key(s) 'kinds'"),
         (('"window": {"start_s": 0, "end_s": 600}', '"window": 600'),
          "malformed scenario file: window: expected a mapping, got 600"),
+        (('"pod:emailservice-0"', '"pod:"'), "empty pod target"),
+        (('"CpuStress", "target": "pod:emailservice-0"',
+          '"NetworkDelay", "target": "edge:emailservice->frontend"'),
+         "unknown edge target emailservice->frontend"),
+        (('"CpuStress", "target": "pod:emailservice-0"',
+          '"NetworkBandwidth", "target": "nodes:node-1<->node-9"'),
+         "unknown node 'node-9' in target"),
+        (('"CpuStress", "target": "pod:emailservice-0"',
+          '"NetworkBandwidth", "target": "nodes:node-1<->node-1"'),
+         "node-pair target must name two distinct nodes"),
     ])
     def test_bad_scenario_file_is_a_validation_error_naming_it(self, tmp_path, edit,
                                                                 complaint):
@@ -154,6 +165,16 @@ class TestScenarioGeneration:
         with pytest.raises(ValidationError, match=f"^{re.escape(f'{path}: {complaint}')}"):
             load_scenario(path)
 
+
+    def test_a_scenario_file_without_faults_loads(self, tmp_path):
+        path = tmp_path / "scn.yaml"
+        save_scenario(generate_scenario(79), path)
+        mapping = json.loads(path.read_text())
+        mapping.update(faults=[], ground_truth={"locations": [], "types": []})
+        path.write_text(json.dumps(mapping))
+        scenario = load_scenario(path)
+        assert scenario.faults == [] and scenario.ground_truth == GroundTruth((), ())
+        assert scenario.incident_time_s == 300  # the window's midpoint
 
     @pytest.mark.parametrize("edit, complaint", [
         (('"seed": 79', '"seed": 1.5'), "scenario.seed: expected an integer, got 1.5"),

@@ -288,6 +288,16 @@ class TestSopFlowTools:
         assert len(doc.steps) == 2 and doc.level == 0
         assert ctx.kb.get_sop(doc.id) is doc
 
+    def test_generate_sop_reply_without_steps_fails_parse(self, registry):
+        backend = scripted_backend(script=[ScriptEntry(
+            "ROLE: procedure-author", "SOP NAME: Disk full\nSTEPS:\n(to be decided)",
+        )])
+        ctx = make_ctx(no_fault_scenario(), registry=registry, backend=backend,
+                       kb=KnowledgeBase(backend))
+        with pytest.raises(GenerationParseError, match="reply has no step list"):
+            generate_sop(ctx, fault_info="disk full")
+        assert ctx.kb.list_sops() == []
+
     def test_generate_sop_prose_reply_fails_parse(self, registry):
         backend = scripted_backend(script=[ScriptEntry(
             "ROLE: procedure-author", "I think you should look at the disks maybe.",
