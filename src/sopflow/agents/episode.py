@@ -116,9 +116,6 @@ class _RecordingBackend:
         self._ahead[key] = self._executor.submit(getattr(self._inner, kind), request)
         return self._ahead[key]
 
-    def _log(self, kind: str, **fields) -> None:
-        self._state.events.append(self._state.event(kind, **fields))
-
     def _call(self, kind: str, request, key: str):
         """The inner backend's reply to ``request``: attempt 1 is the request
         sent ahead, if one is held, and is sent here otherwise; a failure is
@@ -129,7 +126,7 @@ class _RecordingBackend:
         try:
             return send(request) if held is None else held.result()
         except (BackendError, ScriptExhaustedError) as first:
-            self._log("llm_retry", error=str(first))
+            self._state.log("llm_retry", error=str(first))
             wait_s = getattr(first, "retry_after_s", None)
             if wait_s:
                 time.sleep(min(wait_s, MAX_RETRY_WAIT_S))
@@ -142,7 +139,7 @@ class _RecordingBackend:
         """A completion, logged to the transcript."""
         prompt = render_prompt(messages)
         reply = self._call("complete", messages, prompt)
-        self._log("llm", prompt=prompt, reply=reply)
+        self._state.log("llm", prompt=prompt, reply=reply)
         return reply
 
     def embed(self, text: str):

@@ -119,12 +119,7 @@ class EpisodeState:
     def path(self) -> tuple[str, ...]:
         return tuple(record.chosen.tool for record in self.history)
 
-    def event(self, kind: str, **fields) -> dict:
-        """A transcript record stamped with the current step."""
-        record = {"kind": kind, "step": self.step_count}
-        record.update(fields)
-        return record
-
     def log(self, kind: str, **fields) -> None:
-        self.events.append(self.event(kind, **fields))
+        """Append a transcript record stamped with the current step."""
+        self.events.append({"kind": kind, "step": self.step_count, **fields})
 

@@ -46,6 +46,4 @@ def jitter(hi: float, *parts) -> float:
 
 
 def pick(seq, *parts):
-    if not seq:
-        raise ValueError("cannot pick from an empty sequence")
     return seq[int(unit(*parts) * len(seq))]

@@ -29,8 +29,6 @@ class ScenarioConfig:
     def validate(self) -> None:
         if not self.fault_types:
             raise ConfigError("at least one fault type must be allowed")
-        if self.faults_per_scenario < 1:
-            raise ConfigError("faults_per_scenario must be >= 1")
         load_fixture(self.topology)  # raises ConfigError on unknown fixture
 
 
@@ -54,8 +52,6 @@ class EpisodeScenario:
         Resource-state queries default to this instant so an investigation
         sees the incident while it is happening, like a postmortem snapshot.
         """
-        if not self.faults:
-            return (self.window[0] + self.window[1]) // 2
         first = min(self.faults, key=lambda f: f.start_s)
         return first.start_s + first.duration_s // 2
 

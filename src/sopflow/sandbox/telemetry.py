@@ -277,10 +277,7 @@ class Telemetry:
 
     def metric_value(self, component: str, metric: str, t: int) -> float:
         """The sample at tick ``t`` of a series named by ``series_keys``."""
-        values = self._values((component, metric), *self._ticks((t, t + 1)))
-        if not values:
-            raise NotFoundError(f"no sample at t={t}")
-        return values[0]
+        return self._values((component, metric), *self._ticks((t, t + 1)))[0]
 
     def query_metrics(self, component: str, metric: str,
                       window: tuple[int, int] | None = None) -> MetricSeries:

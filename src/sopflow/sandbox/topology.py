@@ -5,7 +5,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from ..errors import ConfigError, ValidationError
+from ..errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -44,41 +44,10 @@ class Topology:
     # workload kind per service, for the deployment/statefulset views
     statefulset_services: tuple[str, ...] = ()
 
-    def validate(self) -> None:
-        services = set(self.services)
-        nodes = {n.id for n in self.nodes}
-        if self.frontend not in services:
-            raise ValidationError(f"frontend service {self.frontend!r} not in topology")
-        for pod in self.pods:
-            if pod.service not in services:
-                raise ValidationError(f"pod {pod.id} references unknown service {pod.service}")
-            if pod.node not in nodes:
-                raise ValidationError(f"pod {pod.id} references unknown node {pod.node}")
-        for edge in self.call_edges:
-            if edge.src not in services or edge.dst not in services:
-                raise ValidationError(f"edge {edge.src}->{edge.dst} references unknown service")
-            if edge.base_latency_ms <= 0:
-                raise ValidationError(f"edge {edge.src}->{edge.dst} must have positive latency")
-        # every service must be reachable from the frontend
-        reachable = {self.frontend}
-        frontier = [self.frontend]
-        while frontier:
-            current = frontier.pop()
-            for edge in self.call_edges:
-                if edge.src == current and edge.dst not in reachable:
-                    reachable.add(edge.dst)
-                    frontier.append(edge.dst)
-        unreachable = services - reachable
-        if unreachable:
-            raise ValidationError(f"services unreachable from frontend: {sorted(unreachable)}")
-
     # -- lookups -------------------------------------------------------------
 
     def pod(self, pod_id: str) -> Pod:
-        for pod in self.pods:
-            if pod.id == pod_id:
-                return pod
-        raise KeyError(pod_id)
+        return next(p for p in self.pods if p.id == pod_id)
 
     def has_pod(self, pod_id: str) -> bool:
         return any(p.id == pod_id for p in self.pods)
@@ -90,10 +59,7 @@ class Topology:
         return any(n.id == node_id for n in self.nodes)
 
     def edge(self, src: str, dst: str) -> CallEdge:
-        for edge in self.call_edges:
-            if edge.src == src and edge.dst == dst:
-                return edge
-        raise KeyError(f"{src}->{dst}")
+        return next(e for e in self.call_edges if e.src == src and e.dst == dst)
 
     def has_edge(self, src: str, dst: str) -> bool:
         return any(e.src == src and e.dst == dst for e in self.call_edges)
@@ -144,7 +110,7 @@ def online_boutique() -> Topology:
         for i, service in enumerate(services)
     )
     edges = tuple(CallEdge(src, dst, latency) for src, dst, latency in _BOUTIQUE_EDGES)
-    topo = Topology(
+    return Topology(
         services=services,
         pods=pods,
         nodes=nodes,
@@ -153,8 +119,6 @@ def online_boutique() -> Topology:
         namespaces=("default", "kube-system", "monitoring"),
         statefulset_services=("redis-cart",),
     )
-    topo.validate()
-    return topo
 
 
 FIXTURES = {"online-boutique": online_boutique}
@@ -162,7 +126,7 @@ FIXTURES = {"online-boutique": online_boutique}
 
 @functools.cache
 def load_fixture(name: str) -> Topology:
-    """The topology fixture ``name``, built and validated once per process;
+    """The topology fixture ``name``, built once per process;
     every caller shares the one immutable instance."""
     try:
         builder = FIXTURES[name]

@@ -157,9 +157,6 @@ def _fields(cls) -> tuple[tuple[str, object, frozenset[str] | None, bool], ...]:
                   if _marker(f) == "inline" else None)
         required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
         out.append((f.name, tp, inline, required))
-    keys = [key for name, _, inline, _ in out for key in (inline or (name,))]
-    if len(set(keys)) != len(keys):
-        raise TypeError(f"{cls.__name__}: a key names two fields")
     return tuple(out)
 
 

@@ -278,17 +278,16 @@ def _format_call(call: ToolCall) -> str:
     return f"{call.tool}({args})"
 
 
-def _value(part, env: dict, idx: int):
-    """A literal's value, or the observation text bound to a name."""
+def _value(part, env: dict):
+    """A literal's value, or the observation text bound to a name (bound:
+    ``validate_program`` rules out an unbound one)."""
     if isinstance(part, Literal):
         return part.value
-    if part.name not in env:
-        raise ProgramRuntimeError(idx, f"unbound variable {part.name!r}")
     return env[part.name].observation
 
 
-def _predicate_holds(pred: Predicate, env: dict, idx: int) -> tuple[bool, str]:
-    text = _value(VarRef(pred.var), env, idx)
+def _predicate_holds(pred: Predicate, env: dict) -> tuple[bool, str]:
+    text = _value(VarRef(pred.var), env)
     if pred.kind == "contains":
         holds = str(pred.operand).lower() in text.lower()
         return holds, f"contains({pred.var}, {pred.operand!r})={holds}"
@@ -303,14 +302,14 @@ def _predicate_holds(pred: Predicate, env: dict, idx: int) -> tuple[bool, str]:
 def _execute(stmt, idx: int, env: dict, result: ProgramRunResult, ctx: ToolContext) -> str:
     """Run one statement; returns its trace note."""
     if isinstance(stmt, CondStmt):
-        holds, note = _predicate_holds(stmt.predicate, env, idx)
+        holds, note = _predicate_holds(stmt.predicate, env)
         if not holds:
             return note + "; skipped"
         return note + "; " + _execute(stmt.body, idx, env, result, ctx)
     if isinstance(stmt, FindingStmt):
-        result.findings.append(" ".join(str(_value(part, env, idx)) for part in stmt.parts))
+        result.findings.append(" ".join(str(_value(part, env)) for part in stmt.parts))
         return "finding recorded"
-    args = {name: _value(value, env, idx) for name, value in stmt.call.args}
+    args = {name: _value(value, env) for name, value in stmt.call.args}
     tool_result = ctx.registry.execute(stmt.call.tool, args, ctx)
     if not tool_result.success:
         raise ProgramRuntimeError(idx, tool_result.error or tool_result.observation)

@@ -14,13 +14,10 @@ from typing import Any, Callable, Iterable
 from ..errors import (
     BackendError,
     EpisodeAborted,
-    NotFoundError,
     ScriptExhaustedError,
     SopflowError,
     ValidationError,
 )
-
-CATEGORIES = ("observability", "sop_flow", "analysis", "terminal")
 
 
 @dataclass(frozen=True)
@@ -35,11 +32,7 @@ class ToolSpec:
     name: str
     description: str
     params: tuple[ToolParam, ...]
-    category: str
-
-    def __post_init__(self):
-        if self.category not in CATEGORIES:
-            raise ValidationError(f"unknown tool category {self.category!r}")
+    category: str  # "observability" | "sop_flow" | "analysis" | "terminal"
 
 
 @dataclass
@@ -98,10 +91,7 @@ class ToolRegistry:
         return name in self._tools
 
     def spec(self, name: str) -> ToolSpec:
-        try:
-            return self._tools[name][0]
-        except KeyError:
-            raise NotFoundError(f"unknown tool {name!r}") from None
+        return self._tools[name][0]
 
     def specs(self) -> list[ToolSpec]:
         return sorted((spec for spec, _ in self._tools.values()), key=lambda s: s.name)

@@ -67,7 +67,9 @@ class TestParsers:
         assert parse_selection("option " + "0" * 4999 + "2", 5) is None
 
     def test_hypotheses_forms_and_truncation(self):
-        reply = ("type: NetworkDelay - latency up\n"
+        reply = ("prose that names no hypothesis\n"
+                 "type:  \n"
+                 "type: NetworkDelay - latency up\n"
                  "- NetworkLoss - drops seen\n"
                  "1. CpuStress - busy loops\n"
                  "2. MemoryStress - rss creep\n"
@@ -146,13 +148,18 @@ class TestEpisodeLoop:
             ScriptEntry(ROLE_ACTION,
                         "ACTION: get_all_namespace() | a\n"
                         "ACTION: frobnicate(x=1) | b\n"
-                        "ACTION: pod_analyze() | c"),
+                        "ACTION: pod_analyze() | c\n"
+                        "ACTION: node_analyze() | d\n"
+                        "ACTION: service_analyze() | past action_set_size candidates"),
             ScriptEntry(ROLE_SELECT, "1"),
         ]
-        result = run(script, config=AgentConfig(max_steps=1))
+        result = run(script, config=AgentConfig(max_steps=1, action_set_size=3))
         agent_tools = [c.tool for c in action_sets(result)[0]
                        if c.provenance == "action_agent"]
         assert agent_tools == ["get_all_namespace", "pod_analyze"]
+        # parsing stops at three candidates; R8's match_sop evicts the last of them
+        assert next(e["evicted"] for e in result.events
+                    if e["kind"] == "action_set") == ["node_analyze"]
 
     def test_garbage_action_reply_still_steps_on_rules(self):
         script = [

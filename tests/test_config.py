@@ -1,10 +1,12 @@
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import pytest
 import yaml
 
+from sopflow.agents import AgentConfig
 from sopflow.config import AppConfig, load_config
 from sopflow.errors import ConfigError, ValidationError
+from sopflow.evaluation import EvalConfig
 from sopflow.kb import KnowledgeBase
 from sopflow.llm import make_backend
 
@@ -50,6 +52,8 @@ def test_full_file_roundtrip(tmp_path):
     assert cfg.eval.agent.ablations.sop_flow is False
     assert cfg.eval.agent.ablations.sop_knowledge is True
     assert cfg.kb.threshold == 0.5
+    # the agent's keys sit beside the eval: keys, so each key names one field
+    assert not {f.name for f in fields(EvalConfig)} & {f.name for f in fields(AgentConfig)}
 
 
 def test_unknown_keys_rejected(tmp_path):

@@ -182,10 +182,11 @@ class TestReports:
         report = self._report()
         path = tmp_path / "report.json"
         save_report(report, path)
-        text = path.read_text().replace(f'"la": {report.la}', '"la": 0.123')
-        path.write_text(text)
-        with pytest.raises(ValidationError):
-            load_report(path)
+        saved = path.read_text()
+        for tampered in ("0.123", "null"):
+            path.write_text(saved.replace(f'"la": {report.la}', f'"la": {tampered}'))
+            with pytest.raises(ValidationError, match="report aggregates do not match"):
+                load_report(path)
 
     def test_table_contains_aggregates(self):
         report = self._report()
