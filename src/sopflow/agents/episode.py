@@ -228,12 +228,15 @@ class _Runtime:
         matches (``match_observation``), if they are not cached yet, or the
         completion an R1, R3 or R5 candidate asks the coder for
         (``generate_sop_code``), if its procedure resolves. The rules that add
-        these exclude one another, so there is at most one.
+        these exclude one another, so there is at most one. On a sequential
+        backend nothing is sent early, so nothing is built for it.
 
         Not prefetched: R8's ``match_sop(alert)``, since no measured workload
         chooses it and the request would only add load; and R2's author call
         (``generate_sop``), since its prompt needs a knowledge-base match
         first."""
+        if not self.backend.concurrent_calls:
+            return None
         for candidate in action_set.candidates:
             if candidate.rule == "R6":
                 text = str(candidate.args["observation"])

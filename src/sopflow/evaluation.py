@@ -229,11 +229,15 @@ def run_benchmark(corpus: Corpus, eval_cfg: EvalConfig, backend_cfg: BackendConf
     Each episode gets a view of the knowledge base (``clone_in_memory``): its
     own documents, so generated procedures never leak across episodes or runs,
     and the run's shared embedding cache, so each distinct text is embedded
-    once, inside the first episode that needs it. Each episode also gets (for
-    scripted backends) its own backend instance. An episode's transcript is
-    written and its row built as soon as it ends, and only the row is kept, so
-    a run holds at most ``workers`` episodes' events at once. Per-episode
-    aborts, including unexpected errors, become rows, never run failures.
+    once, inside the first episode that needs it. After the last episode the
+    run writes the texts it embedded to the knowledge base's cache file, once,
+    so a rerun over the same knowledge base and backend embeds none of them
+    again; if that write fails, the file stays as it was and the run still
+    returns its report. Each episode also gets (for scripted backends) its own
+    backend instance. An episode's transcript is written and its row built as
+    soon as it ends, and only the row is kept, so a run holds at most
+    ``workers`` episodes' events at once. Per-episode aborts, including
+    unexpected errors, become rows, never run failures.
     """
     eval_cfg.validate()
     if detector is not None:
@@ -260,6 +264,10 @@ def run_benchmark(corpus: Corpus, eval_cfg: EvalConfig, backend_cfg: BackendConf
             rows = list(pool.map(_run, entries))
     else:  # on the calling thread, so a per-thread span stack sees the nesting
         rows = [_run(entry) for entry in entries]
+    try:
+        kb_master.save_cache()
+    except OSError:
+        pass  # a cache is an optimization: the next run embeds these texts again
     return BenchmarkReport.from_rows(rows, eval_cfg)
 
 

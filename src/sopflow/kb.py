@@ -7,12 +7,15 @@ computed lazily through the configured backend and cached keyed by
 it misses (the query and the store's uncached texts, each once, in order) to
 the backend's ``embed_many`` in one call, which an episode on a remote
 backend sends two at a time (the second of each pair sent ahead, and a text
-already sent ahead answered from that request), and writes the cache file
-once. A knowledge base has one embedding cache, shared by all its views
-(``using``, ``clone_in_memory``, ``without_sops``), so a benchmark run
-embeds each distinct text once. Every file is written atomically (a temp
-file beside it, then ``os.replace``). Retrieval is an exact linear scan over
-cosine similarities, which is plenty at the store sizes this system targets.
+already sent ahead answered from that request). A knowledge base has one
+embedding cache, shared by all its views (``using``, ``clone_in_memory``,
+``without_sops``). A match on a store with a directory writes the cache file
+once; the memory-only views write nothing, and ``save_cache`` writes what
+they added. A benchmark run calls it once, after its last episode, so a
+rerun over the same knowledge base and backend embeds no text an earlier run
+embedded. Every file is written atomically (a temp file beside it, then
+``os.replace``). Retrieval is an exact linear scan over cosine similarities,
+which is plenty at the store sizes this system targets.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ _INCIDENT_DIR = "incidents"
 _CACHE_FILE = "embedding_cache.json"
 
 _ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
+_CACHE_KEY_RE = re.compile(r".+:[0-9a-f]{64}", re.DOTALL)  # ``_text_key``'s form
 
 
 @dataclass
@@ -85,21 +89,25 @@ class EmbeddingVector:
 
 
 def _read_cache(path: Path) -> dict[str, EmbeddingVector]:
-    """The embedding cache at ``path``: a JSON object mapping each embedded text
-    to its vector. Any other shape is a ``ConfigError`` that names the path."""
+    """The embedding cache at ``path``: a JSON object mapping the key of each
+    embedded text (``<backend id>:<sha256 of the text>``) to its vector. Any
+    other shape is a ``ConfigError`` that names the path."""
     stored = schema.read_json(path)
     if not isinstance(stored, dict):
         raise ConfigError(f"{path}: expected an object mapping text to a list of "
                           f"numbers, got {type(stored).__name__}")
     cache = {}
-    for text, values in stored.items():
+    for key, values in stored.items():
         if not (isinstance(values, list) and all(
                 isinstance(v, (int, float)) and not isinstance(v, bool) for v in values)):
-            raise ConfigError(f"{path}: the entry for {text!r} is not a list of numbers")
+            raise ConfigError(f"{path}: the entry for {key!r} is not a list of numbers")
         try:
-            cache[text] = EmbeddingVector.of(values)
+            cache[key] = EmbeddingVector.of(values)
         except ValidationError as exc:
-            raise ConfigError(f"{path}: the entry for {text!r}: {exc}") from exc
+            raise ConfigError(f"{path}: the entry for {key!r}: {exc}") from exc
+        if not _CACHE_KEY_RE.fullmatch(key):
+            raise ConfigError(f"{path}: the key {key!r} is not <backend id>:<sha256 of "
+                              f"the text>")
     return cache
 
 
@@ -197,6 +205,7 @@ class KnowledgeBase:
         self._lock = threading.Lock()
         if self._root is not None:
             self._load()
+        self._saved = len(self._cache)  # the vectors the cache file holds
 
     # -- persistence -------------------------------------------------------
 
@@ -210,7 +219,10 @@ class KnowledgeBase:
                                    (_INCIDENT_DIR, HistoricalIncident, self._incidents)):
             for path in sorted((root / subdir).glob("*.yaml")):
                 doc = schema.read_yaml(path, cls)
-                doc.validate()
+                try:
+                    doc.validate()
+                except ValidationError as exc:
+                    raise ValidationError(f"{path}: {exc}") from exc
                 store[doc.id] = doc
 
     def _write_doc(self, subdir: str, doc) -> None:
@@ -223,6 +235,15 @@ class KnowledgeBase:
             return
         stored = {key: list(vec.values) for key, vec in self._cache.items()}
         schema.write_atomic(self._root / _CACHE_FILE, json.dumps(stored, sort_keys=True))
+        self._saved = len(stored)
+
+    def save_cache(self) -> None:
+        """Write the cache file if the cache holds a vector the file lacks, such
+        as one a memory-only view embedded. The cache only grows, so its size
+        tells. A failed write raises ``OSError`` and leaves the file as it was."""
+        with self._lock:
+            if len(self._cache) > self._saved:
+                self._flush_cache()
 
     # -- mutation ----------------------------------------------------------
 
@@ -339,7 +360,8 @@ class KnowledgeBase:
     def clone_in_memory(self) -> "KnowledgeBase":
         """A memory-only view for one benchmark episode: documents added to it
         reach neither this store nor any other view, while embeddings go to the
-        shared cache, so a run embeds each distinct text once."""
+        shared cache, so a run embeds each distinct text once. The view writes
+        no file; this store's ``save_cache`` writes the vectors it added."""
         return self._view(dict(self._sops))
 
     def without_sops(self) -> "KnowledgeBase":

@@ -234,7 +234,7 @@ class RemoteBackend:
 
     @property
     def backend_id(self) -> str:
-        return f"remote:{self.config.model}"
+        return f"remote:{self.config.model}:{self.config.embed_dim}"
 
     def _headers(self) -> dict:
         key = os.environ.get(self.config.credential_env, "")

@@ -422,3 +422,27 @@ class TestRetryAfter:
 
     def test_http_date_retries_without_waiting(self, monkeypatch):
         assert self._run(monkeypatch, "Wed, 21 Oct 2015 07:28:00 GMT") == []
+
+
+def test_a_scripted_step_builds_no_request_to_send_early(monkeypatch):
+    # nothing is sent ahead on a sequential backend, so the coder's prompt is
+    # built only where the tool needs it, and no R6 findings are looked up
+    import sys
+    from sopflow.agents import episode
+    from sopflow.tools import sop_flow
+
+    callers = []
+    original = sop_flow.coder_prompt
+
+    def recording(*args, **kwargs):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(sop_flow, "coder_prompt", recording)
+    monkeypatch.setattr(episode, "coder_prompt", recording)
+    monkeypatch.setattr(KnowledgeBase, "cached", lambda self, text: callers.append("cached"))
+    for case in golden.golden_cases("default"):
+        state = run(case.script, kb=golden.make_golden_kb(scripted_backend()),
+                    scenario=case.scenario)
+        assert state.outcome == OUTCOME_COMPLETED
+    assert callers == ["generate_sop_code"] * 9

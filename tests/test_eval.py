@@ -436,6 +436,103 @@ class TestEmbeddingFailures:
         assert len(reasons) == 1 and "backend failed twice" in reasons[0]
 
 
+class TestEmbeddingCacheFile:
+    """A run writes the texts it embedded to the knowledge base's cache file,
+    once, after its last episode; a rerun over the same knowledge base and
+    backend embeds none of them again."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """(texts embedded by the scripted backend, cache files written)."""
+        from sopflow import llm, schema
+        embedded, writes = [], []
+        hash_embedding, write_atomic = llm.hash_embedding, schema.write_atomic
+
+        def embedding(text, *args):
+            embedded.append(text)
+            return hash_embedding(text, *args)
+
+        def writing(path, text):
+            if Path(path).name == "embedding_cache.json":
+                writes.append(Path(path))
+            write_atomic(path, text)
+
+        monkeypatch.setattr(llm, "hash_embedding", embedding)
+        monkeypatch.setattr(schema, "write_atomic", writing)
+        return embedded, writes
+
+    @staticmethod
+    def _corpus(root):
+        from sopflow.evaluation import load_corpus
+        from sopflow.golden import write_corpus
+        return load_corpus(write_corpus(root, "default"))
+
+    @staticmethod
+    def _run(corpus, out, workers=1):
+        """The run's report and transcripts, as bytes."""
+        report = run_benchmark(corpus, EvalConfig(workers=workers), BackendConfig(),
+                               transcript_dir=out / "transcripts")
+        save_report(report, out / "report.json")
+        return {path.relative_to(out).as_posix(): path.read_bytes()
+                for path in sorted(out.rglob("*")) if path.is_file()}
+
+    def test_a_cold_run_embeds_each_text_once_and_writes_the_cache_once(
+            self, tmp_path, counted):
+        import json
+        embedded, writes = counted
+        corpus = self._corpus(tmp_path / "corpus")
+        cache = Path(corpus.kb) / "embedding_cache.json"
+        assert not cache.exists()
+        outputs = self._run(corpus, tmp_path / "run")
+        assert len(outputs) == 10
+        assert len(embedded) == len(set(embedded)) == 21
+        assert writes == [cache]
+        assert len(json.loads(cache.read_text(encoding="utf-8"))) == 21
+
+    def test_a_warm_rerun_embeds_nothing_writes_nothing_and_gives_the_same_files(
+            self, tmp_path, counted):
+        embedded, writes = counted
+        corpus = self._corpus(tmp_path / "corpus")
+        cache = Path(corpus.kb) / "embedding_cache.json"
+        cold = self._run(corpus, tmp_path / "cold")
+        written = cache.read_bytes()
+        embedded.clear()
+        writes.clear()
+        warm = self._run(corpus, tmp_path / "warm")
+        assert embedded == [] and writes == []
+        assert warm == cold
+        assert cache.read_bytes() == written
+
+    def test_a_failed_write_keeps_the_report_and_the_previous_cache(
+            self, tmp_path, monkeypatch):
+        from sopflow.kb import KnowledgeBase
+        from sopflow.llm import make_backend
+        corpus = self._corpus(tmp_path / "corpus")
+        expected = run_benchmark(self._corpus(tmp_path / "other"), EvalConfig(),
+                                 BackendConfig())
+        kb = KnowledgeBase(make_backend(BackendConfig()), root=corpus.kb)
+        kb.match_sop("cpu saturation on the frontend")  # a cache file with 10 texts
+        before = {p: p.read_bytes() for p in Path(corpus.kb).rglob("*") if p.is_file()}
+
+        def failing_replace(src, dst):
+            raise OSError("injected: disk full")
+
+        monkeypatch.setattr("os.replace", failing_replace)
+        report = run_benchmark(corpus, EvalConfig(), BackendConfig())
+        assert report == expected and report.la == 1.0
+        # the old file intact, no temp file left behind
+        assert {p: p.read_bytes() for p in Path(corpus.kb).rglob("*") if p.is_file()} \
+            == before
+
+    def test_a_parallel_run_persists_the_same_cache(self, tmp_path):
+        caches = []
+        for workers in (1, 2):
+            corpus = self._corpus(tmp_path / f"workers-{workers}")
+            self._run(corpus, tmp_path / f"run-{workers}", workers=workers)
+            caches.append((Path(corpus.kb) / "embedding_cache.json").read_bytes())
+        assert caches[0] == caches[1]
+
+
 class TestInternalErrors:
     """An unexpected exception inside one episode aborts that episode only."""
 

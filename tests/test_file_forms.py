@@ -7,8 +7,9 @@ writes for knowledge-base documents and people write by hand.
   loads back to what was saved.
 - A JSON text YAML 1.1 reads otherwise goes to the YAML loader.
 - Episodes cannot tell which form a corpus was written in.
-- Mutated files of either form fail only with ``ConfigError`` or
-  ``ValidationError``, naming the file.
+- Mutated files of either form (scenarios, scripts, manifests, and a
+  knowledge base's documents and embedding cache) fail only with
+  ``ConfigError`` or ``ValidationError``, naming the file.
 """
 
 import dataclasses
@@ -23,9 +24,11 @@ from hypothesis import strategies as st
 from sopflow import golden, schema
 from sopflow.errors import ConfigError, ValidationError
 from sopflow.evaluation import EvalConfig, load_corpus, run_benchmark
+from sopflow.kb import KnowledgeBase
 from sopflow.llm import (
     BackendConfig,
     ScriptEntry,
+    make_backend,
     script_from_mapping,
     script_to_mapping,
     scripted_config,
@@ -231,19 +234,39 @@ def test_the_form_a_corpus_is_written_in_is_invisible_to_episodes(tmp_path):
 
 @pytest.fixture(scope="module")
 def golden_files(tmp_path_factory):
-    """The data of one golden scenario, its script and the corpus manifest."""
-    root = golden.write_corpus(tmp_path_factory.mktemp("golden")).parent
+    """The data of one golden scenario, its script, the corpus manifest, one
+    SOP and one incident of its knowledge base, and the embedding cache a run
+    of the corpus leaves there."""
+    manifest = golden.write_corpus(tmp_path_factory.mktemp("golden"))
+    run_benchmark(load_corpus(manifest), EvalConfig(), BackendConfig())
+    root = manifest.parent
     name = "scn-01000-cpustress.yaml"
     return {"scenario": schema.read_yaml(root / "scenarios" / name),
             "script": schema.read_yaml(root / "scripts" / name),
-            "manifest": schema.read_yaml(root / "manifest.yaml")}
+            "manifest": schema.read_yaml(manifest),
+            "sop": schema.read_yaml(sorted((root / "kb" / "sops").iterdir())[0]),
+            "incident": schema.read_yaml(sorted((root / "kb" / "incidents").iterdir())[0]),
+            "cache": schema.read_json(root / "kb" / "embedding_cache.json")}
+
+
+def _knowledge_base(path):
+    """The knowledge base whose directory holds ``path``."""
+    return KnowledgeBase(make_backend(BackendConfig()),
+                         root=path.parent if path.suffix == ".json" else path.parent.parent)
 
 
 _READERS = {
     "scenario": load_scenario,
     "script": lambda path: scripted_config(path, BackendConfig()),
     "manifest": load_corpus,
+    "sop": _knowledge_base,
+    "incident": _knowledge_base,
+    "cache": _knowledge_base,
 }
+# where each kind is written, under a directory of its own; a knowledge base
+# reads its files at these places
+_FILES = {"sop": "sops/sop.yaml", "incident": "incidents/incident.yaml",
+          "cache": "embedding_cache.json"}
 
 
 def _places(data, at=()):
@@ -295,11 +318,11 @@ def _mutations(draw, golden_files):
     return kind, form, how, draw(st.floats(0, 1)), data
 
 
-@settings(max_examples=600, deadline=None, suppress_health_check=_FIXTURE)
+@settings(max_examples=1200, deadline=None, suppress_health_check=_FIXTURE)
 @given(data=st.data())
 def test_a_mutated_file_fails_only_with_an_error_naming_it(tmp_path, golden_files, data):
     kind, form, how, detail, mutated = data.draw(_mutations(golden_files))
-    path = tmp_path / f"{kind}.yaml"
+    path = tmp_path / kind / _FILES.get(kind, f"{kind}.yaml")
     (schema.write_json_form if form == "json" else schema.write_yaml)(path, mutated)
     if how == "truncate":
         raw = path.read_bytes()

@@ -354,6 +354,29 @@ class TestRemoteBackend:
         backend = self._replying(monkeypatch, {"data": [{"embedding": [1] + [0] * 63}]})
         assert backend.embed("text").values == (1.0,) + (0.0,) * 63
 
+    def test_a_cache_written_at_one_embed_dim_is_not_read_at_another(
+            self, monkeypatch, tmp_path):
+        # the backend id names the dimension, so the store's name is embedded
+        # again at the new one instead of meeting a query of another length
+        from sopflow.kb import KnowledgeBase, SopDoc
+        monkeypatch.setenv("SOPFLOW_API_KEY", "k")
+        sent = []
+
+        def send(url, body, headers):
+            sent.append(json.loads(body)["input"])
+            return 200, {}, json.dumps({"data": [{"embedding": [1.0] * embed_dim}]}).encode()
+
+        monkeypatch.setattr("sopflow.llm._send", send)
+        for embed_dim, query in ((2, "cpu"), (3, "memory")):
+            config = self._config()
+            config.embed_dim = embed_dim
+            kb = KnowledgeBase(RemoteBackend(config), root=tmp_path / "kb")
+            if not kb.list_sops():
+                kb.add_sop(SopDoc(id="sop-a", name="name", steps=["s"]))
+            assert kb.match_sop(query)[0][0].id == "sop-a"
+        assert RemoteBackend(config).backend_id == "remote:test-model:3"
+        assert sent == ["cpu", "name", "memory", "name"]
+
     def test_config_validation(self):
         with pytest.raises(ValidationError):
             BackendConfig(backend_kind="remote").validate()

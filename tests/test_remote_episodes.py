@@ -96,6 +96,20 @@ def test_remote_transcripts_equal_scripted_under_every_mode(tmp_path, fake_endpo
     assert proposers and all(name.startswith("sopflow-propose") for name in proposers)
 
 
+def test_a_remote_rerun_sends_no_embedding_request(tmp_path, fake_endpoint):
+    # the first run saves its vectors to the knowledge base's cache file, so
+    # the rerun finds every text there
+    _, remote = _corpora(tmp_path / "corpus", "default")
+    runs = []
+    for name in ("cold", "warm"):
+        _serve_golden(fake_endpoint, "default")
+        _run(remote, "default", fake_endpoint.config(), tmp_path / name)
+        runs.append((_outputs(tmp_path / name),
+                     sum(r.role == "embed" for r in fake_endpoint.requests)))
+    assert runs[0][0] == runs[1][0]
+    assert [embeddings for _, embeddings in runs] == [21, 0]
+
+
 def test_each_step_overlaps_exactly_its_planned_pairs(fake_endpoint):
     # each request of a planned pair waits inside the endpoint for its partner,
     # so a client that sent the two one after the other would time out there
