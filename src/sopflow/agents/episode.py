@@ -395,7 +395,6 @@ class _Runtime:
                 locations=tuple(dict.fromkeys(c.location for c in causes)),
                 types=tuple(dict.fromkeys(c.fault_type for c in causes)),
                 explanation="; ".join(c.explanation for c in causes if c.explanation),
-                path=state.path,
             )
             state.outcome = OUTCOME_COMPLETED
 
@@ -428,7 +427,7 @@ def run_episode(scenario: EpisodeScenario, config: AgentConfig, backend, kb,
                   "locations": list(state.diagnosis.locations),
                   "types": list(state.diagnosis.types),
                   "explanation": state.diagnosis.explanation,
-                  "path": list(state.diagnosis.path),
+                  "path": list(state.path),
               },
               abort_reason=state.abort_reason)
     return state

@@ -95,7 +95,6 @@ class DiagnosisResult:
     locations: tuple[str, ...]
     types: tuple[str, ...]
     explanation: str
-    path: tuple[str, ...]
 
 
 @dataclass

@@ -109,6 +109,7 @@ def _cmd_kb(args) -> int:
             print(f"{score:.6f}  {inc.id}  [{inc.fault_type}] {inc.manifestation[:60]}")
     if not matches:
         print("no matches")
+    kb.save_cache()
     return 0
 
 
@@ -137,6 +138,7 @@ def _cmd_diagnose(args) -> int:
     if args.max_steps is not None:
         agent_cfg.max_steps = args.max_steps
     state = run_episode(scenario, agent_cfg, backend, kb, app.detector)
+    kb.save_cache()
     if args.out:
         write_transcript(state, args.out)
     print(f"outcome: {state.outcome} ({state.step_count} steps)")
@@ -145,7 +147,7 @@ def _cmd_diagnose(args) -> int:
         print(f"locations: {', '.join(d.locations)}")
         print(f"types: {', '.join(d.types)}")
         print(f"explanation: {d.explanation}")
-        print(f"path: {' -> '.join(d.path)}")
+        print(f"path: {' -> '.join(state.path)}")
     elif state.outcome == OUTCOME_ABORTED:
         print(f"abort reason: {state.abort_reason}")
     if state.outcome == OUTCOME_COMPLETED:

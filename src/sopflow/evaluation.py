@@ -264,10 +264,7 @@ def run_benchmark(corpus: Corpus, eval_cfg: EvalConfig, backend_cfg: BackendConf
             rows = list(pool.map(_run, entries))
     else:  # on the calling thread, so a per-thread span stack sees the nesting
         rows = [_run(entry) for entry in entries]
-    try:
-        kb_master.save_cache()
-    except OSError:
-        pass  # a cache is an optimization: the next run embeds these texts again
+    kb_master.save_cache()
     return BenchmarkReport.from_rows(rows, eval_cfg)
 
 
@@ -280,11 +277,14 @@ def save_report(report: BenchmarkReport, path: Path | str) -> None:
 
 
 def load_report(path: Path | str) -> BenchmarkReport:
-    """Load a serialized report, recomputing the aggregates as a consistency check."""
-    report = schema.from_mapping(BenchmarkReport, schema.read_json(path), "report")
+    """Load a serialized report, recomputing the aggregates as a consistency
+    check; its config record must read as an ``EvalConfig``. Every error
+    names the file."""
+    report = schema.from_mapping(BenchmarkReport, schema.read_json(path), str(path))
+    schema.from_mapping(EvalConfig, report.config, f"{path}.config")
     stored = (report.la, report.ta, report.average, report.apl)
     if not all(map(_same, stored, _aggregates(report.rows, report.sigma))):
-        raise ValidationError("report aggregates do not match its rows")
+        raise ValidationError(f"{path}: report aggregates do not match its rows")
     return report
 
 

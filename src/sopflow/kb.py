@@ -9,13 +9,13 @@ the backend's ``embed_many`` in one call, which an episode on a remote
 backend sends two at a time (the second of each pair sent ahead, and a text
 already sent ahead answered from that request). A knowledge base has one
 embedding cache, shared by all its views (``using``, ``clone_in_memory``,
-``without_sops``). A match on a store with a directory writes the cache file
-once; the memory-only views write nothing, and ``save_cache`` writes what
-they added. A benchmark run calls it once, after its last episode, so a
-rerun over the same knowledge base and backend embeds no text an earlier run
-embedded. Every file is written atomically (a temp file beside it, then
-``os.replace``). Retrieval is an exact linear scan over cosine similarities,
-which is plenty at the store sizes this system targets.
+``without_sops``). A match only fills that cache in memory; ``save_cache``
+is the one writer of the cache file, and ``sopflow kb match``,
+``sopflow diagnose`` and a benchmark run each call it once, when they are
+done, so a rerun over the same knowledge base and backend embeds no text an
+earlier run embedded. Every file is written atomically (a temp file beside
+it, then ``os.replace``). Retrieval is an exact linear scan over cosine
+similarities, which is plenty at the store sizes this system targets.
 """
 
 from __future__ import annotations
@@ -230,20 +230,22 @@ class KnowledgeBase:
             return
         schema.write_yaml(self._root / subdir / f"{doc.id}.yaml", schema.to_mapping(doc))
 
-    def _flush_cache(self) -> None:
-        if self._root is None:
-            return
-        stored = {key: list(vec.values) for key, vec in self._cache.items()}
-        schema.write_atomic(self._root / _CACHE_FILE, json.dumps(stored, sort_keys=True))
-        self._saved = len(stored)
-
     def save_cache(self) -> None:
-        """Write the cache file if the cache holds a vector the file lacks, such
-        as one a memory-only view embedded. The cache only grows, so its size
-        tells. A failed write raises ``OSError`` and leaves the file as it was."""
+        """Write the cache file (its only writer) if the cache holds a vector
+        the file lacks, such as one a view embedded; the cache only grows, so
+        its size tells. A memory-only store writes nothing. A failed write
+        leaves the file as it was and raises nothing: the cache is an
+        optimization, and a later run embeds those texts again."""
         with self._lock:
-            if len(self._cache) > self._saved:
-                self._flush_cache()
+            if self._root is None or len(self._cache) <= self._saved:
+                return
+            stored = {key: list(vec.values) for key, vec in self._cache.items()}
+            try:
+                schema.write_atomic(self._root / _CACHE_FILE,
+                                    json.dumps(stored, sort_keys=True))
+            except OSError:
+                return
+            self._saved = len(stored)
 
     # -- mutation ----------------------------------------------------------
 
@@ -290,7 +292,7 @@ class KnowledgeBase:
     def _vectors(self, texts: list[str]) -> dict[str, EmbeddingVector]:
         """The vector of each text. The texts missing from the cache are
         embedded in one call, in order and each once (``embed_many`` when the
-        backend has it), then cached with one write of the cache file."""
+        backend has it), then cached in memory; ``save_cache`` writes them."""
         backend_id = self._backend.backend_id
         keys = {text: _text_key(backend_id, text) for text in texts}
         missing = [text for text, key in keys.items() if key not in self._cache]
@@ -301,7 +303,6 @@ class KnowledgeBase:
             with self._lock:
                 for text, vector in zip(missing, vectors):
                     self._cache[keys[text]] = vector
-                self._flush_cache()
         return {text: self._cache[key] for text, key in keys.items()}
 
     def cached(self, text: str) -> bool:

@@ -40,11 +40,13 @@ Every draw is keyed by its series, span or pod and its tick, so what a query
 returns, and ``export_lines``, are byte-identical to a full render whatever
 was queried before.
 
-The table above has one implementation, ``_Effects``. For each distinct set
-of active faults it resolves once which components the faults can change
-(``Telemetry.touched``), which pods are down, what each affected call edge
-and service gets, each stressed pod's magnitude and each node's bandwidth
-magnitudes; every sample tick with that set looks them up. A sample of an
+The table above has one implementation, ``_Effects``; apart from the fault
+log lines, nothing else reads a fault's type. A ``Telemetry`` builds one
+``_Effects`` per distinct set of active faults. It resolves once which
+components the faults can change (``Telemetry.touched``), which pods are
+down, what each affected call edge and service gets, each stressed pod's
+magnitude and each node's bandwidth magnitudes; every sample tick with that
+set, and ``pod_phase`` at the incident time, looks them up. A sample of an
 untouched component is a nominal draw from the series' (baseline, sigma), so
 it lies in its ``Telemetry.nominal_ranges`` entry. The alert sweep uses both
 to skip samples it can prove cannot flag.
@@ -202,21 +204,33 @@ class Telemetry:
 
     def __init__(self, scenario: EpisodeScenario):
         self.scenario = scenario
-        self._renderer = _Renderer(scenario)
-        self.topology = self._renderer.topo
-        self._tables = self._renderer.tables
-        self._times = _sample_times(scenario.window)
+        self.topology = topo = scenario.topology()
+        self._tables = _tables(scenario.topology_name)
+        self._seed = scenario.seed
+        self._times = list(range(*scenario.window, SAMPLE_PERIOD_S))
+        # resolve each fault's affected edges once, then one effect table per
+        # distinct set of active faults
+        edges_by_fault = [(fault, {(e.src, e.dst) for e in fault.affected_edges(topo)})
+                          for fault in scenario.faults]
+        by_set: dict[tuple[bool, ...], _Effects] = {}
+
+        def effects_at(t: int) -> _Effects:
+            on = tuple(fault.active_at(t) for fault in scenario.faults)
+            if on not in by_set:
+                by_set[on] = _Effects(topo, list(compress(edges_by_fault, on)))
+            return by_set[on]
+
+        self._effects = {t: effects_at(t) for t in self._times}  # sample tick -> its table
+        # the pods down at the incident time; a scenario with no fault has no
+        # incident time and no pod down
+        self._down = effects_at(scenario.incident_time_s).down if scenario.faults else set()
         # (component, metric) -> the series' samples by tick number, None
         # until rendered; a row is made when the series is first queried
         self._series: dict[tuple[str, str], list[float | None]] = {}
         self._traces: list[Trace | None] = [None] * len(self._times)
         self._errors: list[list[Span] | None] = [None] * len(self._times)
         self._heartbeats: dict[tuple[str, int], LogLine] = {}
-        self._fault_logs = self._renderer.fault_logs()
-        # the pods a PodFailure has down at the incident time
-        self._down = {fault.location_id for fault in scenario.faults
-                      if fault.fault_type == FaultType.PodFailure
-                      and fault.active_at(scenario.incident_time_s)}
+        self._fault_logs = self._render_fault_logs()
 
     def _values(self, key: tuple[str, str], lo: int, hi: int) -> list[float]:
         """Series ``key``'s samples at tick numbers ``lo`` to ``hi`` - 1,
@@ -226,7 +240,7 @@ class Telemetry:
             row = self._series[key] = [None] * len(self._times)
         for i in range(lo, hi):
             if row[i] is None:
-                row[i] = self._renderer.sample(key, self._times[i])
+                row[i] = self._sample(key, self._times[i])
         return row[lo:hi]
 
     def _ticks(self, window: tuple[int, int] | None) -> tuple[int, int]:
@@ -248,7 +262,7 @@ class Telemetry:
         for t, pod in product(ticks, pods if heartbeat_pods is None else heartbeat_pods):
             line = self._heartbeats.get((pod, t))
             if line is None:
-                line = self._heartbeats[(pod, t)] = self._renderer.heartbeat(pod, t)
+                line = self._heartbeats[(pod, t)] = self._heartbeat(pod, t)
             lines.append(line)
         lines.sort(key=lambda line: (line.t_s, line.pod, line.text))
         return lines
@@ -266,7 +280,7 @@ class Telemetry:
     def touched(self, t: int) -> frozenset[str]:
         """The components a fault can change at sample tick ``t``; a sample of
         any other component at ``t`` is nominal."""
-        return self._renderer.effects[t].touched
+        return self._effects[t].touched
 
     def nominal_ranges(self) -> Mapping[tuple[str, str], tuple[float, float]]:
         """Each series named by ``series_keys`` -> the least and the greatest
@@ -331,7 +345,7 @@ class Telemetry:
         lo, hi = self._ticks(window)
         for i in range(lo, hi):
             if self._traces[i] is None:
-                self._traces[i] = self._renderer.trace(i, self._times[i])
+                self._traces[i] = self._trace(i, self._times[i])
         return self._traces[lo:hi]
 
     def error_spans(self, window: tuple[int, int] | None = None) -> list[Span]:
@@ -341,7 +355,7 @@ class Telemetry:
         spans = []
         for i in range(lo, hi):
             if self._errors[i] is None:
-                self._errors[i] = self._renderer.error_spans(i, self._times[i])
+                self._errors[i] = self._error_spans(i, self._times[i])
             spans.extend(self._errors[i])
         return spans
 
@@ -390,12 +404,173 @@ class Telemetry:
                 digest.update(b"\n")
         return digest.hexdigest()
 
+    # -- rendering: metrics ----------------------------------------------------
 
-# -- rendering ------------------------------------------------------------------
+    def _sample(self, key: tuple[str, str], t: int) -> float:
+        """The sample of series ``key`` = (component, metric) at tick ``t``.
 
+        Every draw is keyed by (component, metric, t), so samples can be
+        rendered in any order and each comes out the same. A component no
+        fault touches at ``t`` gets the nominal draw alone.
+        """
+        component, metric = key
+        effects = self._effects[t]
+        if component not in effects.touched:
+            value = self._nominal(key, t)
+        elif metric in POD_METRIC_BASELINES:
+            if component in effects.down:
+                value = 0.0
+            else:
+                value = self._nominal(key, t)
+                stress = effects.stress.get(key)
+                if stress is not None:
+                    value = min(1.0, noise.gauss(stress, 0.01,
+                                                 self._seed, "stress", component, metric, t))
+        elif metric in NODE_METRIC_BASELINES:
+            value = self._nominal(key, t)
+            for magnitude in effects.bandwidth.get(key, ()):
+                value *= magnitude
+        else:
+            value = self._service_sample(component, metric, t)
+        return round(max(value, 0.0), 6)
 
-def _sample_times(window: tuple[int, int]) -> list[int]:
-    return list(range(window[0], window[1], SAMPLE_PERIOD_S))
+    def _nominal(self, key: tuple[str, str], t: int) -> float:
+        return noise.gauss(*self._tables.nominal[key], self._seed, "metric", *key, t)
+
+    def _service_sample(self, service: str, metric: str, t: int) -> float:
+        effect = self._effects[t].services.get(service, _NO_SERVICE_EFFECT)
+        key = (service, metric)
+        if metric == "request_latency_ms":
+            return self._nominal(key, t) * effect.latency_factor + effect.latency_extra
+        if metric == "throughput_rps":
+            value = self._nominal(key, t) * effect.throughput_factor
+            return 0.0 if effect.failed_pod else value
+        if effect.error_rate is not None:
+            return effect.error_rate
+        return self._nominal(key, t)
+
+    # -- rendering: logs -------------------------------------------------------
+
+    def _heartbeat(self, pod_id: str, t: int) -> LogLine:
+        """Pod ``pod_id``'s heartbeat line at log tick ``t``."""
+        handled = 40 + int(noise.unit(self._seed, "log", pod_id, t) * 20)
+        before, between, after = _HEARTBEAT_PIECES
+        return LogLine(pod=pod_id, t_s=t,
+                       text=f"{before}{t}{between.format(pod=pod_id)}{handled}{after}")
+
+    def _render_fault_logs(self) -> list[LogLine]:
+        """Every fault's log lines, on the pod a pod fault targets or an edge
+        fault's callee pod (a node-pair fault has no template); they draw no
+        noise."""
+        lines: list[LogLine] = []
+        end = self.scenario.window[1]
+        for fault in self.scenario.faults:
+            template = _FAULT_LOG_LINES.get(fault.fault_type)
+            if fault.fault_type == FaultType.MemoryStress:
+                template = ("ERROR OOM killer invoked for worker process"
+                            if fault.magnitude >= 0.95
+                            else "WARN memory pressure high, reclaiming caches")
+            if template is None:
+                continue
+            pod_id = (fault.location_id if fault.target_kind == "pod"
+                      else self.topology.pods_of(fault.edge_pair()[1])[0].id)
+            body = template.format(mag=fault.magnitude)
+            for t in range(fault.start_s, min(fault.end_s, end), SAMPLE_PERIOD_S):
+                lines.append(LogLine(pod=pod_id, t_s=t, text=f"{body} (t={t})"))
+        return lines
+
+    # -- rendering: traces -----------------------------------------------------
+
+    def _trace(self, tick: int, t: int) -> Trace:
+        """The trace sampled at tick number ``tick``, time ``t``."""
+        trace_id = f"t{tick:04d}"
+        spans: list[Span] = []
+        self._build_root(trace_id, self._effects[t], spans)
+        return Trace(trace_id=trace_id, t_s=t, spans=tuple(spans))
+
+    def _error_spans(self, tick: int, t: int) -> list[Span]:
+        """The error spans of ``_trace(tick, t)``, in its order. An error span
+        has no children and its draws are keyed by its own span id, so only
+        the calls on a path to an edge a fault affects at ``t`` are walked."""
+        trace_id = f"t{tick:04d}"
+        effects = self._effects[t]
+        if self._tables.root_pod in effects.down:
+            return [self._root_down(trace_id)]
+        spans: list[Span] = []
+        self._walk_errors(trace_id, effects, self.topology.frontend, self.topology.frontend, spans)
+        return spans
+
+    def _walk_errors(self, trace_id: str, effects: _Effects, service: str, span_id: str,
+                     spans: list[Span]) -> None:
+        for edge in self._tables.children[service]:
+            effect = effects.edges.get((edge.src, edge.dst))
+            if effect is None and edge.dst not in effects.above:
+                continue  # every call on and below this edge is ok
+            call_id = f"{span_id}/{edge.dst}"
+            failed = self._failed_call(trace_id, call_id, span_id, edge,
+                                       effect or _NO_EDGE_EFFECT)
+            if failed is None:
+                self._walk_errors(trace_id, effects, edge.dst, call_id, spans)
+            else:
+                spans.append(failed[0])
+
+    def _root_down(self, trace_id: str) -> Span:
+        """The root span of a trace whose frontend pod is down."""
+        frontend = self.topology.frontend
+        duration = ROOT_BASE_MS + self._jitter(trace_id, frontend, ROOT_BASE_MS)
+        return Span(trace_id, frontend, None, frontend, round(duration, 3),
+                    "error", "Service unavailable")
+
+    def _failed_call(self, trace_id: str, span_id: str, parent_span_id: str, edge: CallEdge,
+                     effect: _EdgeEffect) -> tuple[Span, float] | None:
+        """The error span of the call ``span_id`` on ``edge`` and its unrounded
+        duration when ``effect`` makes the call error, else None."""
+        if effect.unreachable_msg is not None:
+            message, extra = effect.unreachable_msg, 0.0
+        else:
+            message = next((message for message, fraction in effect.error_modes
+                            if noise.unit(self._seed, "edgedraw", trace_id, span_id,
+                                          message) < fraction), None)
+            if message is None:
+                return None
+            extra = effect.extra_ms
+        base = edge.base_latency_ms
+        duration = base + extra + self._jitter(trace_id, span_id, base)
+        return Span(trace_id, span_id, parent_span_id, edge.dst, round(duration, 3),
+                    "error", message), duration
+
+    def _jitter(self, trace_id: str, span_id: str, base: float) -> float:
+        return noise.jitter(SPAN_JITTER_FRAC * base, self._seed, "span", trace_id, span_id)
+
+    def _build_root(self, trace_id: str, effects: _Effects, spans: list[Span]) -> None:
+        if self._tables.root_pod in effects.down:
+            spans.append(self._root_down(trace_id))
+            return
+        frontend = self.topology.frontend
+        child_total = 0.0
+        for edge in self._tables.children[frontend]:
+            child_total += self._build_call(trace_id, effects, edge, frontend, spans)
+        duration = (ROOT_BASE_MS + PROC_MS + child_total
+                    + self._jitter(trace_id, frontend, ROOT_BASE_MS))
+        spans.insert(0, Span(trace_id, frontend, None, frontend, round(duration, 3), "ok"))
+
+    def _build_call(self, trace_id: str, effects: _Effects, edge: CallEdge,
+                    parent_span_id: str, spans: list[Span]) -> float:
+        # span ids are call paths, so pruning one branch never renames another
+        span_id = f"{parent_span_id}/{edge.dst}"
+        effect = effects.edges.get((edge.src, edge.dst), _NO_EDGE_EFFECT)
+        failed = self._failed_call(trace_id, span_id, parent_span_id, edge, effect)
+        if failed is not None:
+            spans.append(failed[0])
+            return failed[1]
+        child_total = 0.0
+        for child_edge in self._tables.children[edge.dst]:
+            child_total += self._build_call(trace_id, effects, child_edge, span_id, spans)
+        duration = (edge.base_latency_ms * effect.slow_factor + effect.extra_ms + PROC_MS
+                    + child_total + self._jitter(trace_id, span_id, edge.base_latency_ms))
+        spans.append(Span(trace_id, span_id, parent_span_id, edge.dst,
+                          round(duration, 3), "ok"))
+        return duration
 
 
 def _service_latency_baseline(topo: Topology, service: str) -> float:
@@ -479,7 +654,7 @@ def _heartbeats_may_match(pod_id: str, keywords: tuple[str, ...]) -> bool:
 class _Effects:
     """The fault signature table of the module docstring, resolved for one
     set of active faults: what they do to each component, edge and series.
-    Built once per distinct set (``_Renderer.effects``) and shared by every
+    Built once per distinct set (``Telemetry.__init__``) and shared by every
     sample tick with that set, so nothing may write to it once built.
 
     Effects accumulate per fault in scenario order: sums from 0.0, products
@@ -555,198 +730,6 @@ class _Effects:
         self.above = {src for src, _ in self.edges}
         while grown := {e.src for e in topo.call_edges if e.dst in self.above} - self.above:
             self.above |= grown
-
-
-class _Renderer:
-    def __init__(self, scenario: EpisodeScenario):
-        self.scenario = scenario
-        self.topo = scenario.topology()
-        self.tables = _tables(scenario.topology_name)
-        self.seed = scenario.seed
-        # resolve each fault's affected edges once, then one effect table per
-        # distinct set of faults active at a sample tick
-        edges_by_fault = [
-            (fault, {(e.src, e.dst) for e in fault.affected_edges(self.topo)})
-            for fault in scenario.faults
-        ]
-        by_set: dict[tuple[bool, ...], _Effects] = {}
-        self.effects: dict[int, _Effects] = {}  # sample tick -> its table
-        for t in _sample_times(scenario.window):
-            on = tuple(f.active_at(t) for f in scenario.faults)
-            if on not in by_set:
-                by_set[on] = _Effects(self.topo, list(compress(edges_by_fault, on)))
-            self.effects[t] = by_set[on]
-
-    # -- metrics --------------------------------------------------------------
-
-    def sample(self, key: tuple[str, str], t: int) -> float:
-        """The sample of series ``key`` = (component, metric) at tick ``t``.
-
-        Every draw is keyed by (component, metric, t), so samples can be
-        rendered in any order and each comes out the same. A component no
-        fault touches at ``t`` gets the nominal draw alone.
-        """
-        component, metric = key
-        effects = self.effects[t]
-        if component not in effects.touched:
-            value = self._nominal(key, t)
-        elif metric in POD_METRIC_BASELINES:
-            if component in effects.down:
-                value = 0.0
-            else:
-                value = self._nominal(key, t)
-                stress = effects.stress.get(key)
-                if stress is not None:
-                    value = min(1.0, noise.gauss(stress, 0.01,
-                                                 self.seed, "stress", component, metric, t))
-        elif metric in NODE_METRIC_BASELINES:
-            value = self._nominal(key, t)
-            for magnitude in effects.bandwidth.get(key, ()):
-                value *= magnitude
-        else:
-            value = self._service_sample(component, metric, t)
-        return round(max(value, 0.0), 6)
-
-    def _nominal(self, key: tuple[str, str], t: int) -> float:
-        return noise.gauss(*self.tables.nominal[key], self.seed, "metric", *key, t)
-
-    def _service_sample(self, service: str, metric: str, t: int) -> float:
-        effect = self.effects[t].services.get(service, _NO_SERVICE_EFFECT)
-        key = (service, metric)
-        if metric == "request_latency_ms":
-            return self._nominal(key, t) * effect.latency_factor + effect.latency_extra
-        if metric == "throughput_rps":
-            value = self._nominal(key, t) * effect.throughput_factor
-            return 0.0 if effect.failed_pod else value
-        if effect.error_rate is not None:
-            return effect.error_rate
-        return self._nominal(key, t)
-
-    # -- logs -------------------------------------------------------------------
-
-    def _fault_log_pod(self, fault: FaultSpec) -> str:
-        """The pod a pod or edge fault logs on (node-pair faults have no template)."""
-        if fault.target_kind == "pod":
-            return fault.location_id
-        return self.topo.pods_of(fault.edge_pair()[1])[0].id
-
-    def heartbeat(self, pod_id: str, t: int) -> LogLine:
-        """Pod ``pod_id``'s heartbeat line at log tick ``t``."""
-        handled = 40 + int(noise.unit(self.seed, "log", pod_id, t) * 20)
-        before, between, after = _HEARTBEAT_PIECES
-        return LogLine(pod=pod_id, t_s=t,
-                       text=f"{before}{t}{between.format(pod=pod_id)}{handled}{after}")
-
-    def fault_logs(self) -> list[LogLine]:
-        """Every fault's log lines; they draw no noise."""
-        lines: list[LogLine] = []
-        end = self.scenario.window[1]
-        for fault in self.scenario.faults:
-            template = _FAULT_LOG_LINES.get(fault.fault_type)
-            if fault.fault_type == FaultType.MemoryStress:
-                template = ("ERROR OOM killer invoked for worker process"
-                            if fault.magnitude >= 0.95
-                            else "WARN memory pressure high, reclaiming caches")
-            if template is None:
-                continue
-            pod_id = self._fault_log_pod(fault)
-            body = template.format(mag=fault.magnitude)
-            for t in range(fault.start_s, min(fault.end_s, end), SAMPLE_PERIOD_S):
-                lines.append(LogLine(pod=pod_id, t_s=t, text=f"{body} (t={t})"))
-        return lines
-
-    # -- traces ----------------------------------------------------------------
-
-    def trace(self, tick: int, t: int) -> Trace:
-        """The trace sampled at tick number ``tick``, time ``t``."""
-        trace_id = f"t{tick:04d}"
-        spans: list[Span] = []
-        self._build_root(trace_id, self.effects[t], spans)
-        return Trace(trace_id=trace_id, t_s=t, spans=tuple(spans))
-
-    def error_spans(self, tick: int, t: int) -> list[Span]:
-        """The error spans of ``trace(tick, t)``, in its order. An error span
-        has no children and its draws are keyed by its own span id, so only
-        the calls on a path to an edge a fault affects at ``t`` are walked."""
-        trace_id = f"t{tick:04d}"
-        effects = self.effects[t]
-        if self.tables.root_pod in effects.down:
-            return [self._root_down(trace_id)]
-        spans: list[Span] = []
-        self._walk_errors(trace_id, effects, self.topo.frontend, self.topo.frontend, spans)
-        return spans
-
-    def _walk_errors(self, trace_id: str, effects: _Effects, service: str, span_id: str,
-                     spans: list[Span]) -> None:
-        for edge in self.tables.children[service]:
-            effect = effects.edges.get((edge.src, edge.dst))
-            if effect is None and edge.dst not in effects.above:
-                continue  # every call on and below this edge is ok
-            call_id = f"{span_id}/{edge.dst}"
-            failed = self._failed_call(trace_id, call_id, span_id, edge,
-                                       effect or _NO_EDGE_EFFECT)
-            if failed is None:
-                self._walk_errors(trace_id, effects, edge.dst, call_id, spans)
-            else:
-                spans.append(failed[0])
-
-    def _root_down(self, trace_id: str) -> Span:
-        """The root span of a trace whose frontend pod is down."""
-        frontend = self.topo.frontend
-        duration = ROOT_BASE_MS + self._jitter(trace_id, frontend, ROOT_BASE_MS)
-        return Span(trace_id, frontend, None, frontend, round(duration, 3),
-                    "error", "Service unavailable")
-
-    def _failed_call(self, trace_id: str, span_id: str, parent_span_id: str, edge: CallEdge,
-                     effect: _EdgeEffect) -> tuple[Span, float] | None:
-        """The error span of the call ``span_id`` on ``edge`` and its unrounded
-        duration when ``effect`` makes the call error, else None."""
-        if effect.unreachable_msg is not None:
-            message, extra = effect.unreachable_msg, 0.0
-        else:
-            message = next((message for message, fraction in effect.error_modes
-                            if noise.unit(self.seed, "edgedraw", trace_id, span_id,
-                                          message) < fraction), None)
-            if message is None:
-                return None
-            extra = effect.extra_ms
-        base = edge.base_latency_ms
-        duration = base + extra + self._jitter(trace_id, span_id, base)
-        return Span(trace_id, span_id, parent_span_id, edge.dst, round(duration, 3),
-                    "error", message), duration
-
-    def _jitter(self, trace_id: str, span_id: str, base: float) -> float:
-        return noise.jitter(SPAN_JITTER_FRAC * base, self.seed, "span", trace_id, span_id)
-
-    def _build_root(self, trace_id: str, effects: _Effects, spans: list[Span]) -> None:
-        if self.tables.root_pod in effects.down:
-            spans.append(self._root_down(trace_id))
-            return
-        frontend = self.topo.frontend
-        child_total = 0.0
-        for edge in self.tables.children[frontend]:
-            child_total += self._build_call(trace_id, effects, edge, frontend, spans)
-        duration = (ROOT_BASE_MS + PROC_MS + child_total
-                    + self._jitter(trace_id, frontend, ROOT_BASE_MS))
-        spans.insert(0, Span(trace_id, frontend, None, frontend, round(duration, 3), "ok"))
-
-    def _build_call(self, trace_id: str, effects: _Effects, edge: CallEdge,
-                    parent_span_id: str, spans: list[Span]) -> float:
-        # span ids are call paths, so pruning one branch never renames another
-        span_id = f"{parent_span_id}/{edge.dst}"
-        effect = effects.edges.get((edge.src, edge.dst), _NO_EDGE_EFFECT)
-        failed = self._failed_call(trace_id, span_id, parent_span_id, edge, effect)
-        if failed is not None:
-            spans.append(failed[0])
-            return failed[1]
-        child_total = 0.0
-        for child_edge in self.tables.children[edge.dst]:
-            child_total += self._build_call(trace_id, effects, child_edge, span_id, spans)
-        duration = (edge.base_latency_ms * effect.slow_factor + effect.extra_ms + PROC_MS
-                    + child_total + self._jitter(trace_id, span_id, edge.base_latency_ms))
-        spans.append(Span(trace_id, span_id, parent_span_id, edge.dst,
-                          round(duration, 3), "ok"))
-        return duration
 
 
 def render_telemetry(scenario: EpisodeScenario) -> Telemetry:

@@ -19,7 +19,7 @@ from sopflow.detector import (
 from sopflow.golden import golden_scenarios
 from sopflow.sandbox import ScenarioConfig, generate_corpus, noise, render_alert, render_telemetry
 from sopflow.sandbox.faults import FaultType
-from sopflow.sandbox.telemetry import SAMPLE_PERIOD_S, _Renderer
+from sopflow.sandbox.telemetry import SAMPLE_PERIOD_S, Telemetry
 from sopflow.tools import ToolContext, build_registry
 from sopflow.tools.observability import kubectl_logs
 
@@ -241,7 +241,7 @@ def test_a_detector_config_changed_in_place_gets_fresh_verdicts():
 def test_alert_renders_only_components_a_fault_touches(monkeypatch):
     rendered = []  # the component of every metric sample rendered
     traced = []    # the tick of every trace rendered
-    sample, trace = _Renderer.sample, _Renderer.trace
+    sample, trace = Telemetry._sample, Telemetry._trace
 
     def counting_sample(self, key, t):
         rendered.append(key[0])
@@ -251,8 +251,8 @@ def test_alert_renders_only_components_a_fault_touches(monkeypatch):
         traced.append(t)
         return trace(self, tick, t)
 
-    monkeypatch.setattr(_Renderer, "sample", counting_sample)
-    monkeypatch.setattr(_Renderer, "trace", counting_trace)
+    monkeypatch.setattr(Telemetry, "_sample", counting_sample)
+    monkeypatch.setattr(Telemetry, "_trace", counting_trace)
     for scenario in golden_scenarios() + generate_corpus(0, 18):
         telemetry = render_telemetry(scenario)
         rendered.clear()

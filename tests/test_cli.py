@@ -1,5 +1,7 @@
 import dataclasses
+import errno
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -217,6 +219,38 @@ class TestDiagnose:
         out = capsys.readouterr().out
         assert "locations: frontend-0" in out and "types: CpuStress" in out
         assert transcript.exists()
+
+    def test_an_ablated_diagnosis_writes_the_embedding_cache(self, tmp_path, capsys):
+        # without SOP knowledge the episode matches through a memory-only view
+        # of the knowledge base; diagnose still writes what it embedded
+        corpus = tmp_path / "corpus"
+        write_corpus(corpus, "sop_knowledge_off")
+        cfg = tmp_path / "config.yaml"
+        cfg.write_text("eval: {ablations: {sop_knowledge: false}}\n")
+        name = "scn-01000-cpustress.yaml"
+        cache = corpus / "kb" / "embedding_cache.json"
+        assert not cache.exists()
+        assert run_cli("diagnose", "--scenario", str(corpus / "scenarios" / name),
+                       "--script", str(corpus / "scripts" / name), "--config", str(cfg),
+                       "--kb", str(corpus / "kb")) == 0
+        assert "locations: frontend-0" in capsys.readouterr().out
+        assert json.loads(cache.read_text(encoding="utf-8"))
+
+    def test_a_failed_cache_write_keeps_the_diagnosis(self, tmp_path, capsys, monkeypatch):
+        corpus = tmp_path / "corpus"
+        write_corpus(corpus, "default")
+        name = "scn-01000-cpustress.yaml"
+
+        def read_only(src, dst):
+            raise OSError(errno.EROFS, "Read-only file system")
+
+        monkeypatch.setattr(os, "replace", read_only)
+        assert run_cli("diagnose", "--scenario", str(corpus / "scenarios" / name),
+                       "--script", str(corpus / "scripts" / name),
+                       "--kb", str(corpus / "kb")) == 0
+        assert "locations: frontend-0" in capsys.readouterr().out
+        # no cache file, and no temp file left behind
+        assert sorted(p.name for p in (corpus / "kb").iterdir()) == ["incidents", "sops"]
 
     def test_empty_script_exit_one(self, golden_dir, tmp_path):
         scenario = golden_dir / "scenarios" / "scn-01000-cpustress.yaml"

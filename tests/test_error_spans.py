@@ -9,7 +9,7 @@ from sopflow import golden
 from sopflow.agents import AgentConfig, run_episode
 from sopflow.llm import BackendConfig, make_backend
 from sopflow.sandbox import ScenarioConfig, generate_corpus, noise, render_telemetry
-from sopflow.sandbox.telemetry import _Renderer
+from sopflow.sandbox.telemetry import Telemetry
 
 from conftest import scripted_backend
 
@@ -75,7 +75,7 @@ _FULL_LOG_DRAWS = 1_980
 def test_golden_episodes_render_no_trace_and_few_heartbeats(monkeypatch):
     draws = 0
     traces = 0
-    unit, trace = noise.unit, _Renderer.trace
+    unit, trace = noise.unit, Telemetry._trace
 
     def counting_unit(*parts):
         nonlocal draws
@@ -89,7 +89,7 @@ def test_golden_episodes_render_no_trace_and_few_heartbeats(monkeypatch):
         return trace(self, tick, t)
 
     monkeypatch.setattr(noise, "unit", counting_unit)
-    monkeypatch.setattr(_Renderer, "trace", counting_trace)
+    monkeypatch.setattr(Telemetry, "_trace", counting_trace)
     kb = golden.make_golden_kb(scripted_backend())
     for case in golden.golden_cases("default"):
         backend = make_backend(BackendConfig(script=list(case.script)))

@@ -512,6 +512,7 @@ class TestEmbeddingCacheFile:
                                  BackendConfig())
         kb = KnowledgeBase(make_backend(BackendConfig()), root=corpus.kb)
         kb.match_sop("cpu saturation on the frontend")  # a cache file with 10 texts
+        kb.save_cache()
         before = {p: p.read_bytes() for p in Path(corpus.kb).rglob("*") if p.is_file()}
 
         def failing_replace(src, dst):

@@ -8,8 +8,9 @@ writes for knowledge-base documents and people write by hand.
 - A JSON text YAML 1.1 reads otherwise goes to the YAML loader.
 - Episodes cannot tell which form a corpus was written in.
 - Mutated files of either form (scenarios, scripts, manifests, and a
-  knowledge base's documents and embedding cache) fail only with
-  ``ConfigError`` or ``ValidationError``, naming the file.
+  knowledge base's documents and embedding cache) and mutated benchmark
+  reports (written as JSON) fail only with ``ConfigError`` or
+  ``ValidationError``, naming the file.
 """
 
 import dataclasses
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 
 from sopflow import golden, schema
 from sopflow.errors import ConfigError, ValidationError
-from sopflow.evaluation import EvalConfig, load_corpus, run_benchmark
+from sopflow.evaluation import EvalConfig, load_corpus, load_report, run_benchmark, save_report
 from sopflow.kb import KnowledgeBase
 from sopflow.llm import (
     BackendConfig,
@@ -235,18 +236,20 @@ def test_the_form_a_corpus_is_written_in_is_invisible_to_episodes(tmp_path):
 @pytest.fixture(scope="module")
 def golden_files(tmp_path_factory):
     """The data of one golden scenario, its script, the corpus manifest, one
-    SOP and one incident of its knowledge base, and the embedding cache a run
-    of the corpus leaves there."""
+    SOP and one incident of its knowledge base, the embedding cache a run of
+    the corpus leaves there, and the run's report."""
     manifest = golden.write_corpus(tmp_path_factory.mktemp("golden"))
-    run_benchmark(load_corpus(manifest), EvalConfig(), BackendConfig())
     root = manifest.parent
+    save_report(run_benchmark(load_corpus(manifest), EvalConfig(), BackendConfig()),
+                root / "report.json")
     name = "scn-01000-cpustress.yaml"
     return {"scenario": schema.read_yaml(root / "scenarios" / name),
             "script": schema.read_yaml(root / "scripts" / name),
             "manifest": schema.read_yaml(manifest),
             "sop": schema.read_yaml(sorted((root / "kb" / "sops").iterdir())[0]),
             "incident": schema.read_yaml(sorted((root / "kb" / "incidents").iterdir())[0]),
-            "cache": schema.read_json(root / "kb" / "embedding_cache.json")}
+            "cache": schema.read_json(root / "kb" / "embedding_cache.json"),
+            "report": schema.read_json(root / "report.json")}
 
 
 def _knowledge_base(path):
@@ -262,11 +265,12 @@ _READERS = {
     "sop": _knowledge_base,
     "incident": _knowledge_base,
     "cache": _knowledge_base,
+    "report": load_report,
 }
 # where each kind is written, under a directory of its own; a knowledge base
 # reads its files at these places
 _FILES = {"sop": "sops/sop.yaml", "incident": "incidents/incident.yaml",
-          "cache": "embedding_cache.json"}
+          "cache": "embedding_cache.json", "report": "report.json"}
 
 
 def _places(data, at=()):
@@ -302,7 +306,7 @@ def _mutations(draw, golden_files):
     kind = draw(st.sampled_from(sorted(golden_files)))
     data = golden_files[kind]
     how = draw(st.sampled_from(["truncate", "retype", "drop", "misspell"]))
-    form = draw(st.sampled_from(["json", "block"]))
+    form = "json" if kind == "report" else draw(st.sampled_from(["json", "block"]))
     if how == "retype":
         at = draw(st.sampled_from([at for at, _ in _places(data)]))
         value = draw(st.sampled_from(_RETYPED))

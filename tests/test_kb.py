@@ -214,6 +214,7 @@ class TestPersistence:
         kb.add_incident(HistoricalIncident(id="inc-a", manifestation="observed things",
                                            fault_type="PodFailure"))
         kb.match_sop("first procedure")  # populate the embedding cache
+        kb.save_cache()
 
         reloaded = KnowledgeBase(scripted_backend(), root=root)
         doc = reloaded.get_sop("sop-a")
@@ -227,6 +228,7 @@ class TestPersistence:
         kb = KnowledgeBase(scripted_backend(), root=root)
         kb.add_sop(SopDoc(id="sop-a", name="cached name", steps=["s"]))
         kb.match_sop("cached name")
+        kb.save_cache()
 
         class ExplodingBackend:
             backend_id = "scripted:0:64"
@@ -246,12 +248,14 @@ class TestPersistence:
         monkeypatch.setattr(schema, "write_atomic",
                             lambda path, text: writes.append(path) or write_atomic(path, text))
         kb = KnowledgeBase(scripted_backend(), root=root)
-        for _ in range(2):  # the second pass embeds nothing, so writes nothing
+        for _ in range(2):  # a match fills the cache in memory only
             kb.match_sop("checkout latency is rising on the frontend")
             kb.match_observation("payment requests time out upstream")
-        # one write per cold match (14 before, one per text); the bytes are
-        # those the one-write-per-text cache left
-        assert writes == [root / "embedding_cache.json"] * 2
+        assert writes == []
+        for _ in range(2):  # the second save has nothing new, so writes nothing
+            kb.save_cache()
+        # one write, whose bytes are those every earlier write point left
+        assert writes == [root / "embedding_cache.json"]
         digest = hashlib.sha256((root / "embedding_cache.json").read_bytes()).hexdigest()
         assert digest == "4c009c15e122d620e5aa28710ea4b2e9862eb506fc0d98ff17eb82b68d878e98"
 
@@ -277,10 +281,12 @@ class TestPersistence:
             result = run_episode(case.scenario, AgentConfig(max_steps=4),
                                  RemoteBackend(fake_endpoint.config()), kb)
             cache = root / "embedding_cache.json"
-            runs.append((transcript_lines(result), writes.count(cache),
+            unsaved = writes.count(cache)
+            kb.save_cache()
+            runs.append((transcript_lines(result), unsaved, writes.count(cache),
                          cache.read_bytes()))
         assert runs[0] == runs[1]
-        assert runs[1][1] == (2 if selected == "2" else 1)  # match_sop, match_observation
+        assert runs[1][1:3] == (0, 1)  # the episode writes nothing; save_cache once
         findings = next(str(c.args["observation"])
                         for c in action_sets(result)[3]
                         if c.rule == "R6")
@@ -299,6 +305,7 @@ class TestPersistence:
         kb = KnowledgeBase(scripted_backend(), root=root)
         kb.add_sop(SopDoc(id="sop-a", name="first", steps=["s"]))
         kb.match_sop("first")
+        kb.save_cache()
         cache = root / "embedding_cache.json"
         before = {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
@@ -306,8 +313,8 @@ class TestPersistence:
             raise OSError("disk full")
 
         monkeypatch.setattr(os, "replace", fail)
-        with pytest.raises(OSError):
-            kb.match_sop("a query the cache has not seen")
+        kb.match_sop("a query the cache has not seen")
+        kb.save_cache()  # a failed cache write raises nothing
         with pytest.raises(OSError):
             kb.add_sop(SopDoc(id="sop-b", name="second", steps=["s"]))
         after = {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
