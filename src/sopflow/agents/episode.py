@@ -18,23 +18,25 @@ as that call's first attempt. It is used three ways:
   or R5 candidate codifies;
 - a knowledge-base match embeds the texts it misses two at a time, the
   second of each pair sent ahead.
-Scripted runs stay strictly sequential, because their replies depend on
-call order. Either way the transcript holds the events in the sequential
-order, and a failure resolves as it would in that order: every call, sent
-ahead or not, has one retry policy. A failed completion or knowledge-base
-embedding is retried once (after the backend's Retry-After, capped); failing
-again aborts the episode, and so does any unexpected exception raised from a
-step. Executing speak terminates it with a diagnosis; running out of the
-step budget terminates it without one.
+The first request sent ahead imports ``concurrent.futures`` and starts the
+worker, so a scripted run loads no thread pool. Scripted runs stay strictly
+sequential, because their replies depend on call order. Either way the
+transcript holds the events in the sequential order, and a failure resolves
+as it would in that order: every call, sent ahead or not, has one retry
+policy. A failed completion or knowledge-base embedding is retried once
+(after the backend's Retry-After, capped); failing again aborts the episode,
+and so does any unexpected exception raised from a step. Executing speak
+terminates it with a diagnosis; running out of the step budget terminates it
+without one.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import asdict
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from ..detector import DetectorConfig
 from ..errors import BackendError, EpisodeAborted, ScriptExhaustedError, SopflowError
@@ -67,6 +69,9 @@ from .types import (
     PROVENANCE_MAIN,
     StepRecord,
 )
+
+if TYPE_CHECKING:  # annotations only; send_ahead imports it at first use
+    from concurrent.futures import Future, ThreadPoolExecutor
 
 _HISTORY_TAIL = 6
 _OBSERVATION_SNIPPET = 400
@@ -111,6 +116,7 @@ class _RecordingBackend:
         if key in self._ahead:
             return None
         if self._executor is None:
+            from concurrent.futures import ThreadPoolExecutor
             self._executor = ThreadPoolExecutor(max_workers=1,
                                                 thread_name_prefix="sopflow-propose")
         self._ahead[key] = self._executor.submit(getattr(self._inner, kind), request)
@@ -369,6 +375,7 @@ class _Runtime:
                 chosen, position, fallback = self._select(thought, action_set)
             finally:
                 if ahead is not None:
+                    from concurrent.futures import wait
                     wait([ahead])  # its reply is held for the call that needs it
         else:
             thought = self._think()

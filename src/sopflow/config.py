@@ -55,4 +55,4 @@ class AppConfig:
 def load_config(path: Path | str | None) -> AppConfig:
     if path is None:
         return AppConfig()
-    return schema.read_yaml(path, AppConfig, "config")
+    return schema.read_yaml(path, AppConfig)

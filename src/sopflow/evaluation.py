@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -260,6 +259,7 @@ def run_benchmark(corpus: Corpus, eval_cfg: EvalConfig, backend_cfg: BackendConf
         return build_row(scenario, state)
 
     if eval_cfg.workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=eval_cfg.workers) as pool:
             rows = list(pool.map(_run, entries))
     else:  # on the calling thread, so a per-thread span stack sees the nesting

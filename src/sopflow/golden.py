@@ -15,7 +15,6 @@ entry is consume-once, so the n-th call of a role gets the n-th entry.
 
 from __future__ import annotations
 
-import argparse
 import shutil
 from dataclasses import dataclass
 from pathlib import Path
@@ -372,6 +371,7 @@ def write_corpus(out_dir: Path | str, mode: str = "default") -> Path:
 
 
 def main(argv=None) -> int:
+    import argparse
     parser = argparse.ArgumentParser(
         prog="python -m sopflow.golden",
         description="Write the golden scenario corpus with authored scripts.",

@@ -12,14 +12,12 @@ nothing else touches the network.
 from __future__ import annotations
 
 import hashlib
-import http.client
 import json
 import math
 import os
 import threading
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from urllib.parse import urlsplit
 
 from . import schema
 from .errors import BackendError, ConfigError, ScriptExhaustedError, ValidationError
@@ -189,6 +187,8 @@ def _send(url: str, body: bytes, headers: dict) -> tuple[int, http.client.HTTPMe
     ``REQUEST_TIMEOUT_S``. Proxy variables are not read, and HTTPS verifies
     the server against the system's CA store. A failure raises ``OSError``,
     ``http.client.HTTPException`` or ``ValueError`` (a bad port or header)."""
+    import http.client
+    from urllib.parse import urlsplit
     parts = urlsplit(url)
     if parts.scheme not in ("http", "https") or not parts.hostname:
         raise http.client.InvalidURL(f"not an http(s)://host URL: {url!r}")
@@ -220,6 +220,7 @@ class RemoteBackend:
     R1, R3 or R5 codifies). A reply that is not what the API promises (a body
     that is not UTF-8 JSON included) is a ``BackendError``, which the episode
     retries once; a request sent ahead is its call's first attempt.
+    ``http.client`` is imported by the first request, so a scripted run never loads it.
     """
 
     concurrent_calls = True
@@ -245,6 +246,7 @@ class RemoteBackend:
         return {"Authorization": f"Bearer {key}", "Content-Type": "application/json"}
 
     def _post(self, path: str, body: dict) -> dict:
+        import http.client  # the except clause names it, even when _send never ran
         url = self.config.endpoint.rstrip("/") + path
         try:
             # a NaN or infinite setting is refused here, not sent as invalid JSON

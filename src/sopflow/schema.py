@@ -300,15 +300,15 @@ def _load_yaml(text: str):
     return yaml.load(text, Loader=_Loader)
 
 
-def read_yaml(path: Path | str, cls=None, section: str | None = None):
+def read_yaml(path: Path | str, cls=None):
     """The YAML document at ``path``, or, given ``cls``, ``from_mapping(cls, ...)``
-    of it with ``section`` (default: the path) naming it in errors."""
+    of it with the path naming it in errors."""
     # the loader's constructors raise ValueError on a malformed scalar, such
     # as the timestamp 2020-13-45
     data = _read_text(path, _load_yaml, (yaml.YAMLError, ValueError))
     if cls is None:
         return data
-    return from_mapping(cls, data, str(path) if section is None else section)
+    return from_mapping(cls, data, str(path))
 
 
 def write_yaml(path: Path | str, data) -> None:

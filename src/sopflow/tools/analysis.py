@@ -3,8 +3,6 @@ namespace listing, and metric-name lookup."""
 
 from __future__ import annotations
 
-import difflib
-
 from ..errors import ToolError, ValidationError
 from ..sandbox.telemetry import METRIC_CATALOG
 from .observability import kubectl_logs
@@ -116,6 +114,7 @@ def get_all_namespace(ctx: ToolContext) -> ToolResult:
 def get_relevant_metric(ctx: ToolContext, query: str) -> ToolResult:
     """Rank the metric catalog against the query; substring hits come first
     (earlier match position, then shorter name), then fuzzy similarity."""
+    import difflib
     query = query.strip().lower()
     if not query:
         raise ValidationError("get_relevant_metric requires a non-empty query")

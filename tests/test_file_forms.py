@@ -7,9 +7,9 @@ writes for knowledge-base documents and people write by hand.
   loads back to what was saved.
 - A JSON text YAML 1.1 reads otherwise goes to the YAML loader.
 - Episodes cannot tell which form a corpus was written in.
-- Mutated files of either form (scenarios, scripts, manifests, and a
-  knowledge base's documents and embedding cache) and mutated benchmark
-  reports (written as JSON) fail only with ``ConfigError`` or
+- Mutated files of either form (scenarios, scripts, manifests, a knowledge
+  base's documents and embedding cache, and config files) and mutated
+  benchmark reports (written as JSON) fail only with ``ConfigError`` or
   ``ValidationError``, naming the file.
 """
 
@@ -23,6 +23,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from sopflow import golden, schema
+from sopflow.config import load_config
 from sopflow.errors import ConfigError, ValidationError
 from sopflow.evaluation import EvalConfig, load_corpus, load_report, run_benchmark, save_report
 from sopflow.kb import KnowledgeBase
@@ -233,13 +234,47 @@ def test_the_form_a_corpus_is_written_in_is_invisible_to_episodes(tmp_path):
 
 # -- the readers against mutated files of either form --------------------------
 
+# every section and key the config.py docstring lists
+_CONFIG = """\
+backend:
+  backend_kind: scripted
+  endpoint: https://api.example.com/v1
+  model: some-model
+  temperature: 0.0
+  max_tokens: 1024
+  credential_env: SOPFLOW_API_KEY
+  embed_dim: 64
+  embed_seed: 0
+detector:
+  k: 3.0
+  min_sigma_frac: 0.1
+  min_baseline_samples: 4
+  baseline_lookback_samples: 20
+  static_thresholds: {cpu_usage: 0.8, memory_usage: 0.85, error_rate: 0.05}
+  anomaly_keywords: [error, timeout, refused, oom, throttling]
+eval:
+  sigma: 0.1
+  workers: 1
+  max_steps: 20
+  action_set_size: 5
+  judge_after_run_sop: false
+  ablations: {sop_knowledge: on, sop_flow: on, action_set: on, action_agent: on,
+              ob_agent: on, judge_agent: on}
+kb:
+  k: 3
+  threshold: 0.3
+"""
+
+
 @pytest.fixture(scope="module")
 def golden_files(tmp_path_factory):
     """The data of one golden scenario, its script, the corpus manifest, one
     SOP and one incident of its knowledge base, the embedding cache a run of
-    the corpus leaves there, and the run's report."""
+    the corpus leaves there, the run's report, and a config file that sets
+    every key."""
     manifest = golden.write_corpus(tmp_path_factory.mktemp("golden"))
     root = manifest.parent
+    (root / "config.yaml").write_text(_CONFIG)
     save_report(run_benchmark(load_corpus(manifest), EvalConfig(), BackendConfig()),
                 root / "report.json")
     name = "scn-01000-cpustress.yaml"
@@ -249,7 +284,8 @@ def golden_files(tmp_path_factory):
             "sop": schema.read_yaml(sorted((root / "kb" / "sops").iterdir())[0]),
             "incident": schema.read_yaml(sorted((root / "kb" / "incidents").iterdir())[0]),
             "cache": schema.read_json(root / "kb" / "embedding_cache.json"),
-            "report": schema.read_json(root / "report.json")}
+            "report": schema.read_json(root / "report.json"),
+            "config": schema.read_yaml(root / "config.yaml")}
 
 
 def _knowledge_base(path):
@@ -266,6 +302,7 @@ _READERS = {
     "incident": _knowledge_base,
     "cache": _knowledge_base,
     "report": load_report,
+    "config": load_config,
 }
 # where each kind is written, under a directory of its own; a knowledge base
 # reads its files at these places
@@ -315,8 +352,10 @@ def _mutations(draw, golden_files):
         keyed = [(at, key) for at, value in _places(data) if isinstance(value, dict)
                  for key in value]
         at, key = draw(st.sampled_from(keyed))
+        # a one-letter key (the config's k) is its own rotation
         renamed = None if how == "drop" else draw(st.sampled_from(
-            [key + "s", key[:-1], key.upper(), key[1:] + key[0], ""]))
+            [name for name in (key + "s", key[:-1], key.upper(), key[1:] + key[0], "")
+             if name != key]))
         return kind, form, how, (at, key, renamed), _replaced(
             data, at, lambda mapping: _without(mapping, key, renamed))
     return kind, form, how, draw(st.floats(0, 1)), data
@@ -343,5 +382,7 @@ def test_a_mutated_file_fails_only_with_an_error_naming_it(tmp_path, golden_file
             assert type(exc) is ValidationError and str(exc).startswith(malformed), str(exc)
     else:
         # only a change the reader may accept: truncation, retyping a scalar
-        # that coerces, or dropping an optional key
-        assert how in ("truncate", "retype", "drop"), (how, detail)
+        # that coerces, dropping an optional key, or renaming a key of the
+        # detector's static thresholds, whose keys are metric names, not fields
+        assert how in ("truncate", "retype", "drop") or (
+            kind == "config" and detail[0] == ("detector", "static_thresholds")), (how, detail)

@@ -183,19 +183,70 @@ def test_only_the_backend_module_touches_the_network():
     assert offenders == []
 
 
-def test_importing_the_package_leaves_requests_unloaded():
-    # the live client is the standard library's http.client, so neither
-    # requests nor urllib3 is on the import path of the CLI or the benchmark
+# Run in a fresh interpreter. After each step it records which of
+# COLD_MODULES are loaded, leaving out those the bare interpreter already held
+# (a site hook may load some on its own), then prints what it saw as JSON.
+_COLD_PATH_CHILD = """\
+import json, sys
+cold = set(json.loads(sys.argv[2])) - set(sys.modules)
+
+
+def loaded():
+    return sorted(cold & set(sys.modules))
+
+
+seen = {}
+import sopflow.evaluation, sopflow.golden
+seen["import"] = loaded()
+import sopflow.cli
+seen["cli"] = loaded()
+from sopflow.errors import BackendError
+from sopflow.evaluation import EvalConfig, load_corpus, run_benchmark
+from sopflow.llm import BackendConfig, ChatMessage, RemoteBackend
+corpus = load_corpus(sopflow.golden.write_corpus(sys.argv[1], "default"))
+episodes = corpus.episodes
+corpus.episodes = episodes[:3]
+run_benchmark(corpus, EvalConfig(), BackendConfig())
+seen["scripted"] = loaded()
+try:
+    RemoteBackend(BackendConfig(backend_kind="remote", endpoint="http://127.0.0.1:1",
+                                model="m")).complete([ChatMessage("user", "hi")])
+except BackendError as exc:
+    seen["transport"] = str(exc)
+corpus.episodes = episodes[:2]
+rows = {workers: run_benchmark(corpus, EvalConfig(workers=workers), BackendConfig()).rows
+        for workers in (1, 2)}
+seen["same_rows"] = rows[1] == rows[2]
+seen["end"] = loaded()
+print(json.dumps(seen))
+"""
+COLD_MODULES = ("http.client", "ssl", "email", "socket", "concurrent.futures", "logging",
+                "difflib", "argparse", "requests", "urllib3")
+
+
+def test_a_scripted_run_loads_no_http_client_thread_pool_or_parser(tmp_path):
+    # a scripted run pays for no module it does not use: the HTTP client
+    # loads at the first live request, the thread pool at the first request
+    # sent ahead or workers > 1, difflib at the first metric lookup and
+    # argparse with the CLI; requests and urllib3 never load
+    import os
     import pathlib
     import subprocess
     import sys
     import sopflow
-    code = ("import sys, sopflow.cli, sopflow.evaluation, sopflow.golden\n"
-            "print(sorted({'requests', 'urllib3'} & set(sys.modules)))")
     src = pathlib.Path(sopflow.__file__).parent.parent
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          cwd=src, check=True)
-    assert done.stdout.strip() == "[]"
+    done = subprocess.run(
+        [sys.executable, "-c", _COLD_PATH_CHILD, str(tmp_path / "corpus"),
+         json.dumps(COLD_MODULES)],
+        capture_output=True, text=True, cwd=src, check=True,
+        env={**os.environ, "SOPFLOW_API_KEY": "test-key"})
+    seen = json.loads(done.stdout)
+    assert seen["import"] == []
+    assert set(seen["cli"]) <= {"argparse"}
+    assert not {"http.client", "concurrent.futures"} & set(seen["scripted"])
+    assert seen["transport"].startswith("transport failure: ")
+    assert seen["same_rows"]
+    assert not {"requests", "urllib3"} & set(seen["end"])
 
 
 def test_agents_and_tools_prompt_only_through_ask():
