@@ -2,7 +2,10 @@
 
 One YAML file captures a reproducible run; CLI flags override individual
 fields. All sections are optional and default sensibly. Every section takes
-exactly the fields of its dataclass and rejects any other key.
+exactly the fields of its dataclass and rejects any other key, and every
+``detector.static_thresholds`` key must name a metric of
+``sandbox.telemetry.METRIC_CATALOG``. A ``static_thresholds`` table replaces
+the default one whole.
 
     backend:                        # BackendConfig
       backend_kind: scripted        # or remote
@@ -39,9 +42,11 @@ from pathlib import Path
 
 from . import schema
 from .detector import DetectorConfig
+from .errors import ConfigError
 from .evaluation import EvalConfig
 from .kb import KbSettings
 from .llm import BackendConfig
+from .sandbox.telemetry import METRIC_CATALOG
 
 
 @dataclass
@@ -55,4 +60,9 @@ class AppConfig:
 def load_config(path: Path | str | None) -> AppConfig:
     if path is None:
         return AppConfig()
-    return schema.read_yaml(path, AppConfig)
+    config = schema.read_yaml(path, AppConfig)
+    for metric in config.detector.static_thresholds:
+        if metric not in METRIC_CATALOG:
+            # a misspelt metric would drop the default thresholds and never fire
+            raise ConfigError(f"{path}.detector.static_thresholds: unknown metric {metric!r}")
+    return config

@@ -11,9 +11,12 @@ The metric sweep is tick-major. It tests every series at one tick, in
 (component, metric) order, before moving to the next tick, and stops at the
 first flagged sample: the candidate that sorting every series' first flag
 would pick. It skips the samples it can prove cannot flag: those of a series
-whose component no fault touches at that tick or at any baseline tick, and
+whose component is not touched at that tick or at any baseline tick, and
 whose nominal value range ``_never_flags`` clears (verdicts that depend on
 the topology and the detector config alone: ``_never_flagging`` memoises them).
+A component is touched at a tick exactly when one of its samples there
+differs from its nominal draw (``Telemetry.touched``), so the sweep wakes
+such a quiet series only at the ticks a fault changes its component.
 For each series it does test it computes the baseline rule once, from the
 first 8 samples (a static threshold needs no baseline, so none is rendered
 for it); a series whose baseline is too short for a rule is never rendered.
@@ -48,7 +51,7 @@ def _metric_candidates(telemetry: Telemetry, cfg: DetectorConfig):
     baseline_touched = frozenset().union(*map(telemetry.touched, baseline_times))
     # the series to test as (position in (component, metric) order,
     # component, metric, static); a quiet one, whose nominal samples cannot
-    # flag, only at ticks a fault touches its component
+    # flag, only at ticks its component is touched
     loud, quiet = [], {}
     never = _never_flagging(telemetry.scenario.topology_name, telemetry.nominal_ranges(), cfg)
     for position, (component, metric) in enumerate(telemetry.series_keys()):

@@ -42,14 +42,20 @@ was queried before.
 
 The table above has one implementation, ``_Effects``; apart from the fault
 log lines, nothing else reads a fault's type. A ``Telemetry`` builds one
-``_Effects`` per distinct set of active faults. It resolves once which
-components the faults can change (``Telemetry.touched``), which pods are
-down, what each affected call edge and service gets, each stressed pod's
+``_Effects`` per distinct set of active faults. It resolves once which pods
+are down, what each affected call edge and service gets, each stressed pod's
 magnitude and each node's bandwidth magnitudes; every sample tick with that
-set, and ``pod_phase`` at the incident time, looks them up. A sample of an
-untouched component is a nominal draw from the series' (baseline, sigma), so
-it lies in its ``Telemetry.nominal_ranges`` entry. The alert sweep uses both
-to skip samples it can prove cannot flag.
+set, and ``pod_phase`` at the incident time, looks them up. From those
+tables alone it derives the touched components (``Telemetry.touched``): the
+down and stressed pods, the nodes whose bandwidth is scaled and the services
+with an effect. These are exactly the components with a sample that differs
+from its nominal draw, unless a fault's magnitude moves no sample (a
+bandwidth fraction of 1.0). A sample of any other component is that draw from the
+series' (baseline, sigma), so it lies in its ``Telemetry.nominal_ranges``
+entry. The alert sweep uses both to skip samples it can prove cannot flag.
+Likewise the error-span walk enters only the calls a fault can make fail
+(an unreachable callee or an error mode) and the calls above them: a call
+that a fault only delays or slows never fails.
 
 What depends on the topology alone (each series' nominal draw and range, the
 component kinds, the pods in id order, the call tree) is built once per
@@ -278,8 +284,11 @@ class Telemetry:
         return list(self._tables.nominal)
 
     def touched(self, t: int) -> frozenset[str]:
-        """The components a fault can change at sample tick ``t``; a sample of
-        any other component at ``t`` is nominal."""
+        """The components with a sample at tick ``t`` that differs from its
+        nominal draw: the down and stressed pods, the nodes whose bandwidth is
+        scaled and the services with an effect (a fault whose magnitude moves
+        no sample still touches them). A sample of any other component at
+        ``t`` is its nominal draw."""
         return self._effects[t].touched
 
     def nominal_ranges(self) -> Mapping[tuple[str, str], tuple[float, float]]:
@@ -410,8 +419,8 @@ class Telemetry:
         """The sample of series ``key`` = (component, metric) at tick ``t``.
 
         Every draw is keyed by (component, metric, t), so samples can be
-        rendered in any order and each comes out the same. A component no
-        fault touches at ``t`` gets the nominal draw alone.
+        rendered in any order and each comes out the same. A component not
+        touched at ``t`` gets the nominal draw alone.
         """
         component, metric = key
         effects = self._effects[t]
@@ -491,7 +500,8 @@ class Telemetry:
     def _error_spans(self, tick: int, t: int) -> list[Span]:
         """The error spans of ``_trace(tick, t)``, in its order. An error span
         has no children and its draws are keyed by its own span id, so only
-        the calls on a path to an edge a fault affects at ``t`` are walked."""
+        the calls on a path to a call a fault can make fail at ``t`` are
+        walked, and only those calls are tested."""
         trace_id = f"t{tick:04d}"
         effects = self._effects[t]
         if self._tables.root_pod in effects.down:
@@ -503,12 +513,12 @@ class Telemetry:
     def _walk_errors(self, trace_id: str, effects: _Effects, service: str, span_id: str,
                      spans: list[Span]) -> None:
         for edge in self._tables.children[service]:
-            effect = effects.edges.get((edge.src, edge.dst))
+            effect = effects.failing.get((edge.src, edge.dst))
             if effect is None and edge.dst not in effects.above:
                 continue  # every call on and below this edge is ok
             call_id = f"{span_id}/{edge.dst}"
-            failed = self._failed_call(trace_id, call_id, span_id, edge,
-                                       effect or _NO_EDGE_EFFECT)
+            failed = (None if effect is None
+                      else self._failed_call(trace_id, call_id, span_id, edge, effect))
             if failed is None:
                 self._walk_errors(trace_id, effects, edge.dst, call_id, spans)
             else:
@@ -662,10 +672,15 @@ class _Effects:
     contribution to a service per fault however many of the fault's edges
     enter it; a pod's stress comes from the first fault of the metric's type
     and an edge's ``unreachable_msg`` from the last fault that sets one.
+
+    ``touched`` is derived from those tables, so it holds exactly the
+    components with a sample that differs from its nominal draw
+    (``Telemetry._sample``). ``failing`` holds the edges whose calls a fault
+    can make fail, and ``above`` the services with such a call below them,
+    which the error-span walk passes through.
     """
 
     def __init__(self, topo: Topology, active: list[tuple[FaultSpec, set]]):
-        touched: set[str] = set()  # every component a fault can change
         self.down: set[str] = set()  # the pods a PodFailure has taken down
         self.edges: dict[tuple[str, str], _EdgeEffect] = {}  # (src, dst) -> effect
         self.services: dict[str, _ServiceEffect] = {}
@@ -676,18 +691,14 @@ class _Effects:
             ft, magnitude = fault.fault_type, fault.magnitude
             kind, target = fault.target_kind, fault.location_id
             callees = {dst for _, dst in edges}
-            touched |= callees
             # the service a pod or edge fault targets: the pod's, or the callee
             service = None
             if kind == "pod":
                 service = topo.pod(target).service
-                touched |= {target, service}
             elif kind == "edge":
                 service = fault.edge_pair()[1]
-                touched.add(service)
             else:
                 for node in fault.node_pair():
-                    touched.add(node)
                     self.bandwidth.setdefault(
                         (node, "node_network_throughput_bytes"), []).append(magnitude)
             if ft in _STRESS_METRICS:
@@ -724,10 +735,12 @@ class _Effects:
                     effect.throughput_factor *= magnitude
                 elif ft in _EDGE_ERROR_MESSAGES:
                     effect.error_rate = max(effect.error_rate or 0.0, magnitude)
-        self.touched = frozenset(touched)
-        # the services with an affected call below them, which the error-span
-        # walk passes through
-        self.above = {src for src, _ in self.edges}
+        self.touched = frozenset(self.down.union(
+            (pod for pod, _ in self.stress), (node for node, _ in self.bandwidth),
+            self.services))
+        self.failing = {key: edge for key, edge in self.edges.items()
+                        if edge.unreachable_msg is not None or edge.error_modes}
+        self.above = {src for src, _ in self.failing}
         while grown := {e.src for e in topo.call_edges if e.dst in self.above} - self.above:
             self.above |= grown
 

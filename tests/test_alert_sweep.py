@@ -2,6 +2,7 @@
 reference: every series rendered, each series' first flag taken, then the
 candidates sorted."""
 
+import dataclasses
 import random
 import re
 
@@ -170,8 +171,9 @@ def test_queries_in_any_order_render_the_same_bytes():
 
 
 # Gaussian draws of render_alert(render_telemetry(s)) summed over the 9 golden
-# scenarios. A full render of the same scenarios draws 29,748.
-_ALERT_DRAWS = 139
+# scenarios. A full render of the same scenarios draws 29,748. The sweep wakes
+# a quiet series only while a fault changes one of its component's samples.
+_ALERT_DRAWS = 25
 _FULL_DRAWS = 29_748
 
 
@@ -264,6 +266,21 @@ def test_alert_renders_only_components_a_fault_touches(monkeypatch):
                                       for t in telemetry.sample_times() if t <= until))
         assert rendered and set(rendered) <= touched
         assert all(any(fault.active_at(t) for fault in scenario.faults) for t in traced)
+
+
+def test_touched_is_exactly_the_components_whose_samples_a_fault_changes():
+    # the same scenario without its faults (and so, unvalidated, without a
+    # ground truth) renders every sample as its nominal draw
+    config = ScenarioConfig(faults_per_scenario=2)
+    for scenario in golden_scenarios() + generate_corpus(41, 9) + generate_corpus(42, 9, config):
+        telemetry = render_telemetry(scenario)
+        nominal = Telemetry(dataclasses.replace(scenario, faults=[]))
+        keys = telemetry.series_keys()
+        for t in telemetry.sample_times():
+            changed = {component for component, metric in keys
+                       if telemetry.metric_value(component, metric, t)
+                       != nominal.metric_value(component, metric, t)}
+            assert telemetry.touched(t) == changed, (scenario.id, t)
 
 
 def test_untouched_samples_lie_in_their_nominal_range():

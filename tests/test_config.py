@@ -106,6 +106,20 @@ def test_every_file_settable_field_reaches_the_config(tmp_path):
             assert got != defaults[name][key], (name, key)
 
 
+@pytest.mark.parametrize("table", ["{cpu_usages: 0.8}", "{cpu_usage: 0.8, CPU_USAGE: 0.9}",
+                                   "{'': 0.1}"])
+def test_a_static_threshold_for_an_unknown_metric_names_the_file_and_key(tmp_path, table):
+    path = tmp_path / "config.yaml"
+    path.write_text(f"detector:\n  static_thresholds: {table}\n")
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    bad = next(key for key in yaml.safe_load(table) if key != "cpu_usage")
+    assert str(info.value) == f"{path}.detector.static_thresholds: unknown metric {bad!r}"
+    # a partial table of known metrics loads, and replaces the defaults whole
+    path.write_text("detector:\n  static_thresholds: {throughput_rps: 500.0}\n")
+    assert load_config(path).detector.static_thresholds == {"throughput_rps": 500.0}
+
+
 @pytest.mark.parametrize("section, complaint", [
     ("kb: {k: 0}", "k must be positive"),
     ("kb: {k: -2}", "k must be positive"),

@@ -101,3 +101,25 @@ def test_golden_episodes_render_no_trace_and_few_heartbeats(monkeypatch):
         render_telemetry(scenario).all_logs()
     assert draws == _FULL_LOG_DRAWS
     assert episode_draws == _EPISODE_LOG_DRAWS
+
+
+# ``_failed_call`` calls that whole-window ``error_spans()`` makes over the 9
+# golden scenarios. Each tests a call a fault can make fail. A walk that also
+# tested every call a fault delays, slows or cuts off from its callees made 384.
+_WALK_CALLS = 128
+
+
+def test_the_error_span_walk_tests_only_calls_a_fault_can_make_fail(monkeypatch):
+    calls = 0
+    failed_call = Telemetry._failed_call
+
+    def counting_failed_call(self, trace_id, span_id, parent_span_id, edge, effect):
+        nonlocal calls
+        calls += 1
+        assert effect.unreachable_msg is not None or effect.error_modes, (trace_id, span_id)
+        return failed_call(self, trace_id, span_id, parent_span_id, edge, effect)
+
+    monkeypatch.setattr(Telemetry, "_failed_call", counting_failed_call)
+    for scenario in golden.golden_scenarios():
+        render_telemetry(scenario).error_spans()
+    assert calls == _WALK_CALLS

@@ -11,9 +11,14 @@ writes for knowledge-base documents and people write by hand.
   base's documents and embedding cache, and config files) and mutated
   benchmark reports (written as JSON) fail only with ``ConfigError`` or
   ``ValidationError``, naming the file.
+- ``sopflow transcript`` on a mutated golden transcript exits 0, or exits 1
+  with an error that names the file.
 """
 
+import contextlib
 import dataclasses
+import io
+import json
 import math
 import re
 
@@ -23,6 +28,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from sopflow import golden, schema
+from sopflow.cli import main
 from sopflow.config import load_config
 from sopflow.errors import ConfigError, ValidationError
 from sopflow.evaluation import EvalConfig, load_corpus, load_report, run_benchmark, save_report
@@ -339,15 +345,15 @@ _RETYPED = [[[]], {}, None, True, 1.5, -7, "x", "", [1, "a"], {"k": "v"}]
 
 
 @st.composite
-def _mutations(draw, golden_files):
-    kind = draw(st.sampled_from(sorted(golden_files)))
-    data = golden_files[kind]
+def _mutation(draw, data):
+    """(how, detail, mutated data): ``data`` with one value retyped or one key
+    dropped or misspelt, or unchanged, with the fraction of its bytes to keep
+    for a truncation."""
     how = draw(st.sampled_from(["truncate", "retype", "drop", "misspell"]))
-    form = "json" if kind == "report" else draw(st.sampled_from(["json", "block"]))
     if how == "retype":
         at = draw(st.sampled_from([at for at, _ in _places(data)]))
         value = draw(st.sampled_from(_RETYPED))
-        return kind, form, how, (at, value), _replaced(data, at, lambda _: value)
+        return how, (at, value), _replaced(data, at, lambda _: value)
     if how in ("drop", "misspell"):
         keyed = [(at, key) for at, value in _places(data) if isinstance(value, dict)
                  for key in value]
@@ -356,9 +362,22 @@ def _mutations(draw, golden_files):
         renamed = None if how == "drop" else draw(st.sampled_from(
             [name for name in (key + "s", key[:-1], key.upper(), key[1:] + key[0], "")
              if name != key]))
-        return kind, form, how, (at, key, renamed), _replaced(
+        return how, (at, key, renamed), _replaced(
             data, at, lambda mapping: _without(mapping, key, renamed))
-    return kind, form, how, draw(st.floats(0, 1)), data
+    return how, draw(st.floats(0, 1)), data
+
+
+def _truncate(path, fraction: float) -> None:
+    raw = path.read_bytes()
+    path.write_bytes(raw[:int(len(raw) * fraction)])
+
+
+@st.composite
+def _mutations(draw, golden_files):
+    kind = draw(st.sampled_from(sorted(golden_files)))
+    how, detail, mutated = draw(_mutation(golden_files[kind]))
+    form = "json" if kind == "report" else draw(st.sampled_from(["json", "block"]))
+    return kind, form, how, detail, mutated
 
 
 @settings(max_examples=1200, deadline=None, suppress_health_check=_FIXTURE)
@@ -368,8 +387,7 @@ def test_a_mutated_file_fails_only_with_an_error_naming_it(tmp_path, golden_file
     path = tmp_path / kind / _FILES.get(kind, f"{kind}.yaml")
     (schema.write_json_form if form == "json" else schema.write_yaml)(path, mutated)
     if how == "truncate":
-        raw = path.read_bytes()
-        path.write_bytes(raw[:int(len(raw) * detail)])
+        _truncate(path, detail)
     try:
         _READERS[kind](path)
     except (ConfigError, ValidationError) as exc:
@@ -382,7 +400,36 @@ def test_a_mutated_file_fails_only_with_an_error_naming_it(tmp_path, golden_file
             assert type(exc) is ValidationError and str(exc).startswith(malformed), str(exc)
     else:
         # only a change the reader may accept: truncation, retyping a scalar
-        # that coerces, dropping an optional key, or renaming a key of the
-        # detector's static thresholds, whose keys are metric names, not fields
-        assert how in ("truncate", "retype", "drop") or (
-            kind == "config" and detail[0] == ("detector", "static_thresholds")), (how, detail)
+        # that coerces, or dropping an optional key
+        assert how in ("truncate", "retype", "drop"), (how, detail)
+
+
+@pytest.fixture(scope="module")
+def golden_transcripts(tmp_path_factory):
+    """The records of the nine golden default-mode transcripts."""
+    root = tmp_path_factory.mktemp("transcripts")
+    run_benchmark(load_corpus(golden.write_corpus(root / "corpus")), EvalConfig(),
+                  BackendConfig(), transcript_dir=root / "out")
+    return [[record for _, record in schema.read_jsonl(path)]
+            for path in sorted((root / "out").glob("*.jsonl"))]
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=_FIXTURE)
+@given(data=st.data())
+def test_a_mutated_transcript_reads_or_fails_with_an_error_naming_it(
+        tmp_path, golden_transcripts, data):
+    records = data.draw(st.sampled_from(golden_transcripts))
+    how, detail, mutated = data.draw(_mutation(records))
+    path = tmp_path / "transcript.jsonl"
+    # a transcript retyped whole is written as the one record it now is
+    lines = mutated if isinstance(mutated, list) else [mutated]
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    if how == "truncate":
+        _truncate(path, detail)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["transcript", str(path)])
+    # a misspelt key may be one the reader does not read: unknown keys are
+    # accepted until the record format is stated
+    assert code == 0 or (code == 1 and err.getvalue().startswith(f"error: {path}: ")), (
+        how, detail, err.getvalue())

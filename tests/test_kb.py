@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import random
 import re
@@ -134,6 +135,18 @@ class TestRetrieval:
         for threshold in (-1.0, 0.0, 0.1, 0.5):
             for _, score in kb.match_sop("procedure number 3", k=20, threshold=threshold):
                 assert score >= threshold
+
+    def test_a_score_equal_to_the_threshold_is_kept(self):
+        overrides = {"query": (0.6, 0.8), "sop name": (1.0, 0.0), "incident text": (0.0, 1.0)}
+        kb = KnowledgeBase(scripted_backend(overrides=overrides, dim=2))
+        kb.add_sop(SopDoc(id="sop-1", name="sop name", steps=["s"]))
+        kb.add_incident(HistoricalIncident(id="inc-1", manifestation="incident text",
+                                           fault_type="T"))
+        for match in (kb.match_sop, kb.match_observation):
+            [(_, score)] = match("query", k=1, threshold=-1.0)
+            assert 0.0 < score < 1.0
+            assert [s for _, s in match("query", k=1, threshold=score)] == [score]
+            assert match("query", k=1, threshold=math.nextafter(score, 2.0)) == []
 
     def test_matches_brute_force_oracle(self):
         rng = random.Random(2024)

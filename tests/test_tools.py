@@ -209,6 +209,17 @@ class TestAnalysisTools:
         result = registry.execute("node_analyze", {}, quiet_ctx)
         assert len(result.observation.splitlines()) == 1 + 3
 
+    def test_kubectl_get_nodes_counts_each_nodes_pods(self, registry, quiet_ctx):
+        topo = quiet_ctx.telemetry.topology
+        result = registry.execute("run_kubectl_command", {"command": "get nodes"}, quiet_ctx)
+        header, *rows = result.observation.splitlines()
+        column = header.split().index("PODS")
+        counts = {row.split()[0]: int(row.split()[column]) for row in rows}
+        assert counts == {node.id: len([p for p in topo.pods if p.node == node.id])
+                          for node in topo.nodes}
+        assert sum(counts.values()) == len(topo.pods)
+        assert len(set(counts.values())) > 1  # the nodes do not all hold the same share
+
     def test_kubectl_get_pods_matches_pod_analyze(self, registry, quiet_ctx):
         direct = registry.execute("pod_analyze", {}, quiet_ctx)
         via_kubectl = registry.execute("run_kubectl_command", {"command": "get pods"},
