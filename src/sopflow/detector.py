@@ -15,7 +15,9 @@ baseline, once per series: ``evaluate_series`` judges through it, and the
 alert sweep uses it to test each sample of a series on its own.
 ``_never_flags`` proves from a series' value range alone that no sample can
 flag, so the sweep need not render the samples; ``_never_flagging`` memoises
-those verdicts for a set of series.
+those verdicts for a set of series. The static rule reads only a window's
+sample count and its samples above the threshold (``static_verdict``), so a
+static check renders no sample that cannot exceed the threshold.
 """
 
 from __future__ import annotations
@@ -192,11 +194,31 @@ def _isqrt_rto(n: int, m: int) -> int:
     return a | (a * a * m != n)
 
 
+_NO_SAMPLES = MetricVerdict(False, "none", "no samples in window")
+
+
+def static_verdict(count: int, samples: list[float], threshold: float) -> MetricVerdict:
+    """The static rule's verdict on a window of ``count`` samples, of which
+    ``samples`` holds, in order, every one above ``threshold`` (and may hold
+    others): the rule reads nothing else, not even a baseline."""
+    if not count:
+        return _NO_SAMPLES
+    breaching = [v for v in samples if v > threshold]
+    if breaching:
+        return MetricVerdict(
+            True, "above",
+            f"{len(breaching)}/{count} samples above static threshold "
+            f"{threshold:g} (peak {max(breaching):.6g})",
+        )
+    return MetricVerdict(False, "none",
+                         f"all {count} samples within static threshold {threshold:g}")
+
+
 def evaluate_series(window_values: list[float], baseline_values: list[float],
                     metric: str, cfg: DetectorConfig) -> MetricVerdict:
     """Judge whether the in-window samples of one series are anomalous."""
     if not window_values:
-        return MetricVerdict(False, "none", "no samples in window")
+        return _NO_SAMPLES
 
     judge = _baseline_rule(baseline_values, metric, cfg)
     if judge is None:
@@ -206,17 +228,7 @@ def evaluate_series(window_values: list[float], baseline_values: list[float],
                          statistics.median(deviations) * _MAD_TO_SIGMA, cfg)
 
     if judge.rule == "static":
-        breaching = [v for v in window_values if judge.flags(v)]
-        if breaching:
-            return MetricVerdict(
-                True, "above",
-                f"{len(breaching)}/{len(window_values)} samples above static threshold "
-                f"{judge.center:g} (peak {max(breaching):.6g})",
-            )
-        return MetricVerdict(
-            False, "none",
-            f"all {len(window_values)} samples within static threshold {judge.center:g}",
-        )
+        return static_verdict(len(window_values), window_values, judge.center)
 
     rule, mean, limit = judge.rule, judge.center, judge.limit
     worst = max(window_values, key=lambda v: abs(v - mean))

@@ -11,12 +11,12 @@ The metric sweep is tick-major. It tests every series at one tick, in
 (component, metric) order, before moving to the next tick, and stops at the
 first flagged sample: the candidate that sorting every series' first flag
 would pick. It skips the samples it can prove cannot flag: those of a series
-whose component is not touched at that tick or at any baseline tick, and
+outside the fault footprint at that tick and at every baseline tick, and
 whose nominal value range ``_never_flags`` clears (verdicts that depend on
 the topology and the detector config alone: ``_never_flagging`` memoises them).
-A component is touched at a tick exactly when one of its samples there
-differs from its nominal draw (``Telemetry.touched``), so the sweep wakes
-such a quiet series only at the ticks a fault changes its component.
+A series is in the footprint at a tick exactly when its sample there differs
+from its nominal draw (``Telemetry.footprint``), so the sweep wakes such a
+quiet series only at the ticks a fault changes it.
 For each series it does test it computes the baseline rule once, from the
 first 8 samples (a static threshold needs no baseline, so none is rendered
 for it); a series whose baseline is too short for a rule is never rendered.
@@ -48,10 +48,10 @@ _MODALITY_RANK = {"metric": 0, "trace": 1, "log": 2}
 def _metric_candidates(telemetry: Telemetry, cfg: DetectorConfig):
     times = telemetry.sample_times()
     baseline_times = times[:_ALERT_BASELINE_SAMPLES]
-    baseline_touched = frozenset().union(*map(telemetry.touched, baseline_times))
+    baseline_moved = frozenset().union(*map(telemetry.footprint, baseline_times))
     # the series to test as (position in (component, metric) order,
     # component, metric, static); a quiet one, whose nominal samples cannot
-    # flag, only at ticks its component is touched
+    # flag, only at ticks it is in the footprint
     loud, quiet = [], {}
     never = _never_flagging(telemetry.scenario.topology_name, telemetry.nominal_ranges(), cfg)
     for position, (component, metric) in enumerate(telemetry.series_keys()):
@@ -61,16 +61,16 @@ def _metric_candidates(telemetry: Telemetry, cfg: DetectorConfig):
             # the robust rule, which never flags
             continue
         series = (position, component, metric, static)
-        if component not in baseline_touched and (component, metric) in never:
-            quiet.setdefault(component, []).append(series)
+        if (component, metric) not in baseline_moved and (component, metric) in never:
+            quiet[(component, metric)] = series
         else:
             loud.append(series)
     judged = {}  # (component, metric) -> (baseline, rule), once tested
     for t in times[_ALERT_BASELINE_SAMPLES:]:
         tested = loud
-        woken = [quiet[c] for c in telemetry.touched(t) if c in quiet]
+        woken = [quiet[key] for key in telemetry.footprint(t) if key in quiet]
         if woken:
-            tested = sorted(loud + [series for group in woken for series in group])
+            tested = sorted(loud + woken)
         for _, component, metric, static in tested:
             key = (component, metric)
             if key not in judged:

@@ -46,13 +46,15 @@ log lines, nothing else reads a fault's type. A ``Telemetry`` builds one
 are down, what each affected call edge and service gets, each stressed pod's
 magnitude and each node's bandwidth magnitudes; every sample tick with that
 set, and ``pod_phase`` at the incident time, looks them up. From those
-tables alone it derives the touched components (``Telemetry.touched``): the
-down and stressed pods, the nodes whose bandwidth is scaled and the services
-with an effect. These are exactly the components with a sample that differs
-from its nominal draw, unless a fault's magnitude moves no sample (a
-bandwidth fraction of 1.0). A sample of any other component is that draw from the
-series' (baseline, sigma), so it lies in its ``Telemetry.nominal_ranges``
-entry. The alert sweep uses both to skip samples it can prove cannot flag.
+tables alone it derives the fault footprint (``Telemetry.footprint``): every
+metric of a down pod, a stressed pod's stressed metric, a node series a
+bandwidth fraction below 1.0 scales, and each service metric its effect
+moves. These are exactly the series with a sample that differs from its
+nominal draw. A sample of any other series is that draw from the series'
+(baseline, sigma), so it lies in its ``Telemetry.nominal_ranges`` entry; a
+stressed pod's sample is its stress draw alone. The alert sweep and a
+static-threshold metric check (``query_may_flag``) use both to skip samples
+they can prove cannot flag; a baseline renders only the samples it keeps.
 Likewise the error-span walk enters only the calls a fault can make fail
 (an unreachable callee or an error mode) and the calls above them: a call
 that a fault only delays or slows never fails.
@@ -76,12 +78,12 @@ import functools
 import hashlib
 import json
 import statistics
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
-from itertools import compress, product
+from itertools import chain, compress, product
 from types import MappingProxyType
 
-from ..detector import DetectorConfig, matches_keyword
+from ..detector import DetectorConfig, _never_flags, matches_keyword
 from ..errors import NotFoundError
 from . import noise
 from .faults import FaultSpec, FaultType
@@ -191,9 +193,17 @@ class _ServiceEffect:
     error_rate: float | None = None
     failed_pod: bool = False  # a pod of the service has failed
 
+    def moved(self) -> list[str]:
+        """The metrics of ``SERVICE_METRICS`` these effects move off their
+        nominal draw: a factor of 1.0 and an extra of 0.0 move nothing."""
+        return list(compress(SERVICE_METRICS, (
+            self.error_rate is not None,
+            self.latency_extra != 0.0 or self.latency_factor != 1.0,
+            self.failed_pod or self.throughput_factor != 1.0,
+        )))
+
 
 _NO_EDGE_EFFECT = _EdgeEffect()
-_NO_SERVICE_EFFECT = _ServiceEffect()
 
 
 class Telemetry:
@@ -238,23 +248,37 @@ class Telemetry:
         self._heartbeats: dict[tuple[str, int], LogLine] = {}
         self._fault_logs = self._render_fault_logs()
 
-    def _values(self, key: tuple[str, str], lo: int, hi: int) -> list[float]:
-        """Series ``key``'s samples at tick numbers ``lo`` to ``hi`` - 1,
-        rendering those not rendered yet."""
+    def _values(self, key: tuple[str, str], ticks: Sequence[int]) -> list[float]:
+        """Series ``key``'s samples at tick numbers ``ticks``, rendering those
+        not rendered yet."""
         row = self._series.get(key)
         if row is None:
             row = self._series[key] = [None] * len(self._times)
-        for i in range(lo, hi):
+        for i in ticks:
             if row[i] is None:
                 row[i] = self._sample(key, self._times[i])
-        return row[lo:hi]
+        return [row[i] for i in ticks]
 
-    def _ticks(self, window: tuple[int, int] | None) -> tuple[int, int]:
-        """The tick numbers in ``window`` (every tick for None), as a range."""
+    def _ticks(self, window: tuple[int, int] | None) -> range:
+        """The tick numbers in ``window`` (every tick for None)."""
         if window is None:
-            return 0, len(self._times)
-        return (bisect.bisect_left(self._times, window[0]),
-                bisect.bisect_left(self._times, window[1]))
+            return range(len(self._times))
+        return range(bisect.bisect_left(self._times, window[0]),
+                     bisect.bisect_left(self._times, window[1]))
+
+    def _key(self, component: str, metric: str) -> tuple[str, str]:
+        """(component, metric), which must name a series."""
+        kinds = self._tables.kinds
+        if component not in kinds:
+            raise NotFoundError(f"unknown component {component!r}")
+        if metric not in METRIC_CATALOG:
+            raise NotFoundError(f"unknown metric {metric!r}")
+        key = (component, metric)
+        if key not in self._tables.nominal:
+            raise NotFoundError(
+                f"unknown metric {metric!r} for {kinds[component]} {component!r}"
+            )
+        return key
 
     def _logs(self, pods, window: tuple[int, int] | None,
               heartbeat_pods=None) -> list[LogLine]:
@@ -283,13 +307,11 @@ class Telemetry:
         """Every (component, metric) series, in sorted order."""
         return list(self._tables.nominal)
 
-    def touched(self, t: int) -> frozenset[str]:
-        """The components with a sample at tick ``t`` that differs from its
-        nominal draw: the down and stressed pods, the nodes whose bandwidth is
-        scaled and the services with an effect (a fault whose magnitude moves
-        no sample still touches them). A sample of any other component at
-        ``t`` is its nominal draw."""
-        return self._effects[t].touched
+    def footprint(self, t: int) -> frozenset[tuple[str, str]]:
+        """The (component, metric) series whose sample at tick ``t`` differs
+        from its nominal draw (``_Effects.footprint``). A sample of any other
+        series at ``t`` is that draw."""
+        return self._effects[t].footprint
 
     def nominal_ranges(self) -> Mapping[tuple[str, str], tuple[float, float]]:
         """Each series named by ``series_keys`` -> the least and the greatest
@@ -300,23 +322,30 @@ class Telemetry:
 
     def metric_value(self, component: str, metric: str, t: int) -> float:
         """The sample at tick ``t`` of a series named by ``series_keys``."""
-        return self._values((component, metric), *self._ticks((t, t + 1)))[0]
+        return self._values((component, metric), self._ticks((t, t + 1)))[0]
 
     def query_metrics(self, component: str, metric: str,
                       window: tuple[int, int] | None = None) -> MetricSeries:
-        kinds = self._tables.kinds
-        if component not in kinds:
-            raise NotFoundError(f"unknown component {component!r}")
-        if metric not in METRIC_CATALOG:
-            raise NotFoundError(f"unknown metric {metric!r}")
-        key = (component, metric)
-        if key not in self._tables.nominal:
-            raise NotFoundError(
-                f"unknown metric {metric!r} for {kinds[component]} {component!r}"
-            )
-        lo, hi = self._ticks(window)
+        key = self._key(component, metric)
+        ticks = self._ticks(window)
         return MetricSeries(component, metric,
-                            tuple(zip(self._times[lo:hi], self._values(key, lo, hi))))
+                            tuple(zip(self._times[ticks.start:ticks.stop],
+                                      self._values(key, ticks))))
+
+    def query_may_flag(self, cfg: DetectorConfig, component: str, metric: str,
+                       window: tuple[int, int] | None = None) -> tuple[int, list[float]]:
+        """How many samples ``query_metrics(component, metric, window)`` holds,
+        and, in tick order, those of them that may exceed ``metric``'s static
+        threshold in ``cfg`` (it must have one): every sample a fault changes
+        (``footprint``) and, unless ``_never_flags`` clears the series'
+        nominal range, every nominal one. Only those are rendered."""
+        key = self._key(component, metric)
+        ticks = self._ticks(window)
+        count = len(ticks)
+        if _never_flags(*self._tables.nominal_range[key], metric, cfg):
+            effects, times = self._effects, self._times
+            ticks = [i for i in ticks if key in effects[times[i]].footprint]
+        return count, self._values(key, ticks)
 
     def metric_series(self) -> list[MetricSeries]:
         """Every metric series, in (component, metric) order."""
@@ -325,8 +354,11 @@ class Telemetry:
 
     def baseline_values(self, component: str, metric: str, before_s: int,
                         max_samples: int) -> list[float]:
-        series = self.query_metrics(component, metric, (self.scenario.window[0], before_s))
-        return series.values()[-max_samples:]
+        """The last ``max_samples`` samples of the series before ``before_s``;
+        only those are rendered."""
+        key = self._key(component, metric)
+        ticks = self._ticks((self.scenario.window[0], before_s))
+        return self._values(key, ticks[-max_samples:])
 
     def _pod(self, pod: str) -> Pod:
         try:
@@ -351,18 +383,17 @@ class Telemetry:
                 if matches_keyword(line.text, cfg)]
 
     def query_traces(self, window: tuple[int, int] | None = None) -> list[Trace]:
-        lo, hi = self._ticks(window)
-        for i in range(lo, hi):
+        ticks = self._ticks(window)
+        for i in ticks:
             if self._traces[i] is None:
                 self._traces[i] = self._trace(i, self._times[i])
-        return self._traces[lo:hi]
+        return self._traces[ticks.start:ticks.stop]
 
     def error_spans(self, window: tuple[int, int] | None = None) -> list[Span]:
         """The error spans of ``query_traces(window)``, in the same order,
         found without rendering the traces."""
-        lo, hi = self._ticks(window)
         spans = []
-        for i in range(lo, hi):
+        for i in self._ticks(window):
             if self._errors[i] is None:
                 self._errors[i] = self._error_spans(i, self._times[i])
             spans.extend(self._errors[i])
@@ -419,44 +450,40 @@ class Telemetry:
         """The sample of series ``key`` = (component, metric) at tick ``t``.
 
         Every draw is keyed by (component, metric, t), so samples can be
-        rendered in any order and each comes out the same. A component not
-        touched at ``t`` gets the nominal draw alone.
+        rendered in any order and each comes out the same. A series outside
+        the footprint at ``t`` gets its nominal draw alone; a stressed pod's
+        sample is its stress draw alone, and a down pod's draws nothing.
         """
         component, metric = key
         effects = self._effects[t]
-        if component not in effects.touched:
+        if key not in effects.footprint:
             value = self._nominal(key, t)
         elif metric in POD_METRIC_BASELINES:
-            if component in effects.down:
-                value = 0.0
-            else:
-                value = self._nominal(key, t)
-                stress = effects.stress.get(key)
-                if stress is not None:
-                    value = min(1.0, noise.gauss(stress, 0.01,
-                                                 self._seed, "stress", component, metric, t))
+            # a pod in the footprint is down, or stressed on this metric
+            value = (0.0 if component in effects.down
+                     else min(1.0, noise.gauss(effects.stress[key], 0.01,
+                                               self._seed, "stress", component, metric, t)))
         elif metric in NODE_METRIC_BASELINES:
             value = self._nominal(key, t)
-            for magnitude in effects.bandwidth.get(key, ()):
+            for magnitude in effects.bandwidth[key]:
                 value *= magnitude
         else:
-            value = self._service_sample(component, metric, t)
+            value = self._service_sample(effects.services[component], key, t)
         return round(max(value, 0.0), 6)
 
     def _nominal(self, key: tuple[str, str], t: int) -> float:
         return noise.gauss(*self._tables.nominal[key], self._seed, "metric", *key, t)
 
-    def _service_sample(self, service: str, metric: str, t: int) -> float:
-        effect = self._effects[t].services.get(service, _NO_SERVICE_EFFECT)
-        key = (service, metric)
+    def _service_sample(self, effect: _ServiceEffect, key: tuple[str, str], t: int) -> float:
+        """The sample at tick ``t`` of service series ``key``, which ``effect``
+        moves (``_ServiceEffect.moved``)."""
+        metric = key[1]
         if metric == "request_latency_ms":
             return self._nominal(key, t) * effect.latency_factor + effect.latency_extra
         if metric == "throughput_rps":
             value = self._nominal(key, t) * effect.throughput_factor
             return 0.0 if effect.failed_pod else value
-        if effect.error_rate is not None:
-            return effect.error_rate
-        return self._nominal(key, t)
+        return effect.error_rate
 
     # -- rendering: logs -------------------------------------------------------
 
@@ -673,11 +700,13 @@ class _Effects:
     enter it; a pod's stress comes from the first fault of the metric's type
     and an edge's ``unreachable_msg`` from the last fault that sets one.
 
-    ``touched`` is derived from those tables, so it holds exactly the
-    components with a sample that differs from its nominal draw
-    (``Telemetry._sample``). ``failing`` holds the edges whose calls a fault
-    can make fail, and ``above`` the services with such a call below them,
-    which the error-span walk passes through.
+    ``footprint`` is derived from those tables, so it holds exactly the
+    series with a sample that differs from its nominal draw
+    (``Telemetry._sample``): every metric of a down pod, a stressed pod's
+    stressed metric, a node series some magnitude below 1.0 scales, and each
+    service's ``_ServiceEffect.moved`` metrics. ``failing`` holds the edges
+    whose calls a fault can make fail, and ``above`` the services with such a
+    call below them, which the error-span walk passes through.
     """
 
     def __init__(self, topo: Topology, active: list[tuple[FaultSpec, set]]):
@@ -735,9 +764,12 @@ class _Effects:
                     effect.throughput_factor *= magnitude
                 elif ft in _EDGE_ERROR_MESSAGES:
                     effect.error_rate = max(effect.error_rate or 0.0, magnitude)
-        self.touched = frozenset(self.down.union(
-            (pod for pod, _ in self.stress), (node for node, _ in self.bandwidth),
-            self.services))
+        self.footprint = frozenset(chain(
+            product(self.down, POD_METRIC_BASELINES), self.stress,
+            (key for key, magnitudes in self.bandwidth.items()
+             if any(magnitude != 1.0 for magnitude in magnitudes)),
+            ((service, metric) for service, effect in self.services.items()
+             for metric in effect.moved())))
         self.failing = {key: edge for key, edge in self.edges.items()
                         if edge.unreachable_msg is not None or edge.error_modes}
         self.above = {src for src, _ in self.failing}

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ..detector import evaluate_series
+from ..detector import evaluate_series, static_verdict
 from .registry import ToolContext, ToolResult
 
 
@@ -17,13 +17,24 @@ def _window(ctx: ToolContext, start_s, end_s) -> tuple[int, int]:
 
 def whether_is_abnormal_metric(ctx: ToolContext, target: str, metric: str,
                                start_s=None, end_s=None) -> ToolResult:
-    """Run the anomaly rule on one series and describe the outcome in text."""
+    """Run the anomaly rule on one series and describe the outcome in text.
+
+    The verdict is ``evaluate_series`` on the window's samples and the
+    baseline before it. Under a static threshold the rule reads only the
+    sample count and the samples above the threshold, so only the samples
+    that may exceed it are rendered (``Telemetry.query_may_flag``), and no
+    baseline."""
     window = _window(ctx, start_s, end_s)
-    series = ctx.telemetry.query_metrics(target, metric, window)
-    baseline = ctx.telemetry.baseline_values(
-        target, metric, window[0], ctx.detector.baseline_lookback_samples
-    )
-    verdict = evaluate_series(series.values(), baseline, metric, ctx.detector)
+    threshold = ctx.detector.static_thresholds.get(metric)
+    if threshold is None:
+        series = ctx.telemetry.query_metrics(target, metric, window)
+        baseline = ctx.telemetry.baseline_values(
+            target, metric, window[0], ctx.detector.baseline_lookback_samples
+        )
+        verdict = evaluate_series(series.values(), baseline, metric, ctx.detector)
+    else:
+        count, samples = ctx.telemetry.query_may_flag(ctx.detector, target, metric, window)
+        verdict = static_verdict(count, samples, threshold)
     if verdict.anomalous:
         text = (f"metric {metric} on {target} is anomalous ({verdict.direction}): "
                 f"{verdict.detail}")

@@ -30,6 +30,7 @@ from sopflow.sandbox import (
     GroundTruth,
     ScenarioConfig,
     generate_scenario,
+    noise,
     render_telemetry,
 )
 from sopflow.tools import ToolContext, build_registry
@@ -73,6 +74,31 @@ def telemetry_for(scenario: EpisodeScenario):
         cached = render_telemetry(scenario)
         _TELEMETRY_CACHE[scenario.id] = cached
     return cached
+
+
+class DrawCount:
+    """The calls counted so far; a test may reset ``calls`` to 0."""
+    calls: int = 0
+
+
+@pytest.fixture
+def count_draws(monkeypatch):
+    """``count_draws(name, keep=None)`` makes every later call of
+    ``sopflow.sandbox.noise.<name>`` for which ``keep(*args)`` holds (every
+    call for None) count, and returns the ``DrawCount`` it counts in."""
+
+    def install(name: str, keep: Callable[..., bool] | None = None) -> DrawCount:
+        count, draw = DrawCount(), getattr(noise, name)
+
+        def counting(*args, **kwargs):
+            if keep is None or keep(*args):
+                count.calls += 1
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(noise, name, counting)
+        return count
+
+    return install
 
 
 @pytest.fixture

@@ -1,6 +1,8 @@
-"""The on-demand telemetry and the tick-major alert sweep against the eager
-reference: every series rendered, each series' first flag taken, then the
-candidates sorted."""
+"""The on-demand telemetry, the tick-major alert sweep and the metric check
+against the eager reference: every series rendered, each series' first flag
+taken, then the candidates sorted; every window sample and baseline judged."""
+
+import pytest
 
 import dataclasses
 import random
@@ -18,11 +20,13 @@ from sopflow.detector import (
     matches_keyword,
 )
 from sopflow.golden import golden_scenarios
-from sopflow.sandbox import ScenarioConfig, generate_corpus, noise, render_alert, render_telemetry
+from sopflow.sandbox import ScenarioConfig, generate_corpus, render_alert, render_telemetry
 from sopflow.sandbox.faults import FaultType
 from sopflow.sandbox.telemetry import SAMPLE_PERIOD_S, Telemetry
 from sopflow.tools import ToolContext, build_registry
-from sopflow.tools.observability import kubectl_logs
+from sopflow.tools.observability import kubectl_logs, whether_is_abnormal_metric
+
+from conftest import no_fault_scenario
 
 _BASELINE_SAMPLES = 8
 _RANK = {"metric": 0, "trace": 1, "log": 2, "state": 3}
@@ -171,27 +175,22 @@ def test_queries_in_any_order_render_the_same_bytes():
 
 
 # Gaussian draws of render_alert(render_telemetry(s)) summed over the 9 golden
-# scenarios. A full render of the same scenarios draws 29,748. The sweep wakes
-# a quiet series only while a fault changes one of its component's samples.
-_ALERT_DRAWS = 25
-_FULL_DRAWS = 29_748
+# scenarios. A full render of the same scenarios draws 29,712: one per sample,
+# a stressed sample's stress draw in place of its nominal one. The sweep wakes
+# a quiet series only while a fault changes that series; woken component by
+# component, it drew 25.
+_ALERT_DRAWS = 20
+_FULL_DRAWS = 29_712
 
 
-def test_alert_renders_only_what_the_sweep_reaches(monkeypatch):
-    draws = 0
-    gauss = noise.gauss
-
-    def counting_gauss(*args, **kwargs):
-        nonlocal draws
-        draws += 1
-        return gauss(*args, **kwargs)
-
-    monkeypatch.setattr(noise, "gauss", counting_gauss)
+def test_alert_renders_only_what_the_sweep_reaches(count_draws):
+    gauss = count_draws("gauss")
     for scenario in golden_scenarios():
         render_alert(render_telemetry(scenario))
-    alert_draws, draws = draws, 0
+    alert_draws, gauss.calls = gauss.calls, 0
     for scenario in golden_scenarios():
         render_telemetry(scenario).export_lines()
+    draws = gauss.calls
     assert draws == _FULL_DRAWS
     assert alert_draws == _ALERT_DRAWS
     assert alert_draws < _FULL_DRAWS / 2
@@ -241,12 +240,12 @@ def test_a_detector_config_changed_in_place_gets_fresh_verdicts():
 
 
 def test_alert_renders_only_components_a_fault_touches(monkeypatch):
-    rendered = []  # the component of every metric sample rendered
+    rendered = []  # the series of every metric sample rendered
     traced = []    # the tick of every trace rendered
     sample, trace = Telemetry._sample, Telemetry._trace
 
     def counting_sample(self, key, t):
-        rendered.append(key[0])
+        rendered.append(key)
         return sample(self, key, t)
 
     def counting_trace(self, tick, t):
@@ -262,34 +261,42 @@ def test_alert_renders_only_components_a_fault_touches(monkeypatch):
         alert = render_alert(telemetry)
         detected = re.search(r"^detected_at_s: (\d+)$", alert, re.MULTILINE)
         until = int(detected.group(1)) if detected else scenario.window[1]
-        touched = frozenset().union(*(telemetry.touched(t)
-                                      for t in telemetry.sample_times() if t <= until))
-        assert rendered and set(rendered) <= touched
+        moved = frozenset().union(*(telemetry.footprint(t)
+                                    for t in telemetry.sample_times() if t <= until))
+        assert rendered and set(rendered) <= moved
         assert all(any(fault.active_at(t) for fault in scenario.faults) for t in traced)
+
+
+def _bandwidth_at_full(scenario):
+    # a bandwidth fault that leaves the whole bandwidth: it scales no sample
+    return dataclasses.replace(scenario, id=f"{scenario.id}-full", faults=[
+        dataclasses.replace(fault, magnitude=1.0) for fault in scenario.faults])
 
 
 def test_touched_is_exactly_the_components_whose_samples_a_fault_changes():
     # the same scenario without its faults (and so, unvalidated, without a
     # ground truth) renders every sample as its nominal draw
     config = ScenarioConfig(faults_per_scenario=2)
-    for scenario in golden_scenarios() + generate_corpus(41, 9) + generate_corpus(42, 9, config):
+    bandwidth = ScenarioConfig(fault_types=(FaultType.NetworkBandwidth,))
+    for scenario in (golden_scenarios() + generate_corpus(41, 9) + generate_corpus(42, 9, config)
+                     + [_bandwidth_at_full(s) for s in generate_corpus(43, 2, bandwidth)]):
         telemetry = render_telemetry(scenario)
         nominal = Telemetry(dataclasses.replace(scenario, faults=[]))
         keys = telemetry.series_keys()
         for t in telemetry.sample_times():
-            changed = {component for component, metric in keys
-                       if telemetry.metric_value(component, metric, t)
-                       != nominal.metric_value(component, metric, t)}
-            assert telemetry.touched(t) == changed, (scenario.id, t)
+            changed = {key for key in keys
+                       if telemetry.metric_value(*key, t) != nominal.metric_value(*key, t)}
+            assert telemetry.footprint(t) == changed, (scenario.id, t)
 
 
 def test_untouched_samples_lie_in_their_nominal_range():
     for scenario in golden_scenarios():
         telemetry = render_telemetry(scenario)
         for series in telemetry.metric_series():
-            lo, hi = telemetry.nominal_ranges()[(series.component, series.metric)]
+            key = (series.component, series.metric)
+            lo, hi = telemetry.nominal_ranges()[key]
             for t, value in series.samples:
-                if series.component not in telemetry.touched(t):
+                if key not in telemetry.footprint(t):
                     assert lo <= value <= hi
 
 
@@ -309,3 +316,49 @@ def test_pod_phases_match_a_scan_of_the_faults():
         assert [(pod_id, telemetry.pod_phase(pod_id)) for pod_id, _ in expected] == expected
         failed += sum(phase == "failed" for _, phase in expected)
     assert failed
+
+
+# a bound may be absent (the scenario's), and the window empty or reversed
+_tool_windows = st.tuples(st.none() | st.integers(-100, 900), st.none() | st.integers(-100, 900))
+
+
+@given(scenario=_scenarios, cfg=_bounded_detectors, window=_tool_windows)
+@settings(max_examples=40, deadline=None)
+def test_the_metric_check_matches_the_rule_on_a_full_render(scenario, cfg, window):
+    """Every series, under thresholds on both sides of its nominal range: a
+    static check renders only the samples that may exceed the threshold."""
+    eager = render_telemetry(scenario)
+    expected_lines = eager.export_lines()  # renders everything first
+    telemetry = render_telemetry(scenario)
+    ctx = ToolContext(telemetry=telemetry, kb=None, backend=None, detector=cfg,
+                      registry=build_registry())
+    start_s, end_s = window
+    lo = scenario.window[0] if start_s is None else start_s
+    hi = scenario.window[1] if end_s is None else end_s
+    for component, metric in telemetry.series_keys():
+        samples = eager.query_metrics(component, metric).samples
+        verdict = evaluate_series(
+            [v for t, v in samples if lo <= t < hi],
+            [v for t, v in samples if t < lo][-cfg.baseline_lookback_samples:], metric, cfg)
+        got = whether_is_abnormal_metric(ctx, component, metric, start_s, end_s)
+        assert got.payload == verdict
+        state = (f"anomalous ({verdict.direction})" if verdict.anomalous else "normal")
+        assert got.observation == f"metric {metric} on {component} is {state}: {verdict.detail}"
+    assert telemetry.export_lines() == expected_lines
+
+
+@pytest.mark.parametrize("before_s, max_samples, draws", [
+    (540, 20, 20),   # 36 samples lie before 540 s
+    (60, 20, 4),
+    (-15, 20, 0),
+    (600, 40, 40),
+])
+def test_a_baseline_renders_only_the_samples_it_keeps(count_draws, before_s, max_samples,
+                                                       draws):
+    scenario = no_fault_scenario()
+    gauss = count_draws("gauss")
+    baseline = render_telemetry(scenario).baseline_values("cartservice", "request_latency_ms",
+                                                          before_s, max_samples)
+    assert gauss.calls == draws
+    samples = render_telemetry(scenario).query_metrics("cartservice", "request_latency_ms").samples
+    assert baseline == [v for t, v in samples if t < before_s][-max_samples:]

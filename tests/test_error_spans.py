@@ -1,6 +1,8 @@
 """The error-span walk and the on-demand heartbeat logs against an eager
 render: every trace rendered in full, every log line rendered before any
-query. ``tests/test_render_identity.py`` pins the eager bytes themselves."""
+query. ``tests/test_render_identity.py`` pins the eager bytes themselves.
+Also what the golden episodes render: no trace, no heartbeat and few metric
+samples."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 from sopflow import golden
 from sopflow.agents import AgentConfig, run_episode
 from sopflow.llm import BackendConfig, make_backend
-from sopflow.sandbox import ScenarioConfig, generate_corpus, noise, render_telemetry
+from sopflow.sandbox import ScenarioConfig, generate_corpus, render_telemetry
 from sopflow.sandbox.telemetry import Telemetry
 
 from conftest import scripted_backend
@@ -63,6 +65,14 @@ def test_queries_match_the_eager_render(scenario, queries):
     assert telemetry.export_lines() == expected_lines
 
 
+def _run_golden_default_episodes() -> None:
+    kb = golden.make_golden_kb(scripted_backend())
+    for case in golden.golden_cases("default"):
+        backend = make_backend(BackendConfig(script=list(case.script)))
+        result = run_episode(case.scenario, AgentConfig(), backend, kb.clone_in_memory())
+        assert result.outcome == "completed"
+
+
 # Heartbeat draws (noise.unit(seed, "log", pod, t)) of the 9 golden default
 # episodes run with golden.build_script. Rendering every heartbeat up front,
 # as a full render does, draws 1,980: 20 log ticks x 11 pods per scenario.
@@ -72,35 +82,38 @@ _EPISODE_LOG_DRAWS = 0
 _FULL_LOG_DRAWS = 1_980
 
 
-def test_golden_episodes_render_no_trace_and_few_heartbeats(monkeypatch):
-    draws = 0
+def test_golden_episodes_render_no_trace_and_few_heartbeats(monkeypatch, count_draws):
     traces = 0
-    unit, trace = noise.unit, Telemetry._trace
-
-    def counting_unit(*parts):
-        nonlocal draws
-        if parts[1] == "log":
-            draws += 1
-        return unit(*parts)
+    trace = Telemetry._trace
 
     def counting_trace(self, tick, t):
         nonlocal traces
         traces += 1
         return trace(self, tick, t)
 
-    monkeypatch.setattr(noise, "unit", counting_unit)
+    heartbeats = count_draws("unit", lambda *parts: parts[1] == "log")
     monkeypatch.setattr(Telemetry, "_trace", counting_trace)
-    kb = golden.make_golden_kb(scripted_backend())
-    for case in golden.golden_cases("default"):
-        backend = make_backend(BackendConfig(script=list(case.script)))
-        result = run_episode(case.scenario, AgentConfig(), backend, kb.clone_in_memory())
-        assert result.outcome == "completed"
+    _run_golden_default_episodes()
     assert traces == 0
-    episode_draws, draws = draws, 0
+    episode_draws, heartbeats.calls = heartbeats.calls, 0
     for scenario in golden.golden_scenarios():
         render_telemetry(scenario).all_logs()
+    draws = heartbeats.calls
     assert draws == _FULL_LOG_DRAWS
     assert episode_draws == _EPISODE_LOG_DRAWS
+
+
+# Gaussian draws of the same 9 episodes: the alert's and every metric
+# check's. A static-threshold check renders only the samples that may exceed
+# the threshold and no baseline; a stressed sample takes one draw. When every
+# check rendered its whole window and baseline, they drew 340.
+_EPISODE_DRAWS = 165
+
+
+def test_golden_episodes_render_only_the_samples_a_verdict_reads(count_draws):
+    gauss = count_draws("gauss")
+    _run_golden_default_episodes()
+    assert gauss.calls == _EPISODE_DRAWS
 
 
 # ``_failed_call`` calls that whole-window ``error_spans()`` makes over the 9

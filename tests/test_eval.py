@@ -1,4 +1,6 @@
+import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -187,6 +189,19 @@ class TestReports:
             path.write_text(saved.replace(f'"la": {report.la}', f'"la": {tampered}'))
             with pytest.raises(ValidationError, match="report aggregates do not match"):
                 load_report(path)
+
+    def test_an_aggregate_is_checked_to_within_1e_12(self, tmp_path):
+        # one truth and no prediction: the recomputed LA is 0.0
+        report = BenchmarkReport.from_rows([row()], EvalConfig())
+        assert report.la == 0.0
+        path = tmp_path / "report.json"
+        save_report(report, path)
+        saved = json.loads(path.read_text())
+        path.write_text(json.dumps({**saved, "la": 1e-12}))
+        assert load_report(path).la == 1e-12
+        path.write_text(json.dumps({**saved, "la": 2e-12}))
+        with pytest.raises(ValidationError, match=re.escape(f"{path}: report aggregates")):
+            load_report(path)
 
     def test_table_contains_aggregates(self):
         report = self._report()
