@@ -1,14 +1,14 @@
 """Deterministic simulated microservice deployment with fault injection.
 
 Stands in for a real cluster plus its monitoring stack: a fixed topology of
-services, pods, and nodes produces metric, log, and trace telemetry, and
+services, pods, and nodes produces metric, log, and error-span telemetry, and
 injected faults perturb that telemetry according to a documented signature
 table. Everything is a pure function of the scenario seed.
 """
 
 from .faults import FaultSpec, FaultType
 from .scenario import EpisodeScenario, GroundTruth, ScenarioConfig, generate_corpus, generate_scenario, load_scenario, save_scenario
-from .telemetry import LogLine, MetricSeries, Span, Telemetry, Trace, render_telemetry
+from .telemetry import LogLine, Span, Telemetry, render_telemetry
 from .topology import CallEdge, Node, Pod, Topology, load_fixture
 from .alert import render_alert
 
@@ -19,14 +19,12 @@ __all__ = [
     "FaultType",
     "GroundTruth",
     "LogLine",
-    "MetricSeries",
     "Node",
     "Pod",
     "ScenarioConfig",
     "Span",
     "Telemetry",
     "Topology",
-    "Trace",
     "generate_corpus",
     "generate_scenario",
     "load_fixture",

@@ -23,7 +23,7 @@ for it); a series whose baseline is too short for a rule is never rendered.
 ``evaluate_series`` writes the verdict text. Each later-ranked sweep (traces,
 then logs) stops before the earliest candidate found so far, because a
 candidate at or after that tick loses on rank. The trace sweep
-reads error spans (``Telemetry.error_spans``), never a full trace. The log
+reads the error spans (``Telemetry.error_spans``). The log
 sweep reads the keyword lines before that candidate
 (``Telemetry.anomalous_logs``), which renders no heartbeat line a keyword
 provably cannot occur in: with the default keywords, none. Telemetry is

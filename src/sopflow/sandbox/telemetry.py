@@ -1,4 +1,4 @@
-"""Telemetry rendering: metrics, logs, and traces for a scenario.
+"""Telemetry rendering: metrics, logs, and error spans for a scenario.
 
 Fault signature table (what each injected fault does to the telemetry):
 
@@ -12,9 +12,10 @@ PodFailure         pod phase becomes ``failed`` and its metrics drop to zero;
                    spans calling its service error "Service unavailable" and
                    the subtree below is never called; "connection refused"
                    log lines on the pod; its service error_rate pegs at 1.0.
-NetworkDelay       affected edges gain ``magnitude`` ms of span duration and
-                   the callee service ``request_latency_ms`` rises by the
-                   same amount; "request timeout" log lines on the pod.
+NetworkDelay       the callee service ``request_latency_ms`` rises by
+                   ``magnitude`` ms; an error span on an affected edge (a
+                   delay alone fails no call) lasts that much longer;
+                   "request timeout" log lines on the pod.
 NetworkLoss        a ``magnitude`` fraction of calls on affected edges error
                    with "timeout"; callee error_rate = magnitude; packet-loss
                    log lines on the pod.
@@ -24,9 +25,9 @@ NetworkPartition   every call on affected edges errors "connection refused"
 NetworkDuplicate   like loss but the error message is "duplicate ack".
 NetworkCorrupt     like loss but the error message is "checksum mismatch".
 NetworkBandwidth   both endpoint nodes' ``node_network_throughput_bytes``
-                   scale by the magnitude; edges crossing the node pair slow
-                   their spans and callee latency by 1/magnitude and callee
-                   ``throughput_rps`` scales by the magnitude. No log lines.
+                   scale by the magnitude; for edges crossing the node pair,
+                   callee latency scales by 1/magnitude and callee
+                   ``throughput_rps`` by the magnitude. No span, no log line.
 =================  ==========================================================
 
 Nominal samples are clamped Gaussians around the per-metric baselines below,
@@ -34,11 +35,10 @@ so at the default detector thresholds a fault-free scenario never flags.
 Rendering is a pure function of the scenario (seed included).
 
 Telemetry is rendered on demand: ``render_telemetry`` renders only the
-fault log lines, and each metric sample, trace, tick's error spans and
-heartbeat line is computed the first time a query reaches it, then kept.
-Every draw is keyed by its series, span or pod and its tick, so what a query
-returns, and ``export_lines``, are byte-identical to a full render whatever
-was queried before.
+fault log lines, and each metric sample, tick's error spans and heartbeat
+line is computed the first time a query reaches it, then kept. Every draw is
+keyed by its series, span or pod and its tick, so what a query returns is
+byte-identical whatever was queried before.
 
 The table above has one implementation, ``_Effects``; apart from the fault
 log lines, nothing else reads a fault's type. A ``Telemetry`` builds one
@@ -75,8 +75,6 @@ from __future__ import annotations
 
 import bisect
 import functools
-import hashlib
-import json
 import statistics
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
@@ -92,7 +90,6 @@ from .topology import CallEdge, Pod, Topology, load_fixture
 
 SAMPLE_PERIOD_S = 15
 LOG_PERIOD_S = 30
-PROC_MS = 5.0          # per-hop processing time added to every span
 ROOT_BASE_MS = 10.0    # ingress latency of the entry span
 SPAN_JITTER_FRAC = 0.1
 
@@ -141,16 +138,6 @@ _FAULT_LOG_LINES = {
 
 
 @dataclass(frozen=True)
-class MetricSeries:
-    component: str
-    metric: str
-    samples: tuple[tuple[int, float], ...]
-
-    def values(self) -> list[float]:
-        return [v for _, v in self.samples]
-
-
-@dataclass(frozen=True)
 class LogLine:
     pod: str
     t_s: int
@@ -159,27 +146,17 @@ class LogLine:
 
 @dataclass(frozen=True)
 class Span:
+    """An error span: a call that failed."""
     trace_id: str
-    span_id: str
-    parent_span_id: str | None
     service: str
     duration_ms: float
-    status: str  # "ok" | "error"
-    error_message: str = ""
-
-
-@dataclass(frozen=True)
-class Trace:
-    trace_id: str
-    t_s: int
-    spans: tuple[Span, ...]
+    error_message: str
 
 
 @dataclass
 class _EdgeEffect:
     """What the active faults do to every call on one edge."""
     extra_ms: float = 0.0
-    slow_factor: float = 1.0
     error_modes: list[tuple[str, float]] = field(default_factory=list)
     unreachable_msg: str | None = None
 
@@ -203,15 +180,12 @@ class _ServiceEffect:
         )))
 
 
-_NO_EDGE_EFFECT = _EdgeEffect()
-
-
 class Telemetry:
     """Telemetry for one scenario, rendered on demand, with the query surface
     the observability tools are built on.
 
-    Each metric sample, trace, tick's error spans and (pod, tick) heartbeat
-    line is rendered the first time a query reaches it and then kept
+    Each metric sample, tick's error spans and (pod, tick) heartbeat line is
+    rendered the first time a query reaches it and then kept
     (memoised), so it is computed at most once, and one no query reaches is
     never computed. Every draw is keyed by (series, span or pod, tick), so
     the order of queries never changes a byte. Queries write to the memo, so
@@ -243,7 +217,6 @@ class Telemetry:
         # (component, metric) -> the series' samples by tick number, None
         # until rendered; a row is made when the series is first queried
         self._series: dict[tuple[str, str], list[float | None]] = {}
-        self._traces: list[Trace | None] = [None] * len(self._times)
         self._errors: list[list[Span] | None] = [None] * len(self._times)
         self._heartbeats: dict[tuple[str, int], LogLine] = {}
         self._fault_logs = self._render_fault_logs()
@@ -280,16 +253,14 @@ class Telemetry:
             )
         return key
 
-    def _logs(self, pods, window: tuple[int, int] | None,
-              heartbeat_pods=None) -> list[LogLine]:
+    def _logs(self, pods, window: tuple[int, int] | None, heartbeat_pods) -> list[LogLine]:
         """The log lines of ``pods`` in ``window`` (every line for None), in
         (t_s, pod, text) order, rendering the heartbeats not rendered yet. Of
-        the heartbeats, only those of ``heartbeat_pods`` (default: ``pods``)
-        are included."""
+        the heartbeats, only those of ``heartbeat_pods`` are included."""
         lo, hi = window or self.scenario.window  # every line lies in the scenario window
         lines = [line for line in self._fault_logs if line.pod in pods and lo <= line.t_s < hi]
         ticks = [t for t in range(*self.scenario.window, LOG_PERIOD_S) if lo <= t < hi]
-        for t, pod in product(ticks, pods if heartbeat_pods is None else heartbeat_pods):
+        for t, pod in product(ticks, heartbeat_pods):
             line = self._heartbeats.get((pod, t))
             if line is None:
                 line = self._heartbeats[(pod, t)] = self._heartbeat(pod, t)
@@ -300,7 +271,7 @@ class Telemetry:
     # -- queries -------------------------------------------------------------
 
     def sample_times(self) -> list[int]:
-        """Every metric sample tick (and trace tick) of the window, in order."""
+        """Every metric sample tick (and error-span tick) of the window, in order."""
         return list(self._times)
 
     def series_keys(self) -> list[tuple[str, str]]:
@@ -325,16 +296,16 @@ class Telemetry:
         return self._values((component, metric), self._ticks((t, t + 1)))[0]
 
     def query_metrics(self, component: str, metric: str,
-                      window: tuple[int, int] | None = None) -> MetricSeries:
+                      window: tuple[int, int] | None = None) -> tuple[tuple[int, float], ...]:
+        """The (t, value) samples of the series in ``window`` (every sample
+        for None), in tick order."""
         key = self._key(component, metric)
         ticks = self._ticks(window)
-        return MetricSeries(component, metric,
-                            tuple(zip(self._times[ticks.start:ticks.stop],
-                                      self._values(key, ticks))))
+        return tuple(zip(self._times[ticks.start:ticks.stop], self._values(key, ticks)))
 
     def query_may_flag(self, cfg: DetectorConfig, component: str, metric: str,
                        window: tuple[int, int] | None = None) -> tuple[int, list[float]]:
-        """How many samples ``query_metrics(component, metric, window)`` holds,
+        """How many samples ``query_metrics(component, metric, window)`` returns,
         and, in tick order, those of them that may exceed ``metric``'s static
         threshold in ``cfg`` (it must have one): every sample a fault changes
         (``footprint``) and, unless ``_never_flags`` clears the series'
@@ -346,11 +317,6 @@ class Telemetry:
             effects, times = self._effects, self._times
             ticks = [i for i in ticks if key in effects[times[i]].footprint]
         return count, self._values(key, ticks)
-
-    def metric_series(self) -> list[MetricSeries]:
-        """Every metric series, in (component, metric) order."""
-        return [self.query_metrics(component, metric)
-                for component, metric in self._tables.nominal]
 
     def baseline_values(self, component: str, metric: str, before_s: int,
                         max_samples: int) -> list[float]:
@@ -366,32 +332,21 @@ class Telemetry:
         except KeyError:
             raise NotFoundError(f"unknown pod {pod!r}") from None
 
-    def all_logs(self, window: tuple[int, int] | None = None) -> list[LogLine]:
-        """Every pod's log lines in ``window`` (every line for None)."""
-        return self._logs(self._tables.pods, window)
-
     def anomalous_logs(self, cfg: DetectorConfig, pod: str | None = None,
                        window: tuple[int, int] | None = None) -> list[LogLine]:
-        """The lines of pod ``pod`` in ``all_logs(window)`` (every pod's for
-        None) that ``matches_keyword`` keeps under ``cfg``, in the same order.
-        The heartbeats of a pod are rendered only when a keyword may occur in
-        them (``_heartbeats_may_match``)."""
+        """The log lines of pod ``pod`` (every pod's for None) in ``window``
+        (every line for None) that ``matches_keyword`` keeps under ``cfg``, in
+        (t_s, pod, text) order. The heartbeats of a pod are rendered only
+        when a keyword may occur in them (``_heartbeats_may_match``)."""
         pods = self._tables.pods if pod is None else (self._pod(pod).id,)
         keywords = tuple(keyword.lower() for keyword in cfg.anomaly_keywords)
         drawn = [p for p in pods if _heartbeats_may_match(p, keywords)]
         return [line for line in self._logs(pods, window, drawn)
                 if matches_keyword(line.text, cfg)]
 
-    def query_traces(self, window: tuple[int, int] | None = None) -> list[Trace]:
-        ticks = self._ticks(window)
-        for i in ticks:
-            if self._traces[i] is None:
-                self._traces[i] = self._trace(i, self._times[i])
-        return self._traces[ticks.start:ticks.stop]
-
     def error_spans(self, window: tuple[int, int] | None = None) -> list[Span]:
-        """The error spans of ``query_traces(window)``, in the same order,
-        found without rendering the traces."""
+        """The error spans of the call tree at each sample tick in ``window``
+        (every tick for None), in tick order (``_error_spans``)."""
         spans = []
         for i in self._ticks(window):
             if self._errors[i] is None:
@@ -408,41 +363,6 @@ class Telemetry:
     def pod_phases(self) -> list[tuple[str, str]]:
         """Every pod's ``pod_phase``, in pod id order."""
         return [(pod_id, self.pod_phase(pod_id)) for pod_id in self._tables.pods]
-
-    # -- serialization ---------------------------------------------------------
-
-    def export_lines(self) -> dict[str, list[str]]:
-        """Line-delimited records per modality; byte-stable across runs."""
-        metric_lines = [
-            json.dumps({"component": s.component, "metric": s.metric,
-                        "samples": [[t, v] for t, v in s.samples]}, sort_keys=True)
-            for s in self.metric_series()
-        ]
-        log_lines = [
-            json.dumps({"t_s": line.t_s, "pod": line.pod, "text": line.text}, sort_keys=True)
-            for line in self.all_logs()
-        ]
-        trace_lines = [
-            json.dumps({
-                "trace_id": tr.trace_id, "t_s": tr.t_s,
-                "spans": [{
-                    "span_id": sp.span_id, "parent_span_id": sp.parent_span_id,
-                    "service": sp.service, "duration_ms": sp.duration_ms,
-                    "status": sp.status, "error_message": sp.error_message,
-                } for sp in tr.spans],
-            }, sort_keys=True)
-            for tr in self.query_traces()
-        ]
-        return {"metrics": metric_lines, "logs": log_lines, "traces": trace_lines}
-
-    def content_hash(self) -> str:
-        digest = hashlib.sha256()
-        lines = self.export_lines()
-        for modality in ("metrics", "logs", "traces"):
-            for line in lines[modality]:
-                digest.update(line.encode("utf-8"))
-                digest.update(b"\n")
-        return digest.hexdigest()
 
     # -- rendering: metrics ----------------------------------------------------
 
@@ -515,19 +435,13 @@ class Telemetry:
                 lines.append(LogLine(pod=pod_id, t_s=t, text=f"{body} (t={t})"))
         return lines
 
-    # -- rendering: traces -----------------------------------------------------
-
-    def _trace(self, tick: int, t: int) -> Trace:
-        """The trace sampled at tick number ``tick``, time ``t``."""
-        trace_id = f"t{tick:04d}"
-        spans: list[Span] = []
-        self._build_root(trace_id, self._effects[t], spans)
-        return Trace(trace_id=trace_id, t_s=t, spans=tuple(spans))
+    # -- rendering: error spans ------------------------------------------------
 
     def _error_spans(self, tick: int, t: int) -> list[Span]:
-        """The error spans of ``_trace(tick, t)``, in its order. An error span
-        has no children and its draws are keyed by its own span id, so only
-        the calls on a path to a call a fault can make fail at ``t`` are
+        """The error spans of the call tree at tick number ``tick``, time
+        ``t``, in depth-first ``topology.children`` order. A failed call has
+        no calls below it, and its draws are keyed by its own call path, so
+        only the calls on a path to a call a fault can make fail at ``t`` are
         walked, and only those calls are tested."""
         trace_id = f"t{tick:04d}"
         effects = self._effects[t]
@@ -543,25 +457,23 @@ class Telemetry:
             effect = effects.failing.get((edge.src, edge.dst))
             if effect is None and edge.dst not in effects.above:
                 continue  # every call on and below this edge is ok
-            call_id = f"{span_id}/{edge.dst}"
-            failed = (None if effect is None
-                      else self._failed_call(trace_id, call_id, span_id, edge, effect))
+            call_id = f"{span_id}/{edge.dst}"  # a call path: the key of the call's draws
+            failed = None if effect is None else self._failed_call(trace_id, call_id, edge, effect)
             if failed is None:
                 self._walk_errors(trace_id, effects, edge.dst, call_id, spans)
             else:
-                spans.append(failed[0])
+                spans.append(failed)
 
     def _root_down(self, trace_id: str) -> Span:
         """The root span of a trace whose frontend pod is down."""
         frontend = self.topology.frontend
         duration = ROOT_BASE_MS + self._jitter(trace_id, frontend, ROOT_BASE_MS)
-        return Span(trace_id, frontend, None, frontend, round(duration, 3),
-                    "error", "Service unavailable")
+        return Span(trace_id, frontend, round(duration, 3), "Service unavailable")
 
-    def _failed_call(self, trace_id: str, span_id: str, parent_span_id: str, edge: CallEdge,
-                     effect: _EdgeEffect) -> tuple[Span, float] | None:
-        """The error span of the call ``span_id`` on ``edge`` and its unrounded
-        duration when ``effect`` makes the call error, else None."""
+    def _failed_call(self, trace_id: str, span_id: str, edge: CallEdge,
+                     effect: _EdgeEffect) -> Span | None:
+        """The error span of the call ``span_id`` on ``edge`` when ``effect``
+        makes the call error, else None."""
         if effect.unreachable_msg is not None:
             message, extra = effect.unreachable_msg, 0.0
         else:
@@ -573,41 +485,10 @@ class Telemetry:
             extra = effect.extra_ms
         base = edge.base_latency_ms
         duration = base + extra + self._jitter(trace_id, span_id, base)
-        return Span(trace_id, span_id, parent_span_id, edge.dst, round(duration, 3),
-                    "error", message), duration
+        return Span(trace_id, edge.dst, round(duration, 3), message)
 
     def _jitter(self, trace_id: str, span_id: str, base: float) -> float:
         return noise.jitter(SPAN_JITTER_FRAC * base, self._seed, "span", trace_id, span_id)
-
-    def _build_root(self, trace_id: str, effects: _Effects, spans: list[Span]) -> None:
-        if self._tables.root_pod in effects.down:
-            spans.append(self._root_down(trace_id))
-            return
-        frontend = self.topology.frontend
-        child_total = 0.0
-        for edge in self._tables.children[frontend]:
-            child_total += self._build_call(trace_id, effects, edge, frontend, spans)
-        duration = (ROOT_BASE_MS + PROC_MS + child_total
-                    + self._jitter(trace_id, frontend, ROOT_BASE_MS))
-        spans.insert(0, Span(trace_id, frontend, None, frontend, round(duration, 3), "ok"))
-
-    def _build_call(self, trace_id: str, effects: _Effects, edge: CallEdge,
-                    parent_span_id: str, spans: list[Span]) -> float:
-        # span ids are call paths, so pruning one branch never renames another
-        span_id = f"{parent_span_id}/{edge.dst}"
-        effect = effects.edges.get((edge.src, edge.dst), _NO_EDGE_EFFECT)
-        failed = self._failed_call(trace_id, span_id, parent_span_id, edge, effect)
-        if failed is not None:
-            spans.append(failed[0])
-            return failed[1]
-        child_total = 0.0
-        for child_edge in self._tables.children[edge.dst]:
-            child_total += self._build_call(trace_id, effects, child_edge, span_id, spans)
-        duration = (edge.base_latency_ms * effect.slow_factor + effect.extra_ms + PROC_MS
-                    + child_total + self._jitter(trace_id, span_id, edge.base_latency_ms))
-        spans.append(Span(trace_id, span_id, parent_span_id, edge.dst,
-                          round(duration, 3), "ok"))
-        return duration
 
 
 def _service_latency_baseline(topo: Topology, service: str) -> float:
@@ -705,13 +586,16 @@ class _Effects:
     (``Telemetry._sample``): every metric of a down pod, a stressed pod's
     stressed metric, a node series some magnitude below 1.0 scales, and each
     service's ``_ServiceEffect.moved`` metrics. ``failing`` holds the edges
-    whose calls a fault can make fail, and ``above`` the services with such a
-    call below them, which the error-span walk passes through.
+    whose calls a fault can make fail, each with the sum of the delays on it,
+    and ``above`` the services with such a call below them, which the
+    error-span walk passes through. An edge that a fault only delays or
+    slows has no entry: no call on it fails.
     """
 
     def __init__(self, topo: Topology, active: list[tuple[FaultSpec, set]]):
         self.down: set[str] = set()  # the pods a PodFailure has taken down
-        self.edges: dict[tuple[str, str], _EdgeEffect] = {}  # (src, dst) -> effect
+        self.failing: dict[tuple[str, str], _EdgeEffect] = {}  # (src, dst) -> effect
+        delays: dict[tuple[str, str], float] = {}  # (src, dst) -> the delays' sum
         self.services: dict[str, _ServiceEffect] = {}
         self.stress: dict[tuple[str, str], float] = {}  # (pod, metric) -> magnitude
         # (node, metric) -> the bandwidth magnitudes the metric scales by, in order
@@ -732,20 +616,20 @@ class _Effects:
                         (node, "node_network_throughput_bytes"), []).append(magnitude)
             if ft in _STRESS_METRICS:
                 self.stress.setdefault((target, _STRESS_METRICS[ft]), magnitude)
-            for src, dst in edges:
-                edge = self.edges.setdefault((src, dst), _EdgeEffect())
+            for key in edges:
                 if ft == FaultType.NetworkDelay:
-                    edge.extra_ms += magnitude
-                elif ft == FaultType.NetworkBandwidth:
-                    edge.slow_factor *= 1.0 / magnitude
+                    delays[key] = delays.get(key, 0.0) + magnitude
                 elif ft in _EDGE_ERROR_MESSAGES:
-                    edge.error_modes.append((_EDGE_ERROR_MESSAGES[ft], magnitude))
+                    self.failing.setdefault(key, _EdgeEffect()).error_modes.append(
+                        (_EDGE_ERROR_MESSAGES[ft], magnitude))
                 elif ft == FaultType.NetworkPartition:
-                    edge.unreachable_msg = "connection refused"
-                elif ft == FaultType.PodFailure and dst == service:
+                    self.failing.setdefault(key, _EdgeEffect()).unreachable_msg = (
+                        "connection refused")
+                elif ft == FaultType.PodFailure and key[1] == service:
                     # only calls INTO the dead service fail; its own calls
                     # never happen
-                    edge.unreachable_msg = "Service unavailable"
+                    self.failing.setdefault(key, _EdgeEffect()).unreachable_msg = (
+                        "Service unavailable")
             if ft in (FaultType.PodFailure, FaultType.NetworkPartition):
                 # callers into the dead/cut-off service fail; its own callees
                 # simply stop receiving traffic, they do not error
@@ -770,8 +654,8 @@ class _Effects:
              if any(magnitude != 1.0 for magnitude in magnitudes)),
             ((service, metric) for service, effect in self.services.items()
              for metric in effect.moved())))
-        self.failing = {key: edge for key, edge in self.edges.items()
-                        if edge.unreachable_msg is not None or edge.error_modes}
+        for key, edge in self.failing.items():
+            edge.extra_ms = delays.get(key, 0.0)
         self.above = {src for src, _ in self.failing}
         while grown := {e.src for e in topo.call_edges if e.dst in self.above} - self.above:
             self.above |= grown

@@ -27,11 +27,11 @@ def whether_is_abnormal_metric(ctx: ToolContext, target: str, metric: str,
     window = _window(ctx, start_s, end_s)
     threshold = ctx.detector.static_thresholds.get(metric)
     if threshold is None:
-        series = ctx.telemetry.query_metrics(target, metric, window)
+        samples = ctx.telemetry.query_metrics(target, metric, window)
         baseline = ctx.telemetry.baseline_values(
             target, metric, window[0], ctx.detector.baseline_lookback_samples
         )
-        verdict = evaluate_series(series.values(), baseline, metric, ctx.detector)
+        verdict = evaluate_series([v for _, v in samples], baseline, metric, ctx.detector)
     else:
         count, samples = ctx.telemetry.query_may_flag(ctx.detector, target, metric, window)
         verdict = static_verdict(count, samples, threshold)

@@ -73,8 +73,8 @@ class ToolRegistry:
     """A fixed set of tools, given whole at construction and never changed,
     so ``build_registry`` builds one per process and every episode shares it.
     Invocations never change what telemetry holds; a query may render samples
-    on demand, which only fills the telemetry's memo with the bytes a full
-    render would give."""
+    on demand, which only fills the telemetry's memo with the bytes any query
+    order gives."""
 
     def __init__(self, tools: Iterable[tuple[ToolSpec, Callable]]):
         self._tools: dict[str, tuple[ToolSpec, Callable]] = {}

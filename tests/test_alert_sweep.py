@@ -1,6 +1,7 @@
 """The on-demand telemetry, the tick-major alert sweep and the metric check
-against the eager reference: every series rendered, each series' first flag
-taken, then the candidates sorted; every window sample and baseline judged."""
+against the eager reference of ``tests/reference.py``: every series rendered,
+each series' first flag taken, then the candidates sorted; every window
+sample and baseline judged."""
 
 import pytest
 
@@ -27,6 +28,7 @@ from sopflow.tools import ToolContext, build_registry
 from sopflow.tools.observability import kubectl_logs, whether_is_abnormal_metric
 
 from conftest import no_fault_scenario
+from reference import reference_error_spans, reference_lines, reference_logs, reference_metrics
 
 _BASELINE_SAMPLES = 8
 _RANK = {"metric": 0, "trace": 1, "log": 2, "state": 3}
@@ -38,24 +40,24 @@ def reference_alert(telemetry, cfg: DetectorConfig) -> str:
     start, end = telemetry.scenario.window
     baseline_end = start + _BASELINE_SAMPLES * SAMPLE_PERIOD_S
     candidates = []
-    for series in telemetry.metric_series():
-        baseline = [v for t, v in series.samples if t < baseline_end]
-        rule = _baseline_rule(baseline, series.metric, cfg)
-        for t, value in series.samples:
+    for (component, metric), samples in reference_metrics(telemetry):
+        baseline = [v for t, v in samples if t < baseline_end]
+        rule = _baseline_rule(baseline, metric, cfg)
+        for t, value in samples:
             if t >= baseline_end and rule is not None and rule.flags(value):
-                verdict = evaluate_series([value], baseline, series.metric, cfg)
-                candidates.append((t, "metric", series.component,
-                                   f"metric {series.metric} on {series.component} is "
+                verdict = evaluate_series([value], baseline, metric, cfg)
+                candidates.append((t, "metric", component,
+                                   f"metric {metric} on {component} is "
                                    f"anomalous ({verdict.direction}): {verdict.detail}"))
                 break
-    error_traces = [(trace, span) for trace in telemetry.query_traces()
-                    for span in trace.spans if span.status == "error"]
-    if error_traces:
-        trace, span = error_traces[0]
-        candidates.append((trace.t_s, "trace", span.service,
-                           f"error span in trace {trace.trace_id}: service {span.service} "
+    error_spans = [(t, span) for t in telemetry.sample_times()
+                   for span in reference_error_spans(telemetry, (t, t + 1))]
+    if error_spans:
+        t, span = error_spans[0]
+        candidates.append((t, "trace", span.service,
+                           f"error span in trace {span.trace_id}: service {span.service} "
                            f"failed with '{span.error_message}'"))
-    logs = [line for line in telemetry.all_logs() if matches_keyword(line.text, cfg)]
+    logs = [line for line in reference_logs(telemetry) if matches_keyword(line.text, cfg)]
     if logs:
         candidates.append((logs[0].t_s, "log", logs[0].pod,
                            f"anomalous log on pod {logs[0].pod}: {logs[0].text}"))
@@ -107,7 +109,7 @@ _detectors = st.builds(
 _windows = st.tuples(st.integers(-30, 650), st.integers(-30, 650))
 _queries = st.lists(st.one_of(
     st.tuples(st.just("metric"), st.integers(0, 10_000), st.none() | _windows),
-    st.tuples(st.just("trace"), st.none() | _windows),
+    st.tuples(st.just("trace"), st.none() | _windows),  # the error spans
 ), max_size=8)
 
 
@@ -115,12 +117,12 @@ _queries = st.lists(st.one_of(
 @settings(max_examples=25, deadline=None)
 def test_on_demand_sweep_matches_the_eager_reference(scenario, cfg, queries):
     eager = render_telemetry(scenario)
-    expected_lines = eager.export_lines()  # renders everything first
+    expected_lines = reference_lines(eager)  # renders everything first
     assert render_alert(render_telemetry(scenario), cfg) == reference_alert(eager, cfg)
 
     after_alert = render_telemetry(scenario)
     render_alert(after_alert, cfg)
-    assert after_alert.export_lines() == expected_lines
+    assert reference_lines(after_alert) == expected_lines
 
     after_queries = render_telemetry(scenario)
     keys = after_queries.series_keys()
@@ -129,15 +131,13 @@ def test_on_demand_sweep_matches_the_eager_reference(scenario, cfg, queries):
             _, index, window = query
             component, metric = keys[index % len(keys)]
             got = after_queries.query_metrics(component, metric, window)
-            assert got.samples == tuple(
-                (t, v) for t, v in eager.query_metrics(component, metric).samples
+            assert got == tuple(
+                (t, v) for t, v in eager.query_metrics(component, metric)
                 if window is None or window[0] <= t < window[1])
         else:
             _, window = query
-            got = after_queries.query_traces(window)
-            assert got == [tr for tr in eager.query_traces()
-                           if window is None or window[0] <= tr.t_s < window[1]]
-    assert after_queries.export_lines() == expected_lines
+            assert after_queries.error_spans(window) == reference_error_spans(eager, window)
+    assert reference_lines(after_queries) == expected_lines
 
 
 @given(scenario=_scenarios, keywords=_keywords, pod_index=st.integers(0, 10),
@@ -151,18 +151,20 @@ def test_kubectl_logs_matches_the_filtered_query(scenario, keywords, pod_index, 
                       registry=build_registry())
     start, end = window or (None, None)
     got = kubectl_logs(ctx, pod, start, end)
-    expected = [line for line in render_telemetry(scenario).all_logs(window or ctx.window)
-                if line.pod == pod and matches_keyword(line.text, cfg)]
+    expected = [line for line in reference_logs(render_telemetry(scenario), pod,
+                                                window or ctx.window)
+                if matches_keyword(line.text, cfg)]
     assert got.payload == expected
     assert (got.observation.startswith(f"{len(expected)} abnormal log lines for pod {pod}:")
             if expected else got.observation.startswith(f"no abnormal logs for pod {pod}"))
     assert telemetry.anomalous_logs(cfg, window=window) == [
-        line for line in telemetry.all_logs(window) if matches_keyword(line.text, cfg)]
+        line for line in reference_logs(telemetry, window=window)
+        if matches_keyword(line.text, cfg)]
 
 
 def test_queries_in_any_order_render_the_same_bytes():
     scenario = golden_scenarios()[3]
-    expected = render_telemetry(scenario).export_lines()
+    expected = reference_lines(render_telemetry(scenario))
     telemetry = render_telemetry(scenario)
     times = telemetry.sample_times()
     order = [(key, t) for key in telemetry.series_keys() for t in times]
@@ -170,12 +172,12 @@ def test_queries_in_any_order_render_the_same_bytes():
     for (component, metric), t in order:
         telemetry.metric_value(component, metric, t)
     for t in reversed(times):
-        telemetry.query_traces((t, t + 1))
-    assert telemetry.export_lines() == expected
+        telemetry.error_spans((t, t + 1))
+    assert reference_lines(telemetry) == expected
 
 
 # Gaussian draws of render_alert(render_telemetry(s)) summed over the 9 golden
-# scenarios. A full render of the same scenarios draws 29,712: one per sample,
+# scenarios. The reference render of the same scenarios draws 29,712: one per sample,
 # a stressed sample's stress draw in place of its nominal one. The sweep wakes
 # a quiet series only while a fault changes that series; woken component by
 # component, it drew 25.
@@ -189,7 +191,7 @@ def test_alert_renders_only_what_the_sweep_reaches(count_draws):
         render_alert(render_telemetry(scenario))
     alert_draws, gauss.calls = gauss.calls, 0
     for scenario in golden_scenarios():
-        render_telemetry(scenario).export_lines()
+        reference_lines(render_telemetry(scenario))
     draws = gauss.calls
     assert draws == _FULL_DRAWS
     assert alert_draws == _ALERT_DRAWS
@@ -241,19 +243,19 @@ def test_a_detector_config_changed_in_place_gets_fresh_verdicts():
 
 def test_alert_renders_only_components_a_fault_touches(monkeypatch):
     rendered = []  # the series of every metric sample rendered
-    traced = []    # the tick of every trace rendered
-    sample, trace = Telemetry._sample, Telemetry._trace
+    traced = []    # the tick of every call the error-span walk tests
+    sample, failed_call = Telemetry._sample, Telemetry._failed_call
 
     def counting_sample(self, key, t):
         rendered.append(key)
         return sample(self, key, t)
 
-    def counting_trace(self, tick, t):
-        traced.append(t)
-        return trace(self, tick, t)
+    def counting_failed_call(self, trace_id, span_id, edge, effect):
+        traced.append(self.sample_times()[int(trace_id[1:])])
+        return failed_call(self, trace_id, span_id, edge, effect)
 
     monkeypatch.setattr(Telemetry, "_sample", counting_sample)
-    monkeypatch.setattr(Telemetry, "_trace", counting_trace)
+    monkeypatch.setattr(Telemetry, "_failed_call", counting_failed_call)
     for scenario in golden_scenarios() + generate_corpus(0, 18):
         telemetry = render_telemetry(scenario)
         rendered.clear()
@@ -292,10 +294,9 @@ def test_touched_is_exactly_the_components_whose_samples_a_fault_changes():
 def test_untouched_samples_lie_in_their_nominal_range():
     for scenario in golden_scenarios():
         telemetry = render_telemetry(scenario)
-        for series in telemetry.metric_series():
-            key = (series.component, series.metric)
+        for key, samples in reference_metrics(telemetry):
             lo, hi = telemetry.nominal_ranges()[key]
-            for t, value in series.samples:
+            for t, value in samples:
                 if key not in telemetry.footprint(t):
                     assert lo <= value <= hi
 
@@ -328,7 +329,7 @@ def test_the_metric_check_matches_the_rule_on_a_full_render(scenario, cfg, windo
     """Every series, under thresholds on both sides of its nominal range: a
     static check renders only the samples that may exceed the threshold."""
     eager = render_telemetry(scenario)
-    expected_lines = eager.export_lines()  # renders everything first
+    expected_lines = reference_lines(eager)  # renders everything first
     telemetry = render_telemetry(scenario)
     ctx = ToolContext(telemetry=telemetry, kb=None, backend=None, detector=cfg,
                       registry=build_registry())
@@ -336,7 +337,7 @@ def test_the_metric_check_matches_the_rule_on_a_full_render(scenario, cfg, windo
     lo = scenario.window[0] if start_s is None else start_s
     hi = scenario.window[1] if end_s is None else end_s
     for component, metric in telemetry.series_keys():
-        samples = eager.query_metrics(component, metric).samples
+        samples = eager.query_metrics(component, metric)
         verdict = evaluate_series(
             [v for t, v in samples if lo <= t < hi],
             [v for t, v in samples if t < lo][-cfg.baseline_lookback_samples:], metric, cfg)
@@ -344,7 +345,7 @@ def test_the_metric_check_matches_the_rule_on_a_full_render(scenario, cfg, windo
         assert got.payload == verdict
         state = (f"anomalous ({verdict.direction})" if verdict.anomalous else "normal")
         assert got.observation == f"metric {metric} on {component} is {state}: {verdict.detail}"
-    assert telemetry.export_lines() == expected_lines
+    assert reference_lines(telemetry) == expected_lines
 
 
 @pytest.mark.parametrize("before_s, max_samples, draws", [
@@ -360,5 +361,5 @@ def test_a_baseline_renders_only_the_samples_it_keeps(count_draws, before_s, max
     baseline = render_telemetry(scenario).baseline_values("cartservice", "request_latency_ms",
                                                           before_s, max_samples)
     assert gauss.calls == draws
-    samples = render_telemetry(scenario).query_metrics("cartservice", "request_latency_ms").samples
+    samples = render_telemetry(scenario).query_metrics("cartservice", "request_latency_ms")
     assert baseline == [v for t, v in samples if t < before_s][-max_samples:]

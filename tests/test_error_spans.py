@@ -1,8 +1,9 @@
-"""The error-span walk and the on-demand heartbeat logs against an eager
-render: every trace rendered in full, every log line rendered before any
-query. ``tests/test_render_identity.py`` pins the eager bytes themselves.
-Also what the golden episodes render: no trace, no heartbeat and few metric
-samples."""
+"""The error-span walk and the on-demand heartbeat logs against the
+reference of ``tests/reference.py``: a brute-force walk that tests every call
+of the call tree, and every log line rendered before any query.
+``tests/test_render_identity.py`` pins the reference bytes themselves. Also
+what the golden episodes render: no heartbeat, few metric samples, and only
+the calls a fault can make fail."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from sopflow.sandbox import ScenarioConfig, generate_corpus, render_telemetry
 from sopflow.sandbox.telemetry import Telemetry
 
 from conftest import scripted_backend
+from reference import reference_digest, reference_error_spans, reference_logs
 
 _scenarios = st.builds(
     lambda seed, index, faults: generate_corpus(
@@ -25,9 +27,8 @@ _scenarios = st.builds(
 _windows = st.none() | st.tuples(st.integers(-100, 900), st.integers(-100, 900))
 _queries = st.lists(st.one_of(
     st.tuples(st.just("errors"), _windows),
-    st.tuples(st.just("traces"), _windows),
-    st.tuples(st.just("logs"), st.integers(0, 100), _windows),
-    st.tuples(st.just("all_logs"), _windows),
+    st.tuples(st.just("pod_logs"), st.integers(0, 100), _windows),
+    st.tuples(st.just("logs"), _windows),
 ), max_size=10)
 
 
@@ -37,32 +38,26 @@ def _within(t: int, window) -> bool:
 
 @given(scenario=_scenarios, queries=_queries)
 @settings(max_examples=40, deadline=None)
-def test_queries_match_the_eager_render(scenario, queries):
+def test_queries_match_the_reference(scenario, queries):
     eager = render_telemetry(scenario)
-    logs = eager.all_logs()  # every heartbeat rendered before any other query
-    traces = eager.query_traces()
-    expected_lines = eager.export_lines()
+    logs = reference_logs(eager)  # every heartbeat rendered before any other query
+    expected_digest = reference_digest(eager)
 
     telemetry = render_telemetry(scenario)
     pods = sorted(pod.id for pod in telemetry.topology.pods)
     for query in queries:
         kind, window = query[0], query[-1]
         if kind == "errors":
-            assert telemetry.error_spans(window) == [
-                span for trace in traces if _within(trace.t_s, window)
-                for span in trace.spans if span.status == "error"]
-        elif kind == "traces":
-            assert telemetry.query_traces(window) == [
-                trace for trace in traces if _within(trace.t_s, window)]
-        elif kind == "logs":
+            assert telemetry.error_spans(window) == reference_error_spans(eager, window)
+        elif kind == "pod_logs":
             pod = pods[query[1] % len(pods)]
-            assert [line for line in telemetry.all_logs(window) if line.pod == pod] == [
+            assert reference_logs(telemetry, pod, window) == [
                 line for line in logs if line.pod == pod and _within(line.t_s, window)]
         else:
-            assert telemetry.all_logs(window) == [
+            assert reference_logs(telemetry, window=window) == [
                 line for line in logs if _within(line.t_s, window)]
-    assert telemetry.all_logs() == logs
-    assert telemetry.export_lines() == expected_lines
+    assert reference_logs(telemetry) == logs
+    assert reference_digest(telemetry) == expected_digest
 
 
 def _run_golden_default_episodes() -> None:
@@ -75,29 +70,19 @@ def _run_golden_default_episodes() -> None:
 
 # Heartbeat draws (noise.unit(seed, "log", pod, t)) of the 9 golden default
 # episodes run with golden.build_script. Rendering every heartbeat up front,
-# as a full render does, draws 1,980: 20 log ticks x 11 pods per scenario.
+# as the reference does, draws 1,980: 20 log ticks x 11 pods per scenario.
 # The alert and kubectl_logs draw none: no default keyword can occur in a
 # heartbeat line.
 _EPISODE_LOG_DRAWS = 0
 _FULL_LOG_DRAWS = 1_980
 
 
-def test_golden_episodes_render_no_trace_and_few_heartbeats(monkeypatch, count_draws):
-    traces = 0
-    trace = Telemetry._trace
-
-    def counting_trace(self, tick, t):
-        nonlocal traces
-        traces += 1
-        return trace(self, tick, t)
-
+def test_golden_episodes_render_no_heartbeat(count_draws):
     heartbeats = count_draws("unit", lambda *parts: parts[1] == "log")
-    monkeypatch.setattr(Telemetry, "_trace", counting_trace)
     _run_golden_default_episodes()
-    assert traces == 0
     episode_draws, heartbeats.calls = heartbeats.calls, 0
     for scenario in golden.golden_scenarios():
-        render_telemetry(scenario).all_logs()
+        reference_logs(render_telemetry(scenario))
     draws = heartbeats.calls
     assert draws == _FULL_LOG_DRAWS
     assert episode_draws == _EPISODE_LOG_DRAWS
@@ -126,11 +111,11 @@ def test_the_error_span_walk_tests_only_calls_a_fault_can_make_fail(monkeypatch)
     calls = 0
     failed_call = Telemetry._failed_call
 
-    def counting_failed_call(self, trace_id, span_id, parent_span_id, edge, effect):
+    def counting_failed_call(self, trace_id, span_id, edge, effect):
         nonlocal calls
         calls += 1
         assert effect.unreachable_msg is not None or effect.error_modes, (trace_id, span_id)
-        return failed_call(self, trace_id, span_id, parent_span_id, edge, effect)
+        return failed_call(self, trace_id, span_id, edge, effect)
 
     monkeypatch.setattr(Telemetry, "_failed_call", counting_failed_call)
     for scenario in golden.golden_scenarios():

@@ -1,8 +1,11 @@
 """Byte-identity guard for the sandbox's alert and telemetry rendering.
 
-The digests below were computed from the straightforward per-sample sweep
-(one ``evaluate_series`` call per sample, fault effects resolved per metric)
-and pin the exact bytes every faster implementation must reproduce.
+The alert digests were computed from the straightforward per-sample sweep
+(one ``evaluate_series`` call per sample, fault effects resolved per metric).
+The telemetry digests are over ``reference.reference_digest``: every metric
+sample, every log line and every error span, the spans from a brute-force
+walk of the call tree. Both pin the exact bytes every faster implementation
+must reproduce.
 """
 
 import hashlib
@@ -20,6 +23,8 @@ from sopflow.sandbox import (
     render_telemetry,
 )
 
+from reference import reference_digest
+
 DETECTOR_CONFIGS = (
     DetectorConfig(),
     DetectorConfig(k=2.0, min_baseline_samples=9),
@@ -27,7 +32,7 @@ DETECTOR_CONFIGS = (
 )
 
 ALERTS_SHA256 = "044c7248b098b13a547da096b2e921227af36fcaa99c5a3ffeea9d965030154f"
-TELEMETRY_SHA256 = "ebbb2c5f6eebdfd771b87bb84c26111abd0757e93cd9dfe8b81b8c5674aa37d4"
+TELEMETRY_SHA256 = "7dfab790179355cee11efadbec213b33faf255b26dffa148ab527ee2d80062b2"
 
 
 def _scenarios():
@@ -39,7 +44,7 @@ def test_alerts_and_telemetry_are_byte_identical():
     telemetry_hashes = hashlib.sha256()
     for scenario in _scenarios():
         telemetry = render_telemetry(scenario)
-        telemetry_hashes.update(f"{scenario.id} {telemetry.content_hash()}\n".encode())
+        telemetry_hashes.update(f"{scenario.id} {reference_digest(telemetry)}\n".encode())
         for cfg in DETECTOR_CONFIGS:
             alerts.update(render_alert(telemetry, cfg).encode("utf-8"))
             alerts.update(b"\0")
@@ -91,7 +96,7 @@ OVERLAPPING = (
                 ("NetworkLoss", "pod:cartservice-0", 180, 180, 0.3)),
 )
 
-OVERLAPPING_SHA256 = "671d040eccc70b35c0a71bb924aa977457263ff95e3aefe3981fb231702c6a1e"
+OVERLAPPING_SHA256 = "f8312936a90046f5a67eb1e0173684fc7f96ffb939733f028076e8939fdb6069"
 
 
 def test_overlapping_faults_are_byte_identical():
@@ -101,7 +106,7 @@ def test_overlapping_faults_are_byte_identical():
     digest = hashlib.sha256()
     for scenario in scenarios:
         telemetry = render_telemetry(scenario)
-        digest.update(f"{scenario.id} {telemetry.content_hash()}\n".encode())
+        digest.update(f"{scenario.id} {reference_digest(telemetry)}\n".encode())
         digest.update(render_alert(telemetry, DetectorConfig()).encode("utf-8"))
         digest.update(b"\0")
     assert digest.hexdigest() == OVERLAPPING_SHA256

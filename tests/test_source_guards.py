@@ -9,9 +9,6 @@ import sopflow
 # Functions no code in ``src/`` names, each kept for a stated reason, keyed
 # "<path under src/sopflow>::<qualified name>".
 _UNCALLED = {
-    "sandbox/telemetry.py::Telemetry.content_hash":
-        "the reference render's digest: the identity tests compare the on-demand "
-        "queries against it",
     "evaluation.py::load_report": "the README documents it as the way to read a report",
     "schema.py::_PlainConstructor.construct_document":
         "overrides PyYAML's constructor hook, which the loader calls",

@@ -17,6 +17,7 @@ from sopflow.tools.sop_flow import generate_sop, generate_sop_code, match_sop
 from sopflow.tools.terminal import speak
 
 from conftest import fault_scenario, make_ctx, no_fault_scenario, scripted_backend
+from reference import reference_digest
 
 
 class TestRegistry:
@@ -99,7 +100,7 @@ class TestRegistry:
 
     def test_tools_never_mutate_telemetry(self, registry):
         ctx = make_ctx(fault_scenario(FaultType.PodFailure), registry=registry)
-        before = ctx.telemetry.content_hash()
+        before = reference_digest(ctx.telemetry)
         calls = [
             ("whether_is_abnormal_metric", {"target": "frontend-0", "metric": "cpu_usage"}),
             ("collect_trace", {}),
@@ -116,7 +117,7 @@ class TestRegistry:
         ]
         for name, args in calls:
             registry.execute(name, args, ctx)
-            assert ctx.telemetry.content_hash() == before, f"{name} mutated telemetry"
+            assert reference_digest(ctx.telemetry) == before, f"{name} mutated telemetry"
 
 
 class TestObservabilityTools:
