@@ -307,6 +307,27 @@ class TestFaultSignatures:
             shifted += bool(extra) * len(before)
         assert shifted and len(lossy.error_spans()) > shifted  # both kinds of tick occur
 
+    def test_delay_leaves_unrelated_spans_unchanged(self):
+        # a loss on frontend->adservice, alone and with a delay on
+        # checkoutservice->paymentservice over the loss: no call on the
+        # delayed edge fails and no failing call crosses it, so the error
+        # spans are the same, durations included; the delay alone makes none
+        loss = FaultSpec(FaultType.NetworkLoss, "edge:frontend->adservice", 180, 240, 0.5)
+        delay = FaultSpec(FaultType.NetworkDelay, "edge:checkoutservice->paymentservice",
+                          120, 300, 300.0)
+
+        def rendered(*faults):
+            return render_telemetry(EpisodeScenario(
+                id="scn-edge-delay-loc", topology_name="online-boutique", seed=22,
+                window=(0, 600), faults=list(faults), ground_truth=GroundTruth(
+                    tuple(sorted(f.location_id for f in faults)),
+                    tuple(sorted(f.fault_type.value for f in faults)))))
+
+        lossy, both = rendered(loss), rendered(loss, delay)
+        assert lossy.error_spans() and both.error_spans() == lossy.error_spans()
+        assert all(span.service == "adservice" for span in both.error_spans())
+        assert rendered(delay).error_spans() == []
+
     def test_delay_leaves_unrelated_service_metrics_unchanged(self):
         scenario = EpisodeScenario(
             id="scn-edge-delay-met", topology_name="online-boutique", seed=23,
@@ -425,6 +446,28 @@ class TestQueries:
         for pod in telemetry.topology.pods:
             union.extend(telemetry.anomalous_logs(cfg, pod.id))
         assert sorted(union, key=lambda l: (l.t_s, l.pod, l.text)) == reference_logs(telemetry)
+
+    def test_traces_form_single_rooted_trees(self):
+        # each error span names the trace of one sample tick, in tick order;
+        # the root service's span occurs only when its pod is down, and then
+        # alone, and every other span is a call into its service
+        frontend_down = next(s for s in _pod_failure_scenarios()
+                             if s.faults[0].location_id == "frontend-0")
+        for scenario in (no_fault_scenario(), fault_scenario(FaultType.NetworkLoss),
+                         fault_scenario(FaultType.PodFailure), frontend_down):
+            telemetry = telemetry_for(scenario)
+            topo = telemetry.topology
+            callees = {edge.dst for edge in topo.call_edges}
+            ticks = [f"t{tick:04d}" for tick in range(len(telemetry.sample_times()))]
+            traces = collections.defaultdict(list)
+            for span in telemetry.error_spans():
+                traces[span.trace_id].append(span)
+            assert list(traces) == [t for t in ticks if t in traces]
+            for trace_id, spans in traces.items():
+                roots = [s for s in spans if s.service == topo.frontend]
+                assert roots == [] or roots == spans == [telemetry._root_down(trace_id)]
+                assert all(s.service in callees for s in spans if s not in roots)
+        assert any(s.service == topo.frontend for s in telemetry.error_spans())
 
 
 def _pod_failure_scenarios() -> list[EpisodeScenario]:
