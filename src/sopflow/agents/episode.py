@@ -190,10 +190,8 @@ def _advisor_notes(state: EpisodeState) -> str:
 class _Runtime:
     def __init__(self, scenario: EpisodeScenario, config: AgentConfig, backend, kb,
                  detector: DetectorConfig | None = None):
-        config.validate()
         self.config = config
         detector = detector or DetectorConfig()
-        detector.validate()
         self.registry = build_registry()
         telemetry = render_telemetry(scenario)
         self.state = EpisodeState(scenario_id=scenario.id,

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
+from .. import schema
 from ..errors import ValidationError
 from ..tools import RootCause
 
@@ -16,9 +17,6 @@ PROVENANCE_MAIN = "main_agent"  # direct-selection mode (action set ablated)
 OUTCOME_COMPLETED = "completed"
 OUTCOME_BUDGET = "budget_exhausted"
 OUTCOME_ABORTED = "aborted"
-
-DEFAULT_MAX_STEPS = 20
-DEFAULT_ACTION_SET_SIZE = 5
 
 
 @dataclass
@@ -39,17 +37,11 @@ class Ablations:
 
 
 @dataclass
-class AgentConfig:
-    max_steps: int = DEFAULT_MAX_STEPS
-    action_set_size: int = DEFAULT_ACTION_SET_SIZE
+class AgentConfig(schema.Bounded):
+    max_steps: int = field(default=20, metadata=schema.POSITIVE_INT)
+    action_set_size: int = field(default=5, metadata=schema.POSITIVE_INT)
     judge_after_run_sop: bool = False  # paper-strict default: judge only after match_observation
     ablations: Ablations = field(default_factory=Ablations)
-
-    def validate(self) -> None:
-        if self.max_steps <= 0:
-            raise ValidationError("max_steps must be positive")
-        if self.action_set_size <= 0:
-            raise ValidationError("action_set_size must be positive")
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import schema
@@ -136,7 +136,7 @@ def _cmd_diagnose(args) -> int:
     kb = _open_kb(app, backend, args.kb or None)
     agent_cfg = app.eval.agent
     if args.max_steps is not None:
-        agent_cfg.max_steps = args.max_steps
+        agent_cfg = replace(agent_cfg, max_steps=args.max_steps)
     state = run_episode(scenario, agent_cfg, backend, kb, app.detector)
     kb.save_cache()
     if args.out:
@@ -167,7 +167,7 @@ def _cmd_benchmark(args) -> int:
             return 2
         setattr(eval_cfg.agent.ablations, flag, False)
     if args.workers is not None:
-        eval_cfg.workers = args.workers
+        eval_cfg = replace(eval_cfg, workers=args.workers)
     corpus = load_corpus(args.corpus)
     transcript_dir = Path(args.out) / "transcripts" if args.out else None
     report = run_benchmark(corpus, eval_cfg, app.backend, app.detector, transcript_dir, app.kb)

@@ -27,12 +27,13 @@ import statistics
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
-from .errors import ValidationError
+from . import schema
 
-DEFAULT_K = 3.0
-DEFAULT_MIN_SIGMA_FRAC = 0.1
-DEFAULT_MIN_BASELINE_SAMPLES = 4
-DEFAULT_BASELINE_LOOKBACK = 20
+# every metric the sandbox renders (``sandbox.telemetry``), sorted; a static
+# threshold may name only these
+METRIC_CATALOG = ("cpu_usage", "error_rate", "memory_usage", "network_receive_bytes",
+                  "network_transmit_bytes", "node_cpu_usage", "node_network_throughput_bytes",
+                  "request_latency_ms", "throughput_rps")
 
 DEFAULT_STATIC_THRESHOLDS = {
     "cpu_usage": 0.8,
@@ -46,30 +47,18 @@ _MAD_TO_SIGMA = 1.4826
 
 
 @dataclass
-class DetectorConfig:
-    k: float = DEFAULT_K
-    min_sigma_frac: float = DEFAULT_MIN_SIGMA_FRAC
-    min_baseline_samples: int = DEFAULT_MIN_BASELINE_SAMPLES
-    baseline_lookback_samples: int = DEFAULT_BASELINE_LOOKBACK
+class DetectorConfig(schema.Bounded):
+    k: float = field(default=3.0, metadata=schema.POSITIVE)
+    min_sigma_frac: float = field(default=0.1, metadata=schema.NON_NEGATIVE)
+    min_baseline_samples: int = field(default=4, metadata=schema.POSITIVE_INT)
+    # 0 would read the whole pre-window history (values[-0:])
+    baseline_lookback_samples: int = field(default=20, metadata=schema.POSITIVE_INT)
+    # a misspelt metric would drop the default thresholds and never fire
     static_thresholds: dict[str, float] = field(
-        default_factory=lambda: dict(DEFAULT_STATIC_THRESHOLDS)
+        default_factory=lambda: dict(DEFAULT_STATIC_THRESHOLDS),
+        metadata=schema.keys_in(METRIC_CATALOG, "metric", schema.FINITE),
     )
     anomaly_keywords: tuple[str, ...] = DEFAULT_ANOMALY_KEYWORDS
-
-    def validate(self) -> None:
-        if not (math.isfinite(self.k) and self.k > 0):
-            raise ValidationError(f"detector k must be a finite number > 0, got {self.k!r}")
-        if not (math.isfinite(self.min_sigma_frac) and self.min_sigma_frac >= 0):
-            raise ValidationError("detector min_sigma_frac must be a finite number >= 0, "
-                                  f"got {self.min_sigma_frac!r}")
-        for name in ("min_baseline_samples", "baseline_lookback_samples"):
-            if getattr(self, name) < 1:
-                raise ValidationError(f"detector {name} must be >= 1, "
-                                      f"got {getattr(self, name)!r}")
-        for metric, threshold in self.static_thresholds.items():
-            if not math.isfinite(threshold):
-                raise ValidationError(f"detector static threshold for {metric!r} must be "
-                                      f"finite, got {threshold!r}")
 
 
 @dataclass(frozen=True)

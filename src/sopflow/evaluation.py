@@ -10,7 +10,6 @@ budget-exhausted runs are excluded from its denominator.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -26,19 +25,13 @@ DEFAULT_SIGMA = 0.1
 
 
 @dataclass
-class EvalConfig:
-    sigma: float = DEFAULT_SIGMA
-    workers: int = 1
+class EvalConfig(schema.Bounded):
+    # a nan sigma gives LA=TA=nan, which a saved report cannot hold
+    sigma: float = field(default=DEFAULT_SIGMA, metadata=schema.NON_NEGATIVE)
+    workers: int = field(default=1, metadata=schema.POSITIVE_INT)
     # the eval: config section and the report's config record list the agent's
     # keys beside these
     agent: AgentConfig = field(default_factory=AgentConfig, metadata=schema.INLINE)
-
-    def validate(self) -> None:
-        if not (math.isfinite(self.sigma) and self.sigma >= 0):
-            raise ValidationError(f"sigma must be a finite number >= 0, got {self.sigma!r}")
-        if self.workers < 1:
-            raise ValidationError("workers must be >= 1")
-        self.agent.validate()
 
 
 @dataclass
@@ -238,9 +231,6 @@ def run_benchmark(corpus: Corpus, eval_cfg: EvalConfig, backend_cfg: BackendConf
     ``workers`` episodes' events at once. Per-episode aborts, including
     unexpected errors, become rows, never run failures.
     """
-    eval_cfg.validate()
-    if detector is not None:
-        detector.validate()
     entries = _read_entries(corpus, backend_cfg)
     kb_settings = kb_settings or KbSettings()
     kb_master = KnowledgeBase(make_backend(backend_cfg), root=corpus.kb,

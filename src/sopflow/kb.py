@@ -51,11 +51,12 @@ _CACHE_KEY_RE = re.compile(r".+:[0-9a-f]{64}", re.DOTALL)  # ``_text_key``'s for
 
 
 @dataclass
-class KbSettings:
-    """Retrieval defaults for a knowledge base (the ``kb:`` config section)."""
+class KbSettings(schema.Bounded):
+    """Retrieval defaults (the ``kb:`` config section), and every match's bounds."""
 
-    k: int = DEFAULT_TOP_K
-    threshold: float = DEFAULT_THRESHOLD
+    k: int = field(default=DEFAULT_TOP_K, metadata=schema.POSITIVE_INT)
+    # a NaN would match nothing
+    threshold: float = field(default=DEFAULT_THRESHOLD, metadata=schema.FINITE)
 
 
 @dataclass(frozen=True)
@@ -184,17 +185,12 @@ class KnowledgeBase:
     Safe for many concurrent readers once loaded; mutations take an internal
     lock. When ``root`` is given, documents and the embedding cache persist
     under it; otherwise the store is memory-only. Documents are never mutated.
-    The retrieval defaults are checked here, so a bad ``kb:`` setting fails
-    when the store is opened, not at its first match: ``k`` must be at least 1
-    and ``threshold`` a finite number.
+    A bad ``kb:`` setting fails when the config is read (``KbSettings``); each
+    match checks the ``k`` and ``threshold`` it uses against the same bounds.
     """
 
     def __init__(self, backend, root: Path | str | None = None,
                  k: int = DEFAULT_TOP_K, threshold: float = DEFAULT_THRESHOLD):
-        if k < 1:
-            raise ValidationError(f"k must be positive, got {k}")
-        if not math.isfinite(threshold):
-            raise ValidationError(f"threshold must be a finite number, got {threshold}")
         self._backend = backend
         self._root = Path(root) if root is not None else None
         self.default_k = k
@@ -323,12 +319,8 @@ class KnowledgeBase:
                k: int | None, threshold: float | None) -> list:
         if not query.strip():
             raise ValidationError("query must be non-empty")
-        k = self.default_k if k is None else int(k)
-        threshold = self.default_threshold if threshold is None else float(threshold)
-        if k <= 0:
-            raise ValidationError("k must be positive")
-        if not math.isfinite(threshold):  # a NaN would match nothing
-            raise ValidationError("threshold must be a finite number")
+        settings = KbSettings(self.default_k if k is None else int(k),
+                              self.default_threshold if threshold is None else float(threshold))
         if not store:
             return []
         vectors = self._vectors([query, *(getattr(item, text_attr) for item in store.values())])
@@ -337,7 +329,8 @@ class KnowledgeBase:
                   for item in store.values()]
         # ties break on lexicographic id so golden tests stay stable
         scored.sort(key=lambda pair: (-pair[1], pair[0].id))
-        return [(item, score) for item, score in scored if score >= threshold][:k]
+        return [(item, score) for item, score in scored
+                if score >= settings.threshold][:settings.k]
 
     def hits(self, matches: list) -> list[RetrievalHit]:
         return [RetrievalHit(item_id=item.id, score=score) for item, score in matches]

@@ -64,28 +64,20 @@ def script_from_mapping(data: list | None) -> list[ScriptEntry]:
 
 
 @dataclass
-class BackendConfig:
-    backend_kind: str = "scripted"  # "scripted" | "remote"
+class BackendConfig(schema.Bounded):
+    backend_kind: str = field(default="scripted", metadata=schema.one_of("scripted", "remote"))
     endpoint: str = ""
     model: str = ""
-    temperature: float = 0.0
-    max_tokens: int = 1024
+    # JSON has no NaN or infinity: such a temperature would fail every request
+    temperature: float = field(default=0.0, metadata=schema.NON_NEGATIVE)
+    max_tokens: int = field(default=1024, metadata=schema.POSITIVE_INT)
     credential_env: str = DEFAULT_CREDENTIAL_ENV
-    embed_dim: int = DEFAULT_EMBED_DIM
+    embed_dim: int = field(default=DEFAULT_EMBED_DIM, metadata=schema.POSITIVE_INT)
     embed_seed: int = 0
     script: list[ScriptEntry] = field(default_factory=list, metadata=schema.INTERNAL)
 
     def validate(self) -> None:
-        if self.backend_kind not in ("scripted", "remote"):
-            raise ValidationError(f"unknown backend kind: {self.backend_kind!r}")
-        # a NaN is not < 0, and a bool is an int; a NaN or infinite temperature
-        # would fail every request at send (JSON has no such number)
-        if not (math.isfinite(self.temperature) and self.temperature >= 0):
-            raise ValidationError("temperature must be a finite number >= 0")
-        if isinstance(self.max_tokens, bool) or self.max_tokens <= 0:
-            raise ValidationError("max_tokens must be a positive integer")
-        if isinstance(self.embed_dim, bool) or self.embed_dim <= 0:
-            raise ValidationError("embed_dim must be a positive integer")
+        """The rule across fields, checked when a remote backend is built."""
         if self.backend_kind == "remote" and not self.endpoint:
             raise ValidationError("remote backend requires an endpoint")
 
@@ -128,11 +120,6 @@ def _retry_after_s(header: str | None) -> float | None:
     return seconds if 0 <= seconds < math.inf else None
 
 
-def _is_finite_number(value) -> bool:
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
-
-
 def hash_embedding(text: str, dim: int = DEFAULT_EMBED_DIM, seed: int = 0) -> EmbeddingVector:
     """Deterministic unit-norm embedding derived from SHA-256 of the text.
 
@@ -152,7 +139,6 @@ class ScriptedBackend:
     """Replays authored responses; a pure function of (script, prompt history)."""
 
     def __init__(self, config: BackendConfig):
-        config.validate()
         self.config = config
         self._entries: list[list] = [[entry, False] for entry in config.script]
         self._lock = threading.Lock()
@@ -290,14 +276,14 @@ class RemoteBackend:
             raise BackendError(f"malformed embedding response: {exc}") from exc
         # the run's knowledge bases cache every vector, so a bad one is never let in
         if not (isinstance(values, list) and len(values) == self.embed_dim
-                and all(_is_finite_number(v) for v in values)):
+                and all(map(schema.finite, values))):
             raise BackendError(f"malformed embedding response: expected a list of "
                                f"{self.embed_dim} finite numbers")
         return EmbeddingVector.of(values)
 
 
 def make_backend(config: BackendConfig):
-    """The backend ``config`` names; its constructor validates the config."""
+    """The backend ``config`` names; a remote one checks it has an endpoint."""
     if config.backend_kind == "scripted":
         return ScriptedBackend(config)
     return RemoteBackend(config)

@@ -109,7 +109,6 @@ def generate_scenario(seed: int, config: ScenarioConfig | None = None,
             duration_s=duration,
             magnitude=DEFAULT_MAGNITUDES[fault_type],
         )
-        fault.validate(topo)
         faults.append(fault)
 
     scenario = EpisodeScenario(

@@ -81,7 +81,7 @@ from dataclasses import dataclass, field
 from itertools import chain, compress, product
 from types import MappingProxyType
 
-from ..detector import DetectorConfig, _never_flags, matches_keyword
+from ..detector import METRIC_CATALOG, DetectorConfig, _never_flags, matches_keyword
 from ..errors import NotFoundError
 from . import noise
 from .faults import FaultSpec, FaultType
@@ -109,10 +109,6 @@ SERVICE_METRICS = ("error_rate", "request_latency_ms", "throughput_rps")
 ERROR_RATE_BASELINE = (0.002, 0.0005)
 LATENCY_SIGMA_FRAC = 0.03
 THROUGHPUT_SIGMA_FRAC = 0.03
-
-METRIC_CATALOG = tuple(sorted(
-    list(POD_METRIC_BASELINES) + list(NODE_METRIC_BASELINES) + list(SERVICE_METRICS)
-))
 
 _EDGE_ERROR_MESSAGES = {
     FaultType.NetworkLoss: "timeout",

@@ -48,6 +48,12 @@ strictly: an ``int`` field takes no bool and no float with a fraction, a
 * ``INTERNAL``: set by code only; a mapping may not name it.
 * ``INLINE``: a nested dataclass whose keys sit beside the parent's keys
   instead of under the field's own name.
+
+The other markers are bounds, a field's range rule: ``POSITIVE_INT``,
+``FINITE``, ``NON_NEGATIVE``, ``POSITIVE``, ``one_of`` and ``keys_in``. A
+class with bounds subclasses ``Bounded``, so an object is checked once, when
+it is built, in code or by ``from_mapping``, which names the section in the
+error (``config.yaml.detector.k: must be a finite number > 0, got -1.0``).
 """
 
 from __future__ import annotations
@@ -56,6 +62,7 @@ import dataclasses
 import enum
 import functools
 import json
+import math
 import os
 import re
 import threading
@@ -65,7 +72,7 @@ from pathlib import Path
 
 import yaml
 
-from .errors import ConfigError
+from .errors import ConfigError, ValidationError
 
 _STR, _INT, _FLOAT, _BOOL, _NULL, _SEQ, _MAP = (
     f"tag:yaml.org,2002:{name}" for name in ("str", "int", "float", "bool", "null", "seq", "map"))
@@ -137,8 +144,56 @@ INTERNAL = {"schema": "internal"}
 INLINE = {"schema": "inline"}
 
 
-def _marker(f: dataclasses.Field) -> str | None:
+def _bound(rule: str, holds) -> dict:
+    """A bound marker: "must be <rule>" of a value ``holds`` refuses."""
+    return {"schema": lambda value: None if holds(value) else f"must be {rule}, got {value!r}"}
+
+
+def finite(value) -> bool:
+    """Whether ``value`` is a finite int or float (not a bool)."""
+    return not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value)
+
+
+POSITIVE_INT = _bound("a positive integer",
+                      lambda v: not isinstance(v, bool) and isinstance(v, int) and v > 0)
+FINITE = _bound("a finite number", finite)
+NON_NEGATIVE = _bound("a finite number >= 0", lambda v: finite(v) and v >= 0)
+POSITIVE = _bound("a finite number > 0", lambda v: finite(v) and v > 0)
+
+
+def one_of(*choices) -> dict:
+    return _bound(f"one of {', '.join(map(repr, choices))}", lambda v: v in choices)
+
+
+def keys_in(catalog, noun: str, values: dict) -> dict:
+    """A bound marker: each key a ``noun`` of ``catalog``, each value within ``values``."""
+    def complaint(mapping):
+        for key, value in mapping.items():
+            if key not in catalog:
+                return f"unknown {noun} {key!r}"
+            if (text := values["schema"](value)) is not None:
+                return f"{key!r} {text}"
+        return None
+    return {"schema": complaint}
+
+
+def _marker(f: dataclasses.Field):
     return f.metadata.get("schema")
+
+
+@functools.cache
+def _bounds(cls) -> tuple[tuple[str, typing.Callable], ...]:
+    return tuple((f.name, _marker(f)) for f in dataclasses.fields(cls) if callable(_marker(f)))
+
+
+class Bounded:
+    """Base of a dataclass with bounds: building one raises a ``ValidationError``
+    that names the first field whose value breaks its bound."""
+
+    def __post_init__(self):
+        for name, complaint in _bounds(type(self)):
+            if (text := complaint(getattr(self, name))) is not None:
+                raise ValidationError(f"{name}: {text}")
 
 
 @functools.cache
@@ -183,7 +238,10 @@ def from_mapping(cls, mapping, section: str):
         known = {key for name, _, inline, _ in _fields(cls) for key in (inline or (name,))}
         rest = [key for key in mapping if key not in known]
         raise ConfigError(f"{section}: unknown key(s) {', '.join(map(repr, rest))}")
-    return cls(**values)
+    try:
+        return cls(**values)
+    except ValidationError as exc:  # a bound refused a value (``Bounded``)
+        raise ConfigError(f"{section}.{exc}") from None
 
 
 def to_mapping(obj) -> dict:

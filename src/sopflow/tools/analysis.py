@@ -3,8 +3,8 @@ namespace listing, and metric-name lookup."""
 
 from __future__ import annotations
 
+from ..detector import METRIC_CATALOG
 from ..errors import ToolError, ValidationError
-from ..sandbox.telemetry import METRIC_CATALOG
 from .observability import kubectl_logs
 from .registry import ToolContext, ToolResult
 

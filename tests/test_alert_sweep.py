@@ -222,6 +222,29 @@ def test_skipped_samples_never_change_the_alert(scenario, cfg):
             == reference_alert(render_telemetry(scenario), cfg))
 
 
+# the sweep's baseline holds 8 samples, so no k-sigma rule forms and only the
+# two static thresholds, which neither scenario crosses, could flag a metric:
+# the first error span is the alert, and a scenario with no error span and no
+# keyword log line has none
+_STATIC_ONLY = DetectorConfig(min_baseline_samples=9,
+                              static_thresholds={"cpu_usage": 0.8, "memory_usage": 0.85})
+
+
+@pytest.mark.parametrize("scenario_id, alert", [
+    ("scn-01002-podfailure",
+     "INCIDENT ALERT\nscenario: scn-01002-podfailure\ndetected_at_s: 195\nsignal: trace\n"
+     "component: frontend\nsummary: error span in trace t0013: service frontend failed "
+     "with 'Service unavailable'"),
+    ("scn-01008-networkbandwidth",
+     "INCIDENT ALERT\nscenario: scn-01008-networkbandwidth\nsignal: none\n"
+     "summary: no anomalous signal detected; system nominal"),
+])
+def test_the_trace_sweep_alone_names_the_first_error_span(scenario_id, alert):
+    (scenario,) = [s for s in golden_scenarios() if s.id == scenario_id]
+    assert render_alert(render_telemetry(scenario), _STATIC_ONLY) == alert
+    assert reference_alert(render_telemetry(scenario), _STATIC_ONLY) == alert
+
+
 def test_a_detector_config_changed_in_place_gets_fresh_verdicts():
     # the sweep's memo of never-flagging series is keyed on the values of the
     # config, not on the object: each change below moves the bound that lets

@@ -60,10 +60,10 @@ class TestKbCommands:
         assert score == pytest.approx(1.0, abs=1e-6)
 
     @pytest.mark.parametrize("section, flags, complaint", [
-        ("kb: {k: 0}", [], "k must be positive, got 0"),
-        ("kb: {threshold: .nan}", [], "threshold must be a finite number, got nan"),
-        ("kb: {}", ["--k", "0"], "k must be positive"),
-        ("kb: {}", ["--threshold", "nan"], "threshold must be a finite number"),
+        ("kb: {k: 0}", [], "{cfg}.kb.k: must be a positive integer, got 0"),
+        ("kb: {threshold: .nan}", [], "{cfg}.kb.threshold: must be a finite number, got nan"),
+        ("kb: {}", ["--k", "0"], "k: must be a positive integer, got 0"),
+        ("kb: {}", ["--threshold", "nan"], "threshold: must be a finite number, got nan"),
     ])
     def test_match_with_nonsense_retrieval_settings_exits_one(
             self, golden_dir, tmp_path, capsys, section, flags, complaint):
@@ -71,7 +71,7 @@ class TestKbCommands:
         cfg.write_text(section + "\n")
         assert run_cli("kb", "match", "--kb", str(golden_dir / "kb"), "--config", str(cfg),
                        "--query", "CPU saturation diagnosis", *flags) == 1
-        assert capsys.readouterr().err == f"error: {complaint}\n"
+        assert capsys.readouterr().err == f"error: {complaint.format(cfg=cfg)}\n"
 
     def test_match_incidents(self, golden_dir, capsys):
         kb_dir = str(golden_dir / "kb")
@@ -271,6 +271,24 @@ class TestDiagnose:
         assert run_cli("diagnose", "--scenario", str(scenario), "--script", str(script),
                        "--max-steps", "1") == 3
 
+    @pytest.mark.parametrize("section, flags, complaint", [
+        ("detector: {k: -1}", [], "{cfg}.detector.k: must be a finite number > 0, got -1.0"),
+        ("eval: {max_steps: 0}", [], "{cfg}.eval.max_steps: must be a positive integer, got 0"),
+        ("kb: {k: 0}", [], "{cfg}.kb.k: must be a positive integer, got 0"),
+        ("detector: {static_thresholds: {cpu_usages: 0.8}}", [],
+         "{cfg}.detector.static_thresholds: unknown metric 'cpu_usages'"),
+        ("eval: {}", ["--max-steps", "0"], "max_steps: must be a positive integer, got 0"),
+    ])
+    def test_nonsense_settings_exit_one_naming_the_key(self, golden_dir, tmp_path, capsys,
+                                                       section, flags, complaint):
+        cfg = tmp_path / "config.yaml"
+        cfg.write_text(section + "\n")
+        name = "scn-01000-cpustress.yaml"
+        assert run_cli("diagnose", "--scenario", str(golden_dir / "scenarios" / name),
+                       "--script", str(golden_dir / "scripts" / name),
+                       "--config", str(cfg), *flags) == 1
+        assert capsys.readouterr().err == f"error: {complaint.format(cfg=cfg)}\n"
+
 
 class TestBenchmark:
     def test_golden_corpus_perfect_scores(self, golden_dir, tmp_path, capsys):
@@ -321,22 +339,25 @@ class TestBenchmark:
                         if e["kind"] == "observation" and e["tool"] == "match_observation"]
         assert observations and observations[0].startswith("3 similar historical incidents")
 
-    @pytest.mark.parametrize("section", ["detector: {k: .nan}",
-                                         "detector: {baseline_lookback_samples: 0}",
-                                         "eval: {sigma: .inf}",
-                                         "eval: {max_steps: 0}",
-                                         "eval: {action_set_size: 0}",
-                                         "eval: {workers: 0}",
-                                         "kb: {k: 0}",
-                                         "kb: {threshold: .nan}"])
+    @pytest.mark.parametrize("section, flags, key", [
+        ("detector: {k: .nan}", [], "{cfg}.detector.k"),
+        ("detector: {baseline_lookback_samples: 0}", [], "{cfg}.detector.baseline_lookback_samples"),
+        ("eval: {sigma: .inf}", [], "{cfg}.eval.sigma"),
+        ("eval: {max_steps: 0}", [], "{cfg}.eval.max_steps"),
+        ("eval: {action_set_size: 0}", [], "{cfg}.eval.action_set_size"),
+        ("eval: {workers: 0}", [], "{cfg}.eval.workers"),
+        ("kb: {k: 0}", [], "{cfg}.kb.k"),
+        ("kb: {threshold: .nan}", [], "{cfg}.kb.threshold"),
+        ("eval: {}", ["--workers", "0"], "workers"),
+    ])
     def test_nonsense_config_exit_one_without_a_report(self, golden_dir, tmp_path, capsys,
-                                                       section):
+                                                       section, flags, key):
         cfg = tmp_path / "config.yaml"
         cfg.write_text(section + "\n")
         out = tmp_path / "run"
         assert run_cli("benchmark", "--corpus", str(golden_dir / "manifest.yaml"),
-                       "--config", str(cfg), "--out", str(out)) == 1
-        assert "must be" in capsys.readouterr().err
+                       "--config", str(cfg), "--out", str(out), *flags) == 1
+        assert capsys.readouterr().err.startswith(f"error: {key.format(cfg=cfg)}: must be ")
         assert not (out / "report.json").exists()
 
     def test_missing_corpus_exit_one(self, tmp_path):

@@ -7,7 +7,7 @@ from sopflow.agents import AgentConfig
 from sopflow.config import AppConfig, load_config
 from sopflow.errors import ConfigError, ValidationError
 from sopflow.evaluation import EvalConfig
-from sopflow.kb import KnowledgeBase
+from sopflow.kb import KbSettings, KnowledgeBase
 from sopflow.llm import make_backend
 
 
@@ -120,18 +120,59 @@ def test_a_static_threshold_for_an_unknown_metric_names_the_file_and_key(tmp_pat
     assert load_config(path).detector.static_thresholds == {"throughput_rps": 500.0}
 
 
+# one value out of bounds for every key that has a bound
 @pytest.mark.parametrize("section, complaint", [
-    ("kb: {k: 0}", "k must be positive"),
-    ("kb: {k: -2}", "k must be positive"),
-    ("kb: {threshold: .nan}", "threshold must be a finite number"),
-    ("kb: {threshold: -.inf}", "threshold must be a finite number"),
+    ("backend: {backend_kind: psychic}",
+     "backend.backend_kind: must be one of 'scripted', 'remote', got 'psychic'"),
+    ("backend: {temperature: -1}", "backend.temperature: must be a finite number >= 0, got -1.0"),
+    ("backend: {max_tokens: 0}", "backend.max_tokens: must be a positive integer, got 0"),
+    ("backend: {embed_dim: -3}", "backend.embed_dim: must be a positive integer, got -3"),
+    ("detector: {k: -1}", "detector.k: must be a finite number > 0, got -1.0"),
+    ("detector: {min_sigma_frac: .inf}",
+     "detector.min_sigma_frac: must be a finite number >= 0, got inf"),
+    ("detector: {min_baseline_samples: 0}",
+     "detector.min_baseline_samples: must be a positive integer, got 0"),
+    ("detector: {baseline_lookback_samples: 0}",
+     "detector.baseline_lookback_samples: must be a positive integer, got 0"),
+    ("detector: {static_thresholds: {cpu_usage: .nan}}",
+     "detector.static_thresholds: 'cpu_usage' must be a finite number, got nan"),
+    ("eval: {sigma: -.1}", "eval.sigma: must be a finite number >= 0, got -0.1"),
+    ("eval: {workers: 0}", "eval.workers: must be a positive integer, got 0"),
+    ("eval: {max_steps: 0}", "eval.max_steps: must be a positive integer, got 0"),
+    ("eval: {action_set_size: -1}", "eval.action_set_size: must be a positive integer, got -1"),
+    ("kb: {k: 0}", "kb.k: must be a positive integer, got 0"),
+    ("kb: {k: -2}", "kb.k: must be a positive integer, got -2"),
+    ("kb: {threshold: .nan}", "kb.threshold: must be a finite number, got nan"),
+    ("kb: {threshold: -.inf}", "kb.threshold: must be a finite number, got -inf"),
 ])
-def test_nonsense_kb_settings_fail_when_the_store_is_opened(tmp_path, section, complaint):
+def test_an_out_of_bounds_value_fails_when_the_config_is_read(tmp_path, section, complaint):
     path = tmp_path / "config.yaml"
     path.write_text(section + "\n")
-    app = load_config(path)
-    with pytest.raises(ValidationError, match=complaint):
-        KnowledgeBase(make_backend(app.backend), k=app.kb.k, threshold=app.kb.threshold)
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    assert str(info.value) == f"{path}.{complaint}"
+
+
+@pytest.mark.parametrize("cls, values", [
+    (KbSettings, {"k": 0}), (KbSettings, {"threshold": float("nan")}),
+    (AgentConfig, {"max_steps": 0}), (AgentConfig, {"action_set_size": True}),
+    (EvalConfig, {"workers": -1}),
+])
+def test_the_same_bounds_hold_for_an_object_built_in_code(cls, values):
+    (key, value), = values.items()
+    with pytest.raises(ValidationError, match=f"^{key}: must be .*, got {value!r}$"):
+        cls(**values)
+
+
+def test_a_match_checks_its_k_and_threshold_against_the_kb_bounds():
+    kb = KnowledgeBase(make_backend(AppConfig().backend))
+    with pytest.raises(ValidationError, match="^k: must be a positive integer, got 0$"):
+        kb.match_sop("cpu", k=0)
+    with pytest.raises(ValidationError, match="^threshold: must be a finite number, got nan$"):
+        kb.match_observation("cpu", threshold="nan")
+    # a default set in code is checked by the first match that uses it
+    with pytest.raises(ValidationError, match="^k: must be a positive integer, got 0$"):
+        KnowledgeBase(make_backend(AppConfig().backend), k=0).match_sop("cpu")
 
 
 def test_missing_file_rejected(tmp_path):

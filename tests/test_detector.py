@@ -17,7 +17,7 @@ from sopflow.detector import (
     evaluate_series,
     matches_keyword,
 )
-from sopflow.errors import ValidationError
+from sopflow.errors import ConfigError, ValidationError
 from sopflow.schema import from_mapping
 
 
@@ -87,7 +87,7 @@ def _baselines(draw):
 
 _configs = st.builds(
     DetectorConfig,
-    k=st.floats(min_value=0.0, max_value=6.0),
+    k=st.floats(min_value=0.0, max_value=6.0, exclude_min=True),  # k > 0
     min_sigma_frac=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.5)),
     min_baseline_samples=st.integers(1, 12),  # often more than the baseline holds
 )
@@ -156,10 +156,11 @@ class TestNeverFlags:
             assert _never_flags_inputs(changed) != key
 
     def test_static_bound_is_the_threshold(self):
-        cfg = DetectorConfig(static_thresholds={"m": 0.5})
-        assert _never_flags(0.1, 0.5, "m", cfg) and not _sweep_flags([], 0.5, "m", cfg)
-        assert not _never_flags(0.1, 0.5000001, "m", cfg)
-        assert _sweep_flags([], 0.5000001, "m", cfg)
+        cfg = DetectorConfig(static_thresholds={"throughput_rps": 0.5})
+        metric = "throughput_rps"
+        assert _never_flags(0.1, 0.5, metric, cfg) and not _sweep_flags([], 0.5, metric, cfg)
+        assert not _never_flags(0.1, 0.5000001, metric, cfg)
+        assert _sweep_flags([], 0.5000001, metric, cfg)
 
     def test_no_sigma_floor_proves_nothing(self):
         cfg = DetectorConfig(min_sigma_frac=0.0, static_thresholds={})
@@ -230,10 +231,8 @@ class TestKeywords:
 
 
 def _detector_config(mapping: dict) -> DetectorConfig:
-    # how a config file's ``detector`` section is read, then validated
-    cfg = from_mapping(DetectorConfig, mapping, "detector")
-    cfg.validate()
-    return cfg
+    # how a config file's ``detector`` section is read
+    return from_mapping(DetectorConfig, mapping, "detector")
 
 
 class TestConfigLoading:
@@ -250,7 +249,7 @@ class TestConfigLoading:
 
 class TestConfigValidation:
     @pytest.mark.parametrize("bad", [
-        {"k": float("nan")}, {"k": float("inf")}, {"k": 0}, {"k": -1},
+        {"k": float("nan")}, {"k": float("inf")}, {"k": 0.0}, {"k": -1.0},
         {"min_sigma_frac": float("nan")}, {"min_sigma_frac": float("inf")},
         {"min_sigma_frac": -0.1},
         {"min_baseline_samples": 0}, {"min_baseline_samples": -2},
@@ -260,19 +259,30 @@ class TestConfigValidation:
         {"static_thresholds": {"cpu_usage": float("nan")}},
         {"static_thresholds": {"error_rate": float("-inf")}},
     ])
-    def test_from_mapping_rejects_nonsense(self, bad):
-        with pytest.raises(ValidationError):
+    def test_the_constructor_and_from_mapping_reject_nonsense(self, bad):
+        (key, _), = bad.items()
+        with pytest.raises(ValidationError, match=f"^{key}: .*must be ") as built:
+            DetectorConfig(**bad)
+        # read from a file, the same complaint names the section too
+        with pytest.raises(ConfigError) as read:
             _detector_config(bad)
+        assert str(read.value) == f"detector.{built.value}"
+
+    @pytest.mark.parametrize("bad", [
+        {"min_baseline_samples": True}, {"baseline_lookback_samples": 2.0},
+        {"k": "3"}, {"static_thresholds": {"m": 0.5}},
+    ])
+    def test_the_constructor_rejects_what_a_file_could_not_hold(self, bad):
+        # a file's values are coerced by type first; code's are not
+        with pytest.raises(ValidationError, match=f"^{next(iter(bad))}: "):
+            DetectorConfig(**bad)
 
     def test_boundary_values_are_valid(self):
-        DetectorConfig().validate()
+        DetectorConfig()
         _detector_config({"k": 0.01, "min_sigma_frac": 0, "min_baseline_samples": 1,
                           "baseline_lookback_samples": 1, "static_thresholds": {}})
 
-    def test_episode_rejects_an_invalid_detector_before_it_starts(self, backend):
-        from sopflow.agents import AgentConfig, run_episode
-        from sopflow.golden import golden_scenarios
-        from sopflow.kb import KnowledgeBase
-        with pytest.raises(ValidationError, match="k must be"):
-            run_episode(golden_scenarios()[0], AgentConfig(), backend,
-                        KnowledgeBase(backend), DetectorConfig(k=float("nan")))
+    def test_an_invalid_detector_is_refused_when_built(self):
+        # so no episode can start under one
+        with pytest.raises(ValidationError, match="^k: must be a finite number > 0, got nan$"):
+            DetectorConfig(k=float("nan"))

@@ -223,25 +223,19 @@ class TestValidation:
     @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -0.1])
     def test_sigma_must_be_finite_and_non_negative(self, sigma):
         # a nan sigma gave LA=TA=nan, and the saved report then failed to load
-        with pytest.raises(ValidationError, match="sigma"):
-            EvalConfig(sigma=sigma).validate()
+        with pytest.raises(ValidationError, match="^sigma: must be a finite number >= 0, got "):
+            EvalConfig(sigma=sigma)
 
-    @pytest.mark.parametrize("eval_cfg, detector", [
-        (EvalConfig(sigma=float("nan")), None),
-        (EvalConfig(), DetectorConfig(baseline_lookback_samples=0)),
+    @pytest.mark.parametrize("cls, values", [
+        (EvalConfig, {"sigma": float("nan")}),
+        (EvalConfig, {"workers": 0}),
+        (DetectorConfig, {"baseline_lookback_samples": 0}),
     ])
-    def test_run_checks_configs_before_any_episode(self, tmp_path, monkeypatch,
-                                                   eval_cfg, detector):
-        from sopflow import evaluation
-        from sopflow.evaluation import load_corpus
-        from sopflow.golden import write_corpus
-        corpus = load_corpus(write_corpus(tmp_path, "default"))
-        episodes = []
-        monkeypatch.setattr(evaluation, "run_episode",
-                            lambda *args, **kwargs: episodes.append(args))
-        with pytest.raises(ValidationError):
-            run_benchmark(corpus, eval_cfg, BackendConfig(), detector)
-        assert episodes == []
+    def test_a_config_a_run_would_refuse_is_refused_when_built(self, cls, values):
+        # run_benchmark checks no config: none it could be handed is out of bounds
+        (key, value), = values.items()
+        with pytest.raises(ValidationError, match=f"^{key}: must be .*, got {value!r}$"):
+            cls(**values)
 
 
 class TestParallelism:

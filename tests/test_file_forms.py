@@ -344,12 +344,27 @@ def _without(mapping: dict, key, renamed=None) -> dict:
 _RETYPED = [[[]], {}, None, True, 1.5, -7, "x", "", [1, "a"], {"k": "v"}]
 
 
+_OUT_OF_RANGE = [0, -1, math.nan, math.inf]
+# the config values a "bound" mutation may leave in range, by key: the kb
+# threshold and a static threshold are any finite number, and embed_seed has
+# no bound
+_IN_RANGE = {"embed_seed": (0, -1), "threshold": (0, -1), "static_thresholds": (0, -1),
+             "temperature": (0,), "min_sigma_frac": (0,), "sigma": (0,)}
+
+
 @st.composite
 def _mutation(draw, data):
-    """(how, detail, mutated data): ``data`` with one value retyped or one key
-    dropped or misspelt, or unchanged, with the fraction of its bytes to keep
-    for a truncation."""
-    how = draw(st.sampled_from(["truncate", "retype", "drop", "misspell"]))
+    """(how, detail, mutated data): ``data`` with one value retyped, one
+    number set out of range, or one key dropped or misspelt (a static
+    threshold's metric among them), or unchanged, with the fraction of its
+    bytes to keep for a truncation."""
+    numbers = [at for at, value in _places(data) if type(value) in (int, float)]
+    how = draw(st.sampled_from(["truncate", "retype", "drop", "misspell"]
+                               + (["bound"] if numbers else [])))
+    if how == "bound":
+        at = draw(st.sampled_from(numbers))
+        value = draw(st.sampled_from(_OUT_OF_RANGE))
+        return how, (at, value), _replaced(data, at, lambda _: value)
     if how == "retype":
         at = draw(st.sampled_from([at for at, _ in _places(data)]))
         value = draw(st.sampled_from(_RETYPED))
@@ -400,8 +415,12 @@ def test_a_mutated_file_fails_only_with_an_error_naming_it(tmp_path, golden_file
             assert type(exc) is ValidationError and str(exc).startswith(malformed), str(exc)
     else:
         # only a change the reader may accept: truncation, retyping a scalar
-        # that coerces, or dropping an optional key
-        assert how in ("truncate", "retype", "drop"), (how, detail)
+        # that coerces, dropping an optional key, or a number still in range
+        assert how in ("truncate", "retype", "drop", "bound"), (how, detail)
+        if kind == "config" and how == "bound":
+            at, value = detail
+            key = "static_thresholds" if at[-2] == "static_thresholds" else at[-1]
+            assert value in _IN_RANGE.get(key, ()), detail
 
 
 @pytest.fixture(scope="module")

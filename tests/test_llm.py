@@ -429,30 +429,38 @@ class TestRemoteBackend:
         assert sent == ["cpu", "name", "memory", "name"]
 
     def test_config_validation(self):
-        with pytest.raises(ValidationError):
-            BackendConfig(backend_kind="remote").validate()
-        with pytest.raises(ValidationError):
-            BackendConfig(temperature=-1).validate()
-        with pytest.raises(ValidationError):
-            BackendConfig(backend_kind="psychic").validate()
+        # a bound is checked when the config is built; the endpoint rule,
+        # across fields, when a remote backend is
+        config = BackendConfig(backend_kind="remote")
+        with pytest.raises(ValidationError, match="^remote backend requires an endpoint$"):
+            config.validate()
+        with pytest.raises(ValidationError, match="^remote backend requires an endpoint$"):
+            make_backend(config)
+        with pytest.raises(ValidationError, match="^temperature: must be a finite number >= 0"):
+            BackendConfig(temperature=-1)
+        with pytest.raises(ValidationError, match="^backend_kind: must be one of 'scripted', "
+                                                  "'remote', got 'psychic'$"):
+            BackendConfig(backend_kind="psychic")
 
     @pytest.mark.parametrize("temperature", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_temperature_is_rejected(self, temperature):
-        with pytest.raises(ValidationError, match="^temperature must be a finite number >= 0$"):
-            BackendConfig(temperature=temperature).validate()
-        # it never reaches a request: the backend is not built
-        with pytest.raises(ValidationError):
-            make_backend(BackendConfig(backend_kind="remote", endpoint="http://127.0.0.1:9",
-                                       temperature=temperature))
+        # it never reaches a request: the config is not built
+        with pytest.raises(ValidationError, match="^temperature: must be a finite number >= 0, "
+                                                  f"got {temperature!r}$"):
+            BackendConfig(backend_kind="remote", endpoint="http://127.0.0.1:9",
+                          temperature=temperature)
 
     @pytest.mark.parametrize("key", ["max_tokens", "embed_dim"])
     @pytest.mark.parametrize("value", [True, False, 0, -1])
     def test_sizes_must_be_positive_integers_not_bools(self, key, value):
-        with pytest.raises(ValidationError, match=f"^{key} must be a positive integer$"):
-            BackendConfig(**{key: value}).validate()
+        with pytest.raises(ValidationError,
+                           match=f"^{key}: must be a positive integer, got {value!r}$"):
+            BackendConfig(**{key: value})
 
     def test_a_nan_temperature_in_a_config_file_is_rejected_at_load(self, tmp_path):
         path = tmp_path / "config.yaml"
         path.write_text("backend: {temperature: .nan}\n")
-        with pytest.raises(ValidationError, match="temperature must be a finite number"):
-            make_backend(load_config(path).backend)
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        assert str(info.value) == (f"{path}.backend.temperature: "
+                                   "must be a finite number >= 0, got nan")

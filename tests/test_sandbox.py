@@ -6,7 +6,7 @@ import re
 import pytest
 
 from sopflow import golden
-from sopflow.detector import DetectorConfig
+from sopflow.detector import METRIC_CATALOG, DetectorConfig
 from sopflow.errors import ConfigError, NotFoundError, ValidationError
 from sopflow.sandbox import (
     EpisodeScenario,
@@ -436,6 +436,11 @@ class TestQueries:
             telemetry.query_metrics("frontend-0", "bogus_metric")
         with pytest.raises(NotFoundError):
             telemetry.query_metrics("frontend-0", "request_latency_ms")  # service metric
+
+    def test_the_metric_catalog_names_every_metric_rendered(self):
+        # the detector declares the names; a static threshold may name only these
+        telemetry = telemetry_for(no_fault_scenario())
+        assert sorted({metric for _, metric in telemetry.series_keys()}) == list(METRIC_CATALOG)
 
     def test_log_union_partitions_full_set(self):
         # "handled" occurs in every heartbeat line, so each pod's anomalous
