@@ -36,7 +36,7 @@ class Ablations:
         return self.sop_knowledge and self.sop_flow
 
 
-@dataclass
+@dataclass(frozen=True)
 class AgentConfig(schema.Bounded):
     max_steps: int = field(default=20, metadata=schema.POSITIVE_INT)
     action_set_size: int = field(default=5, metadata=schema.POSITIVE_INT)

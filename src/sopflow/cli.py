@@ -76,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _open_kb(app: AppConfig, backend, kb_dir: str | None) -> KnowledgeBase:
     """The knowledge base in ``kb_dir``, or a memory-only one without it."""
-    return KnowledgeBase(backend, root=kb_dir, k=app.kb.k, threshold=app.kb.threshold)
+    return KnowledgeBase(backend, root=kb_dir, settings=app.kb)
 
 
 def _cmd_kb(args) -> int:
@@ -119,6 +119,7 @@ def _cmd_simulate(args) -> int:
     else:
         types = tuple(FaultType(t.strip()) for t in args.types.split(",") if t.strip())
     config = ScenarioConfig(topology=args.topology, fault_types=types)
+    schema.check("--count", args.count, schema.POSITIVE_INT)
     scenarios = generate_corpus(args.seed, args.count, config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -161,11 +162,14 @@ def _cmd_benchmark(args) -> int:
     app = load_config(args.config)
     eval_cfg = app.eval
     flags = {f.name for f in fields(eval_cfg.agent.ablations)}
+    ablate = {}
     for flag in (f.strip() for f in args.ablate.split(",") if f.strip()):
         if flag not in flags:
             print(f"unknown ablation flag {flag!r}", file=sys.stderr)
             return 2
-        setattr(eval_cfg.agent.ablations, flag, False)
+        ablate[flag] = False
+    ablations = replace(eval_cfg.agent.ablations, **ablate)
+    eval_cfg = replace(eval_cfg, agent=replace(eval_cfg.agent, ablations=ablations))
     if args.workers is not None:
         eval_cfg = replace(eval_cfg, workers=args.workers)
     corpus = load_corpus(args.corpus)

@@ -2,14 +2,17 @@
 
 One YAML file captures a reproducible run; CLI flags override individual
 fields. All sections are optional and default sensibly. Every section takes
-exactly the fields of its dataclass and rejects any other key, and a value out
-of the bound noted below fails when the config is read, naming
-``<path>.<section>.<key>``. A ``static_thresholds`` table names metrics of
-``detector.METRIC_CATALOG`` and replaces the default one whole.
+exactly the fields of its dataclass and rejects any other key. A value out of
+the bound noted below, or a remote backend without an endpoint, fails when the
+config is read, naming ``<path>.<section>.<key>``. Each section's dataclass is
+frozen, so a checked value cannot be reassigned; a CLI override is a copy made
+with ``dataclasses.replace``, which checks it again. A ``static_thresholds``
+table names metrics of ``detector.METRIC_CATALOG`` and replaces the default
+one whole.
 
     backend:                        # BackendConfig
-      backend_kind: scripted        # or remote, which needs an endpoint
-      endpoint: https://api.example.com/v1
+      backend_kind: scripted        # or remote
+      endpoint: https://api.example.com/v1  # set, for a remote backend
       model: some-model
       temperature: 0.0              # finite, >= 0
       max_tokens: 1024              # integer >= 1

@@ -46,7 +46,7 @@ DEFAULT_ANOMALY_KEYWORDS = ("error", "timeout", "refused", "oom", "throttling")
 _MAD_TO_SIGMA = 1.4826
 
 
-@dataclass
+@dataclass(frozen=True)
 class DetectorConfig(schema.Bounded):
     k: float = field(default=3.0, metadata=schema.POSITIVE)
     min_sigma_frac: float = field(default=0.1, metadata=schema.NON_NEGATIVE)

@@ -24,7 +24,7 @@ from .sandbox import EpisodeScenario, load_scenario
 DEFAULT_SIGMA = 0.1
 
 
-@dataclass
+@dataclass(frozen=True)
 class EvalConfig(schema.Bounded):
     # a nan sigma gives LA=TA=nan, which a saved report cannot hold
     sigma: float = field(default=DEFAULT_SIGMA, metadata=schema.NON_NEGATIVE)
@@ -214,7 +214,7 @@ def _read_entries(corpus: Corpus, backend_cfg: BackendConfig
 def run_benchmark(corpus: Corpus, eval_cfg: EvalConfig, backend_cfg: BackendConfig,
                   detector: DetectorConfig | None = None,
                   transcript_dir: Path | str | None = None,
-                  kb_settings: KbSettings | None = None) -> BenchmarkReport:
+                  kb_settings: KbSettings = KbSettings()) -> BenchmarkReport:
     """Run every scenario in the corpus once and aggregate the rows.
 
     Every entry is read first, so a bad one fails the run before any episode.
@@ -232,9 +232,7 @@ def run_benchmark(corpus: Corpus, eval_cfg: EvalConfig, backend_cfg: BackendConf
     unexpected errors, become rows, never run failures.
     """
     entries = _read_entries(corpus, backend_cfg)
-    kb_settings = kb_settings or KbSettings()
-    kb_master = KnowledgeBase(make_backend(backend_cfg), root=corpus.kb,
-                              k=kb_settings.k, threshold=kb_settings.threshold)
+    kb_master = KnowledgeBase(make_backend(backend_cfg), root=corpus.kb, settings=kb_settings)
 
     if transcript_dir is not None:
         out = Path(transcript_dir)

@@ -39,24 +39,28 @@ from .errors import (
     ValidationError,
 )
 
-DEFAULT_TOP_K = 3
-DEFAULT_THRESHOLD = 0.3
-
 _SOP_DIR = "sops"
 _INCIDENT_DIR = "incidents"
 _CACHE_FILE = "embedding_cache.json"
 
-_ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
+_ID_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
 _CACHE_KEY_RE = re.compile(r".+:[0-9a-f]{64}", re.DOTALL)  # ``_text_key``'s form
 
 
-@dataclass
+# a document's id is its file name
+_ID = schema.bound("letters, digits, '.', '_' and '-', starting with a letter or digit",
+                   lambda v: isinstance(v, str) and _ID_RE.fullmatch(v) is not None)
+_STEPS = schema.bound("a non-empty list of non-blank strings",
+                      lambda v: len(v) > 0 and all(isinstance(s, str) and s.strip() for s in v))
+
+
+@dataclass(frozen=True)
 class KbSettings(schema.Bounded):
     """Retrieval defaults (the ``kb:`` config section), and every match's bounds."""
 
-    k: int = field(default=DEFAULT_TOP_K, metadata=schema.POSITIVE_INT)
+    k: int = field(default=3, metadata=schema.POSITIVE_INT)
     # a NaN would match nothing
-    threshold: float = field(default=DEFAULT_THRESHOLD, metadata=schema.FINITE)
+    threshold: float = field(default=0.3, metadata=schema.FINITE)
 
 
 @dataclass(frozen=True)
@@ -127,7 +131,7 @@ def cosine_similarity(a: EmbeddingVector, b: EmbeddingVector) -> float:
 
 
 @dataclass(frozen=True)
-class SopDoc:
+class SopDoc(schema.Bounded):
     """A named, ordered diagnostic procedure.
 
     ``level`` encodes hierarchy depth: 0 is a macro procedure, larger values
@@ -135,35 +139,19 @@ class SopDoc:
     order a file lists them, so ``level`` (keyword-only) precedes ``steps``.
     """
 
-    id: str
-    name: str
-    level: int = field(default=0, kw_only=True)
-    steps: list[str]
-
-    def validate(self) -> None:
-        if not self.id or not _ID_RE.match(self.id):
-            raise ValidationError(f"invalid SOP id: {self.id!r}")
-        if not self.name.strip():
-            raise ValidationError("SOP name must be non-empty")
-        if not self.steps or any(not s.strip() for s in self.steps):
-            raise ValidationError("SOP steps must be a non-empty list of non-empty strings")
-        if self.level < 0:
-            raise ValidationError("SOP level must be non-negative")
+    id: str = field(metadata=_ID)
+    name: str = field(metadata=schema.NON_BLANK)
+    level: int = field(default=0, kw_only=True, metadata=schema.NON_NEGATIVE)
+    steps: list[str] = field(metadata=_STEPS)
 
 
 @dataclass(frozen=True)
-class HistoricalIncident:
+class HistoricalIncident(schema.Bounded):
     """A past incident described by what was observed and what caused it."""
 
-    id: str
-    manifestation: str
+    id: str = field(metadata=_ID)
+    manifestation: str = field(metadata=schema.NON_BLANK)
     fault_type: str = ""
-
-    def validate(self) -> None:
-        if not self.id or not _ID_RE.match(self.id):
-            raise ValidationError(f"invalid incident id: {self.id!r}")
-        if not self.manifestation.strip():
-            raise ValidationError("incident manifestation must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -184,17 +172,17 @@ class KnowledgeBase:
 
     Safe for many concurrent readers once loaded; mutations take an internal
     lock. When ``root`` is given, documents and the embedding cache persist
-    under it; otherwise the store is memory-only. Documents are never mutated.
-    A bad ``kb:`` setting fails when the config is read (``KbSettings``); each
-    match checks the ``k`` and ``threshold`` it uses against the same bounds.
+    under it; otherwise the store is memory-only. Documents are never mutated,
+    and a document that exists is valid (its class checks it when it is
+    built). ``settings`` holds the ``k`` and ``threshold`` a match uses when
+    it is given none; a match given its own checks them against the same bounds.
     """
 
     def __init__(self, backend, root: Path | str | None = None,
-                 k: int = DEFAULT_TOP_K, threshold: float = DEFAULT_THRESHOLD):
+                 settings: KbSettings = KbSettings()):
         self._backend = backend
         self._root = Path(root) if root is not None else None
-        self.default_k = k
-        self.default_threshold = threshold
+        self.settings = settings
         self._sops: dict[str, SopDoc] = {}
         self._incidents: dict[str, HistoricalIncident] = {}
         self._cache: dict[str, EmbeddingVector] = {}
@@ -215,10 +203,6 @@ class KnowledgeBase:
                                    (_INCIDENT_DIR, HistoricalIncident, self._incidents)):
             for path in sorted((root / subdir).glob("*.yaml")):
                 doc = schema.read_yaml(path, cls)
-                try:
-                    doc.validate()
-                except ValidationError as exc:
-                    raise ValidationError(f"{path}: {exc}") from exc
                 store[doc.id] = doc
 
     def _write_doc(self, subdir: str, doc) -> None:
@@ -246,7 +230,6 @@ class KnowledgeBase:
     # -- mutation ----------------------------------------------------------
 
     def add_sop(self, doc: SopDoc) -> str:
-        doc.validate()
         with self._lock:
             if doc.id in self._sops:
                 raise ValidationError(f"SOP id already exists: {doc.id}")
@@ -255,7 +238,6 @@ class KnowledgeBase:
         return doc.id
 
     def add_incident(self, inc: HistoricalIncident) -> str:
-        inc.validate()
         with self._lock:
             if inc.id in self._incidents:
                 raise ValidationError(f"incident id already exists: {inc.id}")
@@ -319,8 +301,8 @@ class KnowledgeBase:
                k: int | None, threshold: float | None) -> list:
         if not query.strip():
             raise ValidationError("query must be non-empty")
-        settings = KbSettings(self.default_k if k is None else int(k),
-                              self.default_threshold if threshold is None else float(threshold))
+        settings = KbSettings(self.settings.k if k is None else int(k),
+                              self.settings.threshold if threshold is None else float(threshold))
         if not store:
             return []
         vectors = self._vectors([query, *(getattr(item, text_attr) for item in store.values())])

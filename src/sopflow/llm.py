@@ -63,7 +63,7 @@ def script_from_mapping(data: list | None) -> list[ScriptEntry]:
     return [schema.from_mapping(ScriptEntry, entry, "script entry") for entry in data or []]
 
 
-@dataclass
+@dataclass(frozen=True)
 class BackendConfig(schema.Bounded):
     backend_kind: str = field(default="scripted", metadata=schema.one_of("scripted", "remote"))
     endpoint: str = ""
@@ -76,10 +76,10 @@ class BackendConfig(schema.Bounded):
     embed_seed: int = 0
     script: list[ScriptEntry] = field(default_factory=list, metadata=schema.INTERNAL)
 
-    def validate(self) -> None:
-        """The rule across fields, checked when a remote backend is built."""
+    def __post_init__(self):
+        super().__post_init__()
         if self.backend_kind == "remote" and not self.endpoint:
-            raise ValidationError("remote backend requires an endpoint")
+            raise ValidationError("endpoint: must be set for a remote backend")
 
 
 def scripted_config(script_path: Path | str, base: BackendConfig) -> BackendConfig:
@@ -207,12 +207,12 @@ class RemoteBackend:
     that is not UTF-8 JSON included) is a ``BackendError``, which the episode
     retries once; a request sent ahead is its call's first attempt.
     ``http.client`` is imported by the first request, so a scripted run never loads it.
+    Its ``config`` was checked when it was built, so a remote one has an endpoint.
     """
 
     concurrent_calls = True
 
     def __init__(self, config: BackendConfig):
-        config.validate()
         self.config = config
 
     @property
@@ -283,7 +283,8 @@ class RemoteBackend:
 
 
 def make_backend(config: BackendConfig):
-    """The backend ``config`` names; a remote one checks it has an endpoint."""
+    """The backend ``config`` names; a remote ``config`` has an endpoint, since
+    ``BackendConfig`` checks that when it is built."""
     if config.backend_kind == "scripted":
         return ScriptedBackend(config)
     return RemoteBackend(config)

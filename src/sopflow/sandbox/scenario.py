@@ -9,7 +9,7 @@ from .. import schema
 from ..errors import ConfigError, ValidationError
 from . import noise
 from .faults import DEFAULT_MAGNITUDES, FaultSpec, FaultType
-from .topology import Topology, load_fixture
+from .topology import FIXTURES, Topology, load_fixture
 
 DEFAULT_WINDOW = (0, 600)
 
@@ -20,20 +20,19 @@ class GroundTruth:
     types: tuple[str, ...]
 
 
-@dataclass
-class ScenarioConfig:
-    topology: str = "online-boutique"
-    fault_types: tuple[FaultType, ...] = tuple(FaultType)
-    faults_per_scenario: int = 1
-
-    def validate(self) -> None:
-        if not self.fault_types:
-            raise ConfigError("at least one fault type must be allowed")
-        load_fixture(self.topology)  # raises ConfigError on unknown fixture
+@dataclass(frozen=True)
+class ScenarioConfig(schema.Bounded):
+    topology: str = field(default="online-boutique", metadata=schema.one_of(*FIXTURES))
+    fault_types: tuple[FaultType, ...] = field(default=tuple(FaultType),
+                                               metadata=schema.NON_EMPTY)
+    faults_per_scenario: int = field(default=1, metadata=schema.POSITIVE_INT)
 
 
 @dataclass
 class EpisodeScenario:
+    """A scenario that exists is valid: building one checks its window, each
+    fault against the topology, and that the ground truth is the faults'."""
+
     id: str
     topology_name: str
     seed: int
@@ -55,7 +54,7 @@ class EpisodeScenario:
         first = min(self.faults, key=lambda f: f.start_s)
         return first.start_s + first.duration_s // 2
 
-    def validate(self) -> None:
+    def __post_init__(self):
         topo = self.topology()
         if self.window[1] <= self.window[0]:
             raise ValidationError("scenario window must be non-empty")
@@ -88,11 +87,9 @@ def _pick_target(topo: Topology, fault_type: FaultType, seed: int, salt: str) ->
     return f"pod:{pod}"
 
 
-def generate_scenario(seed: int, config: ScenarioConfig | None = None,
+def generate_scenario(seed: int, config: ScenarioConfig = ScenarioConfig(),
                       index: int = 0) -> EpisodeScenario:
     """Build one scenario, fully determined by (seed, config, index)."""
-    config = config or ScenarioConfig()
-    config.validate()
     topo = load_fixture(config.topology)
 
     faults = []
@@ -111,7 +108,7 @@ def generate_scenario(seed: int, config: ScenarioConfig | None = None,
         )
         faults.append(fault)
 
-    scenario = EpisodeScenario(
+    return EpisodeScenario(
         id=f"scn-{seed:05d}-{faults[0].fault_type.value.lower()}",
         topology_name=config.topology,
         seed=seed,
@@ -119,14 +116,11 @@ def generate_scenario(seed: int, config: ScenarioConfig | None = None,
         faults=faults,
         ground_truth=_derive_ground_truth(faults),
     )
-    scenario.validate()
-    return scenario
 
 
 def generate_corpus(seed: int, count: int,
-                    config: ScenarioConfig | None = None) -> list[EpisodeScenario]:
+                    config: ScenarioConfig = ScenarioConfig()) -> list[EpisodeScenario]:
     """``count`` scenarios with fault types assigned round-robin."""
-    config = config or ScenarioConfig()
     return [generate_scenario(seed * 1000 + i, config, index=i) for i in range(count)]
 
 
@@ -195,7 +189,7 @@ def _section(cls, mapping, section: str):
 def scenario_from_mapping(mapping: dict) -> EpisodeScenario:
     file = _section(_ScenarioFile, mapping, "scenario")
     window = _section(_Window, file.window, "window")
-    scenario = EpisodeScenario(
+    return EpisodeScenario(
         id=file.id,
         topology_name=file.topology,
         seed=file.seed,
@@ -204,8 +198,6 @@ def scenario_from_mapping(mapping: dict) -> EpisodeScenario:
         ground_truth=_section(GroundTruth, file.ground_truth, "ground_truth"),
         aliases=file.aliases,
     )
-    scenario.validate()
-    return scenario
 
 
 def save_scenario(scenario: EpisodeScenario, path: Path | str) -> None:

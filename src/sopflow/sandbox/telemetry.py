@@ -659,5 +659,4 @@ class _Effects:
 
 def render_telemetry(scenario: EpisodeScenario) -> Telemetry:
     """Telemetry for a scenario, rendered on demand. Pure in ``scenario.seed``."""
-    scenario.validate()
     return Telemetry(scenario)

@@ -50,10 +50,14 @@ strictly: an ``int`` field takes no bool and no float with a fraction, a
   instead of under the field's own name.
 
 The other markers are bounds, a field's range rule: ``POSITIVE_INT``,
-``FINITE``, ``NON_NEGATIVE``, ``POSITIVE``, ``one_of`` and ``keys_in``. A
-class with bounds subclasses ``Bounded``, so an object is checked once, when
-it is built, in code or by ``from_mapping``, which names the section in the
-error (``config.yaml.detector.k: must be a finite number > 0, got -1.0``).
+``FINITE``, ``NON_NEGATIVE``, ``POSITIVE``, ``NON_BLANK`` (a string with a
+character other than whitespace), ``NON_EMPTY`` (a sequence with an item),
+``one_of`` and ``keys_in``; ``bound`` makes a new one from a rule's text and
+its test. A class with bounds subclasses ``Bounded``, so an object is checked
+once, when it is built, in code or by ``from_mapping``, which names the
+section in the error (``config.yaml.detector.k: must be a finite number > 0,
+got -1.0``); a frozen one keeps the values it was checked with. ``check``
+holds one value to one bound outside a class, such as a command-line flag.
 """
 
 from __future__ import annotations
@@ -144,7 +148,7 @@ INTERNAL = {"schema": "internal"}
 INLINE = {"schema": "inline"}
 
 
-def _bound(rule: str, holds) -> dict:
+def bound(rule: str, holds) -> dict:
     """A bound marker: "must be <rule>" of a value ``holds`` refuses."""
     return {"schema": lambda value: None if holds(value) else f"must be {rule}, got {value!r}"}
 
@@ -154,15 +158,17 @@ def finite(value) -> bool:
     return not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value)
 
 
-POSITIVE_INT = _bound("a positive integer",
-                      lambda v: not isinstance(v, bool) and isinstance(v, int) and v > 0)
-FINITE = _bound("a finite number", finite)
-NON_NEGATIVE = _bound("a finite number >= 0", lambda v: finite(v) and v >= 0)
-POSITIVE = _bound("a finite number > 0", lambda v: finite(v) and v > 0)
+POSITIVE_INT = bound("a positive integer",
+                     lambda v: not isinstance(v, bool) and isinstance(v, int) and v > 0)
+FINITE = bound("a finite number", finite)
+NON_NEGATIVE = bound("a finite number >= 0", lambda v: finite(v) and v >= 0)
+POSITIVE = bound("a finite number > 0", lambda v: finite(v) and v > 0)
+NON_BLANK = bound("a non-blank string", lambda v: isinstance(v, str) and v.strip() != "")
+NON_EMPTY = bound("non-empty", lambda v: len(v) > 0)
 
 
 def one_of(*choices) -> dict:
-    return _bound(f"one of {', '.join(map(repr, choices))}", lambda v: v in choices)
+    return bound(f"one of {', '.join(map(repr, choices))}", lambda v: v in choices)
 
 
 def keys_in(catalog, noun: str, values: dict) -> dict:
@@ -181,19 +187,25 @@ def _marker(f: dataclasses.Field):
     return f.metadata.get("schema")
 
 
+def check(name: str, value, marker: dict) -> None:
+    """Raise a ``ValidationError`` naming ``name`` if ``value`` breaks the bound ``marker``."""
+    if (text := marker["schema"](value)) is not None:
+        raise ValidationError(f"{name}: {text}")
+
+
 @functools.cache
-def _bounds(cls) -> tuple[tuple[str, typing.Callable], ...]:
-    return tuple((f.name, _marker(f)) for f in dataclasses.fields(cls) if callable(_marker(f)))
+def _bounds(cls) -> tuple[tuple[str, dict], ...]:
+    return tuple((f.name, f.metadata) for f in dataclasses.fields(cls) if callable(_marker(f)))
 
 
 class Bounded:
     """Base of a dataclass with bounds: building one raises a ``ValidationError``
-    that names the first field whose value breaks its bound."""
+    that names the first field whose value breaks its bound. A subclass with
+    a rule across fields checks it in its own ``__post_init__``, after this one."""
 
     def __post_init__(self):
-        for name, complaint in _bounds(type(self)):
-            if (text := complaint(getattr(self, name))) is not None:
-                raise ValidationError(f"{name}: {text}")
+        for name, marker in _bounds(type(self)):
+            check(name, getattr(self, name), marker)
 
 
 @functools.cache

@@ -21,7 +21,13 @@ from sopflow.detector import (
     matches_keyword,
 )
 from sopflow.golden import golden_scenarios
-from sopflow.sandbox import ScenarioConfig, generate_corpus, render_alert, render_telemetry
+from sopflow.sandbox import (
+    GroundTruth,
+    ScenarioConfig,
+    generate_corpus,
+    render_alert,
+    render_telemetry,
+)
 from sopflow.sandbox.faults import FaultType
 from sopflow.sandbox.telemetry import SAMPLE_PERIOD_S, Telemetry
 from sopflow.tools import ToolContext, build_registry
@@ -248,15 +254,16 @@ def test_the_trace_sweep_alone_names_the_first_error_span(scenario_id, alert):
 def test_a_detector_config_changed_in_place_gets_fresh_verdicts():
     # the sweep's memo of never-flagging series is keyed on the values of the
     # config, not on the object: each change below moves the bound that lets
-    # the sweep skip a series' nominal samples
+    # the sweep skip a series' nominal samples. A frozen config's fields are
+    # changed in a copy; its static_thresholds dict can still be edited in place.
     cfg = DetectorConfig()
     alerts = set()
-    for change in (lambda: None,
-                   lambda: cfg.static_thresholds.update(cpu_usage=0.05, memory_usage=0.1),
-                   lambda: setattr(cfg, "min_sigma_frac", 0.0),
-                   lambda: setattr(cfg, "k", 0.5),
-                   lambda: cfg.static_thresholds.clear()):
-        change()
+    for change in (lambda c: c,
+                   lambda c: c.static_thresholds.update(cpu_usage=0.05, memory_usage=0.1) or c,
+                   lambda c: dataclasses.replace(c, min_sigma_frac=0.0),
+                   lambda c: dataclasses.replace(c, k=0.5),
+                   lambda c: c.static_thresholds.clear() or c):
+        cfg = change(cfg)
         for scenario in golden_scenarios()[:3]:
             alert = render_alert(render_telemetry(scenario), cfg)
             assert alert == reference_alert(render_telemetry(scenario), cfg)
@@ -299,14 +306,15 @@ def _bandwidth_at_full(scenario):
 
 
 def test_touched_is_exactly_the_components_whose_samples_a_fault_changes():
-    # the same scenario without its faults (and so, unvalidated, without a
-    # ground truth) renders every sample as its nominal draw
+    # the same scenario without its faults (and so without a ground truth)
+    # renders every sample as its nominal draw
     config = ScenarioConfig(faults_per_scenario=2)
     bandwidth = ScenarioConfig(fault_types=(FaultType.NetworkBandwidth,))
     for scenario in (golden_scenarios() + generate_corpus(41, 9) + generate_corpus(42, 9, config)
                      + [_bandwidth_at_full(s) for s in generate_corpus(43, 2, bandwidth)]):
         telemetry = render_telemetry(scenario)
-        nominal = Telemetry(dataclasses.replace(scenario, faults=[]))
+        nominal = Telemetry(dataclasses.replace(scenario, faults=[],
+                                                ground_truth=GroundTruth((), ())))
         keys = telemetry.series_keys()
         for t in telemetry.sample_times():
             changed = {key for key in keys

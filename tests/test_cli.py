@@ -24,6 +24,10 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+# the rule of a document id, which names its file
+_BAD_ID = "must be letters, digits, '.', '_' and '-', starting with a letter or digit"
+
+
 class TestKbCommands:
     def test_list_empty_store(self, tmp_path, capsys):
         (tmp_path / "kb").mkdir()
@@ -99,12 +103,15 @@ class TestKbCommands:
         run_cli("kb", "list", "--kb", kb_dir)
         assert "0 SOPs" in capsys.readouterr().out
 
+    # a document that breaks a bound fails as it is read, naming the file and the key
     @pytest.mark.parametrize("kind, body, complaint", [
-        ("sop", "id: -x\nname: x\nsteps: [inspect]\n", "invalid SOP id: '-x'"),
-        ("sop", "id: sop-x\nname: ' '\nsteps: [inspect]\n", "SOP name must be non-empty"),
+        ("sop", "id: -x\nname: x\nsteps: [inspect]\n", f"{{doc}}.id: {_BAD_ID}, got '-x'"),
+        ("sop", "id: sop-x\nname: ' '\nsteps: [inspect]\n",
+         "{doc}.name: must be a non-blank string, got ' '"),
         ("sop", "id: sop-x\nname: x\nlevel: -1\nsteps: [inspect]\n",
-         "SOP level must be non-negative"),
-        ("incident", "id: inc x\nmanifestation: cart errors\n", "invalid incident id: 'inc x'"),
+         "{doc}.level: must be a finite number >= 0, got -1"),
+        ("incident", "id: inc x\nmanifestation: cart errors\n",
+         f"{{doc}}.id: {_BAD_ID}, got 'inc x'"),
         ("incident", "id: inc-x\nmanifestation: other errors\n",
          "incident id already exists: inc-x"),
     ], ids=["sop-id", "sop-blank-name", "sop-negative-level", "incident-id",
@@ -119,7 +126,7 @@ class TestKbCommands:
         doc.write_text(body)
         capsys.readouterr()
         assert run_cli("kb", "add", "--file", str(doc), "--kind", kind, "--kb", kb_dir) == 1
-        assert capsys.readouterr().err == f"error: {complaint}\n"
+        assert capsys.readouterr().err == f"error: {complaint.format(doc=doc)}\n"
         run_cli("kb", "list", "--kb", kb_dir)
         assert "0 SOPs, 1 incidents" in capsys.readouterr().out
 
@@ -204,7 +211,15 @@ class TestSimulate:
     def test_no_fault_type_exit_one(self, tmp_path, capsys):
         assert run_cli("simulate", "--seed", "5", "--types", ",",
                        "--out", str(tmp_path / "scenarios")) == 1
-        assert capsys.readouterr().err == "error: at least one fault type must be allowed\n"
+        assert capsys.readouterr().err == "error: fault_types: must be non-empty, got ()\n"
+        assert not (tmp_path / "scenarios").exists()
+
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_count_below_one_exit_one(self, tmp_path, capsys, count):
+        assert run_cli("simulate", "--seed", "5", "--count", count,
+                       "--out", str(tmp_path / "scenarios")) == 1
+        assert capsys.readouterr().err == (f"error: --count: must be a positive integer, "
+                                           f"got {count}\n")
         assert not (tmp_path / "scenarios").exists()
 
 

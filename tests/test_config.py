@@ -1,14 +1,17 @@
-from dataclasses import asdict, fields
+import re
+from dataclasses import FrozenInstanceError, asdict, fields
 
 import pytest
 import yaml
 
 from sopflow.agents import AgentConfig
 from sopflow.config import AppConfig, load_config
+from sopflow.detector import DetectorConfig
 from sopflow.errors import ConfigError, ValidationError
 from sopflow.evaluation import EvalConfig
 from sopflow.kb import KbSettings, KnowledgeBase
-from sopflow.llm import make_backend
+from sopflow.llm import BackendConfig, make_backend
+from sopflow.sandbox import ScenarioConfig
 
 
 def test_defaults_without_file():
@@ -124,6 +127,7 @@ def test_a_static_threshold_for_an_unknown_metric_names_the_file_and_key(tmp_pat
 @pytest.mark.parametrize("section, complaint", [
     ("backend: {backend_kind: psychic}",
      "backend.backend_kind: must be one of 'scripted', 'remote', got 'psychic'"),
+    ("backend: {backend_kind: remote}", "backend.endpoint: must be set for a remote backend"),
     ("backend: {temperature: -1}", "backend.temperature: must be a finite number >= 0, got -1.0"),
     ("backend: {max_tokens: 0}", "backend.max_tokens: must be a positive integer, got 0"),
     ("backend: {embed_dim: -3}", "backend.embed_dim: must be a positive integer, got -3"),
@@ -157,11 +161,26 @@ def test_an_out_of_bounds_value_fails_when_the_config_is_read(tmp_path, section,
     (KbSettings, {"k": 0}), (KbSettings, {"threshold": float("nan")}),
     (AgentConfig, {"max_steps": 0}), (AgentConfig, {"action_set_size": True}),
     (EvalConfig, {"workers": -1}),
+    (ScenarioConfig, {"faults_per_scenario": 0}), (ScenarioConfig, {"fault_types": ()}),
+    (ScenarioConfig, {"topology": "no-such-cluster"}),
 ])
 def test_the_same_bounds_hold_for_an_object_built_in_code(cls, values):
     (key, value), = values.items()
-    with pytest.raises(ValidationError, match=f"^{key}: must be .*, got {value!r}$"):
+    with pytest.raises(ValidationError, match=f"^{key}: must be .*, got {re.escape(repr(value))}$"):
         cls(**values)
+
+
+# a checked value cannot be reassigned: one bounded field of each frozen config
+@pytest.mark.parametrize("cls, field, value", [
+    (BackendConfig, "max_tokens", 0), (DetectorConfig, "k", -1.0),
+    (AgentConfig, "max_steps", 0), (EvalConfig, "workers", 0),
+    (KbSettings, "k", 0), (ScenarioConfig, "faults_per_scenario", 0),
+])
+def test_a_bounded_field_of_a_frozen_config_cannot_be_assigned(cls, field, value):
+    config = cls()
+    with pytest.raises(FrozenInstanceError):
+        setattr(config, field, value)
+    assert getattr(config, field) == getattr(cls(), field)
 
 
 def test_a_match_checks_its_k_and_threshold_against_the_kb_bounds():
@@ -170,9 +189,9 @@ def test_a_match_checks_its_k_and_threshold_against_the_kb_bounds():
         kb.match_sop("cpu", k=0)
     with pytest.raises(ValidationError, match="^threshold: must be a finite number, got nan$"):
         kb.match_observation("cpu", threshold="nan")
-    # a default set in code is checked by the first match that uses it
+    # a knowledge base's defaults are checked settings: a bad one cannot be built
     with pytest.raises(ValidationError, match="^k: must be a positive integer, got 0$"):
-        KnowledgeBase(make_backend(AppConfig().backend), k=0).match_sop("cpu")
+        KnowledgeBase(make_backend(AppConfig().backend), settings=KbSettings(k=0))
 
 
 def test_missing_file_rejected(tmp_path):

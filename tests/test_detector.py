@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import pathlib
 import statistics
 import sys
@@ -115,7 +116,7 @@ class TestBaselineRule:
     @given(baseline=st.lists(_values, max_size=3), value=_values, cfg=_configs)
     def test_short_baseline_never_flags_one_sample(self, baseline, value, cfg):
         # the robust rule over a single sample sees no deviation
-        cfg.min_baseline_samples = len(baseline) + 1
+        cfg = dataclasses.replace(cfg, min_baseline_samples=len(baseline) + 1)
         assert _baseline_rule(baseline, "request_latency_ms", cfg) is None
         assert not evaluate_series([value], baseline, "request_latency_ms", cfg).anomalous
 
@@ -148,12 +149,12 @@ class TestNeverFlags:
                 _never_flags(lo, hi, metric, Recording())
         assert read == {"k", "min_sigma_frac", "static_thresholds"}
         key = _never_flags_inputs(cfg)
-        for change in (lambda c: setattr(c, "k", 2.0),
-                       lambda c: setattr(c, "min_sigma_frac", 0.2),
-                       lambda c: c.static_thresholds.update(cpu_usage=0.5)):
-            changed = DetectorConfig()
-            change(changed)
-            assert _never_flags_inputs(changed) != key
+        # a frozen config's fields change in a copy; its static_thresholds dict
+        # can still be edited in place
+        for change in (lambda c: dataclasses.replace(c, k=2.0),
+                       lambda c: dataclasses.replace(c, min_sigma_frac=0.2),
+                       lambda c: c.static_thresholds.update(cpu_usage=0.5) or c):
+            assert _never_flags_inputs(change(DetectorConfig())) != key
 
     def test_static_bound_is_the_threshold(self):
         cfg = DetectorConfig(static_thresholds={"throughput_rps": 0.5})

@@ -28,6 +28,10 @@ from sopflow.llm import RemoteBackend
 from conftest import action_sets, scripted_backend
 
 
+# the rule of a document id, which names its file
+_BAD_ID = "must be letters, digits, '.', '_' and '-', starting with a letter or digit"
+
+
 def vec(*values):
     return EmbeddingVector.of(values)
 
@@ -104,6 +108,26 @@ class TestStore:
         with pytest.raises(ValidationError):
             kb.add_incident(HistoricalIncident(id="inc-a", manifestation="  ",
                                                fault_type="CpuStress"))
+
+    # a document that exists is valid: a rule fails when it is built, naming the key
+    @pytest.mark.parametrize("cls, values, complaint", [
+        (SopDoc, {"id": "sop x"}, f"id: {_BAD_ID}, got 'sop x'"),
+        (SopDoc, {"id": "sop-a\n"}, f"id: {_BAD_ID}, got 'sop-a\\n'"),
+        (SopDoc, {"name": "\t"}, "name: must be a non-blank string, got '\\t'"),
+        (SopDoc, {"steps": []}, "steps: must be a non-empty list of non-blank strings, got []"),
+        (SopDoc, {"steps": ["s", " "]},
+         "steps: must be a non-empty list of non-blank strings, got ['s', ' ']"),
+        (SopDoc, {"level": -1}, "level: must be a finite number >= 0, got -1"),
+        (HistoricalIncident, {"id": ""}, f"id: {_BAD_ID}, got ''"),
+        (HistoricalIncident, {"manifestation": " "}, "manifestation: must be a non-blank "
+                                                     "string, got ' '"),
+    ])
+    def test_a_document_that_breaks_a_rule_cannot_be_built(self, cls, values, complaint):
+        valid = {SopDoc: {"id": "sop-a", "name": "a", "steps": ["s"]},
+                 HistoricalIncident: {"id": "inc-a", "manifestation": "m"}}[cls]
+        cls(**valid)
+        with pytest.raises(ValidationError, match=f"^{re.escape(complaint)}$"):
+            cls(**{**valid, **values})
 
 
 class TestRetrieval:
@@ -360,6 +384,8 @@ class TestPersistence:
     @pytest.mark.parametrize("subdir, body, complaint", [
         ("sops", "id: sop-x\nname: x\nsteps: inspect\n", "expected a list"),
         ("sops", "id: sop-x\nname: x\nsteps: [inspect]\nlevle: 2\n", "'levle'"),
+        ("sops", "id: sop-x\nname: x\nsteps: []\n",
+         r"\.steps: must be a non-empty list of non-blank strings, got \[\]$"),
         ("incidents", "id: inc-x\nmanifestation: m\nfault_typ: PodFailure\n",
          "'fault_typ'"),
     ])

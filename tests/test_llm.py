@@ -301,9 +301,9 @@ def test_agents_send_early_only_through_send_ahead():
 
 
 class TestRemoteBackend:
-    def _config(self):
+    def _config(self, **fields):
         return BackendConfig(backend_kind="remote", endpoint="https://llm.example/v1",
-                             model="test-model")
+                             model="test-model", **fields)
 
     def test_missing_credential_is_backend_error(self, monkeypatch):
         monkeypatch.delenv("SOPFLOW_API_KEY", raising=False)
@@ -352,9 +352,7 @@ class TestRemoteBackend:
         monkeypatch.setenv("SOPFLOW_API_KEY", "k")
         monkeypatch.setattr("sopflow.llm._send", lambda *a: (
             200, {}, json.dumps({"data": [{"embedding": [0.6, 0.8]}]}).encode()))
-        config = self._config()
-        config.embed_dim = 2
-        vec = RemoteBackend(config).embed("text")
+        vec = RemoteBackend(self._config(embed_dim=2)).embed("text")
         assert vec.values == (0.6, 0.8)
 
     def _replying(self, monkeypatch, payload=None, body=None):
@@ -419,8 +417,7 @@ class TestRemoteBackend:
 
         monkeypatch.setattr("sopflow.llm._send", send)
         for embed_dim, query in ((2, "cpu"), (3, "memory")):
-            config = self._config()
-            config.embed_dim = embed_dim
+            config = self._config(embed_dim=embed_dim)
             kb = KnowledgeBase(RemoteBackend(config), root=tmp_path / "kb")
             if not kb.list_sops():
                 kb.add_sop(SopDoc(id="sop-a", name="name", steps=["s"]))
@@ -429,13 +426,10 @@ class TestRemoteBackend:
         assert sent == ["cpu", "name", "memory", "name"]
 
     def test_config_validation(self):
-        # a bound is checked when the config is built; the endpoint rule,
-        # across fields, when a remote backend is
-        config = BackendConfig(backend_kind="remote")
-        with pytest.raises(ValidationError, match="^remote backend requires an endpoint$"):
-            config.validate()
-        with pytest.raises(ValidationError, match="^remote backend requires an endpoint$"):
-            make_backend(config)
+        # every rule is checked when the config is built, the endpoint rule
+        # across fields too, so no backend is ever made from a bad config
+        with pytest.raises(ValidationError, match="^endpoint: must be set for a remote backend$"):
+            BackendConfig(backend_kind="remote")
         with pytest.raises(ValidationError, match="^temperature: must be a finite number >= 0"):
             BackendConfig(temperature=-1)
         with pytest.raises(ValidationError, match="^backend_kind: must be one of 'scripted', "

@@ -99,13 +99,14 @@ class TestScenarioGeneration:
             load_scenario(path)
 
     def test_subnormal_magnitude_is_not_rendered(self):
+        # the scenario fails to build, so no render ever sees it
         fault = FaultSpec(FaultType.NetworkBandwidth, "nodes:node-1<->node-2", 120, 240, 1e-320)
-        scenario = EpisodeScenario(
-            id="scn-subnormal", topology_name="online-boutique", seed=3, window=(0, 600),
-            faults=[fault], ground_truth=GroundTruth(("node-1<->node-2",), ("NetworkBandwidth",)),
-        )
         with pytest.raises(ValidationError, match="has no finite reciprocal"):
-            render_telemetry(scenario)
+            EpisodeScenario(
+                id="scn-subnormal", topology_name="online-boutique", seed=3, window=(0, 600),
+                faults=[fault],
+                ground_truth=GroundTruth(("node-1<->node-2",), ("NetworkBandwidth",)),
+            )
 
     def test_concurrent_faults_option(self):
         config = ScenarioConfig(

@@ -62,6 +62,25 @@ def test_every_function_in_src_is_used_in_src():
     assert unused == sorted(_UNCALLED)
 
 
+# Functions named ``validate`` in ``src/``, each kept for a stated reason, keyed
+# as ``_UNCALLED`` is. An object's own rules are checked when it is built
+# (``schema.Bounded`` or ``__post_init__``), so no caller has to remember to.
+_VALIDATE = {
+    "sandbox/faults.py::FaultSpec.validate":
+        "a fault's target can only be checked against its scenario's topology, "
+        "which the fault does not hold; EpisodeScenario.__post_init__ calls it",
+}
+
+
+def test_no_class_in_src_defines_validate():
+    package_root = pathlib.Path(sopflow.__file__).parent
+    defined = [f"{path.relative_to(package_root).as_posix()}::{qualname}"
+               for path in sorted(package_root.rglob("*.py"))
+               for qualname, node in _functions(ast.parse(path.read_text(encoding="utf-8")))
+               if node.name == "validate"]
+    assert sorted(defined) == sorted(_VALIDATE)
+
+
 # Dataclass fields no code in ``src/`` reads, each kept for a stated reason,
 # keyed "<path under src/sopflow>::<class>.<field>".
 _UNREAD_FIELDS: dict[str, str] = {}
