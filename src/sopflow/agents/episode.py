@@ -271,7 +271,7 @@ class _Runtime:
             {"tool": c.tool, "args": _jsonable_args(c.args),
              "provenance": c.provenance, "rule": c.rule, "rationale": c.rationale}
             for c in action_set.candidates
-        ], evicted=[c.tool for c in action_set.evicted], notes=action_set.notes)
+        ], evicted=[c.tool for c in action_set.evicted], notes=list(action_set.notes))
         return action_set
 
     def _select(self, thought: str, action_set: ActionSet) -> tuple[ActionCandidate, int, bool]:

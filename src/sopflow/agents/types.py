@@ -22,7 +22,8 @@ OUTCOME_ABORTED = "aborted"
 @dataclass
 class Ablations:
     """Mechanism toggles; all on by default. ``sop_knowledge`` off implies the
-    SOP store is emptied and the whole flow (prompt text and rules) is off."""
+    SOP store is emptied and the whole flow (prompt text and rules) is off.
+    Not frozen: the benchmark's workloads set its flags with ``setattr``."""
 
     sop_knowledge: bool = True
     sop_flow: bool = True
@@ -56,14 +57,15 @@ class ActionCandidate:
         return (self.tool, tuple(sorted((k, str(v)) for k, v in self.args.items())))
 
 
-@dataclass
-class ActionSet:
-    candidates: list[ActionCandidate]
+@dataclass(frozen=True)
+class ActionSet(schema.Bounded):
+    candidates: tuple[ActionCandidate, ...]
     max_size: int
-    evicted: list[ActionCandidate] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+    evicted: tuple[ActionCandidate, ...] = ()
+    notes: tuple[str, ...] = ()
 
     def __post_init__(self):
+        super().__post_init__()
         if len(self.candidates) > self.max_size:
             raise ValidationError("action set exceeds its size bound")
 

@@ -8,7 +8,8 @@ config is read, naming ``<path>.<section>.<key>``. Each section's dataclass is
 frozen, so a checked value cannot be reassigned; a CLI override is a copy made
 with ``dataclasses.replace``, which checks it again. A ``static_thresholds``
 table names metrics of ``detector.METRIC_CATALOG`` and replaces the default
-one whole.
+one whole; it is read-only once built, so no threshold can change after its
+check. ``eval.ablations`` alone stays mutable.
 
     backend:                        # BackendConfig
       backend_kind: scripted        # or remote

@@ -14,10 +14,11 @@ Python 3.11 and later, computed in integers.
 baseline, once per series: ``evaluate_series`` judges through it, and the
 alert sweep uses it to test each sample of a series on its own.
 ``_never_flags`` proves from a series' value range alone that no sample can
-flag, so the sweep need not render the samples; ``_never_flagging`` memoises
-those verdicts for a set of series. The static rule reads only a window's
-sample count and its samples above the threshold (``static_verdict``), so a
-static check renders no sample that cannot exceed the threshold.
+flag, so the sweep need not render the samples; a config is frozen, so
+``sandbox.telemetry._never_flagging`` memoises those verdicts keyed on the
+config itself. The static rule reads only a window's sample count and its
+samples above the threshold (``static_verdict``), so a static check renders
+no sample that cannot exceed the threshold.
 """
 
 from __future__ import annotations
@@ -53,9 +54,10 @@ class DetectorConfig(schema.Bounded):
     min_baseline_samples: int = field(default=4, metadata=schema.POSITIVE_INT)
     # 0 would read the whole pre-window history (values[-0:])
     baseline_lookback_samples: int = field(default=20, metadata=schema.POSITIVE_INT)
-    # a misspelt metric would drop the default thresholds and never fire
-    static_thresholds: dict[str, float] = field(
-        default_factory=lambda: dict(DEFAULT_STATIC_THRESHOLDS),
+    # a misspelt metric would drop the default thresholds and never fire; read-only
+    # once built, the table is compared but not hashed (a read-only view has no hash)
+    static_thresholds: Mapping[str, float] = field(
+        default_factory=lambda: DEFAULT_STATIC_THRESHOLDS, hash=False,
         metadata=schema.keys_in(METRIC_CATALOG, "metric", schema.FINITE),
     )
     anomaly_keywords: tuple[str, ...] = DEFAULT_ANOMALY_KEYWORDS
@@ -116,34 +118,6 @@ def _never_flags(lo: float, hi: float, metric: str, cfg: DetectorConfig) -> bool
     if threshold is not None:
         return hi <= threshold
     return hi - lo + 1e-9 * hi < cfg.k * cfg.min_sigma_frac * lo
-
-
-def _never_flags_inputs(cfg: DetectorConfig) -> tuple:
-    """Every value of ``cfg`` that ``_never_flags`` reads, hashable: what a
-    memo of its verdicts is keyed on, so a config changed in place gets
-    fresh verdicts. It changes whenever ``_never_flags`` does."""
-    return cfg.k, cfg.min_sigma_frac, tuple(sorted(cfg.static_thresholds.items()))
-
-
-_NEVER_FLAGGING: dict[tuple, frozenset] = {}
-_NEVER_FLAGGING_SIZE = 64
-
-
-def _never_flagging(name: str, ranges: Mapping[tuple[str, str], tuple[float, float]],
-                    cfg: DetectorConfig) -> frozenset[tuple[str, str]]:
-    """The (component, metric) series of ``ranges`` (series -> the [lo, hi]
-    its samples lie in) whose range ``_never_flags`` clears under ``cfg``.
-    Memoised on ``name``, which must name the same ranges on every call, and
-    on ``_never_flags_inputs(cfg)``."""
-    key = (name, _never_flags_inputs(cfg))
-    never = _NEVER_FLAGGING.get(key)
-    if never is None:
-        never = frozenset(series for series, (lo, hi) in ranges.items()
-                          if _never_flags(lo, hi, series[1], cfg))
-        if len(_NEVER_FLAGGING) >= _NEVER_FLAGGING_SIZE:
-            _NEVER_FLAGGING.clear()
-        _NEVER_FLAGGING[key] = never
-    return never
 
 
 def _pstdev(values: list[float]) -> float:

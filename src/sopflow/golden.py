@@ -127,7 +127,7 @@ _INCIDENTS = [
 
 def golden_sops() -> list[SopDoc]:
     return [
-        SopDoc(id=sop_id, name=name, steps=list(steps), level=0)
+        SopDoc(id=sop_id, name=name, steps=steps, level=0)
         for sop_id, name, steps in (_SOPS[ft] for ft in FaultType)
     ]
 

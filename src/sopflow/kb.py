@@ -142,7 +142,7 @@ class SopDoc(schema.Bounded):
     id: str = field(metadata=_ID)
     name: str = field(metadata=schema.NON_BLANK)
     level: int = field(default=0, kw_only=True, metadata=schema.NON_NEGATIVE)
-    steps: list[str] = field(metadata=_STEPS)
+    steps: tuple[str, ...] = field(metadata=_STEPS)
 
 
 @dataclass(frozen=True)

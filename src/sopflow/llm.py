@@ -74,7 +74,7 @@ class BackendConfig(schema.Bounded):
     credential_env: str = DEFAULT_CREDENTIAL_ENV
     embed_dim: int = field(default=DEFAULT_EMBED_DIM, metadata=schema.POSITIVE_INT)
     embed_seed: int = 0
-    script: list[ScriptEntry] = field(default_factory=list, metadata=schema.INTERNAL)
+    script: tuple[ScriptEntry, ...] = field(default=(), metadata=schema.INTERNAL)
 
     def __post_init__(self):
         super().__post_init__()

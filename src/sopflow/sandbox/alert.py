@@ -13,7 +13,8 @@ first flagged sample: the candidate that sorting every series' first flag
 would pick. It skips the samples it can prove cannot flag: those of a series
 outside the fault footprint at that tick and at every baseline tick, and
 whose nominal value range ``_never_flags`` clears (verdicts that depend on
-the topology and the detector config alone: ``_never_flagging`` memoises them).
+the topology and the frozen detector config alone: ``_never_flagging``
+memoises them, keyed on the topology's name and the config itself).
 A series is in the footprint at a tick exactly when its sample there differs
 from its nominal draw (``Telemetry.footprint``), so the sweep wakes such a
 quiet series only at the ticks a fault changes it.
@@ -32,13 +33,8 @@ rendered on demand, so only what the sweeps reach is computed.
 
 from __future__ import annotations
 
-from ..detector import (
-    DetectorConfig,
-    _baseline_rule,
-    _never_flagging,
-    evaluate_series,
-)
-from .telemetry import Telemetry
+from ..detector import DetectorConfig, _baseline_rule, evaluate_series
+from .telemetry import Telemetry, _never_flagging
 
 _ALERT_BASELINE_SAMPLES = 8  # episode-start samples used as the sweep baseline
 
@@ -53,7 +49,7 @@ def _metric_candidates(telemetry: Telemetry, cfg: DetectorConfig):
     # component, metric, static); a quiet one, whose nominal samples cannot
     # flag, only at ticks it is in the footprint
     loud, quiet = [], {}
-    never = _never_flagging(telemetry.scenario.topology_name, telemetry.nominal_ranges(), cfg)
+    never = _never_flagging(telemetry.scenario.topology_name, cfg)
     for position, (component, metric) in enumerate(telemetry.series_keys()):
         static = cfg.static_thresholds.get(metric) is not None
         if not static and len(baseline_times) < cfg.min_baseline_samples:

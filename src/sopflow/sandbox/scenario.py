@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -28,18 +29,20 @@ class ScenarioConfig(schema.Bounded):
     faults_per_scenario: int = field(default=1, metadata=schema.POSITIVE_INT)
 
 
-@dataclass
-class EpisodeScenario:
+@dataclass(frozen=True)
+class EpisodeScenario(schema.Bounded):
     """A scenario that exists is valid: building one checks its window, each
-    fault against the topology, and that the ground truth is the faults'."""
+    fault against the topology, and that the ground truth is the faults'. It
+    is frozen, ``faults`` a tuple and ``aliases`` read-only, so it stays as
+    checked; it is not hashable, since ``aliases`` is not."""
 
     id: str
     topology_name: str
     seed: int
     window: tuple[int, int]
-    faults: list[FaultSpec]
+    faults: tuple[FaultSpec, ...]
     ground_truth: GroundTruth
-    aliases: dict[str, str] = field(default_factory=dict)
+    aliases: Mapping[str, str] = field(default_factory=dict)
 
     def topology(self) -> Topology:
         return load_fixture(self.topology_name)
@@ -55,6 +58,7 @@ class EpisodeScenario:
         return first.start_s + first.duration_s // 2
 
     def __post_init__(self):
+        super().__post_init__()
         topo = self.topology()
         if self.window[1] <= self.window[0]:
             raise ValidationError("scenario window must be non-empty")
@@ -68,7 +72,7 @@ class EpisodeScenario:
             raise ValidationError("ground truth is not derivable from the fault list")
 
 
-def _derive_ground_truth(faults: list[FaultSpec]) -> GroundTruth:
+def _derive_ground_truth(faults: Sequence[FaultSpec]) -> GroundTruth:
     return GroundTruth(
         locations=tuple(sorted({f.location_id for f in faults})),
         types=tuple(sorted({f.fault_type.value for f in faults})),

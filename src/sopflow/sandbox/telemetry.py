@@ -51,7 +51,7 @@ metric of a down pod, a stressed pod's stressed metric, a node series a
 bandwidth fraction below 1.0 scales, and each service metric its effect
 moves. These are exactly the series with a sample that differs from its
 nominal draw. A sample of any other series is that draw from the series'
-(baseline, sigma), so it lies in its ``Telemetry.nominal_ranges`` entry; a
+(baseline, sigma), so it lies in its nominal range (``_Tables``); a
 stressed pod's sample is its stress draw alone. The alert sweep and a
 static-threshold metric check (``query_may_flag``) use both to skip samples
 they can prove cannot flag; a baseline renders only the samples it keeps.
@@ -76,10 +76,9 @@ from __future__ import annotations
 import bisect
 import functools
 import statistics
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import chain, compress, product
-from types import MappingProxyType
 
 from ..detector import METRIC_CATALOG, DetectorConfig, _never_flags, matches_keyword
 from ..errors import NotFoundError
@@ -279,13 +278,6 @@ class Telemetry:
         from its nominal draw (``_Effects.footprint``). A sample of any other
         series at ``t`` is that draw."""
         return self._effects[t].footprint
-
-    def nominal_ranges(self) -> Mapping[tuple[str, str], tuple[float, float]]:
-        """Each series named by ``series_keys`` -> the least and the greatest
-        value a nominal sample of it can take, read-only and shared by every
-        scenario on the topology. Exact: every step from the clamped draw to
-        the stored value is monotone."""
-        return MappingProxyType(self._tables.nominal_range)
 
     def metric_value(self, component: str, metric: str, t: int) -> float:
         """The sample at tick ``t`` of a series named by ``series_keys``."""
@@ -511,7 +503,8 @@ class _Tables:
     # (component, metric) -> (baseline, sigma) of the series' nominal draws,
     # in sorted key order
     nominal: dict[tuple[str, str], tuple[float, float]]
-    # (component, metric) -> the least and greatest nominal sample
+    # (component, metric) -> the least and greatest nominal sample; exact:
+    # every step from the clamped draw to the stored value is monotone
     nominal_range: dict[tuple[str, str], tuple[float, float]]
     kinds: dict[str, str]                     # component -> "pod" | "service" | "node"
     pods: dict[str, Pod]                      # pod id -> pod, in pod id order
@@ -551,6 +544,14 @@ def _tables(topology_name: str) -> _Tables:
         children={s: tuple(topo.children(s)) for s in topo.services},
         root_pod=topo.pods_of(topo.frontend)[0].id,
     )
+
+
+@functools.lru_cache(maxsize=64)
+def _never_flagging(topology_name: str, cfg: DetectorConfig) -> frozenset[tuple[str, str]]:
+    """The (component, metric) series of the topology whose nominal range
+    ``_never_flags`` clears under the frozen ``cfg``, memoised on both."""
+    return frozenset(key for key, (lo, hi) in _tables(topology_name).nominal_range.items()
+                     if _never_flags(lo, hi, key[1], cfg))
 
 
 @functools.lru_cache(maxsize=1024)

@@ -56,12 +56,14 @@ character other than whitespace), ``NON_EMPTY`` (a sequence with an item),
 its test. A class with bounds subclasses ``Bounded``, so an object is checked
 once, when it is built, in code or by ``from_mapping``, which names the
 section in the error (``config.yaml.detector.k: must be a finite number > 0,
-got -1.0``); a frozen one keeps the values it was checked with. ``check``
-holds one value to one bound outside a class, such as a command-line flag.
+got -1.0``); a frozen one keeps the values it was checked with, lists and
+dicts copied read-only. ``check`` holds one value to one bound outside a
+class, such as a command-line flag.
 """
 
 from __future__ import annotations
 
+import copyreg
 import dataclasses
 import enum
 import functools
@@ -72,6 +74,7 @@ import re
 import threading
 import types
 import typing
+from collections.abc import Mapping
 from pathlib import Path
 
 import yaml
@@ -198,12 +201,25 @@ def _bounds(cls) -> tuple[tuple[str, dict], ...]:
     return tuple((f.name, f.metadata) for f in dataclasses.fields(cls) if callable(_marker(f)))
 
 
+# A checked object's dicts are read-only views (``Bounded``). Copied or pickled,
+# a view is the dict it shows, so ``dataclasses.asdict`` of its owner, which
+# deep-copies what is not a dataclass, list, tuple or dict, gives a plain dict.
+copyreg.pickle(types.MappingProxyType, lambda view: (dict, (dict(view),)))
+_FROZEN = {list: tuple, dict: lambda value: types.MappingProxyType(dict(value))}
+_FROZEN[types.MappingProxyType] = _FROZEN[dict]  # a view's owner could still change it
+
+
 class Bounded:
-    """Base of a dataclass with bounds: building one raises a ``ValidationError``
-    that names the first field whose value breaks its bound. A subclass with
-    a rule across fields checks it in its own ``__post_init__``, after this one."""
+    """Base of a frozen dataclass checked when it is built: building one copies
+    a list field's value into a tuple and a dict's into a read-only view, and
+    raises a ``ValidationError`` that names the first field whose value breaks
+    its bound. A subclass with a rule across fields checks it in its own
+    ``__post_init__``, after this one."""
 
     def __post_init__(self):
+        for name, value in vars(self).items():  # the fields, all set by __init__
+            if (freeze := _FROZEN.get(type(value))) is not None:
+                object.__setattr__(self, name, freeze(value))
         for name, marker in _bounds(type(self)):
             check(name, getattr(self, name), marker)
 
@@ -290,7 +306,7 @@ def _coerce(value, tp, where: str):
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{where}: expected a list, got {value!r}")
         return origin(_coerce(item, args[0], where) for item in value)
-    if origin is dict:
+    if origin in (dict, Mapping):
         if not isinstance(value, dict):
             raise ConfigError(f"{where}: expected a mapping, got {value!r}")
         return {_coerce(k, args[0], where): _coerce(v, args[1], where)

@@ -22,7 +22,8 @@ Grammar (also shown to the program-writing agent):
 ``contains`` is a case-insensitive substring test on the bound observation
 text. ``above``/``below`` compare the last numeric token in the bound
 observation (verdict texts end with their most informative value; component
-names near the front embed meaningless digits); with no numeric token the
+names near the front embed meaningless digits), strictly: a token equal to
+the operand is neither above nor below it. With no numeric token the
 predicate is false. A binding made inside a conditional does not count as
 bound afterwards.
 """

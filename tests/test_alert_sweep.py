@@ -251,18 +251,18 @@ def test_the_trace_sweep_alone_names_the_first_error_span(scenario_id, alert):
     assert reference_alert(render_telemetry(scenario), _STATIC_ONLY) == alert
 
 
-def test_a_detector_config_changed_in_place_gets_fresh_verdicts():
-    # the sweep's memo of never-flagging series is keyed on the values of the
-    # config, not on the object: each change below moves the bound that lets
-    # the sweep skip a series' nominal samples. A frozen config's fields are
-    # changed in a copy; its static_thresholds dict can still be edited in place.
+def test_a_changed_detector_config_gets_fresh_verdicts():
+    # the sweep's memo of never-flagging series is keyed on the config, which
+    # is frozen: each change below, made in a copy, moves the bound that lets
+    # the sweep skip a series' nominal samples
     cfg = DetectorConfig()
     alerts = set()
     for change in (lambda c: c,
-                   lambda c: c.static_thresholds.update(cpu_usage=0.05, memory_usage=0.1) or c,
+                   lambda c: dataclasses.replace(c, static_thresholds={
+                       **c.static_thresholds, "cpu_usage": 0.05, "memory_usage": 0.1}),
                    lambda c: dataclasses.replace(c, min_sigma_frac=0.0),
                    lambda c: dataclasses.replace(c, k=0.5),
-                   lambda c: c.static_thresholds.clear() or c):
+                   lambda c: dataclasses.replace(c, static_thresholds={})):
         cfg = change(cfg)
         for scenario in golden_scenarios()[:3]:
             alert = render_alert(render_telemetry(scenario), cfg)
@@ -326,7 +326,7 @@ def test_untouched_samples_lie_in_their_nominal_range():
     for scenario in golden_scenarios():
         telemetry = render_telemetry(scenario)
         for key, samples in reference_metrics(telemetry):
-            lo, hi = telemetry.nominal_ranges()[key]
+            lo, hi = telemetry._tables.nominal_range[key]
             for t, value in samples:
                 if key not in telemetry.footprint(t):
                     assert lo <= value <= hi

@@ -13,12 +13,14 @@ from sopflow.detector import (
     DetectorConfig,
     _baseline_rule,
     _never_flags,
-    _never_flags_inputs,
     _pstdev,
     evaluate_series,
     matches_keyword,
 )
 from sopflow.errors import ConfigError, ValidationError
+from sopflow.golden import golden_scenarios
+from sopflow.sandbox import render_alert, render_telemetry
+from sopflow.sandbox.telemetry import _never_flagging, _tables
 from sopflow.schema import from_mapping
 
 
@@ -134,8 +136,9 @@ class TestNeverFlags:
             assert _never_flags(lo, hi, "m", cfg) is not _sweep_flags([lo] * 8, hi, "m", cfg)
 
     def test_the_memo_key_holds_every_config_value_read(self):
-        # _never_flagging memoises verdicts on _never_flags_inputs(cfg): a value
-        # _never_flags reads but the key lacks would leave the memo stale
+        # _never_flagging memoises verdicts on the frozen config itself: a
+        # value _never_flags reads that the config did not compare would
+        # leave the memo stale
         cfg = DetectorConfig()
         read = set()
 
@@ -148,13 +151,23 @@ class TestNeverFlags:
             for lo, hi in ((0.0, 1.0), (10.0, 10.5)):
                 _never_flags(lo, hi, metric, Recording())
         assert read == {"k", "min_sigma_frac", "static_thresholds"}
-        key = _never_flags_inputs(cfg)
-        # a frozen config's fields change in a copy; its static_thresholds dict
-        # can still be edited in place
-        for change in (lambda c: dataclasses.replace(c, k=2.0),
-                       lambda c: dataclasses.replace(c, min_sigma_frac=0.2),
-                       lambda c: c.static_thresholds.update(cpu_usage=0.5) or c):
-            assert _never_flags_inputs(change(DetectorConfig())) != key
+        assert read <= {f.name for f in dataclasses.fields(DetectorConfig) if f.compare}
+        topology = "online-boutique"
+        _never_flagging.cache_clear()
+        verdicts = _never_flagging(topology, cfg)
+        # an equal config, built anew, hits the memo
+        assert _never_flagging(topology, DetectorConfig()) is verdicts
+        assert _never_flagging.cache_info().hits == 1
+        # a config that differs in a value read gets fresh verdicts
+        ranges = _tables(topology).nominal_range
+        for changed in (dataclasses.replace(cfg, k=0.5),
+                        dataclasses.replace(cfg, min_sigma_frac=0.01),
+                        dataclasses.replace(cfg, static_thresholds={"cpu_usage": 0.2})):
+            fresh = _never_flagging(topology, changed)
+            assert fresh != verdicts
+            assert fresh == {key for key, (lo, hi) in ranges.items()
+                             if _never_flags(lo, hi, key[1], changed)}
+        assert _never_flagging.cache_info().misses == 4
 
     def test_static_bound_is_the_threshold(self):
         cfg = DetectorConfig(static_thresholds={"throughput_rps": 0.5})
@@ -282,6 +295,29 @@ class TestConfigValidation:
         DetectorConfig()
         _detector_config({"k": 0.01, "min_sigma_frac": 0, "min_baseline_samples": 1,
                           "baseline_lookback_samples": 1, "static_thresholds": {}})
+
+    def test_a_built_config_cannot_change(self):
+        cfg = DetectorConfig()
+        # a NaN threshold set in place once turned the golden CpuStress
+        # alert from a metric signal into a log one, with no error
+        with pytest.raises(TypeError):
+            cfg.static_thresholds["cpu_usage"] = float("nan")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.static_thresholds = {"cpu_usage": float("nan")}
+        # a dict passed in is copied, so a later change to it does not reach
+        thresholds = {"cpu_usage": 0.8}
+        copied = DetectorConfig(static_thresholds=thresholds)
+        thresholds["cpu_usage"] = float("nan")
+        assert copied.static_thresholds == {"cpu_usage": 0.8}
+        (scenario,) = [s for s in golden_scenarios() if s.id == "scn-01000-cpustress"]
+        assert "\nsignal: metric\n" in render_alert(render_telemetry(scenario), cfg)
+
+    def test_equal_configs_hash_alike_and_thresholds_still_count(self):
+        assert hash(DetectorConfig()) == hash(DetectorConfig(static_thresholds={}))
+        assert DetectorConfig() != DetectorConfig(static_thresholds={})
+        assert DetectorConfig(static_thresholds={"cpu_usage": 0.8}) == dataclasses.replace(
+            DetectorConfig(static_thresholds={"cpu_usage": 0.5}),
+            static_thresholds={"cpu_usage": 0.8})
 
     def test_an_invalid_detector_is_refused_when_built(self):
         # so no episode can start under one

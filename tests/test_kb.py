@@ -114,9 +114,9 @@ class TestStore:
         (SopDoc, {"id": "sop x"}, f"id: {_BAD_ID}, got 'sop x'"),
         (SopDoc, {"id": "sop-a\n"}, f"id: {_BAD_ID}, got 'sop-a\\n'"),
         (SopDoc, {"name": "\t"}, "name: must be a non-blank string, got '\\t'"),
-        (SopDoc, {"steps": []}, "steps: must be a non-empty list of non-blank strings, got []"),
+        (SopDoc, {"steps": []}, "steps: must be a non-empty list of non-blank strings, got ()"),
         (SopDoc, {"steps": ["s", " "]},
-         "steps: must be a non-empty list of non-blank strings, got ['s', ' ']"),
+         "steps: must be a non-empty list of non-blank strings, got ('s', ' ')"),
         (SopDoc, {"level": -1}, "level: must be a finite number >= 0, got -1"),
         (HistoricalIncident, {"id": ""}, f"id: {_BAD_ID}, got ''"),
         (HistoricalIncident, {"manifestation": " "}, "manifestation: must be a non-blank "
@@ -255,7 +255,7 @@ class TestPersistence:
 
         reloaded = KnowledgeBase(scripted_backend(), root=root)
         doc = reloaded.get_sop("sop-a")
-        assert doc.name == "first procedure" and doc.steps == ["one", "two"] and doc.level == 2
+        assert doc.name == "first procedure" and doc.steps == ("one", "two") and doc.level == 2
         inc = reloaded.get_incident("inc-a")
         assert inc.fault_type == "PodFailure"
         assert (root / "embedding_cache.json").exists()
@@ -385,7 +385,7 @@ class TestPersistence:
         ("sops", "id: sop-x\nname: x\nsteps: inspect\n", "expected a list"),
         ("sops", "id: sop-x\nname: x\nsteps: [inspect]\nlevle: 2\n", "'levle'"),
         ("sops", "id: sop-x\nname: x\nsteps: []\n",
-         r"\.steps: must be a non-empty list of non-blank strings, got \[\]$"),
+         r"\.steps: must be a non-empty list of non-blank strings, got \(\)$"),
         ("incidents", "id: inc-x\nmanifestation: m\nfault_typ: PodFailure\n",
          "'fault_typ'"),
     ])

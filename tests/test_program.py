@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -154,6 +155,22 @@ class TestExecution:
         result = run_program(program, ctx)
         assert result.success
         assert len(result.findings) == 1
+        assert result.findings[0].startswith("peak breached")
+
+    @pytest.mark.parametrize("kind, offset, fires", [
+        ("above", -0.125, True), ("above", 0.0, False), ("above", 0.125, False),
+        ("below", 0.125, True), ("below", 0.0, False), ("below", -0.125, False),
+    ])
+    def test_above_and_below_fire_strictly_on_their_own_side(self, kind, offset, fires):
+        ctx = make_ctx(fault_scenario(FaultType.CpuStress))
+        fault = ctx.telemetry.scenario.faults[0]
+        let = (f'let usage = whether_is_abnormal_metric(target="{fault.location_id}", '
+               f'metric="cpu_usage", start_s={fault.start_s}, end_s={fault.end_s})\n')
+        (observed,) = run_program(parse_program(let + "finding(usage)"), ctx).findings
+        peak = re.findall(r"-?\d+(?:\.\d+)?", observed)[-1]  # the token compared
+        operand = peak if offset == 0.0 else f"{float(peak) + offset:.6f}"
+        program = parse_program(let + f'if {kind}(usage, {operand}): finding("fired")')
+        assert run_program(program, ctx).findings == (["fired"] if fires else [])
 
     def test_predicate_without_numeric_token_is_false(self, registry, quiet_ctx):
         program = parse_program(

@@ -73,6 +73,11 @@ class TestScenarioGeneration:
         assert scenario.ground_truth.locations == (fault.location_id,)
         assert scenario.ground_truth.types == (fault.fault_type.value,)
 
+    def test_a_ground_truth_other_than_the_faults_is_refused(self):
+        scenario = generate_scenario(11)
+        with pytest.raises(ValidationError, match="ground truth is not derivable"):
+            dataclasses.replace(scenario, ground_truth=GroundTruth(("frontend-0",), ("CpuStress",)))
+
     def test_fault_target_kind_enforced(self):
         topo = load_fixture("online-boutique")
         bad = FaultSpec(FaultType.CpuStress, "edge:frontend->cartservice", 180, 240, 0.9)
@@ -107,6 +112,35 @@ class TestScenarioGeneration:
                 faults=[fault],
                 ground_truth=GroundTruth(("node-1<->node-2",), ("NetworkBandwidth",)),
             )
+
+    def test_a_built_scenario_cannot_change(self):
+        # a fault replaced in place once skipped the scenario's check, and
+        # the alert read "sample inf deviates inf"
+        (scenario,) = [s for s in golden.golden_scenarios()
+                       if s.id == "scn-01008-networkbandwidth"]
+        alert = render_alert(render_telemetry(scenario))
+        subnormal = dataclasses.replace(scenario.faults[0], magnitude=1e-320)
+        with pytest.raises(TypeError):
+            scenario.faults[0] = subnormal
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            scenario.faults = (subnormal,)
+        with pytest.raises(TypeError):
+            scenario.aliases["node-1"] = "node-2"
+        # a change is made in a copy, which is checked again
+        with pytest.raises(ValidationError, match="has no finite reciprocal"):
+            dataclasses.replace(scenario, faults=[subnormal])
+        assert render_alert(render_telemetry(scenario)) == alert
+        assert "deviates inf" not in alert
+
+    def test_a_list_passed_to_a_scenario_is_copied(self):
+        scenario = generate_scenario(11)
+        faults = list(scenario.faults)
+        copy = dataclasses.replace(scenario, faults=faults)
+        faults.clear()
+        assert copy.faults == scenario.faults and type(copy.faults) is tuple
+        # frozen, but not hashable: its aliases are a read-only mapping
+        with pytest.raises(TypeError):
+            hash(scenario)
 
     def test_concurrent_faults_option(self):
         config = ScenarioConfig(
@@ -184,7 +218,7 @@ class TestScenarioGeneration:
         mapping.update(faults=[], ground_truth={"locations": [], "types": []})
         path.write_text(json.dumps(mapping))
         scenario = load_scenario(path)
-        assert scenario.faults == [] and scenario.ground_truth == GroundTruth((), ())
+        assert scenario.faults == () and scenario.ground_truth == GroundTruth((), ())
 
     @pytest.mark.parametrize("edit, complaint", [
         (('"seed": 79', '"seed": 1.5'), "scenario.seed: expected an integer, got 1.5"),

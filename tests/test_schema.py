@@ -1,5 +1,7 @@
 import ast
+import dataclasses
 import pathlib
+import types
 import re
 
 import pytest
@@ -177,6 +179,37 @@ def test_integral_floats_and_numbers_still_coerce(tmp_path):
     assert cfg.eval.agent.max_steps == 7 and type(cfg.eval.agent.max_steps) is int
     assert cfg.eval.sigma == 1.0 and type(cfg.eval.sigma) is float
     assert cfg.backend.model == "123"
+
+
+def test_a_read_only_mapping_field_coerces_its_values(tmp_path):
+    path = tmp_path / "config.yaml"
+    path.write_text("detector: {static_thresholds: {cpu_usage: 1}}\n")
+    thresholds = load_config(path).detector.static_thresholds
+    assert type(thresholds) is types.MappingProxyType
+    assert type(thresholds["cpu_usage"]) is float
+
+
+def test_a_checked_object_holds_read_only_copies_of_its_lists_and_dicts():
+    @dataclasses.dataclass(frozen=True)
+    class Checked(schema.Bounded):
+        items: list
+        table: dict
+
+    items, table = [1.0], {"a": [1.0]}
+    checked = Checked(items, table)
+    viewed = Checked(items, types.MappingProxyType(table))
+    items.append(2.0)
+    table["a"] = 2.0
+    assert checked.items == (1.0,) and checked.table == {"a": [1.0]}
+    assert viewed.table == {"a": [1.0]}
+    with pytest.raises(TypeError):
+        checked.table["a"] = 3.0
+    with pytest.raises(TypeError):
+        hash(checked.table)
+    # asdict deep-copies a read-only view into a plain dict, as it did the dict
+    assert dataclasses.asdict(checked) == {"items": (1.0,), "table": {"a": [1.0]}}
+    assert type(dataclasses.asdict(checked)["table"]) is dict
+    assert dataclasses.asdict(checked)["table"]["a"] is not checked.table["a"]
 
 
 @pytest.mark.parametrize("edit, where", [

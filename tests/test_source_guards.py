@@ -1,10 +1,17 @@
 """Guards on the shape of ``src/``: what it defines, something in it uses."""
 
 import ast
+import dataclasses
+import importlib
+import inspect
 import pathlib
+import textwrap
+import types
 from collections import Counter
+from collections.abc import Mapping, MutableMapping, MutableSequence, MutableSet
 
 import sopflow
+from sopflow import schema
 
 # Functions no code in ``src/`` names, each kept for a stated reason, keyed
 # "<path under src/sopflow>::<qualified name>".
@@ -290,3 +297,93 @@ def depth(report: "Report | None", unknown):
     # an object of no stated class may be of any: its reads count for every class
     sources["m.py"] += "\ndef anything(obj):\n    return obj.level, obj.verbose\n"
     assert _unread_fields(sources) == []
+
+
+# Fields of a class that checks itself whose built value can still change in
+# place, each kept for a stated reason, keyed "<path under src/sopflow>::<class>.<field>".
+_CHANGEABLE: dict[str, str] = {}
+
+
+def _built():
+    """An instance of each class in ``src/`` that checks itself, keyed as
+    ``_CHANGEABLE`` is without the field, built the way ``src/`` builds one:
+    a list or dict where a caller passes one."""
+    from sopflow.agents.types import ActionCandidate, ActionSet, AgentConfig
+    from sopflow.detector import DetectorConfig
+    from sopflow.evaluation import EvalConfig
+    from sopflow.kb import EmbeddingVector, HistoricalIncident, KbSettings, SopDoc
+    from sopflow.llm import BackendConfig, ChatMessage, ScriptEntry
+    from sopflow.sandbox import FaultType, ScenarioConfig, generate_scenario
+    from sopflow.sandbox.scenario import scenario_from_mapping, scenario_to_mapping
+
+    candidate = ActionCandidate("match_sop", {"query": "alert"})
+    scenario = {**scenario_to_mapping(generate_scenario(1)), "aliases": {"a": "b"}}
+    return {
+        "agents/types.py::ActionSet": ActionSet([candidate], 1, [candidate], ["evicted 1"]),
+        "agents/types.py::AgentConfig": AgentConfig(),
+        "detector.py::DetectorConfig": DetectorConfig(static_thresholds={"cpu_usage": 0.8},
+                                                      anomaly_keywords=["oom"]),
+        "evaluation.py::EvalConfig": EvalConfig(),
+        "kb.py::EmbeddingVector": EmbeddingVector.of([1.0]),
+        "kb.py::HistoricalIncident": HistoricalIncident(id="inc-x", manifestation="m"),
+        "kb.py::KbSettings": KbSettings(),
+        "kb.py::SopDoc": SopDoc(id="sop-x", name="x", steps=["inspect"]),
+        "llm.py::BackendConfig": BackendConfig(script=[ScriptEntry("*", "reply")]),
+        "llm.py::ChatMessage": ChatMessage("user", "hello"),
+        "sandbox/scenario.py::EpisodeScenario": scenario_from_mapping(scenario),
+        "sandbox/scenario.py::ScenarioConfig": ScenarioConfig(fault_types=[FaultType.CpuStress]),
+    }
+
+
+def _checks_itself(cls) -> bool:
+    """Whether building ``cls`` checks it: it subclasses ``schema.Bounded``,
+    or it defines a ``__post_init__`` that raises."""
+    if issubclass(cls, schema.Bounded):
+        return cls is not schema.Bounded
+    post_init = vars(cls).get("__post_init__")
+    return post_init is not None and any(
+        isinstance(node, ast.Raise)
+        for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(post_init)))))
+
+
+def _changeable(value) -> bool:
+    """Whether ``value`` is a list, dict or set, or a tuple, frozenset or
+    read-only mapping that holds one. Another object it holds answers for
+    itself: one that checks itself is checked as its own class is."""
+    if isinstance(value, (MutableSequence, MutableMapping, MutableSet)):
+        return True
+    if isinstance(value, (tuple, frozenset)):
+        return any(map(_changeable, value))
+    if isinstance(value, Mapping):
+        return any(map(_changeable, value.values()))
+    return False
+
+
+def test_every_class_that_checks_itself_is_frozen_and_holds_nothing_changeable():
+    # a value changed after the check that passed it is never checked again
+    package_root = pathlib.Path(sopflow.__file__).parent
+    checking = {}
+    for path in sorted(package_root.rglob("*.py")):
+        rel = path.relative_to(package_root)
+        parts = [part for part in rel.with_suffix("").parts if part != "__init__"]
+        module = importlib.import_module(".".join(("sopflow", *parts)))
+        checking.update((f"{rel.as_posix()}::{cls.__name__}", cls)
+                        for cls in vars(module).values()
+                        if isinstance(cls, type) and cls.__module__ == module.__name__
+                        and _checks_itself(cls))
+    built = _built()
+    assert sorted(checking) == sorted(built)  # each has an instance above
+    changeable = []
+    for key, cls in checking.items():
+        assert dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen, key
+        assert type(built[key]) is cls
+        changeable += [f"{key}.{f.name}" for f in dataclasses.fields(cls)
+                       if _changeable(getattr(built[key], f.name))]
+    assert sorted(changeable) == sorted(_CHANGEABLE)
+
+
+def test_changeable_tells_a_frozen_value_from_one_that_is_not():
+    assert not _changeable((1, types.MappingProxyType({"a": (2,)}), frozenset({3})))
+    assert _changeable(((1, [2]),))
+    assert _changeable(types.MappingProxyType({"a": {"b": 1}}))
+    assert _changeable(bytearray(b"x")) and _changeable({1})

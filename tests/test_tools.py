@@ -258,6 +258,16 @@ class TestAnalysisTools:
         assert not result.success
         assert result.observation == "tool error: unknown pod 'ghost-0'"
 
+    def test_kubectl_describe_pod_is_ready_only_while_running(self, registry):
+        ctx = make_ctx(fault_scenario(FaultType.PodFailure))
+        down = ctx.telemetry.scenario.faults[0].location_id
+        up = next(pod.id for pod in ctx.telemetry.topology.pods if pod.id != down)
+        described = {pod: registry.execute("run_kubectl_command",
+                                           {"command": f"describe pod {pod}"}, ctx).observation
+                     for pod in (up, down)}
+        assert described[up].endswith("\nPhase:    running\nReady:    True")
+        assert described[down].endswith("\nPhase:    failed\nReady:    False")
+
     def test_get_all_namespace(self, registry, quiet_ctx):
         result = registry.execute("get_all_namespace", {}, quiet_ctx)
         assert "default" in result.observation
