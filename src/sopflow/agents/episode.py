@@ -53,7 +53,7 @@ from ..prompts import (
 )
 from ..sandbox import EpisodeScenario, render_alert, render_telemetry
 from ..schema import write_atomic
-from ..tools import SpeakReport, ToolContext, ToolResult, build_registry
+from ..tools import ToolContext, ToolResult, build_registry
 from ..tools.sop_flow import coder_prompt
 from . import roles
 from .flow_rules import apply_flow_rules, fallback_candidate, speak_awaits_judge
@@ -394,8 +394,8 @@ class _Runtime:
         self._post_hooks(record)
         state.step_count += 1
 
-        if result.success and isinstance(result.payload, SpeakReport):
-            causes = result.payload.causes
+        if result.success and chosen.tool == "speak":
+            causes = result.payload
             state.diagnosis = DiagnosisResult(
                 locations=tuple(dict.fromkeys(c.location for c in causes)),
                 types=tuple(dict.fromkeys(c.fault_type for c in causes)),

@@ -5,6 +5,7 @@ generate_sop_code tool."""
 
 from __future__ import annotations
 
+import math
 import re
 
 from ..tools import RootCause, ToolRegistry
@@ -62,9 +63,11 @@ def parse_action_line(line: str) -> tuple[str, dict, str] | None:
             value: object = raw[1:-1]
         else:
             try:
-                value = float(raw)
+                number = float(raw)
             except ValueError:
-                value = raw
+                number = math.nan
+            # nan, inf and 1e400 stay text, so the transcript stays JSON
+            value = number if math.isfinite(number) else raw
         args[name.strip()] = value
     return tool, args, rationale.strip()
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import schema
 from .agents import OUTCOME_ABORTED, OUTCOME_BUDGET, OUTCOME_COMPLETED, run_episode, write_transcript
-from .config import AppConfig, load_config
+from .config import load_config
 from .errors import ConfigError, SopflowError
 from .evaluation import load_corpus, report_table, run_benchmark, save_report
 from .kb import HistoricalIncident, KnowledgeBase, SopDoc
@@ -33,10 +33,8 @@ def _build_parser() -> argparse.ArgumentParser:
     kb_add.add_argument("--file", required=True, help="YAML document to add")
     kb_add.add_argument("--kind", choices=("sop", "incident"), default="sop")
     kb_add.add_argument("--kb", required=True, help="knowledge base directory")
-    kb_add.add_argument("--config", default=None)
     kb_list = kb_sub.add_parser("list", help="list stored documents")
     kb_list.add_argument("--kb", required=True)
-    kb_list.add_argument("--config", default=None)
     kb_match = kb_sub.add_parser("match", help="retrieve documents for a query")
     kb_match.add_argument("--kb", required=True)
     kb_match.add_argument("--query", required=True)
@@ -74,14 +72,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _open_kb(app: AppConfig, backend, kb_dir: str | None) -> KnowledgeBase:
-    """The knowledge base in ``kb_dir``, or a memory-only one without it."""
-    return KnowledgeBase(backend, root=kb_dir, settings=app.kb)
-
-
 def _cmd_kb(args) -> int:
-    app = load_config(args.config)
-    kb = _open_kb(app, make_backend(app.backend), args.kb)
+    if args.kb_command == "match":
+        app = load_config(args.config)
+        kb = KnowledgeBase(make_backend(app.backend), root=args.kb, settings=app.kb)
+    else:  # listing and adding a document embed and retrieve nothing
+        kb = KnowledgeBase(None, root=args.kb)
     if args.kb_command == "list":
         sops = kb.list_sops()
         incidents = kb.list_incidents()
@@ -134,7 +130,7 @@ def _cmd_diagnose(args) -> int:
     scenario = load_scenario(args.scenario)
     backend_cfg = scripted_config(args.script, app.backend) if args.script else app.backend
     backend = make_backend(backend_cfg)
-    kb = _open_kb(app, backend, args.kb or None)
+    kb = KnowledgeBase(backend, root=args.kb or None, settings=app.kb)
     agent_cfg = app.eval.agent
     if args.max_steps is not None:
         agent_cfg = replace(agent_cfg, max_steps=args.max_steps)

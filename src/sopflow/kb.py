@@ -110,6 +110,8 @@ def _read_cache(path: Path) -> dict[str, EmbeddingVector]:
             cache[key] = EmbeddingVector.of(values)
         except ValidationError as exc:
             raise ConfigError(f"{path}: the entry for {key!r}: {exc}") from exc
+        if cache[key].norm2 == 0.0:  # it would fail every match against it
+            raise ConfigError(f"{path}: the entry for {key!r} is a zero vector")
         if not _CACHE_KEY_RE.fullmatch(key):
             raise ConfigError(f"{path}: the key {key!r} is not <backend id>:<sha256 of "
                               f"the text>")

@@ -266,6 +266,10 @@ class RemoteBackend:
         if not isinstance(content, str):
             raise BackendError(f"malformed completion response: content is "
                                f"{type(content).__name__}, not a string")
+        try:  # JSON may escape a lone surrogate, which no transcript can hold
+            content.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise BackendError(f"malformed completion response: {exc}") from exc
         return content
 
     def embed(self, text: str) -> EmbeddingVector:
@@ -279,7 +283,10 @@ class RemoteBackend:
                 and all(map(schema.finite, values))):
             raise BackendError(f"malformed embedding response: expected a list of "
                                f"{self.embed_dim} finite numbers")
-        return EmbeddingVector.of(values)
+        vector = EmbeddingVector.of(values)
+        if vector.norm2 == 0.0:
+            raise BackendError("malformed embedding response: a zero vector")
+        return vector
 
 
 def make_backend(config: BackendConfig):

@@ -12,13 +12,12 @@ from .program import (
     MAX_STATEMENTS,
     PROGRAM_TOOL_CATEGORIES,
     ProgramRunResult,
-    SopProgram,
     parse_program,
     run_program,
     validate_program,
 )
 from .registry import SopFlowState, ToolContext, ToolParam, ToolRegistry, ToolResult, ToolSpec
-from .terminal import MAX_ROOT_CAUSES, RootCause, SpeakReport, encode_causes, parse_causes
+from .terminal import RootCause, encode_causes, parse_causes
 
 _P = ToolParam
 
@@ -118,8 +117,6 @@ __all__ = [
     "ProgramRunResult",
     "RootCause",
     "SopFlowState",
-    "SopProgram",
-    "SpeakReport",
     "ToolContext",
     "ToolParam",
     "ToolRegistry",

@@ -59,48 +59,28 @@ _FENCE_RE = re.compile(r"```[a-zA-Z0-9]*\n(.*?)```", re.DOTALL)
 
 
 @dataclass(frozen=True)
-class Literal:
-    value: object  # str | float
-
-
-@dataclass(frozen=True)
 class VarRef:
     name: str
 
 
 @dataclass(frozen=True)
-class ToolCall:
-    tool: str
-    args: tuple[tuple[str, object], ...]  # (name, Literal|VarRef)
-
-
-@dataclass(frozen=True)
 class CallStmt:
-    call: ToolCall
+    tool: str
+    args: tuple[tuple[str, object], ...]  # (name, str|float|VarRef)
     var: str | None = None
 
 
 @dataclass(frozen=True)
 class FindingStmt:
-    parts: tuple[object, ...]  # Literal|VarRef
-
-
-@dataclass(frozen=True)
-class Predicate:
-    kind: str  # "contains" | "above" | "below"
-    var: str
-    operand: object  # str for contains, float otherwise
+    parts: tuple[object, ...]  # str|float|VarRef
 
 
 @dataclass(frozen=True)
 class CondStmt:
-    predicate: Predicate
+    kind: str  # "contains" | "above" | "below"
+    var: str
+    operand: object  # str for contains, float otherwise
     body: object  # CallStmt | FindingStmt
-
-
-@dataclass(frozen=True)
-class SopProgram:
-    statements: tuple[object, ...]
 
 
 @dataclass
@@ -144,15 +124,15 @@ def split_args(text: str) -> list[str]:
 def _parse_value(token: str):
     token = token.strip()
     if token.startswith('"') and token.endswith('"') and len(token) >= 2:
-        return Literal(token[1:-1])
+        return token[1:-1]
     if _NUMBER_RE.match(token):
-        return Literal(float(token))
+        return float(token)
     if re.fullmatch(_IDENT, token):
         return VarRef(token)
     raise GenerationParseError(f"cannot parse value {token!r}")
 
 
-def _parse_call(text: str) -> ToolCall:
+def _parse_call(text: str, var: str | None = None) -> CallStmt:
     match = _CALL_RE.match(text.strip())
     if not match:
         raise GenerationParseError(f"cannot parse tool call {text!r}")
@@ -166,14 +146,14 @@ def _parse_call(text: str) -> ToolCall:
         if not re.fullmatch(_IDENT, name):
             raise GenerationParseError(f"bad argument name {name!r}")
         args.append((name, _parse_value(value)))
-    return ToolCall(tool=tool, args=tuple(args))
+    return CallStmt(tool=tool, args=tuple(args), var=var)
 
 
 def _parse_simple(line: str):
     """A statement legal on its own or as a conditional body."""
     let_match = _LET_RE.match(line)
     if let_match:
-        return CallStmt(call=_parse_call(let_match.group(2)), var=let_match.group(1))
+        return _parse_call(let_match.group(2), var=let_match.group(1))
     finding_match = _CALL_RE.match(line.strip())
     if finding_match and finding_match.group(1) == "finding":
         # finding takes positional parts, not name=value arguments
@@ -181,7 +161,7 @@ def _parse_simple(line: str):
         if not parts:
             raise GenerationParseError("finding() needs at least one part")
         return FindingStmt(parts=parts)
-    return CallStmt(call=_parse_call(line))
+    return _parse_call(line)
 
 
 def _parse_line(line: str):
@@ -197,20 +177,17 @@ def _parse_line(line: str):
         if not re.fullmatch(_IDENT, var_token):
             raise GenerationParseError(f"predicate variable {var_token!r} is not a name")
         operand = _parse_value(pieces[1])
-        if kind == "contains":
-            if not isinstance(operand, Literal) or not isinstance(operand.value, str):
-                raise GenerationParseError("contains() needs a string literal")
-            pred = Predicate("contains", var_token, operand.value)
-        else:
-            if not isinstance(operand, Literal) or not isinstance(operand.value, float):
-                raise GenerationParseError(f"{kind}() needs a numeric literal")
-            pred = Predicate(kind, var_token, operand.value)
-        return CondStmt(predicate=pred, body=_parse_simple(body.strip()))
+        if kind == "contains" and not isinstance(operand, str):
+            raise GenerationParseError("contains() needs a string literal")
+        if kind != "contains" and not isinstance(operand, float):
+            raise GenerationParseError(f"{kind}() needs a numeric literal")
+        return CondStmt(kind, var_token, operand, _parse_simple(body.strip()))
     return _parse_simple(line)
 
 
-def parse_program(text: str) -> SopProgram:
-    """Parse reply text into a program; accepts an optional fenced block."""
+def parse_program(text: str) -> tuple:
+    """Parse reply text into a tuple of statements; accepts an optional fenced
+    block."""
     fence = _FENCE_RE.search(text)
     body = fence.group(1) if fence else text
     statements = []
@@ -221,18 +198,10 @@ def parse_program(text: str) -> SopProgram:
         statements.append(_parse_line(line))
     if not statements:
         raise GenerationParseError("no program statements found")
-    return SopProgram(statements=tuple(statements))
+    return tuple(statements)
 
 
 # -- validation -----------------------------------------------------------------
-
-
-def _call_violations(call: ToolCall, registry: ToolRegistry, bound: set[str]) -> list[str]:
-    out = registry.check_args(call.tool, [name for name, _ in call.args])
-    if registry.has(call.tool) and \
-            registry.spec(call.tool).category not in PROGRAM_TOOL_CATEGORIES:
-        out.insert(0, f"tool {call.tool!r} is not callable from programs")
-    return out + _unbound([value for _, value in call.args], bound)
 
 
 def _unbound(values, bound: set[str]) -> list[str]:
@@ -243,21 +212,23 @@ def _unbound(values, bound: set[str]) -> list[str]:
 def _statement_violations(stmt, registry: ToolRegistry, bound: set[str]) -> list[str]:
     """The violations of a call or finding statement, given the names bound
     before it."""
-    if isinstance(stmt, CallStmt):
-        return _call_violations(stmt.call, registry, bound)
-    return _unbound(stmt.parts, bound)
+    if isinstance(stmt, FindingStmt):
+        return _unbound(stmt.parts, bound)
+    out = registry.check_args(stmt.tool, [name for name, _ in stmt.args])
+    if registry.has(stmt.tool) and \
+            registry.spec(stmt.tool).category not in PROGRAM_TOOL_CATEGORIES:
+        out.insert(0, f"tool {stmt.tool!r} is not callable from programs")
+    return out + _unbound([value for _, value in stmt.args], bound)
 
 
-def validate_program(program: SopProgram, registry: ToolRegistry) -> list[str]:
+def validate_program(program: tuple, registry: ToolRegistry) -> list[str]:
     violations: list[str] = []
-    if len(program.statements) > MAX_STATEMENTS:
-        violations.append(
-            f"program has {len(program.statements)} statements (max {MAX_STATEMENTS})"
-        )
+    if len(program) > MAX_STATEMENTS:
+        violations.append(f"program has {len(program)} statements (max {MAX_STATEMENTS})")
     bound: set[str] = set()
-    for idx, stmt in enumerate(program.statements):
+    for idx, stmt in enumerate(program):
         if isinstance(stmt, CondStmt):
-            found = _unbound([VarRef(stmt.predicate.var)], bound)
+            found = _unbound([VarRef(stmt.var)], bound)
             # a conditional binding may never happen, so it stays unbound
             found += _statement_violations(stmt.body, registry, bound)
         else:
@@ -271,55 +242,53 @@ def validate_program(program: SopProgram, registry: ToolRegistry) -> list[str]:
 # -- execution ------------------------------------------------------------------
 
 
-def _format_call(call: ToolCall) -> str:
+def _format_call(stmt: CallStmt) -> str:
     args = ", ".join(
-        f"{name}={value.value!r}" if isinstance(value, Literal) else f"{name}={value.name}"
-        for name, value in call.args
+        f"{name}={value.name}" if isinstance(value, VarRef) else f"{name}={value!r}"
+        for name, value in stmt.args
     )
-    return f"{call.tool}({args})"
+    return f"{stmt.tool}({args})"
 
 
 def _value(part, env: dict):
-    """A literal's value, or the observation text bound to a name (bound:
+    """A literal, or the observation text bound to a name (bound:
     ``validate_program`` rules out an unbound one)."""
-    if isinstance(part, Literal):
-        return part.value
-    return env[part.name].observation
+    return env[part.name].observation if isinstance(part, VarRef) else part
 
 
-def _predicate_holds(pred: Predicate, env: dict) -> tuple[bool, str]:
-    text = _value(VarRef(pred.var), env)
-    if pred.kind == "contains":
-        holds = str(pred.operand).lower() in text.lower()
-        return holds, f"contains({pred.var}, {pred.operand!r})={holds}"
+def _predicate_holds(stmt: CondStmt, env: dict) -> tuple[bool, str]:
+    text = env[stmt.var].observation
+    if stmt.kind == "contains":
+        holds = stmt.operand.lower() in text.lower()
+        return holds, f"contains({stmt.var}, {stmt.operand!r})={holds}"
     tokens = _FLOAT_IN_TEXT_RE.findall(text)
     if not tokens:
-        return False, f"{pred.kind}({pred.var}, {pred.operand})=false (no numeric token)"
+        return False, f"{stmt.kind}({stmt.var}, {stmt.operand})=false (no numeric token)"
     number = float(tokens[-1])
-    holds = number > pred.operand if pred.kind == "above" else number < pred.operand
-    return holds, f"{pred.kind}({pred.var}, {pred.operand})={holds} (value {number})"
+    holds = number > stmt.operand if stmt.kind == "above" else number < stmt.operand
+    return holds, f"{stmt.kind}({stmt.var}, {stmt.operand})={holds} (value {number})"
 
 
 def _execute(stmt, idx: int, env: dict, result: ProgramRunResult, ctx: ToolContext) -> str:
     """Run one statement; returns its trace note."""
     if isinstance(stmt, CondStmt):
-        holds, note = _predicate_holds(stmt.predicate, env)
+        holds, note = _predicate_holds(stmt, env)
         if not holds:
             return note + "; skipped"
         return note + "; " + _execute(stmt.body, idx, env, result, ctx)
     if isinstance(stmt, FindingStmt):
         result.findings.append(" ".join(str(_value(part, env)) for part in stmt.parts))
         return "finding recorded"
-    args = {name: _value(value, env) for name, value in stmt.call.args}
-    tool_result = ctx.registry.execute(stmt.call.tool, args, ctx)
+    args = {name: _value(value, env) for name, value in stmt.args}
+    tool_result = ctx.registry.execute(stmt.tool, args, ctx)
     if not tool_result.success:
         raise ProgramRuntimeError(idx, tool_result.error or tool_result.observation)
     if stmt.var:
         env[stmt.var] = tool_result
-    return f"{_format_call(stmt.call)} -> ok"
+    return f"{_format_call(stmt)} -> ok"
 
 
-def run_program(program: SopProgram, ctx: ToolContext) -> ProgramRunResult:
+def run_program(program: tuple, ctx: ToolContext) -> ProgramRunResult:
     """Execute all statements in order; stop at the first runtime failure.
 
     The per-statement trace always has one entry per executed statement, so a
@@ -327,7 +296,7 @@ def run_program(program: SopProgram, ctx: ToolContext) -> ProgramRunResult:
     """
     result = ProgramRunResult()
     env: dict[str, ToolResult] = {}
-    for idx, stmt in enumerate(program.statements):
+    for idx, stmt in enumerate(program):
         try:
             result.trace.append(f"{idx}: {_execute(stmt, idx, env, result, ctx)}")
         except ProgramRuntimeError as exc:

@@ -48,7 +48,7 @@ class SopFlowState:
     """Mutable per-episode context the SOP flow tools read and write."""
 
     sop: Any = None            # the procedure currently being worked (SopDoc)
-    program: Any = None        # last validated SopProgram
+    program: Any = None        # statements run_sop runs; None after a failed generate_sop_code
     last_findings: str = ""    # findings text of the last successful run_sop
 
 

@@ -115,7 +115,7 @@ def generate_sop_code(ctx: ToolContext, sop_id: str | None = None) -> ToolResult
         raise
     ctx.sop.sop = doc
     ctx.sop.program = program
-    text = (f"program for '{doc.name}' validated: {len(program.statements)} statements")
+    text = f"program for '{doc.name}' validated: {len(program)} statements"
     return ToolResult(observation=text, payload=program)
 
 

@@ -17,11 +17,6 @@ class RootCause:
     explanation: str = ""
 
 
-@dataclass(frozen=True)
-class SpeakReport:
-    causes: tuple[RootCause, ...]
-
-
 def _sanitize(text: str) -> str:
     # '|' and ';' are the cause-list separators
     return text.replace("|", "/").replace(";", ",")
@@ -56,8 +51,9 @@ def parse_causes(text: str) -> list[RootCause]:
 
 
 def speak(ctx: ToolContext, causes: str) -> ToolResult:
-    """Format the final report. More than three causes are cut to the three
-    highest-confidence ones (list order is confidence order) with a warning."""
+    """Format the final report; the payload is the tuple of causes kept. More
+    than three causes are cut to the three highest-confidence ones (list order
+    is confidence order) with a warning."""
     parsed = parse_causes(causes)
     if not parsed:
         raise ValidationError("speak requires at least one root cause")
@@ -71,5 +67,4 @@ def speak(ctx: ToolContext, causes: str) -> ToolResult:
     if len(parsed) > MAX_ROOT_CAUSES:
         lines.append(f"warning: {len(parsed)} causes reported, truncated to "
                      f"{MAX_ROOT_CAUSES} highest-confidence")
-    return ToolResult(observation="\n".join(lines),
-                      payload=SpeakReport(causes=tuple(kept)))
+    return ToolResult(observation="\n".join(lines), payload=tuple(kept))

@@ -307,7 +307,7 @@ def test_acceptance_6_program_interpreter_properties():
         result = run_program(program, ctx)
         if result.success:
             assert result.failing_index is None
-            assert len(result.trace) == len(program.statements)
+            assert len(result.trace) == len(program)
         else:
             failures_seen += 1
             assert len(result.trace) == result.failing_index + 1

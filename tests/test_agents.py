@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from sopflow import golden
@@ -56,6 +58,11 @@ class TestParsers:
         parsed = parse_action_line("ACTION: kubectl_logs(pod=frontend-0)")
         assert parsed == ("kubectl_logs", {"pod": "frontend-0"}, "")
 
+    @pytest.mark.parametrize("raw", ["nan", "NaN", "inf", "-Infinity", "1e400"])
+    def test_action_line_non_finite_number_stays_text(self, raw):
+        parsed = parse_action_line(f"ACTION: kubectl_logs(pod=\"frontend-0\", start_s={raw})")
+        assert parsed == ("kubectl_logs", {"pod": "frontend-0", "start_s": raw}, "")
+
     def test_selection_parsing(self):
         assert parse_selection("2", 5) == 2
         assert parse_selection("I pick option 3.", 5) == 3
@@ -93,7 +100,26 @@ class TestParsers:
             == [("pod-a", "CpuStress"), ("svc-b", "NetworkDelay")]
 
 
+def _refuse(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
 class TestEpisodeLoop:
+    @pytest.mark.parametrize("raw", ["nan", "inf", "1e400"])
+    @pytest.mark.parametrize("action_set", [True, False], ids=["action-set", "direct"])
+    def test_a_non_finite_argument_leaves_the_transcript_json(self, raw, action_set):
+        line = f'ACTION: kubectl_logs(pod="frontend-0", start_s={raw}) | r'
+        script = [ScriptEntry(ROLE_THOUGHT, "read the logs"),
+                  ScriptEntry(ROLE_ACTION if action_set else ROLE_DIRECT, line),
+                  ScriptEntry(ROLE_SELECT, "1")]
+        result = run(script, config=AgentConfig(ablations=Ablations(action_set=action_set),
+                                                max_steps=1))
+        events = [json.loads(line, parse_constant=_refuse) for line in transcript_lines(result)]
+        chosen = next(e for e in events if e["kind"] == "chosen")
+        assert chosen["tool"] == "kubectl_logs" and chosen["args"]["start_s"] == raw
+        assert next(e for e in events if e["kind"] == "observation")["text"] == (
+            "tool error: argument 'start_s' of kubectl_logs must be a finite number")
+
     def test_empty_script_aborts_at_first_step(self):
         result = run([])
         assert result.outcome == OUTCOME_ABORTED

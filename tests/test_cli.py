@@ -50,6 +50,15 @@ class TestKbCommands:
         run_cli("kb", "list", "--kb", kb_dir)
         assert "1 incidents" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", [["list"], ["add", "--file", "doc.yaml"]],
+                             ids=["list", "add"])
+    def test_list_and_add_take_no_config(self, tmp_path, capsys, command):
+        # neither embeds nor retrieves, so a config could change nothing
+        with pytest.raises(SystemExit) as info:
+            run_cli("kb", *command, "--kb", str(tmp_path / "kb"), "--config", "c.yaml")
+        assert info.value.code == 2
+        assert "unrecognized arguments: --config c.yaml" in capsys.readouterr().err
+
     def test_add_then_list_then_match_self(self, tmp_path, capsys):
         doc = tmp_path / "doc.yaml"
         doc.write_text("id: sop-x\nname: cache saturation diagnosis\nsteps:\n  - check hit rate\n")

@@ -404,6 +404,7 @@ class TestPersistence:
         ('{"a": [true]}', "the entry for 'a' is not a list of numbers"),
         ('{"a": []}', "dim > 0"),
         ('{"a": [NaN]}', "non-finite"),
+        ('{"a": [0.0, -0.0]}', "the entry for 'a' is a zero vector"),
     ])
     def test_load_rejects_a_malformed_embedding_cache(self, tmp_path, stored, complaint):
         path = tmp_path / "kb" / "embedding_cache.json"

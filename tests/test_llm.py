@@ -387,6 +387,22 @@ class TestRemoteBackend:
         with pytest.raises(BackendError, match="not a string"):
             backend.complete(msgs("hi"))
 
+    def test_content_that_is_not_utf8_is_backend_error(self, monkeypatch):
+        # JSON escapes a lone surrogate, which no transcript could be written with
+        backend = self._replying(
+            monkeypatch, body=b'{"choices": [{"message": {"content": "think \\ud800"}}]}')
+        with pytest.raises(BackendError, match="malformed completion response: .*surrogates"):
+            backend.complete(msgs("hi"))
+
+    @pytest.mark.parametrize("embedding", [[0.0] * 64, [-0.0] * 64, [1e-200] * 64],
+                             ids=["zeros", "negative-zeros", "underflow"])
+    def test_a_zero_embedding_is_backend_error(self, monkeypatch, embedding):
+        # no cosine score can be taken against it, and a cached one would fail
+        # every later match over the knowledge base
+        backend = self._replying(monkeypatch, {"data": [{"embedding": embedding}]})
+        with pytest.raises(BackendError, match="malformed embedding response: a zero vector"):
+            backend.embed("text")
+
     @pytest.mark.parametrize("embedding", [
         [0.1] * 63, [0.1] * 65, [], None, "0.1",
         [0.1] * 63 + ["x"], [0.1] * 63 + [math.nan], [0.1] * 63 + [math.inf],

@@ -20,21 +20,21 @@ class TestParsing:
             'if above(x, 0.5): kubectl_logs(pod="frontend-0")\n'
             'finding("done")\n'
         )
-        kinds = [type(s) for s in program.statements]
+        kinds = [type(s) for s in program]
         assert kinds == [CallStmt, CallStmt, CondStmt, CondStmt, FindingStmt]
 
     def test_fenced_block_extracted(self):
         program = parse_program("Here is the program:\n```\npod_analyze()\n```\nenjoy")
-        assert len(program.statements) == 1
+        assert len(program) == 1
 
     def test_comments_and_blanks_skipped(self):
         program = parse_program("# check pods\n\npod_analyze()\n")
-        assert len(program.statements) == 1
+        assert len(program) == 1
 
     def test_quoted_strings_may_contain_commas(self):
         program = parse_program('finding("first, second, third")')
-        stmt = program.statements[0]
-        assert stmt.parts[0].value == "first, second, third"
+        stmt = program[0]
+        assert stmt.parts[0] == "first, second, third"
 
     def test_no_statements_is_parse_error(self):
         with pytest.raises(GenerationParseError):
@@ -230,7 +230,7 @@ class TestGeneratedPrograms:
             assert validate_program(program, registry) == []
             result = run_program(program, ctx)
             if result.success:
-                assert len(result.trace) == len(program.statements)
+                assert len(result.trace) == len(program)
             else:
                 assert len(result.trace) == result.failing_index + 1
                 # accepted programs never fail on validator-class errors

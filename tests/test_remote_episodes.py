@@ -446,6 +446,45 @@ def test_bad_embedding_reply_is_retried_not_cached(tmp_path, fake_endpoint):
     assert "expected a list of 64 finite numbers" in retries[0]["error"]
 
 
+# JSON escapes a lone surrogate; the decoded text cannot be written as UTF-8
+NOT_UTF8 = (200, {"choices": [{"message": {"content": "think \ud800"}}]})
+
+
+@pytest.mark.parametrize("bad_replies", [1, 2], ids=["retried", "aborts-one-episode"])
+def test_a_reply_that_is_not_utf8_costs_one_episode_at_most(tmp_path, fake_endpoint,
+                                                            bad_replies):
+    _, remote = _corpora(tmp_path / "corpus", "default")
+    _serve_golden(fake_endpoint, "default")
+    fake_endpoint.replies = {("thought", n): NOT_UTF8 for n in range(bad_replies)}
+    out = tmp_path / "out"
+    report = _run(remote, "default", fake_endpoint.config(), out)
+    assert len(report.rows) == 9
+    if bad_replies == 1:
+        assert [row.outcome for row in report.rows] == ["completed"] * 9
+        assert report.la == 1.0
+    else:
+        assert [row.outcome for row in report.rows] == ["aborted"] + ["completed"] * 8
+        first = sorted((out / "transcripts").glob("*.jsonl"))[0]
+        end = json.loads(first.read_text(encoding="utf-8").splitlines()[-1])
+        assert end["abort_reason"].startswith("backend failed twice:")
+        assert "surrogates not allowed" in end["abort_reason"]
+
+
+def test_a_zero_embedding_is_retried_not_cached(tmp_path, fake_endpoint):
+    # a cached zero vector would fail every later match against the store
+    _, remote = _corpora(tmp_path / "corpus", "default")
+    outcomes = []
+    for name, replies in (("cold", {("embed", 2): (200, {"data": [{"embedding": [0.0] * 64}]})}),
+                          ("warm", {})):
+        _serve_golden(fake_endpoint, "default")
+        fake_endpoint.replies = replies
+        outcomes.append([row.outcome for row in
+                         _run(remote, "default", fake_endpoint.config(), tmp_path / name).rows])
+    assert outcomes == [["completed"] * 9] * 2
+    cache = json.loads((tmp_path / "corpus" / "kb" / "embedding_cache.json").read_text())
+    assert cache and all(any(vector) for vector in cache.values())
+
+
 def test_an_unresolved_procedure_is_not_prefetched(fake_endpoint, monkeypatch):
     # the SOP step 1 matches is gone from the store by step 2, so no coder
     # prompt can be built for R1's generate_sop_code, nor for step 3's R5

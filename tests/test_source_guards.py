@@ -387,3 +387,18 @@ def test_changeable_tells_a_frozen_value_from_one_that_is_not():
     assert _changeable(((1, [2]),))
     assert _changeable(types.MappingProxyType({"a": {"b": 1}}))
     assert _changeable(bytearray(b"x")) and _changeable({1})
+
+
+def test_each_package_exports_exactly_what_it_imports():
+    # a stale export (a name deleted from its module) or an import no caller
+    # reaches through the package shows here
+    for package in ("sopflow.agents", "sopflow.tools", "sopflow.sandbox"):
+        module = importlib.import_module(package)
+        assert [name for name in module.__all__ if not hasattr(module, name)] == [], package
+        tree = ast.parse(inspect.getsource(module))
+        imported = {alias.asname or alias.name for node in tree.body
+                    if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                    for alias in node.names}
+        unlisted = sorted(name for name in imported if name not in module.__all__
+                          and not inspect.ismodule(getattr(module, name)))
+        assert unlisted == [], package

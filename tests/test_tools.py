@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from sopflow.agents import Ablations, ActionCandidate, StepRecord, mandated_candidates
@@ -258,6 +260,47 @@ class TestAnalysisTools:
         assert not result.success
         assert result.observation == "tool error: unknown pod 'ghost-0'"
 
+    @staticmethod
+    def _pod_failure_at(pod: str | None):
+        """The PodFailure fixture scenario, its fault moved to ``pod`` if named."""
+        scenario = fault_scenario(FaultType.PodFailure)
+        if pod is None:
+            return scenario
+        fault = dataclasses.replace(scenario.faults[0], target=f"pod:{pod}")
+        return dataclasses.replace(
+            scenario, id=f"{scenario.id}-{pod}", faults=(fault,),
+            ground_truth=dataclasses.replace(scenario.ground_truth, locations=(pod,)))
+
+    @staticmethod
+    def _table(registry, tool: str, ctx) -> dict[str, list[str]]:
+        """A status table's rows keyed by their first column, its header under "header"."""
+        header, *rows = registry.execute(tool, {}, ctx).observation.splitlines()
+        return {"header": header.split(), **{row.split()[0]: row.split()[1:] for row in rows}}
+
+    @pytest.mark.parametrize("pod", [None, "redis-cart-0"], ids=["deployment", "statefulset"])
+    def test_ready_columns_count_the_pods_left_running(self, registry, pod):
+        # expected values come from the topology and the fault list, not from pod_phases
+        scenario = self._pod_failure_at(pod)
+        ctx = make_ctx(scenario, registry=registry)
+        topo = ctx.telemetry.topology
+        down = topo.pod(scenario.faults[0].location_id).service
+        size = {service: len(topo.pods_of(service)) for service in topo.services}
+        ready = {service: 0 if service == down else n for service, n in size.items()}
+        assert self._table(registry, "service_analyze", ctx) == {
+            "header": ["SERVICE", "PODS", "READY", "HEALTH"],
+            **{service: [str(size[service]), str(ready[service]),
+                         "degraded" if service == down else "ok"] for service in size}}
+        workloads = {}
+        for tool, kind in (("deployment_analyze", "DEPLOYMENT"),
+                           ("statefulset_analyze", "STATEFULSET")):
+            table = self._table(registry, tool, ctx)
+            assert table.pop("header") == [kind, "DESIRED", "READY"]
+            assert all(row == [str(size[service]), str(ready[service])]
+                       for service, row in table.items())
+            workloads[kind] = sorted(table)
+        assert workloads["STATEFULSET"] == ["redis-cart"]
+        assert workloads["DEPLOYMENT"] == sorted(set(size) - {"redis-cart"})
+
     def test_kubectl_describe_pod_is_ready_only_while_running(self, registry):
         ctx = make_ctx(fault_scenario(FaultType.PodFailure))
         down = ctx.telemetry.scenario.faults[0].location_id
@@ -371,7 +414,7 @@ class TestSopFlowTools:
         kb = self._kb_with(backend, SopDoc(id="sop-x", name="pods check", steps=["list pods"]))
         ctx = make_ctx(no_fault_scenario(), registry=registry, backend=backend, kb=kb)
         result = generate_sop_code(ctx, sop_id="sop-x")
-        assert result.success and len(result.payload.statements) == 2
+        assert result.success and len(result.payload) == 2
         assert ctx.sop.program is result.payload
 
     def test_generate_sop_code_unknown_tool_rejected(self, registry):
@@ -449,15 +492,15 @@ class TestSpeak:
             "speak", {"causes": "cartservice-0|CpuStress|usage pegged"}, quiet_ctx)
         assert result.success
         assert "location=cartservice-0 type=CpuStress" in result.observation
-        assert len(result.payload.causes) == 1 and "truncated" not in result.observation
+        assert len(result.payload) == 1 and "truncated" not in result.observation
 
     def test_four_causes_truncated_with_warning(self, quiet_ctx):
         causes = "; ".join(f"pod-{i}|CpuStress|c{i}" for i in range(4))
         result = speak(quiet_ctx, causes=causes)
-        assert len(result.payload.causes) == 3
+        assert len(result.payload) == 3
         assert "warning: 4 causes reported, truncated to 3" in result.observation
         # highest-confidence (earliest) causes survive
-        assert [c.location for c in result.payload.causes] == ["pod-0", "pod-1", "pod-2"]
+        assert [c.location for c in result.payload] == ["pod-0", "pod-1", "pod-2"]
 
     def test_zero_causes_rejected(self, quiet_ctx):
         with pytest.raises(ValidationError):
