@@ -20,10 +20,6 @@ from .types import (
     OUTCOME_ABORTED,
     OUTCOME_BUDGET,
     OUTCOME_COMPLETED,
-    PROVENANCE_AGENT,
-    PROVENANCE_FLOW,
-    PROVENANCE_JUDGE,
-    PROVENANCE_MAIN,
     StepRecord,
 )
 
@@ -38,10 +34,6 @@ __all__ = [
     "OUTCOME_ABORTED",
     "OUTCOME_BUDGET",
     "OUTCOME_COMPLETED",
-    "PROVENANCE_AGENT",
-    "PROVENANCE_FLOW",
-    "PROVENANCE_JUDGE",
-    "PROVENANCE_MAIN",
     "RULE_PRIORITY",
     "StepRecord",
     "apply_flow_rules",

@@ -66,7 +66,6 @@ from .types import (
     OUTCOME_BUDGET,
     OUTCOME_COMPLETED,
     DiagnosisResult,
-    PROVENANCE_MAIN,
     StepRecord,
 )
 
@@ -228,25 +227,27 @@ class _Runtime:
 
     def _prefetch(self, action_set: ActionSet) -> Future | None:
         """Start the request of the action set's flow candidate while the
-        selection is in flight: the embedding of the findings an R6 candidate
-        matches (``match_observation``), if they are not cached yet, or the
-        completion an R1, R3 or R5 candidate asks the coder for
-        (``generate_sop_code``), if its procedure resolves. The rules that add
-        these exclude one another, so there is at most one. On a sequential
-        backend nothing is sent early, so nothing is built for it.
+        selection is in flight: the embedding of the findings a rule's
+        ``match_observation`` matches, if they are not cached yet, or the
+        completion a rule's ``generate_sop_code`` asks the coder for, if its
+        procedure resolves. The rules that add these exclude one another, so
+        there is at most one. On a sequential backend nothing is sent early,
+        so nothing is built for it.
 
-        Not prefetched: R8's ``match_sop(alert)``, since no measured workload
-        chooses it and the request would only add load; and R2's author call
-        (``generate_sop``), since its prompt needs a knowledge-base match
+        Not prefetched: a rule's ``match_sop(alert)``, since no measured
+        workload chooses it and the request would only add load; and a rule's
+        ``generate_sop``, since its author prompt needs a knowledge-base match
         first."""
         if not self.backend.concurrent_calls:
             return None
         for candidate in action_set.candidates:
-            if candidate.rule == "R6":
+            if candidate.rule is None:
+                continue
+            if candidate.tool == "match_observation":
                 text = str(candidate.args["observation"])
                 if text.strip() and not self.ctx.kb.cached(text):
                     return self.backend.send_ahead("embed", text)
-            elif candidate.rule in ("R1", "R3", "R5"):
+            elif candidate.tool == "generate_sop_code":
                 try:
                     _, system, user = coder_prompt(self.ctx, candidate.args.get("sop_id"))
                 except SopflowError:  # the tool reports it if chosen
@@ -295,8 +296,7 @@ class _Runtime:
                 f"Tool catalog:\n{self.registry.catalog_text()}\n\n"
                 f"Investigation so far:\n{_history_text(self.state)}")
         reply = ask(self.backend, DIRECT_SYSTEM, user)
-        candidates, _ = roles.parse_candidates(reply, self.registry, max_candidates=1,
-                                               provenance=PROVENANCE_MAIN)
+        candidates, _ = roles.parse_candidates(reply, self.registry, max_candidates=1)
         if not candidates:
             self.state.log("note", text="direct action unusable; step consumed")
             return None
@@ -311,7 +311,7 @@ class _Runtime:
 
     def _run_ob_agent(self, observation_text: str, result: ToolResult) -> None:
         incident_lines = []
-        for hit in result.payload or []:
+        for hit in result.payload:
             incident = self.ctx.kb.get_incident(hit.item_id)
             incident_lines.append(
                 f"- [{incident.fault_type}] {incident.manifestation} (score {hit.score:.4f})"
@@ -348,8 +348,7 @@ class _Runtime:
             if self.config.ablations.judge_agent:
                 self._run_judge(trigger="match_observation")
         elif (tool == "run_sop" and result.success and self.config.judge_after_run_sop
-              and self.config.ablations.judge_agent
-              and result.payload is not None and result.payload.findings):
+              and self.config.ablations.judge_agent and result.payload.findings):
             self._run_judge(trigger="run_sop")
 
     # -- one full step -----------------------------------------------------------

@@ -10,7 +10,7 @@ import re
 
 from ..tools import RootCause, ToolRegistry
 from ..tools.program import split_args
-from .types import ActionCandidate, JudgeVerdict, PROVENANCE_AGENT
+from .types import ActionCandidate, JudgeVerdict
 
 _ACTION_PREFIX_RE = re.compile(r"^\s*ACTION\s*:\s*")
 _CALL_OPEN_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*\(")
@@ -73,7 +73,6 @@ def parse_action_line(line: str) -> tuple[str, dict, str] | None:
 
 
 def parse_candidates(reply: str, registry: ToolRegistry, max_candidates: int,
-                     provenance: str = PROVENANCE_AGENT,
                      ) -> tuple[list[ActionCandidate], list[str]]:
     """Parse proposed actions, dropping any that fail the tool schema."""
     candidates: list[ActionCandidate] = []
@@ -89,9 +88,7 @@ def parse_candidates(reply: str, registry: ToolRegistry, max_candidates: int,
         if violations:
             notes.append(f"dropped invalid candidate: {violations[0]}")
             continue
-        candidates.append(ActionCandidate(
-            tool=tool, args=args, rationale=rationale, provenance=provenance,
-        ))
+        candidates.append(ActionCandidate(tool=tool, args=args, rationale=rationale))
     return candidates, notes
 
 

@@ -9,11 +9,6 @@ from .. import schema
 from ..errors import ValidationError
 from ..tools import RootCause
 
-PROVENANCE_AGENT = "action_agent"
-PROVENANCE_FLOW = "flow_rule"
-PROVENANCE_JUDGE = "judge_rule"
-PROVENANCE_MAIN = "main_agent"  # direct-selection mode (action set ablated)
-
 OUTCOME_COMPLETED = "completed"
 OUTCOME_BUDGET = "budget_exhausted"
 OUTCOME_ABORTED = "aborted"
@@ -50,8 +45,15 @@ class ActionCandidate:
     tool: str
     args: dict[str, Any]
     rationale: str = ""
-    provenance: str = PROVENANCE_AGENT
     rule: str | None = None  # which flow rule mandated it, e.g. "R4"
+
+    @property
+    def provenance(self) -> str:
+        """Who put the candidate in the action set, as the prompts and
+        transcripts name it."""
+        if self.rule is None:
+            return "action_agent"
+        return "judge_rule" if self.rule == "R7" else "flow_rule"
 
     def key(self) -> tuple:
         return (self.tool, tuple(sorted((k, str(v)) for k, v in self.args.items())))

@@ -156,9 +156,18 @@ RENDEZVOUS_TIMEOUT_S = 10.0
 
 def action_sets(state) -> dict[int, list[ActionCandidate]]:
     """Each step's action set, by step, read back from the episode's
-    ``action_set`` transcript events."""
-    return {event["step"]: [ActionCandidate(**c) for c in event["candidates"]]
-            for event in state.events if event["kind"] == "action_set"}
+    ``action_set`` transcript events. A candidate's logged provenance must be
+    the one its rule gives."""
+    sets = {}
+    for event in state.events:
+        if event["kind"] == "action_set":
+            sets[event["step"]] = candidates = []
+            for logged in event["candidates"]:
+                fields = dict(logged)
+                provenance = fields.pop("provenance")
+                candidates.append(ActionCandidate(**fields))
+                assert candidates[-1].provenance == provenance
+    return sets
 
 
 def role_of(prompt: str) -> str:

@@ -432,7 +432,7 @@ def test_acceptance_8_ablation_toggles():
 
     for result in observed["action_set_off"]:
         assert action_sets(result) == {}  # no action set is built
-        assert all(r.chosen.provenance == "main_agent" for r in result.history)
+        assert all(r.chosen.rule is None for r in result.history)
         assert all(ROLE_ACTION not in p for p in _llm_prompts(result))
 
     for result in observed["action_agent_off"]:

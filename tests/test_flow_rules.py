@@ -1,17 +1,20 @@
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from sopflow.agents import (
+    RULE_PRIORITY,
     Ablations,
     ActionCandidate,
     ActionSet,
     AgentConfig,
     JudgeVerdict,
-    PROVENANCE_AGENT,
-    PROVENANCE_FLOW,
-    PROVENANCE_JUDGE,
     StepRecord,
     apply_flow_rules,
     fallback_candidate,
     mandated_candidates,
 )
+from sopflow.agents.flow_rules import speak_awaits_judge
 from sopflow.kb import RetrievalHit, SopDoc
 from sopflow.tools import ProgramRunResult, RootCause, ToolResult
 
@@ -24,7 +27,7 @@ def record(tool, result, args=None) -> StepRecord:
 
 
 def agent(tool, **args):
-    return ActionCandidate(tool=tool, args=args, provenance=PROVENANCE_AGENT)
+    return ActionCandidate(tool=tool, args=args)
 
 
 def rules(step_index=1, prev=None, verdict=None, ablations=None):
@@ -95,7 +98,7 @@ class TestRules:
                                causes=(RootCause("pod-0", "CpuStress", "evidence"),))
         out = rules(verdict=verdict)
         assert [(c.tool, c.rule, c.provenance) for c in out] \
-            == [("speak", "R7", PROVENANCE_JUDGE)]
+            == [("speak", "R7", "judge_rule")]
         assert out[0].args == {"causes": "pod-0|CpuStress|evidence"}
 
     def test_rules_disabled_without_sop_flow(self):
@@ -153,7 +156,7 @@ class TestApplyFlowRules:
         assert len(action_set.candidates) == 1
         cand = action_set.candidates[0]
         assert cand.tool == "run_sop" and cand.rule == "R4" \
-            and cand.provenance == PROVENANCE_FLOW
+            and cand.provenance == "flow_rule"
 
     def test_duplicate_agent_candidates_dropped(self):
         action_set = self._apply([agent("collect_trace"), agent("collect_trace")])
@@ -165,7 +168,7 @@ class TestApplyFlowRules:
         verdict = JudgeVerdict(found=True, summary="s",
                                causes=(RootCause("p", "t", ""),))
         allowed = self._apply([agent("speak", causes="p|t|e")], verdict=verdict)
-        assert any(c.tool == "speak" and c.provenance == PROVENANCE_AGENT
+        assert any(c.tool == "speak" and c.provenance == "action_agent"
                    for c in allowed.candidates)
 
     def test_agent_speak_ungated_when_judge_ablated(self):
@@ -183,8 +186,8 @@ class TestFallback:
     def test_prefers_highest_priority_rule(self):
         candidates = [
             agent("collect_trace"),
-            ActionCandidate("match_observation", {}, provenance=PROVENANCE_FLOW, rule="R6"),
-            ActionCandidate("speak", {"causes": "p|t"}, provenance=PROVENANCE_JUDGE, rule="R7"),
+            ActionCandidate("match_observation", {}, rule="R6"),
+            ActionCandidate("speak", {"causes": "p|t"}, rule="R7"),
         ]
         action_set = ActionSet(candidates, max_size=5)
         assert fallback_candidate(action_set).tool == "speak"
@@ -192,3 +195,103 @@ class TestFallback:
     def test_falls_back_to_first_without_rules(self):
         action_set = ActionSet([agent("collect_trace"), agent("pod_analyze")], max_size=5)
         assert fallback_candidate(action_set).tool == "collect_trace"
+
+
+FOUND = JudgeVerdict(found=True, summary="found it",
+                     causes=(RootCause("pod-0", "CpuStress", "evidence"),))
+
+# each rule's (tool, rationale, args) on one step that fires it
+PINNED = {
+    "R1": (dict(prev=record("match_sop", ToolResult(
+        observation="1 match", payload=[RetrievalHit("sop-best", 0.9)]), args={"query": "q"})),
+        "generate_sop_code", "codify the matched procedure", {"sop_id": "sop-best"}),
+    "R2": (dict(prev=record("match_sop", ToolResult(observation="none", payload=[]),
+                            args={"query": "weird fault"})),
+           "generate_sop", "no stored procedure matched; draft one", {"fault_info": "weird fault"}),
+    "R2-failed-lookup": (dict(prev=record("match_sop", ToolResult(
+        observation="tool error", success=False, error="bad query"))),
+        "generate_sop", "no stored procedure matched; draft one", {"fault_info": ALERT}),
+    "R3": (dict(prev=record("generate_sop", ToolResult(
+        observation="ok", payload=SopDoc(id="gen-new", name="drafted", steps=["s"])))),
+        "generate_sop_code", "codify the freshly generated procedure", {"sop_id": "gen-new"}),
+    "R4": (dict(prev=record("generate_sop_code", ToolResult(observation="ok"),
+                            args={"sop_id": "sop-x"})),
+           "run_sop", "execute the validated program", {}),
+    "R5-invalid": (dict(prev=record("generate_sop_code", ToolResult(
+        observation="bad", success=False, error="unknown tool"), args={"sop_id": "sop-x"})),
+        "generate_sop_code", "program invalid; regenerate it", {"sop_id": "sop-x"}),
+    "R5-invalid-no-id": (dict(prev=record("generate_sop_code", ToolResult(
+        observation="bad", success=False, error="unknown tool"))),
+        "generate_sop_code", "program invalid; regenerate it", {}),
+    "R5-crashed": (dict(prev=record("run_sop", ToolResult(
+        observation="failed", success=False, error="boom",
+        payload=ProgramRunResult(success=False, failing_index=2, error="boom")))),
+        "generate_sop_code", "program crashed; regenerate it", {}),
+    "R6": (dict(prev=record("run_sop", ToolResult(
+        observation="ok", payload=ProgramRunResult(findings=["cpu pegged", "oom"])))),
+        "match_observation", "compare findings against past incidents",
+        {"observation": "- cpu pegged\n- oom"}),
+    "R7": (dict(verdict=FOUND),
+           "speak", "judge confirmed the root cause", {"causes": "pod-0|CpuStress|evidence"}),
+    "R8": (dict(step_index=0),
+           "match_sop", "look up a procedure for the initial alert", {"query": ALERT}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED))
+def test_each_rule_pins_its_tool_rationale_and_args(case):
+    kwargs, tool, rationale, args = PINNED[case]
+    out = rules(**kwargs)
+    assert [(c.rule, c.tool, c.rationale, c.args) for c in out] \
+        == [(case.split("-")[0], tool, rationale, args)]
+
+
+_HITS = st.lists(st.sampled_from(["sop-a", "sop-b"]), max_size=2).map(
+    lambda ids: [RetrievalHit(i, 0.5) for i in ids])
+_PREVIOUS = st.one_of(
+    st.none(),
+    st.builds(lambda hits, ok, query: record("match_sop", ToolResult(
+        observation="o", payload=hits if ok else None, success=ok), args=query),
+        _HITS, st.booleans(), st.sampled_from([{}, {"query": "q"}, {"query": ALERT}])),
+    st.builds(lambda ok: record("generate_sop", ToolResult(
+        observation="o", success=ok,
+        payload=SopDoc(id="gen-1", name="n", steps=["s"]) if ok else None)), st.booleans()),
+    st.builds(lambda ok, sop: record("generate_sop_code", ToolResult(
+        observation="o", success=ok), args=sop),
+        st.booleans(), st.sampled_from([{}, {"sop_id": "sop-a"}])),
+    st.builds(lambda ok, findings: record("run_sop", ToolResult(
+        observation="o", success=ok,
+        payload=ProgramRunResult(findings=findings, success=ok))),
+        st.booleans(), st.lists(st.sampled_from(["cpu pegged", "oom"]), max_size=2)),
+    st.builds(lambda: record("pod_analyze", ToolResult(observation="o"))),
+)
+_VERDICTS = st.sampled_from([None, JudgeVerdict(found=False, summary="s"), FOUND])
+# agent calls, several of them equal to a rule's call
+_AGENT_CALLS = st.sampled_from([
+    ("speak", {"causes": "pod-0|CpuStress|evidence"}), ("speak", {"causes": "p|t|e"}),
+    ("run_sop", {}), ("generate_sop_code", {}), ("generate_sop_code", {"sop_id": "sop-a"}),
+    ("generate_sop_code", {"sop_id": "gen-1"}), ("generate_sop", {"fault_info": "q"}),
+    ("match_sop", {"query": ALERT}), ("match_observation", {"observation": "- oom"}),
+    ("collect_trace", {}), ("pod_analyze", {}), ("node_analyze", {}),
+]).map(lambda call: ActionCandidate(tool=call[0], args=call[1], rationale="agent"))
+
+
+@given(agents=st.lists(_AGENT_CALLS, max_size=7), prev=_PREVIOUS, verdict=_VERDICTS,
+       flags=st.tuples(*[st.booleans()] * 6), size=st.integers(1, 6),
+       step_index=st.integers(0, 1))
+@settings(max_examples=400, deadline=None)
+def test_apply_flow_rules_keeps_every_mandated_rule_within_the_bound(
+        agents, prev, verdict, flags, size, step_index):
+    ablations = Ablations(*flags)
+    config = AgentConfig(action_set_size=size, ablations=ablations)
+    action_set = apply_flow_rules(step_index, prev, verdict, ALERT, agents, config)
+    kept, evicted = list(action_set.candidates), list(action_set.evicted)
+    assert len(kept) <= size
+    assert len({c.key() for c in kept}) == len(kept)
+    mandated = mandated_candidates(step_index, prev, verdict, ALERT, ablations)
+    assert sorted((c for c in kept + evicted if c.rule),
+                  key=lambda c: RULE_PRIORITY.index(c.rule)) == mandated
+    if any(c.rule for c in evicted):
+        assert all(c.rule for c in kept)
+    if speak_awaits_judge(verdict, ablations):
+        assert not any(c.tool == "speak" and c.rule is None for c in kept)
