@@ -47,7 +47,8 @@ GRAMMAR_TEXT = f"""Program statement grammar, one statement per line:
   finding("literal text", x)
 Rules: max {MAX_STATEMENTS} statements, no loops, variables must be bound by an earlier
 unconditional `let`, only data tools may be called. above/below compare the
-last numeric token in the bound observation text."""
+last numeric token in the bound observation text, strictly: a value equal to
+the operand fires neither."""
 
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
 _LET_RE = re.compile(rf"^let\s+({_IDENT})\s*=\s*(.+)$")

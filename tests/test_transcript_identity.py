@@ -3,15 +3,16 @@
 ``TRANSCRIPTS_SHA256`` covers the transcripts of the nine golden scenarios
 under every ``golden.MODES`` entry, each mode run with its own ablation flags
 and scripts; files are hashed in name order within a mode, modes in ``MODES``
-order. It was computed before the knowledge base's views shared one embedding
-cache, and pins the bytes every later change to the episode path must keep.
+order. It pins the bytes every change to the episode path must keep; it was
+last re-based when the coder's grammar text came to say that ``above`` and
+``below`` are strict.
 
 ``GENERATED_SHA256`` covers the default-mode transcripts of
 ``generate_corpus(GENERATED_SEED, GENERATED_COUNT)``: new scenarios, all nine
 fault types round-robin, with ``golden.build_script`` oracle scripts and the
-golden knowledge base, hashed in name order. It was computed before knowledge
-base embeddings were sent in pairs and prefetched. The same corpus run through
-``RemoteBackend`` must give the same bytes.
+golden knowledge base, hashed in name order, and re-based with
+``TRANSCRIPTS_SHA256``. The same corpus run through ``RemoteBackend`` must
+give the same bytes.
 """
 
 import hashlib
@@ -27,10 +28,10 @@ from sopflow.evaluation import EvalConfig, load_corpus, run_benchmark
 from sopflow.llm import BackendConfig, make_backend, script_to_mapping
 from sopflow.sandbox import generate_corpus, save_scenario
 
-TRANSCRIPTS_SHA256 = "eee9d920a263821e0d1f3202796b330386d829fa4e6e8bfd153b9e37d9803320"
+TRANSCRIPTS_SHA256 = "116b5c019af35f79c8d1554e45333ec2a1587c97c6768526122e10f77168da5d"
 GENERATED_SEED = 1616
 GENERATED_COUNT = 18
-GENERATED_SHA256 = "d19d65b68316239fab5231b2d02dd035e7b94812aa611ef9855c4bab5a1d33d2"
+GENERATED_SHA256 = "35b5ffb823df887039756c1988ac37a7dc1f34622ef81f3f414046b5eac4de16"
 
 
 def _agent_config(mode: str) -> AgentConfig:
