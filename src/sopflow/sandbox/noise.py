@@ -24,14 +24,15 @@ def unit(*parts) -> float:
     return _uniform("\x1f".join(map(str, parts)))
 
 
-def gauss(mu: float, sigma: float, *parts, clamp: float = GAUSS_CLAMP) -> float:
-    """Clamped Gaussian draw around ``mu``; Box-Muller over two hash uniforms,
-    keyed like ``unit(*parts, "u1")`` and ``unit(*parts, "u2")``."""
+def gauss(mu: float, sigma: float, *parts) -> float:
+    """Gaussian draw around ``mu``, clamped at ``GAUSS_CLAMP`` sigma; Box-Muller
+    over two hash uniforms, keyed like ``unit(*parts, "u1")`` and
+    ``unit(*parts, "u2")``."""
     prefix = "\x1f".join(map(str, (*parts, "")))  # every part, then the separator
     u1 = max(_uniform(prefix + "u1"), 1e-12)
     u2 = _uniform(prefix + "u2")
     z = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-    z = max(-clamp, min(clamp, z))
+    z = max(-GAUSS_CLAMP, min(GAUSS_CLAMP, z))
     return mu + sigma * z
 
 
