@@ -57,7 +57,6 @@ def mandated_candidates(step_index: int, prev: StepRecord | None,
                         ablations: Ablations) -> list[ActionCandidate]:
     """The rule-mandated candidates for a step, in priority order."""
     fired: dict[str, dict] = {}  # rule -> the arguments of its call
-    crashed = False
     if ablations.flow_rules_active:
         if ablations.judge_agent and verdict is not None and verdict.found:
             fired["R7"] = {"causes": encode_causes(list(verdict.causes))}
@@ -80,13 +79,13 @@ def mandated_candidates(step_index: int, prev: StepRecord | None,
                     fired["R6"] = {"observation": result.payload.findings_text}
                 else:
                     fired["R5"] = {}
-                    crashed = True
     # R8 alone survives the sop_flow ablation; nothing survives losing the
     # SOP knowledge itself
     if step_index == 0 and ablations.sop_knowledge:
         fired["R8"] = {"query": alert}
     return [ActionCandidate(tool=tool, args=fired[rule], rule=rule,
-                            rationale=_R5_CRASHED if crashed and rule == "R5" else rationale)
+                            rationale=_R5_CRASHED if rule == "R5" and prev.chosen.tool == "run_sop"
+                            else rationale)
             for rule, (tool, rationale) in _RULES.items() if rule in fired]
 
 
