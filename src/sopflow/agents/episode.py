@@ -39,7 +39,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from ..detector import DetectorConfig
-from ..errors import BackendError, EpisodeAborted, ScriptExhaustedError, SopflowError
+from ..errors import BackendError, EpisodeAborted, SopflowError
 from ..llm import ChatMessage, ask, chat, render_prompt
 from ..prompts import (
     ACTION_SYSTEM,
@@ -130,14 +130,14 @@ class _RecordingBackend:
         held = self._ahead.pop((kind, key), None)
         try:
             return send(request) if held is None else held.result()
-        except (BackendError, ScriptExhaustedError) as first:
+        except BackendError as first:
             self._state.log("llm_retry", error=str(first))
-            wait_s = getattr(first, "retry_after_s", None)
+            wait_s = first.retry_after_s
             if wait_s:
                 time.sleep(min(wait_s, MAX_RETRY_WAIT_S))
             try:
                 return send(request)
-            except (BackendError, ScriptExhaustedError) as second:
+            except BackendError as second:
                 raise EpisodeAborted(f"backend failed twice: {second}") from second
 
     def complete(self, messages: list[ChatMessage]) -> str:
@@ -269,7 +269,7 @@ class _Runtime:
             state.alert, agent_candidates, self.config,
         )
         state.log("action_set", candidates=[
-            {"tool": c.tool, "args": _jsonable_args(c.args),
+            {"tool": c.tool, "args": c.args,
              "provenance": c.provenance, "rule": c.rule, "rationale": c.rationale}
             for c in action_set.candidates
         ], evicted=[c.tool for c in action_set.evicted], notes=list(action_set.notes))
@@ -382,7 +382,7 @@ class _Runtime:
                 return
             chosen, position, fallback = candidate, 1, False
 
-        state.log("chosen", tool=chosen.tool, args=_jsonable_args(chosen.args),
+        state.log("chosen", tool=chosen.tool, args=chosen.args,
                   index=position, fallback=fallback)
         result = self.registry.execute(chosen.tool, chosen.args, self.ctx)
         state.log("observation", tool=chosen.tool, success=result.success,
@@ -401,11 +401,6 @@ class _Runtime:
                 explanation="; ".join(c.explanation for c in causes if c.explanation),
             )
             state.outcome = OUTCOME_COMPLETED
-
-
-def _jsonable_args(args: dict) -> dict:
-    return {k: (v if isinstance(v, (str, int, float, bool)) else str(v))
-            for k, v in args.items()}
 
 
 def run_episode(scenario: EpisodeScenario, config: AgentConfig, backend, kb,

@@ -15,10 +15,6 @@ class DimensionError(SopflowError):
     """Two embedding vectors have different dimensionality."""
 
 
-class DegenerateVectorError(SopflowError):
-    """Cosine similarity requested against an all-zero vector."""
-
-
 class NotFoundError(SopflowError):
     """A referenced component, document, or metric does not exist."""
 
@@ -28,15 +24,12 @@ class ConfigError(SopflowError):
 
 
 class BackendError(SopflowError):
-    """A remote backend call failed. Retryable."""
+    """A backend call failed: a remote request or reply, or a scripted
+    backend with no entry matching the prompt. Retryable."""
 
     def __init__(self, message: str, retry_after_s: float | None = None):
         super().__init__(message)
         self.retry_after_s = retry_after_s
-
-
-class ScriptExhaustedError(SopflowError):
-    """The scripted backend had no entry matching the prompt. Signals a broken test script."""
 
 
 class GenerationParseError(SopflowError):

@@ -14,7 +14,8 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import schema
-from .agents import AgentConfig, EpisodeState, OUTCOME_COMPLETED, run_episode, write_transcript
+from .agents import (AgentConfig, EpisodeState, OUTCOME_ABORTED, OUTCOME_COMPLETED,
+                     run_episode, write_transcript)
 from .detector import DetectorConfig
 from .errors import ConfigError, SopflowError, UndefinedMetricError, ValidationError
 from .kb import KbSettings, KnowledgeBase
@@ -155,7 +156,7 @@ class BenchmarkReport:
         return cls(
             rows=rows, la=la, ta=ta, average=average, apl=apl, sigma=eval_cfg.sigma,
             config=schema.to_mapping(eval_cfg),
-            aborted=sum(1 for r in rows if r.outcome == "aborted"),
+            aborted=sum(1 for r in rows if r.outcome == OUTCOME_ABORTED),
         )
 
 

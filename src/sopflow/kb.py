@@ -14,18 +14,20 @@ is the one writer of the cache file, and ``sopflow kb match``,
 ``sopflow diagnose`` and a benchmark run each call it once, when they are
 done, so a rerun over the same knowledge base and backend embeds no text an
 earlier run embedded. Every file is written atomically (a temp file beside
-it, then ``os.replace``). Retrieval is an exact linear scan over cosine
+it, then ``os.replace``). A vector is checked once, when its
+``EmbeddingVector`` is built, and a cached one must have the dimension its
+backend id ends with. Retrieval is an exact linear scan over cosine
 similarities, which is plenty at the store sizes this system targets.
 """
 
 from __future__ import annotations
 
 import copy
-import functools
 import hashlib
 import json
 import math
 import re
+import sys
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -33,7 +35,6 @@ from pathlib import Path
 from . import schema
 from .errors import (
     ConfigError,
-    DegenerateVectorError,
     DimensionError,
     NotFoundError,
     ValidationError,
@@ -44,7 +45,11 @@ _INCIDENT_DIR = "incidents"
 _CACHE_FILE = "embedding_cache.json"
 
 _ID_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
-_CACHE_KEY_RE = re.compile(r".+:[0-9a-f]{64}", re.DOTALL)  # ``_text_key``'s form
+# ``_text_key``'s form, capturing the dimension the backend id ends with; a
+# remote id written before it named one (``remote:<model>``) is read by no backend
+_CACHE_KEY_RE = re.compile(r"(?:.+:([0-9]+)|.+):[0-9a-f]{64}", re.DOTALL)
+_NUMBER = frozenset((int, float))
+_MAX = sys.float_info.max
 
 
 # a document's id is its file name
@@ -65,70 +70,76 @@ class KbSettings(schema.Bounded):
 
 @dataclass(frozen=True)
 class EmbeddingVector:
-    """Fixed-length real vector produced by an embedding backend."""
+    """Real vector produced by an embedding backend. One that exists can be
+    compared: it is built from a non-empty list of finite ints and floats
+    (not bools), each kept as a float, whose sum of squares is above 0. Its
+    ``norm2`` is that sum, added in order."""
 
     values: tuple[float, ...]
+    norm2: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.values) == 0:
-            raise ValidationError("embedding vector must have dim > 0")
+        if not isinstance(self.values, (list, tuple)):
+            raise ValidationError(f"expected a list of numbers, got {type(self.values).__name__}")
+        values, norm2 = [], 0.0
         for v in self.values:
-            if not math.isfinite(v):
-                raise ValidationError("embedding vector contains a non-finite value")
+            # a bool's type is neither; NaN, infinities and huge ints fail the range test
+            if type(v) not in _NUMBER or not -_MAX <= v <= _MAX:
+                raise ValidationError(f"{v!r} is not a finite number")
+            v = float(v)
+            values.append(v)
+            norm2 += v * v
+        if not values:
+            raise ValidationError("an empty vector: dim must be > 0")
+        if norm2 == 0.0:  # no angle can be taken against it
+            raise ValidationError("a zero vector")
+        object.__setattr__(self, "values", tuple(values))
+        object.__setattr__(self, "norm2", norm2)
 
     @property
     def dim(self) -> int:
         return len(self.values)
 
-    @functools.cached_property
-    def norm2(self) -> float:
-        """The sum of the squared values, added in order."""
-        total = 0.0
-        for v in self.values:
-            total += v * v
-        return total
-
     @classmethod
     def of(cls, values) -> "EmbeddingVector":
-        return cls(tuple(float(v) for v in values))
+        return cls(tuple(values))
 
 
 def _read_cache(path: Path) -> dict[str, EmbeddingVector]:
     """The embedding cache at ``path``: a JSON object mapping the key of each
-    embedded text (``<backend id>:<sha256 of the text>``) to its vector. Any
-    other shape is a ``ConfigError`` that names the path."""
+    embedded text (``<backend id>:<sha256 of the text>``, the backend id
+    ending in its dimension) to its vector of that many values. Any other
+    shape is a ``ConfigError`` that names the path."""
     stored = schema.read_json(path)
     if not isinstance(stored, dict):
         raise ConfigError(f"{path}: expected an object mapping text to a list of "
                           f"numbers, got {type(stored).__name__}")
     cache = {}
     for key, values in stored.items():
-        if not (isinstance(values, list) and all(
-                isinstance(v, (int, float)) and not isinstance(v, bool) for v in values)):
-            raise ConfigError(f"{path}: the entry for {key!r} is not a list of numbers")
-        try:
-            cache[key] = EmbeddingVector.of(values)
-        except ValidationError as exc:
-            raise ConfigError(f"{path}: the entry for {key!r}: {exc}") from exc
-        if cache[key].norm2 == 0.0:  # it would fail every match against it
-            raise ConfigError(f"{path}: the entry for {key!r} is a zero vector")
-        if not _CACHE_KEY_RE.fullmatch(key):
+        form = _CACHE_KEY_RE.fullmatch(key)
+        if form is None:
             raise ConfigError(f"{path}: the key {key!r} is not <backend id>:<sha256 of "
                               f"the text>")
+        try:
+            vector = EmbeddingVector(values)
+        except ValidationError as exc:
+            raise ConfigError(f"{path}: the entry for {key!r}: {exc}") from exc
+        if form[1] is not None and vector.dim != int(form[1]):  # it would fail every match
+            raise ConfigError(f"{path}: the entry for {key!r} has {vector.dim} values, "
+                              f"not the {form[1]} its backend id ends with")
+        cache[key] = vector
     return cache
 
 
 def cosine_similarity(a: EmbeddingVector, b: EmbeddingVector) -> float:
-    """Cosine of the angle between two vectors, clamped to [-1, 1]."""
+    """Cosine of the angle between two vectors of one dimension, clamped to
+    [-1, 1]; each has a norm above 0, since it exists."""
     if a.dim != b.dim:
         raise DimensionError(f"dimension mismatch: {a.dim} vs {b.dim}")
     dot = 0.0
     for x, y in zip(a.values, b.values):
         dot += x * y
-    na, nb = a.norm2, b.norm2
-    if na == 0.0 or nb == 0.0:
-        raise DegenerateVectorError("cosine similarity is undefined for a zero vector")
-    score = dot / math.sqrt(na * nb)
+    score = dot / math.sqrt(a.norm2 * b.norm2)
     return max(-1.0, min(1.0, score))
 
 

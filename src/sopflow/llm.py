@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import schema
-from .errors import BackendError, ConfigError, ScriptExhaustedError, ValidationError
+from .errors import BackendError, ConfigError, ValidationError
 from .kb import EmbeddingVector
 
 DEFAULT_CREDENTIAL_ENV = "SOPFLOW_API_KEY"
@@ -158,9 +158,7 @@ class ScriptedBackend:
                     if entry.consume_once:
                         slot[1] = True
                     return entry.response
-        raise ScriptExhaustedError(
-            f"no script entry matches prompt starting with {prompt[:80]!r}"
-        )
+        raise BackendError(f"no script entry matches prompt starting with {prompt[:80]!r}")
 
     def embed(self, text: str) -> EmbeddingVector:
         return hash_embedding(text, self.config.embed_dim, self.config.embed_seed)
@@ -204,8 +202,9 @@ class RemoteBackend:
     knowledge-base store, or, beside a selection, the embedding of the
     findings rule R6 matches or the coder's completion for the procedure rule
     R1, R3 or R5 codifies). A reply that is not what the API promises (a body
-    that is not UTF-8 JSON included) is a ``BackendError``, which the episode
-    retries once; a request sent ahead is its call's first attempt.
+    that is not UTF-8 JSON included, or an embedding that is no
+    ``EmbeddingVector`` of ``embed_dim`` values) is a ``BackendError``, which
+    the episode retries once; a request sent ahead is its call's first attempt.
     ``http.client`` is imported by the first request, so a scripted run never loads it.
     Its ``config`` was checked when it was built, so a remote one has an endpoint.
     """
@@ -214,10 +213,6 @@ class RemoteBackend:
 
     def __init__(self, config: BackendConfig):
         self.config = config
-
-    @property
-    def embed_dim(self) -> int:
-        return self.config.embed_dim
 
     @property
     def backend_id(self) -> str:
@@ -274,18 +269,14 @@ class RemoteBackend:
 
     def embed(self, text: str) -> EmbeddingVector:
         data = self._post("/embeddings", {"model": self.config.model, "input": text})
-        try:
-            values = data["data"][0]["embedding"]
-        except (KeyError, IndexError, TypeError) as exc:
-            raise BackendError(f"malformed embedding response: {exc}") from exc
         # the run's knowledge bases cache every vector, so a bad one is never let in
-        if not (isinstance(values, list) and len(values) == self.embed_dim
-                and all(map(schema.finite, values))):
-            raise BackendError(f"malformed embedding response: expected a list of "
-                               f"{self.embed_dim} finite numbers")
-        vector = EmbeddingVector.of(values)
-        if vector.norm2 == 0.0:
-            raise BackendError("malformed embedding response: a zero vector")
+        try:
+            vector = EmbeddingVector(data["data"][0]["embedding"])
+        except (KeyError, IndexError, TypeError, ValidationError) as exc:
+            raise BackendError(f"malformed embedding response: {exc}") from exc
+        if vector.dim != self.config.embed_dim:
+            raise BackendError(f"malformed embedding response: expected "
+                               f"{self.config.embed_dim} values, got {vector.dim}")
         return vector
 
 

@@ -11,13 +11,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
-from ..errors import (
-    BackendError,
-    EpisodeAborted,
-    ScriptExhaustedError,
-    SopflowError,
-    ValidationError,
-)
+from ..errors import BackendError, EpisodeAborted, SopflowError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -152,7 +146,7 @@ class ToolRegistry:
                 coerced[param.name] = str(value)
         try:
             return fn(ctx, **coerced)
-        except (EpisodeAborted, BackendError, ScriptExhaustedError):
+        except (EpisodeAborted, BackendError):
             raise
         except SopflowError as exc:
             return ToolResult(observation=f"tool error: {exc}",

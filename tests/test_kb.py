@@ -11,7 +11,6 @@ from sopflow import golden, schema
 from sopflow.agents import AgentConfig, run_episode, transcript_lines
 from sopflow.errors import (
     ConfigError,
-    DegenerateVectorError,
     DimensionError,
     NotFoundError,
     ValidationError,
@@ -30,6 +29,10 @@ from conftest import action_sets, scripted_backend
 
 # the rule of a document id, which names its file
 _BAD_ID = "must be letters, digits, '.', '_' and '-', starting with a letter or digit"
+
+
+# a well-formed cache key whose backend id ends with dimension 2
+_KEY2 = "scripted:0:2:" + "0" * 64
 
 
 def vec(*values):
@@ -56,8 +59,9 @@ class TestCosine:
             cosine_similarity(vec(1, 0), vec(1, 0, 0))
 
     def test_zero_vector(self):
-        with pytest.raises(DegenerateVectorError):
-            cosine_similarity(vec(0, 0), vec(1, 0))
+        # no angle can be taken against it, so no such vector is built
+        with pytest.raises(ValidationError, match="^a zero vector$"):
+            EmbeddingVector.of([0, 0])
 
     def test_clamped_to_unit_interval(self):
         score = cosine_similarity(vec(1e-8, 1e-8), vec(1e8, 1e8))
@@ -399,12 +403,15 @@ class TestPersistence:
 
     @pytest.mark.parametrize("stored, complaint", [
         ("[]", "expected an object mapping text to a list of numbers, got list"),
-        ('{"a": "0.5"}', "the entry for 'a' is not a list of numbers"),
-        ('{"a": [0.5, "1"]}', "the entry for 'a' is not a list of numbers"),
-        ('{"a": [true]}', "the entry for 'a' is not a list of numbers"),
-        ('{"a": []}', "dim > 0"),
-        ('{"a": [NaN]}', "non-finite"),
-        ('{"a": [0.0, -0.0]}', "the entry for 'a' is a zero vector"),
+        (f'{{"{_KEY2}": "0.5"}}', f"the entry for {_KEY2!r}: expected a list of numbers, got str"),
+        (f'{{"{_KEY2}": [0.5, "1"]}}', f"the entry for {_KEY2!r}: '1' is not a finite number"),
+        (f'{{"{_KEY2}": [true]}}', f"the entry for {_KEY2!r}: True is not a finite number"),
+        (f'{{"{_KEY2}": []}}', "dim must be > 0"),
+        (f'{{"{_KEY2}": [NaN]}}', "nan is not a finite number"),
+        (f'{{"{_KEY2}": [1e400]}}', "inf is not a finite number"),
+        (f'{{"{_KEY2}": [1{"0" * 400}]}}', "is not a finite number"),
+        (f'{{"{_KEY2}": [0.0, -0.0]}}', f"the entry for {_KEY2!r}: a zero vector"),
+        ('{"a": [0.5]}', "the key 'a' is not <backend id>:<sha256 of the text>"),
     ])
     def test_load_rejects_a_malformed_embedding_cache(self, tmp_path, stored, complaint):
         path = tmp_path / "kb" / "embedding_cache.json"
@@ -413,6 +420,35 @@ class TestPersistence:
         with pytest.raises(ConfigError, match=re.escape(complaint)) as info:
             KnowledgeBase(scripted_backend(), root=tmp_path / "kb")
         assert str(info.value).startswith(f"{path}: ")
+
+    def test_load_rejects_a_cached_vector_of_another_dimension(self, tmp_path):
+        # loaded, it would fail every later match over the store, and
+        # ``save_cache`` would write it back
+        root = tmp_path / "kb"
+        kb = KnowledgeBase(scripted_backend(), root=root)
+        kb.add_sop(SopDoc(id="sop-a", name="disk pressure", steps=["s"]))
+        kb.match_sop("disk is full")
+        kb.save_cache()
+        path = root / "embedding_cache.json"
+        stored = json.loads(path.read_text())
+        key = sorted(stored)[0]
+        assert len(stored) == 2 and key.startswith("scripted:0:64:") and len(stored[key]) == 64
+        path.write_text(json.dumps({**stored, key: [1.0, 2.0]}))
+        with pytest.raises(ConfigError) as info:
+            KnowledgeBase(scripted_backend(), root=root).match_sop("disk is full")
+        assert str(info.value) == (f"{path}: the entry for {key!r} has 2 values, "
+                                   f"not the 64 its backend id ends with")
+
+    def test_load_keeps_entries_of_a_backend_id_without_a_dimension(self, tmp_path):
+        # remote ids before they named the dimension: no backend reads them,
+        # so their texts are embedded again under the new id
+        root = tmp_path / "kb"
+        root.mkdir()
+        legacy = {f"remote:model:{'0' * 64}": [1.0, 2.0]}
+        (root / "embedding_cache.json").write_text(json.dumps(legacy))
+        kb = KnowledgeBase(scripted_backend(), root=root)
+        kb.add_sop(SopDoc(id="sop-a", name="disk pressure", steps=["s"]))
+        assert kb.match_sop("disk pressure", k=1)[0][0].id == "sop-a"
 
     def test_files_keep_their_key_order(self, tmp_path):
         root = tmp_path / "kb"

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from sopflow.config import load_config
-from sopflow.errors import BackendError, ConfigError, ScriptExhaustedError, ValidationError
+from sopflow.errors import BackendError, ConfigError, ValidationError
 from sopflow.kb import cosine_similarity
 from sopflow.llm import (
     BackendConfig,
@@ -43,7 +43,7 @@ class TestScriptedComplete:
 
     def test_no_entries_raises_exhausted(self):
         backend = make_backend(BackendConfig())
-        with pytest.raises(ScriptExhaustedError):
+        with pytest.raises(BackendError, match="no script entry"):
             backend.complete(msgs("anything"))
 
     def test_keyed_entries_fire_in_declaration_order(self):
@@ -68,7 +68,7 @@ class TestScriptedComplete:
         ]))
         assert backend.complete(msgs("key")) == "one"
         assert backend.complete(msgs("key")) == "two"
-        with pytest.raises(ScriptExhaustedError):
+        with pytest.raises(BackendError, match="no script entry"):
             backend.complete(msgs("key"))
 
     def test_matches_against_all_message_contents(self):
@@ -406,9 +406,9 @@ class TestRemoteBackend:
     @pytest.mark.parametrize("embedding", [
         [0.1] * 63, [0.1] * 65, [], None, "0.1",
         [0.1] * 63 + ["x"], [0.1] * 63 + [math.nan], [0.1] * 63 + [math.inf],
-        [0.1] * 63 + [True], [0.1] * 63 + [None],
+        [0.1] * 63 + [True], [0.1] * 63 + [None], [0.1] * 63 + [10 ** 400],
     ], ids=["short", "long", "empty", "null", "string", "text-entry", "nan", "inf",
-            "bool", "null-entry"])
+            "bool", "null-entry", "int-beyond-float"])
     def test_embedding_not_embed_dim_finite_numbers_is_backend_error(
             self, monkeypatch, embedding):
         backend = self._replying(monkeypatch, {"data": [{"embedding": embedding}]})

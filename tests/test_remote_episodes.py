@@ -443,7 +443,7 @@ def test_bad_embedding_reply_is_retried_not_cached(tmp_path, fake_endpoint):
                for line in path.read_text().splitlines()
                if json.loads(line)["kind"] == "llm_retry"]
     assert len(retries) == 1
-    assert "expected a list of 64 finite numbers" in retries[0]["error"]
+    assert "expected 64 values, got 63" in retries[0]["error"]
 
 
 # JSON escapes a lone surrogate; the decoded text cannot be written as UTF-8

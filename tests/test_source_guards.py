@@ -48,11 +48,13 @@ def _functions(node: ast.AST, prefix: str = ""):
             yield from _functions(child, prefix)
 
 
-def test_every_function_in_src_is_used_in_src():
-    # golden.py is the fixture module: tests and the demo call into it
+def _scan_src() -> tuple[Counter, dict[str, ast.Module]]:
+    """Every name ``src/`` uses (as ``_names`` counts them), and the tree of
+    each module but golden.py, the fixture module that tests and the demo
+    call into, keyed by its path under src/sopflow."""
     package_root = pathlib.Path(sopflow.__file__).parent
     used = Counter()
-    defined = []
+    trees = {}
     for path in sorted(package_root.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         # an ``__all__`` entry exports a name; it does not use it
@@ -61,12 +63,30 @@ def test_every_function_in_src_is_used_in_src():
             and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets))]
         used += _names(ast.Module(body=body, type_ignores=[]))
         if path.name != "golden.py":
-            rel = path.relative_to(package_root).as_posix()
-            defined += [(f"{rel}::{qualname}", node) for qualname, node in _functions(tree)
-                        if not (node.name.startswith("__") and node.name.endswith("__"))]
+            trees[path.relative_to(package_root).as_posix()] = tree
+    return used, trees
+
+
+def test_every_function_in_src_is_used_in_src():
+    used, trees = _scan_src()
+    defined = [(f"{rel}::{qualname}", node) for rel, tree in trees.items()
+               for qualname, node in _functions(tree)
+               if not (node.name.startswith("__") and node.name.endswith("__"))]
     unused = sorted(key for key, node in defined
                     if used[node.name] - _names(node)[node.name] <= 0)
     assert unused == sorted(_UNCALLED)
+
+
+def test_every_class_in_src_is_named_in_src():
+    # a class named only in its own body, such as an exception no code
+    # raises or catches any more, shows here
+    used, trees = _scan_src()
+    defined = [(f"{rel}::{node.name}", node) for rel, tree in trees.items()
+               for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    assert "errors.py::SopflowError" in dict(defined)  # the scan works
+    unnamed = sorted(key for key, node in defined
+                     if used[node.name] - _names(node)[node.name] <= 0)
+    assert unnamed == []
 
 
 # Functions named ``validate`` in ``src/``, each kept for a stated reason, keyed
